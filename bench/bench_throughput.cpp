@@ -589,103 +589,6 @@ main(int argc, char **argv)
                   << " viewers in " << report.wall_s << " s\n";
     }
 
-    // ---- cross-tenant sample cache: N viewers orbiting ONE scene,
-    // served uncached vs. through the scene-shared exact-key
-    // SampleCache. Viewers of a scene replay the same orbit, so every
-    // viewer past the first mostly re-reads sample evaluations its
-    // neighbors already paid for -- the hit rate should climb with
-    // viewers-per-scene and the served sample throughput should rise
-    // with it.
-    {
-        const int cw = smoke ? 16 : 32;      // frame edge
-        const int cns = smoke ? 24 : 48;     // samples per ray
-        const int cframes = smoke ? 6 : 12;  // submissions per viewer
-        // Fixed sampling (no adaptive budgets): samples per frame is
-        // exactly w*h*ns, so Msamples/s falls straight out of the
-        // served-frame rate.
-        core::RenderConfig ccfg_render =
-            core::RenderConfig::baseline(cw, cw, cns);
-
-        TextTable ctable({"viewers", "cache", "served/s", "Msamples/s",
-                          "hit rate", "hits", "misses", "evictions"});
-        for (const int viewers : {1, 4}) {
-            for (const bool cached : {false, true}) {
-                // A real NGP field, not a procedural stand-in: a cache
-                // hit must save an actual encode+MLP evaluation for
-                // the uplift to be visible.
-                server::SceneRegistry registry;
-                registry.add("Lego",
-                             std::make_unique<nerf::InstantNgpField>(
-                                 nerf::NgpModelConfig::fast(), 1234),
-                             ccfg_render, scene->info());
-
-                server::ServerConfig scfg;
-                scfg.shards = 1;
-                scfg.threads_per_shard =
-                    std::max(1, std::min(2, core::resolveThreadCount(0)));
-                scfg.frames_in_flight_per_shard = 2;
-                if (cached) {
-                    scfg.sample_cache.enabled = 1;
-                    scfg.sample_cache.quant_step = 0.0f; // bit-exact
-                    scfg.sample_cache.capacity_mb = 64;
-                }
-                server::FrameServer srv(registry, scfg);
-
-                server::WorkloadSpec spec;
-                spec.scenes = {"Lego"};
-                spec.clients[int(server::QosClass::Interactive)] = 0;
-                spec.clients[int(server::QosClass::Standard)] = viewers;
-                spec.clients[int(server::QosClass::Batch)] = 0;
-                spec.frames_per_client = cframes;
-                spec.width = cw;
-                spec.height = cw;
-                spec.burst = 1; // closed loop: no drops, pure throughput
-                server::WorkloadReport report =
-                    server::runWorkload(srv, registry, spec);
-
-                const server::ServerStatsSnapshot snap = srv.stats();
-                uint64_t hits = 0, misses = 0, evictions = 0;
-                double hit_rate = 0.0;
-                for (const server::SceneServeStats &sc : snap.scenes)
-                    if (sc.name == "Lego") {
-                        hits = sc.cache_hits;
-                        misses = sc.cache_misses;
-                        evictions = sc.cache_evictions;
-                        hit_rate = sc.cacheHitRate();
-                    }
-                const double samples_per_frame =
-                    double(cw) * double(cw) * double(cns);
-                const double msps =
-                    report.frames_per_s * samples_per_frame / 1e6;
-
-                ctable.addRow({std::to_string(viewers),
-                               cached ? "exact" : "off",
-                               fmt(report.frames_per_s, 2), fmt(msps, 2),
-                               fmt(hit_rate, 3), std::to_string(hits),
-                               std::to_string(misses),
-                               std::to_string(evictions)});
-                emitBoth(JsonLine("sample_cache")
-                             .field("scene", "Lego")
-                             .field("viewers", viewers)
-                             .field("cache", cached ? "exact" : "off")
-                             .field("quant_step", 0.0)
-                             .field("frames_per_viewer", cframes)
-                             .field("width", cw)
-                             .field("samples_per_ray", cns)
-                             .field("served_frames_per_s",
-                                    report.frames_per_s)
-                             .field("msamples_per_s", msps)
-                             .field("cache_hits", double(hits))
-                             .field("cache_misses", double(misses))
-                             .field("cache_evictions", double(evictions))
-                             .field("hit_rate", hit_rate)
-                             .field("wall_s", report.wall_s),
-                         artifact);
-            }
-        }
-        ctable.print(std::cout);
-    }
-
     // ---- quality ladder: the same over-backlog burst workload with
     // the brownout controller + demote-before-drop stretch off vs. on.
     // Off, the interactive burst sheds frames (drop-oldest); on, the

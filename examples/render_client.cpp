@@ -52,11 +52,6 @@ usage(const char *argv0)
            "  --qos <q>           interactive | standard | batch\n"
            "                      (default interactive)\n"
            "  --step <rad>        orbit step (default 0.05)\n"
-           "  --sample-cache      self-hosted service only: share a\n"
-           "                      cross-tenant sample cache per scene\n"
-           "                      (exact-key, bit-identical frames)\n"
-           "  --quant-step <f>    sample-cache quantization step\n"
-           "                      (default 0 = exact keys)\n"
            "  --ppm <prefix>      write every decoded frame as\n"
            "                      <prefix>NNN.ppm\n"
            "  --trace-out <file>  self-hosted service only: enable\n"
@@ -111,8 +106,6 @@ main(int argc, char **argv)
     int port = 0, frames = 12, width = 48, samples = 48;
     float step = 0.05f;
     double slow_ms = 0.0;
-    bool sample_cache = false;
-    float quant_step = 0.0f;
     net::FrameEncoding encoding = net::FrameEncoding::DeltaPrev;
     server::QosClass qos = server::QosClass::Interactive;
     for (int i = 1; i < argc; ++i) {
@@ -139,12 +132,7 @@ main(int argc, char **argv)
             qos = parseQos(next());
         else if (arg == "--step" && i + 1 < argc)
             step = float(std::atof(argv[++i]));
-        else if (arg == "--sample-cache")
-            sample_cache = true;
-        else if (arg == "--quant-step" && i + 1 < argc) {
-            quant_step = float(std::atof(argv[++i]));
-            sample_cache = true;
-        } else if (arg == "--ppm" && i + 1 < argc)
+        else if (arg == "--ppm" && i + 1 < argc)
             ppm = next();
         else if (arg == "--trace-out" && i + 1 < argc)
             trace_out = next();
@@ -180,10 +168,6 @@ main(int argc, char **argv)
         info = entry->info;
         server::ServerConfig scfg;
         scfg.threads_per_shard = 1;
-        if (sample_cache) {
-            scfg.sample_cache.enabled = 1;
-            scfg.sample_cache.quant_step = quant_step;
-        }
         scfg.slow_frame_ms = slow_ms;
         srv = std::make_unique<server::FrameServer>(*registry, scfg);
         service = std::make_unique<net::RenderService>(*srv);
@@ -294,18 +278,6 @@ main(int argc, char **argv)
                                     double(t.payload_bytes)
                               : 0.0)
               << " smaller with " << net::encodingName(encoding) << ")\n";
-
-    // The sample-cache counters ride the StatsReply (wire v4), so a
-    // remote client sees the scene's cross-tenant hit rate too.
-    net::StatsReplyMsg stats;
-    if (client.fetchStats(stats, &err))
-        for (const server::SceneServeStats &sc : stats.server.scenes)
-            if (sc.name == scene && (sc.cache_hits || sc.cache_misses))
-                std::cout << "sample cache on '" << sc.name
-                          << "': hit rate " << fmt(sc.cacheHitRate(), 3)
-                          << " (" << sc.cache_hits << " hits, "
-                          << sc.cache_misses << " misses, "
-                          << sc.cache_evictions << " evictions)\n";
 
     // The metrics registry travels the wire too (GetStats in text
     // mode), so this works against a remote service as well.

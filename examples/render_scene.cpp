@@ -83,8 +83,6 @@ main(int argc, char **argv)
 
     inform("rendering ", scene_name, " at ", w, "x", h, " with ",
            cfg.samples_per_ray, " samples/ray");
-    // field_cache = get-or-train the MODEL (distinct from the runtime
-    // sample_cache, which memoizes per-sample outputs while rendering).
     auto field = core::fittedField(scene_name, preset);
     nerf::Camera camera = nerf::cameraForScene(scene->info(), w, h);
 

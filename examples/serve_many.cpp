@@ -49,16 +49,6 @@ usage(const char *argv0)
            "  --ladder            enable the quality ladder: brownout\n"
            "                      controller + interactive stretch slots\n"
            "                      (degrade under burst instead of drop)\n"
-           "  --sample-cache      attach a shared cross-tenant sample\n"
-           "                      cache to every scene (exact-key:\n"
-           "                      bit-identical frames, hits skip the\n"
-           "                      field eval; see --quant-step)\n"
-           "  --quant-step <f>    sample-cache key quantization step\n"
-           "                      (default 0 = exact; > 0 buckets\n"
-           "                      nearby positions for more hits at a\n"
-           "                      PSNR-gated quality cost)\n"
-           "  --cache-mb <n>      sample-cache budget per scene, MB\n"
-           "                      (default 32)\n"
            "  --trace-out <file>  enable stage-span tracing and write a\n"
            "                      Chrome/Perfetto trace_event JSON file\n"
            "                      at exit (open at ui.perfetto.dev)\n"
@@ -91,9 +81,6 @@ main(int argc, char **argv)
     int frames = 8, width = 32, samples = 48;
     int shards = 2, threads = 1, in_flight = 2, burst = 2;
     bool ladder = false;
-    bool sample_cache = false;
-    float quant_step = 0.0f;
-    int cache_mb = 32;
     std::string trace_out, metrics_out;
     double slow_ms = 0.0;
     double slo_p99_ms = 0.0, slo_errors = 0.0;
@@ -128,15 +115,7 @@ main(int argc, char **argv)
             burst = next();
         else if (arg == "--ladder")
             ladder = true;
-        else if (arg == "--sample-cache")
-            sample_cache = true;
-        else if (arg == "--quant-step" && i + 1 < argc) {
-            quant_step = float(std::atof(argv[++i]));
-            sample_cache = true;
-        } else if (arg == "--cache-mb" && i + 1 < argc) {
-            cache_mb = next();
-            sample_cache = true;
-        } else if (arg == "--trace-out" && i + 1 < argc)
+        else if (arg == "--trace-out" && i + 1 < argc)
             trace_out = argv[++i];
         else if (arg == "--slow-ms" && i + 1 < argc)
             slow_ms = std::atof(argv[++i]);
@@ -195,11 +174,6 @@ main(int argc, char **argv)
         scfg.qos.cls[int(server::QosClass::Interactive)].degraded_backlog =
             2 * burst;
     }
-    if (sample_cache) {
-        scfg.sample_cache.enabled = 1;
-        scfg.sample_cache.quant_step = quant_step;
-        scfg.sample_cache.capacity_mb = cache_mb;
-    }
     scfg.slow_frame_ms = slow_ms;
     if (slo_p99_ms > 0.0 || slo_errors > 0.0) {
         for (int c = 0; c < server::kQosClasses; ++c) {
@@ -234,15 +208,6 @@ main(int argc, char **argv)
                       fmt(s.mean_queue_ms, 1)});
     }
     table.print(std::cout);
-    if (sample_cache) {
-        std::cout << "\nsample cache (exact="
-                  << (quant_step == 0.0f ? "yes" : "no") << "):";
-        for (const server::SceneServeStats &sc : srv.stats().scenes)
-            std::cout << " " << sc.name << " hit-rate "
-                      << fmt(sc.cacheHitRate(), 3) << " (" << sc.cache_hits
-                      << "/" << (sc.cache_hits + sc.cache_misses) << ")";
-        std::cout << "\n";
-    }
     if (slo_p99_ms > 0.0 || slo_errors > 0.0) {
         std::cout << "\nSLO burn rates (burn 1 = consuming the budget "
                      "exactly at the sustainable rate):\n";

@@ -4,13 +4,6 @@
  * the cache keeps fields in-process (shared_ptr) and on disk
  * (nerf/serialize), so the 20+ benchmark binaries share one training
  * run per scene.
- *
- * Naming note: this is a cache of FIELDS (whole trained models, keyed
- * by scene name + preset). The similarly-named core/sample_cache is a
- * cache of field OUTPUTS (per-sample density/features, keyed by
- * quantized position) that sits under a renderer at serving time. The
- * two never interact: this one decides which model you get, that one
- * memoizes what the model computes.
  */
 
 #ifndef ASDR_CORE_FIELD_CACHE_HPP

@@ -47,44 +47,6 @@ resolveMorton(int requested)
     return true;
 }
 
-/** Resolve SampleCacheParams::enabled. -1 = auto: ASDR_SAMPLE_CACHE
- *  when set, else off (the cache is opt-in). */
-inline bool
-resolveSampleCache(int requested)
-{
-    if (requested >= 0)
-        return requested != 0;
-    if (const char *env = std::getenv("ASDR_SAMPLE_CACHE"))
-        return std::atoi(env) != 0;
-    return false;
-}
-
-/**
- * Knobs of the cross-tenant sample reuse cache (core/sample_cache):
- * a per-scene memoization of density-network outputs shared by every
- * session and shard viewing the scene. Off by default; with
- * quant_step == 0 (the default) enabling it is bit-transparent --
- * hits return the exact float pattern recomputation would produce.
- */
-struct SampleCacheParams
-{
-    /** -1 = auto: the ASDR_SAMPLE_CACHE environment variable when
-     *  set, else off. */
-    int enabled = -1;
-    /**
-     * Position quantization step (scene units; the cube is 1^3).
-     * 0 = exact-key mode: keys are float bit patterns, output is
-     * bit-identical to uncached rendering. > 0 buckets nearby samples
-     * onto one cached value (more cross-viewer hits, bounded PSNR
-     * cost -- gated by tests/test_sample_cache.cpp).
-     */
-    float quant_step = 0.0f;
-    /** Per-scene memory budget of the slot array, MB. */
-    int capacity_mb = 32;
-    /** Independent lock-striped segments (rounded to a power of 2). */
-    int shards = 8;
-};
-
 struct RenderConfig
 {
     int width = 96;
@@ -158,15 +120,6 @@ struct RenderConfig
      * never fire on background pixels.
      */
     float sigma_floor = 0.1f;
-
-    /**
-     * Cross-tenant sample reuse cache (core/sample_cache). When
-     * resolved on, the renderer overlays its field with a CachedField
-     * (unless the field already is one -- the serving stack shares a
-     * per-scene cache through SceneRegistry instead). Exact-key by
-     * default, so the env-gated CI pass renders bit-identically.
-     */
-    SampleCacheParams sample_cache;
 
     // Convenience named configurations used across the benches.
     static RenderConfig

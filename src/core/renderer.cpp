@@ -5,7 +5,6 @@
 #include <cstdlib>
 
 #include "core/color_approximator.hpp"
-#include "core/sample_cache.hpp"
 #include "engine/frame_engine.hpp"
 #include "nerf/volume_render.hpp"
 #include "util/hashing.hpp"
@@ -13,33 +12,9 @@
 
 namespace asdr::core {
 
-namespace {
-
-/** A private sample cache for this renderer, when the config asks for
- *  one and the field is not already a (scene-shared) overlay. */
-std::shared_ptr<SampleCache>
-makeRendererSampleCache(const nerf::RadianceField &field,
-                        const RenderConfig &cfg)
-{
-    if (!resolveSampleCache(cfg.sample_cache.enabled))
-        return nullptr;
-    if (dynamic_cast<const CachedField *>(&field))
-        return nullptr; // already overlaid upstream (SceneRegistry)
-    return std::make_shared<SampleCache>(cfg.sample_cache);
-}
-
-} // namespace
-
 AsdrRenderer::AsdrRenderer(const nerf::RadianceField &field,
                            const RenderConfig &cfg)
-    : sample_cache_(makeRendererSampleCache(field, cfg)),
-      cache_overlay_(sample_cache_ ? std::make_unique<CachedField>(
-                                         field, sample_cache_)
-                                   : nullptr),
-      field_(cache_overlay_
-                 ? static_cast<const nerf::RadianceField &>(*cache_overlay_)
-                 : field),
-      cfg_(cfg), sampler_(cfg),
+    : field_(field), cfg_(cfg), sampler_(cfg),
       lookups_per_point_(field.costs().lookups_per_point)
 {
     ASDR_ASSERT(cfg.samples_per_ray >= 2, "need at least 2 samples per ray");

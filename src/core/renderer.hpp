@@ -44,9 +44,6 @@ class FrameEngine;
 
 namespace asdr::core {
 
-class SampleCache;
-class CachedField;
-
 /** Everything a render pass reports besides the image itself. */
 struct RenderStats
 {
@@ -137,15 +134,6 @@ class AsdrRenderer
     ~AsdrRenderer();
 
     const RenderConfig &config() const { return cfg_; }
-
-    /** The renderer's private sample cache, when cfg.sample_cache
-     *  resolved on (null otherwise, including when the field arrived
-     *  already wrapped in a shared CachedField). */
-    const SampleCache *sampleCache() const { return sample_cache_.get(); }
-
-    /** The field frames actually evaluate through: the cache overlay
-     *  when one was built here, else the constructor's field. */
-    const nerf::RadianceField &renderField() const { return field_; }
 
     /**
      * Render a frame. `stats` and `sink` may be null; attaching a sink
@@ -288,16 +276,6 @@ class AsdrRenderer
     Image renderTraced(const nerf::Camera &camera, RenderStats *stats,
                        TraceSink &sink) const;
 
-    /**
-     * Optional sample-cache overlay (core/sample_cache), built when
-     * cfg.sample_cache resolves on and the field is not already a
-     * CachedField (the serving stack wraps at the SceneRegistry so all
-     * sessions share one per-scene cache; a bare renderer built here
-     * gets a private one). Declared before field_ so the reference can
-     * bind to the overlay in the constructor initializer list.
-     */
-    std::shared_ptr<SampleCache> sample_cache_;
-    std::unique_ptr<CachedField> cache_overlay_;
     const nerf::RadianceField &field_;
     RenderConfig cfg_;
     AdaptiveSampler sampler_;

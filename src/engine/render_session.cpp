@@ -3,24 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/sample_cache.hpp"
 #include "nerf/ngp_field.hpp"
 
 namespace asdr::engine {
-
-namespace {
-
-/** The overlay's wrapped field when `field` is a sample-cache overlay
- *  (server sessions render through the scene-shared CachedField). */
-const nerf::RadianceField *
-unwrapSampleCache(const nerf::RadianceField *field)
-{
-    if (const auto *cached = dynamic_cast<const core::CachedField *>(field))
-        return &cached->inner();
-    return field;
-}
-
-} // namespace
 
 RenderSession::RenderSession(const nerf::RadianceField &field,
                              const core::RenderConfig &cfg,
@@ -28,31 +13,6 @@ RenderSession::RenderSession(const nerf::RadianceField &field,
     : field_(field), renderer_(field, cfg), scfg_(session_cfg)
 {
     encode_reuse_.reset(0);
-    // The session's sample cache, wherever the overlay was built: the
-    // scene-shared one (SceneRegistry handed us a CachedField) or the
-    // renderer's private one (cfg.sample_cache resolved on here).
-    if (const auto *cached =
-            dynamic_cast<const core::CachedField *>(&field_))
-        sample_cache_ = &cached->cache();
-    else if (renderer_.sampleCache())
-        sample_cache_ = renderer_.sampleCache();
-    if (sample_cache_)
-        cache_base_ = sample_cache_->counters();
-}
-
-core::SampleCacheCounters
-RenderSession::sampleCacheCounters() const
-{
-    core::SampleCacheCounters delta;
-    if (!sample_cache_)
-        return delta;
-    const core::SampleCacheCounters now = sample_cache_->counters();
-    delta.hits = now.hits - cache_base_.hits;
-    delta.misses = now.misses - cache_base_.misses;
-    delta.inserts = now.inserts - cache_base_.inserts;
-    delta.evictions = now.evictions - cache_base_.evictions;
-    delta.epoch_drops = now.epoch_drops - cache_base_.epoch_drops;
-    return delta;
 }
 
 SessionStats
@@ -187,11 +147,7 @@ RenderSession::onFrameDone(bool fresh_probes, bool reused_probes)
 bool
 RenderSession::attachReuseHook()
 {
-    // The hook lives on the concrete NGP field; look through a sample-
-    // cache overlay so tracked sessions keep working when the scene is
-    // served cached (only cache MISSES then reach the encode).
-    const auto *ngp = dynamic_cast<const nerf::InstantNgpField *>(
-        unwrapSampleCache(&field_));
+    const auto *ngp = dynamic_cast<const nerf::InstantNgpField *>(&field_);
     if (!ngp)
         return false;
     if (encode_reuse_.lookups.empty())
@@ -204,18 +160,9 @@ RenderSession::attachReuseHook()
 void
 RenderSession::detachReuseHook()
 {
-    if (const auto *ngp = dynamic_cast<const nerf::InstantNgpField *>(
-            unwrapSampleCache(&field_)))
+    if (const auto *ngp =
+            dynamic_cast<const nerf::InstantNgpField *>(&field_))
         ngp->detachEncodeReuseStats(&encode_reuse_);
-    // Fold the cache's view of the session into the same stats object
-    // the reuse counters land in (read between frames, like them).
-    if (sample_cache_) {
-        const core::SampleCacheCounters delta = sampleCacheCounters();
-        encode_reuse_.cache_hits = delta.hits;
-        encode_reuse_.cache_misses = delta.misses;
-        encode_reuse_.cache_evictions = delta.evictions;
-        encode_reuse_.cache_epoch_drops = delta.epoch_drops;
-    }
 }
 
 } // namespace asdr::engine

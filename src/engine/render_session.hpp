@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "core/renderer.hpp"
-#include "core/sample_cache.hpp"
 #include "nerf/hash_grid.hpp"
 
 namespace asdr::engine {
@@ -100,19 +99,6 @@ class RenderSession
     /** Drop the cached probe profile (e.g. after mutating the field). */
     void invalidateProbeCache();
 
-    /**
-     * Sample-cache activity since this session opened (zeros when the
-     * session renders without a cache overlay). The cache is shared
-     * per scene, so concurrent sessions see overlapping deltas -- this
-     * is "what the cache did while I was open", not "what I alone
-     * caused".
-     */
-    core::SampleCacheCounters sampleCacheCounters() const;
-
-    /** The session's sample cache (scene-shared or renderer-private);
-     *  null when rendering uncached. */
-    const core::SampleCache *sampleCache() const { return sample_cache_; }
-
     // ------------------------------------------------------------------
     // Engine-internal API (called by FrameEngine under its admission /
     // completion paths; user code never needs these).
@@ -156,10 +142,6 @@ class RenderSession
     mutable std::mutex m_;
     SessionStats stats_;
     nerf::EncodeReuseStats encode_reuse_;
-    /** Resolved at construction; counters are internally atomic, so
-     *  reads need no session lock. */
-    const core::SampleCache *sample_cache_ = nullptr;
-    core::SampleCacheCounters cache_base_;
 
     // --- probe cache (guarded by m_) ---
     bool cache_valid_ = false;

@@ -163,7 +163,6 @@ EncodeReuseStats::reset(int levels)
     lookups.assign(size_t(levels), 0);
     unique.assign(size_t(levels), 0);
     coherent.assign(size_t(levels), 0);
-    cache_hits = cache_misses = cache_evictions = cache_epoch_drops = 0;
 }
 
 void
@@ -178,10 +177,6 @@ EncodeReuseStats::merge(const EncodeReuseStats &o)
         unique[l] += o.unique[l];
         coherent[l] += o.coherent[l];
     }
-    cache_hits += o.cache_hits;
-    cache_misses += o.cache_misses;
-    cache_evictions += o.cache_evictions;
-    cache_epoch_drops += o.cache_epoch_drops;
 }
 
 double

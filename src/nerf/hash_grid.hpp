@@ -111,27 +111,12 @@ struct EncodeReuseStats
     std::vector<uint64_t> unique;   ///< distinct entries per batch, summed
     std::vector<uint64_t> coherent; ///< same-corner previous-point hits
 
-    // Cross-tenant sample-cache view (core/sample_cache) of the same
-    // session: points the shared cache served without any encode at
-    // all vs. points that fell through to the batched encode counted
-    // above. Zero when no cache overlay is attached.
-    uint64_t cache_hits = 0;
-    uint64_t cache_misses = 0;
-    uint64_t cache_evictions = 0;
-    uint64_t cache_epoch_drops = 0;
-
     void reset(int levels);
     void merge(const EncodeReuseStats &o);
     /** Average lookups per distinct entry (>= 1; higher = more reuse). */
     double reuseFactor(int level) const;
     /** Fraction of lookups hitting the previous point's entry. */
     double coherentFraction(int level) const;
-    /** Fraction of probed points the sample cache served. */
-    double cacheHitRate() const
-    {
-        const uint64_t total = cache_hits + cache_misses;
-        return total ? double(cache_hits) / double(total) : 0.0;
-    }
 };
 
 /**

@@ -271,9 +271,14 @@ FrameResultMsg::decode(WireReader &r)
           r.u16(full_width) && r.u16(full_height) && r.f64(latency_ms) &&
           r.bytes(payload)))
         return false;
+    // Geometry is bounded like SubmitFrame's camera: the client
+    // allocates full_width x full_height to upscale into, so a hostile
+    // 65535^2 result must not decode.
     return status <= uint8_t(FrameStatus::DeadlineExceeded) &&
            encoding <= uint8_t(FrameEncoding::DeltaPrev) &&
-           rung < uint8_t(server::kQualityRungs);
+           rung < uint8_t(server::kQualityRungs) &&
+           rawFrameBytes(width, height) <= kMaxFrameBytes &&
+           rawFrameBytes(full_width, full_height) <= kMaxFrameBytes;
 }
 
 void
@@ -448,10 +453,6 @@ StatsReplyMsg::encode(WireWriter &w) const
         for (int rg = 0; rg < server::kQualityRungs; ++rg)
             w.u64(s.served_rung[rg]);
         w.u64(s.degraded);
-        w.u64(s.cache_hits);
-        w.u64(s.cache_misses);
-        w.u64(s.cache_evictions);
-        w.u64(s.cache_epoch_drops);
     }
     w.u64(server.stuck_in_flight);
     w.u64(server.stuck_events);
@@ -498,9 +499,6 @@ StatsReplyMsg::decode(WireReader &r)
             if (!r.u64(s.served_rung[rg]))
                 return false;
         if (!r.u64(s.degraded))
-            return false;
-        if (!(r.u64(s.cache_hits) && r.u64(s.cache_misses) &&
-              r.u64(s.cache_evictions) && r.u64(s.cache_epoch_drops)))
             return false;
         s.peak_in_flight = int(peak);
         server.scenes.push_back(std::move(s));

@@ -68,14 +68,16 @@ constexpr uint32_t kMagic = 0x52445341u; // 'A','S','D','R' on the wire
  *  DeadlineExceeded frame status, and fault-model stats fields. */
 /** v3: FrameResult carries the quality-ladder rung + requested dims;
  *  StatsReply carries per-class/per-scene rung occupancy. */
-/** v4: StatsReply per-scene sections carry the sample-cache counters
- *  (hits/misses/evictions/epoch_drops). */
+/** v4: StatsReply per-scene sections carry the four counters of the
+ *  per-scene density memo (hits/misses/evictions/epoch_drops). */
 /** v5: GetStats carries a format selector (binary StatsReply or
  *  Prometheus text) and MetricsReply carries the text exposition. */
 /** v6: SubscribeTelemetry/-Ok + SpanBatch stream live stage spans to a
  *  subscribed client; WireCounters count span batches sent/dropped;
  *  StatsReply per-class sections carry the SLO burn-rate fields. */
-constexpr uint16_t kProtocolVersion = 6;
+/** v7: StatsReply per-scene sections drop the four v4 memo counters
+ *  (the memo was removed). */
+constexpr uint16_t kProtocolVersion = 7;
 constexpr size_t kHeaderSize = 12;
 /** Hard cap on one message's payload; oversized headers are a protocol
  *  violation (a 4K frame is ~200 MB raw -- far beyond this service's

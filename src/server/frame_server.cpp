@@ -94,9 +94,6 @@ FrameServer::FrameServer(const SceneRegistry &registry,
     ASDR_ASSERT(cfg.shards >= 1, "need at least one shard");
     ASDR_ASSERT(cfg.frames_in_flight_per_shard >= 1,
                 "need at least one pipeline slot per shard");
-    // Server-level sample-cache knobs: retrofit a shared cache onto
-    // every scene that registered without one (no-op when off).
-    registry.attachSampleCaches(cfg.sample_cache);
     stats_.setSlowFrameKeep(cfg.flight_recorder_frames);
     if (cfg.slo.enabled())
         slo_ = std::make_unique<SloTracker>(cfg.slo);
@@ -182,7 +179,7 @@ FrameServer::openSession(const std::string &scene, QosClass qos,
     client->qos = qos;
     client->callback = std::move(callback);
     client->session = std::make_unique<engine::RenderSession>(
-        entry->sessionField(), entry->config, opt.session);
+        *entry->field, entry->config, opt.session);
 
     std::lock_guard<std::mutex> lock(m_);
     client->id = next_client_++;
@@ -738,17 +735,6 @@ FrameServer::stats() const
                 if (sc.name == entry.second.scene_name)
                     sc.breaker_state = uint8_t(entry.second.state);
     }
-    // Live-filled like breaker_state: the per-scene sample cache keeps
-    // its own atomic counters, snapshotted here rather than threaded
-    // through the recording path.
-    for (SceneServeStats &sc : snap.scenes)
-        if (auto cache = registry_.sceneCache(sc.name)) {
-            const core::SampleCacheCounters c = cache->counters();
-            sc.cache_hits = c.hits;
-            sc.cache_misses = c.misses;
-            sc.cache_evictions = c.evictions;
-            sc.cache_epoch_drops = c.epoch_drops;
-        }
     // Publish the snapshot-time gauges into the metrics registry, so a
     // Prometheus scrape (wire StatsRequest text mode, --metrics-out)
     // sees the live values without its own snapshot plumbing.
@@ -762,10 +748,6 @@ FrameServer::stats() const
         // backslashes, newlines) corrupts every scrape line.
         const std::string l =
             "scene=\"" + metrics::escapeLabelValue(sc.name) + "\"";
-        metrics::gauge("asdr_sample_cache_hits", l)
-            .set(double(sc.cache_hits));
-        metrics::gauge("asdr_sample_cache_misses", l)
-            .set(double(sc.cache_misses));
         metrics::gauge("asdr_scene_breaker_state", l)
             .set(double(sc.breaker_state));
     }

@@ -143,15 +143,6 @@ struct ServerConfig
      * Disabled by default (no objectives set).
      */
     SloParams slo;
-    /**
-     * Cross-tenant sample reuse (core/sample_cache): when this
-     * resolves on (explicitly or via ASDR_SAMPLE_CACHE), the server
-     * attaches one shared SampleCache per registered scene at
-     * construction, so every session of a scene -- across all shards
-     * -- reads field outputs its neighbors already evaluated. Off by
-     * default; quant_step = 0 keeps served frames bit-identical.
-     */
-    core::SampleCacheParams sample_cache;
 };
 
 /** Per-session options beyond the QoS class. */

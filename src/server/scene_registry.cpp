@@ -6,25 +6,6 @@
 
 namespace asdr::server {
 
-namespace {
-
-/** Build the scene's shared cache + overlay when `params` resolves
- *  on and the entry is still uncached. A release store publishes the
- *  overlay to concurrent sessionField() readers. */
-void
-attachCache(SceneEntry &entry, const core::SampleCacheParams &params)
-{
-    if (entry.sample_cache || !core::resolveSampleCache(params.enabled))
-        return;
-    entry.sample_cache = std::make_shared<core::SampleCache>(params);
-    entry.cached_field = std::make_unique<core::CachedField>(
-        *entry.field, entry.sample_cache);
-    entry.session_field.store(entry.cached_field.get(),
-                              std::memory_order_release);
-}
-
-} // namespace
-
 const SceneEntry *
 SceneRegistry::insertLocked(std::unique_ptr<SceneEntry> entry)
 {
@@ -32,7 +13,6 @@ SceneRegistry::insertLocked(std::unique_ptr<SceneEntry> entry)
         if (e->name == entry->name)
             return nullptr;
     entry->id = uint32_t(entries_.size());
-    attachCache(*entry, entry->config.sample_cache);
     entries_.push_back(std::move(entry));
     return entries_.back().get();
 }
@@ -84,36 +64,6 @@ SceneRegistry::addProcedural(const std::string &name,
     entry->config = config;
     std::lock_guard<std::mutex> lock(m_);
     return insertLocked(std::move(entry));
-}
-
-void
-SceneRegistry::attachSampleCaches(
-    const core::SampleCacheParams &params) const
-{
-    if (!core::resolveSampleCache(params.enabled))
-        return;
-    std::lock_guard<std::mutex> lock(m_);
-    // unique_ptr does not propagate const: entries stay mutable here,
-    // and attachCache's publication is reader-safe (release store).
-    for (const auto &e : entries_)
-        attachCache(*e, params);
-}
-
-std::shared_ptr<core::SampleCache>
-SceneRegistry::sceneCache(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    for (const auto &e : entries_)
-        if (e->name == name)
-            return e->sample_cache;
-    return nullptr;
-}
-
-void
-SceneRegistry::invalidateSceneSamples(const std::string &name) const
-{
-    if (auto cache = sceneCache(name))
-        cache->bumpEpoch();
 }
 
 const SceneEntry *

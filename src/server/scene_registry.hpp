@@ -17,26 +17,19 @@
 #ifndef ASDR_SERVER_SCENE_REGISTRY_HPP
 #define ASDR_SERVER_SCENE_REGISTRY_HPP
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/render_config.hpp"
-#include "core/sample_cache.hpp"
 #include "nerf/field.hpp"
 #include "nerf/ngp_field.hpp"
 #include "scene/analytic_scene.hpp"
 
 namespace asdr::server {
 
-/**
- * One registered scene; immutable once returned by the registry,
- * except the sample-cache overlay, which may additionally be attached
- * at server bring-up (attachSampleCaches) -- publication is a single
- * release store, so concurrent sessionField() readers are safe.
- */
+/** One registered scene; immutable once returned by the registry. */
 struct SceneEntry
 {
     std::string name;
@@ -52,28 +45,6 @@ struct SceneEntry
 
     std::unique_ptr<nerf::RadianceField> owned_field;
     std::unique_ptr<scene::AnalyticScene> owned_scene;
-
-    /**
-     * Cross-tenant sample reuse cache (core/sample_cache): ONE cache
-     * per scene, shared by every session on every shard, so the Nth
-     * viewer of a hot scene reads field outputs its neighbors already
-     * evaluated. Built at registration when config.sample_cache
-     * resolves on, or attached later by attachSampleCaches(). Null
-     * when the scene serves uncached.
-     */
-    std::shared_ptr<core::SampleCache> sample_cache;
-    std::unique_ptr<core::CachedField> cached_field;
-
-    /** The field client sessions render through: the shared cache
-     *  overlay when the scene has one, the raw field otherwise. */
-    const nerf::RadianceField &sessionField() const
-    {
-        const nerf::RadianceField *f =
-            session_field.load(std::memory_order_acquire);
-        return f ? *f : *field;
-    }
-
-    std::atomic<const nerf::RadianceField *> session_field{nullptr};
 };
 
 class SceneRegistry
@@ -116,24 +87,6 @@ class SceneRegistry
     /** Null when unknown. The entry stays valid for the registry's
      *  lifetime. */
     const SceneEntry *find(const std::string &name) const;
-
-    /**
-     * Attach a sample cache (per `params`) to every registered scene
-     * that lacks one. The FrameServer calls this at construction with
-     * ServerConfig::sample_cache, so server-level knobs apply without
-     * touching per-scene configs; a no-op when `params` resolves off.
-     * Safe against concurrent sessionField() readers (sessions opened
-     * before the attach keep rendering the raw field).
-     */
-    void attachSampleCaches(const core::SampleCacheParams &params) const;
-
-    /** The scene's shared sample cache; null when unknown/uncached. */
-    std::shared_ptr<core::SampleCache> sceneCache(
-        const std::string &name) const;
-
-    /** Invalidate the scene's cached samples (epoch bump) after its
-     *  field was retrained or updated in place. */
-    void invalidateSceneSamples(const std::string &name) const;
 
     std::vector<std::string> names() const;
     size_t size() const;

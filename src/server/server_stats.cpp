@@ -337,12 +337,7 @@ ServerStatsSnapshot::toJson() const
            << ",\"rungs\":[";
         for (int r = 0; r < kQualityRungs; ++r)
             os << (r ? "," : "") << s.served_rung[r];
-        os << "],\"degraded\":" << s.degraded << ",\"sample_cache\":{"
-           << "\"hits\":" << s.cache_hits
-           << ",\"misses\":" << s.cache_misses
-           << ",\"evictions\":" << s.cache_evictions
-           << ",\"epoch_drops\":" << s.cache_epoch_drops
-           << ",\"hit_rate\":" << s.cacheHitRate() << "}}";
+        os << "],\"degraded\":" << s.degraded << "}";
     }
     os << "},\"stuck_in_flight\":" << stuck_in_flight
        << ",\"stuck_events\":" << stuck_events

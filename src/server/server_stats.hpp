@@ -118,19 +118,6 @@ struct SceneServeStats
     uint64_t served_rung[kQualityRungs] = {};
     /** Served frames delivered below QualityRung::Full. */
     uint64_t degraded = 0;
-    /** Cross-tenant sample-cache view (FrameServer fills these live at
-     *  snapshot time from the scene's shared core::SampleCache; all
-     *  zero when the scene serves uncached). */
-    uint64_t cache_hits = 0;
-    uint64_t cache_misses = 0;
-    uint64_t cache_evictions = 0;
-    uint64_t cache_epoch_drops = 0;
-
-    double cacheHitRate() const
-    {
-        const uint64_t total = cache_hits + cache_misses;
-        return total ? double(cache_hits) / double(total) : 0.0;
-    }
 };
 
 /** One span of a slow frame's retained timeline (value copy of the

@@ -147,8 +147,6 @@ TEST(FieldCache, SecondLookupIsMemoized)
     preset.train.steps = 20; // tiny fit; this test exercises the cache
     preset.train.batch = 8;
     preset.name = "testcache";
-    // Exercises core/field_cache (trained-model get-or-train), not the
-    // rendering-time core/sample_cache.
     auto a = core::fittedField("Mic", preset);
     auto b = core::fittedField("Mic", preset);
     EXPECT_EQ(a.get(), b.get()); // same shared instance
