@@ -1,17 +1,16 @@
 /**
  * @file
  * Host rendering throughput: rays/sec and Msamples/sec of the scalar
- * (point-at-a-time) path vs. the batched path (with and without
- * Morton/tile-coherent ray ordering) vs. batched + tile-parallel, at
- * several resolutions, plus a hash-encode microbenchmark (scalar vs
- * two-pass SIMD vs SIMD over Morton-ordered input), multi-frame
- * pipelining through the streaming engine, and multi-tenant serving
- * latency (per-QoS-class percentiles and drop rates through the
- * sharded FrameServer). Frames are
- * bit-identical across all render modes, so every row measures the
- * same workload. Each row is emitted as a JSON line to stdout *and*
- * appended to BENCH_throughput.json in the working directory, so the
- * perf trajectory accumulates across PRs. The InstantNGP field runs
+ * (point-at-a-time) oracle vs. the batched Morton-tile march vs.
+ * batched + tile-parallel, at several resolutions, plus a hash-encode
+ * microbenchmark (scalar vs two-pass SIMD vs SIMD over Morton-ordered
+ * input), multi-frame pipelining through the streaming engine, and
+ * multi-tenant serving latency (per-QoS-class percentiles and drop
+ * rates through the sharded FrameServer). Frames are bit-identical
+ * across all render modes, so every row measures the same workload.
+ * Each row is emitted as a JSON line to stdout *and* appended to
+ * BENCH_throughput.json in the working directory, so the perf
+ * trajectory accumulates across PRs. The InstantNGP field runs
  * the real hash-grid + MLP network -- this is the path batching
  * accelerates (the paper's CIM arrays amortize exactly this
  * weight/table streaming in hardware).
@@ -50,7 +49,6 @@ struct Mode
     const char *name;
     int eval_batch;
     int num_threads; // 0 = auto
-    int morton;      // RenderConfig::morton_order
 };
 
 struct Measured
@@ -66,7 +64,6 @@ measure(const nerf::RadianceField &field, const nerf::Camera &camera,
 {
     cfg.eval_batch = mode.eval_batch;
     cfg.num_threads = mode.num_threads;
-    cfg.morton_order = mode.morton;
     core::AsdrRenderer renderer(field, cfg);
     core::RenderStats stats;
     renderer.render(camera, &stats);
@@ -104,6 +101,36 @@ frameSamples(const nerf::Camera &camera, int ns, bool morton)
         samples.insert(samples.end(), positions.begin(), positions.end());
     }
     return samples;
+}
+
+/**
+ * A render_reuse row: the per-batch hash-table reuse factor of one
+ * single-threaded 48x48x32 frame, measured through the field's
+ * reuse-stats hook on the renderer's own densityBatch stream.
+ */
+JsonLine
+renderReuseRow(const nerf::InstantNgpField &field,
+               const scene::AnalyticScene &scene)
+{
+    nerf::EncodeReuseStats stats;
+    field.setEncodeReuseStats(&stats);
+    core::RenderConfig cfg = core::RenderConfig::baseline(48, 48, 32);
+    cfg.early_termination = true;
+    cfg.num_threads = 1;
+    core::AsdrRenderer(field, cfg).render(
+        nerf::cameraForScene(scene.info(), 48, 48));
+    field.setEncodeReuseStats(nullptr);
+    uint64_t lookups = 0, unique = 0;
+    for (size_t l = 0; l < stats.lookups.size(); ++l) {
+        lookups += stats.lookups[l];
+        unique += stats.unique[l];
+    }
+    JsonLine row("render_reuse");
+    row.field("order", "morton")
+        .field("lookups", double(lookups))
+        .field("reuse_factor",
+               double(lookups) / double(std::max<uint64_t>(1, unique)));
+    return row;
 }
 
 /** A tenant whose field always throws: the circuit-breaker bench's
@@ -146,7 +173,7 @@ main(int argc, char **argv)
             smoke = true;
 
     benchHeader(
-        "Throughput: scalar vs batched (+Morton ordering) vs "
+        "Throughput: scalar vs batched (Morton tiles) vs "
         "batched+threaded host pipeline, the hash-encode kernel, and "
         "multi-frame pipelining through the streaming engine",
         "Same frame, bit-identical output in all modes; speedups come "
@@ -160,11 +187,13 @@ main(int argc, char **argv)
                                "/BENCH_throughput.json",
                            std::ios::app);
 
+    // The batched modes keep their "+morton" names so their rows line
+    // up with the committed trajectory, which also holds rows of a
+    // since-removed row-order batched mode.
     const Mode modes[] = {
-        {"scalar", 1, 1, 0},
-        {"batched", 32, 1, 0},
-        {"batched+morton", 32, 1, 1},
-        {"batched+morton+threads", 32, 0, 1},
+        {"scalar", 1, 1},
+        {"batched+morton", 32, 1},
+        {"batched+morton+threads", 32, 0},
     };
 
     struct Shape
@@ -219,7 +248,6 @@ main(int argc, char **argv)
                          .field("mode", mode.name)
                          .field("eval_batch", mode.eval_batch)
                          .field("num_threads", mode.num_threads)
-                         .field("morton", mode.morton)
                          .field("wall_s", m.wall_s)
                          .field("rays_per_s", m.rays_per_s)
                          .field("msamples_per_s", m.msamples_per_s)
@@ -292,9 +320,9 @@ main(int argc, char **argv)
         enc_table.print(std::cout);
 
         // Measured host-side reuse (Fig. 15 tie-in), two ways: the raw
-        // sample streams above, and the renderer's actual densityBatch
-        // stream via the field's reuse-stats hook (single-threaded, as
-        // the hook requires).
+        // sample streams above in both orders, and the renderer's actual
+        // densityBatch stream (depth-major Morton tiles) via the field's
+        // reuse-stats hook (single-threaded, as the hook requires).
         for (bool use_morton : {false, true}) {
             core::EncodeReuseReport reuse = core::measureEncodeReuse(
                 field, camera, 32, 64 * 64, use_morton);
@@ -312,29 +340,7 @@ main(int argc, char **argv)
                                                          reuse.total_unique))),
                 artifact);
         }
-        for (int use_morton : {0, 1}) {
-            nerf::EncodeReuseStats stats;
-            field.setEncodeReuseStats(&stats);
-            core::RenderConfig cfg = core::RenderConfig::baseline(48, 48, 32);
-            cfg.early_termination = true;
-            cfg.num_threads = 1;
-            cfg.morton_order = use_morton;
-            core::AsdrRenderer(field, cfg).render(
-                nerf::cameraForScene(scene->info(), 48, 48));
-            field.setEncodeReuseStats(nullptr);
-            uint64_t lookups = 0, unique = 0;
-            for (size_t l = 0; l < stats.lookups.size(); ++l) {
-                lookups += stats.lookups[l];
-                unique += stats.unique[l];
-            }
-            emitBoth(JsonLine("render_reuse")
-                         .field("order", use_morton ? "morton" : "rows")
-                         .field("lookups", double(lookups))
-                         .field("reuse_factor",
-                                double(lookups) /
-                                    double(std::max<uint64_t>(1, unique))),
-                     artifact);
-        }
+        emitBoth(renderReuseRow(field, *scene), artifact);
     }
 
     // ---- Morton reuse at paper-scale tables: the default bench field
@@ -388,31 +394,9 @@ main(int argc, char **argv)
         }
         btable.print(std::cout);
 
-        for (int use_morton : {0, 1}) {
-            nerf::EncodeReuseStats stats;
-            big_field.setEncodeReuseStats(&stats);
-            core::RenderConfig cfg =
-                core::RenderConfig::baseline(48, 48, 32);
-            cfg.early_termination = true;
-            cfg.num_threads = 1;
-            cfg.morton_order = use_morton;
-            core::AsdrRenderer(big_field, cfg).render(
-                nerf::cameraForScene(scene->info(), 48, 48));
-            big_field.setEncodeReuseStats(nullptr);
-            uint64_t lookups = 0, unique = 0;
-            for (size_t l = 0; l < stats.lookups.size(); ++l) {
-                lookups += stats.lookups[l];
-                unique += stats.unique[l];
-            }
-            emitBoth(JsonLine("render_reuse")
-                         .field("order", use_morton ? "morton" : "rows")
-                         .field("log2_table_size", 19)
-                         .field("lookups", double(lookups))
-                         .field("reuse_factor",
-                                double(lookups) /
-                                    double(std::max<uint64_t>(1, unique))),
-                     artifact);
-        }
+        emitBoth(renderReuseRow(big_field, *scene)
+                     .field("log2_table_size", 19),
+                 artifact);
     }
 
     // ---- multi-frame pipelining: a camera path served through the

@@ -6,15 +6,11 @@
  * concurrently over one persistent worker pool, and consume finished
  * frames through the engine's non-blocking poll/drain API (the serving
  * loop never blocks in a future get()). Compares against blocking
- * sequential render() calls (bit-identical frames), and demonstrates
- * callback-driven closed-loop streaming with RenderSession probe reuse
- * across small camera deltas.
+ * sequential render() calls (bit-identical frames).
  */
 
-#include <atomic>
 #include <chrono>
 #include <cstring>
-#include <future>
 #include <iostream>
 #include <map>
 #include <string>
@@ -22,8 +18,6 @@
 #include <vector>
 
 #include "engine/frame_engine.hpp"
-#include "engine/render_session.hpp"
-#include "image/metrics.hpp"
 #include "nerf/procedural_field.hpp"
 #include "scene/scene_library.hpp"
 #include "util/table.hpp"
@@ -55,8 +49,6 @@ usage(const char *argv0)
                  "  --threads <n>    engine workers (default: auto)\n"
                  "  --in-flight <n>  frames pipelined concurrently "
                  "(default 4)\n"
-                 "  --reuse          demo RenderSession probe reuse on "
-                 "the path\n"
                  "  --help           this message\n";
 }
 
@@ -71,7 +63,6 @@ main(int argc, char **argv)
     int samples = 96;
     int threads = 0;
     int in_flight = 4;
-    bool reuse = false;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto next = [&] { return std::atoi(argv[++i]); };
@@ -88,8 +79,6 @@ main(int argc, char **argv)
             threads = next();
         else if (arg == "--in-flight" && i + 1 < argc)
             in_flight = next();
-        else if (arg == "--reuse")
-            reuse = true;
         else if (arg[0] != '-')
             scene_name = arg;
         else {
@@ -185,60 +174,5 @@ main(int argc, char **argv)
     std::cout << "frames bit-identical to sequential: "
               << (identical ? "yes" : "NO") << "\n";
 
-    // ---- session streaming with probe reuse, callback-driven ----
-    // A closed-loop viewer: each completion callback submits the next
-    // camera pose, and each completed frame refreshes the session's
-    // probe cache, so the next small camera step can skip Phase I
-    // entirely (reuse alternates with probing along the orbit).
-    if (reuse) {
-        engine::SessionConfig scfg;
-        scfg.reuse_probes = true;
-        scfg.max_position_delta = 0.12f;
-        scfg.max_forward_delta = 0.05f;
-        engine::RenderSession session(field, cfg, scfg);
-
-        // Exactly one frame is outstanding at a time (each callback
-        // submits the next pose), so plain counters are safe here.
-        size_t done_frames = 0;
-        double psnr_sum = 0.0;
-        std::promise<void> all_done;
-        std::function<void(engine::Frame &&, std::exception_ptr)>
-            on_frame;
-        on_frame = [&](engine::Frame &&frame, std::exception_ptr err) {
-            if (err) {
-                all_done.set_exception(err);
-                return;
-            }
-            psnr_sum += psnr(frame.image, seq[done_frames]);
-            if (++done_frames >= path.size()) {
-                all_done.set_value();
-                return;
-            }
-            engine::FrameRequest req(path[done_frames]);
-            req.renderer = &session.renderer();
-            req.session = &session;
-            req.on_complete = on_frame;
-            eng.submitAsync(std::move(req));
-        };
-
-        t0 = std::chrono::steady_clock::now();
-        engine::FrameRequest first(path[0]);
-        first.renderer = &session.renderer();
-        first.session = &session;
-        first.on_complete = on_frame;
-        eng.submitAsync(std::move(first));
-        all_done.get_future().get();
-        const double sess_s = seconds(t0);
-        const double mean_psnr = psnr_sum / double(frames);
-
-        engine::SessionStats st = session.stats();
-        std::cout << "\ncallback-driven session with probe reuse: "
-                  << fmt(sess_s, 3) << " s ("
-                  << fmt(double(frames) / sess_s, 2) << " frames/s), "
-                  << st.probe_reuses << "/" << st.frames
-                  << " frames served from the probe cache, mean "
-                  << fmt(mean_psnr, 1)
-                  << " dB vs fresh probing (inf = bit-identical)\n";
-    }
     return 0;
 }

@@ -47,10 +47,7 @@ class AdaptiveSampler
 
     /**
      * Pixel probed by cell (gx, gy); every cell maps to a unique pixel
-     * (floor((h-1)/d)*d <= h-1). The ONE cell-to-pixel mapping shared
-     * by Phase I probing, the probe-cache splat, and the cache
-     * capture, which must agree exactly for probe reuse to be
-     * bit-identical.
+     * (floor((h-1)/d)*d <= h-1), so probe rows write disjoint pixels.
      */
     static void
     probePixel(int gx, int gy, int stride, int width, int height, int &px,

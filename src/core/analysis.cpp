@@ -268,7 +268,7 @@ frameRayOrder(int width, int height, bool morton, int tile)
     if (morton) {
         for (int ty = 0; ty < (height + tile - 1) / tile; ++ty)
             for (int tx = 0; tx < (width + tile - 1) / tile; ++tx) {
-                // Clipped edge-tile dims, exactly as renderTile sees them.
+                // Clipped edge-tile dims, exactly as phase2Job sees them.
                 const int tw = std::min(tile, width - tx * tile);
                 const int th = std::min(tile, height - ty * tile);
                 forEachMorton2D(tw, th, [&](int ux, int uy) {

@@ -35,18 +35,6 @@ resolveThreadCount(int requested)
     return hw > 0 ? int(hw) : 1;
 }
 
-/** Resolve RenderConfig::morton_order. -1 = auto: ASDR_MORTON when
- *  set, else on. */
-inline bool
-resolveMorton(int requested)
-{
-    if (requested >= 0)
-        return requested != 0;
-    if (const char *env = std::getenv("ASDR_MORTON"))
-        return std::atoi(env) != 0;
-    return true;
-}
-
 struct RenderConfig
 {
     int width = 96;
@@ -90,26 +78,21 @@ struct RenderConfig
      */
     int num_threads = 0;
     /**
-     * Points per batched field evaluation. Rays are marched in chunks
-     * of this size so early termination stays exact (the march stops at
-     * the same point the one-at-a-time path would). Values <= 1 select
-     * the legacy point-at-a-time path (the bench's scalar reference).
+     * Target points per batched density evaluation. The batched march
+     * takes a list of rays -- one Phase I probe row, or one Phase II
+     * tile walked along a Z-curve -- and evaluates them depth-major:
+     * each batch holds the surviving rays at a band of consecutive
+     * depths, the band sized to keep batches near this many points, so
+     * consecutive points come from adjacent rays at similar depths and
+     * hit overlapping hash-table cache lines (Cicero-style memory
+     * ordering). Early termination stays exact (each ray stops at the
+     * point the one-at-a-time path would), and results are scattered
+     * back to pixel order. Values <= 1 select the scalar oracle: one
+     * point at a time, pixel order (the bench's scalar reference).
+     * Frames are bit-identical for every value.
      */
     int eval_batch = 32;
-    /**
-     * Cache-coherent Phase II ray ordering: tile the frame, walk each
-     * tile's rays along a Z-curve, and march the whole tile depth-major
-     * through the batch API, so consecutive points in a density batch
-     * come from adjacent rays at similar depths and hit overlapping
-     * hash-table cache lines (Cicero-style memory-order optimization).
-     * Results are scattered back to pixel order, so frames stay
-     * bit-identical to the row-order path. -1 = auto: the ASDR_MORTON
-     * environment variable when set, otherwise on. Only the batched
-     * path reorders; the scalar reference and traced renders keep
-     * pixel order.
-     */
-    int morton_order = -1;
-    /** Tile edge (pixels) of the Morton-ordered Phase II loop. */
+    /** Tile edge (pixels) of the batched Phase II march. */
     int tile_size = 8;
 
     /**

@@ -24,6 +24,38 @@ AsdrRenderer::AsdrRenderer(const nerf::RadianceField &field,
 // Out of line: engine::FrameEngine is incomplete in the header.
 AsdrRenderer::~AsdrRenderer() = default;
 
+namespace {
+
+/** One workspace per worker thread, shared by Phase I probe rows and
+ *  Phase II tiles (and, through `shade`, by the scalar oracle). */
+AsdrRenderer::TileWorkspace &
+threadWorkspace()
+{
+    thread_local AsdrRenderer::TileWorkspace tws;
+    return tws;
+}
+
+} // namespace
+
+void
+AsdrRenderer::TileWorkspace::clear()
+{
+    rays.clear();
+    px.clear();
+    py.clear();
+    budget.clear();
+}
+
+void
+AsdrRenderer::TileWorkspace::add(const nerf::Camera &camera, int x, int y,
+                                 int samples)
+{
+    px.push_back(x);
+    py.push_back(y);
+    budget.push_back(samples);
+    rays.push_back(camera.ray(float(x) + 0.5f, float(y) + 0.5f));
+}
+
 AsdrRenderer::RayResult
 AsdrRenderer::renderRay(const nerf::Ray &ray, int budget, bool probe,
                         RayWorkspace &ws, WorkloadProfile &profile,
@@ -45,83 +77,39 @@ AsdrRenderer::renderRay(const nerf::Ray &ray, int budget, bool probe,
     ws.density.resize(size_t(n));
     ws.colors.resize(size_t(n));
 
-    // All sample positions up front; the evaluation below consumes them
-    // batch-at-a-time.
-    for (int i = 0; i < n; ++i)
-        ws.positions[size_t(i)] =
-            ray.origin + ray.dir * (t0 + (float(i) + 0.5f) * dt);
-
-    // Trace sinks need the exact per-point event stream, so they force
-    // the scalar path; eval_batch <= 1 selects it explicitly (it is the
-    // bench's point-at-a-time reference).
-    const bool scalar = sink != nullptr || cfg_.eval_batch <= 1;
+    // ---- density pass (with early termination), point at a time ----
     const bool use_et = cfg_.early_termination && !probe;
-
-    // ---- density pass (with early termination) ----
     int cut = n;
     float transmittance = 1.0f;
-    if (scalar) {
-        for (int i = 0; i < n; ++i) {
-            const Vec3 &pos = ws.positions[size_t(i)];
-            if (sink) {
-                field_.traceLookups(pos, *sink);
-                sink->onDensityExec();
-            }
-            ws.density[size_t(i)] = field_.density(pos);
-            float sigma = ws.density[size_t(i)].sigma;
-            if (sigma < cfg_.sigma_floor)
-                sigma = 0.0f; // occupancy-grid-style empty-space masking
-            ws.sigma[size_t(i)] = sigma;
-
-            if (use_et) {
-                transmittance *= 1.0f - nerf::alphaFromSigma(sigma, dt);
-                if (transmittance < cfg_.et_eps) {
-                    cut = i + 1;
-                    break;
-                }
-            }
+    for (int i = 0; i < n; ++i) {
+        const Vec3 pos = ray.origin + ray.dir * (t0 + (float(i) + 0.5f) * dt);
+        ws.positions[size_t(i)] = pos;
+        if (sink) {
+            field_.traceLookups(pos, *sink);
+            sink->onDensityExec();
         }
-    } else {
-        // Under early termination the first chunks are small (16, then
-        // doubling up to eval_batch) so a ray that saturates after a
-        // few samples does not host-evaluate a full-width chunk tail.
-        int chunk = use_et ? std::min(16, cfg_.eval_batch)
-                           : cfg_.eval_batch;
-        int c0 = 0;
-        while (c0 < n && cut == n) {
-            const int cn = std::min(chunk, n - c0);
-            field_.densityBatch(ws.positions.data() + c0, cn,
-                                ws.density.data() + c0);
-            for (int i = c0; i < c0 + cn; ++i) {
-                float sigma = ws.density[size_t(i)].sigma;
-                if (sigma < cfg_.sigma_floor)
-                    sigma = 0.0f;
-                ws.sigma[size_t(i)] = sigma;
+        ws.density[size_t(i)] = field_.density(pos);
+        float sigma = ws.density[size_t(i)].sigma;
+        if (sigma < cfg_.sigma_floor)
+            sigma = 0.0f; // occupancy-grid-style empty-space masking
+        ws.sigma[size_t(i)] = sigma;
 
-                if (use_et) {
-                    transmittance *=
-                        1.0f - nerf::alphaFromSigma(sigma, dt);
-                    if (transmittance < cfg_.et_eps) {
-                        cut = i + 1;
-                        break;
-                    }
-                }
+        if (use_et) {
+            transmittance *= 1.0f - nerf::alphaFromSigma(sigma, dt);
+            if (transmittance < cfg_.et_eps) {
+                cut = i + 1;
+                break;
             }
-            c0 += cn;
-            chunk = std::min(chunk * 2, cfg_.eval_batch);
         }
     }
     result.points_used = cut;
-    // Both paths charge exactly the points the modeled pipeline executes.
-    // The batch path may host-evaluate a chunk tail past the termination
-    // index; that is host slack, not workload, so it is not counted.
     profile.points += uint64_t(cut);
     profile.density_execs += uint64_t(cut);
     profile.lookups += uint64_t(cut) * uint64_t(lookups_per_point_);
 
     result.color = shadePoints(ray, ws.positions.data(), ws.density.data(),
                                ws.sigma.data(), ws.colors.data(), cut, dt,
-                               scalar, ws, profile, sink);
+                               /*scalar=*/true, ws, profile, sink);
     return result;
 }
 
@@ -173,34 +161,11 @@ AsdrRenderer::shadePoints(const nerf::Ray &ray, const Vec3 *positions,
 }
 
 void
-AsdrRenderer::renderTile(const nerf::Camera &camera, int x0, int y0,
-                         int tw, int th, const int *budgets,
-                         const char *probed, TileWorkspace &tws, Image &img,
-                         float *budget_map, float *actual_map,
-                         WorkloadProfile &profile) const
+AsdrRenderer::marchRays(TileWorkspace &tws, bool probe,
+                        WorkloadProfile &profile) const
 {
-    const int w = camera.width();
-    const bool use_et = cfg_.early_termination;
-
-    // ---- enumerate the tile's rays along the Z-curve ----
-    tws.rays.clear();
-    tws.px.clear();
-    tws.py.clear();
-    tws.budget.clear();
-    forEachMorton2D(tw, th, [&](int ux, int uy) {
-        const int x = x0 + ux;
-        const int y = y0 + uy;
-        if (probed && probed[size_t(y) * w + x])
-            return;
-        tws.px.push_back(x);
-        tws.py.push_back(y);
-        tws.budget.push_back(budgets ? budgets[size_t(y) * w + x]
-                                     : cfg_.samples_per_ray);
-        tws.rays.push_back(camera.ray(float(x) + 0.5f, float(y) + 0.5f));
-    });
     const int R = int(tws.rays.size());
-    if (R == 0)
-        return;
+    const bool use_et = cfg_.early_termination && !probe;
 
     // ---- per-ray march setup (identical formulas to renderRay) ----
     tws.n.assign(size_t(R), 0);
@@ -211,6 +176,7 @@ AsdrRenderer::renderTile(const nerf::Camera &camera, int x0, int y0,
     tws.scanned.assign(size_t(R), 0);
     tws.transmittance.assign(size_t(R), 1.0f);
     tws.alive.assign(size_t(R), 0);
+    tws.color.assign(size_t(R), Vec3(0.0f));
     int total = 0;
     for (int r = 0; r < R; ++r) {
         float a, b;
@@ -239,7 +205,7 @@ AsdrRenderer::renderTile(const nerf::Camera &camera, int x0, int y0,
     }
 
     // ---- depth-major chunked density pass: each batch holds all
-    // surviving rays at a band of consecutive depths, in Z-curve ray
+    // surviving rays at a band of consecutive depths, in staging
     // order, so consecutive batch points are spatially adjacent and
     // share hash-table cache lines. The band narrows to a single depth
     // while many rays march (batch width = survivors) and widens as
@@ -271,8 +237,8 @@ AsdrRenderer::renderTile(const nerf::Camera &camera, int x0, int y0,
                 tws.batch_den[size_t(k)];
 
         // Per-ray sigma floor + early-termination scan over the band;
-        // the cut lands at exactly the per-ray path's index (points of
-        // this band past the cut are host slack, not workload).
+        // the cut lands at exactly renderRay's index (points of this
+        // band past the cut are host slack, not workload).
         for (int r = 0; r < R; ++r) {
             if (!tws.alive[size_t(r)])
                 continue;
@@ -303,29 +269,21 @@ AsdrRenderer::renderTile(const nerf::Camera &camera, int x0, int y0,
         d0 += D;
     }
 
-    // ---- shade + scatter back to pixel order ----
+    // ---- shade each ray; the work charged is exactly the points the
+    // modeled pipeline executes (up to the cut) ----
     for (int r = 0; r < R; ++r) {
-        profile.rays++;
-        Vec3 color(0.0f);
+        if (tws.n[size_t(r)] == 0)
+            continue;
         const int cut = tws.cut[size_t(r)];
-        if (tws.n[size_t(r)] > 0) {
-            profile.points += uint64_t(cut);
-            profile.density_execs += uint64_t(cut);
-            profile.lookups += uint64_t(cut) * uint64_t(lookups_per_point_);
-            const int off = tws.offset[size_t(r)];
-            color = shadePoints(tws.rays[size_t(r)],
-                                tws.positions.data() + off,
-                                tws.density.data() + off,
-                                tws.sigma.data() + off,
-                                tws.colors.data() + off, cut,
-                                tws.dt[size_t(r)], /*scalar=*/false,
-                                tws.shade, profile, nullptr);
-        }
-        const int x = tws.px[size_t(r)];
-        const int y = tws.py[size_t(r)];
-        img.at(x, y) = color;
-        budget_map[size_t(y) * w + x] = float(tws.budget[size_t(r)]);
-        actual_map[size_t(y) * w + x] = float(cut);
+        profile.points += uint64_t(cut);
+        profile.density_execs += uint64_t(cut);
+        profile.lookups += uint64_t(cut) * uint64_t(lookups_per_point_);
+        const int off = tws.offset[size_t(r)];
+        tws.color[size_t(r)] = shadePoints(
+            tws.rays[size_t(r)], tws.positions.data() + off,
+            tws.density.data() + off, tws.sigma.data() + off,
+            tws.colors.data() + off, cut, tws.dt[size_t(r)],
+            /*scalar=*/false, tws.shade, profile, nullptr);
     }
 }
 
@@ -336,11 +294,11 @@ AsdrRenderer::frameShape(int w, int h) const
     s.adaptive = cfg_.adaptive_sampling;
     if (s.adaptive)
         AdaptiveSampler::probeGridDims(w, h, cfg_.probe_stride, s.gw, s.gh);
-    s.morton = cfg_.eval_batch > 1 && resolveMorton(cfg_.morton_order);
+    s.scalar = cfg_.eval_batch <= 1;
     const int T = std::max(1, cfg_.tile_size);
     s.tiles_x = (w + T - 1) / T;
     s.tiles_y = (h + T - 1) / T;
-    s.jobs = s.morton ? s.tiles_x * s.tiles_y : h;
+    s.jobs = s.scalar ? h : s.tiles_x * s.tiles_y;
     return s;
 }
 
@@ -359,8 +317,8 @@ AsdrRenderer::beginFrame(FrameState &fs) const
     // (traced renders) reach here without one.
     if (fs.shape.jobs == 0) {
         fs.shape = frameShape(w, h);
-        if (fs.force_row_order) { // traced renders keep pixel order
-            fs.shape.morton = false;
+        if (fs.sink) { // traced renders run the oracle in pixel order
+            fs.shape.scalar = true;
             fs.shape.jobs = h;
         }
     }
@@ -369,7 +327,7 @@ AsdrRenderer::beginFrame(FrameState &fs) const
                          float(cfg_.samples_per_ray));
     fs.actual_map.assign(size_t(w) * size_t(h), 0.0f);
     fs.probed.assign(size_t(w) * size_t(h), 0);
-    if (fs.shape.adaptive && !fs.probes_reused) {
+    if (fs.shape.adaptive) {
         fs.probe_counts.assign(size_t(fs.shape.gw) * size_t(fs.shape.gh),
                                cfg_.samples_per_ray);
         fs.probe_profiles.assign(size_t(fs.shape.gh), WorkloadProfile{});
@@ -380,46 +338,72 @@ AsdrRenderer::beginFrame(FrameState &fs) const
 void
 AsdrRenderer::probeRow(FrameState &fs, int gy) const
 {
-    // Phase I: probe every d-th pixel with the full budget. Every
-    // (gx, gy) cell maps to a unique pixel (floor((h-1)/d)*d <= h-1),
-    // so rows write disjoint outputs; per-row profiles are merged in
-    // row order by finalizeFrame.
-    thread_local RayWorkspace ws;
+    // Phase I: probe every d-th pixel with the full budget, early
+    // termination off. Every (gx, gy) cell maps to a unique pixel
+    // (floor((h-1)/d)*d <= h-1), so rows write disjoint outputs;
+    // per-row profiles are merged in row order by finalizeFrame.
     const int w = fs.camera.width();
     const int h = fs.camera.height();
-    const int d = cfg_.probe_stride;
+    const int ns = cfg_.samples_per_ray;
     const int gw = fs.shape.gw;
     WorkloadProfile &rp = fs.probe_profiles[size_t(gy)];
+    TileWorkspace &tws = threadWorkspace();
+    tws.clear();
     for (int gx = 0; gx < gw; ++gx) {
         int px, py;
-        AdaptiveSampler::probePixel(gx, gy, d, w, h, px, py);
-        if (fs.sink)
-            fs.sink->onRayBegin(px, py, /*probe=*/true);
-        nerf::Ray ray = fs.camera.ray(float(px) + 0.5f, float(py) + 0.5f);
-        RayResult rr = renderRay(ray, cfg_.samples_per_ray, /*probe=*/true,
-                                 ws, rp, fs.sink);
-        rp.rays++;
-        rp.probe_rays++;
-        if (fs.sink)
-            fs.sink->onRayEnd();
+        AdaptiveSampler::probePixel(gx, gy, cfg_.probe_stride, w, h, px, py);
+        tws.add(fs.camera, px, py, ns);
+    }
+    rp.rays += uint64_t(gw);
+    rp.probe_rays += uint64_t(gw);
 
-        int chosen = cfg_.samples_per_ray;
-        if (rr.hit_volume) {
-            float t0, t1;
-            intersectUnitCube(ray, t0, t1);
-            float dt = (t1 - t0) / float(cfg_.samples_per_ray);
-            chosen = sampler_.selectCount(ws.sigma.data(), ws.colors.data(),
-                                          cfg_.samples_per_ray, dt);
-        } else {
-            chosen = cfg_.min_samples;
-        }
+    // A probe pixel keeps its full-budget color (the hardware holds it
+    // in the render buffer already) and plans its cell's budget.
+    auto record = [&](int gx, const Vec3 &color, int points, int chosen) {
+        const int px = tws.px[size_t(gx)];
+        const int py = tws.py[size_t(gx)];
         fs.probe_counts[size_t(gy) * gw + gx] = chosen;
-        // Probe pixels keep their full-budget color; the hardware holds
-        // it in the render buffer already.
-        fs.img.at(px, py) = rr.color;
+        fs.img.at(px, py) = color;
         fs.probed[size_t(py) * w + px] = 1;
         fs.budget_map[size_t(py) * w + px] = float(chosen);
-        fs.actual_map[size_t(py) * w + px] = float(rr.points_used);
+        fs.actual_map[size_t(py) * w + px] = float(points);
+    };
+    if (fs.shape.scalar) {
+        RayWorkspace &ws = tws.shade;
+        for (int gx = 0; gx < gw; ++gx) {
+            const nerf::Ray &ray = tws.rays[size_t(gx)];
+            if (fs.sink)
+                fs.sink->onRayBegin(tws.px[size_t(gx)], tws.py[size_t(gx)],
+                                    /*probe=*/true);
+            const RayResult rr =
+                renderRay(ray, ns, /*probe=*/true, ws, rp, fs.sink);
+            if (fs.sink)
+                fs.sink->onRayEnd();
+            int chosen = cfg_.min_samples;
+            if (rr.hit_volume) {
+                float t0, t1;
+                intersectUnitCube(ray, t0, t1);
+                chosen = sampler_.selectCount(ws.sigma.data(),
+                                              ws.colors.data(), ns,
+                                              (t1 - t0) / float(ns));
+            }
+            record(gx, rr.color, rr.points_used, chosen);
+        }
+        return;
+    }
+    // Batched: the whole row in one march; each ray's sigma/color
+    // segment stays in the workspace for the difficulty evaluation.
+    marchRays(tws, /*probe=*/true, rp);
+    for (int gx = 0; gx < gw; ++gx) {
+        const size_t r = size_t(gx);
+        const int off = tws.offset[r];
+        const int chosen =
+            tws.n[r] > 0
+                ? sampler_.selectCount(tws.sigma.data() + off,
+                                       tws.colors.data() + off, tws.n[r],
+                                       tws.dt[r])
+                : cfg_.min_samples;
+        record(gx, tws.color[r], tws.cut[r], chosen);
     }
 }
 
@@ -428,79 +412,67 @@ AsdrRenderer::planBudgets(FrameState &fs) const
 {
     if (!fs.shape.adaptive)
         return;
-    const int w = fs.camera.width();
-    const int h = fs.camera.height();
-    const int gw = fs.shape.gw;
-    const int gh = fs.shape.gh;
-    if (fs.probes_reused) {
-        // RenderSession probe reuse: splat the cached per-cell probe
-        // results (color, chosen budget, marched points) exactly where
-        // a fresh Phase I would have written them, then interpolate
-        // budgets from the cached counts. With an unchanged camera this
-        // reproduces the fresh frame bit for bit at zero probe cost.
-        ASDR_ASSERT(int(fs.reused_counts.size()) == gw * gh,
-                    "probe cache does not match the probe grid");
-        const int d = cfg_.probe_stride;
-        for (int gy = 0; gy < gh; ++gy)
-            for (int gx = 0; gx < gw; ++gx) {
-                const size_t cell = size_t(gy) * gw + gx;
-                int px, py;
-                AdaptiveSampler::probePixel(gx, gy, d, w, h, px, py);
-                fs.img.at(px, py) = fs.reused_colors[cell];
-                fs.probed[size_t(py) * w + px] = 1;
-                fs.budget_map[size_t(py) * w + px] =
-                    float(fs.reused_counts[cell]);
-                fs.actual_map[size_t(py) * w + px] = fs.reused_actual[cell];
-            }
-        fs.budgets =
-            sampler_.interpolateCounts(fs.reused_counts, gw, gh, w, h);
-    } else {
-        fs.budgets =
-            sampler_.interpolateCounts(fs.probe_counts, gw, gh, w, h);
-    }
+    fs.budgets = sampler_.interpolateCounts(fs.probe_counts, fs.shape.gw,
+                                            fs.shape.gh, fs.camera.width(),
+                                            fs.camera.height());
 }
 
 void
 AsdrRenderer::phase2Job(FrameState &fs, int j) const
 {
     // Phase II: render every remaining pixel with its budget. The
-    // batched path defaults to Morton/tile-coherent ray ordering
-    // (cache-line reuse across adjacent rays); the scalar reference
-    // keeps row-major pixel order. Frames are bit-identical either way.
+    // batched path marches one Morton tile (cache-line reuse across
+    // adjacent rays); the scalar oracle walks image row j in pixel
+    // order. Frames are bit-identical either way.
     const int w = fs.camera.width();
     const int h = fs.camera.height();
     const bool adaptive = fs.shape.adaptive;
     WorkloadProfile &jp = fs.job_profiles[size_t(j)];
-    if (fs.shape.morton) {
-        thread_local TileWorkspace tws;
-        const int T = std::max(1, cfg_.tile_size);
-        const int tx = j % fs.shape.tiles_x;
-        const int ty = j / fs.shape.tiles_x;
-        renderTile(fs.camera, tx * T, ty * T, std::min(T, w - tx * T),
-                   std::min(T, h - ty * T),
-                   adaptive ? fs.budgets.data() : nullptr,
-                   adaptive ? fs.probed.data() : nullptr, tws, fs.img,
-                   fs.budget_map.data(), fs.actual_map.data(), jp);
-    } else {
-        thread_local RayWorkspace ws;
-        const int y = j;
-        for (int x = 0; x < w; ++x) {
-            if (adaptive && fs.probed[size_t(y) * w + x])
-                continue;
-            int budget = adaptive ? fs.budgets[size_t(y) * w + x]
-                                  : cfg_.samples_per_ray;
+    TileWorkspace &tws = threadWorkspace();
+    tws.clear();
+    auto stage = [&](int x, int y) {
+        if (adaptive && fs.probed[size_t(y) * w + x])
+            return;
+        tws.add(fs.camera, x, y,
+                adaptive ? fs.budgets[size_t(y) * w + x]
+                         : cfg_.samples_per_ray);
+    };
+    if (fs.shape.scalar) {
+        for (int x = 0; x < w; ++x)
+            stage(x, j);
+        const int R = int(tws.rays.size());
+        tws.color.resize(size_t(R));
+        tws.cut.resize(size_t(R));
+        for (int r = 0; r < R; ++r) {
             if (fs.sink)
-                fs.sink->onRayBegin(x, y, /*probe=*/false);
-            nerf::Ray ray = fs.camera.ray(float(x) + 0.5f, float(y) + 0.5f);
-            RayResult rr =
-                renderRay(ray, budget, /*probe=*/false, ws, jp, fs.sink);
-            jp.rays++;
+                fs.sink->onRayBegin(tws.px[size_t(r)], tws.py[size_t(r)],
+                                    /*probe=*/false);
+            const RayResult rr =
+                renderRay(tws.rays[size_t(r)], tws.budget[size_t(r)],
+                          /*probe=*/false, tws.shade, jp, fs.sink);
             if (fs.sink)
                 fs.sink->onRayEnd();
-            fs.img.at(x, y) = rr.color;
-            fs.budget_map[size_t(y) * w + x] = float(budget);
-            fs.actual_map[size_t(y) * w + x] = float(rr.points_used);
+            tws.color[size_t(r)] = rr.color;
+            tws.cut[size_t(r)] = rr.points_used;
         }
+    } else {
+        const int T = std::max(1, cfg_.tile_size);
+        const int x0 = (j % fs.shape.tiles_x) * T;
+        const int y0 = (j / fs.shape.tiles_x) * T;
+        forEachMorton2D(std::min(T, w - x0), std::min(T, h - y0),
+                        [&](int ux, int uy) { stage(x0 + ux, y0 + uy); });
+        marchRays(tws, /*probe=*/false, jp);
+    }
+
+    // ---- scatter back to pixel order ----
+    const int R = int(tws.rays.size());
+    jp.rays += uint64_t(R);
+    for (int r = 0; r < R; ++r) {
+        const int x = tws.px[size_t(r)];
+        const int y = tws.py[size_t(r)];
+        fs.img.at(x, y) = tws.color[size_t(r)];
+        fs.budget_map[size_t(y) * w + x] = float(tws.budget[size_t(r)]);
+        fs.actual_map[size_t(y) * w + x] = float(tws.cut[size_t(r)]);
     }
 }
 
@@ -536,11 +508,10 @@ AsdrRenderer::renderTraced(const nerf::Camera &camera, RenderStats *stats,
 {
     // Serial in-thread render over the same stage functions the engine
     // pipelines: trace sinks observe a strictly ordered per-point event
-    // stream, so stages run one after another on this thread, Phase II
-    // keeps row-major pixel order, and renderRay selects the scalar
-    // path whenever the sink is attached.
+    // stream, so stages run one after another on this thread and the
+    // attached sink puts both phases on the scalar oracle in pixel
+    // order (beginFrame).
     FrameState fs(camera);
-    fs.force_row_order = true;
     fs.sink = &sink;
     beginFrame(fs);
     sink.onFrameBegin(camera.width(), camera.height());

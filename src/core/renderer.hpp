@@ -14,13 +14,18 @@
  *          exactly the hardware's engine ordering, so software counts
  *          and simulated cycles describe the same work.
  *
- * Host execution is batch-at-a-time and tile-parallel: sample positions
- * are generated up front and evaluated through the field's batch API in
- * eval_batch-sized chunks (early termination stays exact), and both
- * phases are split into row jobs over a thread pool with per-job
- * workspaces, merged in row order. Frames are bit-identical for every
- * thread count and batch size; an attached trace sink forces the serial
- * scalar path so the event stream keeps the seed ordering.
+ * Host execution has one batched path and one scalar oracle. The batched
+ * path stages a list of rays -- one Phase I probe row, or one Phase II
+ * tile walked along a Z-curve -- and marches them depth-major through
+ * the field's batch API (marchRays), so each density batch holds
+ * adjacent rays at similar depths. Probe rows march with early
+ * termination off; tiles cut each ray at exactly the index the oracle
+ * would. The scalar oracle (renderRay) evaluates one point at a time in
+ * pixel order; it runs when a trace sink is attached, so the event
+ * stream keeps the seed ordering, or when eval_batch <= 1. Probe rows
+ * and tiles are jobs over a thread pool with per-thread workspaces,
+ * merged in index order. Frames are bit-identical for every thread
+ * count, tile size and batch size, and to the scalar oracle.
  */
 
 #ifndef ASDR_CORE_RENDERER_HPP
@@ -77,7 +82,9 @@ struct FrameShape
     int gw = 0, gh = 0;           ///< probe grid (0x0 when not adaptive)
     int tiles_x = 0, tiles_y = 0; ///< Morton tile grid
     int jobs = 0;                 ///< Phase II job count (tiles or rows)
-    bool morton = false;          ///< tile-Z-curve Phase II ordering
+    /** Both phases run the scalar oracle, and Phase II jobs are image
+     *  rows (eval_batch <= 1, or a trace sink attached). */
+    bool scalar = false;
     bool adaptive = false;        ///< Phase I runs this frame
 };
 
@@ -104,24 +111,11 @@ struct FrameState
     std::vector<WorkloadProfile> job_profiles;
 
     /**
-     * Injected probe plan (RenderSession probe reuse): when
-     * `probes_reused` is set, Phase I is skipped entirely and
-     * planBudgets() splats these cached per-cell results instead --
-     * probe-pixel colors into the image and the counts into the
-     * interpolation. Bit-identical to a fresh render when the camera
-     * is unchanged; an approximation across small camera deltas.
+     * Traced renders (renderTraced) attach the sink, which puts the
+     * frame on the scalar oracle in pixel order. It must stay unset for
+     * engine frames (stages would race on the sink's ordered event
+     * stream).
      */
-    bool probes_reused = false;
-    std::vector<int> reused_counts;
-    std::vector<Vec3> reused_colors;
-    std::vector<float> reused_actual;
-
-    /**
-     * Traced renders (renderTraced) force row-major Phase II jobs and
-     * attach the sink; both must stay unset for engine frames (stages
-     * would race on the sink's ordered event stream).
-     */
-    bool force_row_order = false;
     TraceSink *sink = nullptr;
 
     std::chrono::steady_clock::time_point start;
@@ -173,18 +167,18 @@ class AsdrRenderer
      *  Eq. (3) difficulty -> per-cell budgets). */
     void probeRow(FrameState &fs, int gy) const;
 
-    /** Sample-count planning: bilinear budget interpolation (or the
-     *  cached-probe splat when `fs.probes_reused`). */
+    /** Sample-count planning: bilinear budget interpolation. */
     void planBudgets(FrameState &fs) const;
 
-    /** Phase II job `j`: one Morton tile (or one image row when tile
-     *  ordering is off). */
+    /** Phase II job `j`: one Morton tile (one image row on the scalar
+     *  oracle). */
     void phase2Job(FrameState &fs, int j) const;
 
     /** Merge per-job profiles (index order) and fill `stats`. */
     void finalizeFrame(FrameState &fs, RenderStats *stats) const;
 
-    /** Reusable per-ray scratch buffers. */
+    /** Reusable per-ray scratch buffers (the scalar oracle's samples,
+     *  and the anchor rows of every color pass). */
     struct RayWorkspace
     {
         std::vector<Vec3> positions;
@@ -207,23 +201,30 @@ class AsdrRenderer
     };
 
     /**
-     * March one ray with `budget` samples. Exposed for unit tests and
-     * the analysis tools; `probe` disables early termination (probe
-     * rays need every point for the subset comparisons) and retains
-     * sigma/colors in `ws` for the difficulty evaluation.
+     * The scalar oracle: march one ray with `budget` samples, one field
+     * evaluation at a time. Every batched result must match it bit for
+     * bit. Exposed for unit tests and the analysis tools; `probe`
+     * disables early termination (probe rays need every point for the
+     * subset comparisons) and retains sigma/colors in `ws` for the
+     * difficulty evaluation.
      */
     RayResult renderRay(const nerf::Ray &ray, int budget, bool probe,
                         RayWorkspace &ws, WorkloadProfile &profile,
                         TraceSink *sink) const;
 
     /**
-     * Per-tile scratch of the Morton-ordered Phase II loop: SoA ray
-     * state plus flat ray-major sample buffers (per-ray segments at
-     * `offset[r]`), reused across tiles per thread.
+     * Per-thread scratch of the batched march: SoA ray state plus flat
+     * ray-major sample buffers (per-ray segments at `offset[r]`),
+     * reused across probe rows and tiles.
      */
     struct TileWorkspace
     {
-        // Per-ray state, in Z-curve traversal order.
+        /** Drop the staged rays; buffers keep their capacity. */
+        void clear();
+        /** Stage the ray through pixel (x, y) with `samples` budget. */
+        void add(const nerf::Camera &camera, int x, int y, int samples);
+
+        // Per-ray state, in staging order.
         std::vector<nerf::Ray> rays;
         std::vector<int> px, py;
         std::vector<int> budget;   ///< assigned samples (the budget map)
@@ -234,6 +235,7 @@ class AsdrRenderer
         std::vector<int> scanned;  ///< sigma/ET progress along the ray
         std::vector<float> transmittance;
         std::vector<char> alive;
+        std::vector<Vec3> color;   ///< composited color (0 on a miss)
         // Flat per-ray sample segments.
         std::vector<Vec3> positions;
         std::vector<float> sigma;
@@ -249,9 +251,9 @@ class AsdrRenderer
   private:
     /**
      * The color + approximation + compositing tail of a marched ray
-     * (shared by renderRay and renderTile): color network at anchors,
+     * (shared by renderRay and marchRays): color network at anchors,
      * gap interpolation, Eq. (1) compositing. `scalar` selects the
-     * per-point color path (trace sinks / eval_batch <= 1).
+     * oracle's per-point color path.
      */
     Vec3 shadePoints(const nerf::Ray &ray, const Vec3 *positions,
                      const nerf::DensityOutput *density,
@@ -260,17 +262,16 @@ class AsdrRenderer
                      WorkloadProfile &profile, TraceSink *sink) const;
 
     /**
-     * March one tile of Phase II rays in Z-curve order, depth-major:
-     * each density batch holds the tile's surviving rays at a band of
-     * consecutive depths, maximizing hash-table cache-line sharing.
-     * Early termination cuts each ray at exactly the index the per-ray
-     * path would, and results are scattered to pixel order, so the
-     * frame is bit-identical to renderRay over the same pixels.
+     * The batched march over the rays staged in `tws`, depth-major:
+     * each density batch holds the surviving rays at a band of
+     * consecutive depths, in staging order, maximizing hash-table
+     * cache-line sharing. Early termination (off for `probe` rays) cuts
+     * each ray at exactly the index renderRay would. Leaves per-ray
+     * results in `tws`: `color`, `cut`, and the sigma/color segments.
+     * Counts the points' work into `profile`; callers count the rays.
      */
-    void renderTile(const nerf::Camera &camera, int x0, int y0, int tw,
-                    int th, const int *budgets, const char *probed,
-                    TileWorkspace &tws, Image &img, float *budget_map,
-                    float *actual_map, WorkloadProfile &profile) const;
+    void marchRays(TileWorkspace &tws, bool probe,
+                   WorkloadProfile &profile) const;
 
     /** Serial in-thread render used when a trace sink is attached. */
     Image renderTraced(const nerf::Camera &camera, RenderStats *stats,

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "engine/frame_graph.hpp"
-#include "engine/render_session.hpp"
 #include "util/fault.hpp"
 #include "util/logging.hpp"
 #include "util/telemetry.hpp"
@@ -29,10 +28,6 @@ struct FrameEngine::InFlight
     std::promise<Frame> promise;
     uint64_t id;
     bool async = false; ///< deliver via callback/completed queue, no promise
-    bool fresh_probes = false; ///< update the session cache on completion
-    bool ran_probes = false;   ///< a fresh Phase I ran (session stats)
-    bool track_reuse = false;  ///< encode-reuse hook attached
-    uint64_t session_epoch = 0; ///< session probe epoch at admission
     std::chrono::steady_clock::time_point started_at; ///< admission time
     std::atomic<bool> delivered{false}; ///< outcome handed to a consumer
 };
@@ -100,15 +95,6 @@ FrameEngine::enqueue(FrameRequest req, bool async, uint64_t *id_out)
         idle_cv_.notify_all();
     }
     return fut;
-}
-
-std::future<Frame>
-FrameEngine::submit(RenderSession &session, const nerf::Camera &camera)
-{
-    FrameRequest req(camera);
-    req.renderer = &session.renderer();
-    req.session = &session;
-    return submit(std::move(req));
 }
 
 bool
@@ -189,11 +175,8 @@ FrameEngine::pumpLocked(std::vector<std::unique_ptr<InFlight>> &failed)
             launchLocked(f);
         } catch (...) {
             // Admission failed (e.g. allocation) before any task was
-            // queued: undo the hook claim, hand the frame to the caller
-            // to fail outside the lock, and free its slot instead of
-            // wedging the queue.
-            if (f->track_reuse && f->req.session)
-                f->req.session->detachReuseHook();
+            // queued: hand the frame to the caller to fail outside the
+            // lock, and free its slot instead of wedging the queue.
             auto it = frames_.find(id);
             it->second->graph.setError(std::current_exception());
             failed.push_back(std::move(it->second));
@@ -231,26 +214,10 @@ FrameEngine::launchLocked(InFlight *f)
     f->started_at = std::chrono::steady_clock::now();
     const core::AsdrRenderer *r = f->renderer;
     // Derive the stage-graph shape once and store it: beginFrame must
-    // see exactly the shape the graph was sized from (frameShape reads
-    // env-dependent state, so re-deriving it later could disagree).
+    // see exactly the shape the graph was sized from.
     const core::FrameShape shape =
         r->frameShape(f->req.camera.width(), f->req.camera.height());
     f->fs.shape = shape;
-
-    RenderSession *session = f->req.session;
-    if (session) {
-        if (!f->req.bypass_probe_cache)
-            session->tryReuseProbes(shape, f->fs);
-        f->ran_probes = shape.adaptive && !f->fs.probes_reused;
-        f->fresh_probes = f->ran_probes && !f->req.bypass_probe_cache &&
-                          session->sessionConfig().reuse_probes;
-        f->session_epoch = session->probeEpoch();
-        // The encode-reuse hook needs a strictly single-threaded,
-        // one-frame-at-a-time render; ignore the request otherwise.
-        if (session->sessionConfig().track_encode_reuse &&
-            pool_.workerCount() == 1 && cfg_.max_frames_in_flight == 1)
-            f->track_reuse = session->attachReuseHook();
-    }
 
     // ---- the frame's stage graph ----
     FrameGraph &g = f->graph;
@@ -271,7 +238,7 @@ FrameEngine::launchLocked(InFlight *f)
         r->beginFrame(f->fs);
     });
     int prev = setup;
-    if (shape.adaptive && !f->fs.probes_reused) {
+    if (shape.adaptive) {
         const int probe =
             g.addNode("phase1 probes", shape.gh, [f, r](int gy) {
                 telemetry::ScopedQos qc(uint8_t(f->req.priority));
@@ -305,14 +272,6 @@ FrameEngine::launchLocked(InFlight *f)
             telemetry::ScopedQos qc(uint8_t(f->req.priority));
             telemetry::ScopedSpan sp(telemetry::kSpanFinalize, f->id,
                                      f->req.ticket);
-            RenderSession *s = f->req.session;
-            if (s) {
-                if (f->track_reuse)
-                    s->detachReuseHook();
-                if (f->fresh_probes)
-                    s->storeProbeCache(f->fs, f->id, f->session_epoch);
-                s->onFrameDone(f->ran_probes, f->fs.probes_reused);
-            }
             r->finalizeFrame(f->fs, &frame.stats);
             frame.image = std::move(f->fs.img);
             frame.finished_at = std::chrono::steady_clock::now();
@@ -345,11 +304,9 @@ FrameEngine::frameDone(uint64_t id)
         undelivered_ += int(failed.size()) + (dead_needs_delivery ? 1 : 0);
     }
     // A stage threw: the finalize node was skipped (nothing delivered),
-    // so hand the error to the consumer and undo the hook attachment.
+    // so hand the error to the consumer.
     int delivered_now = 0;
     if (dead_needs_delivery) {
-        if (dead->track_reuse && dead->req.session)
-            dead->req.session->detachReuseHook();
         std::exception_ptr err = dead->graph.error();
         deliver(dead.get(), Frame{},
                 err ? err

@@ -45,8 +45,6 @@
 
 namespace asdr::engine {
 
-class RenderSession;
-
 struct EngineConfig
 {
     /** Worker threads of the engine's pool. 0 = auto: ASDR_NUM_THREADS
@@ -96,19 +94,8 @@ struct FrameRequest
     const nerf::RadianceField *field = nullptr;
     core::RenderConfig config;
     /** Render through an existing renderer (the synchronous facade and
-     *  RenderSession submissions use this). Must outlive the frame. */
+     *  the frame server use this). Must outlive the frame. */
     const core::AsdrRenderer *renderer = nullptr;
-    /** Optional per-viewer session (probe cache, session stats). */
-    RenderSession *session = nullptr;
-    /**
-     * Render without touching the session's probe cache: neither reuse
-     * a cached Phase I plan nor store this frame's. Set by the serving
-     * quality ladder for degraded frames -- their probe profile is
-     * computed at reduced fidelity/resolution and must not seed (or be
-     * seeded by) the full-fidelity stream. Session stats still count
-     * the frame.
-     */
-    bool bypass_probe_cache = false;
 
     /**
      * QoS class priority of this frame's pool tasks, composed with the
@@ -162,10 +149,6 @@ class FrameEngine
      * rethrows any render error).
      */
     std::future<Frame> submit(FrameRequest req);
-
-    /** Stream a frame through a session (probe cache + session stats). */
-    std::future<Frame> submit(RenderSession &session,
-                              const nerf::Camera &camera);
 
     /**
      * Enqueue a frame for asynchronous consumption: the outcome is

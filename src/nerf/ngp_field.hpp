@@ -111,36 +111,12 @@ class InstantNgpField : public RadianceField
      * attach only for single-threaded renders (densityBatch panics if a
      * second thread calls in while the hook is attached). nullptr
      * detaches. Const: the hook observes the encode, it does not alter
-     * the field (engine sessions attach through a const reference).
+     * the field.
      */
     void setEncodeReuseStats(EncodeReuseStats *stats) const
     {
         encode_stats_.store(stats, std::memory_order_release);
         stats_thread_ = std::thread::id();
-    }
-
-    /**
-     * Claim the hook iff no accumulator is currently attached -- engine
-     * sessions sharing one field race for it, and only one may win
-     * (the hook is a single pointer and strictly single-threaded).
-     * Release with detachEncodeReuseStats(the same pointer).
-     */
-    bool tryAttachEncodeReuseStats(EncodeReuseStats *stats) const
-    {
-        EncodeReuseStats *expected = nullptr;
-        if (!encode_stats_.compare_exchange_strong(
-                expected, stats, std::memory_order_acq_rel))
-            return false;
-        stats_thread_ = std::thread::id();
-        return true;
-    }
-
-    /** Release a tryAttach claim (no-op when `stats` does not hold it). */
-    void detachEncodeReuseStats(EncodeReuseStats *stats) const
-    {
-        EncodeReuseStats *expected = stats;
-        encode_stats_.compare_exchange_strong(expected, nullptr,
-                                              std::memory_order_acq_rel);
     }
 
   private:

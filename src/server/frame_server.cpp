@@ -169,7 +169,7 @@ FrameServer::pickShardLocked(uint64_t client_id) const
 
 uint64_t
 FrameServer::openSession(const std::string &scene, QosClass qos,
-                         const SessionOptions &opt, ResultCallback callback)
+                         const SessionOptions &, ResultCallback callback)
 {
     const SceneEntry *entry = registry_.find(scene);
     if (!entry)
@@ -179,7 +179,7 @@ FrameServer::openSession(const std::string &scene, QosClass qos,
     client->qos = qos;
     client->callback = std::move(callback);
     client->session = std::make_unique<engine::RenderSession>(
-        *entry->field, entry->config, opt.session);
+        *entry->field, entry->config);
 
     std::lock_guard<std::mutex> lock(m_);
     client->id = next_client_++;
@@ -394,17 +394,13 @@ FrameServer::launch(const Launch &l)
     engine::FrameRequest req(scaled ? l.frame.camera.scaledTo(render_w,
                                                               render_h)
                                     : l.frame.camera);
-    if (rung == QualityRung::Full) {
-        req.renderer = &l.session->renderer();
-    } else {
-        // Degraded frames render through the session's cached reduced-
-        // samples renderer and stay out of the probe cache: a plan
-        // computed at reduced fidelity must not seed the full stream.
-        req.renderer = &l.session->degradedRenderer(
-            applyRung(l.session->config(), rung, cfg_.ladder));
-        req.bypass_probe_cache = true;
-    }
-    req.session = l.session;
+    // Degraded frames render through the session's cached reduced-
+    // samples renderer.
+    req.renderer =
+        rung == QualityRung::Full
+            ? &l.session->renderer()
+            : &l.session->degradedRenderer(
+                  applyRung(l.session->config(), rung, cfg_.ladder));
     req.priority = qosPoolPriority(l.frame.qos);
     req.ticket = l.frame.ticket; // correlates engine stage spans
     const int shard = l.shard;

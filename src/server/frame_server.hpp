@@ -14,8 +14,8 @@
  *                    session is pinned to a shard at open time by a
  *                    sticky hash of its id, falling back to the least-
  *                    loaded shard when the hashed one is overloaded --
- *                    sticky placement keeps a session's probe cache
- *                    and its scene's tables warm in one pool's caches.
+ *                    sticky placement keeps a session's scene tables
+ *                    warm in one pool's caches.
  *   QosScheduler     per-shard admission (replaces FIFO): weighted-
  *                    fair across {interactive, standard, batch},
  *                    per-class in-flight caps, bounded per-client
@@ -32,8 +32,8 @@
  *                    frame's callback has run AND submitted nothing.
  *
  * Frames served through any shard/QoS mix are bit-identical to the
- * client's own sequential AsdrRenderer::render() calls (sessions
- * default to no probe reuse; the engine stages are bit-exact), so
+ * client's own sequential AsdrRenderer::render() calls (the engine
+ * stages are bit-exact and sessions carry nothing between frames), so
  * multiplexing is purely a scheduling concern -- enforced by
  * tests/test_server.cpp.
  */
@@ -145,12 +145,14 @@ struct ServerConfig
     SloParams slo;
 };
 
-/** Per-session options beyond the QoS class. */
+/**
+ * Per-session options beyond the QoS class. There are none: sessions
+ * carry nothing between frames. The struct keeps openSession's
+ * signature, so callers that pass `{}` before a callback compile
+ * unchanged.
+ */
 struct SessionOptions
 {
-    /** Probe-cache behavior of the wrapped engine::RenderSession.
-     *  Defaults preserve bit-exactness (no cross-frame reuse). */
-    engine::SessionConfig session;
 };
 
 /** One delivered frame (or its drop/failure notice). */

@@ -11,7 +11,7 @@ namespace {
 LogLevel g_level = LogLevel::Info;
 std::mutex g_log_mutex;
 
-/** Parse ASDR_LOG_LEVEL at process start (mirrors ASDR_MORTON /
+/** Parse ASDR_LOG_LEVEL at process start (mirrors ASDR_NUM_THREADS /
  *  ASDR_FAULTS): silent|warn|info|debug or the numeric 0-3. */
 struct EnvInit
 {

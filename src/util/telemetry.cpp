@@ -14,7 +14,6 @@ namespace asdr::telemetry {
 
 namespace detail {
 std::atomic<bool> g_enabled{false};
-thread_local uint8_t t_qos = kQosNone;
 } // namespace detail
 
 namespace {

@@ -92,7 +92,9 @@ inline constexpr uint8_t kQosNone = 0xFF;
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
-extern thread_local uint8_t t_qos;
+/** Defined inline with a constant initializer, so every translation
+ *  unit accesses it directly instead of through a TLS wrapper call. */
+inline thread_local uint8_t t_qos = kQosNone;
 void recordSlow(const char *name, uint64_t frame, uint64_t ticket,
                 uint64_t t_start_us, uint64_t t_end_us);
 } // namespace detail

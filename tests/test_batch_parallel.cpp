@@ -3,7 +3,7 @@
  * Equivalence guarantees of the batched, multi-threaded pipeline: for
  * every field type the batch evaluation API must be bit-identical to
  * per-point calls, and a rendered frame must be bit-identical across
- * thread counts, batch sizes, and the scalar fallback path.
+ * thread counts, batch sizes, tile sizes, and the scalar oracle.
  */
 
 #include <gtest/gtest.h>
@@ -251,68 +251,90 @@ TEST(ParallelRender, NgpFieldBatchedFrameMatchesScalar)
 
 TEST(ParallelRender, MortonOrderDoesNotChangeTheFrame)
 {
-    // The Morton/tile-coherent Phase II ordering must scatter results
-    // back to exactly the pixel-order frame, for every thread count and
-    // both batched paths (per-ray rows vs depth-major tiles).
+    // The batched march (probe rows and Morton tiles) must scatter its
+    // results back to exactly the scalar oracle's pixel-order frame,
+    // for every thread count, with edge tiles clipped on both axes.
     RenderFixture fx("Lego", 21, 19); // non-multiple of tile_size
     RenderConfig cfg = RenderConfig::asdr(21, 19, 48);
     cfg.probe_stride = 4;
 
-    cfg.morton_order = 0;
+    cfg.eval_batch = 1; // the scalar oracle
     cfg.num_threads = 1;
-    RenderStats s_rows;
-    Image rows = AsdrRenderer(*fx.field, cfg).render(fx.camera, &s_rows);
+    RenderStats s_ref;
+    Image ref = AsdrRenderer(*fx.field, cfg).render(fx.camera, &s_ref);
 
+    cfg.eval_batch = 32;
     for (int threads : {1, 2, 5}) {
-        cfg.morton_order = 1;
         cfg.num_threads = threads;
         RenderStats s_tiles;
         Image tiles = AsdrRenderer(*fx.field, cfg).render(fx.camera,
                                                           &s_tiles);
-        expectFramesIdentical(rows, tiles, "morton");
-        EXPECT_EQ(s_rows.profile.rays, s_tiles.profile.rays);
-        EXPECT_EQ(s_rows.profile.points, s_tiles.profile.points);
-        EXPECT_EQ(s_rows.profile.density_execs,
+        expectFramesIdentical(ref, tiles, "morton");
+        EXPECT_EQ(s_ref.profile.rays, s_tiles.profile.rays);
+        EXPECT_EQ(s_ref.profile.probe_rays, s_tiles.profile.probe_rays);
+        EXPECT_EQ(s_ref.profile.points, s_tiles.profile.points);
+        EXPECT_EQ(s_ref.profile.density_execs,
                   s_tiles.profile.density_execs);
-        EXPECT_EQ(s_rows.profile.color_execs, s_tiles.profile.color_execs);
-        EXPECT_EQ(s_rows.profile.approx_colors,
+        EXPECT_EQ(s_ref.profile.color_execs, s_tiles.profile.color_execs);
+        EXPECT_EQ(s_ref.profile.approx_colors,
                   s_tiles.profile.approx_colors);
-        EXPECT_EQ(s_rows.profile.lookups, s_tiles.profile.lookups);
-        EXPECT_EQ(s_rows.sample_count_map, s_tiles.sample_count_map);
-        EXPECT_EQ(s_rows.actual_points_map, s_tiles.actual_points_map);
+        EXPECT_EQ(s_ref.profile.lookups, s_tiles.profile.lookups);
+        EXPECT_EQ(s_ref.sample_count_map, s_tiles.sample_count_map);
+        EXPECT_EQ(s_ref.actual_points_map, s_tiles.actual_points_map);
     }
 }
 
 TEST(ParallelRender, MortonOrderMatchesScalarOnNgpField)
 {
-    // The real hash-grid + MLP network through the depth-major tile
-    // march must reproduce the point-at-a-time reference bitwise.
-    InstantNgpField ngp(NgpModelConfig::fast(), 77);
+    // Every field type's batch overrides (the real hash-grid + MLP
+    // network among them) through the batched march -- probe rows and
+    // depth-major tiles -- must reproduce the point-at-a-time oracle
+    // bitwise.
     auto scene = scene::createScene("Lego");
+    ProceduralField procedural(*scene, NgpModelConfig::fast());
+    InstantNgpField ngp(NgpModelConfig::fast(), 77);
+    DvgoField dvgo(DvgoConfig{}, 78);
+    TensorfField tensorf(TensorfConfig{}, 79);
+    baseline::QuantizedField quantized(ngp, 8, 0.05f);
+    const RadianceField *fields[] = {&procedural, &ngp, &dvgo, &tensorf,
+                                     &quantized};
     Camera camera = cameraForScene(scene->info(), 13, 11);
 
-    RenderConfig cfg = RenderConfig::baseline(13, 11, 24);
-    cfg.early_termination = true;
-    cfg.color_approx = true;
-    cfg.approx_group = 2;
-    cfg.num_threads = 1;
+    for (const RadianceField *field : fields) {
+        // Phase II alone, then with Phase I probe rows in front.
+        for (bool adaptive : {false, true}) {
+            SCOPED_TRACE(field->describe() +
+                         (adaptive ? " adaptive" : " fixed budget"));
+            RenderConfig cfg = RenderConfig::baseline(13, 11, 24);
+            cfg.adaptive_sampling = adaptive;
+            cfg.delta = 1.0f / 2048.0f;
+            cfg.probe_stride = 4;
+            cfg.early_termination = true;
+            cfg.color_approx = true;
+            cfg.approx_group = 2;
+            cfg.num_threads = 1;
 
-    cfg.eval_batch = 1; // scalar reference (never reordered)
-    Image scalar = AsdrRenderer(ngp, cfg).render(camera);
+            cfg.eval_batch = 1; // the scalar oracle
+            RenderStats s_ref;
+            Image scalar = AsdrRenderer(*field, cfg).render(camera, &s_ref);
 
-    cfg.eval_batch = 16;
-    for (int morton : {0, 1}) {
-        for (int tile : {4, 8}) {
-            cfg.morton_order = morton;
-            cfg.tile_size = tile;
-            Image frame = AsdrRenderer(ngp, cfg).render(camera);
-            expectFramesIdentical(scalar, frame, "ngp morton");
+            cfg.eval_batch = 16;
+            for (int tile : {4, 8}) {
+                cfg.tile_size = tile;
+                RenderStats s;
+                Image frame = AsdrRenderer(*field, cfg).render(camera, &s);
+                expectFramesIdentical(scalar, frame, "morton");
+                EXPECT_EQ(s_ref.profile.probe_rays, s.profile.probe_rays);
+                EXPECT_EQ(s_ref.profile.points, s.profile.points);
+                EXPECT_EQ(s_ref.profile.color_execs, s.profile.color_execs);
+                EXPECT_EQ(s_ref.sample_count_map, s.sample_count_map);
+                EXPECT_EQ(s_ref.actual_points_map, s.actual_points_map);
+            }
+            cfg.num_threads = 3;
+            Image threaded = AsdrRenderer(*field, cfg).render(camera);
+            expectFramesIdentical(scalar, threaded, "morton threads");
         }
     }
-    cfg.morton_order = 1;
-    cfg.num_threads = 3;
-    Image threaded = AsdrRenderer(ngp, cfg).render(camera);
-    expectFramesIdentical(scalar, threaded, "ngp morton threads");
 }
 
 TEST(ParallelRender, SinkForcesSerialButSameFrame)

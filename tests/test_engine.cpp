@@ -3,11 +3,8 @@
  * Guarantees of the streaming frame engine (engine/frame_engine):
  *
  *  - N frames pipelined through a FrameEngine are bit-identical to N
- *    sequential AsdrRenderer::render() calls, for every thread count,
- *    max_frames_in_flight, and both Phase II orderings.
- *  - RenderSession probe reuse: with an unchanged camera the cached
- *    Phase I plan reproduces the fresh frame bit for bit at zero probe
- *    cost; across a small camera delta it stays a close approximation.
+ *    sequential AsdrRenderer::render() calls, for every thread count
+ *    and max_frames_in_flight.
  *  - The batched distillation trainer (Mlp::forwardBatch through
  *    fitField) produces a bit-identical field to the per-sample loop.
  *  - ThreadPool start()/stop() lifecycle and FrameGraph dependency
@@ -17,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <future>
 #include <map>
 #include <mutex>
@@ -26,8 +22,6 @@
 
 #include "engine/frame_engine.hpp"
 #include "engine/frame_graph.hpp"
-#include "engine/render_session.hpp"
-#include "image/metrics.hpp"
 #include "nerf/ngp_field.hpp"
 #include "nerf/procedural_field.hpp"
 #include "nerf/trainer.hpp"
@@ -125,54 +119,50 @@ TEST(FrameEnginePipeline, InFlightFramesMatchSequentialBitwise)
     const int W = 20, H = 20, FRAMES = 5;
     auto path = orbitCameraPath(scene->info(), W, H, FRAMES);
 
-    for (int morton : {0, 1}) {
-        RenderConfig cfg = RenderConfig::asdr(W, H, 48);
-        cfg.probe_stride = 4;
-        cfg.morton_order = morton;
-        cfg.num_threads = 1;
+    RenderConfig cfg = RenderConfig::asdr(W, H, 48);
+    cfg.probe_stride = 4;
+    cfg.num_threads = 1;
 
-        // Reference: sequential synchronous render() calls.
-        AsdrRenderer reference(field, cfg);
-        std::vector<Image> seq;
-        std::vector<RenderStats> seq_stats{size_t(FRAMES)};
-        for (int f = 0; f < FRAMES; ++f)
-            seq.push_back(
-                reference.render(path[size_t(f)], &seq_stats[size_t(f)]));
+    // Reference: sequential synchronous render() calls.
+    AsdrRenderer reference(field, cfg);
+    std::vector<Image> seq;
+    std::vector<RenderStats> seq_stats{size_t(FRAMES)};
+    for (int f = 0; f < FRAMES; ++f)
+        seq.push_back(
+            reference.render(path[size_t(f)], &seq_stats[size_t(f)]));
 
-        for (int threads : {1, 2, 4}) {
-            for (int in_flight : {1, 2, 4}) {
-                SCOPED_TRACE("morton=" + std::to_string(morton) +
-                             " threads=" + std::to_string(threads) +
-                             " in_flight=" + std::to_string(in_flight));
-                engine::EngineConfig ec;
-                ec.num_threads = threads;
-                ec.max_frames_in_flight = in_flight;
-                engine::FrameEngine eng(ec);
+    for (int threads : {1, 2, 4}) {
+        for (int in_flight : {1, 2, 4}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
+                         " in_flight=" + std::to_string(in_flight));
+            engine::EngineConfig ec;
+            ec.num_threads = threads;
+            ec.max_frames_in_flight = in_flight;
+            engine::FrameEngine eng(ec);
 
-                std::vector<std::future<engine::Frame>> futs;
-                for (int f = 0; f < FRAMES; ++f) {
-                    engine::FrameRequest req(path[size_t(f)]);
-                    req.field = &field;
-                    req.config = cfg;
-                    futs.push_back(eng.submit(std::move(req)));
-                }
-                for (int f = 0; f < FRAMES; ++f) {
-                    engine::Frame frame = futs[size_t(f)].get();
-                    EXPECT_EQ(frame.id, uint64_t(f + 1));
-                    expectFramesIdentical(seq[size_t(f)], frame.image,
-                                          "pipelined frame");
-                    const RenderStats &a = seq_stats[size_t(f)];
-                    const RenderStats &b = frame.stats;
-                    EXPECT_EQ(a.profile.rays, b.profile.rays);
-                    EXPECT_EQ(a.profile.probe_rays, b.profile.probe_rays);
-                    EXPECT_EQ(a.profile.points, b.profile.points);
-                    EXPECT_EQ(a.profile.color_execs, b.profile.color_execs);
-                    EXPECT_EQ(a.profile.lookups, b.profile.lookups);
-                    EXPECT_EQ(a.sample_count_map, b.sample_count_map);
-                    EXPECT_EQ(a.actual_points_map, b.actual_points_map);
-                }
-                eng.drain();
+            std::vector<std::future<engine::Frame>> futs;
+            for (int f = 0; f < FRAMES; ++f) {
+                engine::FrameRequest req(path[size_t(f)]);
+                req.field = &field;
+                req.config = cfg;
+                futs.push_back(eng.submit(std::move(req)));
             }
+            for (int f = 0; f < FRAMES; ++f) {
+                engine::Frame frame = futs[size_t(f)].get();
+                EXPECT_EQ(frame.id, uint64_t(f + 1));
+                expectFramesIdentical(seq[size_t(f)], frame.image,
+                                      "pipelined frame");
+                const RenderStats &a = seq_stats[size_t(f)];
+                const RenderStats &b = frame.stats;
+                EXPECT_EQ(a.profile.rays, b.profile.rays);
+                EXPECT_EQ(a.profile.probe_rays, b.profile.probe_rays);
+                EXPECT_EQ(a.profile.points, b.profile.points);
+                EXPECT_EQ(a.profile.color_execs, b.profile.color_execs);
+                EXPECT_EQ(a.profile.lookups, b.profile.lookups);
+                EXPECT_EQ(a.sample_count_map, b.sample_count_map);
+                EXPECT_EQ(a.actual_points_map, b.actual_points_map);
+            }
+            eng.drain();
         }
     }
 }
@@ -440,108 +430,6 @@ TEST(FrameEnginePipeline, NonAdaptiveAndScalarConfigsToo)
         engine::Frame frame = eng.submit(std::move(req)).get();
         expectFramesIdentical(want, frame.image, "non-adaptive/scalar");
     }
-}
-
-TEST(RenderSessionReuse, UnchangedCameraIsBitIdenticalAndProbeFree)
-{
-    auto scene = scene::createScene("Lego");
-    ProceduralField field(*scene, NgpModelConfig::fast());
-    Camera camera = cameraForScene(scene->info(), 20, 20);
-
-    RenderConfig cfg = RenderConfig::asdr(20, 20, 48);
-    cfg.probe_stride = 4;
-    cfg.num_threads = 2;
-
-    engine::SessionConfig scfg;
-    scfg.reuse_probes = true; // zero deltas: only an identical camera
-    engine::RenderSession session(field, cfg, scfg);
-
-    engine::EngineConfig ec;
-    ec.num_threads = 2;
-    ec.max_frames_in_flight = 1;
-    engine::FrameEngine eng(ec);
-
-    engine::Frame fresh = eng.submit(session, camera).get();
-    engine::Frame reused = eng.submit(session, camera).get();
-
-    expectFramesIdentical(fresh.image, reused.image, "probe reuse");
-    EXPECT_EQ(fresh.stats.sample_count_map, reused.stats.sample_count_map);
-    EXPECT_EQ(fresh.stats.actual_points_map,
-              reused.stats.actual_points_map);
-    // The reused frame ran no probe rays at all.
-    EXPECT_GT(fresh.stats.profile.probe_rays, 0u);
-    EXPECT_EQ(reused.stats.profile.probe_rays, 0u);
-    EXPECT_LT(reused.stats.profile.points, fresh.stats.profile.points);
-
-    engine::SessionStats st = session.stats();
-    EXPECT_EQ(st.frames, 2u);
-    EXPECT_EQ(st.probe_frames, 1u);
-    EXPECT_EQ(st.probe_reuses, 1u);
-}
-
-TEST(RenderSessionReuse, SmallCameraDeltaStaysClose)
-{
-    auto scene = scene::createScene("Lego");
-    ProceduralField field(*scene, NgpModelConfig::fast());
-    const auto &info = scene->info();
-    Camera cam_a = cameraForScene(info, 20, 20);
-    Vec3 moved = info.cam_pos + Vec3(0.004f, 0.0f, -0.003f);
-    Camera cam_b(moved, info.look_at, Vec3(0.0f, 1.0f, 0.0f), info.fov_deg,
-                 20, 20);
-
-    RenderConfig cfg = RenderConfig::asdr(20, 20, 48);
-    cfg.probe_stride = 4;
-    cfg.num_threads = 1;
-
-    engine::SessionConfig scfg;
-    scfg.reuse_probes = true;
-    scfg.max_position_delta = 0.02f;
-    scfg.max_forward_delta = 0.01f;
-    engine::RenderSession session(field, cfg, scfg);
-
-    engine::EngineConfig ec;
-    ec.num_threads = 1;
-    ec.max_frames_in_flight = 1;
-    engine::FrameEngine eng(ec);
-
-    engine::Frame first = eng.submit(session, cam_a).get();
-    engine::Frame reused = eng.submit(session, cam_b).get();
-    EXPECT_EQ(reused.stats.profile.probe_rays, 0u);
-    EXPECT_EQ(session.stats().probe_reuses, 1u);
-
-    // Against a fresh adaptive render at the moved camera, the reused
-    // plan is an approximation -- but a close one at this delta.
-    AsdrRenderer reference(field, cfg);
-    Image fresh_b = reference.render(cam_b);
-    EXPECT_GT(psnr(fresh_b, reused.image), 30.0);
-
-    // A large move falls back to fresh probing.
-    Vec3 far = info.cam_pos + Vec3(0.3f, 0.1f, 0.2f);
-    Camera cam_c(far, info.look_at, Vec3(0.0f, 1.0f, 0.0f), info.fov_deg,
-                 20, 20);
-    engine::Frame fresh2 = eng.submit(session, cam_c).get();
-    EXPECT_GT(fresh2.stats.profile.probe_rays, 0u);
-    (void)first;
-}
-
-TEST(RenderSessionReuse, InvalidateForcesFreshProbes)
-{
-    auto scene = scene::createScene("Chair");
-    ProceduralField field(*scene, NgpModelConfig::fast());
-    Camera camera = cameraForScene(scene->info(), 16, 16);
-
-    RenderConfig cfg = RenderConfig::asdr(16, 16, 32);
-    cfg.num_threads = 1;
-    engine::SessionConfig scfg;
-    scfg.reuse_probes = true;
-    engine::RenderSession session(field, cfg, scfg);
-
-    engine::FrameEngine eng(engine::EngineConfig{1, 1});
-    eng.submit(session, camera).get();
-    session.invalidateProbeCache();
-    engine::Frame after = eng.submit(session, camera).get();
-    EXPECT_GT(after.stats.profile.probe_rays, 0u);
-    EXPECT_EQ(session.stats().probe_reuses, 0u);
 }
 
 TEST(BatchedTrainer, BitIdenticalToPerSampleLoop)
