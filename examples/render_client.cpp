@@ -279,8 +279,8 @@ main(int argc, char **argv)
                               : 0.0)
               << " smaller with " << net::encodingName(encoding) << ")\n";
 
-    // The metrics registry travels the wire too (GetStats in text
-    // mode), so this works against a remote service as well.
+    // The server's metrics travel the wire too (GetStats answers with
+    // the exposition), so this works against a remote service as well.
     if (!metrics_out.empty()) {
         std::string text;
         if (!client.fetchMetricsText(text, &err)) {

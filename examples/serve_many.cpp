@@ -5,7 +5,9 @@
  * workload of N viewers orbiting M scenes at mixed QoS -- every frame
  * delivered through the async callback path (no blocking future gets
  * anywhere). Prints per-class served/dropped counts and latency
- * percentiles, and the ServerStats JSON dump a dashboard would ingest.
+ * percentiles, then the flight recorder's JSON (the slow, failed,
+ * expired and shed frames it retained) and the server's Prometheus
+ * text exposition, the scrape a dashboard would ingest.
  */
 
 #include <cstdlib>
@@ -55,10 +57,10 @@ usage(const char *argv0)
            "  --slow-ms <n>       slow-frame flight recorder threshold,\n"
            "                      ms: frames over it (or failed/expired/\n"
            "                      shed) get their span timeline dumped\n"
-           "                      and retained in the stats JSON\n"
-           "  --metrics-out <f>   write the Prometheus text exposition\n"
-           "                      of the metrics registry after the run\n"
-           "                      (- for stdout)\n"
+           "                      and retained in the recorder's JSON\n"
+           "  --metrics-out <f>   write the server's Prometheus text\n"
+           "                      exposition to <f> instead of stdout\n"
+           "                      (default -, stdout)\n"
            "  --slo-p99-ms <n>    per-class latency SLO: frames over\n"
            "                      <n> ms burn the 1% latency budget;\n"
            "                      sustained burn over both windows\n"
@@ -81,7 +83,7 @@ main(int argc, char **argv)
     int frames = 8, width = 32, samples = 48;
     int shards = 2, threads = 1, in_flight = 2, burst = 2;
     bool ladder = false;
-    std::string trace_out, metrics_out;
+    std::string trace_out, metrics_out = "-";
     double slow_ms = 0.0;
     double slo_p99_ms = 0.0, slo_errors = 0.0;
     double slo_fast_s = 60.0, slo_slow_s = 3600.0;
@@ -233,7 +235,7 @@ main(int argc, char **argv)
     std::cout << "\n"
               << report.results << " results in " << fmt(report.wall_s, 3)
               << " s (" << fmt(report.frames_per_s, 2)
-              << " served frames/s aggregate)\n\nServerStats JSON: "
+              << " served frames/s aggregate)\n\nFlight recorder JSON: "
               << report.stats.toJson() << "\n";
 
     if (!trace_out.empty()) {
@@ -245,23 +247,18 @@ main(int argc, char **argv)
         std::cout << "\nwrote " << telemetry::spanCount() << " spans to "
                   << trace_out << " (open at ui.perfetto.dev)\n";
     }
-    if (!metrics_out.empty()) {
-        // stats() refreshes the registry's gauges (stuck frames, cache
-        // hit counters, breaker states) right before the scrape.
-        (void)srv.stats();
-        const std::string text = metrics::renderText();
-        if (metrics_out == "-") {
-            std::cout << "\n" << text;
-        } else {
-            std::ofstream f(metrics_out, std::ios::binary);
-            f << text;
-            if (!f) {
-                std::cerr << "metrics write failed: " << metrics_out << "\n";
-                return 1;
-            }
-            std::cout << "\nwrote metrics exposition to " << metrics_out
-                      << "\n";
+    const std::string text = srv.metricsText();
+    if (metrics_out == "-") {
+        std::cout << "\nMetrics exposition:\n" << text;
+    } else {
+        std::ofstream f(metrics_out, std::ios::binary);
+        f << text;
+        if (!f) {
+            std::cerr << "metrics write failed: " << metrics_out << "\n";
+            return 1;
         }
+        std::cout << "\nwrote metrics exposition to " << metrics_out
+                  << "\n";
     }
     return 0;
 }

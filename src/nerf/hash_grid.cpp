@@ -165,20 +165,6 @@ EncodeReuseStats::reset(int levels)
     coherent.assign(size_t(levels), 0);
 }
 
-void
-EncodeReuseStats::merge(const EncodeReuseStats &o)
-{
-    if (lookups.empty())
-        reset(int(o.lookups.size()));
-    ASDR_ASSERT(lookups.size() == o.lookups.size(),
-                "merging reuse stats of different level counts");
-    for (size_t l = 0; l < o.lookups.size(); ++l) {
-        lookups[l] += o.lookups[l];
-        unique[l] += o.unique[l];
-        coherent[l] += o.coherent[l];
-    }
-}
-
 double
 EncodeReuseStats::reuseFactor(int level) const
 {

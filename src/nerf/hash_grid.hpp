@@ -112,7 +112,6 @@ struct EncodeReuseStats
     std::vector<uint64_t> coherent; ///< same-corner previous-point hits
 
     void reset(int levels);
-    void merge(const EncodeReuseStats &o);
     /** Average lookups per distinct entry (>= 1; higher = more reuse). */
     double reuseFactor(int level) const;
     /** Fraction of lookups hitting the previous point's entry. */

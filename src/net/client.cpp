@@ -359,26 +359,10 @@ Client::nextFrame(ClientFrame &out, std::string *err)
 }
 
 bool
-Client::fetchStats(StatsReplyMsg &out, std::string *err)
-{
-    GetStatsMsg msg;
-    if (!send(MsgType::GetStats, packMessage(MsgType::GetStats, msg), err))
-        return false;
-    std::vector<uint8_t> payload;
-    if (!waitReply(MsgType::StatsReply, payload, err))
-        return false;
-    if (!decodePayload(payload.data(), payload.size(), out))
-        return fail(err, ClientError::Protocol, "bad StatsReply");
-    last_error_ = ClientError::None;
-    return true;
-}
-
-bool
 Client::fetchMetricsText(std::string &out, std::string *err)
 {
-    GetStatsMsg msg;
-    msg.format = uint8_t(StatsFormat::Text);
-    if (!send(MsgType::GetStats, packMessage(MsgType::GetStats, msg), err))
+    if (!send(MsgType::GetStats,
+              packMessage(MsgType::GetStats, GetStatsMsg{}), err))
         return false;
     std::vector<uint8_t> payload;
     if (!waitReply(MsgType::MetricsReply, payload, err))

@@ -220,11 +220,8 @@ class Client
      */
     bool nextFrame(ClientFrame &out, std::string *err = nullptr);
 
-    /** Fetch the service's ServerStats + wire counters. */
-    bool fetchStats(StatsReplyMsg &out, std::string *err = nullptr);
-
-    /** Fetch the service's metrics registry as Prometheus text
-     *  (GetStats with StatsFormat::Text -> MetricsReply). */
+    /** Fetch the service's metrics as Prometheus text (GetStats ->
+     *  MetricsReply: the serving, wire, and stage series). */
     bool fetchMetricsText(std::string &out, std::string *err = nullptr);
 
     /**

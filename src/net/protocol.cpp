@@ -7,10 +7,6 @@ namespace asdr::net {
 
 namespace {
 
-/** Registry sizes beyond this are a corrupt stats payload, not a real
- *  catalog (the registry is loaded at bring-up, not attacker-sized). */
-constexpr uint32_t kMaxSceneStats = 65536;
-
 bool
 finiteVec(const Vec3 &v)
 {
@@ -43,8 +39,6 @@ msgTypeName(MsgType t)
         return "FrameResult";
     case MsgType::GetStats:
         return "GetStats";
-    case MsgType::StatsReply:
-        return "StatsReply";
     case MsgType::Error:
         return "Error";
     case MsgType::ResumeSession:
@@ -282,18 +276,6 @@ FrameResultMsg::decode(WireReader &r)
 }
 
 void
-GetStatsMsg::encode(WireWriter &w) const
-{
-    w.u8(format);
-}
-
-bool
-GetStatsMsg::decode(WireReader &r)
-{
-    return r.u8(format) && format <= uint8_t(StatsFormat::Text);
-}
-
-void
 MetricsReplyMsg::encode(WireWriter &w) const
 {
     w.bytes(text);
@@ -377,135 +359,6 @@ SpanBatchMsg::decode(WireReader &r)
         spans.push_back(std::move(s));
     }
     return true;
-}
-
-void
-WireCounters::encode(WireWriter &w) const
-{
-    w.u64(connections_accepted);
-    w.u64(connections_open);
-    w.u64(sessions_opened);
-    w.u64(frames_sent);
-    w.u64(results_shed);
-    w.u64(results_degraded);
-    w.u64(results_parked);
-    w.u64(sessions_resumed);
-    w.u64(sessions_expired);
-    w.u64(bytes_tx);
-    w.u64(bytes_rx);
-    w.u64(frame_payload_bytes);
-    w.u64(frame_raw_bytes);
-    w.u64(span_batches_sent);
-    w.u64(span_batches_dropped);
-}
-
-bool
-WireCounters::decode(WireReader &r)
-{
-    return r.u64(connections_accepted) && r.u64(connections_open) &&
-           r.u64(sessions_opened) && r.u64(frames_sent) &&
-           r.u64(results_shed) && r.u64(results_degraded) &&
-           r.u64(results_parked) && r.u64(sessions_resumed) &&
-           r.u64(sessions_expired) && r.u64(bytes_tx) && r.u64(bytes_rx) &&
-           r.u64(frame_payload_bytes) && r.u64(frame_raw_bytes) &&
-           r.u64(span_batches_sent) && r.u64(span_batches_dropped);
-}
-
-void
-StatsReplyMsg::encode(WireWriter &w) const
-{
-    for (int c = 0; c < server::kQosClasses; ++c) {
-        const server::QosClassStats &s = server.cls[c];
-        w.u64(s.submitted);
-        w.u64(s.admitted);
-        w.u64(s.served);
-        w.u64(s.dropped);
-        w.u64(s.failed);
-        w.u64(s.expired);
-        w.f64(s.p50_ms);
-        w.f64(s.p95_ms);
-        w.f64(s.p99_ms);
-        w.f64(s.mean_ms);
-        w.f64(s.mean_queue_ms);
-        for (int rg = 0; rg < server::kQualityRungs; ++rg)
-            w.u64(s.served_rung[rg]);
-        w.u64(s.degraded);
-        w.f64(s.slo_latency_fast_burn);
-        w.f64(s.slo_latency_slow_burn);
-        w.f64(s.slo_error_fast_burn);
-        w.f64(s.slo_error_slow_burn);
-        w.u8(s.slo_latency_breached);
-        w.u8(s.slo_error_breached);
-        w.u64(s.slo_breach_events);
-    }
-    w.u32(uint32_t(server.scenes.size()));
-    for (const server::SceneServeStats &s : server.scenes) {
-        w.str(s.name);
-        w.u64(s.submitted);
-        w.u64(s.served);
-        w.u64(s.dropped);
-        w.u64(s.failed);
-        w.u64(s.expired);
-        w.u32(uint32_t(s.peak_in_flight));
-        w.u8(s.breaker_state);
-        w.u64(s.breaker_opens);
-        w.u64(s.breaker_fast_fails);
-        for (int rg = 0; rg < server::kQualityRungs; ++rg)
-            w.u64(s.served_rung[rg]);
-        w.u64(s.degraded);
-    }
-    w.u64(server.stuck_in_flight);
-    w.u64(server.stuck_events);
-    wire.encode(w);
-}
-
-bool
-StatsReplyMsg::decode(WireReader &r)
-{
-    for (int c = 0; c < server::kQosClasses; ++c) {
-        server::QosClassStats &s = server.cls[c];
-        if (!(r.u64(s.submitted) && r.u64(s.admitted) && r.u64(s.served) &&
-              r.u64(s.dropped) && r.u64(s.failed) && r.u64(s.expired) &&
-              r.f64(s.p50_ms) && r.f64(s.p95_ms) && r.f64(s.p99_ms) &&
-              r.f64(s.mean_ms) && r.f64(s.mean_queue_ms)))
-            return false;
-        for (int rg = 0; rg < server::kQualityRungs; ++rg)
-            if (!r.u64(s.served_rung[rg]))
-                return false;
-        if (!r.u64(s.degraded))
-            return false;
-        if (!(r.f64(s.slo_latency_fast_burn) &&
-              r.f64(s.slo_latency_slow_burn) &&
-              r.f64(s.slo_error_fast_burn) &&
-              r.f64(s.slo_error_slow_burn) &&
-              r.u8(s.slo_latency_breached) && r.u8(s.slo_error_breached) &&
-              r.u64(s.slo_breach_events)))
-            return false;
-    }
-    uint32_t scenes = 0;
-    if (!r.u32(scenes) || scenes > kMaxSceneStats)
-        return false;
-    server.scenes.clear();
-    server.scenes.reserve(scenes);
-    for (uint32_t i = 0; i < scenes; ++i) {
-        server::SceneServeStats s;
-        uint32_t peak = 0;
-        if (!(r.str(s.name) && r.u64(s.submitted) && r.u64(s.served) &&
-              r.u64(s.dropped) && r.u64(s.failed) && r.u64(s.expired) &&
-              r.u32(peak) && r.u8(s.breaker_state) &&
-              r.u64(s.breaker_opens) && r.u64(s.breaker_fast_fails)))
-            return false;
-        for (int rg = 0; rg < server::kQualityRungs; ++rg)
-            if (!r.u64(s.served_rung[rg]))
-                return false;
-        if (!r.u64(s.degraded))
-            return false;
-        s.peak_in_flight = int(peak);
-        server.scenes.push_back(std::move(s));
-    }
-    if (!(r.u64(server.stuck_in_flight) && r.u64(server.stuck_events)))
-        return false;
-    return wire.decode(r);
 }
 
 void

@@ -39,7 +39,7 @@
  *                            exact regardless of what the old
  *                            connection lost in flight.
  *   CloseSession / -Ok       sheds pending frames, waits in-flight ones
- *   GetStats / StatsReply    ServerStats snapshot + wire counters
+ *   GetStats / MetricsReply  the server's metrics as Prometheus text
  *   SubscribeTelemetry / -Ok live-span subscription toggle; while on,
  *                            the service streams SpanBatch messages
  *   SpanBatch (service)      async: stage spans recorded since the
@@ -58,7 +58,6 @@
 #include <vector>
 
 #include "nerf/camera.hpp"
-#include "server/server_stats.hpp"
 #include "util/vec.hpp"
 
 namespace asdr::net {
@@ -77,7 +76,10 @@ constexpr uint32_t kMagic = 0x52445341u; // 'A','S','D','R' on the wire
  *  StatsReply per-class sections carry the SLO burn-rate fields. */
 /** v7: StatsReply per-scene sections drop the four v4 memo counters
  *  (the memo was removed). */
-constexpr uint16_t kProtocolVersion = 7;
+/** v8: GetStats has an empty payload and always answers MetricsReply
+ *  (the server's exposition); StatsReply (type 11), its codecs and the
+ *  v5 format selector are gone. */
+constexpr uint16_t kProtocolVersion = 8;
 constexpr size_t kHeaderSize = 12;
 /** Hard cap on one message's payload; oversized headers are a protocol
  *  violation (a 4K frame is ~200 MB raw -- far beyond this service's
@@ -96,8 +98,8 @@ constexpr uint32_t kMaxRequestPayload = 64u * 1024;
 constexpr uint32_t kMaxFrameBytes = 32u << 20;
 /** Cap on any string field (scene names, error text). */
 constexpr uint32_t kMaxString = 4096;
-/** Cap on spans in one SpanBatch: bounds the decode allocation the
- *  same way kMaxSceneStats bounds StatsReply. */
+/** Cap on spans in one SpanBatch: bounds the decode allocation a
+ *  hostile count could ask for. */
 constexpr uint32_t kMaxSpansPerBatch = 65536;
 
 enum class MsgType : uint16_t
@@ -112,7 +114,6 @@ enum class MsgType : uint16_t
     SubmitFrameOk = 8,
     FrameResult = 9,
     GetStats = 10,
-    StatsReply = 11,
     Error = 12,
     ResumeSession = 13,
     ResumeSessionOk = 14,
@@ -503,23 +504,16 @@ struct FrameResultMsg
     bool decode(WireReader &r);
 };
 
-/** Stats exposition formats a GetStats may request. */
-enum class StatsFormat : uint8_t
-{
-    Binary = 0, ///< reply is a StatsReply (snapshot + wire counters)
-    Text = 1,   ///< reply is a MetricsReply (Prometheus exposition)
-};
-
+/** Ask for the server's metrics; the payload is empty. */
 struct GetStatsMsg
 {
-    uint8_t format = 0; ///< StatsFormat, range-checked on decode
-
-    void encode(WireWriter &w) const;
-    bool decode(WireReader &r);
+    void encode(WireWriter &) const {}
+    bool decode(WireReader &) { return true; }
 };
 
-/** Prometheus text exposition (GetStats with StatsFormat::Text). The
- *  body travels as bytes: it can exceed kMaxString. */
+/** The reply to GetStats: FrameServer::metricsText(), the Prometheus
+ *  text exposition. The body travels as bytes: it can exceed
+ *  kMaxString. */
 struct MetricsReplyMsg
 {
     std::vector<uint8_t> text;
@@ -575,47 +569,6 @@ struct SpanBatchMsg
      *  backpressure (whole batches, never partial ones). */
     uint64_t dropped = 0;
     std::vector<WireSpan> spans;
-
-    void encode(WireWriter &w) const;
-    bool decode(WireReader &r);
-};
-
-/** Socket front-end counters, served next to the render stats. */
-struct WireCounters
-{
-    uint64_t connections_accepted = 0;
-    uint64_t connections_open = 0;
-    uint64_t sessions_opened = 0;
-    uint64_t frames_sent = 0;    ///< FrameResult messages written
-    uint64_t results_shed = 0;   ///< payloads dropped by backpressure
-    /** Interactive payloads downgraded to quantized8 by backpressure
-     *  (the rung BELOW shedding on the degradation ladder). */
-    uint64_t results_degraded = 0;
-    /** Results completed while their session was detached, held for a
-     *  resume. */
-    uint64_t results_parked = 0;
-    uint64_t sessions_resumed = 0; ///< successful ResumeSession
-    /** Detached sessions whose resume grace expired (closed). */
-    uint64_t sessions_expired = 0;
-    uint64_t bytes_tx = 0;
-    uint64_t bytes_rx = 0;
-    /** Encoded frame payload bytes vs what raw float would have cost:
-     *  the delivery-path analog of the paper's data-reuse savings. */
-    uint64_t frame_payload_bytes = 0;
-    uint64_t frame_raw_bytes = 0;
-    /** Live-telemetry stream (v6): SpanBatch messages written, and
-     *  batches dropped by per-subscriber backpressure. */
-    uint64_t span_batches_sent = 0;
-    uint64_t span_batches_dropped = 0;
-
-    void encode(WireWriter &w) const;
-    bool decode(WireReader &r);
-};
-
-struct StatsReplyMsg
-{
-    server::ServerStatsSnapshot server;
-    WireCounters wire;
 
     void encode(WireWriter &w) const;
     bool decode(WireReader &r);

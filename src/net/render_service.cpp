@@ -38,9 +38,30 @@ constexpr int kGracePollMs = 50;
 
 } // namespace
 
+RenderService::WireMetrics::WireMetrics(metrics::Registry &reg)
+    : connections_accepted(
+          reg.counter("asdr_wire_connections_accepted_total")),
+      connections_open(reg.gauge("asdr_wire_connections_open")),
+      sessions_opened(reg.counter("asdr_wire_sessions_opened_total")),
+      frames_sent(reg.counter("asdr_wire_frames_sent_total")),
+      results_shed(reg.counter("asdr_wire_results_shed_total")),
+      results_parked(reg.counter("asdr_wire_results_parked_total")),
+      sessions_resumed(reg.counter("asdr_wire_sessions_resumed_total")),
+      sessions_expired(reg.counter("asdr_wire_sessions_expired_total")),
+      bytes_tx(reg.counter("asdr_wire_bytes_tx_total")),
+      bytes_rx(reg.counter("asdr_wire_bytes_rx_total")),
+      frame_payload_bytes(
+          reg.counter("asdr_wire_frame_payload_bytes_total")),
+      frame_raw_bytes(reg.counter("asdr_wire_frame_raw_bytes_total")),
+      span_batches_sent(reg.counter("asdr_wire_span_batches_sent_total")),
+      span_batches_dropped(
+          reg.counter("asdr_wire_span_batches_dropped_total"))
+{
+}
+
 RenderService::RenderService(server::FrameServer &server,
                              const ServiceConfig &cfg)
-    : server_(server), cfg_(cfg)
+    : server_(server), cfg_(cfg), wire_(server.metricsRegistry())
 {
     std::random_device rd;
     token_rng_ = (uint64_t(rd()) << 32) ^ uint64_t(rd());
@@ -127,8 +148,22 @@ RenderService::stop()
 WireCounters
 RenderService::counters() const
 {
-    std::lock_guard<std::mutex> lock(cnt_m_);
-    return counters_;
+    WireCounters c;
+    c.connections_accepted = wire_.connections_accepted.value();
+    c.connections_open = uint64_t(wire_.connections_open.value());
+    c.sessions_opened = wire_.sessions_opened.value();
+    c.frames_sent = wire_.frames_sent.value();
+    c.results_shed = wire_.results_shed.value();
+    c.results_parked = wire_.results_parked.value();
+    c.sessions_resumed = wire_.sessions_resumed.value();
+    c.sessions_expired = wire_.sessions_expired.value();
+    c.bytes_tx = wire_.bytes_tx.value();
+    c.bytes_rx = wire_.bytes_rx.value();
+    c.frame_payload_bytes = wire_.frame_payload_bytes.value();
+    c.frame_raw_bytes = wire_.frame_raw_bytes.value();
+    c.span_batches_sent = wire_.span_batches_sent.value();
+    c.span_batches_dropped = wire_.span_batches_dropped.value();
+    return c;
 }
 
 // -------------------------------------------------------------- the loop
@@ -261,10 +296,7 @@ RenderService::streamSpansTo(const std::shared_ptr<Connection> &conn)
             // cumulative `dropped` header. Control replies and frame
             // accounting are never displaced by span traffic.
             conn->span_dropped++;
-            {
-                std::lock_guard<std::mutex> lock(cnt_m_);
-                counters_.span_batches_dropped++;
-            }
+            wire_.span_batches_dropped.inc();
             continue; // keep draining; later batches may fit
         }
         SpanBatchMsg msg;
@@ -275,10 +307,7 @@ RenderService::streamSpansTo(const std::shared_ptr<Connection> &conn)
             msg.spans.push_back(WireSpan{s.name, s.frame, s.ticket,
                                          s.lane, s.t_start_us,
                                          s.t_end_us});
-        {
-            std::lock_guard<std::mutex> lock(cnt_m_);
-            counters_.span_batches_sent++;
-        }
+        wire_.span_batches_sent.inc();
         sendControl(*conn, MsgType::SpanBatch, msg);
     }
 }
@@ -310,14 +339,11 @@ RenderService::acceptNew()
             s.setSendBuffer(cfg_.sndbuf_bytes);
         auto conn = std::make_shared<Connection>();
         conn->sock = std::move(s);
-        {
-            std::lock_guard<std::mutex> lock(m_);
-            conn->id = next_conn_++;
-            conns_.emplace(conn->id, conn);
-        }
-        std::lock_guard<std::mutex> lock(cnt_m_);
-        counters_.connections_accepted++;
-        counters_.connections_open++;
+        wire_.connections_accepted.inc();
+        std::lock_guard<std::mutex> lock(m_);
+        conn->id = next_conn_++;
+        conns_.emplace(conn->id, conn);
+        wire_.connections_open.set(double(conns_.size()));
     }
 }
 
@@ -335,10 +361,7 @@ RenderService::readInput(const std::shared_ptr<Connection> &conn)
             return;
         }
         conn->in.insert(conn->in.end(), buf, buf + k);
-        {
-            std::lock_guard<std::mutex> lock(cnt_m_);
-            counters_.bytes_rx += uint64_t(k);
-        }
+        wire_.bytes_rx.add(uint64_t(k));
     }
 
     size_t off = 0;
@@ -402,10 +425,7 @@ RenderService::flushOut(const std::shared_ptr<Connection> &conn)
             conn->dead = true;
             return; // teardown scavenges the unsent queue
         }
-        {
-            std::lock_guard<std::mutex> lock(cnt_m_);
-            counters_.bytes_tx += uint64_t(k);
-        }
+        wire_.bytes_tx.add(uint64_t(k));
         conn->out_off += size_t(k);
         conn->out_bytes -= size_t(k);
         if (conn->out_off == front.size()) {
@@ -485,10 +505,9 @@ RenderService::handleMessage(const std::shared_ptr<Connection> &conn,
             return false;
         }
         auto ws = std::make_shared<WireSession>();
-        ws->qos = server::QosClass(msg.qos);
         ws->encoding = FrameEncoding(msg.encoding);
         const uint64_t id = server_.openSession(
-            msg.scene, ws->qos, {},
+            msg.scene, server::QosClass(msg.qos), {},
             [this, ws](server::FrameResult &&r) {
                 onResult(ws, std::move(r));
             });
@@ -507,10 +526,7 @@ RenderService::handleMessage(const std::shared_ptr<Connection> &conn,
                 ws->token = 1;
             sessions_.emplace(id, ws);
         }
-        {
-            std::lock_guard<std::mutex> lock(cnt_m_);
-            counters_.sessions_opened++;
-        }
+        wire_.sessions_opened.inc();
         OpenSessionOkMsg ok;
         ok.session = id;
         ok.token = ws->token;
@@ -584,10 +600,7 @@ RenderService::handleMessage(const std::shared_ptr<Connection> &conn,
             if (detached_sessions_ > 0)
                 detached_sessions_--;
         }
-        {
-            std::lock_guard<std::mutex> lock(cnt_m_);
-            counters_.sessions_resumed++;
-        }
+        wire_.sessions_resumed.inc();
         return true;
     }
 
@@ -656,32 +669,10 @@ RenderService::handleMessage(const std::shared_ptr<Connection> &conn,
             sendError(*conn, WireError::BadMessage, "bad GetStats");
             return false;
         }
-        if (msg.format == uint8_t(StatsFormat::Text)) {
-            // Prometheus text mode: refresh the snapshot-time gauges
-            // (server_.stats() publishes scene/cache/stuck; the wire
-            // gauges are published here), then render the registry.
-            const WireCounters wc = counters();
-            metrics::gauge("asdr_wire_connections_open")
-                .set(double(wc.connections_open));
-            metrics::gauge("asdr_wire_sessions_opened")
-                .set(double(wc.sessions_opened));
-            metrics::gauge("asdr_wire_frames_sent")
-                .set(double(wc.frames_sent));
-            metrics::gauge("asdr_wire_results_shed")
-                .set(double(wc.results_shed));
-            metrics::gauge("asdr_wire_bytes_tx").set(double(wc.bytes_tx));
-            metrics::gauge("asdr_wire_bytes_rx").set(double(wc.bytes_rx));
-            (void)server_.stats();
-            MetricsReplyMsg reply;
-            const std::string text = metrics::renderText();
-            reply.text.assign(text.begin(), text.end());
-            sendControl(*conn, MsgType::MetricsReply, reply);
-            return true;
-        }
-        StatsReplyMsg reply;
-        reply.server = server_.stats();
-        reply.wire = counters();
-        sendControl(*conn, MsgType::StatsReply, reply);
+        MetricsReplyMsg reply;
+        const std::string text = server_.metricsText();
+        reply.text.assign(text.begin(), text.end());
+        sendControl(*conn, MsgType::MetricsReply, reply);
         return true;
     }
 
@@ -768,7 +759,7 @@ RenderService::deliverLocked(const std::shared_ptr<Connection> &conn,
     msg.encoding = uint8_t(ws.encoding);
     msg.rung = uint8_t(result.rung);
 
-    bool shed = false, degraded = false;
+    bool shed = false;
     uint64_t payload_bytes = 0, raw_bytes = 0;
     if (result.dropped) {
         msg.status = uint8_t(FrameStatus::Dropped);
@@ -808,17 +799,6 @@ RenderService::deliverLocked(const std::shared_ptr<Connection> &conn,
                 // MESSAGE carries Quantized8, so neither endpoint
                 // advances its delta reference off this frame.
                 enc = FrameEncoding::Quantized8;
-            if (cfg_.degrade_outbound_bytes > 0 &&
-                out_bytes >= cfg_.degrade_outbound_bytes &&
-                ws.qos == server::QosClass::Interactive &&
-                enc != FrameEncoding::Quantized8) {
-                // Degrade before shedding: a lossy-but-small frame
-                // beats a payload-less Shed for an interactive viewer.
-                // The MESSAGE carries Quantized8, so neither endpoint
-                // advances its delta reference off this frame.
-                enc = FrameEncoding::Quantized8;
-                degraded = true;
-            }
             msg.encoding = uint8_t(enc);
             const Image *ref =
                 enc == FrameEncoding::DeltaPrev && !ws.reference.empty()
@@ -834,16 +814,11 @@ RenderService::deliverLocked(const std::shared_ptr<Connection> &conn,
     }
     // Count BEFORE enqueueing: once the message is on the queue the
     // client may see it, fetch stats, and expect this frame there.
-    {
-        std::lock_guard<std::mutex> lock(cnt_m_);
-        counters_.frames_sent++;
-        if (shed)
-            counters_.results_shed++;
-        if (degraded)
-            counters_.results_degraded++;
-        counters_.frame_payload_bytes += payload_bytes;
-        counters_.frame_raw_bytes += raw_bytes;
-    }
+    wire_.frames_sent.inc();
+    if (shed)
+        wire_.results_shed.inc();
+    wire_.frame_payload_bytes.add(payload_bytes);
+    wire_.frame_raw_bytes.add(raw_bytes);
     {
         std::lock_guard<std::mutex> out(conn->out_m);
         enqueueLocked(*conn, packMessage(MsgType::FrameResult, msg));
@@ -883,21 +858,17 @@ RenderService::onResult(const std::shared_ptr<WireSession> &ws,
                     break;
                 }
             }
-            if (shed_old) {
-                // counter unchanged: one payload in, one shed
-            } else {
+            if (!shed_old) {
                 p.result.frame.image = Image();
                 p.shed = true;
             }
-            std::lock_guard<std::mutex> cnt(cnt_m_);
-            counters_.results_shed++;
+            wire_.results_shed.inc();
         } else {
             ws->parked_payloads++;
         }
     }
     ws->parked.push_back(std::move(p));
-    std::lock_guard<std::mutex> cnt(cnt_m_);
-    counters_.results_parked++;
+    wire_.results_parked.inc();
 }
 
 void
@@ -997,8 +968,7 @@ RenderService::teardown(const std::shared_ptr<Connection> &conn,
                 for (auto it = sc->second.rbegin();
                      it != sc->second.rend(); ++it)
                     ws->parked.push_front(std::move(*it));
-                std::lock_guard<std::mutex> cnt(cnt_m_);
-                counters_.results_parked += sc->second.size();
+                wire_.results_parked.add(sc->second.size());
             }
             ws->detached_at = std::chrono::steady_clock::now();
             newly_detached++;
@@ -1009,18 +979,14 @@ RenderService::teardown(const std::shared_ptr<Connection> &conn,
     }
     conn->sessions.clear();
 
-    bool erased = false;
     {
         std::lock_guard<std::mutex> lock(m_);
-        erased = conns_.erase(conn->id) > 0;
+        conns_.erase(conn->id);
+        wire_.connections_open.set(double(conns_.size()));
         detached_sessions_ += newly_detached;
     }
     for (auto &job : closes)
         enqueueClose(std::move(job));
-    if (erased) {
-        std::lock_guard<std::mutex> lock(cnt_m_);
-        counters_.connections_open--;
-    }
 }
 
 void
@@ -1089,10 +1055,8 @@ RenderService::reaperRun()
             ok.session = job.ws->id;
             sendControl(*job.reply_to, MsgType::CloseSessionOk, ok);
         }
-        if (job.expired) {
-            std::lock_guard<std::mutex> lock(cnt_m_);
-            counters_.sessions_expired++;
-        }
+        if (job.expired)
+            wire_.sessions_expired.inc();
         {
             std::lock_guard<std::mutex> lock(m_);
             sessions_.erase(job.ws->id);

@@ -21,17 +21,21 @@
  *    queue, and wakes the poll loop through a pipe. Frame encode order
  *    is serialized per session (the session mutex), so the client's
  *    receive order matches the server's delta-reference order exactly.
- *  - Backpressure is bounded per connection and degrades before it
- *    sheds: past ServiceConfig::degrade_outbound_bytes of queued
- *    output, interactive-class frames fall back to Quantized8 encoding
- *    (the message carries the downgraded encoding, so both endpoints
- *    key their delta-reference updates off the MESSAGE, not the
- *    session); past max_outbound_bytes, frame PAYLOADS are shed -- the
- *    FrameResult still arrives, flagged FrameStatus::Shed, so ticket
- *    accounting stays exact ("every ticket produces exactly one
- *    result" survives the wire) while queue memory stays bounded.
- *    Control replies are never shed or degraded. Shed and degraded
- *    frames do not advance the delta reference on either endpoint.
+ *  - Backpressure is bounded per connection: past max_outbound_bytes
+ *    of queued output, frame PAYLOADS are shed -- the FrameResult
+ *    still arrives, flagged FrameStatus::Shed, so ticket accounting
+ *    stays exact ("every ticket produces exactly one result" survives
+ *    the wire) while queue memory stays bounded. Control replies are
+ *    never shed. Degrading a frame before it comes to that is the
+ *    quality ladder's job (server/quality_ladder.hpp): its floor rung
+ *    travels Quantized8. Shed and Quantized8 frames do not advance
+ *    the delta reference on either endpoint (both key it off the
+ *    MESSAGE's encoding, not the session's).
+ *
+ * Counters: every wire counter lives in the wrapped FrameServer's
+ * metrics registry (asdr_wire_*), so GetStats' exposition carries
+ * them next to the serving metrics; counters() is a typed read. One
+ * service per server: a second would add into the same series.
  *
  * Reconnect-and-resume: sessions are owned by the SERVICE, not the
  * connection. OpenSessionOk carries a resume token; when a connection
@@ -56,8 +60,8 @@
  *
  * Lifetime: the FrameServer and SceneRegistry must outlive the
  * service; stop() (or destruction) quiesces the socket side first.
- * Lock order: service m_ -> WireSession::m -> Connection::out_m ->
- * cnt_m_ (each optional, never taken in reverse).
+ * Lock order: service m_ -> WireSession::m -> Connection::out_m (each
+ * optional, never taken in reverse).
  */
 
 #ifndef ASDR_NET_RENDER_SERVICE_HPP
@@ -99,13 +103,6 @@ struct ServiceConfig
      */
     size_t max_outbound_bytes = size_t(64) << 20;
     /**
-     * Degrade-before-shed threshold (bytes of queued output); 0 = off.
-     * At or past this (but below max_outbound_bytes), interactive-class
-     * frames are re-encoded Quantized8 instead of the session encoding,
-     * trading fidelity for queue headroom before anything is shed.
-     */
-    size_t degrade_outbound_bytes = 0;
-    /**
      * How long a disconnected connection's sessions stay resumable
      * before the reaper closes them. 0 (default) = resume disabled:
      * a disconnect closes sessions immediately, as before.
@@ -126,12 +123,39 @@ struct ServiceConfig
     /**
      * Fixed kernel send-buffer size per connection; 0 = kernel default
      * (autotuned). A small fixed buffer makes slow consumers visible
-     * to the degrade/shed thresholds promptly instead of letting the
-     * kernel absorb megabytes of queued output first.
+     * to the shed threshold promptly instead of letting the kernel
+     * absorb megabytes of queued output first.
      */
     size_t sndbuf_bytes = 0;
     /** HelloOk banner. */
     std::string banner = "asdr-render-service";
+};
+
+/** A typed read of the service's wire counters (asdr_wire_* in the
+ *  server's registry; all monotone except connections_open). */
+struct WireCounters
+{
+    uint64_t connections_accepted = 0;
+    uint64_t connections_open = 0;
+    uint64_t sessions_opened = 0;
+    uint64_t frames_sent = 0;    ///< FrameResult messages written
+    uint64_t results_shed = 0;   ///< payloads dropped by backpressure
+    /** Results completed while their session was detached, held for a
+     *  resume. */
+    uint64_t results_parked = 0;
+    uint64_t sessions_resumed = 0; ///< successful ResumeSession
+    /** Detached sessions whose resume grace expired (closed). */
+    uint64_t sessions_expired = 0;
+    uint64_t bytes_tx = 0;
+    uint64_t bytes_rx = 0;
+    /** Encoded frame payload bytes vs what raw float would have cost:
+     *  the delivery-path analog of the paper's data-reuse savings. */
+    uint64_t frame_payload_bytes = 0;
+    uint64_t frame_raw_bytes = 0;
+    /** Live-telemetry stream: SpanBatch messages written, and batches
+     *  dropped by per-subscriber backpressure. */
+    uint64_t span_batches_sent = 0;
+    uint64_t span_batches_dropped = 0;
 };
 
 class RenderService
@@ -157,6 +181,26 @@ class RenderService
   private:
     struct Connection;
 
+    /** The wire series in the server's registry, resolved once. */
+    struct WireMetrics
+    {
+        explicit WireMetrics(metrics::Registry &reg);
+        metrics::Counter &connections_accepted;
+        metrics::Gauge &connections_open;
+        metrics::Counter &sessions_opened;
+        metrics::Counter &frames_sent;
+        metrics::Counter &results_shed;
+        metrics::Counter &results_parked;
+        metrics::Counter &sessions_resumed;
+        metrics::Counter &sessions_expired;
+        metrics::Counter &bytes_tx;
+        metrics::Counter &bytes_rx;
+        metrics::Counter &frame_payload_bytes;
+        metrics::Counter &frame_raw_bytes;
+        metrics::Counter &span_batches_sent;
+        metrics::Counter &span_batches_dropped;
+    };
+
     /** One parked frame outcome awaiting resume (payload raw, encoded
      *  only at replay so the re-seeded reference chain stays exact). */
     struct ParkedResult
@@ -171,7 +215,6 @@ class RenderService
     {
         uint64_t id = 0; ///< FrameServer client id == wire session id
         uint64_t token = 0; ///< resume credential (OpenSessionOk)
-        server::QosClass qos = server::QosClass::Standard;
         FrameEncoding encoding = FrameEncoding::Raw;
 
         /** Guards everything below; serializes the session's encode
@@ -298,8 +341,7 @@ class RenderService
     bool reap_stop_ = false;
     std::thread reaper_;
 
-    mutable std::mutex cnt_m_;
-    WireCounters counters_;
+    WireMetrics wire_;
 };
 
 } // namespace asdr::net

@@ -89,14 +89,17 @@ mix64(uint64_t x)
 
 FrameServer::FrameServer(const SceneRegistry &registry,
                          const ServerConfig &cfg)
-    : registry_(registry), cfg_(cfg)
+    : registry_(registry), cfg_(cfg),
+      stuck_in_flight_(metrics_.gauge("asdr_stuck_in_flight")),
+      stuck_events_(metrics_.counter("asdr_stuck_events_total")),
+      stats_(metrics_), slo_(cfg.slo, metrics_)
 {
     ASDR_ASSERT(cfg.shards >= 1, "need at least one shard");
     ASDR_ASSERT(cfg.frames_in_flight_per_shard >= 1,
                 "need at least one pipeline slot per shard");
+    for (int c = 0; c < kQosClasses; ++c)
+        class_metrics_[c] = ClassMetrics(metrics_, QosClass(c));
     stats_.setSlowFrameKeep(cfg.flight_recorder_frames);
-    if (cfg.slo.enabled())
-        slo_ = std::make_unique<SloTracker>(cfg.slo);
     shards_.resize(size_t(cfg.shards));
     for (Shard &s : shards_) {
         engine::EngineConfig ec;
@@ -116,7 +119,8 @@ FrameServer::FrameServer(const SceneRegistry &registry,
     // Breakers alone don't need it (their transitions happen at
     // admission time).
     if (cfg.watchdog_period_ms > 0 &&
-        (deadlines_enabled_ || cfg.stuck_after_ms > 0.0 || slo_))
+        (deadlines_enabled_ || cfg.stuck_after_ms > 0.0 ||
+         cfg.slo.enabled()))
         watchdog_ = std::thread([this] { watchdogRun(); });
 }
 
@@ -182,6 +186,10 @@ FrameServer::openSession(const std::string &scene, QosClass qos,
         *entry->field, entry->config);
 
     std::lock_guard<std::mutex> lock(m_);
+    std::unique_ptr<SceneState> &state = scenes_[entry->name];
+    if (!state)
+        state = std::make_unique<SceneState>(metrics_, entry->name);
+    client->state = state.get();
     client->id = next_client_++;
     client->shard = pickShardLocked(client->id);
     shards_[size_t(client->shard)].sessions++;
@@ -204,8 +212,8 @@ FrameServer::submitFrame(uint64_t client_id, const nerf::Camera &camera)
             return 0;
         Client &c = *it->second;
         ticket = next_ticket_++;
-        stats_.recordSubmitted(c.qos);
-        stats_.recordSceneSubmitted(c.scene->name);
+        class_metrics_[int(c.qos)].submitted->inc();
+        c.state->series.submitted->inc();
         c.outstanding++;
         outstanding_total_++;
 
@@ -230,8 +238,8 @@ FrameServer::Deliverable
 FrameServer::expireLocked(PendingFrame &&pf)
 {
     Client &c = *clients_.at(pf.client);
-    stats_.recordExpired(pf.qos);
-    stats_.recordSceneExpired(c.scene->name);
+    class_metrics_[int(pf.qos)].expired->inc();
+    c.state->series.expired->inc();
     Deliverable d;
     d.result.client = pf.client;
     d.result.ticket = pf.ticket;
@@ -244,23 +252,30 @@ FrameServer::expireLocked(PendingFrame &&pf)
 }
 
 FrameServer::Deliverable
-FrameServer::breakerRejectLocked(PendingFrame &&pf,
-                                 const std::string &scene_name)
+FrameServer::breakerRejectLocked(PendingFrame &&pf, SceneState &scene)
 {
     Client &c = *clients_.at(pf.client);
-    stats_.recordFailed(pf.qos);
-    stats_.recordSceneFailed(scene_name);
-    stats_.recordSceneBreakerFastFail(scene_name);
+    class_metrics_[int(pf.qos)].failed->inc();
+    scene.series.failed->inc();
+    scene.series.breaker_fast_fails->inc();
     Deliverable d;
     d.result.client = pf.client;
     d.result.ticket = pf.ticket;
     d.result.qos = pf.qos;
     d.result.error = std::make_exception_ptr(std::runtime_error(
-        "scene quarantined: circuit breaker open (" + scene_name + ")"));
+        "scene quarantined: circuit breaker open (" + scene.series.name +
+        ")"));
     d.result.latency_s = secondsBetween(
         pf.submitted_at, std::chrono::steady_clock::now());
     d.cb = c.callback;
     return d;
+}
+
+void
+FrameServer::setBreaker(SceneState &scene, BreakerState to)
+{
+    scene.breaker.state = to;
+    scene.series.breaker_state->set(double(int(to)));
 }
 
 void
@@ -269,9 +284,8 @@ FrameServer::deliverAll(std::vector<Deliverable> &&rejects)
     const bool had_rejects = !rejects.empty();
     for (Deliverable &d : rejects) {
         // Every admission-time reject is an SLO error outcome.
-        if (slo_)
-            slo_->recordError(d.result.qos, d.result.ticket,
-                              d.result.latency_s * 1e3);
+        slo_.recordError(d.result.qos, d.result.ticket,
+                         d.result.latency_s * 1e3);
         // Flight recorder: deadline expiries and breaker fast-fails
         // are exactly the frames an operator asks "why" about.
         if (cfg_.slow_frame_ms > 0.0 &&
@@ -313,18 +327,17 @@ FrameServer::pumpLocked(int shard, std::vector<Launch> &launches,
         Client &c = *clients_.at(pf.client);
         bool probe = false;
         if (cfg_.breaker.failure_threshold > 0) {
-            Breaker &b = breakers_[pf.scene];
-            b.scene_name = c.scene->name;
+            Breaker &b = c.state->breaker;
             if (b.state == BreakerState::Open &&
                 secondsBetween(b.opened_at, now) >= cfg_.breaker.open_s) {
-                b.state = BreakerState::HalfOpen;
+                setBreaker(*c.state, BreakerState::HalfOpen);
                 b.probes_out = 0;
             }
             if (b.state == BreakerState::Open ||
                 (b.state == BreakerState::HalfOpen &&
                  b.probes_out >= cfg_.breaker.half_open_probes)) {
                 rejects.push_back(
-                    breakerRejectLocked(std::move(pf), b.scene_name));
+                    breakerRejectLocked(std::move(pf), *c.state));
                 continue; // no slot consumed; keep pumping
             }
             if (b.state == BreakerState::HalfOpen) {
@@ -366,9 +379,13 @@ FrameServer::pumpLocked(int shard, std::vector<Launch> &launches,
                                   telemetry::toUs(pf.submitted_at),
                                   telemetry::toUs(now));
         }
-        stats_.recordAdmitted(pf.qos,
-                              secondsBetween(pf.submitted_at, now));
-        stats_.recordSceneAdmitted(c.scene->name, scene_now);
+        ClassMetrics &cm = class_metrics_[int(pf.qos)];
+        cm.admitted->inc();
+        cm.queue_wait->record(secondsBetween(pf.submitted_at, now));
+        // A peak, not a sample: only m_ holders write it.
+        metrics::Gauge &peak = *c.state->series.peak_in_flight;
+        if (double(scene_now) > peak.value())
+            peak.set(double(scene_now));
         s.running.emplace(pf.ticket,
                           InFlightFrame{now, pf.qos, pf.scene, probe,
                                         /*stuck_flagged=*/false});
@@ -429,15 +446,14 @@ FrameServer::onFrameDone(int shard, uint64_t client, uint64_t ticket,
     std::vector<Launch> launches;
     std::vector<Deliverable> rejects;
     ResultCallback cb;
-    std::string scene_name;
-    bool breaker_opened = false;
+    SceneMetrics *scene = nullptr;
     {
         std::lock_guard<std::mutex> lock(m_);
         Shard &s = shards_[size_t(shard)];
         s.in_flight[int(qos)]--;
         s.total_in_flight--;
         Client &c = *clients_.at(client);
-        scene_name = c.scene->name;
+        scene = &c.state->series;
         auto sit = s.scene_in_flight.find(c.scene->id);
         if (sit != s.scene_in_flight.end() && --sit->second == 0)
             s.scene_in_flight.erase(sit);
@@ -448,28 +464,22 @@ FrameServer::onFrameDone(int shard, uint64_t client, uint64_t ticket,
             s.running.erase(rit);
         }
         if (cfg_.breaker.failure_threshold > 0) {
-            Breaker &b = breakers_[c.scene->id];
-            b.scene_name = scene_name;
-            if (err) {
-                if (b.state == BreakerState::HalfOpen) {
-                    // A failure while probing (probe or straggler)
-                    // restarts the quarantine clock.
-                    b.state = BreakerState::Open;
-                    b.opened_at = now;
-                    b.consecutive_failures = 0;
-                    breaker_opened = true;
-                } else if (b.state == BreakerState::Closed &&
-                           ++b.consecutive_failures >=
-                               cfg_.breaker.failure_threshold) {
-                    b.state = BreakerState::Open;
-                    b.opened_at = now;
-                    b.consecutive_failures = 0;
-                    breaker_opened = true;
-                }
-            } else {
+            Breaker &b = c.state->breaker;
+            // Any failure while half-open (probe or straggler), or the
+            // threshold-th consecutive one while closed, (re)opens the
+            // breaker and restarts the quarantine clock.
+            if (err && (b.state == BreakerState::HalfOpen ||
+                        (b.state == BreakerState::Closed &&
+                         ++b.consecutive_failures >=
+                             cfg_.breaker.failure_threshold))) {
+                setBreaker(*c.state, BreakerState::Open);
+                b.opened_at = now;
+                b.consecutive_failures = 0;
+                scene->breaker_opens->inc();
+            } else if (!err) {
                 b.consecutive_failures = 0;
                 if (b.state == BreakerState::HalfOpen && was_probe) {
-                    b.state = BreakerState::Closed;
+                    setBreaker(*c.state, BreakerState::Closed);
                     b.probes_out = 0;
                 }
             }
@@ -481,28 +491,24 @@ FrameServer::onFrameDone(int shard, uint64_t client, uint64_t ticket,
         pumpLocked(shard, launches, rejects);
         cb = c.callback;
     }
-    if (breaker_opened)
-        stats_.recordSceneBreakerOpened(scene_name);
     // Refill the freed slot before delivery: the next frame renders
     // while this one's consumer runs.
     for (const Launch &l : launches)
         launch(l);
     deliverAll(std::move(rejects));
 
+    ClassMetrics &cm = class_metrics_[int(qos)];
     if (err) {
-        stats_.recordFailed(qos);
-        stats_.recordSceneFailed(scene_name);
+        cm.failed->inc();
+        scene->failed->inc();
+        slo_.recordError(qos, ticket, latency * 1e3);
     } else {
-        stats_.recordServed(qos, latency, rung);
-        stats_.recordSceneServed(scene_name, rung);
+        cm.served_rung[size_t(rung)]->inc();
+        cm.latency->record(latency);
+        scene->served_rung[size_t(rung)]->inc();
+        slo_.recordServed(qos, ticket, latency * 1e3);
     }
-    if (slo_) {
-        if (err)
-            slo_->recordError(qos, ticket, latency * 1e3);
-        else
-            slo_->recordServed(qos, ticket, latency * 1e3);
-        sloEvaluate();
-    }
+    sloEvaluate();
 
     // Flight recorder: a frame over the slow budget (or one whose
     // render threw) is dumped with its span timeline and retained.
@@ -566,14 +572,13 @@ FrameServer::dropFrames(std::vector<PendingFrame> &&dropped)
 {
     const bool had_drops = !dropped.empty();
     for (PendingFrame &pf : dropped) {
-        stats_.recordDropped(pf.qos);
-        if (slo_)
-            slo_->recordError(pf.qos, pf.ticket, 0.0);
+        class_metrics_[int(pf.qos)].dropped->inc();
+        slo_.recordError(pf.qos, pf.ticket, 0.0);
         ResultCallback cb;
         {
             std::lock_guard<std::mutex> lock(m_);
             const Client &c = *clients_.at(pf.client);
-            stats_.recordSceneDropped(c.scene->name);
+            c.state->series.dropped->inc();
             cb = c.callback;
         }
         // Shed frames land in the flight recorder too (silently -- a
@@ -691,8 +696,10 @@ FrameServer::watchdogTick()
             }
         }
     }
-    if (cfg_.stuck_after_ms > 0.0)
-        stats_.recordStuck(stuck_now, new_events);
+    if (cfg_.stuck_after_ms > 0.0) {
+        stuck_in_flight_.set(double(stuck_now));
+        stuck_events_.add(new_events);
+    }
     for (const Launch &l : launches)
         launch(l);
     deliverAll(std::move(rejects));
@@ -704,10 +711,8 @@ FrameServer::watchdogTick()
 void
 FrameServer::sloEvaluate()
 {
-    if (!slo_)
-        return;
     std::vector<SloTracker::Offender> pin;
-    slo_->evaluate(pin);
+    slo_.evaluate(pin);
     // Breach evidence lands in the flight recorder regardless of
     // slow_frame_ms: an alert must carry its offending frames even
     // when the operator never tuned the slow budget. Pinning is
@@ -722,44 +727,34 @@ ServerStatsSnapshot
 FrameServer::stats() const
 {
     ServerStatsSnapshot snap = stats_.snapshot();
-    if (slo_)
-        slo_->fillSnapshot(snap);
+    for (int c = 0; c < kQosClasses; ++c) {
+        snap.cls[c] = class_metrics_[c].read();
+        slo_.read(QosClass(c), snap.cls[c]);
+    }
     {
         std::lock_guard<std::mutex> lock(m_);
-        for (const auto &entry : breakers_)
-            for (SceneServeStats &sc : snap.scenes)
-                if (sc.name == entry.second.scene_name)
-                    sc.breaker_state = uint8_t(entry.second.state);
+        snap.scenes.reserve(scenes_.size());
+        for (const auto &entry : scenes_)
+            snap.scenes.push_back(entry.second->series.read());
     }
-    // Publish the snapshot-time gauges into the metrics registry, so a
-    // Prometheus scrape (wire StatsRequest text mode, --metrics-out)
-    // sees the live values without its own snapshot plumbing.
-    metrics::gauge("asdr_stuck_in_flight")
-        .set(double(snap.stuck_in_flight));
-    metrics::gauge("asdr_slow_frames_retained")
-        .set(double(snap.slow_frames.size()));
-    for (const SceneServeStats &sc : snap.scenes) {
-        // Scene names are arbitrary registry strings: escape them per
-        // the Prometheus text format or a hostile name (quotes,
-        // backslashes, newlines) corrupts every scrape line.
-        const std::string l =
-            "scene=\"" + metrics::escapeLabelValue(sc.name) + "\"";
-        metrics::gauge("asdr_scene_breaker_state", l)
-            .set(double(sc.breaker_state));
-    }
+    snap.stuck_in_flight = uint64_t(stuck_in_flight_.value());
+    snap.stuck_events = stuck_events_.value();
     return snap;
+}
+
+std::string
+FrameServer::metricsText() const
+{
+    return metrics_.renderText() + metrics::processRegistry().renderText();
 }
 
 FrameServer::BreakerState
 FrameServer::breakerState(const std::string &scene) const
 {
-    const SceneEntry *entry = registry_.find(scene);
-    if (!entry)
-        return BreakerState::Closed;
     std::lock_guard<std::mutex> lock(m_);
-    auto it = breakers_.find(entry->id);
-    return it == breakers_.end() ? BreakerState::Closed
-                                 : it->second.state;
+    auto it = scenes_.find(scene);
+    return it == scenes_.end() ? BreakerState::Closed
+                               : it->second->breaker.state;
 }
 
 int

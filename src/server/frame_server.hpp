@@ -46,8 +46,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -60,6 +62,7 @@
 #include "server/scene_registry.hpp"
 #include "server/server_stats.hpp"
 #include "server/slo_tracker.hpp"
+#include "util/telemetry.hpp"
 
 namespace asdr::server {
 
@@ -108,9 +111,10 @@ struct ServerConfig
      * lazily, on the next admission pump).
      */
     int watchdog_period_ms = 50;
-    /** In-flight frames older than this count as stuck in ServerStats
-     *  (gauge + cumulative events); 0 disables the scan. A stuck frame
-     *  is surfaced, never killed -- the engine owns its lifetime. */
+    /** In-flight frames older than this count as stuck (the
+     *  asdr_stuck_in_flight gauge + asdr_stuck_events_total); 0
+     *  disables the scan. A stuck frame is surfaced, never killed --
+     *  the engine owns its lifetime. */
     double stuck_after_ms = 0.0;
     /**
      * Quality ladder (server/quality_ladder.hpp): with
@@ -127,7 +131,7 @@ struct ServerConfig
     /**
      * Slow-frame flight recorder: frames whose submit -> delivery
      * latency exceeds this (milliseconds), or which fail, expire past
-     * their deadline, or are shed, are retained in ServerStats with
+     * their deadline, or are shed, are retained in the recorder with
      * their full telemetry span timeline; slow/failed/expired ones are
      * also dumped through warn(). 0 disables the recorder (default).
      */
@@ -137,8 +141,8 @@ struct ServerConfig
     /**
      * Per-class SLOs (server/slo_tracker.hpp): when any class carries
      * an objective, a SloTracker watches every terminal outcome over
-     * sliding fast/slow burn-rate windows. Breaches raise registry
-     * gauges, warn() once per transition, and pin the offending
+     * sliding fast/slow burn-rate windows. Breaches raise the breach
+     * gauge, warn() once per transition, and pin the offending
      * frames into the flight recorder (independent of slow_frame_ms).
      * Disabled by default (no objectives set).
      */
@@ -240,8 +244,18 @@ class FrameServer
      */
     void waitIdle();
 
-    /** Serving telemetry; live breaker states are merged in. */
+    /** Serving telemetry: a typed read of this server's metrics
+     *  registry, plus the flight recorder's records. */
     ServerStatsSnapshot stats() const;
+    /**
+     * Prometheus text exposition: this server's registry, then the
+     * process registry (the span-fed stage histograms). The two never
+     * share a family. GetStats answers with exactly this text.
+     */
+    std::string metricsText() const;
+    /** This server's metrics store. The wire service wrapping the
+     *  server records its counters here too. */
+    metrics::Registry &metricsRegistry() { return metrics_; }
 
     int shardCount() const { return int(shards_.size()); }
     /** Shard a client was pinned to (-1 when unknown). */
@@ -301,13 +315,25 @@ class FrameServer
         int consecutive_failures = 0;
         int probes_out = 0;
         std::chrono::steady_clock::time_point opened_at;
-        std::string scene_name;
+    };
+
+    /** One scene's serving state: its metric series (atomics) and its
+     *  breaker (m_ held). Created at the scene's first openSession. */
+    struct SceneState
+    {
+        SceneState(metrics::Registry &reg, const std::string &name)
+            : series(reg, name)
+        {
+        }
+        SceneMetrics series;
+        Breaker breaker;
     };
 
     struct Client
     {
         uint64_t id = 0;
         const SceneEntry *scene = nullptr;
+        SceneState *state = nullptr;
         QosClass qos = QosClass::Standard;
         int shard = 0;
         std::unique_ptr<engine::RenderSession> session;
@@ -344,8 +370,9 @@ class FrameServer
     /** Deadline-expire `pf` (m_ held): stats + expired result. */
     Deliverable expireLocked(PendingFrame &&pf);
     /** Breaker fast-fail `pf` (m_ held): stats + failed result. */
-    Deliverable breakerRejectLocked(PendingFrame &&pf,
-                                    const std::string &scene_name);
+    Deliverable breakerRejectLocked(PendingFrame &&pf, SceneState &scene);
+    /** Move a scene's breaker to `to`, publishing the state (m_ held). */
+    static void setBreaker(SceneState &scene, BreakerState to);
     void deliverAll(std::vector<Deliverable> &&rejects);
     void launch(const Launch &l);
     void onFrameDone(int shard, uint64_t client, uint64_t ticket,
@@ -368,6 +395,12 @@ class FrameServer
     const SceneRegistry &registry_;
     ServerConfig cfg_;
     bool deadlines_enabled_ = false;
+    /** Every serving value of this server, counted once (declared
+     *  before everything that records into it). */
+    metrics::Registry metrics_;
+    ClassMetrics class_metrics_[kQosClasses];
+    metrics::Gauge &stuck_in_flight_;
+    metrics::Counter &stuck_events_;
     std::vector<Shard> shards_;
 
     mutable std::mutex m_;
@@ -377,8 +410,9 @@ class FrameServer
     uint64_t next_ticket_ = 1;
     uint64_t outstanding_total_ = 0;
 
-    /** Breaker state per SceneEntry::id (m_ held). */
-    std::unordered_map<uint32_t, Breaker> breakers_;
+    /** Per-scene state by name (the map under m_; sorted, so stats()
+     *  lists scenes by name). */
+    std::map<std::string, std::unique_ptr<SceneState>> scenes_;
 
     std::mutex done_m_;
     std::deque<FrameResult> done_;
@@ -388,9 +422,9 @@ class FrameServer
     std::condition_variable wd_cv_;
     bool wd_stop_ = false;
 
+    /** The flight recorder. */
     ServerStats stats_;
-    /** Null unless some class carries an objective. */
-    std::unique_ptr<SloTracker> slo_;
+    SloTracker slo_;
 };
 
 } // namespace asdr::server

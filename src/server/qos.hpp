@@ -74,7 +74,7 @@ qosPoolPriority(QosClass c)
  *
  * The rung an admitted frame was served at travels in FrameResult and
  * on the wire (protocol v3), and is tallied per class and per scene in
- * ServerStats.
+ * the server's metrics (asdr_frames_served_total{qos,rung}).
  */
 enum class QualityRung
 {

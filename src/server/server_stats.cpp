@@ -1,8 +1,6 @@
 #include "server/server_stats.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -10,48 +8,9 @@ namespace asdr::server {
 
 namespace {
 
-/** Process-wide metrics-registry series mirrored by every collector
- *  (the Prometheus view; per-ServerStats state stays in the members).
- *  References resolve once and stay valid forever. */
-struct ClassSeries
-{
-    metrics::Counter *submitted;
-    metrics::Counter *admitted;
-    metrics::Counter *served;
-    metrics::Counter *dropped;
-    metrics::Counter *failed;
-    metrics::Counter *expired;
-    metrics::Histogram *latency;
-    metrics::Histogram *queue_wait;
-};
-
-const ClassSeries &
-classSeries(QosClass c)
-{
-    static const std::array<ClassSeries, kQosClasses> k = [] {
-        std::array<ClassSeries, kQosClasses> a{};
-        for (int i = 0; i < kQosClasses; ++i) {
-            const std::string l =
-                std::string("qos=\"") + qosClassName(QosClass(i)) + "\"";
-            a[size_t(i)] = ClassSeries{
-                &metrics::counter("asdr_frames_submitted_total", l),
-                &metrics::counter("asdr_frames_admitted_total", l),
-                &metrics::counter("asdr_frames_served_total", l),
-                &metrics::counter("asdr_frames_dropped_total", l),
-                &metrics::counter("asdr_frames_failed_total", l),
-                &metrics::counter("asdr_frames_expired_total", l),
-                &metrics::histogram("asdr_frame_latency_seconds", l),
-                &metrics::histogram("asdr_frame_queue_wait_seconds", l),
-            };
-        }
-        return a;
-    }();
-    return k[size_t(int(c))];
-}
-
-/** Minimal JSON string escaping: scene names are arbitrary registry
- *  strings, so quotes/backslashes/control bytes must not leak into
- *  the dump verbatim. */
+/** Minimal JSON string escaping: span names are arbitrary strings, so
+ *  quotes/backslashes/control bytes must not leak into the dump
+ *  verbatim. */
 std::string
 jsonEscape(const std::string &s)
 {
@@ -72,155 +31,106 @@ jsonEscape(const std::string &s)
     return out;
 }
 
+/** `key="value"` label text with the value escaped. */
+std::string
+label(const char *key, const std::string &value)
+{
+    return std::string(key) + "=\"" + metrics::escapeLabelValue(value) +
+           "\"";
+}
+
 } // namespace
 
-void
-ServerStats::recordSubmitted(QosClass c)
+ClassMetrics::ClassMetrics(metrics::Registry &reg, QosClass c)
 {
-    classSeries(c).submitted->inc();
-    std::lock_guard<std::mutex> lock(m_);
-    cls_[int(c)].submitted++;
+    const std::string l = label("qos", qosClassName(c));
+    submitted = &reg.counter("asdr_frames_submitted_total", l);
+    admitted = &reg.counter("asdr_frames_admitted_total", l);
+    dropped = &reg.counter("asdr_frames_dropped_total", l);
+    failed = &reg.counter("asdr_frames_failed_total", l);
+    expired = &reg.counter("asdr_frames_expired_total", l);
+    for (int r = 0; r < kQualityRungs; ++r)
+        served_rung[size_t(r)] = &reg.counter(
+            "asdr_frames_served_total",
+            l + "," + label("rung", rungName(QualityRung(r))));
+    latency = &reg.histogram("asdr_frame_latency_seconds", l);
+    queue_wait = &reg.histogram("asdr_frame_queue_wait_seconds", l);
 }
 
-void
-ServerStats::recordAdmitted(QosClass c, double queue_s)
+QosClassStats
+ClassMetrics::read() const
 {
-    const ClassSeries &series = classSeries(c);
-    series.admitted->inc();
-    series.queue_wait->record(queue_s);
-    std::lock_guard<std::mutex> lock(m_);
-    ClassCollector &cc = cls_[int(c)];
-    cc.admitted++;
-    cc.queue_sum += queue_s;
+    QosClassStats s;
+    s.submitted = submitted->value();
+    s.admitted = admitted->value();
+    s.dropped = dropped->value();
+    s.failed = failed->value();
+    s.expired = expired->value();
+    for (int r = 0; r < kQualityRungs; ++r) {
+        s.served_rung[r] = served_rung[size_t(r)]->value();
+        s.served += s.served_rung[r];
+        if (r > 0)
+            s.degraded += s.served_rung[r];
+    }
+    s.p50_ms = latency->percentile(0.50) * 1e3;
+    s.p95_ms = latency->percentile(0.95) * 1e3;
+    s.p99_ms = latency->percentile(0.99) * 1e3;
+    s.mean_ms = latency->mean() * 1e3;
+    s.mean_queue_ms = queue_wait->mean() * 1e3;
+    return s;
 }
 
-void
-ServerStats::recordServed(QosClass c, double latency_s, QualityRung rung)
+SceneMetrics::SceneMetrics(metrics::Registry &reg, const std::string &scene)
+    : name(scene)
 {
-    const ClassSeries &series = classSeries(c);
-    series.served->inc();
-    series.latency->record(latency_s);
-    std::lock_guard<std::mutex> lock(m_);
-    ClassCollector &cc = cls_[int(c)];
-    cc.served++;
-    cc.served_rung[int(rung)]++;
-    cc.latency_sum += latency_s;
-    cc.latency_hist.record(latency_s);
+    const std::string l = label("scene", scene);
+    submitted = &reg.counter("asdr_scene_frames_submitted_total", l);
+    dropped = &reg.counter("asdr_scene_frames_dropped_total", l);
+    failed = &reg.counter("asdr_scene_frames_failed_total", l);
+    expired = &reg.counter("asdr_scene_frames_expired_total", l);
+    for (int r = 0; r < kQualityRungs; ++r)
+        served_rung[size_t(r)] = &reg.counter(
+            "asdr_scene_frames_served_total",
+            l + "," + label("rung", rungName(QualityRung(r))));
+    peak_in_flight = &reg.gauge("asdr_scene_peak_in_flight", l);
+    breaker_state = &reg.gauge("asdr_scene_breaker_state", l);
+    breaker_opens = &reg.counter("asdr_scene_breaker_opens_total", l);
+    breaker_fast_fails =
+        &reg.counter("asdr_scene_breaker_fast_fails_total", l);
 }
 
-void
-ServerStats::recordDropped(QosClass c)
+SceneServeStats
+SceneMetrics::read() const
 {
-    classSeries(c).dropped->inc();
-    std::lock_guard<std::mutex> lock(m_);
-    cls_[int(c)].dropped++;
+    SceneServeStats s;
+    s.name = name;
+    s.submitted = submitted->value();
+    s.dropped = dropped->value();
+    s.failed = failed->value();
+    s.expired = expired->value();
+    for (int r = 0; r < kQualityRungs; ++r) {
+        s.served_rung[r] = served_rung[size_t(r)]->value();
+        s.served += s.served_rung[r];
+        if (r > 0)
+            s.degraded += s.served_rung[r];
+    }
+    s.peak_in_flight = int(peak_in_flight->value());
+    s.breaker_state = uint8_t(breaker_state->value());
+    s.breaker_opens = breaker_opens->value();
+    s.breaker_fast_fails = breaker_fast_fails->value();
+    return s;
 }
 
-void
-ServerStats::recordFailed(QosClass c)
+ServerStats::ServerStats(metrics::Registry &reg)
+    : slow_frames_total_(reg.counter("asdr_slow_frames_total"))
 {
-    classSeries(c).failed->inc();
-    std::lock_guard<std::mutex> lock(m_);
-    cls_[int(c)].failed++;
-}
-
-void
-ServerStats::recordExpired(QosClass c)
-{
-    classSeries(c).expired->inc();
-    std::lock_guard<std::mutex> lock(m_);
-    cls_[int(c)].expired++;
-}
-
-void
-ServerStats::recordSceneSubmitted(const std::string &scene)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    auto &s = scenes_[scene];
-    s.name = scene;
-    s.submitted++;
-}
-
-void
-ServerStats::recordSceneServed(const std::string &scene, QualityRung rung)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    auto &s = scenes_[scene];
-    s.name = scene;
-    s.served++;
-    s.served_rung[int(rung)]++;
-    if (rung != QualityRung::Full)
-        s.degraded++;
-}
-
-void
-ServerStats::recordSceneDropped(const std::string &scene)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    auto &s = scenes_[scene];
-    s.name = scene;
-    s.dropped++;
-}
-
-void
-ServerStats::recordSceneFailed(const std::string &scene)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    auto &s = scenes_[scene];
-    s.name = scene;
-    s.failed++;
-}
-
-void
-ServerStats::recordSceneExpired(const std::string &scene)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    auto &s = scenes_[scene];
-    s.name = scene;
-    s.expired++;
-}
-
-void
-ServerStats::recordSceneBreakerOpened(const std::string &scene)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    auto &s = scenes_[scene];
-    s.name = scene;
-    s.breaker_opens++;
-}
-
-void
-ServerStats::recordSceneBreakerFastFail(const std::string &scene)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    auto &s = scenes_[scene];
-    s.name = scene;
-    s.breaker_fast_fails++;
-}
-
-void
-ServerStats::recordStuck(uint64_t stuck_now, uint64_t new_events)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    stuck_gauge_ = stuck_now;
-    stuck_events_ += new_events;
-}
-
-void
-ServerStats::recordSceneAdmitted(const std::string &scene, int in_flight)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    auto &s = scenes_[scene];
-    s.name = scene;
-    s.peak_in_flight = std::max(s.peak_in_flight, in_flight);
 }
 
 void
 ServerStats::recordSlowFrame(SlowFrameRecord &&rec)
 {
-    metrics::counter("asdr_slow_frames_total").inc();
+    slow_frames_total_.inc();
     std::lock_guard<std::mutex> lock(m_);
-    slow_frame_count_++;
     if (slow_frame_keep_ == 0)
         return;
     slow_frames_.push_back(std::move(rec));
@@ -240,108 +150,19 @@ ServerStats::setSlowFrameKeep(int n)
 ServerStatsSnapshot
 ServerStats::snapshot() const
 {
-    std::lock_guard<std::mutex> lock(m_);
     ServerStatsSnapshot snap;
-    for (int c = 0; c < kQosClasses; ++c) {
-        const ClassCollector &cc = cls_[c];
-        QosClassStats &out = snap.cls[c];
-        out.submitted = cc.submitted;
-        out.admitted = cc.admitted;
-        out.served = cc.served;
-        out.dropped = cc.dropped;
-        out.failed = cc.failed;
-        out.expired = cc.expired;
-        for (int r = 0; r < kQualityRungs; ++r) {
-            out.served_rung[r] = cc.served_rung[r];
-            if (r > 0)
-                out.degraded += cc.served_rung[r];
-        }
-        if (cc.served) {
-            // Mean stays exact (running sum); percentiles come from
-            // the log-bucketed histogram covering every observation.
-            out.mean_ms = cc.latency_sum / double(cc.served) * 1e3;
-            out.p50_ms = cc.latency_hist.percentile(0.50) * 1e3;
-            out.p95_ms = cc.latency_hist.percentile(0.95) * 1e3;
-            out.p99_ms = cc.latency_hist.percentile(0.99) * 1e3;
-        }
-        if (cc.admitted)
-            out.mean_queue_ms = cc.queue_sum / double(cc.admitted) * 1e3;
-    }
-    snap.scenes.reserve(scenes_.size());
-    for (const auto &entry : scenes_)
-        snap.scenes.push_back(entry.second);
-    snap.stuck_in_flight = stuck_gauge_;
-    snap.stuck_events = stuck_events_;
-    snap.slow_frame_count = slow_frame_count_;
+    std::lock_guard<std::mutex> lock(m_);
+    // Counted before pushed: every retained record is in the count.
+    snap.slow_frame_count = slow_frames_total_.value();
     snap.slow_frames.assign(slow_frames_.begin(), slow_frames_.end());
     return snap;
-}
-
-void
-ServerStats::reset()
-{
-    std::lock_guard<std::mutex> lock(m_);
-    for (auto &cc : cls_)
-        cc.reset();
-    scenes_.clear();
-    stuck_gauge_ = 0;
-    stuck_events_ = 0;
-    slow_frames_.clear();
-    slow_frame_count_ = 0;
 }
 
 std::string
 ServerStatsSnapshot::toJson() const
 {
     std::ostringstream os;
-    os << "{\"classes\":{";
-    for (int c = 0; c < kQosClasses; ++c) {
-        const QosClassStats &s = cls[c];
-        if (c)
-            os << ",";
-        os << "\"" << qosClassName(QosClass(c)) << "\":{"
-           << "\"submitted\":" << s.submitted
-           << ",\"admitted\":" << s.admitted << ",\"served\":" << s.served
-           << ",\"dropped\":" << s.dropped << ",\"failed\":" << s.failed
-           << ",\"expired\":" << s.expired
-           << ",\"drop_rate\":" << s.dropRate()
-           << ",\"p50_ms\":" << s.p50_ms << ",\"p95_ms\":" << s.p95_ms
-           << ",\"p99_ms\":" << s.p99_ms << ",\"mean_ms\":" << s.mean_ms
-           << ",\"mean_queue_ms\":" << s.mean_queue_ms << ",\"rungs\":[";
-        for (int r = 0; r < kQualityRungs; ++r)
-            os << (r ? "," : "") << s.served_rung[r];
-        os << "],\"degraded\":" << s.degraded
-           << ",\"degraded_fraction\":" << s.degradedFraction()
-           << ",\"mean_rung\":" << s.meanRung() << ",\"slo\":{"
-           << "\"latency_fast_burn\":" << s.slo_latency_fast_burn
-           << ",\"latency_slow_burn\":" << s.slo_latency_slow_burn
-           << ",\"error_fast_burn\":" << s.slo_error_fast_burn
-           << ",\"error_slow_burn\":" << s.slo_error_slow_burn
-           << ",\"latency_breached\":" << int(s.slo_latency_breached)
-           << ",\"error_breached\":" << int(s.slo_error_breached)
-           << ",\"breach_events\":" << s.slo_breach_events << "}}";
-    }
-    os << "},\"scenes\":{";
-    for (size_t i = 0; i < scenes.size(); ++i) {
-        const SceneServeStats &s = scenes[i];
-        if (i)
-            os << ",";
-        os << "\"" << jsonEscape(s.name) << "\":{"
-           << "\"submitted\":" << s.submitted
-           << ",\"served\":" << s.served << ",\"dropped\":" << s.dropped
-           << ",\"failed\":" << s.failed << ",\"expired\":" << s.expired
-           << ",\"peak_in_flight\":" << s.peak_in_flight
-           << ",\"breaker_state\":" << int(s.breaker_state)
-           << ",\"breaker_opens\":" << s.breaker_opens
-           << ",\"breaker_fast_fails\":" << s.breaker_fast_fails
-           << ",\"rungs\":[";
-        for (int r = 0; r < kQualityRungs; ++r)
-            os << (r ? "," : "") << s.served_rung[r];
-        os << "],\"degraded\":" << s.degraded << "}";
-    }
-    os << "},\"stuck_in_flight\":" << stuck_in_flight
-       << ",\"stuck_events\":" << stuck_events
-       << ",\"slow_frame_count\":" << slow_frame_count
+    os << "{\"slow_frame_count\":" << slow_frame_count
        << ",\"slow_frames\":[";
     for (size_t i = 0; i < slow_frames.size(); ++i) {
         const SlowFrameRecord &r = slow_frames[i];

@@ -1,30 +1,34 @@
 /**
  * @file
- * Serving telemetry of the multi-tenant render server: per-QoS-class
- * submitted/admitted/served/dropped/failed counts plus latency
- * percentiles built from monotonic-clock timestamps taken at submit
- * (enters the server), admit (handed to a shard engine), and finish
- * (outcome delivered).
+ * Serving metrics of the multi-tenant render server, and its
+ * slow-frame flight recorder.
  *
- * Latency samples land in a log-bucketed histogram per class
- * (metrics::Histogram: 256 buckets, ~±4.5% relative error), so the
- * collector's memory stays bounded on arbitrarily long serving runs
- * while the percentiles cover EVERY observation -- no reservoir
- * sampling bias under bursts. snapshot() returns a plain value;
- * toJson() renders it for dashboards and the bench harness's
- * serve_latency rows.
+ * Every serving value lives once, in the FrameServer's
+ * metrics::Registry. ClassMetrics and SceneMetrics are the series one
+ * QoS class and one scene record into: resolved once, so counting an
+ * outcome is an atomic add. Their read() is the typed view that
+ * FrameServer::stats() assembles into a ServerStatsSnapshot, and
+ * FrameServer::metricsText() renders the same series as Prometheus
+ * text (the body of the wire's MetricsReply).
  *
- * The collector also keeps the slow-frame flight record: the last N
- * frames that blew the server's `slow_frame_ms` budget (or failed or
- * expired), each with its full telemetry span timeline.
+ * Latency and queue wait land in log-bucketed histograms
+ * (metrics::Histogram: 256 buckets, ~±4.5% relative error), so memory
+ * stays bounded on arbitrarily long serving runs while the
+ * percentiles cover EVERY observation -- no reservoir sampling bias
+ * under bursts.
+ *
+ * ServerStats is the flight recorder: the last N frames that blew the
+ * server's `slow_frame_ms` budget (or failed, expired, or were shed),
+ * each with its full telemetry span timeline. Those are records, not
+ * metrics; ServerStatsSnapshot::toJson() renders them.
  */
 
 #ifndef ASDR_SERVER_SERVER_STATS_HPP
 #define ASDR_SERVER_SERVER_STATS_HPP
 
+#include <array>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -59,8 +63,8 @@ struct QosClassStats
     /** Served frames delivered below QualityRung::Full. */
     uint64_t degraded = 0;
 
-    // SLO burn-rate view (SloTracker-filled at snapshot time; all zero
-    // when ServerConfig::slo leaves the class unconfigured). Burn 1.0
+    // SLO burn-rate view (SloTracker::read; all zero when
+    // ServerConfig::slo leaves the class unconfigured). Burn 1.0
     // == consuming the error budget exactly at the sustainable rate.
     double slo_latency_fast_burn = 0.0;
     double slo_latency_slow_burn = 0.0;
@@ -109,8 +113,7 @@ struct SceneServeStats
     uint64_t expired = 0;
     /** Peak concurrent in-flight frames observed on any one shard. */
     int peak_in_flight = 0;
-    /** Circuit-breaker view (FrameServer fills the live state at
-     *  snapshot time): 0 closed, 1 open, 2 half-open. */
+    /** Circuit-breaker state: 0 closed, 1 open, 2 half-open. */
     uint8_t breaker_state = 0;
     uint64_t breaker_opens = 0;      ///< closed/half-open -> open trips
     uint64_t breaker_fast_fails = 0; ///< frames failed without rendering
@@ -151,8 +154,8 @@ struct ServerStatsSnapshot
     /** Per-scene records, sorted by scene name. */
     std::vector<SceneServeStats> scenes;
     /** Watchdog view: in-flight frames currently over the stuck
-     *  threshold (gauge, FrameServer-filled) and the cumulative count
-     *  of frames that ever crossed it. */
+     *  threshold and the cumulative count of frames that ever crossed
+     *  it. */
     uint64_t stuck_in_flight = 0;
     uint64_t stuck_events = 0;
     /** Flight recorder: the most recent slow/failed/expired frames
@@ -168,87 +171,79 @@ struct ServerStatsSnapshot
         return n;
     }
 
-    /** {"classes":{"interactive":{...},...}} -- a dashboard/bench dump. */
+    /** {"slow_frame_count":N,"slow_frames":[...]} -- the flight
+     *  recorder's records. The metrics render as Prometheus text
+     *  (FrameServer::metricsText). */
     std::string toJson() const;
 };
 
-/** Thread-safe collector; the FrameServer records into one of these. */
+/** One QoS class's series in a server's registry (label qos). */
+struct ClassMetrics
+{
+    ClassMetrics() = default;
+    ClassMetrics(metrics::Registry &reg, QosClass c);
+
+    metrics::Counter *submitted = nullptr; ///< frames entering the server
+    metrics::Counter *admitted = nullptr;  ///< handed to a shard engine
+    metrics::Counter *dropped = nullptr;   ///< shed by the backlog policy
+    metrics::Counter *failed = nullptr;    ///< render threw / fast-failed
+    metrics::Counter *expired = nullptr;   ///< past the class deadline
+    /** Served frames per QualityRung (label rung); served is their sum. */
+    std::array<metrics::Counter *, kQualityRungs> served_rung{};
+    /** Submit -> finish of served frames, seconds. */
+    metrics::Histogram *latency = nullptr;
+    /** Submit -> admit wait, seconds. */
+    metrics::Histogram *queue_wait = nullptr;
+
+    /** Counts, percentiles, and rung occupancy (SLO fields zero). */
+    QosClassStats read() const;
+};
+
+/** One scene's series in a server's registry (label scene). */
+struct SceneMetrics
+{
+    SceneMetrics(metrics::Registry &reg, const std::string &scene);
+
+    std::string name;
+    metrics::Counter *submitted = nullptr;
+    metrics::Counter *dropped = nullptr;
+    metrics::Counter *failed = nullptr;
+    metrics::Counter *expired = nullptr;
+    /** Served frames per QualityRung; served is their sum. */
+    std::array<metrics::Counter *, kQualityRungs> served_rung{};
+    /** Peak concurrent in-flight frames on any one shard. */
+    metrics::Gauge *peak_in_flight = nullptr;
+    /** 0 closed, 1 open, 2 half-open. */
+    metrics::Gauge *breaker_state = nullptr;
+    metrics::Counter *breaker_opens = nullptr;
+    metrics::Counter *breaker_fast_fails = nullptr;
+
+    SceneServeStats read() const;
+};
+
+/** The flight recorder. Thread-safe. */
 class ServerStats
 {
   public:
-    void recordSubmitted(QosClass c);
-    /** `queue_s`: submit -> admit wait in seconds. */
-    void recordAdmitted(QosClass c, double queue_s);
-    /** `latency_s`: submit -> finish in seconds; `rung` the
-     *  QualityRung the frame was served at. */
-    void recordServed(QosClass c, double latency_s,
-                      QualityRung rung = QualityRung::Full);
-    void recordDropped(QosClass c);
-    void recordFailed(QosClass c);
-    void recordExpired(QosClass c);
-
-    // Per-scene accounting (the admission-quota observability):
-    void recordSceneSubmitted(const std::string &scene);
-    void recordSceneServed(const std::string &scene,
-                           QualityRung rung = QualityRung::Full);
-    void recordSceneDropped(const std::string &scene);
-    void recordSceneFailed(const std::string &scene);
-    void recordSceneExpired(const std::string &scene);
-    /** One closed/half-open -> open transition of the scene's breaker. */
-    void recordSceneBreakerOpened(const std::string &scene);
-    /** One frame failed fast by an open breaker (also recorded as a
-     *  class + scene failure by the caller). */
-    void recordSceneBreakerFastFail(const std::string &scene);
-    /** Watchdog tick: `stuck_now` in-flight frames currently over the
-     *  threshold, `new_events` of them crossing it this tick. */
-    void recordStuck(uint64_t stuck_now, uint64_t new_events);
-    /** `in_flight`: the scene's post-admission in-flight count on its
-     *  shard; the snapshot keeps the peak. */
-    void recordSceneAdmitted(const std::string &scene, int in_flight);
+    /** Records also count into `reg`'s asdr_slow_frames_total. */
+    explicit ServerStats(metrics::Registry &reg);
 
     /** Retain one flight-recorder entry (ring of the most recent
-     *  `slow_frame_keep` records; the cumulative count never resets
-     *  until reset()). */
+     *  `slow_frame_keep` records; the cumulative count never resets). */
     void recordSlowFrame(SlowFrameRecord &&rec);
     /** Ring capacity for recordSlowFrame (default 16; 0 keeps only
      *  the cumulative count). */
     void setSlowFrameKeep(int n);
 
+    /** The retained records and their cumulative count (every metric
+     *  field of the snapshot stays zero). */
     ServerStatsSnapshot snapshot() const;
-    void reset();
 
   private:
-    struct ClassCollector
-    {
-        uint64_t submitted = 0, admitted = 0, served = 0, dropped = 0,
-                 failed = 0, expired = 0;
-        uint64_t served_rung[kQualityRungs] = {};
-        double latency_sum = 0.0;
-        double queue_sum = 0.0;
-        /** Served latencies, seconds: every observation lands in a
-         *  log bucket, so percentiles are exact to bucket resolution
-         *  (no reservoir sampling bias under bursts). */
-        metrics::Histogram latency_hist;
-
-        void reset()
-        {
-            submitted = admitted = served = dropped = failed = expired = 0;
-            for (auto &r : served_rung)
-                r = 0;
-            latency_sum = queue_sum = 0.0;
-            latency_hist.reset();
-        }
-    };
-
+    metrics::Counter &slow_frames_total_;
     mutable std::mutex m_;
-    ClassCollector cls_[kQosClasses];
-    /** Ordered by name so snapshots list scenes deterministically. */
-    std::map<std::string, SceneServeStats> scenes_;
-    uint64_t stuck_gauge_ = 0;
-    uint64_t stuck_events_ = 0;
-    /** Flight-recorder ring (most recent last) + cumulative count. */
+    /** Most recent last. */
     std::deque<SlowFrameRecord> slow_frames_;
-    uint64_t slow_frame_count_ = 0;
     size_t slow_frame_keep_ = 16;
 };
 

@@ -1,7 +1,6 @@
 #include "server/slo_tracker.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <sstream>
 
@@ -20,45 +19,6 @@ constexpr size_t kRecentOffenders = 8;
  *  1% of frames over it. */
 constexpr double kLatencyBudget = 0.01;
 
-/** Process-wide registry series per class (resolve once, valid
- *  forever -- same shape as server_stats' classSeries). */
-struct SloSeries
-{
-    metrics::Gauge *lat_fast;
-    metrics::Gauge *lat_slow;
-    metrics::Gauge *err_fast;
-    metrics::Gauge *err_slow;
-    metrics::Gauge *lat_breach;
-    metrics::Gauge *err_breach;
-};
-
-const SloSeries &
-sloSeries(QosClass c)
-{
-    static const std::array<SloSeries, kQosClasses> k = [] {
-        std::array<SloSeries, kQosClasses> a{};
-        for (int i = 0; i < kQosClasses; ++i) {
-            const std::string q =
-                std::string("qos=\"") + qosClassName(QosClass(i)) + "\"";
-            a[size_t(i)] = SloSeries{
-                &metrics::gauge("asdr_slo_latency_burn",
-                                q + ",window=\"fast\""),
-                &metrics::gauge("asdr_slo_latency_burn",
-                                q + ",window=\"slow\""),
-                &metrics::gauge("asdr_slo_error_burn",
-                                q + ",window=\"fast\""),
-                &metrics::gauge("asdr_slo_error_burn",
-                                q + ",window=\"slow\""),
-                &metrics::gauge("asdr_slo_breach", q + ",slo=\"latency\""),
-                &metrics::gauge("asdr_slo_breach",
-                                q + ",slo=\"availability\""),
-            };
-        }
-        return a;
-    }();
-    return k[size_t(int(c))];
-}
-
 std::string
 breachText(QosClass c, const char *slo, bool entered, double fast,
            double slow, double objective)
@@ -72,7 +32,7 @@ breachText(QosClass c, const char *slo, bool entered, double fast,
 
 } // namespace
 
-SloTracker::SloTracker(const SloParams &p)
+SloTracker::SloTracker(const SloParams &p, metrics::Registry &reg)
     : p_(p), epoch_(std::chrono::steady_clock::now())
 {
     // Eight slices per fast window: enough resolution that a burst
@@ -84,8 +44,22 @@ SloTracker::SloTracker(const SloParams &p)
         fast_buckets_,
         int64_t(std::ceil(std::max(p_.slow_window_s, p_.fast_window_s) /
                           bucket_s_)));
-    for (auto &st : cls_)
+    for (int c = 0; c < kQosClasses; ++c) {
+        ClassState &st = cls_[c];
         st.ring.assign(size_t(slow_buckets_), Bucket{});
+        const std::string q =
+            std::string("qos=\"") + qosClassName(QosClass(c)) + "\"";
+        st.latency = {&reg.gauge("asdr_slo_latency_burn",
+                                 q + ",window=\"fast\""),
+                      &reg.gauge("asdr_slo_latency_burn",
+                                 q + ",window=\"slow\""),
+                      &reg.gauge("asdr_slo_breach", q + ",slo=\"latency\"")};
+        st.errors = {&reg.gauge("asdr_slo_error_burn", q + ",window=\"fast\""),
+                     &reg.gauge("asdr_slo_error_burn", q + ",window=\"slow\""),
+                     &reg.gauge("asdr_slo_breach",
+                                q + ",slo=\"availability\"")};
+        st.breach_events = &reg.counter("asdr_slo_breach_total", q);
+    }
 }
 
 void
@@ -124,7 +98,8 @@ SloTracker::recordLocked(QosClass c, uint64_t ticket, double latency_ms,
     // straight to the pin queue; while healthy it waits in the bounded
     // recent ring for a breach to flush it.
     Offender off{ticket, c, latency_ms, error};
-    if (st.lat_breached || st.err_breached) {
+    if (st.latency.breached->value() != 0.0 ||
+        st.errors.breached->value() != 0.0) {
         st.pending.push_back(off);
     } else {
         st.recent.push_back(off);
@@ -169,6 +144,8 @@ SloTracker::windowFraction(const ClassState &st, int64_t buckets,
 void
 SloTracker::evaluate(std::vector<Offender> &pin)
 {
+    if (!p_.enabled())
+        return;
     const auto now = std::chrono::steady_clock::now();
     std::lock_guard<std::mutex> lock(m_);
     for (int c = 0; c < kQosClasses; ++c) {
@@ -177,60 +154,14 @@ SloTracker::evaluate(std::vector<Offender> &pin)
             continue;
         ClassState &st = cls_[c];
         advanceLocked(st, now);
-        const SloSeries &series = sloSeries(QosClass(c));
-
-        if (obj.target_p99_ms > 0.0) {
-            st.lat_fast = windowFraction(st, fast_buckets_,
-                                         &Bucket::lat_bad) /
-                          kLatencyBudget;
-            st.lat_slow = windowFraction(st, slow_buckets_,
-                                         &Bucket::lat_bad) /
-                          kLatencyBudget;
-            series.lat_fast->set(st.lat_fast);
-            series.lat_slow->set(st.lat_slow);
-            const bool breached = st.lat_fast >= p_.burn_threshold &&
-                                  st.lat_slow >= p_.burn_threshold;
-            if (breached != st.lat_breached) {
-                st.lat_breached = breached;
-                series.lat_breach->set(breached ? 1.0 : 0.0);
-                if (breached) {
-                    st.breach_events++;
-                    metrics::counter("asdr_slo_breach_total").inc();
-                    for (Offender &o : st.recent)
-                        st.pending.push_back(o);
-                    st.recent.clear();
-                }
-                warn(breachText(QosClass(c), "latency", breached,
-                                st.lat_fast, st.lat_slow,
-                                obj.target_p99_ms));
-            }
-        }
-        if (obj.max_error_fraction > 0.0) {
-            st.err_fast = windowFraction(st, fast_buckets_,
-                                         &Bucket::err_bad) /
-                          obj.max_error_fraction;
-            st.err_slow = windowFraction(st, slow_buckets_,
-                                         &Bucket::err_bad) /
-                          obj.max_error_fraction;
-            series.err_fast->set(st.err_fast);
-            series.err_slow->set(st.err_slow);
-            const bool breached = st.err_fast >= p_.burn_threshold &&
-                                  st.err_slow >= p_.burn_threshold;
-            if (breached != st.err_breached) {
-                st.err_breached = breached;
-                series.err_breach->set(breached ? 1.0 : 0.0);
-                if (breached) {
-                    st.breach_events++;
-                    metrics::counter("asdr_slo_breach_total").inc();
-                    for (Offender &o : st.recent)
-                        st.pending.push_back(o);
-                    st.recent.clear();
-                }
-                warn(breachText(QosClass(c), "availability", breached,
-                                st.err_fast, st.err_slow,
-                                obj.max_error_fraction));
-            }
-        }
+        if (obj.target_p99_ms > 0.0)
+            evaluateLocked(QosClass(c), st, st.latency, "latency",
+                           &Bucket::lat_bad, kLatencyBudget,
+                           obj.target_p99_ms);
+        if (obj.max_error_fraction > 0.0)
+            evaluateLocked(QosClass(c), st, st.errors, "availability",
+                           &Bucket::err_bad, obj.max_error_fraction,
+                           obj.max_error_fraction);
         for (Offender &o : st.pending)
             pin.push_back(o);
         st.pending.clear();
@@ -238,20 +169,39 @@ SloTracker::evaluate(std::vector<Offender> &pin)
 }
 
 void
-SloTracker::fillSnapshot(ServerStatsSnapshot &snap) const
+SloTracker::evaluateLocked(QosClass c, ClassState &st, Objective &obj,
+                           const char *slo, uint64_t Bucket::*bad,
+                           double budget, double objective)
 {
-    std::lock_guard<std::mutex> lock(m_);
-    for (int c = 0; c < kQosClasses; ++c) {
-        const ClassState &st = cls_[c];
-        QosClassStats &out = snap.cls[c];
-        out.slo_latency_fast_burn = st.lat_fast;
-        out.slo_latency_slow_burn = st.lat_slow;
-        out.slo_error_fast_burn = st.err_fast;
-        out.slo_error_slow_burn = st.err_slow;
-        out.slo_latency_breached = st.lat_breached ? 1 : 0;
-        out.slo_error_breached = st.err_breached ? 1 : 0;
-        out.slo_breach_events = st.breach_events;
+    const double fast = windowFraction(st, fast_buckets_, bad) / budget;
+    const double slow = windowFraction(st, slow_buckets_, bad) / budget;
+    obj.fast->set(fast);
+    obj.slow->set(slow);
+    const bool breached =
+        fast >= p_.burn_threshold && slow >= p_.burn_threshold;
+    if (breached == (obj.breached->value() != 0.0))
+        return;
+    obj.breached->set(breached ? 1.0 : 0.0);
+    if (breached) {
+        st.breach_events->inc();
+        for (Offender &o : st.recent)
+            st.pending.push_back(o);
+        st.recent.clear();
     }
+    warn(breachText(c, slo, breached, fast, slow, objective));
+}
+
+void
+SloTracker::read(QosClass c, QosClassStats &out) const
+{
+    const ClassState &st = cls_[int(c)];
+    out.slo_latency_fast_burn = st.latency.fast->value();
+    out.slo_latency_slow_burn = st.latency.slow->value();
+    out.slo_error_fast_burn = st.errors.fast->value();
+    out.slo_error_slow_burn = st.errors.slow->value();
+    out.slo_latency_breached = uint8_t(st.latency.breached->value());
+    out.slo_error_breached = uint8_t(st.errors.breached->value());
+    out.slo_breach_events = st.breach_events->value();
 }
 
 } // namespace asdr::server

@@ -20,10 +20,13 @@
  * is still happening, so a breach clears quickly once the cause is
  * fixed instead of lingering for a full slow window.
  *
- * Breaches raise registry gauges (asdr_slo_breach{qos,slo}), emit one
- * structured warn() per transition, and hand the offending tickets to
- * the caller (FrameServer pins them into the slow-frame flight
- * recorder so every alert arrives with its evidence).
+ * The burns, the breach state (asdr_slo_breach{qos,slo}) and the
+ * per-class breach events live in the server's metrics registry; the
+ * series exist for every class, zero where no objective is set. A
+ * breach emits one structured warn() per transition and hands the
+ * offending tickets to the caller (FrameServer pins them into the
+ * slow-frame flight recorder so every alert arrives with its
+ * evidence).
  *
  * Thread-safe; records and evaluations may race from engine workers,
  * the watchdog, and snapshot readers.
@@ -40,6 +43,7 @@
 
 #include "server/qos.hpp"
 #include "server/server_stats.hpp"
+#include "util/telemetry.hpp"
 
 namespace asdr::server {
 
@@ -92,7 +96,8 @@ class SloTracker
         bool error = false; ///< failed/expired/dropped (vs slow-served)
     };
 
-    explicit SloTracker(const SloParams &p);
+    /** Registers the SLO series of every class in `reg`. */
+    SloTracker(const SloParams &p, metrics::Registry &reg);
 
     /** A served frame; `latency_ms` submit -> delivery. */
     void recordServed(QosClass c, uint64_t ticket, double latency_ms);
@@ -104,12 +109,13 @@ class SloTracker
      * breach transitions. Offending tickets needing flight-recorder
      * pinning (the recent violations behind a fresh breach, plus every
      * violation while breached) are appended to `pin`. Call after
-     * outcome batches and from the watchdog tick.
+     * outcome batches and from the watchdog tick; a no-op when no
+     * class carries an objective.
      */
     void evaluate(std::vector<Offender> &pin);
 
-    /** Fill the per-class slo_* fields of a stats snapshot. */
-    void fillSnapshot(ServerStatsSnapshot &snap) const;
+    /** Typed read of class `c`'s SLO series into the slo_* fields. */
+    void read(QosClass c, QosClassStats &out) const;
 
   private:
     /** One time slice of outcomes. */
@@ -120,15 +126,22 @@ class SloTracker
         uint64_t err_bad = 0; ///< failed/expired/dropped
     };
 
+    /** One objective's series: fast/slow burn gauges and the 0/1
+     *  breach gauge (also the breach state the transitions test). */
+    struct Objective
+    {
+        metrics::Gauge *fast = nullptr;
+        metrics::Gauge *slow = nullptr;
+        metrics::Gauge *breached = nullptr;
+    };
+
     struct ClassState
     {
         std::vector<Bucket> ring; ///< slow window of buckets
         int64_t cur = -1;         ///< absolute index of current bucket
-        bool lat_breached = false;
-        bool err_breached = false;
-        uint64_t breach_events = 0;
-        double lat_fast = 0.0, lat_slow = 0.0;
-        double err_fast = 0.0, err_slow = 0.0;
+        Objective latency;
+        Objective errors;
+        metrics::Counter *breach_events = nullptr; ///< ok -> breached
         /** Violations seen while healthy (bounded; flushed to `pin`
          *  when a breach starts -- the evidence trail). */
         std::deque<Offender> recent;
@@ -139,6 +152,11 @@ class SloTracker
 
     void recordLocked(QosClass c, uint64_t ticket, double latency_ms,
                       bool error);
+    /** Update one objective's burns from its windows and handle a
+     *  breach transition (m_ held). */
+    void evaluateLocked(QosClass c, ClassState &st, Objective &obj,
+                        const char *slo, uint64_t Bucket::*bad,
+                        double budget, double objective);
     void advanceLocked(ClassState &st,
                        std::chrono::steady_clock::time_point now);
     /** Bad-outcome fraction over the most recent `buckets` slices. */

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -12,6 +13,7 @@
 #include "nerf/camera.hpp"
 #include "util/logging.hpp"
 #include "util/stats.hpp"
+#include "util/telemetry.hpp"
 
 namespace asdr::server {
 
@@ -85,6 +87,23 @@ fillLadderView(WorkloadReport &report, const ServerStatsSnapshot &before)
                 double(degraded) / double(served);
             report.mean_rung[c] = double(rung_sum) / double(served);
         }
+    }
+}
+
+/** Add one viewer's outcome counts into a class or scene record. */
+template <typename Stats>
+void
+addOutcomes(Stats &into, const SceneServeStats &v)
+{
+    into.submitted += v.submitted;
+    into.dropped += v.dropped;
+    into.failed += v.failed;
+    into.expired += v.expired;
+    for (int r = 0; r < kQualityRungs; ++r) {
+        into.served_rung[r] += v.served_rung[r];
+        into.served += v.served_rung[r];
+        if (r > 0)
+            into.degraded += v.served_rung[r];
     }
 }
 
@@ -195,19 +214,12 @@ runWorkloadOverWire(const SceneRegistry &registry, const WorkloadSpec &spec,
             viewers.push_back(std::move(wv));
         }
 
-    // Baseline snapshot for the served-frames/s delta.
-    ServerStatsSnapshot before;
-    {
-        net::Client probe;
-        std::string err;
-        ASDR_ASSERT(probe.connect(wire.host, wire.port, &err),
-                    "wire workload: connect failed: ", err);
-        net::StatsReplyMsg reply;
-        ASDR_ASSERT(probe.fetchStats(reply, &err), "stats failed: ", err);
-        before = reply.server;
-    }
-
-    std::mutex agg_m;
+    // The report counts what the viewers themselves receive: each
+    // result's status and rung, and the server-side latency it carries.
+    std::mutex agg_m; // guards the tallies; the histograms are atomic
+    ServerStatsSnapshot tally;
+    std::map<std::string, SceneServeStats> scene_tally;
+    metrics::Histogram server_latency[kQosClasses];
     std::vector<double> rtt_ms[kQosClasses];
     std::atomic<uint64_t> results{0};
     net::ClientTransferStats transfer_total;
@@ -240,6 +252,7 @@ runWorkloadOverWire(const SceneRegistry &registry, const WorkloadSpec &spec,
         const int total = spec.frames_per_client;
         int issued = 0, received = 0;
         std::vector<double> my_rtt;
+        SceneServeStats mine;
         auto submitNext = [&]() -> bool {
             // Transient faults (timeout, peer closed, I/O error) are
             // retried through reconnect-and-resume; only fatal errors
@@ -280,6 +293,22 @@ runWorkloadOverWire(const SceneRegistry &registry, const WorkloadSpec &spec,
             }
             ++received;
             results.fetch_add(1, std::memory_order_relaxed);
+            switch (frame.status) {
+            case net::FrameStatus::Ok:
+            case net::FrameStatus::Shed: // served; only the payload shed
+                mine.served_rung[int(frame.rung)]++;
+                server_latency[wv.qos].record(frame.latency_ms * 1e-3);
+                break;
+            case net::FrameStatus::Dropped:
+                mine.dropped++;
+                break;
+            case net::FrameStatus::Failed:
+                mine.failed++;
+                break;
+            case net::FrameStatus::DeadlineExceeded:
+                mine.expired++;
+                break;
+            }
             auto it = sent.find(frame.ticket);
             if (it != sent.end()) {
                 if (frame.ok())
@@ -296,7 +325,12 @@ runWorkloadOverWire(const SceneRegistry &registry, const WorkloadSpec &spec,
             }
         }
         client.closeSession(session, &err);
+        mine.submitted = uint64_t(issued);
         std::lock_guard<std::mutex> lock(agg_m);
+        addOutcomes(tally.cls[wv.qos], mine);
+        SceneServeStats &sc = scene_tally[wv.scene];
+        sc.name = wv.scene;
+        addOutcomes(sc, mine);
         auto &bucket = rtt_ms[wv.qos];
         bucket.insert(bucket.end(), my_rtt.begin(), my_rtt.end());
         transfer_total.frames += client.transfer().frames;
@@ -318,6 +352,17 @@ runWorkloadOverWire(const SceneRegistry &registry, const WorkloadSpec &spec,
 
     WorkloadReport report;
     report.over_wire = true;
+    report.stats = std::move(tally);
+    for (auto &entry : scene_tally)
+        report.stats.scenes.push_back(std::move(entry.second));
+    for (int c = 0; c < kQosClasses; ++c) {
+        QosClassStats &s = report.stats.cls[c];
+        const metrics::Histogram &h = server_latency[c];
+        s.p50_ms = h.percentile(0.50) * 1e3;
+        s.p95_ms = h.percentile(0.95) * 1e3;
+        s.p99_ms = h.percentile(0.99) * 1e3;
+        s.mean_ms = h.mean() * 1e3;
+    }
     report.wall_s = wall;
     report.results = results.load();
     report.viewers = uint64_t(viewers.size());
@@ -339,19 +384,9 @@ runWorkloadOverWire(const SceneRegistry &registry, const WorkloadSpec &spec,
             r.p99_ms = percentileOfSorted(samples, 0.99);
         }
     }
-    {
-        net::Client probe;
-        std::string err;
-        ASDR_ASSERT(probe.connect(wire.host, wire.port, &err),
-                    "wire workload: reconnect failed: ", err);
-        net::StatsReplyMsg reply;
-        ASDR_ASSERT(probe.fetchStats(reply, &err), "stats failed: ", err);
-        report.stats = reply.server;
-    }
-    const uint64_t served_delta =
-        report.stats.totalServed() - before.totalServed();
-    report.frames_per_s = wall > 0.0 ? double(served_delta) / wall : 0.0;
-    fillLadderView(report, before);
+    report.frames_per_s =
+        wall > 0.0 ? double(report.stats.totalServed()) / wall : 0.0;
+    fillLadderView(report, ServerStatsSnapshot());
     return report;
 }
 

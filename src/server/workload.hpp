@@ -66,8 +66,8 @@ struct WorkloadReport
     /** Served frames per wall second across all viewers. */
     double frames_per_s = 0.0;
 
-    // Quality-ladder view of THIS run (before/after snapshot deltas,
-    // unlike `stats` which is the server's cumulative view):
+    // Quality-ladder view of THIS run (in-process runs take
+    // before/after snapshot deltas of the server's cumulative `stats`):
     /** Fraction of the run's served frames delivered below Full. */
     double degraded_fraction[kQosClasses] = {};
     /** Mean QualityRung value over the run's served frames. */
@@ -108,9 +108,11 @@ struct WireWorkloadOptions
  * framing, encode/decode, and socket scheduling. `registry` is only
  * consulted for camera framing (the scenes must also be registered in
  * the server behind the service). The report adds client-observed
- * round-trip percentiles per class and per-encoding byte totals; its
- * `stats` snapshot is fetched from the service (cumulative, like
- * runWorkload's).
+ * round-trip percentiles per class and per-encoding byte totals. Its
+ * `stats` counts this run's own results, per class and per scene:
+ * each result's status and rung, and the server latency it carries
+ * (a Shed result counts as served). Admission counts, queue wait and
+ * breaker state are not visible to a client and stay zero.
  */
 WorkloadReport runWorkloadOverWire(const SceneRegistry &registry,
                                    const WorkloadSpec &spec,

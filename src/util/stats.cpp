@@ -7,50 +7,6 @@
 
 namespace asdr {
 
-void
-RunningStat::add(double x)
-{
-    ++n_;
-    sum_ += x;
-    double delta = x - mean_;
-    mean_ += delta / double(n_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-}
-
-void
-RunningStat::merge(const RunningStat &other)
-{
-    if (other.n_ == 0)
-        return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    double delta = other.mean_ - mean_;
-    uint64_t total = n_ + other.n_;
-    m2_ += other.m2_ +
-           delta * delta * double(n_) * double(other.n_) / double(total);
-    mean_ += delta * double(other.n_) / double(total);
-    sum_ += other.sum_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    n_ = total;
-}
-
-void
-RunningStat::reset()
-{
-    *this = RunningStat();
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
-}
-
 Histogram::Histogram(double lo, double hi, size_t bins)
     : lo_(lo), hi_(hi), counts_(bins, 0)
 {
@@ -103,34 +59,6 @@ Histogram::fractionAtLeast(double x) const
         if (binLo(i) >= x)
             mass += counts_[i];
     return double(mass) / double(total_);
-}
-
-void
-CounterGroup::inc(const std::string &name, uint64_t delta)
-{
-    for (auto &entry : entries_) {
-        if (entry.first == name) {
-            entry.second += delta;
-            return;
-        }
-    }
-    entries_.emplace_back(name, delta);
-}
-
-uint64_t
-CounterGroup::get(const std::string &name) const
-{
-    for (const auto &entry : entries_)
-        if (entry.first == name)
-            return entry.second;
-    return 0;
-}
-
-void
-CounterGroup::merge(const CounterGroup &other)
-{
-    for (const auto &entry : other.entries_)
-        inc(entry.first, entry.second);
 }
 
 double

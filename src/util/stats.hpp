@@ -1,44 +1,19 @@
 /**
  * @file
- * Statistics primitives used by the profilers, the cycle-level simulator
- * and the benchmark harness: streaming scalar statistics, fixed-bin
- * histograms and a percentile sketch backed by a sample reservoir.
+ * Offline statistics helpers: a fixed-bin histogram (the analysis
+ * passes' sample-count distributions) and the percentile of a sorted
+ * sample vector (the wire workload's client round trips). The serving
+ * stack's own latencies use metrics::Histogram (util/telemetry).
  */
 
 #ifndef ASDR_UTIL_STATS_HPP
 #define ASDR_UTIL_STATS_HPP
 
+#include <cstddef>
 #include <cstdint>
-#include <limits>
-#include <string>
 #include <vector>
 
 namespace asdr {
-
-/** Streaming mean/variance/min/max accumulator (Welford's algorithm). */
-class RunningStat
-{
-  public:
-    void add(double x);
-    void merge(const RunningStat &other);
-    void reset();
-
-    uint64_t count() const { return n_; }
-    double mean() const { return n_ ? mean_ : 0.0; }
-    double variance() const { return n_ > 1 ? m2_ / double(n_ - 1) : 0.0; }
-    double stddev() const;
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-    double sum() const { return sum_; }
-
-  private:
-    uint64_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double sum_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /** Fixed-width-bin histogram over [lo, hi); out-of-range goes to end bins. */
 class Histogram
@@ -68,31 +43,9 @@ class Histogram
 
 /**
  * Linearly-interpolated percentile of an ASCENDING-sorted sample
- * vector; q in [0, 1]. 0 on empty input. The one percentile
- * definition shared by the serving stats and the wire workload, so
- * client- and server-side latency rows are comparable.
+ * vector; q in [0, 1]. 0 on empty input.
  */
 double percentileOfSorted(const std::vector<double> &sorted, double q);
-
-/** Named counter group; the simulator's per-component event counters. */
-class CounterGroup
-{
-  public:
-    /** Add `delta` to counter `name`, creating it at zero if absent. */
-    void inc(const std::string &name, uint64_t delta = 1);
-    uint64_t get(const std::string &name) const;
-    void merge(const CounterGroup &other);
-
-    const std::vector<std::pair<std::string, uint64_t>> &entries() const
-    {
-        return entries_;
-    }
-
-  private:
-    // Small and ordered by first use; linear search keeps iteration order
-    // deterministic for reports without a separate key list.
-    std::vector<std::pair<std::string, uint64_t>> entries_;
-};
 
 } // namespace asdr
 

@@ -134,7 +134,7 @@ stageHistogram(const char *name, uint8_t qos)
             Site site;
             site.name = info.name;
             for (int q = 0; q < kQosLabels; ++q)
-                site.h[q] = &metrics::histogram(
+                site.h[q] = &metrics::processRegistry().histogram(
                     "asdr_stage_duration_seconds",
                     std::string("stage=\"") + info.name + "\",qos=\"" +
                         kQosLabelName[q] + "\"");
@@ -362,27 +362,6 @@ namespace asdr::metrics {
 
 namespace {
 
-/** Registered series, grouped by family so renderText can emit one
- *  `# TYPE` line per family. Heap-allocated and never destroyed so
- *  references handed out stay valid through static destruction. */
-struct MetricsRegistry
-{
-    std::mutex m;
-    std::map<std::string, std::map<std::string, std::unique_ptr<Counter>>>
-        counters;
-    std::map<std::string, std::map<std::string, std::unique_ptr<Gauge>>>
-        gauges;
-    std::map<std::string, std::map<std::string, std::unique_ptr<Histogram>>>
-        histograms;
-};
-
-MetricsRegistry &
-metricsRegistry()
-{
-    static MetricsRegistry *r = new MetricsRegistry;
-    return *r;
-}
-
 std::string
 seriesName(const std::string &family, const std::string &labels,
            const std::string &suffix = std::string(),
@@ -406,6 +385,18 @@ appendNumber(std::ostringstream &os, double v)
         os << int64_t(v);
     else
         os << v;
+}
+
+template <typename T>
+T &
+findOrAdd(std::map<std::string, std::map<std::string, std::unique_ptr<T>>>
+              &families,
+          const std::string &family, const std::string &labels)
+{
+    auto &slot = families[family][labels];
+    if (!slot)
+        slot = std::make_unique<T>();
+    return *slot;
 }
 
 } // namespace
@@ -476,36 +467,31 @@ Histogram::reset()
 }
 
 Counter &
-counter(const std::string &family, const std::string &labels)
+Registry::counter(const std::string &family, const std::string &labels)
 {
-    MetricsRegistry &r = metricsRegistry();
-    std::lock_guard<std::mutex> lock(r.m);
-    auto &slot = r.counters[family][labels];
-    if (!slot)
-        slot = std::make_unique<Counter>();
-    return *slot;
+    std::lock_guard<std::mutex> lock(m_);
+    return findOrAdd(counters_, family, labels);
 }
 
 Gauge &
-gauge(const std::string &family, const std::string &labels)
+Registry::gauge(const std::string &family, const std::string &labels)
 {
-    MetricsRegistry &r = metricsRegistry();
-    std::lock_guard<std::mutex> lock(r.m);
-    auto &slot = r.gauges[family][labels];
-    if (!slot)
-        slot = std::make_unique<Gauge>();
-    return *slot;
+    std::lock_guard<std::mutex> lock(m_);
+    return findOrAdd(gauges_, family, labels);
 }
 
 Histogram &
-histogram(const std::string &family, const std::string &labels)
+Registry::histogram(const std::string &family, const std::string &labels)
 {
-    MetricsRegistry &r = metricsRegistry();
-    std::lock_guard<std::mutex> lock(r.m);
-    auto &slot = r.histograms[family][labels];
-    if (!slot)
-        slot = std::make_unique<Histogram>();
-    return *slot;
+    std::lock_guard<std::mutex> lock(m_);
+    return findOrAdd(histograms_, family, labels);
+}
+
+Registry &
+processRegistry()
+{
+    static Registry *r = new Registry;
+    return *r;
 }
 
 std::string
@@ -527,18 +513,17 @@ escapeLabelValue(const std::string &v)
 }
 
 std::string
-renderText()
+Registry::renderText() const
 {
-    MetricsRegistry &r = metricsRegistry();
-    std::lock_guard<std::mutex> lock(r.m);
+    std::lock_guard<std::mutex> lock(m_);
     std::ostringstream os;
-    for (const auto &fam : r.counters) {
+    for (const auto &fam : counters_) {
         os << "# TYPE " << fam.first << " counter\n";
         for (const auto &s : fam.second)
             os << seriesName(fam.first, s.first) << " "
                << s.second->value() << "\n";
     }
-    for (const auto &fam : r.gauges) {
+    for (const auto &fam : gauges_) {
         os << "# TYPE " << fam.first << " gauge\n";
         for (const auto &s : fam.second) {
             os << seriesName(fam.first, s.first) << " ";
@@ -546,7 +531,7 @@ renderText()
             os << "\n";
         }
     }
-    for (const auto &fam : r.histograms) {
+    for (const auto &fam : histograms_) {
         os << "# TYPE " << fam.first << " histogram\n";
         for (const auto &s : fam.second) {
             const Histogram &h = *s.second;
@@ -565,33 +550,20 @@ renderText()
                                  "le=\"" + edge.str() + "\"")
                    << " " << cum << "\n";
             }
+            // Writers race this scrape: one count, never below the
+            // buckets already printed, closes both lines.
+            const uint64_t n = std::max(cum, h.count());
             os << seriesName(fam.first, s.first, "_bucket",
                              "le=\"+Inf\"")
-               << " " << h.count() << "\n";
+               << " " << n << "\n";
             os << seriesName(fam.first, s.first, "_sum") << " ";
             appendNumber(os, h.sum());
             os << "\n";
-            os << seriesName(fam.first, s.first, "_count") << " "
-               << h.count() << "\n";
+            os << seriesName(fam.first, s.first, "_count") << " " << n
+               << "\n";
         }
     }
     return os.str();
-}
-
-void
-resetAll()
-{
-    MetricsRegistry &r = metricsRegistry();
-    std::lock_guard<std::mutex> lock(r.m);
-    for (auto &fam : r.counters)
-        for (auto &s : fam.second)
-            s.second->reset();
-    for (auto &fam : r.gauges)
-        for (auto &s : fam.second)
-            s.second->reset();
-    for (auto &fam : r.histograms)
-        for (auto &s : fam.second)
-            s.second->reset();
 }
 
 } // namespace asdr::metrics

@@ -1,6 +1,6 @@
 /**
  * @file
- * End-to-end frame telemetry: stage-span tracing, a unified metrics
+ * End-to-end frame telemetry: stage-span tracing, the metrics
  * registry, and the plumbing behind the slow-frame flight recorder.
  *
  * Two cooperating namespaces:
@@ -18,7 +18,7 @@
  *    release builds.
  *
  *  - `metrics` -- named counters, gauges, and log-bucketed histograms
- *    with a Prometheus-style text exposition (`metrics::renderText`).
+ *    in a `metrics::Registry` with a Prometheus text exposition.
  *    The histogram replaces sampling reservoirs for latency
  *    percentiles: every observation lands in one of 256 logarithmic
  *    buckets (growth 2^(1/8), ~4.5% relative error), so p99 under a
@@ -38,6 +38,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -252,7 +255,6 @@ class Counter
     void add(uint64_t n) { v_.fetch_add(n, std::memory_order_relaxed); }
     void inc() { add(1); }
     uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-    void reset() { v_.store(0, std::memory_order_relaxed); }
 
   private:
     std::atomic<uint64_t> v_{0};
@@ -264,7 +266,6 @@ class Gauge
   public:
     void set(double v) { v_.store(v, std::memory_order_relaxed); }
     double value() const { return v_.load(std::memory_order_relaxed); }
-    void reset() { set(0.0); }
 
   private:
     std::atomic<double> v_{0.0};
@@ -319,39 +320,62 @@ class Histogram
 };
 
 /**
- * Process-wide registry. Lookup returns a stable reference: call sites
- * resolve once (static local) and bump forever after; resetAll()
- * zeroes values but never invalidates references.
+ * A named-series store with a Prometheus text exposition. Each
+ * FrameServer owns one and records every serving value into it;
+ * processRegistry() holds the span-fed stage histograms, which no
+ * server owns. Lookup returns a stable reference: record sites
+ * resolve their series once and bump them forever after.
  *
  * `labels` is the Prometheus inner label text, e.g. `qos="batch"`, or
  * empty for an unlabelled series.
  */
-Counter &counter(const std::string &family,
-                 const std::string &labels = std::string());
-Gauge &gauge(const std::string &family,
-             const std::string &labels = std::string());
-Histogram &histogram(const std::string &family,
+class Registry
+{
+  public:
+    Registry() = default;
+    Registry(const Registry &) = delete;
+    Registry &operator=(const Registry &) = delete;
+
+    Counter &counter(const std::string &family,
                      const std::string &labels = std::string());
+    Gauge &gauge(const std::string &family,
+                 const std::string &labels = std::string());
+    Histogram &histogram(const std::string &family,
+                         const std::string &labels = std::string());
+
+    /**
+     * Prometheus text exposition of every registered series, one
+     * `# TYPE` line per family. Histograms render as the native
+     * `histogram` type: cumulative `family_bucket{le="..."}` lines
+     * over the non-empty log buckets, ending at `le="+Inf"`, plus
+     * `family_sum` / `family_count` (so `histogram_quantile()` and
+     * `rate(_sum)/rate(_count)` both work).
+     */
+    std::string renderText() const;
+
+  private:
+    template <typename T>
+    using Families =
+        std::map<std::string, std::map<std::string, std::unique_ptr<T>>>;
+
+    mutable std::mutex m_;
+    Families<Counter> counters_;
+    Families<Gauge> gauges_;
+    Families<Histogram> histograms_;
+};
+
+/** The process-wide registry: only `asdr_stage_duration_seconds`,
+ *  fed by span closes. Never destroyed, so references outlive static
+ *  destruction. */
+Registry &processRegistry();
 
 /**
  * Escape a label VALUE per the Prometheus text-format spec:
  * backslash, double quote, and newline become \\, \", and \n. Apply
  * to any runtime string (scene names, hosts) before building the
- * `key="value"` label text handed to counter/gauge/histogram.
+ * `key="value"` label text handed to a Registry.
  */
 std::string escapeLabelValue(const std::string &v);
-
-/**
- * Prometheus text exposition of every registered series. Histograms
- * render as the native `histogram` type: cumulative
- * `family_bucket{le="..."}` lines over the non-empty log buckets,
- * ending at `le="+Inf"`, plus `family_sum` / `family_count` (so
- * `histogram_quantile()` and `rate(_sum)/rate(_count)` both work).
- */
-std::string renderText();
-
-/** Zero every registered value (references stay valid). */
-void resetAll();
 
 } // namespace asdr::metrics
 

@@ -12,9 +12,8 @@
  *    a stuck stage surfaces in the watchdog's stuck counters.
  *  - Wire resilience: kill-and-resume keeps the DeltaPrev chain
  *    byte-exact (in-band re-seed); a mid-flight disconnect parks every
- *    outstanding ticket for replay after resume; interactive frames
- *    degrade to Quantized8 before anything is shed under backpressure;
- *    client errors are typed (transient vs fatal); a single injected
+ *    outstanding ticket for replay after resume; client errors are
+ *    typed (transient vs fatal); a single injected
  *    socket fault heals transparently through submitFrameRetry.
  *
  * Every ticket produces exactly one result under every fault class --
@@ -26,7 +25,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <future>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -44,6 +42,8 @@
 #include "server/frame_server.hpp"
 #include "server/scene_registry.hpp"
 #include "util/fault.hpp"
+
+#include "exposition.hpp"
 
 using namespace asdr;
 using namespace asdr::net;
@@ -75,21 +75,6 @@ expectFramesIdentical(const Image &a, const Image &b, const char *what)
                              a.pixels() * sizeof(Vec3)))
         << what;
 }
-
-/** Park a shard's workers behind a gate so deliveries burst after
- *  release (builds outbound backpressure deterministically). */
-struct PoolGate
-{
-    std::promise<void> gate;
-    std::shared_future<void> fut{gate.get_future().share()};
-
-    void block(engine::FrameEngine &eng, int workers)
-    {
-        for (int w = 0; w < workers; ++w)
-            eng.pool().submit([f = fut] { f.wait(); });
-    }
-    void release() { gate.set_value(); }
-};
 
 /** A field that throws while `poisoned` is set and renders normally
  *  otherwise -- the breaker's trip-then-recover tenant. */
@@ -340,6 +325,8 @@ TEST(FrameServerFault, StuckStageSurfacesInWatchdogCounters)
     ASSERT_EQ(results.size(), 1u);
     EXPECT_TRUE(results[0].ok());
     EXPECT_GE(srv.stats().stuck_events, 1u);
+    EXPECT_GE(expositionValue(srv.metricsText(), "asdr_stuck_events_total"),
+              1.0);
     srv.closeSession(client);
 }
 
@@ -418,6 +405,17 @@ TEST(FrameServerFault, BreakerQuarantinesFastFailsAndRecovers)
     EXPECT_EQ(snap.scenes[0].breaker_opens, 1u);
     EXPECT_EQ(snap.scenes[0].breaker_fast_fails, 2u);
     EXPECT_EQ(snap.scenes[0].breaker_state, uint8_t(BS::Closed));
+    const std::string text = srv.metricsText();
+    EXPECT_EQ(expositionValue(
+                  text, "asdr_scene_breaker_opens_total{scene=\"flaky\"}"),
+              1.0);
+    EXPECT_EQ(expositionValue(
+                  text,
+                  "asdr_scene_breaker_fast_fails_total{scene=\"flaky\"}"),
+              2.0);
+    EXPECT_EQ(expositionValue(text,
+                              "asdr_scene_breaker_state{scene=\"flaky\"}"),
+              0.0);
     srv.closeSession(client);
 }
 
@@ -558,6 +556,10 @@ TEST(FrameServerFault, ExpiryDoesNotReopenHalfOpenBreaker)
     const auto snap = srv.stats();
     ASSERT_EQ(snap.scenes.size(), 1u);
     EXPECT_EQ(snap.scenes[0].breaker_opens, 1u); // opened once, ever
+    EXPECT_EQ(expositionValue(
+                  srv.metricsText(),
+                  "asdr_scene_breaker_opens_total{scene=\"flaky\"}"),
+              1.0);
     srv.closeSession(client);
 }
 
@@ -678,6 +680,9 @@ TEST(WireFault, KillAndResumeKeepsDeltaChainByteExact)
         expectFramesIdentical(ref[f], resumed[f],
                               "kill-and-resume delta frame");
     EXPECT_GE(h.service->counters().sessions_resumed, 1u);
+    EXPECT_GE(expositionValue(h.srv->metricsText(),
+                              "asdr_wire_sessions_resumed_total"),
+              1.0);
 }
 
 TEST(WireFault, MidFlightDisconnectParksEveryTicket)
@@ -727,64 +732,10 @@ TEST(WireFault, MidFlightDisconnectParksEveryTicket)
     }
     EXPECT_EQ(seen, tickets);
     EXPECT_GE(h.service->counters().results_parked, 1u);
-    c.closeSession(s, &err);
-}
-
-// ------------------------------------------------- degrade-before-shed
-
-TEST(WireFault, InteractiveDegradesBeforeShedUnderBackpressure)
-{
-    ServiceConfig ncfg;
-    ncfg.degrade_outbound_bytes = size_t(32) << 10;
-    // Fixed small kernel send buffer: backpressure reaches the
-    // outbound-queue accounting instead of autotuned kernel buffers.
-    ncfg.sndbuf_bytes = size_t(32) << 10;
-    server::ServerConfig scfg;
-    scfg.threads_per_shard = 2;
-    scfg.qos.cls[0].max_backlog = 64;
-    Harness h(ncfg, scfg);
-
-    Client c;
-    std::string err;
-    ASSERT_TRUE(c.connect("127.0.0.1", h.port(), &err)) << err;
-    const uint64_t s = c.openSession(
-        "Lego", server::QosClass::Interactive, FrameEncoding::Raw, &err);
-    ASSERT_NE(s, 0u) << err;
-
-    // Gate the workers, queue a burst, then release: deliveries land
-    // while this client is not reading, so the outbound queue climbs
-    // past the degrade threshold (12 raw 96x96 frames ~ 1.3 MB,
-    // far beyond what the loopback kernel buffers absorb).
-    const auto specs =
-        orbitSpecs(h.registry.find("Lego")->info, 12, 0.05f, 96, 96);
-    PoolGate gate;
-    gate.block(h.srv->shardEngine(0), 2);
-    std::set<uint64_t> tickets;
-    for (const auto &cs : specs) {
-        const uint64_t t = c.submitFrame(s, cs, &err);
-        ASSERT_NE(t, 0u) << err;
-        tickets.insert(t);
-    }
-    gate.release();
-    h.srv->waitIdle();
-
-    // Below max_outbound_bytes nothing is shed: every frame arrives
-    // Ok, the later ones downgraded to Quantized8.
-    std::set<uint64_t> seen;
-    int quantized = 0;
-    for (size_t i = 0; i < tickets.size(); ++i) {
-        ClientFrame frame;
-        ASSERT_TRUE(c.nextFrame(frame, &err)) << err;
-        EXPECT_EQ(frame.status, FrameStatus::Ok);
-        EXPECT_TRUE(seen.insert(frame.ticket).second)
-            << "duplicate result";
-        if (frame.encoding == FrameEncoding::Quantized8)
-            ++quantized;
-    }
-    EXPECT_EQ(seen, tickets);
-    EXPECT_GE(quantized, 1);
-    EXPECT_GE(h.service->counters().results_degraded, 1u);
-    EXPECT_EQ(h.service->counters().results_shed, 0u);
+    const std::string text = h.srv->metricsText();
+    EXPECT_GE(expositionValue(text, "asdr_wire_results_parked_total"), 1.0);
+    EXPECT_GE(expositionValue(text, "asdr_wire_sessions_resumed_total"),
+              1.0);
     c.closeSession(s, &err);
 }
 
@@ -974,16 +925,18 @@ TEST(FrameServerFault, SloLatencyBreachFlipsBurnGaugeAndPinsOffenders)
     EXPECT_EQ(cls.slo_error_breached, 0);
     EXPECT_GE(cls.slo_breach_events, 1u);
 
-    // The breach raised the registry gauges alongside the snapshot.
-    EXPECT_EQ(metrics::gauge("asdr_slo_breach",
-                             "qos=\"standard\",slo=\"latency\"")
-                  .value(),
+    // The snapshot reads the server's series; the exposition renders
+    // the same ones.
+    const std::string text = srv.metricsText();
+    EXPECT_EQ(expositionValue(
+                  text, "asdr_slo_breach{qos=\"standard\",slo=\"latency\"}"),
               1.0);
-    EXPECT_GE(metrics::gauge("asdr_slo_latency_burn",
-                             "qos=\"standard\",window=\"fast\"")
-                  .value(),
+    EXPECT_GE(expositionValue(text, "asdr_slo_latency_burn{qos=\"standard\","
+                                    "window=\"fast\"}"),
               1.0);
-    EXPECT_GE(metrics::counter("asdr_slo_breach_total").value(), 1u);
+    EXPECT_GE(
+        expositionValue(text, "asdr_slo_breach_total{qos=\"standard\"}"),
+        1.0);
 
     // Breaching frames were pinned into the flight recorder even
     // though slow_frame_ms never tripped (it is disabled here).
@@ -1038,10 +991,13 @@ TEST(FrameServerFault, SloAvailabilityBreachOnInjectedFaults)
     EXPECT_GE(cls.slo_error_slow_burn, 1.0);
     EXPECT_EQ(cls.slo_error_breached, 1);
     EXPECT_GE(cls.slo_breach_events, 1u);
-    EXPECT_EQ(metrics::gauge("asdr_slo_breach",
-                             "qos=\"standard\",slo=\"availability\"")
-                  .value(),
+    const std::string text = srv.metricsText();
+    EXPECT_EQ(expositionValue(text, "asdr_slo_breach{qos=\"standard\","
+                                    "slo=\"availability\"}"),
               1.0);
+    EXPECT_GE(
+        expositionValue(text, "asdr_slo_breach_total{qos=\"standard\"}"),
+        1.0);
 
     std::vector<server::FrameResult> results;
     srv.drainResults(results);

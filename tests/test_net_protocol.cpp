@@ -364,74 +364,6 @@ TEST(Messages, ResumeMessagesRoundTrip)
     }
 }
 
-TEST(Messages, StatsReplyRoundTripIncludingScenes)
-{
-    StatsReplyMsg msg;
-    msg.server.cls[0].submitted = 100;
-    msg.server.cls[0].served = 90;
-    msg.server.cls[0].p99_ms = 42.5;
-    msg.server.cls[0].expired = 11;
-    msg.server.cls[2].dropped = 7;
-    msg.server.stuck_in_flight = 2;
-    msg.server.stuck_events = 5;
-    server::SceneServeStats scene;
-    scene.name = "Lego";
-    scene.submitted = 50;
-    scene.served = 48;
-    scene.expired = 2;
-    scene.peak_in_flight = 3;
-    scene.breaker_state = 1;
-    scene.breaker_opens = 4;
-    scene.breaker_fast_fails = 9;
-    msg.server.scenes.push_back(scene);
-    msg.server.cls[1].slo_latency_fast_burn = 1.25;
-    msg.server.cls[1].slo_latency_slow_burn = 0.75;
-    msg.server.cls[1].slo_error_fast_burn = 2.5;
-    msg.server.cls[1].slo_error_slow_burn = 2.0;
-    msg.server.cls[1].slo_latency_breached = 1;
-    msg.server.cls[1].slo_error_breached = 1;
-    msg.server.cls[1].slo_breach_events = 3;
-    msg.wire.frames_sent = 123;
-    msg.wire.frame_payload_bytes = 4567;
-    msg.wire.results_degraded = 6;
-    msg.wire.results_parked = 7;
-    msg.wire.sessions_resumed = 8;
-    msg.wire.sessions_expired = 9;
-    msg.wire.span_batches_sent = 44;
-    msg.wire.span_batches_dropped = 5;
-    auto buf = packMessage(MsgType::StatsReply, msg);
-    StatsReplyMsg got;
-    ASSERT_TRUE(unpack(buf, MsgType::StatsReply, got));
-    EXPECT_EQ(got.server.cls[0].submitted, 100u);
-    EXPECT_EQ(got.server.cls[0].p99_ms, 42.5);
-    EXPECT_EQ(got.server.cls[0].expired, 11u);
-    EXPECT_EQ(got.server.cls[2].dropped, 7u);
-    EXPECT_EQ(got.server.stuck_in_flight, 2u);
-    EXPECT_EQ(got.server.stuck_events, 5u);
-    ASSERT_EQ(got.server.scenes.size(), 1u);
-    EXPECT_EQ(got.server.scenes[0].name, "Lego");
-    EXPECT_EQ(got.server.scenes[0].peak_in_flight, 3);
-    EXPECT_EQ(got.server.scenes[0].expired, 2u);
-    EXPECT_EQ(got.server.scenes[0].breaker_state, 1);
-    EXPECT_EQ(got.server.scenes[0].breaker_opens, 4u);
-    EXPECT_EQ(got.server.scenes[0].breaker_fast_fails, 9u);
-    EXPECT_EQ(got.wire.frames_sent, 123u);
-    EXPECT_EQ(got.wire.results_degraded, 6u);
-    EXPECT_EQ(got.wire.results_parked, 7u);
-    EXPECT_EQ(got.wire.sessions_resumed, 8u);
-    EXPECT_EQ(got.wire.sessions_expired, 9u);
-    EXPECT_EQ(got.server.cls[1].slo_latency_fast_burn, 1.25);
-    EXPECT_EQ(got.server.cls[1].slo_latency_slow_burn, 0.75);
-    EXPECT_EQ(got.server.cls[1].slo_error_fast_burn, 2.5);
-    EXPECT_EQ(got.server.cls[1].slo_error_slow_burn, 2.0);
-    EXPECT_EQ(got.server.cls[1].slo_latency_breached, 1);
-    EXPECT_EQ(got.server.cls[1].slo_error_breached, 1);
-    EXPECT_EQ(got.server.cls[1].slo_breach_events, 3u);
-    EXPECT_EQ(got.wire.span_batches_sent, 44u);
-    EXPECT_EQ(got.wire.span_batches_dropped, 5u);
-    expectTruncationsRejected<StatsReplyMsg>(buf, MsgType::StatsReply);
-}
-
 TEST(Messages, TelemetrySubscriptionRoundTrips)
 {
     {
@@ -543,18 +475,14 @@ TEST(Messages, RemainingControlRoundTrips)
         expectTruncationsRejected<ErrorMsg>(buf, MsgType::Error);
     }
     {
-        GetStatsMsg msg;
-        msg.format = uint8_t(StatsFormat::Text);
-        auto buf = packMessage(MsgType::GetStats, msg);
+        // GetStats is a bare header: any payload byte is a decode error.
+        auto buf = packMessage(MsgType::GetStats, GetStatsMsg{});
+        EXPECT_EQ(buf.size(), kHeaderSize);
         GetStatsMsg got;
         ASSERT_TRUE(unpack(buf, MsgType::GetStats, got));
-        EXPECT_EQ(got.format, uint8_t(StatsFormat::Text));
         expectTruncationsRejected<GetStatsMsg>(buf, MsgType::GetStats);
-
-        // Formats beyond the published range are a decode error.
-        msg.format = 7;
-        buf = packMessage(MsgType::GetStats, msg);
-        EXPECT_FALSE(unpack(buf, MsgType::GetStats, got));
+        const uint8_t stray = 1; // e.g. a v7 format selector
+        EXPECT_FALSE(decodePayload(&stray, 1, got));
     }
     {
         MetricsReplyMsg msg;
@@ -615,10 +543,6 @@ TEST(Fuzz, RandomBuffersNeverCrashAnyDecoder)
         }
         {
             FrameResultMsg m;
-            (void)decodePayload(p, n, m);
-        }
-        {
-            StatsReplyMsg m;
             (void)decodePayload(p, n, m);
         }
         {

@@ -33,6 +33,8 @@
 #include "server/scene_registry.hpp"
 #include "server/workload.hpp"
 
+#include "exposition.hpp"
+
 using namespace asdr;
 using namespace asdr::net;
 
@@ -542,30 +544,89 @@ TEST(NetService, StatsRoundTripMatchesClientObservations)
         EXPECT_GT(frame.latency_ms, 0.0);
     }
 
-    StatsReplyMsg stats;
-    ASSERT_TRUE(client.fetchStats(stats, &err)) << err;
-    const auto &cls =
-        stats.server.cls[int(server::QosClass::Interactive)];
+    // The scrape and the in-process typed reads see the same series.
+    std::string text;
+    ASSERT_TRUE(client.fetchMetricsText(text, &err)) << err;
+    const server::ServerStatsSnapshot snap = h.srv->stats();
+    const auto &cls = snap.cls[int(server::QosClass::Interactive)];
     EXPECT_EQ(cls.submitted, uint64_t(FRAMES));
     EXPECT_EQ(cls.served, uint64_t(FRAMES));
     EXPECT_GT(cls.p50_ms, 0.0);
-    // Per-scene stats surfaced through the wire.
-    bool found = false;
-    for (const auto &scene : stats.server.scenes)
-        if (scene.name == "Chair") {
-            found = true;
-            EXPECT_EQ(scene.submitted, uint64_t(FRAMES));
-            EXPECT_EQ(scene.served, uint64_t(FRAMES));
-            EXPECT_GE(scene.peak_in_flight, 1);
-        }
-    EXPECT_TRUE(found);
-    EXPECT_EQ(stats.wire.frames_sent, uint64_t(FRAMES));
-    EXPECT_EQ(stats.wire.frame_raw_bytes, uint64_t(FRAMES) *
-                                              rawFrameBytes(16, 16));
-    EXPECT_EQ(stats.wire.frame_payload_bytes,
-              client.transfer().payload_bytes);
-    EXPECT_EQ(stats.wire.sessions_opened, 1u);
-    EXPECT_EQ(stats.wire.connections_open, 1u);
+    const std::string q = "{qos=\"interactive\"}";
+    EXPECT_EQ(expositionValue(text, "asdr_frames_submitted_total" + q),
+              double(cls.submitted));
+    EXPECT_EQ(expositionValue(text, "asdr_frames_admitted_total" + q),
+              double(cls.admitted));
+    EXPECT_EQ(expositionValue(text, "asdr_frames_dropped_total" + q),
+              double(cls.dropped));
+    EXPECT_EQ(expositionValue(text, "asdr_frames_failed_total" + q),
+              double(cls.failed));
+    EXPECT_EQ(expositionValue(text, "asdr_frames_expired_total" + q),
+              double(cls.expired));
+    EXPECT_EQ(expositionValue(text, "asdr_frames_served_total{qos=\""
+                                    "interactive\",rung=\"full\"}"),
+              double(cls.served));
+    EXPECT_EQ(expositionValue(text, "asdr_frame_latency_seconds_count" + q),
+              double(cls.served));
+    EXPECT_EQ(
+        expositionValue(text, "asdr_frame_queue_wait_seconds_count" + q),
+        double(cls.admitted));
+
+    // Per-scene series.
+    const server::SceneServeStats *chair = nullptr;
+    for (const auto &scene : snap.scenes)
+        if (scene.name == "Chair")
+            chair = &scene;
+    ASSERT_NE(chair, nullptr);
+    EXPECT_EQ(chair->submitted, uint64_t(FRAMES));
+    EXPECT_EQ(chair->served, uint64_t(FRAMES));
+    EXPECT_GE(chair->peak_in_flight, 1);
+    const std::string sc = "{scene=\"Chair\"}";
+    EXPECT_EQ(expositionValue(text, "asdr_scene_frames_submitted_total" + sc),
+              double(chair->submitted));
+    EXPECT_EQ(expositionValue(text, "asdr_scene_frames_served_total{scene="
+                                    "\"Chair\",rung=\"full\"}"),
+              double(chair->served));
+    EXPECT_EQ(expositionValue(text, "asdr_scene_peak_in_flight" + sc),
+              double(chair->peak_in_flight));
+
+    // Every wire counter. The scrape's own reply is flushed (and
+    // counted) after its text was rendered, and the count lands just
+    // after the send: wait for it.
+    const double sent_before_reply =
+        expositionValue(text, "asdr_wire_bytes_tx_total");
+    const double reply_bytes = double(kHeaderSize + 4 + text.size());
+    WireCounters wc = h.service->counters();
+    for (int spin = 0;
+         spin < 400 && double(wc.bytes_tx) < sent_before_reply + reply_bytes;
+         ++spin) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        wc = h.service->counters();
+    }
+    EXPECT_EQ(double(wc.bytes_tx), sent_before_reply + reply_bytes);
+    const std::pair<const char *, uint64_t> wire[] = {
+        {"asdr_wire_connections_accepted_total", wc.connections_accepted},
+        {"asdr_wire_connections_open", wc.connections_open},
+        {"asdr_wire_sessions_opened_total", wc.sessions_opened},
+        {"asdr_wire_frames_sent_total", wc.frames_sent},
+        {"asdr_wire_results_shed_total", wc.results_shed},
+        {"asdr_wire_results_parked_total", wc.results_parked},
+        {"asdr_wire_sessions_resumed_total", wc.sessions_resumed},
+        {"asdr_wire_sessions_expired_total", wc.sessions_expired},
+        {"asdr_wire_bytes_rx_total", wc.bytes_rx},
+        {"asdr_wire_frame_payload_bytes_total", wc.frame_payload_bytes},
+        {"asdr_wire_frame_raw_bytes_total", wc.frame_raw_bytes},
+        {"asdr_wire_span_batches_sent_total", wc.span_batches_sent},
+        {"asdr_wire_span_batches_dropped_total", wc.span_batches_dropped},
+    };
+    for (const auto &w : wire)
+        EXPECT_EQ(expositionValue(text, w.first), double(w.second))
+            << w.first;
+    EXPECT_EQ(wc.frames_sent, uint64_t(FRAMES));
+    EXPECT_EQ(wc.frame_raw_bytes, uint64_t(FRAMES) * rawFrameBytes(16, 16));
+    EXPECT_EQ(wc.frame_payload_bytes, client.transfer().payload_bytes);
+    EXPECT_EQ(wc.sessions_opened, 1u);
+    EXPECT_EQ(wc.connections_open, 1u);
 
     client.closeSession(id, &err);
 }

@@ -49,6 +49,8 @@
 #include "server/workload.hpp"
 #include "util/fault.hpp"
 
+#include "exposition.hpp"
+
 using namespace asdr;
 using namespace asdr::server;
 
@@ -548,6 +550,13 @@ TEST(ServerLadder, AdmitDegradeFaultForcesFloorRung)
     }
     EXPECT_EQ(seen, tickets);
     EXPECT_EQ(srv.stats().cls[1].degraded, 3u);
+    const std::string text = srv.metricsText();
+    EXPECT_EQ(expositionValue(text, "asdr_frames_served_total{qos=\""
+                                    "standard\",rung=\"quantized8\"}"),
+              3.0);
+    EXPECT_EQ(expositionValue(text, "asdr_scene_frames_served_total{scene="
+                                    "\"lego\",rung=\"quantized8\"}"),
+              3.0);
     srv.closeSession(client);
 }
 
@@ -658,6 +667,16 @@ TEST(WireLadder, RungTravelsAndClientUpscales)
     EXPECT_EQ(frame.rung, QualityRung::Full);
     EXPECT_FALSE(frame.upscaled);
     EXPECT_EQ(frame.image.width(), 24);
+
+    // The wire scrape counts both rungs.
+    std::string text;
+    ASSERT_TRUE(c.fetchMetricsText(text, &err)) << err;
+    EXPECT_EQ(expositionValue(text, "asdr_frames_served_total{qos=\""
+                                    "standard\",rung=\"quantized8\"}"),
+              2.0);
+    EXPECT_EQ(expositionValue(text, "asdr_frames_served_total{qos=\""
+                                    "standard\",rung=\"full\"}"),
+              1.0);
     c.closeSession(s, &err);
 }
 

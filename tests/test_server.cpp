@@ -973,29 +973,111 @@ TEST(FrameServerQuota, HotSceneCannotMonopolizeShard)
 
 TEST(ServerStatsScenes, PerSceneCountsAndJson)
 {
-    ServerStats stats;
-    stats.recordSceneSubmitted("lego");
-    stats.recordSceneSubmitted("lego");
-    stats.recordSceneSubmitted("chair");
-    stats.recordSceneAdmitted("lego", 2);
-    stats.recordSceneAdmitted("lego", 1);
-    stats.recordSceneServed("lego");
-    stats.recordSceneDropped("lego");
-    stats.recordSceneFailed("chair");
+    // A scene's series read back typed and rendered as exposition
+    // text; the JSON carries only the flight recorder's records.
+    metrics::Registry reg;
+    SceneMetrics lego(reg, "lego"), chair(reg, "chair");
+    lego.submitted->add(2);
+    chair.submitted->inc();
+    lego.peak_in_flight->set(2.0);
+    lego.served_rung[0]->inc();
+    lego.dropped->inc();
+    chair.failed->inc();
 
-    const ServerStatsSnapshot snap = stats.snapshot();
-    ASSERT_EQ(snap.scenes.size(), 2u);
-    // Sorted by name: chair, lego.
-    EXPECT_EQ(snap.scenes[0].name, "chair");
-    EXPECT_EQ(snap.scenes[0].failed, 1u);
-    EXPECT_EQ(snap.scenes[1].name, "lego");
-    EXPECT_EQ(snap.scenes[1].submitted, 2u);
-    EXPECT_EQ(snap.scenes[1].served, 1u);
-    EXPECT_EQ(snap.scenes[1].dropped, 1u);
-    EXPECT_EQ(snap.scenes[1].peak_in_flight, 2);
+    const SceneServeStats l = lego.read(), c = chair.read();
+    EXPECT_EQ(c.name, "chair");
+    EXPECT_EQ(c.failed, 1u);
+    EXPECT_EQ(l.name, "lego");
+    EXPECT_EQ(l.submitted, 2u);
+    EXPECT_EQ(l.served, 1u);
+    EXPECT_EQ(l.dropped, 1u);
+    EXPECT_EQ(l.peak_in_flight, 2);
 
-    const std::string json = snap.toJson();
-    EXPECT_NE(json.find("\"scenes\""), std::string::npos);
-    EXPECT_NE(json.find("\"lego\""), std::string::npos);
-    EXPECT_NE(json.find("\"peak_in_flight\":2"), std::string::npos);
+    const std::string text = reg.renderText();
+    EXPECT_NE(text.find("asdr_scene_peak_in_flight{scene=\"lego\"} 2"),
+              std::string::npos);
+    EXPECT_NE(text.find("asdr_scene_frames_failed_total{scene=\"chair\"} 1"),
+              std::string::npos);
+    EXPECT_NE(text.find("asdr_scene_frames_served_total{scene=\"lego\","
+                        "rung=\"full\"} 1"),
+              std::string::npos);
+
+    ServerStats recorder(reg);
+    SlowFrameRecord rec;
+    rec.ticket = 7;
+    recorder.recordSlowFrame(std::move(rec));
+    const std::string json = recorder.snapshot().toJson();
+    EXPECT_NE(json.find("\"slow_frame_count\":1"), std::string::npos);
+    EXPECT_NE(json.find("\"ticket\":7"), std::string::npos);
+    EXPECT_EQ(json.find("\"scenes\""), std::string::npos);
+}
+
+TEST(FrameServerMetrics, StoresArePerServer)
+{
+    SceneRegistry reg;
+    ASSERT_NE(reg.addProcedural("lego", "Lego",
+                                nerf::NgpModelConfig::fast(),
+                                smallConfig()),
+              nullptr);
+    ASSERT_NE(reg.addProcedural("chair", "Chair",
+                                nerf::NgpModelConfig::fast(),
+                                smallConfig()),
+              nullptr);
+    ServerConfig cfg;
+    cfg.shards = 1;
+    cfg.threads_per_shard = 1;
+    FrameServer a(reg, cfg), b(reg, cfg);
+
+    // Two servers alive at once, serving different frame counts.
+    const uint64_t ca = a.openSession("lego", QosClass::Standard);
+    const uint64_t cb = b.openSession("lego", QosClass::Standard);
+    const uint64_t cb_chair = b.openSession("chair", QosClass::Batch);
+    const nerf::Camera lego_cam =
+        nerf::cameraForScene(reg.find("lego")->info, 16, 16);
+    const nerf::Camera chair_cam =
+        nerf::cameraForScene(reg.find("chair")->info, 16, 16);
+    for (int f = 0; f < 2; ++f)
+        ASSERT_NE(a.submitFrame(ca, lego_cam), 0u);
+    for (int f = 0; f < 5; ++f)
+        ASSERT_NE(b.submitFrame(cb, lego_cam), 0u);
+    ASSERT_NE(b.submitFrame(cb_chair, chair_cam), 0u);
+    a.waitIdle();
+    b.waitIdle();
+
+    const int std_c = int(QosClass::Standard);
+    const int batch_c = int(QosClass::Batch);
+    const ServerStatsSnapshot sa = a.stats(), sb = b.stats();
+    EXPECT_EQ(sa.cls[std_c].served, 2u);
+    EXPECT_EQ(sb.cls[std_c].served, 5u);
+    EXPECT_EQ(sa.cls[batch_c].submitted, 0u);
+    EXPECT_EQ(sb.cls[batch_c].served, 1u);
+    // Each server lists only the scenes it opened, sorted by name.
+    ASSERT_EQ(sa.scenes.size(), 1u);
+    EXPECT_EQ(sa.scenes[0].name, "lego");
+    EXPECT_EQ(sa.scenes[0].submitted, 2u);
+    ASSERT_EQ(sb.scenes.size(), 2u);
+    EXPECT_EQ(sb.scenes[0].name, "chair");
+    EXPECT_EQ(sb.scenes[1].name, "lego");
+    EXPECT_EQ(sb.scenes[1].submitted, 5u);
+
+    const std::string ta = a.metricsText(), tb = b.metricsText();
+    const char *served_std =
+        "asdr_frames_served_total{qos=\"standard\",rung=\"full\"} ";
+    EXPECT_NE(ta.find(std::string(served_std) + "2\n"), std::string::npos);
+    EXPECT_NE(tb.find(std::string(served_std) + "5\n"), std::string::npos);
+    const char *latency_std =
+        "asdr_frame_latency_seconds_count{qos=\"standard\"} ";
+    EXPECT_NE(ta.find(std::string(latency_std) + "2\n"), std::string::npos);
+    EXPECT_NE(tb.find(std::string(latency_std) + "5\n"), std::string::npos);
+    EXPECT_EQ(ta.find("scene=\"chair\""), std::string::npos);
+    EXPECT_NE(tb.find("asdr_scene_frames_submitted_total{scene=\"chair\"} 1"),
+              std::string::npos);
+
+    std::vector<FrameResult> results;
+    a.drainResults(results);
+    b.drainResults(results);
+    EXPECT_EQ(results.size(), 8u);
+    a.closeSession(ca);
+    b.closeSession(cb);
+    b.closeSession(cb_chair);
 }

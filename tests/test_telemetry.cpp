@@ -3,7 +3,7 @@
  * End-to-end frame telemetry (util/telemetry + its wiring):
  *
  *  - metrics: log-bucketed histogram percentiles stay within the
- *    published bucket error; the registry's Prometheus text exposition
+ *    published bucket error; a Registry's Prometheus text exposition
  *    round-trips names, labels, and values.
  *  - tracing: disabled recording is free (no spans, no measurable
  *    cost); an enabled serving run produces a well-formed Chrome
@@ -12,9 +12,9 @@
  *    hold (queue-wait ends before the first engine stage; spans on
  *    one worker lane never overlap).
  *  - flight recorder: a frame stalled past slow_frame_ms is retained
- *    with its span timeline and surfaces in the ServerStats JSON.
- *  - wire: GetStats in text mode returns the metrics exposition over
- *    a real socket, and the binary StatsReply path is untouched.
+ *    with its span timeline and surfaces in the recorder's JSON.
+ *  - wire: GetStats returns the server's exposition over a real
+ *    socket, the same series the in-process typed reads see.
  */
 
 #include <gtest/gtest.h>
@@ -42,6 +42,8 @@
 #include "server/scene_registry.hpp"
 #include "util/fault.hpp"
 #include "util/telemetry.hpp"
+
+#include "exposition.hpp"
 
 using namespace asdr;
 
@@ -284,19 +286,17 @@ TEST(Metrics, HistogramPercentilesWithinBucketError)
 
 TEST(Metrics, RegistryRenderTextExposition)
 {
+    metrics::Registry reg;
     metrics::Counter &c =
-        metrics::counter("telemetrytest_events_total", "qos=\"batch\"");
-    metrics::Gauge &g = metrics::gauge("telemetrytest_depth");
-    metrics::Histogram &h = metrics::histogram("telemetrytest_latency");
-    c.reset();
-    g.reset();
-    h.reset();
+        reg.counter("telemetrytest_events_total", "qos=\"batch\"");
+    metrics::Gauge &g = reg.gauge("telemetrytest_depth");
+    metrics::Histogram &h = reg.histogram("telemetrytest_latency");
     c.add(3);
     g.set(2.5);
     h.record(0.25);
     h.record(0.25);
 
-    const std::string text = metrics::renderText();
+    const std::string text = reg.renderText();
     EXPECT_NE(text.find("# TYPE telemetrytest_events_total counter"),
               std::string::npos);
     EXPECT_NE(
@@ -316,12 +316,19 @@ TEST(Metrics, RegistryRenderTextExposition)
 
     // Lookup is stable: the same (family, labels) resolves to the same
     // object, and a different label set is a different series.
-    EXPECT_EQ(&metrics::counter("telemetrytest_events_total",
-                                "qos=\"batch\""),
+    EXPECT_EQ(&reg.counter("telemetrytest_events_total", "qos=\"batch\""),
               &c);
-    EXPECT_NE(&metrics::counter("telemetrytest_events_total",
-                                "qos=\"interactive\""),
+    EXPECT_NE(
+        &reg.counter("telemetrytest_events_total", "qos=\"interactive\""),
+        &c);
+    // Registries are independent stores.
+    metrics::Registry other;
+    EXPECT_EQ(other.renderText(), "");
+    EXPECT_NE(&other.counter("telemetrytest_events_total", "qos=\"batch\""),
               &c);
+    EXPECT_NE(other.renderText().find(
+                  "telemetrytest_events_total{qos=\"batch\"} 0"),
+              std::string::npos);
 }
 
 // ------------------------------------------------------- disabled cost
@@ -524,14 +531,15 @@ TEST(Telemetry, SlowFrameFlightRecorderCapturesStalledFrames)
     EXPECT_TRUE(names.count(telemetry::kSpanRaySetup));
     EXPECT_TRUE(names.count(telemetry::kSpanFinalize));
 
-    // The retained timeline rides the stats JSON for dashboards.
+    // The retained timeline rides the recorder's JSON for dashboards.
     const std::string json = snap.toJson();
     EXPECT_NE(json.find("\"slow_frames\""), std::string::npos);
     EXPECT_NE(json.find("\"slow_frame_count\""), std::string::npos);
     EXPECT_NE(json.find(telemetry::kSpanRaySetup), std::string::npos);
 
-    // The global slow-frame counter saw it too.
-    EXPECT_GE(metrics::counter("asdr_slow_frames_total").value(), 1u);
+    // The server's slow-frame counter saw it too.
+    EXPECT_GE(expositionValue(srv.metricsText(), "asdr_slow_frames_total"),
+              1.0);
 
     std::vector<server::FrameResult> results;
     srv.drainResults(results);
@@ -621,7 +629,8 @@ TEST(WireTelemetry, MetricsTextScrapeRoundTrip)
     ASSERT_TRUE(c.fetchMetricsText(text, &err)) << err;
     EXPECT_NE(text.find("# TYPE asdr_frames_served_total counter"),
               std::string::npos);
-    EXPECT_NE(text.find("asdr_frames_served_total{qos=\"standard\"}"),
+    EXPECT_NE(text.find("asdr_frames_served_total{qos=\"standard\","
+                        "rung=\"full\"}"),
               std::string::npos);
     EXPECT_NE(text.find("# TYPE asdr_frame_latency_seconds histogram"),
               std::string::npos);
@@ -634,21 +643,19 @@ TEST(WireTelemetry, MetricsTextScrapeRoundTrip)
     EXPECT_NE(text.find("asdr_stage_duration_seconds_bucket{"
                         "stage=\"engine.phase2_tiles\",qos=\"standard\""),
               std::string::npos);
-    EXPECT_NE(text.find("asdr_wire_frames_sent"), std::string::npos);
-    EXPECT_NE(text.find("asdr_wire_connections_open"),
+    EXPECT_NE(text.find("# TYPE asdr_wire_frames_sent_total counter"),
+              std::string::npos);
+    EXPECT_NE(text.find("# TYPE asdr_wire_connections_open gauge"),
               std::string::npos);
 
-    // The served counter matches what this session just rendered.
-    metrics::Counter &served = metrics::counter(
-        "asdr_frames_served_total", "qos=\"standard\"");
-    EXPECT_GE(served.value(), 2u);
-
-    // The binary stats path is byte-compatible and still answers on
-    // the same connection, after the text mode.
-    net::StatsReplyMsg stats;
-    ASSERT_TRUE(c.fetchStats(stats, &err)) << err;
-    EXPECT_GE(stats.server.cls[1].served, 2u);
-    EXPECT_GE(stats.wire.frames_sent, 2u);
+    // The served count matches what this session just rendered, in
+    // the scrape and in the typed reads of the same store.
+    EXPECT_EQ(expositionValue(text, "asdr_frames_served_total{qos=\""
+                                    "standard\",rung=\"full\"}"),
+              2.0);
+    EXPECT_EQ(srv->stats().cls[1].served, 2u);
+    EXPECT_EQ(expositionValue(text, "asdr_wire_frames_sent_total"), 2.0);
+    EXPECT_EQ(service->counters().frames_sent, 2u);
 
     c.closeSession(s, &err);
     c.disconnect();
@@ -665,8 +672,8 @@ TEST(Metrics, LabelValuesEscapedInExposition)
     EXPECT_EQ(metrics::escapeLabelValue("a\\b"), "a\\\\b");
     EXPECT_EQ(metrics::escapeLabelValue("a\nb"), "a\\nb");
 
-    // A hostile scene name rides FrameServer::stats() into the scene
-    // gauges; the exposition must stay line-oriented and parseable.
+    // A hostile scene name becomes the label of the scene's series;
+    // the exposition must stay line-oriented and parseable.
     TelemetryGuard guard;
     server::SceneRegistry reg;
     const std::string hostile = "lego\"evil\\\n";
@@ -685,9 +692,8 @@ TEST(Metrics, LabelValuesEscapedInExposition)
         nerf::cameraForScene(reg.find(hostile)->info, 16, 16);
     ASSERT_NE(srv.submitFrame(client, cam), 0u);
     srv.waitIdle();
-    (void)srv.stats(); // registers the scene gauges
 
-    const std::string text = metrics::renderText();
+    const std::string text = srv.metricsText();
     // The escaped spelling is present; the raw one is not.
     EXPECT_NE(text.find("scene=\"lego\\\"evil\\\\\\n\""),
               std::string::npos);
@@ -713,15 +719,14 @@ TEST(Metrics, LabelValuesEscapedInExposition)
 
 TEST(Metrics, HistogramBucketsAreCumulativeAndEndAtInf)
 {
-    metrics::Histogram &h =
-        metrics::histogram("telemetrytest_bucket_shape");
-    h.reset();
+    metrics::Registry reg;
+    metrics::Histogram &h = reg.histogram("telemetrytest_bucket_shape");
     h.record(0.001);
     h.record(0.001);
     h.record(0.050);
     h.record(2.0);
 
-    const std::string text = metrics::renderText();
+    const std::string text = reg.renderText();
     std::istringstream lines(text);
     std::string line;
     uint64_t prev = 0;
@@ -1040,7 +1045,8 @@ TEST(WireTelemetry, TraceFollowMatchesExitDumpTicketCoverage)
 
 TEST(Telemetry, FlightRecorderConcurrentIngestStaysBoundedAndRaceFree)
 {
-    server::ServerStats stats;
+    metrics::Registry reg;
+    server::ServerStats stats(reg);
     stats.setSlowFrameKeep(8);
 
     constexpr int kWriters = 4;
