@@ -382,10 +382,7 @@ FrameServer::pumpLocked(int shard, std::vector<Launch> &launches,
         ClassMetrics &cm = class_metrics_[int(pf.qos)];
         cm.admitted->inc();
         cm.queue_wait->record(secondsBetween(pf.submitted_at, now));
-        // A peak, not a sample: only m_ holders write it.
-        metrics::Gauge &peak = *c.state->series.peak_in_flight;
-        if (double(scene_now) > peak.value())
-            peak.set(double(scene_now));
+        c.state->series.notePeak(scene_now);
         s.running.emplace(pf.ticket,
                           InFlightFrame{now, pf.qos, pf.scene, probe,
                                         /*stuck_flagged=*/false});
@@ -726,7 +723,8 @@ FrameServer::sloEvaluate()
 ServerStatsSnapshot
 FrameServer::stats() const
 {
-    ServerStatsSnapshot snap = stats_.snapshot();
+    ServerStatsSnapshot snap;
+    stats_.fill(snap);
     for (int c = 0; c < kQosClasses; ++c) {
         snap.cls[c] = class_metrics_[c].read();
         slo_.read(QosClass(c), snap.cls[c]);

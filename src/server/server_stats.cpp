@@ -31,19 +31,11 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-/** `key="value"` label text with the value escaped. */
-std::string
-label(const char *key, const std::string &value)
-{
-    return std::string(key) + "=\"" + metrics::escapeLabelValue(value) +
-           "\"";
-}
-
 } // namespace
 
 ClassMetrics::ClassMetrics(metrics::Registry &reg, QosClass c)
 {
-    const std::string l = label("qos", qosClassName(c));
+    const std::string l = metrics::label("qos", qosClassName(c));
     submitted = &reg.counter("asdr_frames_submitted_total", l);
     admitted = &reg.counter("asdr_frames_admitted_total", l);
     dropped = &reg.counter("asdr_frames_dropped_total", l);
@@ -52,7 +44,7 @@ ClassMetrics::ClassMetrics(metrics::Registry &reg, QosClass c)
     for (int r = 0; r < kQualityRungs; ++r)
         served_rung[size_t(r)] = &reg.counter(
             "asdr_frames_served_total",
-            l + "," + label("rung", rungName(QualityRung(r))));
+            l + "," + metrics::label("rung", rungName(QualityRung(r))));
     latency = &reg.histogram("asdr_frame_latency_seconds", l);
     queue_wait = &reg.histogram("asdr_frame_queue_wait_seconds", l);
 }
@@ -83,7 +75,7 @@ ClassMetrics::read() const
 SceneMetrics::SceneMetrics(metrics::Registry &reg, const std::string &scene)
     : name(scene)
 {
-    const std::string l = label("scene", scene);
+    const std::string l = metrics::label("scene", scene);
     submitted = &reg.counter("asdr_scene_frames_submitted_total", l);
     dropped = &reg.counter("asdr_scene_frames_dropped_total", l);
     failed = &reg.counter("asdr_scene_frames_failed_total", l);
@@ -91,12 +83,19 @@ SceneMetrics::SceneMetrics(metrics::Registry &reg, const std::string &scene)
     for (int r = 0; r < kQualityRungs; ++r)
         served_rung[size_t(r)] = &reg.counter(
             "asdr_scene_frames_served_total",
-            l + "," + label("rung", rungName(QualityRung(r))));
+            l + "," + metrics::label("rung", rungName(QualityRung(r))));
     peak_in_flight = &reg.gauge("asdr_scene_peak_in_flight", l);
     breaker_state = &reg.gauge("asdr_scene_breaker_state", l);
     breaker_opens = &reg.counter("asdr_scene_breaker_opens_total", l);
     breaker_fast_fails =
         &reg.counter("asdr_scene_breaker_fast_fails_total", l);
+}
+
+void
+SceneMetrics::notePeak(int in_flight)
+{
+    if (double(in_flight) > peak_in_flight->value())
+        peak_in_flight->set(double(in_flight));
 }
 
 SceneServeStats
@@ -147,15 +146,13 @@ ServerStats::setSlowFrameKeep(int n)
         slow_frames_.pop_front();
 }
 
-ServerStatsSnapshot
-ServerStats::snapshot() const
+void
+ServerStats::fill(ServerStatsSnapshot &snap) const
 {
-    ServerStatsSnapshot snap;
     std::lock_guard<std::mutex> lock(m_);
     // Counted before pushed: every retained record is in the count.
     snap.slow_frame_count = slow_frames_total_.value();
     snap.slow_frames.assign(slow_frames_.begin(), slow_frames_.end());
-    return snap;
 }
 
 std::string

@@ -211,12 +211,16 @@ struct SceneMetrics
     metrics::Counter *expired = nullptr;
     /** Served frames per QualityRung; served is their sum. */
     std::array<metrics::Counter *, kQualityRungs> served_rung{};
-    /** Peak concurrent in-flight frames on any one shard. */
+    /** Peak concurrent in-flight frames on any one shard (notePeak). */
     metrics::Gauge *peak_in_flight = nullptr;
     /** 0 closed, 1 open, 2 half-open. */
     metrics::Gauge *breaker_state = nullptr;
     metrics::Counter *breaker_opens = nullptr;
     metrics::Counter *breaker_fast_fails = nullptr;
+
+    /** Raise peak_in_flight to `in_flight` if it is higher. A peak,
+     *  not a sample: callers serialise (FrameServer holds its lock). */
+    void notePeak(int in_flight);
 
     SceneServeStats read() const;
 };
@@ -235,9 +239,9 @@ class ServerStats
      *  the cumulative count). */
     void setSlowFrameKeep(int n);
 
-    /** The retained records and their cumulative count (every metric
-     *  field of the snapshot stays zero). */
-    ServerStatsSnapshot snapshot() const;
+    /** Set `snap`'s slow_frames (the retained records) and
+     *  slow_frame_count (their cumulative count); nothing else. */
+    void fill(ServerStatsSnapshot &snap) const;
 
   private:
     metrics::Counter &slow_frames_total_;

@@ -48,16 +48,18 @@ SloTracker::SloTracker(const SloParams &p, metrics::Registry &reg)
         ClassState &st = cls_[c];
         st.ring.assign(size_t(slow_buckets_), Bucket{});
         const std::string q =
-            std::string("qos=\"") + qosClassName(QosClass(c)) + "\"";
-        st.latency = {&reg.gauge("asdr_slo_latency_burn",
-                                 q + ",window=\"fast\""),
-                      &reg.gauge("asdr_slo_latency_burn",
-                                 q + ",window=\"slow\""),
-                      &reg.gauge("asdr_slo_breach", q + ",slo=\"latency\"")};
-        st.errors = {&reg.gauge("asdr_slo_error_burn", q + ",window=\"fast\""),
-                     &reg.gauge("asdr_slo_error_burn", q + ",window=\"slow\""),
-                     &reg.gauge("asdr_slo_breach",
-                                q + ",slo=\"availability\"")};
+            metrics::label("qos", qosClassName(QosClass(c)));
+        const std::string fast = q + "," + metrics::label("window", "fast");
+        const std::string slow = q + "," + metrics::label("window", "slow");
+        st.latency = {&reg.gauge("asdr_slo_latency_burn", fast),
+                      &reg.gauge("asdr_slo_latency_burn", slow),
+                      &reg.gauge("asdr_slo_breach",
+                                 q + "," + metrics::label("slo", "latency"))};
+        st.errors = {
+            &reg.gauge("asdr_slo_error_burn", fast),
+            &reg.gauge("asdr_slo_error_burn", slow),
+            &reg.gauge("asdr_slo_breach",
+                       q + "," + metrics::label("slo", "availability"))};
         st.breach_events = &reg.counter("asdr_slo_breach_total", q);
     }
 }

@@ -136,8 +136,8 @@ stageHistogram(const char *name, uint8_t qos)
             for (int q = 0; q < kQosLabels; ++q)
                 site.h[q] = &metrics::processRegistry().histogram(
                     "asdr_stage_duration_seconds",
-                    std::string("stage=\"") + info.name + "\",qos=\"" +
-                        kQosLabelName[q] + "\"");
+                    metrics::label("stage", info.name) + "," +
+                        metrics::label("qos", kQosLabelName[q]));
             built->push_back(site);
         }
         sites = built;
@@ -457,15 +457,6 @@ Histogram::percentile(double q) const
     return bucketUpperEdge(kBuckets - 1);
 }
 
-void
-Histogram::reset()
-{
-    for (auto &b : buckets_)
-        b.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_fp_.store(0, std::memory_order_relaxed);
-}
-
 Counter &
 Registry::counter(const std::string &family, const std::string &labels)
 {
@@ -510,6 +501,12 @@ escapeLabelValue(const std::string &v)
             out += c;
     }
     return out;
+}
+
+std::string
+label(const char *key, const std::string &value)
+{
+    return std::string(key) + "=\"" + escapeLabelValue(value) + "\"";
 }
 
 std::string

@@ -301,7 +301,6 @@ class Histogram
         const uint64_t n = count();
         return n ? sum() / double(n) : 0.0;
     }
-    void reset();
 
     /** Observations in bucket i (for exposition/tests). */
     uint64_t bucketCount(int i) const
@@ -371,11 +370,14 @@ Registry &processRegistry();
 
 /**
  * Escape a label VALUE per the Prometheus text-format spec:
- * backslash, double quote, and newline become \\, \", and \n. Apply
- * to any runtime string (scene names, hosts) before building the
- * `key="value"` label text handed to a Registry.
+ * backslash, double quote, and newline become \\, \", and \n.
  */
 std::string escapeLabelValue(const std::string &v);
+
+/** `key="value"` label text with the value escaped (runtime strings
+ *  such as scene names are safe); join several with ','. Every series
+ *  handed to a Registry builds its labels here. */
+std::string label(const char *key, const std::string &value);
 
 } // namespace asdr::metrics
 

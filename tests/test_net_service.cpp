@@ -668,6 +668,52 @@ TEST(NetService, WireWorkloadDrivesIdenticalTrafficShape)
     }
     EXPECT_EQ(submitted, 12u);
     EXPECT_EQ(accounted, 12u);
+    // The viewers count what they receive; the server must have
+    // accounted for every wire-submitted ticket exactly once, and the
+    // two views must agree per class and per scene. Outcomes are
+    // recorded before delivery, so the counts are final here.
+    const server::ServerStatsSnapshot snap = h.srv->stats();
+    const std::string text = h.srv->metricsText();
+    uint64_t server_submitted = 0, server_terminal = 0;
+    for (int c = 0; c < server::kQosClasses; ++c) {
+        const server::QosClassStats &s = snap.cls[c];
+        const server::QosClassStats &r = report.stats.cls[c];
+        const uint64_t want =
+            uint64_t(spec.clients[c]) * uint64_t(spec.frames_per_client);
+        EXPECT_EQ(s.submitted, want) << c;
+        EXPECT_EQ(s.served + s.dropped + s.failed + s.expired, want) << c;
+        EXPECT_EQ(r.submitted, s.submitted) << c;
+        EXPECT_EQ(r.served, s.served) << c;
+        EXPECT_EQ(r.dropped, s.dropped) << c;
+        EXPECT_EQ(r.failed, s.failed) << c;
+        EXPECT_EQ(r.expired, s.expired) << c;
+        const std::string q = std::string("{qos=\"") +
+                              server::qosClassName(server::QosClass(c)) +
+                              "\"}";
+        EXPECT_EQ(expositionValue(text, "asdr_frames_submitted_total" + q),
+                  double(want))
+            << c;
+        server_submitted += s.submitted;
+        server_terminal += s.served + s.dropped + s.failed + s.expired;
+    }
+    EXPECT_EQ(server_submitted, 12u);
+    EXPECT_EQ(server_terminal, 12u);
+    ASSERT_EQ(report.stats.scenes.size(), snap.scenes.size());
+    for (const server::SceneServeStats &s : snap.scenes) {
+        EXPECT_EQ(s.submitted, 6u) << s.name;
+        EXPECT_EQ(s.served + s.dropped + s.failed + s.expired, 6u) << s.name;
+        bool seen = false;
+        for (const server::SceneServeStats &r : report.stats.scenes)
+            if (r.name == s.name) {
+                seen = true;
+                EXPECT_EQ(r.submitted, s.submitted) << s.name;
+                EXPECT_EQ(r.served, s.served) << s.name;
+                EXPECT_EQ(r.dropped, s.dropped) << s.name;
+                EXPECT_EQ(r.failed, s.failed) << s.name;
+                EXPECT_EQ(r.expired, s.expired) << s.name;
+            }
+        EXPECT_TRUE(seen) << s.name;
+    }
     // Client-observed round trips exist for every class that served.
     for (int c = 0; c < server::kQosClasses; ++c)
         if (report.stats.cls[c].served > 0 &&

@@ -979,7 +979,10 @@ TEST(ServerStatsScenes, PerSceneCountsAndJson)
     SceneMetrics lego(reg, "lego"), chair(reg, "chair");
     lego.submitted->add(2);
     chair.submitted->inc();
-    lego.peak_in_flight->set(2.0);
+    // Admitted at in-flight 2, then 1: the later, lower admission
+    // must not overwrite the peak.
+    lego.notePeak(2);
+    lego.notePeak(1);
     lego.served_rung[0]->inc();
     lego.dropped->inc();
     chair.failed->inc();
@@ -1006,7 +1009,9 @@ TEST(ServerStatsScenes, PerSceneCountsAndJson)
     SlowFrameRecord rec;
     rec.ticket = 7;
     recorder.recordSlowFrame(std::move(rec));
-    const std::string json = recorder.snapshot().toJson();
+    ServerStatsSnapshot snap;
+    recorder.fill(snap);
+    const std::string json = snap.toJson();
     EXPECT_NE(json.find("\"slow_frame_count\":1"), std::string::npos);
     EXPECT_NE(json.find("\"ticket\":7"), std::string::npos);
     EXPECT_EQ(json.find("\"scenes\""), std::string::npos);

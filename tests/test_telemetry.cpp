@@ -276,12 +276,11 @@ TEST(Metrics, HistogramPercentilesWithinBucketError)
 
     // Zero / sub-minimum observations land in the underflow bucket and
     // keep counting.
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    h.record(0.0);
-    h.record(1e-9);
-    EXPECT_EQ(h.count(), 2u);
-    EXPECT_LE(h.percentile(0.5), metrics::Histogram::kMinValue);
+    metrics::Histogram under;
+    under.record(0.0);
+    under.record(1e-9);
+    EXPECT_EQ(under.count(), 2u);
+    EXPECT_LE(under.percentile(0.5), metrics::Histogram::kMinValue);
 }
 
 TEST(Metrics, RegistryRenderTextExposition)
@@ -671,6 +670,7 @@ TEST(Metrics, LabelValuesEscapedInExposition)
     EXPECT_EQ(metrics::escapeLabelValue("a\"b"), "a\\\"b");
     EXPECT_EQ(metrics::escapeLabelValue("a\\b"), "a\\\\b");
     EXPECT_EQ(metrics::escapeLabelValue("a\nb"), "a\\nb");
+    EXPECT_EQ(metrics::label("scene", "a\"b"), "scene=\"a\\\"b\"");
 
     // A hostile scene name becomes the label of the scene's series;
     // the exposition must stay line-oriented and parseable.
@@ -1058,7 +1058,8 @@ TEST(Telemetry, FlightRecorderConcurrentIngestStaysBoundedAndRaceFree)
     // under TSan this is the regression for torn reads of the deque.
     std::thread reader([&] {
         while (!done.load(std::memory_order_relaxed)) {
-            const server::ServerStatsSnapshot snap = stats.snapshot();
+            server::ServerStatsSnapshot snap;
+            stats.fill(snap);
             if (snap.slow_frames.size() > 8)
                 reader_sane = false;
             const std::string json = snap.toJson();
@@ -1092,7 +1093,8 @@ TEST(Telemetry, FlightRecorderConcurrentIngestStaysBoundedAndRaceFree)
     reader.join();
 
     EXPECT_TRUE(reader_sane.load());
-    const server::ServerStatsSnapshot snap = stats.snapshot();
+    server::ServerStatsSnapshot snap;
+    stats.fill(snap);
     EXPECT_EQ(snap.slow_frame_count, uint64_t(kWriters) * kPerWriter);
     EXPECT_EQ(snap.slow_frames.size(), 8u);
     for (const auto &r : snap.slow_frames)
