@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "util/logging.hpp"
 
@@ -39,6 +40,17 @@ Camera::scaledTo(int width, int height) const
     c.height_ = height;
     c.aspect_ = float(width) / float(height);
     return c;
+}
+
+// Four Vec3s, two ints and two floats: 64 bytes with no padding, so
+// memcmp sees every field and nothing else.
+static_assert(sizeof(Camera) == 4 * sizeof(Vec3) + 4 * 4,
+              "Camera::identical compares the object's bytes");
+
+bool
+Camera::identical(const Camera &other) const
+{
+    return std::memcmp(this, &other, sizeof(Camera)) == 0;
 }
 
 bool

@@ -46,6 +46,11 @@ class Camera
      */
     Camera scaledTo(int width, int height) const;
 
+    /** True when every field ray() reads is bitwise equal, so both
+     *  cameras cast exactly the same rays (the serving layer's
+     *  "same view" test; no float tolerance). */
+    bool identical(const Camera &other) const;
+
   private:
     Vec3 pos_;
     Vec3 forward_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -21,14 +22,17 @@ secondsBetween(std::chrono::steady_clock::time_point a,
 }
 
 /** Build one flight-recorder entry: the frame's facts plus whatever
- *  spans the telemetry buffers hold for its ticket (empty when
+ *  spans the telemetry buffers hold for its ticket and, for a frame
+ *  that joined another's render, for that render's ticket (empty when
  *  tracing is off -- the record still lands). */
 SlowFrameRecord
-makeSlowRecord(uint64_t ticket, uint64_t frame_id, QosClass qos,
-               double latency_ms, bool failed, bool expired, bool dropped)
+makeSlowRecord(uint64_t ticket, uint64_t render_ticket, uint64_t frame_id,
+               QosClass qos, double latency_ms, bool failed, bool expired,
+               bool dropped)
 {
     SlowFrameRecord rec;
     rec.ticket = ticket;
+    rec.render_ticket = render_ticket;
     rec.frame = frame_id;
     rec.qos = qos;
     rec.latency_ms = latency_ms;
@@ -37,6 +41,15 @@ makeSlowRecord(uint64_t ticket, uint64_t frame_id, QosClass qos,
     rec.dropped = dropped;
     std::vector<telemetry::Span> spans;
     telemetry::collectTicket(ticket, spans);
+    if (render_ticket != 0 && render_ticket != ticket) {
+        std::vector<telemetry::Span> render;
+        telemetry::collectTicket(render_ticket, render);
+        spans.insert(spans.end(), render.begin(), render.end());
+        std::sort(spans.begin(), spans.end(),
+                  [](const telemetry::Span &a, const telemetry::Span &b) {
+                      return a.t_start_us < b.t_start_us;
+                  });
+    }
     rec.spans.reserve(spans.size());
     for (const telemetry::Span &s : spans)
         rec.spans.push_back(
@@ -52,6 +65,8 @@ slowDumpText(const SlowFrameRecord &rec)
     std::ostringstream os;
     os << "slow frame: ticket " << rec.ticket << " ("
        << qosClassName(rec.qos) << ") " << rec.latency_ms << " ms";
+    if (rec.render_ticket != 0 && rec.render_ticket != rec.ticket)
+        os << " [joined ticket " << rec.render_ticket << "'s render]";
     if (rec.failed)
         os << " [failed]";
     if (rec.expired)
@@ -284,14 +299,14 @@ FrameServer::deliverAll(std::vector<Deliverable> &&rejects)
     const bool had_rejects = !rejects.empty();
     for (Deliverable &d : rejects) {
         // Every admission-time reject is an SLO error outcome.
-        slo_.recordError(d.result.qos, d.result.ticket,
+        slo_.recordError(d.result.qos, d.result.ticket, 0,
                          d.result.latency_s * 1e3);
         // Flight recorder: deadline expiries and breaker fast-fails
         // are exactly the frames an operator asks "why" about.
         if (cfg_.slow_frame_ms > 0.0 &&
             (d.result.expired || d.result.error)) {
             SlowFrameRecord rec = makeSlowRecord(
-                d.result.ticket, 0, d.result.qos,
+                d.result.ticket, 0, 0, d.result.qos,
                 d.result.latency_s * 1e3, d.result.error != nullptr,
                 d.result.expired, false);
             warn(slowDumpText(rec));
@@ -367,9 +382,6 @@ FrameServer::pumpLocked(int shard, std::vector<Launch> &launches,
         if (fault::fire(fault::kServerAdmitDegrade))
             rung = QualityRung(kQualityRungs - 1);
         pf.rung = uint8_t(rung);
-        s.in_flight[int(pf.qos)]++;
-        s.total_in_flight++;
-        const int scene_now = ++s.scene_in_flight[pf.scene];
         // Queue-wait span: submit -> this admission decision. The
         // engine frame id doesn't exist yet, so the span is
         // ticket-correlated only.
@@ -380,12 +392,35 @@ FrameServer::pumpLocked(int shard, std::vector<Launch> &launches,
                                   telemetry::toUs(now));
         }
         ClassMetrics &cm = class_metrics_[int(pf.qos)];
-        cm.admitted->inc();
         cm.queue_wait->record(secondsBetween(pf.submitted_at, now));
-        c.state->series.notePeak(scene_now);
+        // Coalescing: the same view already on a slot renders the same
+        // bits, so the frame waits on that render instead of taking a
+        // slot of its own. Probes stay out both ways: a probe's outcome
+        // must be its own render's.
+        InFlightFrame *render = nullptr;
+        for (auto &entry : s.running) {
+            InFlightFrame &f = entry.second;
+            if (!probe && !f.probe && f.scene == pf.scene &&
+                f.qos == pf.qos && f.rung == rung &&
+                f.camera.identical(pf.camera)) {
+                render = &f;
+                break;
+            }
+        }
+        if (render) {
+            cm.coalesced->inc();
+            render->waiters.push_back(
+                Waiter{pf.ticket, pf.client, pf.submitted_at, c.callback});
+            continue;
+        }
+        s.in_flight[int(pf.qos)]++;
+        s.total_in_flight++;
+        cm.admitted->inc();
+        c.state->series.notePeak(++s.scene_in_flight[pf.scene]);
         s.running.emplace(pf.ticket,
-                          InFlightFrame{now, pf.qos, pf.scene, probe,
-                                        /*stuck_flagged=*/false});
+                          InFlightFrame{now, pf.qos, pf.scene, rung,
+                                        pf.camera, probe,
+                                        /*stuck_flagged=*/false, {}});
         launches.push_back(Launch{shard, std::move(pf), c.session.get()});
     }
 }
@@ -442,7 +477,9 @@ FrameServer::onFrameDone(int shard, uint64_t client, uint64_t ticket,
     const double latency = secondsBetween(submitted_at, now);
     std::vector<Launch> launches;
     std::vector<Deliverable> rejects;
-    ResultCallback cb;
+    // Every frame this render answers: its leader, then the frames that
+    // joined it, in join order.
+    std::vector<Waiter> answers;
     SceneMetrics *scene = nullptr;
     {
         std::lock_guard<std::mutex> lock(m_);
@@ -451,6 +488,7 @@ FrameServer::onFrameDone(int shard, uint64_t client, uint64_t ticket,
         s.total_in_flight--;
         Client &c = *clients_.at(client);
         scene = &c.state->series;
+        answers.push_back(Waiter{ticket, client, submitted_at, c.callback});
         auto sit = s.scene_in_flight.find(c.scene->id);
         if (sit != s.scene_in_flight.end() && --sit->second == 0)
             s.scene_in_flight.erase(sit);
@@ -458,13 +496,17 @@ FrameServer::onFrameDone(int shard, uint64_t client, uint64_t ticket,
         auto rit = s.running.find(ticket);
         if (rit != s.running.end()) {
             was_probe = rit->second.probe;
+            std::vector<Waiter> &w = rit->second.waiters;
+            answers.insert(answers.end(), std::make_move_iterator(w.begin()),
+                           std::make_move_iterator(w.end()));
             s.running.erase(rit);
         }
         if (cfg_.breaker.failure_threshold > 0) {
             Breaker &b = c.state->breaker;
             // Any failure while half-open (probe or straggler), or the
             // threshold-th consecutive one while closed, (re)opens the
-            // breaker and restarts the quarantine clock.
+            // breaker and restarts the quarantine clock. One render is
+            // one outcome, however many frames it answers.
             if (err && (b.state == BreakerState::HalfOpen ||
                         (b.state == BreakerState::Closed &&
                          ++b.consecutive_failures >=
@@ -486,51 +528,64 @@ FrameServer::onFrameDone(int shard, uint64_t client, uint64_t ticket,
         if (!err && s.brownout)
             s.brownout->observeLatency(qos, latency * 1e3);
         pumpLocked(shard, launches, rejects);
-        cb = c.callback;
     }
     // Refill the freed slot before delivery: the next frame renders
-    // while this one's consumer runs.
+    // while this one's consumers run.
     for (const Launch &l : launches)
         launch(l);
     deliverAll(std::move(rejects));
 
+    // Each answered frame is its own outcome: counts, latency and SLO.
     ClassMetrics &cm = class_metrics_[int(qos)];
-    if (err) {
-        cm.failed->inc();
-        scene->failed->inc();
-        slo_.recordError(qos, ticket, latency * 1e3);
-    } else {
-        cm.served_rung[size_t(rung)]->inc();
-        cm.latency->record(latency);
-        scene->served_rung[size_t(rung)]->inc();
-        slo_.recordServed(qos, ticket, latency * 1e3);
+    for (const Waiter &a : answers) {
+        const double ms = secondsBetween(a.submitted_at, now) * 1e3;
+        if (err) {
+            cm.failed->inc();
+            scene->failed->inc();
+            slo_.recordError(qos, a.ticket, ticket, ms);
+        } else {
+            cm.served_rung[size_t(rung)]->inc();
+            cm.latency->record(ms * 1e-3);
+            scene->served_rung[size_t(rung)]->inc();
+            slo_.recordServed(qos, a.ticket, ticket, ms);
+        }
     }
     sloEvaluate();
 
-    // Flight recorder: a frame over the slow budget (or one whose
-    // render threw) is dumped with its span timeline and retained.
-    // The engine's finalize span is already recorded at this point
-    // (it closes before on_complete runs).
-    if (cfg_.slow_frame_ms > 0.0 &&
-        (err || latency * 1e3 > cfg_.slow_frame_ms)) {
-        SlowFrameRecord rec =
-            makeSlowRecord(ticket, frame.id, qos, latency * 1e3,
-                           err != nullptr, false, false);
-        warn(slowDumpText(rec));
-        stats_.recordSlowFrame(std::move(rec));
+    const uint64_t frame_id = frame.id;
+    for (size_t i = 0; i < answers.size(); ++i) {
+        const Waiter &a = answers[i];
+        const double ms = secondsBetween(a.submitted_at, now) * 1e3;
+        // Flight recorder: a frame over the slow budget (or one whose
+        // render threw) is dumped with its span timeline and retained.
+        // The engine's finalize span is already recorded at this point
+        // (it closes before on_complete runs).
+        if (cfg_.slow_frame_ms > 0.0 && (err || ms > cfg_.slow_frame_ms)) {
+            SlowFrameRecord rec =
+                makeSlowRecord(a.ticket, ticket, frame_id, qos, ms,
+                               err != nullptr, false, false);
+            warn(slowDumpText(rec));
+            stats_.recordSlowFrame(std::move(rec));
+        }
+        FrameResult result;
+        result.client = a.client;
+        result.ticket = a.ticket;
+        result.render_ticket = ticket;
+        result.qos = qos;
+        // Every consumer owns its image (a wire session encodes it
+        // against its own delta reference); the last one takes the
+        // render's.
+        if (i + 1 < answers.size())
+            result.frame = frame;
+        else
+            result.frame = std::move(frame);
+        result.error = err;
+        result.latency_s = ms * 1e-3;
+        result.rung = rung;
+        result.full_width = full_w;
+        result.full_height = full_h;
+        deliverResult(std::move(result), a.cb);
     }
-
-    FrameResult result;
-    result.client = client;
-    result.ticket = ticket;
-    result.qos = qos;
-    result.frame = std::move(frame);
-    result.error = err;
-    result.latency_s = latency;
-    result.rung = rung;
-    result.full_width = full_w;
-    result.full_height = full_h;
-    deliverResult(std::move(result), cb);
 }
 
 void
@@ -570,7 +625,7 @@ FrameServer::dropFrames(std::vector<PendingFrame> &&dropped)
     const bool had_drops = !dropped.empty();
     for (PendingFrame &pf : dropped) {
         class_metrics_[int(pf.qos)].dropped->inc();
-        slo_.recordError(pf.qos, pf.ticket, 0.0);
+        slo_.recordError(pf.qos, pf.ticket, 0, 0.0);
         ResultCallback cb;
         {
             std::lock_guard<std::mutex> lock(m_);
@@ -584,7 +639,7 @@ FrameServer::dropFrames(std::vector<PendingFrame> &&dropped)
         // operator might chase.
         if (cfg_.slow_frame_ms > 0.0)
             stats_.recordSlowFrame(makeSlowRecord(
-                pf.ticket, 0, pf.qos, 0.0, false, false, true));
+                pf.ticket, 0, 0, pf.qos, 0.0, false, false, true));
         FrameResult result;
         result.client = pf.client;
         result.ticket = pf.ticket;
@@ -715,8 +770,8 @@ FrameServer::sloEvaluate()
     // when the operator never tuned the slow budget. Pinning is
     // silent -- the tracker already warned with the breach summary.
     for (const SloTracker::Offender &o : pin)
-        stats_.recordSlowFrame(makeSlowRecord(o.ticket, 0, o.qos,
-                                              o.latency_ms, o.error,
+        stats_.recordSlowFrame(makeSlowRecord(o.ticket, o.render_ticket, 0,
+                                              o.qos, o.latency_ms, o.error,
                                               false, false));
 }
 

@@ -30,11 +30,20 @@
  *                    Callbacks may submit follow-up frames (closed
  *                    loop) -- waitIdle() only returns once a finished
  *                    frame's callback has run AND submitted nothing.
+ *   coalescing       an admitted frame whose scene, QoS class, rung
+ *                    and camera (bitwise) match a render already on
+ *                    one of its shard's pipeline slots joins that
+ *                    render as a waiter and takes no slot. When the
+ *                    render finishes, every waiter gets its own
+ *                    FrameResult (ticket, latency, counts, SLO
+ *                    outcome, image copy); nothing is kept after
+ *                    delivery. Half-open breaker probes neither lead
+ *                    nor join a shared render.
  *
  * Frames served through any shard/QoS mix are bit-identical to the
- * client's own sequential AsdrRenderer::render() calls (the engine
- * stages are bit-exact and sessions carry nothing between frames), so
- * multiplexing is purely a scheduling concern -- enforced by
+ * client's own sequential AsdrRenderer::render() calls: the engine
+ * stages are bit-exact and sessions carry nothing between frames, so
+ * a render serves every request for its view alike -- enforced by
  * tests/test_server.cpp.
  */
 
@@ -175,6 +184,13 @@ struct FrameResult
     bool expired = false;
     /** Submit -> delivery latency, seconds (0 for drops). */
     double latency_s = 0.0;
+    /**
+     * The ticket whose render produced this frame (or threw): equal to
+     * `ticket` for the frame that led the render, the leader's ticket
+     * for a frame that joined it. 0 when nothing was rendered
+     * (dropped, expired, breaker fast-fail).
+     */
+    uint64_t render_ticket = 0;
     /** Quality-ladder rung the frame was served at (Full unless the
      *  server degraded it). */
     QualityRung rung = QualityRung::Full;
@@ -281,15 +297,29 @@ class FrameServer
     BreakerState breakerState(const std::string &scene) const;
 
   private:
-    /** One admitted, not-yet-delivered frame (watchdog + breaker
-     *  bookkeeping, keyed by ticket in Shard::running). */
+    /** A frame that joined an in-flight render of its view. */
+    struct Waiter
+    {
+        uint64_t ticket = 0;
+        uint64_t client = 0;
+        std::chrono::steady_clock::time_point submitted_at;
+        ResultCallback cb; ///< the client's delivery callback
+    };
+
+    /** One render on a pipeline slot, keyed by its leading ticket in
+     *  Shard::running: watchdog, breaker and coalescing bookkeeping. */
     struct InFlightFrame
     {
         std::chrono::steady_clock::time_point launched_at;
         QosClass qos = QosClass::Standard;
         uint32_t scene = 0;
+        QualityRung rung = QualityRung::Full;
+        nerf::Camera camera;        ///< as submitted (before any rung scaling)
         bool probe = false;         ///< admitted as a half-open probe
         bool stuck_flagged = false; ///< already counted a stuck event
+        /** Frames served by this render besides its leader, in join
+         *  order. */
+        std::vector<Waiter> waiters;
     };
 
     struct Shard
@@ -302,7 +332,9 @@ class FrameServer
         /** In-flight frames per SceneEntry::id (the per-scene-quota
          *  accounting handed to QosScheduler::pop). */
         std::unordered_map<uint32_t, int> scene_in_flight;
-        /** Launch-time record per in-flight ticket. */
+        /** Launch-time record per in-flight render (at most
+         *  frames_in_flight_per_shard entries, so the coalescing scan
+         *  needs no index). */
         std::unordered_map<uint64_t, InFlightFrame> running;
         /** Per-shard quality-ladder controller (null when the ladder
          *  is disabled); guarded by the server's m_, like sched. */
@@ -364,7 +396,8 @@ class FrameServer
     int pickShardLocked(uint64_t client_id) const;
     /** Admit frames while the shard has free slots (m_ held). Queued
      *  frames past their deadline, and frames of quarantined scenes,
-     *  are turned into `rejects` instead of launches. */
+     *  are turned into `rejects` instead of launches; a frame whose
+     *  view is already rendering joins that render. */
     void pumpLocked(int shard, std::vector<Launch> &launches,
                     std::vector<Deliverable> &rejects);
     /** Deadline-expire `pf` (m_ held): stats + expired result. */

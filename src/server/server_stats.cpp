@@ -38,6 +38,7 @@ ClassMetrics::ClassMetrics(metrics::Registry &reg, QosClass c)
     const std::string l = metrics::label("qos", qosClassName(c));
     submitted = &reg.counter("asdr_frames_submitted_total", l);
     admitted = &reg.counter("asdr_frames_admitted_total", l);
+    coalesced = &reg.counter("asdr_frames_coalesced_total", l);
     dropped = &reg.counter("asdr_frames_dropped_total", l);
     failed = &reg.counter("asdr_frames_failed_total", l);
     expired = &reg.counter("asdr_frames_expired_total", l);
@@ -55,6 +56,7 @@ ClassMetrics::read() const
     QosClassStats s;
     s.submitted = submitted->value();
     s.admitted = admitted->value();
+    s.coalesced = coalesced->value();
     s.dropped = dropped->value();
     s.failed = failed->value();
     s.expired = expired->value();
@@ -165,7 +167,9 @@ ServerStatsSnapshot::toJson() const
         const SlowFrameRecord &r = slow_frames[i];
         if (i)
             os << ",";
-        os << "{\"ticket\":" << r.ticket << ",\"frame\":" << r.frame
+        os << "{\"ticket\":" << r.ticket
+           << ",\"render_ticket\":" << r.render_ticket
+           << ",\"frame\":" << r.frame
            << ",\"qos\":\"" << qosClassName(r.qos) << "\""
            << ",\"latency_ms\":" << r.latency_ms
            << ",\"failed\":" << (r.failed ? 1 : 0)

@@ -43,6 +43,10 @@ struct QosClassStats
 {
     uint64_t submitted = 0; ///< frames entering the server
     uint64_t admitted = 0;  ///< frames handed to a shard engine
+    /** Frames that joined an in-flight render of the same view instead
+     *  of taking a slot; admitted + coalesced is every frame that got
+     *  past admission. */
+    uint64_t coalesced = 0;
     uint64_t served = 0;    ///< frames delivered successfully
     uint64_t dropped = 0;   ///< frames shed by the backlog policy
     uint64_t failed = 0;    ///< frames whose render threw
@@ -54,7 +58,7 @@ struct QosClassStats
     double p95_ms = 0.0;
     double p99_ms = 0.0;
     double mean_ms = 0.0;
-    /** Mean submit -> admit wait (scheduler queue time), milliseconds. */
+    /** Mean submit -> admit (or join) wait, milliseconds. */
     double mean_queue_ms = 0.0;
 
     /** Quality-ladder occupancy: served frames per rung (index is a
@@ -139,6 +143,9 @@ struct SlowFrameSpan
 struct SlowFrameRecord
 {
     uint64_t ticket = 0;
+    /** FrameResult::render_ticket: the render that produced (or failed)
+     *  the frame; 0 when it was never rendered. */
+    uint64_t render_ticket = 0;
     uint64_t frame = 0; ///< engine frame id (0 when never admitted)
     QosClass qos = QosClass::Standard;
     double latency_ms = 0.0;
@@ -185,6 +192,7 @@ struct ClassMetrics
 
     metrics::Counter *submitted = nullptr; ///< frames entering the server
     metrics::Counter *admitted = nullptr;  ///< handed to a shard engine
+    metrics::Counter *coalesced = nullptr; ///< joined an in-flight render
     metrics::Counter *dropped = nullptr;   ///< shed by the backlog policy
     metrics::Counter *failed = nullptr;    ///< render threw / fast-failed
     metrics::Counter *expired = nullptr;   ///< past the class deadline
@@ -192,7 +200,7 @@ struct ClassMetrics
     std::array<metrics::Counter *, kQualityRungs> served_rung{};
     /** Submit -> finish of served frames, seconds. */
     metrics::Histogram *latency = nullptr;
-    /** Submit -> admit wait, seconds. */
+    /** Submit -> admit (or join) wait, seconds. */
     metrics::Histogram *queue_wait = nullptr;
 
     /** Counts, percentiles, and rung occupancy (SLO fields zero). */

@@ -65,41 +65,41 @@ SloTracker::SloTracker(const SloParams &p, metrics::Registry &reg)
 }
 
 void
-SloTracker::recordServed(QosClass c, uint64_t ticket, double latency_ms)
+SloTracker::recordServed(QosClass c, uint64_t ticket, uint64_t render_ticket,
+                         double latency_ms)
 {
-    recordLocked(c, ticket, latency_ms, /*error=*/false);
+    recordLocked(Offender{ticket, render_ticket, c, latency_ms, false});
 }
 
 void
-SloTracker::recordError(QosClass c, uint64_t ticket, double latency_ms)
+SloTracker::recordError(QosClass c, uint64_t ticket, uint64_t render_ticket,
+                        double latency_ms)
 {
-    recordLocked(c, ticket, latency_ms, /*error=*/true);
+    recordLocked(Offender{ticket, render_ticket, c, latency_ms, true});
 }
 
 void
-SloTracker::recordLocked(QosClass c, uint64_t ticket, double latency_ms,
-                         bool error)
+SloTracker::recordLocked(const Offender &off)
 {
-    const SloClassObjective &obj = p_.cls[int(c)];
+    const SloClassObjective &obj = p_.cls[int(off.qos)];
     if (!obj.enabled())
         return;
     std::lock_guard<std::mutex> lock(m_);
-    ClassState &st = cls_[int(c)];
+    ClassState &st = cls_[int(off.qos)];
     advanceLocked(st, std::chrono::steady_clock::now());
     Bucket &b = st.ring[size_t(st.cur % slow_buckets_)];
     b.total++;
-    const bool lat_bad = !error && obj.target_p99_ms > 0.0 &&
-                         latency_ms > obj.target_p99_ms;
+    const bool lat_bad = !off.error && obj.target_p99_ms > 0.0 &&
+                         off.latency_ms > obj.target_p99_ms;
     if (lat_bad)
         b.lat_bad++;
-    if (error)
+    if (off.error)
         b.err_bad++;
-    if (!lat_bad && !(error && obj.max_error_fraction > 0.0))
+    if (!lat_bad && !(off.error && obj.max_error_fraction > 0.0))
         return;
     // Budget violation: retain it as evidence. While breached it goes
     // straight to the pin queue; while healthy it waits in the bounded
     // recent ring for a breach to flush it.
-    Offender off{ticket, c, latency_ms, error};
     if (st.latency.breached->value() != 0.0 ||
         st.errors.breached->value() != 0.0) {
         st.pending.push_back(off);

@@ -91,6 +91,8 @@ class SloTracker
     struct Offender
     {
         uint64_t ticket = 0;
+        /** FrameResult::render_ticket (0 when never rendered). */
+        uint64_t render_ticket = 0;
         QosClass qos = QosClass::Standard;
         double latency_ms = 0.0;
         bool error = false; ///< failed/expired/dropped (vs slow-served)
@@ -100,9 +102,11 @@ class SloTracker
     SloTracker(const SloParams &p, metrics::Registry &reg);
 
     /** A served frame; `latency_ms` submit -> delivery. */
-    void recordServed(QosClass c, uint64_t ticket, double latency_ms);
+    void recordServed(QosClass c, uint64_t ticket, uint64_t render_ticket,
+                      double latency_ms);
     /** A failed, expired, or shed frame. */
-    void recordError(QosClass c, uint64_t ticket, double latency_ms);
+    void recordError(QosClass c, uint64_t ticket, uint64_t render_ticket,
+                     double latency_ms);
 
     /**
      * Advance the windows, recompute burns, update gauges, and warn on
@@ -150,8 +154,7 @@ class SloTracker
         std::vector<Offender> pending;
     };
 
-    void recordLocked(QosClass c, uint64_t ticket, double latency_ms,
-                      bool error);
+    void recordLocked(const Offender &off);
     /** Update one objective's burns from its windows and handle a
      *  breach transition (m_ held). */
     void evaluateLocked(QosClass c, ClassState &st, Objective &obj,

@@ -12,7 +12,6 @@
 #include "net/client.hpp"
 #include "nerf/camera.hpp"
 #include "util/logging.hpp"
-#include "util/stats.hpp"
 #include "util/telemetry.hpp"
 
 namespace asdr::server {
@@ -220,7 +219,7 @@ runWorkloadOverWire(const SceneRegistry &registry, const WorkloadSpec &spec,
     ServerStatsSnapshot tally;
     std::map<std::string, SceneServeStats> scene_tally;
     metrics::Histogram server_latency[kQosClasses];
-    std::vector<double> rtt_ms[kQosClasses];
+    metrics::Histogram client_rtt[kQosClasses];
     std::atomic<uint64_t> results{0};
     net::ClientTransferStats transfer_total;
     std::atomic<bool> failed{false};
@@ -251,7 +250,6 @@ runWorkloadOverWire(const SceneRegistry &registry, const WorkloadSpec &spec,
         std::unordered_map<uint64_t, clock::time_point> sent;
         const int total = spec.frames_per_client;
         int issued = 0, received = 0;
-        std::vector<double> my_rtt;
         SceneServeStats mine;
         auto submitNext = [&]() -> bool {
             // Transient faults (timeout, peer closed, I/O error) are
@@ -312,11 +310,10 @@ runWorkloadOverWire(const SceneRegistry &registry, const WorkloadSpec &spec,
             auto it = sent.find(frame.ticket);
             if (it != sent.end()) {
                 if (frame.ok())
-                    my_rtt.push_back(
+                    client_rtt[wv.qos].record(
                         std::chrono::duration<double>(clock::now() -
                                                       it->second)
-                            .count() *
-                        1e3);
+                            .count());
                 sent.erase(it);
             }
             if (issued < total && !submitNext()) {
@@ -331,8 +328,6 @@ runWorkloadOverWire(const SceneRegistry &registry, const WorkloadSpec &spec,
         SceneServeStats &sc = scene_tally[wv.scene];
         sc.name = wv.scene;
         addOutcomes(sc, mine);
-        auto &bucket = rtt_ms[wv.qos];
-        bucket.insert(bucket.end(), my_rtt.begin(), my_rtt.end());
         transfer_total.frames += client.transfer().frames;
         transfer_total.payload_bytes += client.transfer().payload_bytes;
         transfer_total.raw_bytes += client.transfer().raw_bytes;
@@ -371,18 +366,12 @@ runWorkloadOverWire(const SceneRegistry &registry, const WorkloadSpec &spec,
     report.wire_raw_bytes = transfer_total.raw_bytes;
     for (int c = 0; c < kQosClasses; ++c) {
         ClientRttStats &r = report.client_rtt[c];
-        std::vector<double> &samples = rtt_ms[c];
-        r.samples = samples.size();
-        if (!samples.empty()) {
-            double sum = 0.0;
-            for (double s : samples)
-                sum += s;
-            r.mean_ms = sum / double(samples.size());
-            std::sort(samples.begin(), samples.end());
-            r.p50_ms = percentileOfSorted(samples, 0.50);
-            r.p95_ms = percentileOfSorted(samples, 0.95);
-            r.p99_ms = percentileOfSorted(samples, 0.99);
-        }
+        const metrics::Histogram &h = client_rtt[c];
+        r.samples = h.count();
+        r.p50_ms = h.percentile(0.50) * 1e3;
+        r.p95_ms = h.percentile(0.95) * 1e3;
+        r.p99_ms = h.percentile(0.99) * 1e3;
+        r.mean_ms = h.mean() * 1e3;
     }
     report.frames_per_s =
         wall > 0.0 ? double(report.stats.totalServed()) / wall : 0.0;

@@ -47,7 +47,9 @@ struct WorkloadSpec
     int burst = 1;
 };
 
-/** Client-observed round-trip latency of one QoS class (wire runs). */
+/** Client-observed round-trip latency of one QoS class (wire runs):
+ *  percentiles of a metrics::Histogram, like the server latencies
+ *  beside them (~4.5% relative error). */
 struct ClientRttStats
 {
     uint64_t samples = 0; ///< served frames measured

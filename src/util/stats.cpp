@@ -61,16 +61,4 @@ Histogram::fractionAtLeast(double x) const
     return double(mass) / double(total_);
 }
 
-double
-percentileOfSorted(const std::vector<double> &sorted, double q)
-{
-    if (sorted.empty())
-        return 0.0;
-    const double rank = q * double(sorted.size() - 1);
-    const size_t lo = size_t(rank);
-    const size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = rank - double(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
 } // namespace asdr

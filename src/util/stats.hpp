@@ -1,9 +1,9 @@
 /**
  * @file
- * Offline statistics helpers: a fixed-bin histogram (the analysis
- * passes' sample-count distributions) and the percentile of a sorted
- * sample vector (the wire workload's client round trips). The serving
- * stack's own latencies use metrics::Histogram (util/telemetry).
+ * Offline statistics: a fixed-bin histogram over a known range (the
+ * analysis passes' sample-count distributions). Serving latencies,
+ * the server's and the wire workload's client round trips alike, use
+ * the log-bucketed metrics::Histogram (util/telemetry).
  */
 
 #ifndef ASDR_UTIL_STATS_HPP
@@ -40,12 +40,6 @@ class Histogram
     std::vector<uint64_t> counts_;
     uint64_t total_ = 0;
 };
-
-/**
- * Linearly-interpolated percentile of an ASCENDING-sorted sample
- * vector; q in [0, 1]. 0 on empty input.
- */
-double percentileOfSorted(const std::vector<double> &sorted, double q);
 
 } // namespace asdr
 

@@ -557,6 +557,8 @@ TEST(NetService, StatsRoundTripMatchesClientObservations)
               double(cls.submitted));
     EXPECT_EQ(expositionValue(text, "asdr_frames_admitted_total" + q),
               double(cls.admitted));
+    EXPECT_EQ(expositionValue(text, "asdr_frames_coalesced_total" + q),
+              double(cls.coalesced));
     EXPECT_EQ(expositionValue(text, "asdr_frames_dropped_total" + q),
               double(cls.dropped));
     EXPECT_EQ(expositionValue(text, "asdr_frames_failed_total" + q),
@@ -570,7 +572,7 @@ TEST(NetService, StatsRoundTripMatchesClientObservations)
               double(cls.served));
     EXPECT_EQ(
         expositionValue(text, "asdr_frame_queue_wait_seconds_count" + q),
-        double(cls.admitted));
+        double(cls.admitted + cls.coalesced));
 
     // Per-scene series.
     const server::SceneServeStats *chair = nullptr;

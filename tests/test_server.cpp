@@ -14,6 +14,9 @@
  *  - Failure isolation: a client whose field throws gets its error in
  *    the FrameResult; the server keeps serving everyone else.
  *  - Registry sharing and sticky-hash shard placement.
+ *  - Coalescing: frames of one view (scene, class, rung, camera bits)
+ *    admitted while it renders share that render, and each still gets
+ *    its own result, counts and image; probes stay out of it.
  */
 
 #include <gtest/gtest.h>
@@ -21,9 +24,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <map>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -35,6 +40,7 @@
 #include "server/qos_scheduler.hpp"
 #include "server/scene_registry.hpp"
 #include "server/workload.hpp"
+#include "util/fault.hpp"
 
 using namespace asdr;
 using namespace asdr::server;
@@ -1085,4 +1091,453 @@ TEST(FrameServerMetrics, StoresArePerServer)
     a.closeSession(ca);
     b.closeSession(cb);
     b.closeSession(cb_chair);
+}
+
+// ------------------------------------------------------------- coalescing
+
+namespace {
+
+/** Disarms every fault site on entry and exit. */
+struct FaultGuard
+{
+    FaultGuard() { fault::resetAll(); }
+    ~FaultGuard() { fault::resetAll(); }
+};
+
+/** One shard with one worker and `slots` pipeline slots. With the
+ *  worker parked behind a PoolGate, the first render stays open while
+ *  later submissions are admitted (and may join it). */
+ServerConfig
+coalesceConfig(int slots)
+{
+    ServerConfig cfg;
+    cfg.shards = 1;
+    cfg.threads_per_shard = 1;
+    cfg.frames_in_flight_per_shard = slots;
+    return cfg;
+}
+
+/** `results` plus the server's mailbox, by ticket (each ticket at
+ *  most once). */
+std::map<uint64_t, FrameResult>
+drainByTicket(FrameServer &srv, std::vector<FrameResult> results = {})
+{
+    srv.drainResults(results);
+    std::map<uint64_t, FrameResult> out;
+    for (FrameResult &r : results) {
+        const uint64_t t = r.ticket;
+        EXPECT_TRUE(out.emplace(t, std::move(r)).second)
+            << "ticket " << t << " delivered twice";
+    }
+    return out;
+}
+
+/** Results some sessions receive through callbacks, to be merged with
+ *  the mailbox of the others. */
+struct Delivered
+{
+    std::mutex m;
+    std::vector<FrameResult> results;
+
+    void keep(FrameResult &&r)
+    {
+        std::lock_guard<std::mutex> lock(m);
+        results.push_back(std::move(r));
+    }
+    /** Everything delivered once `srv` is idle, by ticket. */
+    std::map<uint64_t, FrameResult> all(FrameServer &srv)
+    {
+        std::lock_guard<std::mutex> lock(m);
+        return drainByTicket(srv, std::move(results));
+    }
+};
+
+} // namespace
+
+TEST(FrameServerCoalesce, SessionsAtOneCameraShareOneRender)
+{
+    SceneRegistry reg;
+    ASSERT_NE(reg.addProcedural("lego", "Lego",
+                                nerf::NgpModelConfig::fast(),
+                                smallConfig()),
+              nullptr);
+    FrameServer srv(reg, coalesceConfig(2));
+    const SceneEntry *entry = reg.find("lego");
+    const nerf::Camera cam = nerf::cameraForScene(entry->info, 16, 16);
+
+    const int N = 4;
+    std::vector<uint64_t> clients;
+    for (int k = 0; k < N; ++k)
+        clients.push_back(srv.openSession("lego", QosClass::Standard));
+    PoolGate gate;
+    gate.block(srv.shardEngine(0), 1);
+    std::map<uint64_t, uint64_t> client_of;
+    for (uint64_t c : clients) {
+        const uint64_t t = srv.submitFrame(c, cam);
+        ASSERT_NE(t, 0u);
+        client_of[t] = c;
+    }
+    // Only the first frame took a slot; the rest wait on its render.
+    EXPECT_EQ(srv.sceneInFlight(0, "lego"), 1);
+    gate.release();
+    srv.waitIdle();
+
+    const auto results = drainByTicket(srv);
+    ASSERT_EQ(results.size(), size_t(N));
+    const uint64_t first = client_of.begin()->first;
+    core::AsdrRenderer ref(*entry->field, entry->config);
+    const Image want = ref.render(cam);
+    std::set<const Vec3 *> buffers;
+    for (const auto &[ticket, r] : results) {
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(r.client, client_of.at(ticket));
+        EXPECT_EQ(r.render_ticket, first) << "one render serves all";
+        expectFramesIdentical(want, r.frame.image, "coalesced frame");
+        buffers.insert(r.frame.image.data().data());
+    }
+    EXPECT_EQ(buffers.size(), size_t(N)) << "every consumer owns its image";
+
+    const ServerStatsSnapshot snap = srv.stats();
+    const QosClassStats &s = snap.cls[int(QosClass::Standard)];
+    EXPECT_EQ(s.submitted, uint64_t(N));
+    EXPECT_EQ(s.admitted, 1u);
+    EXPECT_EQ(s.coalesced, uint64_t(N - 1));
+    EXPECT_EQ(s.served, uint64_t(N));
+    EXPECT_EQ(s.dropped + s.failed + s.expired, 0u);
+    for (QosClass c : {QosClass::Interactive, QosClass::Batch}) {
+        EXPECT_EQ(snap.cls[int(c)].submitted, 0u);
+        EXPECT_EQ(snap.cls[int(c)].coalesced, 0u);
+    }
+    ASSERT_EQ(snap.scenes.size(), 1u);
+    EXPECT_EQ(snap.scenes[0].submitted, uint64_t(N));
+    EXPECT_EQ(snap.scenes[0].served, uint64_t(N));
+    EXPECT_EQ(snap.scenes[0].peak_in_flight, 1);
+
+    // Every joined frame is its own outcome in the exposition too.
+    const std::string text = srv.metricsText();
+    const std::string q = "{qos=\"standard\"} ";
+    EXPECT_NE(text.find("asdr_frames_coalesced_total" + q + "3\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("asdr_frames_admitted_total" + q + "1\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("asdr_frame_queue_wait_seconds_count" + q + "4\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("asdr_frame_latency_seconds_count" + q + "4\n"),
+              std::string::npos);
+    for (uint64_t c : clients)
+        srv.closeSession(c);
+}
+
+TEST(FrameServerCoalesce, NoJoinAcrossClassRungSceneOrCamera)
+{
+    FaultGuard faults;
+    SceneRegistry reg;
+    ASSERT_NE(reg.addProcedural("lego", "Lego",
+                                nerf::NgpModelConfig::fast(),
+                                smallConfig()),
+              nullptr);
+    ASSERT_NE(reg.addProcedural("chair", "Chair",
+                                nerf::NgpModelConfig::fast(),
+                                smallConfig()),
+              nullptr);
+    // A slot for each of the five renders below, plus one so the
+    // control frame can still be admitted.
+    FrameServer srv(reg, coalesceConfig(6));
+    const scene::SceneInfo &info = reg.find("lego")->info;
+    const nerf::Camera cam = nerf::cameraForScene(info, 16, 16);
+    // The same constructor inputs with the position one ulp away.
+    Vec3 pos = info.cam_pos;
+    pos.x = std::nextafter(pos.x, 2.0f);
+    const nerf::Camera ulp(pos, info.look_at, Vec3(0.0f, 1.0f, 0.0f),
+                           info.fov_deg, 16, 16);
+    ASSERT_TRUE(cam.identical(nerf::cameraForScene(info, 16, 16)));
+    ASSERT_FALSE(cam.identical(ulp));
+
+    const uint64_t base = srv.openSession("lego", QosClass::Standard);
+    const uint64_t other_class =
+        srv.openSession("lego", QosClass::Interactive);
+    const uint64_t other_scene = srv.openSession("chair", QosClass::Standard);
+    const uint64_t other_cam = srv.openSession("lego", QosClass::Standard);
+    const uint64_t other_rung = srv.openSession("lego", QosClass::Standard);
+    const uint64_t same = srv.openSession("lego", QosClass::Standard);
+
+    PoolGate gate;
+    gate.block(srv.shardEngine(0), 1);
+    const uint64_t t_base = srv.submitFrame(base, cam);
+    const uint64_t t_class = srv.submitFrame(other_class, cam);
+    const uint64_t t_scene = srv.submitFrame(other_scene, cam);
+    const uint64_t t_cam = srv.submitFrame(other_cam, ulp);
+    fault::arm(fault::kServerAdmitDegrade, 1.0, /*max_fires=*/1);
+    const uint64_t t_rung = srv.submitFrame(other_rung, cam);
+    // Control: the base frame's exact view does join it.
+    const uint64_t t_same = srv.submitFrame(same, cam);
+    gate.release();
+    srv.waitIdle();
+
+    auto results = drainByTicket(srv);
+    ASSERT_EQ(results.size(), 6u);
+    for (uint64_t t : {t_base, t_class, t_scene, t_cam, t_rung}) {
+        EXPECT_TRUE(results[t].ok()) << "ticket " << t;
+        EXPECT_EQ(results[t].render_ticket, t) << "ticket " << t;
+    }
+    EXPECT_EQ(results[t_rung].rung, QualityRung(kQualityRungs - 1));
+    EXPECT_EQ(results[t_base].rung, QualityRung::Full);
+    EXPECT_TRUE(results[t_same].ok());
+    EXPECT_EQ(results[t_same].render_ticket, t_base);
+
+    const ServerStatsSnapshot snap = srv.stats();
+    EXPECT_EQ(snap.cls[int(QosClass::Standard)].admitted, 4u);
+    EXPECT_EQ(snap.cls[int(QosClass::Standard)].coalesced, 1u);
+    EXPECT_EQ(snap.cls[int(QosClass::Interactive)].admitted, 1u);
+    EXPECT_EQ(snap.cls[int(QosClass::Interactive)].coalesced, 0u);
+}
+
+TEST(FrameServerCoalesce, ClosingSessionsMidRenderServesEveryWaiter)
+{
+    SceneRegistry reg;
+    ASSERT_NE(reg.addProcedural("lego", "Lego",
+                                nerf::NgpModelConfig::fast(),
+                                smallConfig()),
+              nullptr);
+    FrameServer srv(reg, coalesceConfig(2));
+    const nerf::Camera cam =
+        nerf::cameraForScene(reg.find("lego")->info, 16, 16);
+    const uint64_t owner = srv.openSession("lego", QosClass::Standard);
+    const uint64_t w1 = srv.openSession("lego", QosClass::Standard);
+    const uint64_t w2 = srv.openSession("lego", QosClass::Standard);
+
+    PoolGate gate;
+    gate.block(srv.shardEngine(0), 1);
+    const uint64_t t_owner = srv.submitFrame(owner, cam);
+    const uint64_t t1 = srv.submitFrame(w1, cam);
+    const uint64_t t2 = srv.submitFrame(w2, cam);
+
+    // Close the render's owner and one waiter mid-render: both calls
+    // wait for their own session's result, which only the render can
+    // deliver.
+    std::atomic<bool> owner_closed{false}, w1_closed{false};
+    std::thread close_owner([&] {
+        srv.closeSession(owner);
+        owner_closed = true;
+    });
+    std::thread close_w1([&] {
+        srv.closeSession(w1);
+        w1_closed = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(owner_closed.load());
+    EXPECT_FALSE(w1_closed.load());
+    gate.release();
+    close_owner.join();
+    close_w1.join();
+    srv.waitIdle();
+
+    auto results = drainByTicket(srv);
+    ASSERT_EQ(results.size(), 3u);
+    for (uint64_t t : {t_owner, t1, t2}) {
+        EXPECT_TRUE(results[t].ok()) << "ticket " << t;
+        EXPECT_EQ(results[t].render_ticket, t_owner) << "ticket " << t;
+    }
+    EXPECT_EQ(srv.submitFrame(owner, cam), 0u);
+    EXPECT_EQ(srv.submitFrame(w1, cam), 0u);
+
+    // The surviving waiter's session keeps serving, now on its own.
+    const uint64_t t3 = srv.submitFrame(w2, cam);
+    ASSERT_NE(t3, 0u);
+    srv.waitIdle();
+    FrameResult last;
+    ASSERT_TRUE(srv.poll(last));
+    EXPECT_TRUE(last.ok());
+    EXPECT_EQ(last.render_ticket, t3);
+    const QosClassStats s = srv.stats().cls[int(QosClass::Standard)];
+    EXPECT_EQ(s.served, 4u);
+    EXPECT_EQ(s.coalesced, 2u);
+    srv.closeSession(w2);
+}
+
+TEST(FrameServerCoalesce, ThrowingRenderFailsEachWaiterOnceForTheBreaker)
+{
+    auto lego = scene::createScene("Lego");
+    ThrowingField bad(*lego, nerf::NgpModelConfig::fast());
+    SceneRegistry reg;
+    ASSERT_NE(reg.addShared("bad", bad, smallConfig(), lego->info()),
+              nullptr);
+    ServerConfig cfg = coalesceConfig(2);
+    cfg.breaker.failure_threshold = 2;
+    cfg.breaker.open_s = 60.0;
+    FrameServer srv(reg, cfg);
+    const nerf::Camera cam = nerf::cameraForScene(lego->info(), 16, 16);
+
+    std::vector<uint64_t> clients, tickets;
+    PoolGate gate;
+    gate.block(srv.shardEngine(0), 1);
+    for (int k = 0; k < 3; ++k) {
+        clients.push_back(srv.openSession("bad", QosClass::Standard));
+        tickets.push_back(srv.submitFrame(clients.back(), cam));
+    }
+    gate.release();
+    srv.waitIdle();
+
+    auto results = drainByTicket(srv);
+    ASSERT_EQ(results.size(), 3u);
+    for (uint64_t t : tickets) {
+        const FrameResult &r = results[t];
+        EXPECT_FALSE(r.ok());
+        EXPECT_FALSE(r.dropped);
+        ASSERT_NE(r.error, nullptr);
+        EXPECT_THROW(std::rethrow_exception(r.error), std::runtime_error);
+        EXPECT_EQ(r.render_ticket, tickets[0]);
+    }
+    ServerStatsSnapshot snap = srv.stats();
+    EXPECT_EQ(snap.cls[int(QosClass::Standard)].failed, 3u);
+    EXPECT_EQ(snap.cls[int(QosClass::Standard)].coalesced, 2u);
+    ASSERT_EQ(snap.scenes.size(), 1u);
+    EXPECT_EQ(snap.scenes[0].failed, 3u);
+    // One render is one breaker failure: the threshold of two holds.
+    EXPECT_EQ(snap.scenes[0].breaker_opens, 0u);
+    EXPECT_EQ(srv.breakerState("bad"), FrameServer::BreakerState::Closed);
+
+    // The next failing render is the second, and trips it.
+    ASSERT_NE(srv.submitFrame(clients[0], cam), 0u);
+    srv.waitIdle();
+    EXPECT_EQ(srv.breakerState("bad"), FrameServer::BreakerState::Open);
+    EXPECT_EQ(srv.stats().scenes[0].breaker_opens, 1u);
+    for (uint64_t c : clients)
+        srv.closeSession(c);
+}
+
+TEST(FrameServerCoalesce, HalfOpenProbeNeverJoinsARender)
+{
+    FaultGuard faults;
+    SceneRegistry reg;
+    ASSERT_NE(reg.addProcedural("lego", "Lego",
+                                nerf::NgpModelConfig::fast(),
+                                smallConfig()),
+              nullptr);
+    ServerConfig cfg = coalesceConfig(4);
+    cfg.breaker.failure_threshold = 1;
+    cfg.breaker.open_s = 0.02;
+    cfg.breaker.half_open_probes = 1;
+    FrameServer srv(reg, cfg);
+    const nerf::Camera cam =
+        nerf::cameraForScene(reg.find("lego")->info, 16, 16);
+
+    Delivered delivered;
+    std::atomic<bool> straggler_done{false};
+    const uint64_t straggler = srv.openSession(
+        "lego", QosClass::Batch, {}, [&](FrameResult &&r) {
+            delivered.keep(std::move(r));
+            straggler_done = true;
+        });
+    const uint64_t prober = srv.openSession("lego", QosClass::Batch);
+    // A throwing interactive render trips the breaker. Its callback
+    // runs on the only worker, so the straggler (a Batch render of
+    // the same view, admitted while the breaker was closed) cannot
+    // finish while the callback waits out the quarantine and submits
+    // the half-open probe.
+    uint64_t t_probe = 0;
+    bool straggler_running = false;
+    const uint64_t tripper = srv.openSession(
+        "lego", QosClass::Interactive, {}, [&](FrameResult &&r) {
+            delivered.keep(std::move(r));
+            std::this_thread::sleep_for(std::chrono::milliseconds(40));
+            straggler_running = !straggler_done.load();
+            t_probe = srv.submitFrame(prober, cam);
+        });
+
+    PoolGate gate;
+    gate.block(srv.shardEngine(0), 1);
+    const uint64_t t_straggler = srv.submitFrame(straggler, cam);
+    fault::arm(fault::kEngineStageThrow, 1.0, /*max_fires=*/1);
+    const uint64_t t_trip = srv.submitFrame(tripper, cam);
+    gate.release();
+    srv.waitIdle();
+
+    EXPECT_TRUE(straggler_running) << "the probe met no render to join";
+    ASSERT_NE(t_probe, 0u);
+    auto results = delivered.all(srv);
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_FALSE(results[t_trip].ok());
+    EXPECT_TRUE(results[t_straggler].ok());
+    EXPECT_EQ(results[t_straggler].render_ticket, t_straggler);
+    EXPECT_TRUE(results[t_probe].ok());
+    EXPECT_EQ(results[t_probe].render_ticket, t_probe);
+    EXPECT_EQ(srv.stats().cls[int(QosClass::Batch)].coalesced, 0u);
+    // The probe's own success closed the breaker.
+    EXPECT_EQ(srv.breakerState("lego"), FrameServer::BreakerState::Closed);
+    srv.closeSession(straggler);
+    srv.closeSession(prober);
+    srv.closeSession(tripper);
+}
+
+TEST(FrameServerCoalesce, HalfOpenProbeRenderTakesNoWaiters)
+{
+    FaultGuard faults;
+    SceneRegistry reg;
+    ASSERT_NE(reg.addProcedural("lego", "Lego",
+                                nerf::NgpModelConfig::fast(),
+                                smallConfig()),
+              nullptr);
+    ServerConfig cfg = coalesceConfig(4);
+    cfg.breaker.failure_threshold = 1;
+    cfg.breaker.open_s = 0.02;
+    cfg.breaker.half_open_probes = 2;
+    FrameServer srv(reg, cfg);
+    const auto path =
+        nerf::orbitCameraPath(reg.find("lego")->info, 16, 16, 2, 0.07f);
+    const nerf::Camera &cam = path[0], &other = path[1];
+
+    // Trip the breaker with one throwing render, then wait out the
+    // quarantine.
+    const uint64_t tripper = srv.openSession("lego", QosClass::Standard);
+    fault::arm(fault::kEngineStageThrow, 1.0, /*max_fires=*/1);
+    const uint64_t t_trip = srv.submitFrame(tripper, other);
+    srv.waitIdle();
+    ASSERT_EQ(srv.breakerState("lego"), FrameServer::BreakerState::Open);
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+
+    Delivered delivered;
+    std::atomic<bool> probe_done{false};
+    const uint64_t batch_probe = srv.openSession(
+        "lego", QosClass::Batch, {}, [&](FrameResult &&r) {
+            delivered.keep(std::move(r));
+            probe_done = true;
+        });
+    const uint64_t late = srv.openSession("lego", QosClass::Batch);
+    // Two probes go out half-open: an interactive one at another view
+    // and a Batch one at `cam`. The interactive probe renders first
+    // (class priority, one worker) and closes the breaker; from its
+    // callback a regular Batch frame of `cam` arrives while the Batch
+    // probe still renders, and must not join it.
+    uint64_t t_late = 0;
+    bool probe_running = false;
+    const uint64_t first_probe = srv.openSession(
+        "lego", QosClass::Interactive, {}, [&](FrameResult &&r) {
+            delivered.keep(std::move(r));
+            probe_running = !probe_done.load();
+            t_late = srv.submitFrame(late, cam);
+        });
+
+    PoolGate gate;
+    gate.block(srv.shardEngine(0), 1);
+    const uint64_t t_first = srv.submitFrame(first_probe, other);
+    const uint64_t t_probe = srv.submitFrame(batch_probe, cam);
+    gate.release();
+    srv.waitIdle();
+
+    EXPECT_TRUE(probe_running) << "the late frame met no probe to join";
+    ASSERT_NE(t_late, 0u);
+    auto results = delivered.all(srv);
+    ASSERT_EQ(results.size(), 4u);
+    EXPECT_FALSE(results[t_trip].ok());
+    for (uint64_t t : {t_first, t_probe, t_late}) {
+        EXPECT_TRUE(results[t].ok()) << "ticket " << t;
+        EXPECT_EQ(results[t].render_ticket, t) << "ticket " << t;
+    }
+    EXPECT_EQ(srv.stats().cls[int(QosClass::Batch)].coalesced, 0u);
+    EXPECT_EQ(srv.breakerState("lego"), FrameServer::BreakerState::Closed);
+    srv.closeSession(tripper);
+    srv.closeSession(batch_probe);
+    srv.closeSession(late);
+    srv.closeSession(first_probe);
 }

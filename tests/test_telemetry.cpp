@@ -7,12 +7,16 @@
  *    round-trips names, labels, and values.
  *  - tracing: disabled recording is free (no spans, no measurable
  *    cost); an enabled serving run produces a well-formed Chrome
- *    trace_event JSON covering queue-wait, all five engine stages,
- *    and admission for every served ticket; span ordering invariants
- *    hold (queue-wait ends before the first engine stage; spans on
- *    one worker lane never overlap).
+ *    trace_event JSON in which every served ticket has its own
+ *    queue-wait and its render_ticket has admission and all five
+ *    engine stages; span ordering invariants hold (a render's
+ *    queue-wait ends before its first engine stage, a joiner's before
+ *    its render's finalize ends; spans on one worker lane never
+ *    overlap).
  *  - flight recorder: a frame stalled past slow_frame_ms is retained
- *    with its span timeline and surfaces in the recorder's JSON.
+ *    with its span timeline and surfaces in the recorder's JSON; a
+ *    frame that joined its render is retained with the render's
+ *    spans and names it in render_ticket.
  *  - wire: GetStats returns the server's exposition over a real
  *    socket, the same series the in-process typed reads see.
  */
@@ -227,8 +231,11 @@ struct JsonChecker
     }
 };
 
-/** One-shard serving run with tracing on; returns the served tickets. */
-std::set<uint64_t>
+/** One-shard serving run with tracing on: submit `frames` frames of
+ *  one camera and return each served ticket's render_ticket. Frames
+ *  submitted while an identical one is rendering join that render, so
+ *  several tickets may share one. */
+std::map<uint64_t, uint64_t>
 tracedRun(server::FrameServer &srv, server::SceneRegistry &reg, int frames)
 {
     const uint64_t client =
@@ -246,10 +253,29 @@ tracedRun(server::FrameServer &srv, server::SceneRegistry &reg, int frames)
     std::vector<server::FrameResult> results;
     srv.drainResults(results);
     EXPECT_EQ(results.size(), tickets.size());
-    for (const auto &r : results)
+    std::map<uint64_t, uint64_t> render_of;
+    for (const auto &r : results) {
         EXPECT_TRUE(r.ok());
+        EXPECT_TRUE(tickets.count(r.ticket));
+        EXPECT_TRUE(tickets.count(r.render_ticket));
+        render_of[r.ticket] = r.render_ticket;
+    }
+    for (const auto &entry : render_of)
+        EXPECT_EQ(render_of.at(entry.second), entry.second)
+            << "a render's own frame names itself";
     srv.closeSession(client);
-    return tickets;
+    return render_of;
+}
+
+/** The names of every span recorded under `ticket`. */
+std::set<std::string>
+spanNamesOf(const std::vector<telemetry::Span> &spans, uint64_t ticket)
+{
+    std::set<std::string> names;
+    for (const auto &s : spans)
+        if (s.ticket == ticket)
+            names.insert(s.name);
+    return names;
 }
 
 } // namespace
@@ -373,8 +399,9 @@ TEST(Telemetry, TraceJsonWellFormedAndCoversEveryTicket)
     cfg.shards = 1;
     cfg.threads_per_shard = 2;
     server::FrameServer srv(reg, cfg);
-    const std::set<uint64_t> tickets = tracedRun(srv, reg, 4);
+    const std::map<uint64_t, uint64_t> render_of = tracedRun(srv, reg, 4);
     ASSERT_FALSE(testing::Test::HasFatalFailure());
+    ASSERT_EQ(render_of.size(), 4u);
 
     // Machine-parseable Chrome trace_event JSON.
     const std::string json = telemetry::toJsonString();
@@ -385,25 +412,27 @@ TEST(Telemetry, TraceJsonWellFormedAndCoversEveryTicket)
     EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""),
               std::string::npos);
 
-    // Every ticket crossed queue-wait, admission, and all five engine
-    // stages, and every recorded interval is sane.
+    // Every ticket crossed its own queue-wait; the render that served
+    // it (its render_ticket) crossed admission and all five engine
+    // stages; every recorded interval is sane.
     const std::vector<telemetry::Span> spans = telemetry::snapshot();
     EXPECT_EQ(spans.size(), telemetry::spanCount());
     EXPECT_EQ(telemetry::droppedCount(), 0u);
-    const std::vector<std::string> expected = {
-        telemetry::kSpanQueueWait, telemetry::kSpanAdmit,
-        telemetry::kSpanRaySetup,  telemetry::kSpanProbes,
-        telemetry::kSpanPlanning,  telemetry::kSpanTiles,
-        telemetry::kSpanFinalize,
+    const std::vector<std::string> rendered = {
+        telemetry::kSpanAdmit,    telemetry::kSpanRaySetup,
+        telemetry::kSpanProbes,   telemetry::kSpanPlanning,
+        telemetry::kSpanTiles,    telemetry::kSpanFinalize,
     };
-    for (uint64_t ticket : tickets) {
-        std::set<std::string> names;
-        for (const auto &s : spans)
-            if (s.ticket == ticket)
-                names.insert(s.name);
-        for (const std::string &want : expected)
+    for (const auto &entry : render_of) {
+        const uint64_t ticket = entry.first, render = entry.second;
+        EXPECT_TRUE(
+            spanNamesOf(spans, ticket).count(telemetry::kSpanQueueWait))
+            << "ticket " << ticket << " missing its own queue-wait";
+        const std::set<std::string> names = spanNamesOf(spans, render);
+        for (const std::string &want : rendered)
             EXPECT_TRUE(names.count(want))
-                << "ticket " << ticket << " missing span " << want;
+                << "ticket " << ticket << "'s render " << render
+                << " missing span " << want;
     }
     for (const auto &s : spans) {
         EXPECT_LE(s.t_start_us, s.t_end_us);
@@ -415,7 +444,8 @@ TEST(Telemetry, TraceJsonWellFormedAndCoversEveryTicket)
     std::set<std::string> known;
     for (const auto &info : telemetry::spanNames())
         known.insert(info.name);
-    for (const std::string &want : expected)
+    EXPECT_TRUE(known.count(telemetry::kSpanQueueWait));
+    for (const std::string &want : rendered)
         EXPECT_TRUE(known.count(want)) << want;
     for (const auto &s : spans)
         EXPECT_TRUE(known.count(s.name)) << s.name;
@@ -436,11 +466,15 @@ TEST(Telemetry, SpanOrderingInvariants)
     cfg.threads_per_shard = 2;
     cfg.frames_in_flight_per_shard = 2;
     server::FrameServer srv(reg, cfg);
-    const std::set<uint64_t> tickets = tracedRun(srv, reg, 6);
+    const std::map<uint64_t, uint64_t> render_of = tracedRun(srv, reg, 6);
     ASSERT_FALSE(testing::Test::HasFatalFailure());
+    ASSERT_EQ(render_of.size(), 6u);
 
-    // Queue-wait ends no later than the first engine stage starts.
-    for (uint64_t ticket : tickets) {
+    // A render's queue-wait ends no later than its first engine stage
+    // starts. A frame that joined a render has no engine stages of
+    // its own, and joined before that render's finalize ended.
+    for (const auto &entry : render_of) {
+        const uint64_t ticket = entry.first, render = entry.second;
         std::vector<telemetry::Span> spans;
         telemetry::collectTicket(ticket, spans);
         ASSERT_FALSE(spans.empty()) << "ticket " << ticket;
@@ -457,8 +491,23 @@ TEST(Telemetry, SpanOrderingInvariants)
                 first_engine = std::min(first_engine, s.t_start_us);
         }
         EXPECT_NE(queue_end, 0u) << "ticket " << ticket;
-        ASSERT_NE(first_engine, UINT64_MAX) << "ticket " << ticket;
-        EXPECT_LE(queue_end, first_engine) << "ticket " << ticket;
+        if (render == ticket) {
+            ASSERT_NE(first_engine, UINT64_MAX) << "ticket " << ticket;
+            EXPECT_LE(queue_end, first_engine) << "ticket " << ticket;
+            continue;
+        }
+        EXPECT_EQ(first_engine, UINT64_MAX)
+            << "joined ticket " << ticket << " rendered on its own";
+        std::vector<telemetry::Span> render_spans;
+        telemetry::collectTicket(render, render_spans);
+        uint64_t finalize_end = 0;
+        for (const auto &s : render_spans)
+            if (std::string(s.name) == telemetry::kSpanFinalize)
+                finalize_end = s.t_end_us;
+        ASSERT_NE(finalize_end, 0u) << "render " << render;
+        EXPECT_LE(queue_end, finalize_end)
+            << "ticket " << ticket << " joined render " << render
+            << " after it finished";
     }
 
     // Scoped spans on one worker lane never overlap: each lane is one
@@ -504,29 +553,50 @@ TEST(Telemetry, SlowFrameFlightRecorderCapturesStalledFrames)
     const uint64_t client =
         srv.openSession("lego", server::QosClass::Standard);
     ASSERT_NE(client, 0u);
+    const uint64_t joiner =
+        srv.openSession("lego", server::QosClass::Standard);
     const nerf::Camera cam =
         nerf::cameraForScene(reg.find("lego")->info, 16, 16);
 
-    // One stalled frame blows the 10ms budget; the rest stay fast.
+    // One stalled frame blows the 10ms budget; the rest stay fast. A
+    // frame of the same view submitted meanwhile joins the stalled
+    // render, so it is slow as well.
     fault::arm(fault::kEngineStageStall, 1.0, /*max_fires=*/1,
                /*delay_ms=*/60.0);
     const uint64_t slow_ticket = srv.submitFrame(client, cam);
     ASSERT_NE(slow_ticket, 0u);
+    const uint64_t joined_ticket = srv.submitFrame(joiner, cam);
+    ASSERT_NE(joined_ticket, 0u);
     srv.waitIdle();
 
     const server::ServerStatsSnapshot snap = srv.stats();
-    EXPECT_GE(snap.slow_frame_count, 1u);
+    EXPECT_GE(snap.slow_frame_count, 2u);
     ASSERT_FALSE(snap.slow_frames.empty());
-    const server::SlowFrameRecord *rec = nullptr;
-    for (const auto &r : snap.slow_frames)
+    const server::SlowFrameRecord *rec = nullptr, *joined = nullptr;
+    for (const auto &r : snap.slow_frames) {
         if (r.ticket == slow_ticket)
             rec = &r;
+        if (r.ticket == joined_ticket)
+            joined = &r;
+    }
     ASSERT_NE(rec, nullptr) << "stalled ticket not retained";
     EXPECT_GT(rec->latency_ms, 10.0);
     EXPECT_FALSE(rec->failed);
+    EXPECT_EQ(rec->render_ticket, slow_ticket);
     std::set<std::string> names;
     for (const auto &s : rec->spans)
         names.insert(s.name);
+    EXPECT_TRUE(names.count(telemetry::kSpanRaySetup));
+    EXPECT_TRUE(names.count(telemetry::kSpanFinalize));
+
+    // The joined frame's record names the render and carries its
+    // engine spans beside the frame's own queue-wait.
+    ASSERT_NE(joined, nullptr) << "joined ticket not retained";
+    EXPECT_EQ(joined->render_ticket, slow_ticket);
+    names.clear();
+    for (const auto &s : joined->spans)
+        names.insert(s.name);
+    EXPECT_TRUE(names.count(telemetry::kSpanQueueWait));
     EXPECT_TRUE(names.count(telemetry::kSpanRaySetup));
     EXPECT_TRUE(names.count(telemetry::kSpanFinalize));
 
@@ -535,6 +605,10 @@ TEST(Telemetry, SlowFrameFlightRecorderCapturesStalledFrames)
     EXPECT_NE(json.find("\"slow_frames\""), std::string::npos);
     EXPECT_NE(json.find("\"slow_frame_count\""), std::string::npos);
     EXPECT_NE(json.find(telemetry::kSpanRaySetup), std::string::npos);
+    EXPECT_NE(json.find("\"ticket\":" + std::to_string(joined_ticket) +
+                        ",\"render_ticket\":" +
+                        std::to_string(slow_ticket)),
+              std::string::npos);
 
     // The server's slow-frame counter saw it too.
     EXPECT_GE(expositionValue(srv.metricsText(), "asdr_slow_frames_total"),
@@ -543,6 +617,7 @@ TEST(Telemetry, SlowFrameFlightRecorderCapturesStalledFrames)
     std::vector<server::FrameResult> results;
     srv.drainResults(results);
     srv.closeSession(client);
+    srv.closeSession(joiner);
 }
 
 TEST(Telemetry, FlightRecorderRingIsBounded)
