@@ -442,8 +442,7 @@ main(int argc, char **argv)
             engine::FrameEngine eng(ec);
             { // warm the engine's pool and thread-local workspaces
                 engine::FrameRequest warm(path[0]);
-                warm.field = &field;
-                warm.config = pcfg;
+                warm.renderer = &seq_renderer;
                 eng.submit(std::move(warm)).get();
             }
             std::vector<Image> pipe_frames(path.size());
@@ -452,8 +451,7 @@ main(int argc, char **argv)
                 futs.reserve(path.size());
                 for (const auto &cam : path) {
                     engine::FrameRequest req(cam);
-                    req.field = &field;
-                    req.config = pcfg;
+                    req.renderer = &seq_renderer;
                     futs.push_back(eng.submit(std::move(req)));
                 }
                 for (size_t f = 0; f < futs.size(); ++f)

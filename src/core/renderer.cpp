@@ -312,7 +312,7 @@ AsdrRenderer::beginFrame(FrameState &fs) const
         fs.start = std::chrono::steady_clock::now();
     const int w = fs.camera.width();
     const int h = fs.camera.height();
-    // The engine derives the shape once at admission (the graph is
+    // The engine derives the shape once at admission (its stages are
     // sized from it) and stores it into fs; only non-engine frames
     // (traced renders) reach here without one.
     if (fs.shape.jobs == 0) {
@@ -535,7 +535,7 @@ AsdrRenderer::render(const nerf::Camera &camera, RenderStats *stats,
 
     // Thin synchronous facade over the streaming engine: the worker
     // pool persists across render() calls instead of being rebuilt per
-    // frame, and one frame's stages flow through the same FrameGraph
+    // frame, and one frame's stages flow through the same stage chain
     // the pipelined path uses (max_frames_in_flight = 1 here -- the
     // caller blocks on the frame anyway).
     std::call_once(engine_once_, [&] {

@@ -72,10 +72,10 @@ struct RenderStats
 };
 
 /**
- * Static shape of one frame's stage graph, derivable from the config
+ * Static shape of one frame's stage chain, derivable from the config
  * and resolution alone (before any rendering): how many Phase I probe
  * rows and Phase II jobs the frame decomposes into. The engine sizes
- * its task graph from this without touching the field.
+ * its stages from this without touching the field.
  */
 struct FrameShape
 {
@@ -146,18 +146,19 @@ class AsdrRenderer
 
     // ------------------------------------------------------------------
     // Frame-stage API (the engine's view of a render): a bit-exact
-    // decomposition of render() into graph nodes
+    // decomposition of render() into five stages
     //
     //   beginFrame -> probeRow* -> planBudgets -> phase2Job* -> finalize
     //
-    // Stages of one frame must respect that order (the engine's
-    // FrameGraph encodes it as dependencies); stages of *different*
+    // Stages of one frame must respect that order (the engine runs
+    // them as a fixed chain, each stage's last task starting the
+    // next); stages of *different*
     // frames may interleave freely, which is what multi-frame
     // pipelining exploits. probeRow/phase2Job calls with distinct
     // indices are independent and may run concurrently.
     // ------------------------------------------------------------------
 
-    /** Stage-graph shape for a frame at `w` x `h` under this config. */
+    /** Stage-chain shape for a frame at `w` x `h` under this config. */
     FrameShape frameShape(int w, int h) const;
 
     /** Ray/buffer setup: allocates the image and per-pixel maps. */

@@ -1,18 +1,55 @@
 #include "engine/frame_engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 
-#include "engine/frame_graph.hpp"
 #include "util/fault.hpp"
 #include "util/logging.hpp"
 #include "util/telemetry.hpp"
 
 namespace asdr::engine {
 
-/** One admitted frame: request, state, stage graph, and the renderer
- *  executing its stages. Lives in FrameEngine::frames_ until the
- *  graph's on_done erases it. */
+namespace {
+
+/** A frame's stages, in chain order. */
+enum Stage
+{
+    kRaySetup,
+    kProbes,
+    kPlanning,
+    kTiles,
+    kFinalize,
+    kStages
+};
+
+/** Every stage task records one span under its stage's name, so a
+ *  trace shows the per-lane spread of probe rows and tiles. */
+constexpr const char *kStageSpan[kStages] = {
+    telemetry::kSpanRaySetup, telemetry::kSpanProbes,
+    telemetry::kSpanPlanning, telemetry::kSpanTiles,
+    telemetry::kSpanFinalize,
+};
+
+/** Tasks of `stage` for a frame of shape `s` (0 skips the stage). */
+int
+stageTasks(const core::FrameShape &s, int stage)
+{
+    switch (stage) {
+    case kProbes:
+        return s.adaptive ? s.gh : 0;
+    case kTiles:
+        return s.jobs;
+    default:
+        return 1;
+    }
+}
+
+} // namespace
+
+/** One frame from submission to delivery. Queued frames are owned by
+ *  FrameEngine::queue_; an admitted one by its stage chain, until
+ *  finish() frees it. */
 struct FrameEngine::InFlight
 {
     InFlight(FrameRequest r, uint64_t frame_id)
@@ -22,14 +59,15 @@ struct FrameEngine::InFlight
 
     FrameRequest req;
     core::FrameState fs;
-    std::unique_ptr<core::AsdrRenderer> owned_renderer;
-    const core::AsdrRenderer *renderer = nullptr;
-    FrameGraph graph;
-    std::promise<Frame> promise;
     uint64_t id;
-    bool async = false; ///< deliver via callback/completed queue, no promise
     std::chrono::steady_clock::time_point started_at; ///< admission time
-    std::atomic<bool> delivered{false}; ///< outcome handed to a consumer
+    Frame frame; ///< filled by the finalize stage
+    /** Tasks of the current stage still to run. */
+    std::atomic<int> tasks_left{0};
+    /** Set by the first task that throws; later tasks skip their work.
+     *  `error` is read only by a stage's last task. */
+    std::atomic<bool> failed{false};
+    std::exception_ptr error;
 };
 
 FrameEngine::FrameEngine(const EngineConfig &cfg) : cfg_(cfg)
@@ -48,284 +86,159 @@ FrameEngine::~FrameEngine()
 std::future<Frame>
 FrameEngine::submit(FrameRequest req)
 {
-    return enqueue(std::move(req), /*async=*/false);
-}
-
-uint64_t
-FrameEngine::submitAsync(FrameRequest req)
-{
-    ASDR_ASSERT(req.on_complete || req.collect,
-                "async submission needs a callback or collect");
-    uint64_t id = 0;
-    enqueue(std::move(req), /*async=*/true, &id);
-    return id;
-}
-
-std::future<Frame>
-FrameEngine::enqueue(FrameRequest req, bool async, uint64_t *id_out)
-{
-    ASDR_ASSERT(req.renderer != nullptr || req.field != nullptr,
-                "request needs a renderer or a field");
-    std::future<Frame> fut;
-    std::vector<std::unique_ptr<InFlight>> failed;
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        const uint64_t id = next_id_++;
-        if (id_out)
-            *id_out = id;
-        auto inf = std::make_unique<InFlight>(std::move(req), id);
-        inf->async = async;
-        // Wall clock starts at submission: time queued behind other
-        // frames counts toward the frame's reported latency.
-        inf->fs.start = std::chrono::steady_clock::now();
-        if (!async)
-            fut = inf->promise.get_future();
-        frames_.emplace(id, std::move(inf));
-        queue_.push_back(id);
-        pumpLocked(failed);
-        undelivered_ += int(failed.size());
-    }
-    // Admission failures are delivered outside m_: the consumer may be
-    // a callback that submits again (which takes m_).
-    if (!failed.empty()) {
-        for (auto &f : failed)
-            deliver(f.get(), Frame{}, f->graph.error());
-        std::lock_guard<std::mutex> lock(m_);
-        undelivered_ -= int(failed.size());
-        idle_cv_.notify_all();
-    }
+    ASDR_ASSERT(!req.on_complete, "submit() delivers through its future");
+    auto promise = std::make_shared<std::promise<Frame>>();
+    std::future<Frame> fut = promise->get_future();
+    req.on_complete = [promise](Frame &&frame, std::exception_ptr err) {
+        if (err)
+            promise->set_exception(err);
+        else
+            promise->set_value(std::move(frame));
+    };
+    submitAsync(std::move(req));
     return fut;
 }
 
-bool
-FrameEngine::poll(FrameOutcome &out)
+void
+FrameEngine::submitAsync(FrameRequest req)
 {
-    std::lock_guard<std::mutex> lock(done_m_);
-    if (done_.empty())
-        return false;
-    out = std::move(done_.front());
-    done_.pop_front();
-    return true;
-}
-
-size_t
-FrameEngine::drainCompleted(std::vector<FrameOutcome> &out)
-{
-    std::lock_guard<std::mutex> lock(done_m_);
-    const size_t n = done_.size();
-    out.reserve(out.size() + n);
-    for (auto &o : done_)
-        out.push_back(std::move(o));
-    done_.clear();
-    return n;
-}
-
-size_t
-FrameEngine::completedCount() const
-{
-    std::lock_guard<std::mutex> lock(done_m_);
-    return done_.size();
+    ASDR_ASSERT(req.renderer != nullptr, "request needs a renderer");
+    ASDR_ASSERT(req.on_complete, "async submission needs a callback");
+    std::lock_guard<std::mutex> lock(m_);
+    auto f = std::make_unique<InFlight>(std::move(req), next_id_++);
+    // Wall clock starts at submission: time queued behind other
+    // frames counts toward the frame's reported latency.
+    f->fs.start = std::chrono::steady_clock::now();
+    queue_.push_back(std::move(f));
+    pumpLocked();
 }
 
 void
 FrameEngine::drain()
 {
     std::unique_lock<std::mutex> lock(m_);
-    idle_cv_.wait(lock, [&] {
-        return queue_.empty() && in_flight_ == 0 && undelivered_ == 0;
-    });
+    idle_cv_.wait(lock, [&] { return queue_.empty() && in_flight_ == 0; });
 }
 
 void
-FrameEngine::deliver(InFlight *f, Frame &&frame, std::exception_ptr err)
+FrameEngine::pumpLocked()
 {
+    while (in_flight_ < cfg_.max_frames_in_flight && !queue_.empty()) {
+        InFlight *f = queue_.front().release();
+        queue_.pop_front();
+        ++in_flight_;
+        f->started_at = std::chrono::steady_clock::now();
+        // Derive the chain's shape once and store it: beginFrame must
+        // see exactly the shape the stages were sized from.
+        f->fs.shape = f->req.renderer->frameShape(f->req.camera.width(),
+                                                  f->req.camera.height());
+        // Ray setup always has its one task, so this only submits: it
+        // never finishes the frame (which takes m_) from here.
+        startStage(f, kRaySetup);
+    }
+}
+
+void
+FrameEngine::startStage(InFlight *f, int stage)
+{
+    int tasks = 0;
+    while (stage < kStages &&
+           (tasks = stageTasks(f->fs.shape, stage)) == 0)
+        ++stage;
+    if (stage == kStages || f->error) {
+        finish(f);
+        return;
+    }
+    f->tasks_left.store(tasks, std::memory_order_release);
+    // Execution priority: QoS class first, frame id second
+    // (ThreadPool::composeKey) -- a lower class's ready stages always
+    // outrank a higher class's in the worker scan, and within a class
+    // older frames drain first, so pipelining fills idle workers
+    // without inverting the pipeline. A submission that throws would
+    // leave a frame whose queued tasks we can no longer account for,
+    // so treat it as fatal rather than wedging the engine (it only
+    // throws under allocation failure). After the last submission the
+    // frame may already be finished and freed: nothing reads `f`.
+    const uint64_t key = ThreadPool::composeKey(f->req.priority, f->id);
+    try {
+        for (int i = 0; i < tasks; ++i)
+            pool_.submit([this, f, stage, i] { runTask(f, stage, i); },
+                         key);
+    } catch (...) {
+        panic("frame stage submission failed");
+    }
+}
+
+void
+FrameEngine::runTask(InFlight *f, int stage, int index)
+{
+    // After a failure the rest of the frame is abandoned (its inputs
+    // may be unusable, e.g. beginFrame threw before allocating the
+    // buffers); the stage still completes so the error is delivered.
+    if (!f->failed.load(std::memory_order_acquire)) {
+        try {
+            telemetry::ScopedQos qc(uint8_t(f->req.priority));
+            // Closed before finish() runs the consumer callback, so a
+            // slow-frame dump collecting this ticket's spans from
+            // inside on_complete sees the finalize span.
+            telemetry::ScopedSpan sp(kStageSpan[stage], f->id,
+                                     f->req.ticket);
+            const core::AsdrRenderer &r = *f->req.renderer;
+            switch (stage) {
+            case kRaySetup:
+                // The fault sites fire once per frame, so a seeded
+                // injector maps deterministically onto a frame
+                // sequence: a stall models a stuck stage for the
+                // watchdog, a throw a compute fault surfacing through
+                // the one-result-per-ticket path.
+                fault::fire(fault::kEngineStageStall); // sleeps when armed
+                if (fault::fire(fault::kEngineStageThrow))
+                    throw std::runtime_error("injected: engine stage fault");
+                r.beginFrame(f->fs);
+                break;
+            case kProbes:
+                r.probeRow(f->fs, index);
+                break;
+            case kPlanning:
+                r.planBudgets(f->fs);
+                break;
+            case kTiles:
+                r.phase2Job(f->fs, index);
+                break;
+            case kFinalize:
+                r.finalizeFrame(f->fs, &f->frame.stats);
+                f->frame.image = std::move(f->fs.img);
+                f->frame.finished_at = std::chrono::steady_clock::now();
+                break;
+            }
+        } catch (...) {
+            if (!f->failed.exchange(true, std::memory_order_acq_rel))
+                f->error = std::current_exception();
+        }
+    }
+    // The last task of the stage moves the frame on; every other task
+    // is done with `f`.
+    if (f->tasks_left.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        startStage(f, stage + 1);
+}
+
+void
+FrameEngine::finish(InFlight *f)
+{
+    std::unique_ptr<InFlight> done(f);
+    Frame frame = f->error ? Frame{} : std::move(f->frame);
     frame.id = f->id;
     frame.submitted_at = f->fs.start;
     frame.started_at = f->started_at;
-    if (frame.finished_at == std::chrono::steady_clock::time_point())
+    if (f->error)
         frame.finished_at = std::chrono::steady_clock::now();
-    f->delivered.store(true, std::memory_order_release);
-    if (!f->async) {
-        if (err)
-            f->promise.set_exception(err);
-        else
-            f->promise.set_value(std::move(frame));
-        return;
-    }
-    if (f->req.on_complete) {
-        f->req.on_complete(std::move(frame), err);
-        return;
-    }
-    FrameOutcome out;
-    out.frame = std::move(frame);
-    out.error = err;
-    std::lock_guard<std::mutex> lock(done_m_);
-    done_.push_back(std::move(out));
-}
-
-void
-FrameEngine::pumpLocked(std::vector<std::unique_ptr<InFlight>> &failed)
-{
-    while (in_flight_ < cfg_.max_frames_in_flight && !queue_.empty()) {
-        const uint64_t id = queue_.front();
-        queue_.pop_front();
-        ++in_flight_;
-        InFlight *f = frames_.at(id).get();
-        try {
-            launchLocked(f);
-        } catch (...) {
-            // Admission failed (e.g. allocation) before any task was
-            // queued: hand the frame to the caller to fail outside the
-            // lock, and free its slot instead of wedging the queue.
-            auto it = frames_.find(id);
-            it->second->graph.setError(std::current_exception());
-            failed.push_back(std::move(it->second));
-            frames_.erase(it);
-            --in_flight_;
-            continue;
-        }
-        // Execution priority: QoS class first, frame id second
-        // (ThreadPool::composeKey) -- a lower class's ready stages
-        // always outrank a higher class's in the worker scan, and
-        // within a class older frames drain first, so pipelining fills
-        // idle workers without inverting the pipeline. A throw mid-run
-        // would leave queued tasks referencing a frame we can no longer
-        // safely discard, so treat it as fatal rather than wedging the
-        // engine (it only throws under allocation failure).
-        try {
-            f->graph.run(pool_, [this, id] { frameDone(id); },
-                         ThreadPool::composeKey(f->req.priority, id));
-        } catch (...) {
-            panic("frame graph submission failed mid-run");
-        }
-    }
-}
-
-void
-FrameEngine::launchLocked(InFlight *f)
-{
-    if (f->req.renderer) {
-        f->renderer = f->req.renderer;
-    } else {
-        f->owned_renderer = std::make_unique<core::AsdrRenderer>(
-            *f->req.field, f->req.config);
-        f->renderer = f->owned_renderer.get();
-    }
-    f->started_at = std::chrono::steady_clock::now();
-    const core::AsdrRenderer *r = f->renderer;
-    // Derive the stage-graph shape once and store it: beginFrame must
-    // see exactly the shape the graph was sized from.
-    const core::FrameShape shape =
-        r->frameShape(f->req.camera.width(), f->req.camera.height());
-    f->fs.shape = shape;
-
-    // ---- the frame's stage graph ----
-    FrameGraph &g = f->graph;
-    // The fault sites fire once per frame (first stage), so a seeded
-    // injector maps deterministically onto a frame sequence: a stall
-    // models a stuck stage for the watchdog, a throw a compute fault
-    // surfacing through the one-result-per-ticket path.
-    // Every stage task records a telemetry span (one relaxed load when
-    // tracing is off); multi-task nodes record one span per task, so a
-    // trace shows the per-lane spread of probe rows and tiles.
-    const int setup = g.addNode("ray setup", 1, [f, r](int) {
-        telemetry::ScopedQos qc(uint8_t(f->req.priority));
-        telemetry::ScopedSpan sp(telemetry::kSpanRaySetup, f->id,
-                                 f->req.ticket);
-        fault::fire(fault::kEngineStageStall); // sleeps when armed
-        if (fault::fire(fault::kEngineStageThrow))
-            throw std::runtime_error("injected: engine stage fault");
-        r->beginFrame(f->fs);
-    });
-    int prev = setup;
-    if (shape.adaptive) {
-        const int probe =
-            g.addNode("phase1 probes", shape.gh, [f, r](int gy) {
-                telemetry::ScopedQos qc(uint8_t(f->req.priority));
-                telemetry::ScopedSpan sp(telemetry::kSpanProbes, f->id,
-                                         f->req.ticket);
-                r->probeRow(f->fs, gy);
-            });
-        g.addEdge(setup, probe);
-        prev = probe;
-    }
-    const int plan = g.addNode("sample planning", 1, [f, r](int) {
-        telemetry::ScopedQos qc(uint8_t(f->req.priority));
-        telemetry::ScopedSpan sp(telemetry::kSpanPlanning, f->id,
-                                 f->req.ticket);
-        r->planBudgets(f->fs);
-    });
-    g.addEdge(prev, plan);
-    const int phase2 = g.addNode("phase2 tiles", shape.jobs, [f, r](int j) {
-        telemetry::ScopedQos qc(uint8_t(f->req.priority));
-        telemetry::ScopedSpan sp(telemetry::kSpanTiles, f->id,
-                                 f->req.ticket);
-        r->phase2Job(f->fs, j);
-    });
-    g.addEdge(plan, phase2);
-    const int fin = g.addNode("finalize", 1, [this, f, r](int) {
-        Frame frame;
-        {
-            // Scoped so the span is recorded before deliver() runs the
-            // consumer callback -- a slow-frame dump collecting this
-            // ticket's spans from inside on_complete must see it.
-            telemetry::ScopedQos qc(uint8_t(f->req.priority));
-            telemetry::ScopedSpan sp(telemetry::kSpanFinalize, f->id,
-                                     f->req.ticket);
-            r->finalizeFrame(f->fs, &frame.stats);
-            frame.image = std::move(f->fs.img);
-            frame.finished_at = std::chrono::steady_clock::now();
-        }
-        deliver(f, std::move(frame), nullptr);
-    });
-    g.addEdge(phase2, fin);
-    // The caller (pumpLocked) starts the graph once this throwing
-    // preparation phase is over.
-}
-
-void
-FrameEngine::frameDone(uint64_t id)
-{
-    std::unique_ptr<InFlight> dead;
-    std::vector<std::unique_ptr<InFlight>> failed;
-    bool dead_needs_delivery = false;
+    f->req.on_complete(std::move(frame), f->error);
     {
         std::lock_guard<std::mutex> lock(m_);
-        auto it = frames_.find(id);
-        dead = std::move(it->second);
-        frames_.erase(it);
         --in_flight_;
-        pumpLocked(failed);
-        // Claim the post-unlock deliveries while still inside m_ so a
-        // concurrent drain() cannot observe the engine idle between
-        // the slot release and the outcome reaching its consumer.
-        dead_needs_delivery =
-            !dead->delivered.load(std::memory_order_acquire);
-        undelivered_ += int(failed.size()) + (dead_needs_delivery ? 1 : 0);
-    }
-    // A stage threw: the finalize node was skipped (nothing delivered),
-    // so hand the error to the consumer.
-    int delivered_now = 0;
-    if (dead_needs_delivery) {
-        std::exception_ptr err = dead->graph.error();
-        deliver(dead.get(), Frame{},
-                err ? err
-                    : std::make_exception_ptr(
-                          std::runtime_error("frame abandoned")));
-        ++delivered_now;
-    }
-    for (auto &f : failed) {
-        deliver(f.get(), Frame{}, f->graph.error());
-        ++delivered_now;
-    }
-    if (delivered_now) {
-        std::lock_guard<std::mutex> lock(m_);
-        undelivered_ -= delivered_now;
+        pumpLocked();
     }
     idle_cv_.notify_all();
-    // `dead` (graph included) is destroyed here, on the worker that ran
-    // the graph's final task; the executing on_done closure was moved
-    // out of the graph before the call, so this is safe.
 }
 
 } // namespace asdr::engine

@@ -197,13 +197,11 @@ FrameServer::openSession(const std::string &scene, QosClass qos,
     client->scene = entry;
     client->qos = qos;
     client->callback = std::move(callback);
-    client->session = std::make_unique<engine::RenderSession>(
-        *entry->field, entry->config);
 
     std::lock_guard<std::mutex> lock(m_);
     std::unique_ptr<SceneState> &state = scenes_[entry->name];
     if (!state)
-        state = std::make_unique<SceneState>(metrics_, entry->name);
+        state = std::make_unique<SceneState>(metrics_, *entry);
     client->state = state.get();
     client->id = next_client_++;
     client->shard = pickShardLocked(client->id);
@@ -421,7 +419,20 @@ FrameServer::pumpLocked(int shard, std::vector<Launch> &launches,
                           InFlightFrame{now, pf.qos, pf.scene, rung,
                                         pf.camera, probe,
                                         /*stuck_flagged=*/false, {}});
-        launches.push_back(Launch{shard, std::move(pf), c.session.get()});
+        // Degraded frames render through the scene's renderer for
+        // their rung's sample budget.
+        const core::AsdrRenderer *renderer = &c.state->renderer;
+        if (rung != QualityRung::Full) {
+            const core::RenderConfig dcfg =
+                applyRung(c.scene->config, rung, cfg_.ladder);
+            std::unique_ptr<core::AsdrRenderer> &d =
+                c.state->degraded[dcfg.samples_per_ray];
+            if (!d)
+                d = std::make_unique<core::AsdrRenderer>(*c.scene->field,
+                                                         dcfg);
+            renderer = d.get();
+        }
+        launches.push_back(Launch{shard, std::move(pf), renderer});
     }
 }
 
@@ -443,13 +454,7 @@ FrameServer::launch(const Launch &l)
     engine::FrameRequest req(scaled ? l.frame.camera.scaledTo(render_w,
                                                               render_h)
                                     : l.frame.camera);
-    // Degraded frames render through the session's cached reduced-
-    // samples renderer.
-    req.renderer =
-        rung == QualityRung::Full
-            ? &l.session->renderer()
-            : &l.session->degradedRenderer(
-                  applyRung(l.session->config(), rung, cfg_.ladder));
+    req.renderer = l.renderer;
     req.priority = qosPoolPriority(l.frame.qos);
     req.ticket = l.frame.ticket; // correlates engine stage spans
     const int shard = l.shard;
@@ -529,8 +534,10 @@ FrameServer::onFrameDone(int shard, uint64_t client, uint64_t ticket,
             s.brownout->observeLatency(qos, latency * 1e3);
         pumpLocked(shard, launches, rejects);
     }
-    // Refill the freed slot before delivery: the next frame renders
-    // while this one's consumers run.
+    // Refill the freed server slot before delivery. The engine keeps
+    // this frame's own slot until its deliveries return, so the next
+    // frame renders while this one's consumers run only when the
+    // engine has a spare slot; otherwise it starts right after.
     for (const Launch &l : launches)
         launch(l);
     deliverAll(std::move(rejects));

@@ -9,6 +9,10 @@
  *
  *   SceneRegistry    named (field, config) entries, loaded once,
  *                    shared read-only by every client of a scene.
+ *                    The server builds one renderer per scene at its
+ *                    first session (plus one per degraded sample
+ *                    budget the quality ladder admits a frame at), and
+ *                    every session of the scene renders through them.
  *   FrameServer      owns a shard set of FrameEngines (each with its
  *                    own worker pool and pipeline slots). A client
  *                    session is pinned to a shard at open time by a
@@ -42,9 +46,9 @@
  *
  * Frames served through any shard/QoS mix are bit-identical to the
  * client's own sequential AsdrRenderer::render() calls: the engine
- * stages are bit-exact and sessions carry nothing between frames, so
- * a render serves every request for its view alike -- enforced by
- * tests/test_server.cpp.
+ * stages are bit-exact and nothing carries over between frames, so
+ * the scene's shared renderer and a shared render serve every request
+ * for a view alike -- enforced by tests/test_server.cpp.
  */
 
 #ifndef ASDR_SERVER_FRAME_SERVER_HPP
@@ -64,7 +68,6 @@
 #include <vector>
 
 #include "engine/frame_engine.hpp"
-#include "engine/render_session.hpp"
 #include "server/qos.hpp"
 #include "server/qos_scheduler.hpp"
 #include "server/quality_ladder.hpp"
@@ -349,16 +352,28 @@ class FrameServer
         std::chrono::steady_clock::time_point opened_at;
     };
 
-    /** One scene's serving state: its metric series (atomics) and its
-     *  breaker (m_ held). Created at the scene's first openSession. */
+    /**
+     * One scene's serving state, created at the scene's first
+     * openSession: its metric series (atomics), its breaker (m_ held),
+     * and the renderers every session of the scene shares -- one for
+     * Full-rung frames and one per degraded sample budget. Frames
+     * carry nothing from one to the next, so a shared renderer draws
+     * each client's frames exactly as the client's own would.
+     */
     struct SceneState
     {
-        SceneState(metrics::Registry &reg, const std::string &name)
-            : series(reg, name)
+        SceneState(metrics::Registry &reg, const SceneEntry &entry)
+            : series(reg, entry.name), renderer(*entry.field, entry.config)
         {
         }
         SceneMetrics series;
         Breaker breaker;
+        core::AsdrRenderer renderer;
+        /** The quality ladder's reduced-samples renderers, keyed by
+         *  samples_per_ray, built under m_ when a frame is admitted
+         *  at their rung. Never evicted: in-flight frames hold bare
+         *  pointers. */
+        std::map<int, std::unique_ptr<core::AsdrRenderer>> degraded;
     };
 
     struct Client
@@ -368,7 +383,6 @@ class FrameServer
         SceneState *state = nullptr;
         QosClass qos = QosClass::Standard;
         int shard = 0;
-        std::unique_ptr<engine::RenderSession> session;
         ResultCallback callback;
         /** Frames pending + in flight + mid-delivery. */
         uint64_t outstanding = 0;
@@ -382,7 +396,7 @@ class FrameServer
     {
         int shard = 0;
         PendingFrame frame;
-        engine::RenderSession *session = nullptr;
+        const core::AsdrRenderer *renderer = nullptr; ///< its scene's, at its rung
     };
 
     /** A result decided at admission time (deadline expiry, breaker

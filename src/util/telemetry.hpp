@@ -7,7 +7,7 @@
  *
  *  - `telemetry` -- per-thread span buffers recording (frame, ticket,
  *    stage, worker lane, t_start, t_end) for every pipeline stage a
- *    frame crosses: QoS queue-wait, admission, the five FrameGraph
+ *    frame crosses: QoS queue-wait, admission, the five engine
  *    stages, wire encode, and socket flush. Spans export as
  *    Chrome/Perfetto `trace_event` JSON (open the file in
  *    ui.perfetto.dev). Unlike the legacy per-frame TraceSink this
@@ -54,15 +54,15 @@ namespace asdr::telemetry {
 inline constexpr const char *kSpanQueueWait = "server.queue_wait";
 /** Admission bookkeeping: ladder/brownout decisions + engine submit. */
 inline constexpr const char *kSpanAdmit = "server.admit";
-/** FrameGraph stage 1: camera rays + probe-plan setup. */
+/** Engine stage 1: camera rays + probe-plan setup. */
 inline constexpr const char *kSpanRaySetup = "engine.ray_setup";
-/** FrameGraph stage 2: Phase I probe sampling (skipped on reuse). */
+/** Engine stage 2: Phase I probe sampling (none when not adaptive). */
 inline constexpr const char *kSpanProbes = "engine.phase1_probes";
-/** FrameGraph stage 3: per-ray adaptive sample planning. */
+/** Engine stage 3: per-ray adaptive sample planning. */
 inline constexpr const char *kSpanPlanning = "engine.sample_planning";
-/** FrameGraph stage 4: Phase II tile rendering. */
+/** Engine stage 4: Phase II tile rendering. */
 inline constexpr const char *kSpanTiles = "engine.phase2_tiles";
-/** FrameGraph stage 5: stats finalize + delivery. */
+/** Engine stage 5: stats finalize (delivery follows the span). */
 inline constexpr const char *kSpanFinalize = "engine.finalize";
 /** Wire-side frame encode (raw/quantized/delta) under the session. */
 inline constexpr const char *kSpanEncode = "net.encode";

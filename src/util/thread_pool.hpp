@@ -19,8 +19,8 @@
  * within a class, and multi-frame pipelining can't invert. Cross-queue
  * ordering is best-effort (fronts move between scan and pop) and
  * tasks sharing a key are mutually unordered -- completion and
- * dependencies are the submitter's job (the engine's FrameGraph
- * counts them).
+ * dependencies are the submitter's job (the engine counts each
+ * stage's tasks, and a stage's last task submits the next stage).
  *
  * The pool has an explicit start()/stop() lifecycle so one pool
  * outlives many frames: the engine starts it once and reuses it for

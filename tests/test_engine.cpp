@@ -7,21 +7,20 @@
  *    and max_frames_in_flight.
  *  - The batched distillation trainer (Mlp::forwardBatch through
  *    fitField) produces a bit-identical field to the per-sample loop.
- *  - ThreadPool start()/stop() lifecycle and FrameGraph dependency
- *    ordering.
+ *  - ThreadPool start()/stop() lifecycle, and QoS-keyed task order.
+ *    (Stage order within a frame is checked on real frames'
+ *    telemetry spans: Telemetry.SpanOrderingInvariants.)
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <future>
-#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <vector>
 
 #include "engine/frame_engine.hpp"
-#include "engine/frame_graph.hpp"
 #include "nerf/ngp_field.hpp"
 #include "nerf/procedural_field.hpp"
 #include "nerf/trainer.hpp"
@@ -74,43 +73,6 @@ TEST(ThreadPoolLifecycle, StartStopRestart)
     }
 }
 
-TEST(FrameGraphExec, DependenciesAreRespected)
-{
-    ThreadPool pool;
-    pool.start(4);
-
-    std::atomic<int> a_done{0};
-    std::atomic<int> b_done{0};
-    std::atomic<bool> order_ok{true};
-    std::atomic<bool> finished{false};
-    std::promise<void> done;
-
-    engine::FrameGraph g;
-    int a = g.addNode("a", 16, [&](int) { a_done.fetch_add(1); });
-    int b = g.addNode("b", 1, [&](int) {
-        if (a_done.load() != 16)
-            order_ok = false;
-        b_done.fetch_add(1);
-    });
-    int c = g.addNode("c", 8, [&](int) {
-        if (b_done.load() != 1)
-            order_ok = false;
-    });
-    int sync = g.addNode("sync", 0, engine::FrameGraph::TaskFn());
-    g.addEdge(a, b);
-    g.addEdge(b, c);
-    g.addEdge(c, sync);
-    g.run(pool, [&] {
-        finished = true;
-        done.set_value();
-    });
-    done.get_future().wait();
-    EXPECT_TRUE(finished.load());
-    EXPECT_TRUE(order_ok.load());
-    EXPECT_EQ(a_done.load(), 16);
-    pool.stop();
-}
-
 TEST(FrameEnginePipeline, InFlightFramesMatchSequentialBitwise)
 {
     auto scene = scene::createScene("Lego");
@@ -130,6 +92,7 @@ TEST(FrameEnginePipeline, InFlightFramesMatchSequentialBitwise)
     for (int f = 0; f < FRAMES; ++f)
         seq.push_back(
             reference.render(path[size_t(f)], &seq_stats[size_t(f)]));
+    const AsdrRenderer pipelined(field, cfg);
 
     for (int threads : {1, 2, 4}) {
         for (int in_flight : {1, 2, 4}) {
@@ -143,8 +106,7 @@ TEST(FrameEnginePipeline, InFlightFramesMatchSequentialBitwise)
             std::vector<std::future<engine::Frame>> futs;
             for (int f = 0; f < FRAMES; ++f) {
                 engine::FrameRequest req(path[size_t(f)]);
-                req.field = &field;
-                req.config = cfg;
+                req.renderer = &pipelined;
                 futs.push_back(eng.submit(std::move(req)));
             }
             for (int f = 0; f < FRAMES; ++f) {
@@ -194,6 +156,7 @@ TEST(FrameEnginePipeline, StageFailureReachesTheFutureAndFreesTheSlot)
 
     RenderConfig cfg = RenderConfig::asdr(12, 12, 24);
     cfg.num_threads = 2;
+    const AsdrRenderer bad_r(bad, cfg), good_r(good, cfg);
 
     engine::EngineConfig ec;
     ec.num_threads = 2;
@@ -202,22 +165,20 @@ TEST(FrameEnginePipeline, StageFailureReachesTheFutureAndFreesTheSlot)
 
     // The failing frame's error propagates through its future...
     engine::FrameRequest bad_req(camera);
-    bad_req.field = &bad;
-    bad_req.config = cfg;
+    bad_req.renderer = &bad_r;
     auto bad_fut = eng.submit(std::move(bad_req));
     EXPECT_THROW(bad_fut.get(), std::runtime_error);
 
     // ...and the engine keeps serving: the slot is freed, later frames
     // complete, and drain() returns.
     engine::FrameRequest good_req(camera);
-    good_req.field = &good;
-    good_req.config = cfg;
+    good_req.renderer = &good_r;
     engine::Frame frame = eng.submit(std::move(good_req)).get();
     EXPECT_EQ(frame.image.width(), 12);
     eng.drain();
 }
 
-TEST(FrameEngineAsync, CallbackAndPollDeliverBitIdenticalFrames)
+TEST(FrameEngineAsync, CallbackDeliversBitIdenticalFrames)
 {
     auto scene = scene::createScene("Lego");
     ProceduralField field(*scene, NgpModelConfig::fast());
@@ -237,15 +198,14 @@ TEST(FrameEngineAsync, CallbackAndPollDeliverBitIdenticalFrames)
     ec.max_frames_in_flight = 2;
     engine::FrameEngine eng(ec);
 
-    // Callback path: outcomes land on engine workers; ids map them
-    // back to submission order.
+    // Outcomes land on engine workers; ids map them back to submission
+    // order.
     std::mutex m;
     std::vector<engine::Frame> via_cb;
     via_cb.resize(size_t(FRAMES));
     for (const auto &cam : path) {
         engine::FrameRequest req(cam);
-        req.field = &field;
-        req.config = cfg;
+        req.renderer = &reference;
         req.on_complete = [&](engine::Frame &&frame,
                               std::exception_ptr err) {
             ASSERT_EQ(err, nullptr);
@@ -264,34 +224,9 @@ TEST(FrameEngineAsync, CallbackAndPollDeliverBitIdenticalFrames)
         EXPECT_LE(via_cb[size_t(f)].started_at,
                   via_cb[size_t(f)].finished_at);
     }
-
-    // Poll path: collect outcomes through the completed queue without
-    // ever blocking in a future get(); the ids submitAsync returns
-    // correlate completion-ordered outcomes back to submissions.
-    std::map<uint64_t, size_t> id_to_frame;
-    for (size_t f = 0; f < path.size(); ++f) {
-        engine::FrameRequest req(path[f]);
-        req.field = &field;
-        req.config = cfg;
-        req.collect = true;
-        const uint64_t id = eng.submitAsync(std::move(req));
-        EXPECT_GT(id, 0u);
-        id_to_frame[id] = f;
-    }
-    eng.drain();
-    EXPECT_EQ(eng.completedCount(), size_t(FRAMES));
-    std::vector<engine::FrameOutcome> outcomes;
-    EXPECT_EQ(eng.drainCompleted(outcomes), size_t(FRAMES));
-    for (auto &out : outcomes) {
-        ASSERT_TRUE(out.ok());
-        const size_t f = id_to_frame.at(out.frame.id);
-        expectFramesIdentical(seq[f], out.frame.image, "polled frame");
-    }
-    engine::FrameOutcome none;
-    EXPECT_FALSE(eng.poll(none)); // queue drained
 }
 
-TEST(FrameEngineAsync, StageFailureReachesCallbackAndPollWithoutWedging)
+TEST(FrameEngineAsync, StageFailureReachesCallbackAndFutureWithoutWedging)
 {
     auto scene = scene::createScene("Lego");
     ThrowingField bad(*scene, NgpModelConfig::fast());
@@ -299,6 +234,7 @@ TEST(FrameEngineAsync, StageFailureReachesCallbackAndPollWithoutWedging)
     Camera camera = cameraForScene(scene->info(), 12, 12);
     RenderConfig cfg = RenderConfig::asdr(12, 12, 24);
     cfg.num_threads = 2;
+    const AsdrRenderer bad_r(bad, cfg), good_r(good, cfg);
 
     engine::EngineConfig ec;
     ec.num_threads = 2;
@@ -306,12 +242,11 @@ TEST(FrameEngineAsync, StageFailureReachesCallbackAndPollWithoutWedging)
     engine::FrameEngine eng(ec);
 
     // More failing frames than pipeline slots: every slot must be
-    // reclaimed and every consumer notified, on both async paths.
+    // reclaimed and every callback notified.
     std::atomic<int> cb_errors{0};
     for (int f = 0; f < 3; ++f) {
         engine::FrameRequest req(camera);
-        req.field = &bad;
-        req.config = cfg;
+        req.renderer = &bad_r;
         req.on_complete = [&](engine::Frame &&frame,
                               std::exception_ptr err) {
             EXPECT_NE(err, nullptr);
@@ -320,33 +255,17 @@ TEST(FrameEngineAsync, StageFailureReachesCallbackAndPollWithoutWedging)
         };
         eng.submitAsync(std::move(req));
     }
-    for (int f = 0; f < 3; ++f) {
-        engine::FrameRequest req(camera);
-        req.field = &bad;
-        req.config = cfg;
-        req.collect = true;
-        eng.submitAsync(std::move(req));
-    }
     eng.drain();
     EXPECT_EQ(cb_errors.load(), 3);
-    std::vector<engine::FrameOutcome> outcomes;
-    EXPECT_EQ(eng.drainCompleted(outcomes), 3u);
-    for (const auto &out : outcomes) {
-        EXPECT_FALSE(out.ok());
-        EXPECT_THROW(std::rethrow_exception(out.error),
-                     std::runtime_error);
-    }
 
     // The engine is not wedged: the future path still errors cleanly
     // and a good frame still renders.
     engine::FrameRequest bad_req(camera);
-    bad_req.field = &bad;
-    bad_req.config = cfg;
+    bad_req.renderer = &bad_r;
     EXPECT_THROW(eng.submit(std::move(bad_req)).get(),
                  std::runtime_error);
     engine::FrameRequest good_req(camera);
-    good_req.field = &good;
-    good_req.config = cfg;
+    good_req.renderer = &good_r;
     engine::Frame frame = eng.submit(std::move(good_req)).get();
     EXPECT_EQ(frame.image.width(), 12);
     eng.drain();
@@ -364,12 +283,12 @@ TEST(FrameEngineAsync, PoolKeysComposeClassPriorityThenFrameId)
 
     // An interactive frame submitted AFTER a batch frame still runs
     // first on the engine's single worker: the batch frame parks
-    // behind a gate, both graphs queue, and the key scan drains the
+    // behind a gate, both frames queue, and the key scan drains the
     // interactive frame's stages first.
     auto scene = scene::createScene("Lego");
     ProceduralField field(*scene, NgpModelConfig::fast());
     Camera camera = cameraForScene(scene->info(), 12, 12);
-    RenderConfig cfg = RenderConfig::asdr(12, 12, 24);
+    const AsdrRenderer r(field, RenderConfig::asdr(12, 12, 24));
 
     engine::EngineConfig ec;
     ec.num_threads = 1;
@@ -384,8 +303,7 @@ TEST(FrameEngineAsync, PoolKeysComposeClassPriorityThenFrameId)
     std::vector<uint32_t> completion_order;
     auto submitWithPriority = [&](uint32_t prio) {
         engine::FrameRequest req(camera);
-        req.field = &field;
-        req.config = cfg;
+        req.renderer = &r;
         req.priority = prio;
         req.on_complete = [&m, &completion_order,
                            prio](engine::Frame &&, std::exception_ptr) {
@@ -407,7 +325,7 @@ TEST(FrameEngineAsync, PoolKeysComposeClassPriorityThenFrameId)
 TEST(FrameEnginePipeline, NonAdaptiveAndScalarConfigsToo)
 {
     // eval_batch <= 1 (scalar row path) and adaptive off (no Phase I
-    // node) exercise the degenerate graph shapes.
+    // tasks) exercise the degenerate chain shapes.
     auto scene = scene::createScene("Chair");
     ProceduralField field(*scene, NgpModelConfig::fast());
     Camera camera = cameraForScene(scene->info(), 16, 16);
@@ -425,8 +343,7 @@ TEST(FrameEnginePipeline, NonAdaptiveAndScalarConfigsToo)
         ec.max_frames_in_flight = 2;
         engine::FrameEngine eng(ec);
         engine::FrameRequest req(camera);
-        req.field = &field;
-        req.config = cfg;
+        req.renderer = &reference;
         engine::Frame frame = eng.submit(std::move(req)).get();
         expectFramesIdentical(want, frame.image, "non-adaptive/scalar");
     }

@@ -524,40 +524,62 @@ TEST(ServerLadder, AdmitDegradeFaultForcesFloorRung)
     cfg.threads_per_shard = 1;
     FrameServer srv(reg, cfg); // ladder disabled: the site still works
 
-    const uint64_t client = srv.openSession("lego", QosClass::Standard);
-    const nerf::Camera cam = nerf::cameraForScene(entry->info, 16, 16);
+    // Two sessions of the scene at different cameras, so neither joins
+    // the other's render: every frame is drawn by the scene's own
+    // floor-rung renderer.
+    const nerf::Camera cams[2] = {
+        nerf::cameraForScene(entry->info, 16, 16),
+        nerf::orbitCameraPath(entry->info, 16, 16, 2)[1]};
+    ASSERT_FALSE(cams[0].identical(cams[1]));
+    uint64_t clients[2];
+    for (int v = 0; v < 2; ++v)
+        clients[v] = srv.openSession("lego", QosClass::Standard);
 
     fault::arm(fault::kServerAdmitDegrade, 1.0);
-    std::set<uint64_t> tickets;
+    std::map<uint64_t, int> view_of; // ticket -> index into cams
     for (int f = 0; f < 3; ++f)
-        tickets.insert(srv.submitFrame(client, cam));
+        for (int v = 0; v < 2; ++v)
+            view_of[srv.submitFrame(clients[v], cams[v])] = v;
     srv.waitIdle();
+
+    // The floor rung renders at half resolution with the ladder's
+    // reduced sample budget.
+    const core::AsdrRenderer floor_rung(
+        *entry->field,
+        applyRung(entry->config, QualityRung::Quantized8, cfg.ladder));
+    const Image want[2] = {floor_rung.render(cams[0].scaledTo(8, 8)),
+                           floor_rung.render(cams[1].scaledTo(8, 8))};
 
     std::vector<FrameResult> results;
     srv.drainResults(results);
-    ASSERT_EQ(results.size(), 3u);
+    ASSERT_EQ(results.size(), 6u);
     std::set<uint64_t> seen;
     for (const auto &r : results) {
         EXPECT_TRUE(seen.insert(r.ticket).second) << "duplicate result";
         ASSERT_TRUE(r.ok());
         EXPECT_EQ(r.rung, QualityRung::Quantized8);
-        // The floor rung renders at half resolution; the consumer
-        // upscales back to the requested full_width x full_height.
+        // The consumer upscales back to the requested full_width x
+        // full_height.
         EXPECT_EQ(r.full_width, 16);
         EXPECT_EQ(r.full_height, 16);
         EXPECT_EQ(r.frame.image.width(), 8);
         EXPECT_EQ(r.frame.image.height(), 8);
+        auto view = view_of.find(r.ticket);
+        ASSERT_NE(view, view_of.end()) << "unknown ticket " << r.ticket;
+        expectFramesIdentical(want[view->second], r.frame.image,
+                              "floor-rung frame");
     }
-    EXPECT_EQ(seen, tickets);
-    EXPECT_EQ(srv.stats().cls[1].degraded, 3u);
+    EXPECT_EQ(seen.size(), view_of.size());
+    EXPECT_EQ(srv.stats().cls[1].degraded, 6u);
     const std::string text = srv.metricsText();
     EXPECT_EQ(expositionValue(text, "asdr_frames_served_total{qos=\""
                                     "standard\",rung=\"quantized8\"}"),
-              3.0);
+              6.0);
     EXPECT_EQ(expositionValue(text, "asdr_scene_frames_served_total{scene="
                                     "\"lego\",rung=\"quantized8\"}"),
-              3.0);
-    srv.closeSession(client);
+              6.0);
+    for (uint64_t c : clients)
+        srv.closeSession(c);
 }
 
 TEST(FaultSites, IntrospectionListsEveryCompiledInSite)

@@ -55,9 +55,11 @@ TEST(AddressMapping, HybridUtilizationImproves)
     EXPECT_GT(hybrid.avgUtilization(), 0.75);
     // Every de-hashed table is at least half-utilized (pow2 replication
     // can waste at most half).
-    for (int t = 0; t < hybrid.tables(); ++t)
-        if (hybrid.dehashed(t))
+    for (int t = 0; t < hybrid.tables(); ++t) {
+        if (hybrid.dehashed(t)) {
             EXPECT_GE(hybrid.storageUtilization(t), 0.5) << t;
+        }
+    }
 }
 
 TEST(AddressMapping, ReplicationCountsPowerOfTwo)

@@ -10,9 +10,10 @@
  *    trace_event JSON in which every served ticket has its own
  *    queue-wait and its render_ticket has admission and all five
  *    engine stages; span ordering invariants hold (a render's
- *    queue-wait ends before its first engine stage, a joiner's before
- *    its render's finalize ends; spans on one worker lane never
- *    overlap).
+ *    queue-wait ends before its first engine stage, each engine
+ *    stage's spans end before the next stage's first span starts, a
+ *    joiner's queue-wait ends before its render's finalize ends; spans
+ *    on one worker lane never overlap).
  *  - flight recorder: a frame stalled past slow_frame_ms is retained
  *    with its span timeline and surfaces in the recorder's JSON; a
  *    frame that joined its render is retained with the render's
@@ -30,6 +31,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -494,6 +496,31 @@ TEST(Telemetry, SpanOrderingInvariants)
         if (render == ticket) {
             ASSERT_NE(first_engine, UINT64_MAX) << "ticket " << ticket;
             EXPECT_LE(queue_end, first_engine) << "ticket " << ticket;
+            // The engine runs a frame's stages as a chain: every span
+            // of a stage ends no later than the first span of the
+            // next stage starts.
+            const std::string chain[] = {
+                telemetry::kSpanRaySetup, telemetry::kSpanProbes,
+                telemetry::kSpanPlanning, telemetry::kSpanTiles,
+                telemetry::kSpanFinalize,
+            };
+            for (size_t k = 1; k < std::size(chain); ++k) {
+                uint64_t prev_end = 0;
+                uint64_t next_start = UINT64_MAX;
+                for (const auto &s : spans) {
+                    if (s.name == chain[k - 1])
+                        prev_end = std::max(prev_end, s.t_end_us);
+                    else if (s.name == chain[k])
+                        next_start = std::min(next_start, s.t_start_us);
+                }
+                ASSERT_NE(prev_end, 0u)
+                    << "ticket " << ticket << " has no " << chain[k - 1];
+                ASSERT_NE(next_start, UINT64_MAX)
+                    << "ticket " << ticket << " has no " << chain[k];
+                EXPECT_LE(prev_end, next_start)
+                    << "ticket " << ticket << ": " << chain[k - 1]
+                    << " ends after " << chain[k] << " starts";
+            }
             continue;
         }
         EXPECT_EQ(first_engine, UINT64_MAX)
