@@ -4,9 +4,11 @@
  * (point-at-a-time) oracle vs. the batched Morton-tile march vs.
  * batched + tile-parallel, at several resolutions, plus a hash-encode
  * microbenchmark (scalar vs two-pass SIMD vs SIMD over Morton-ordered
- * input), multi-frame pipelining through the streaming engine, and
- * multi-tenant serving latency (per-QoS-class percentiles and drop
- * rates through the sharded FrameServer). Frames are bit-identical
+ * input), multi-frame pipelining through the streaming engine, the
+ * quality ladder's shed-vs-degrade trade under an over-backlog burst,
+ * and fault recovery (time to resume, circuit breaker on vs. off).
+ * Serving throughput and latency are servebench's job (servebench/),
+ * which measures them net of host steal. Frames are bit-identical
  * across all render modes, so every row measures the same workload.
  * Each row is emitted as a JSON line to stdout *and* appended to
  * BENCH_throughput.json in the working directory, so the perf
@@ -17,15 +19,12 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/harness.hpp"
@@ -37,7 +36,6 @@
 #include "nerf/procedural_field.hpp"
 #include "server/frame_server.hpp"
 #include "server/workload.hpp"
-#include "util/telemetry.hpp"
 
 using namespace asdr;
 using namespace asdr::bench;
@@ -164,9 +162,8 @@ secondsOf(const std::function<void()> &fn)
 int
 main(int argc, char **argv)
 {
-    // --smoke: a minutes-to-seconds variant registered in ctest, so the
-    // whole bench pipeline (every JSON row kind, including the
-    // frames_pipelined engine path) is exercised on every CI run.
+    // --smoke: a minutes-to-seconds variant registered in ctest, so
+    // every JSON row kind is exercised on every CI run.
     bool smoke = false;
     for (int i = 1; i < argc; ++i)
         if (std::string(argv[i]) == "--smoke")
@@ -493,87 +490,10 @@ main(int argc, char **argv)
         ptable.print(std::cout);
     }
 
-    // ---- multi-tenant serving latency: the closed-loop workload
-    // generator (N viewers x M scenes x mixed QoS) through the sharded
-    // FrameServer; per-class p50/p95/p99 submit->delivery latency and
-    // drop rate. The interactive burst deliberately exceeds the class
-    // backlog so the drop-oldest path shows up in the rows.
-    {
-        const int sw = smoke ? 16 : 32;      // frame edge
-        const int sns = smoke ? 24 : 48;     // samples per ray
-        const int sframes = smoke ? 8 : 16;  // submissions per viewer
-        core::RenderConfig scfg_render =
-            core::RenderConfig::asdr(sw, sw, sns);
-        scfg_render.probe_stride = 4;
-
-        server::SceneRegistry registry;
-        registry.addProcedural("Lego", "Lego", nerf::NgpModelConfig::fast(),
-                               scfg_render);
-        registry.addProcedural("Chair", "Chair",
-                               nerf::NgpModelConfig::fast(), scfg_render);
-
-        server::ServerConfig scfg;
-        scfg.shards = 2;
-        scfg.threads_per_shard =
-            std::max(1, std::min(2, core::resolveThreadCount(0)));
-        scfg.frames_in_flight_per_shard = 2;
-        server::FrameServer srv(registry, scfg);
-
-        server::WorkloadSpec spec;
-        spec.scenes = {"Lego", "Chair"};
-        spec.clients[int(server::QosClass::Interactive)] = smoke ? 2 : 3;
-        spec.clients[int(server::QosClass::Standard)] = smoke ? 1 : 2;
-        spec.clients[int(server::QosClass::Batch)] = smoke ? 1 : 2;
-        spec.frames_per_client = sframes;
-        spec.width = sw;
-        spec.height = sw;
-        spec.burst = 6; // above the interactive backlog of 4 -> drops
-        server::WorkloadReport report =
-            server::runWorkload(srv, registry, spec);
-
-        TextTable stable({"class", "submitted", "served", "dropped",
-                          "p50 (ms)", "p95 (ms)", "p99 (ms)",
-                          "queue (ms)"});
-        for (int c = 0; c < server::kQosClasses; ++c) {
-            const server::QosClassStats &s = report.stats.cls[c];
-            const char *cls = server::qosClassName(server::QosClass(c));
-            stable.addRow({cls, std::to_string(s.submitted),
-                           std::to_string(s.served),
-                           std::to_string(s.dropped), fmt(s.p50_ms, 2),
-                           fmt(s.p95_ms, 2), fmt(s.p99_ms, 2),
-                           fmt(s.mean_queue_ms, 2)});
-            emitBoth(JsonLine("serve_latency")
-                         .field("qos", cls)
-                         .field("shards", scfg.shards)
-                         .field("threads_per_shard",
-                                scfg.threads_per_shard)
-                         .field("viewers", int(report.viewers))
-                         .field("frames_per_viewer", sframes)
-                         .field("width", sw)
-                         .field("samples_per_ray", sns)
-                         .field("submitted", int(s.submitted))
-                         .field("served", int(s.served))
-                         .field("dropped", int(s.dropped))
-                         .field("failed", int(s.failed))
-                         .field("drop_rate", s.dropRate())
-                         .field("p50_ms", s.p50_ms)
-                         .field("p95_ms", s.p95_ms)
-                         .field("p99_ms", s.p99_ms)
-                         .field("mean_queue_ms", s.mean_queue_ms)
-                         .field("wall_s", report.wall_s)
-                         .field("served_frames_per_s",
-                                report.frames_per_s),
-                     artifact);
-        }
-        stable.print(std::cout);
-        std::cout << report.stats.totalServed()
-                  << " frames served across " << report.viewers
-                  << " viewers in " << report.wall_s << " s\n";
-    }
-
-    // ---- quality ladder: the same over-backlog burst workload with
-    // the brownout controller + demote-before-drop stretch off vs. on.
-    // Off, the interactive burst sheds frames (drop-oldest); on, the
+    // ---- quality ladder: a closed-loop workload (N viewers x M scenes
+    // x mixed QoS) whose interactive burst exceeds the class backlog,
+    // with the brownout controller + demote-before-drop stretch off vs.
+    // on. Off, the interactive burst sheds frames (drop-oldest); on, the
     // would-be-dropped frames are served degraded instead, so the shed
     // rate collapses while the degraded fraction and mean rung report
     // what the graceful path cost in fidelity.
@@ -661,159 +581,6 @@ main(int argc, char **argv)
             qtable.addRule();
         }
         qtable.print(std::cout);
-    }
-
-    // ---- wire serving: the same closed-loop workload through the TCP
-    // front end (net/render_service + net/client over loopback).
-    // wire_latency rows: client-observed p50/p95/p99 round trip per
-    // QoS class. wire_bytes rows: bytes/frame per frame encoding on a
-    // single-viewer orbit -- the smoke run ASSERTS that quantized and
-    // delta stream >= 2x fewer bytes than raw (the delivery-path
-    // data-reuse target), failing the bench (and ctest) otherwise.
-    {
-        const int ww = smoke ? 16 : 32;      // frame edge
-        const int wns = smoke ? 24 : 48;     // samples per ray
-        const int wframes = smoke ? 6 : 12;  // frames per viewer
-        core::RenderConfig wcfg = core::RenderConfig::asdr(ww, ww, wns);
-        wcfg.probe_stride = 4;
-
-        server::SceneRegistry registry;
-        registry.addProcedural("Lego", "Lego", nerf::NgpModelConfig::fast(),
-                               wcfg);
-        registry.addProcedural("Chair", "Chair",
-                               nerf::NgpModelConfig::fast(), wcfg);
-        server::ServerConfig scfg;
-        scfg.shards = 2;
-        scfg.threads_per_shard =
-            std::max(1, std::min(2, core::resolveThreadCount(0)));
-        scfg.frames_in_flight_per_shard = 2;
-        server::FrameServer srv(registry, scfg);
-        net::RenderService service(srv);
-        std::string nerr;
-        if (!service.start(&nerr)) {
-            std::cerr << "wire bench: service start failed: " << nerr
-                      << "\n";
-            return 1;
-        }
-
-        // (a) Round-trip latency under a mixed-QoS wire workload.
-        server::WorkloadSpec spec;
-        spec.scenes = {"Lego", "Chair"};
-        spec.clients[int(server::QosClass::Interactive)] = 2;
-        spec.clients[int(server::QosClass::Standard)] = 1;
-        spec.clients[int(server::QosClass::Batch)] = 1;
-        spec.frames_per_client = wframes;
-        spec.width = ww;
-        spec.height = ww;
-        spec.burst = 2;
-        server::WireWorkloadOptions wire;
-        wire.port = service.port();
-        wire.encoding = net::FrameEncoding::Raw;
-        server::WorkloadReport wreport =
-            server::runWorkloadOverWire(registry, spec, wire);
-
-        TextTable wtable({"class", "served", "rtt p50 (ms)",
-                          "rtt p95 (ms)", "rtt p99 (ms)", "rtt mean (ms)"});
-        for (int c = 0; c < server::kQosClasses; ++c) {
-            const server::ClientRttStats &r = wreport.client_rtt[c];
-            const server::QosClassStats &s = wreport.stats.cls[c];
-            const char *cls = server::qosClassName(server::QosClass(c));
-            wtable.addRow({cls, std::to_string(r.samples), fmt(r.p50_ms, 2),
-                           fmt(r.p95_ms, 2), fmt(r.p99_ms, 2),
-                           fmt(r.mean_ms, 2)});
-            emitBoth(JsonLine("wire_latency")
-                         .field("qos", cls)
-                         .field("encoding", "raw")
-                         .field("viewers", int(wreport.viewers))
-                         .field("frames_per_viewer", wframes)
-                         .field("width", ww)
-                         .field("samples_per_ray", wns)
-                         .field("served", int(r.samples))
-                         .field("submitted", int(s.submitted))
-                         .field("dropped", int(s.dropped))
-                         .field("rtt_p50_ms", r.p50_ms)
-                         .field("rtt_p95_ms", r.p95_ms)
-                         .field("rtt_p99_ms", r.p99_ms)
-                         .field("rtt_mean_ms", r.mean_ms)
-                         .field("server_p50_ms", s.p50_ms)
-                         .field("server_p99_ms", s.p99_ms)
-                         .field("wall_s", wreport.wall_s)
-                         .field("served_frames_per_s",
-                                wreport.frames_per_s),
-                     artifact);
-        }
-        wtable.print(std::cout);
-
-        // (b) Bytes per frame per encoding: one standard viewer on a
-        // small-step orbit, so consecutive frames resemble each other
-        // the way a live viewer's do (DeltaPrev's target regime).
-        server::WorkloadSpec orbit;
-        orbit.scenes = {"Lego"};
-        orbit.clients[int(server::QosClass::Interactive)] = 0;
-        orbit.clients[int(server::QosClass::Standard)] = 1;
-        orbit.clients[int(server::QosClass::Batch)] = 0;
-        orbit.frames_per_client = smoke ? 10 : 60;
-        orbit.width = ww;
-        orbit.height = ww;
-        orbit.orbit_step = 0.02f;
-        orbit.burst = 2;
-
-        TextTable btable({"encoding", "frames", "payload (B)", "raw (B)",
-                          "bytes/frame", "vs raw"});
-        bool bytes_ok = true;
-        for (net::FrameEncoding enc :
-             {net::FrameEncoding::Raw, net::FrameEncoding::Quantized8,
-              net::FrameEncoding::DeltaPrev}) {
-            server::WireWorkloadOptions owire;
-            owire.port = service.port();
-            owire.encoding = enc;
-            server::WorkloadReport oreport =
-                server::runWorkloadOverWire(registry, orbit, owire);
-            const double per_frame =
-                oreport.wire_frames
-                    ? double(oreport.wire_payload_bytes) /
-                          double(oreport.wire_frames)
-                    : 0.0;
-            const double ratio =
-                oreport.wire_payload_bytes
-                    ? double(oreport.wire_raw_bytes) /
-                          double(oreport.wire_payload_bytes)
-                    : 0.0;
-            btable.addRow({net::encodingName(enc),
-                           std::to_string(oreport.wire_frames),
-                           std::to_string(oreport.wire_payload_bytes),
-                           std::to_string(oreport.wire_raw_bytes),
-                           fmt(per_frame, 0), fmtTimes(ratio)});
-            emitBoth(JsonLine("wire_bytes")
-                         .field("encoding", net::encodingName(enc))
-                         .field("scene", "Lego")
-                         .field("width", ww)
-                         .field("samples_per_ray", wns)
-                         .field("frames", int(oreport.wire_frames))
-                         .field("orbit_step", double(orbit.orbit_step))
-                         .field("payload_bytes",
-                                double(oreport.wire_payload_bytes))
-                         .field("raw_bytes",
-                                double(oreport.wire_raw_bytes))
-                         .field("bytes_per_frame", per_frame)
-                         .field("reduction_vs_raw", ratio),
-                     artifact);
-            // The acceptance gate: compressed delivery must at least
-            // halve the stream on an orbit (smoke-asserted in ctest).
-            if (smoke && enc != net::FrameEncoding::Raw && ratio < 2.0) {
-                std::cerr << "FAIL: " << net::encodingName(enc)
-                          << " streamed only " << ratio
-                          << "x fewer bytes than raw (need >= 2x)\n";
-                bytes_ok = false;
-            }
-        }
-        btable.print(std::cout);
-        const net::WireCounters wc = service.counters();
-        std::cout << wc.frames_sent << " frames over the wire, "
-                  << wc.bytes_tx << " B tx / " << wc.bytes_rx
-                  << " B rx total\n";
-        if (!bytes_ok)
-            return 1;
     }
 
     // ---- fault tolerance: (a) time-to-resume after a connection kill
@@ -976,239 +743,6 @@ main(int argc, char **argv)
                      artifact);
         }
         ftable.print(std::cout);
-    }
-
-    // ---- telemetry overhead: the same closed-loop serving workload
-    // with stage-span tracing off vs. on. Recording a span is one
-    // timestamp pair plus an append to the recording thread's own
-    // buffer, so tracing must cost low single-digit percent; the smoke
-    // run ASSERTS traced throughput stays within 3% of untraced
-    // (best-of-3 each, interleaved, so machine drift hits both arms).
-    {
-        const int tw = smoke ? 16 : 32;      // frame edge
-        const int tns = smoke ? 24 : 48;     // samples per ray
-        const int tframes = smoke ? 8 : 16;  // submissions per viewer
-        core::RenderConfig tcfg = core::RenderConfig::asdr(tw, tw, tns);
-        tcfg.probe_stride = 4;
-
-        auto run_once = [&](bool traced) {
-            telemetry::setEnabled(traced);
-            server::SceneRegistry registry;
-            registry.addProcedural("Lego", "Lego",
-                                   nerf::NgpModelConfig::fast(), tcfg);
-            registry.addProcedural("Chair", "Chair",
-                                   nerf::NgpModelConfig::fast(), tcfg);
-            server::ServerConfig scfg;
-            scfg.shards = 2;
-            scfg.threads_per_shard =
-                std::max(1, std::min(2, core::resolveThreadCount(0)));
-            scfg.frames_in_flight_per_shard = 2;
-            server::FrameServer srv(registry, scfg);
-
-            server::WorkloadSpec spec;
-            spec.scenes = {"Lego", "Chair"};
-            spec.clients[int(server::QosClass::Interactive)] = smoke ? 2 : 3;
-            spec.clients[int(server::QosClass::Standard)] = 1;
-            spec.clients[int(server::QosClass::Batch)] = 1;
-            spec.frames_per_client = tframes;
-            spec.width = tw;
-            spec.height = tw;
-            spec.burst = 2; // closed loop, no drops: pure throughput
-            server::WorkloadReport report =
-                server::runWorkload(srv, registry, spec);
-            telemetry::setEnabled(false);
-            return report.frames_per_s;
-        };
-
-        // Paired reps, best pair wins: each traced run is ratioed
-        // against the adjacent untraced one, so transient load hits
-        // both arms of a compared pair rather than pitting a quiet
-        // detached rep against a contended traced one. On a saturated
-        // 1-core host the smoke-size runs (~tens of ms) sit at the
-        // scheduler-noise floor, so the smoke gate keeps sampling
-        // pairs (bounded) until one clean pair clears it -- a real
-        // regression (hot-path serialization) fails every pair.
-        const int reps = 3, max_reps = smoke ? 9 : 3;
-        double off_best = 0.0, on_best = 0.0, ratio = 0.0;
-        size_t spans_per_run = 0;
-        run_once(false); // warm fields, pools, and allocators
-        for (int r = 0; r < max_reps; ++r) {
-            if (r >= reps && ratio >= 0.97)
-                break;
-            const double off = run_once(false);
-            telemetry::reset();
-            const double on = run_once(true);
-            spans_per_run = telemetry::spanCount();
-            telemetry::reset();
-            off_best = std::max(off_best, off);
-            on_best = std::max(on_best, on);
-            if (off > 0.0)
-                ratio = std::max(ratio, on / off);
-        }
-
-        TextTable ttable({"tracing", "frames/s (best of 3)", "spans",
-                          "on/off"});
-        ttable.addRow({"off", fmt(off_best, 2), "0", fmtTimes(1.0)});
-        ttable.addRow({"on", fmt(on_best, 2),
-                       std::to_string(spans_per_run), fmtTimes(ratio)});
-        ttable.print(std::cout);
-        for (int traced : {0, 1})
-            emitBoth(JsonLine("telemetry_overhead")
-                         .field("tracing", traced ? "on" : "off")
-                         .field("width", tw)
-                         .field("samples_per_ray", tns)
-                         .field("frames_per_viewer", tframes)
-                         .field("reps", reps)
-                         .field("frames_per_s",
-                                traced ? on_best : off_best)
-                         .field("spans_per_run",
-                                traced ? double(spans_per_run) : 0.0)
-                         .field("on_off_ratio", ratio),
-                     artifact);
-        // The acceptance gate: tracing-on throughput within 3% of
-        // tracing-off (smoke-asserted in ctest).
-        if (smoke && ratio < 0.97) {
-            std::cerr << "FAIL: tracing-on throughput is "
-                      << fmt(ratio, 3)
-                      << "x tracing-off (need >= 0.97x)\n";
-            return 1;
-        }
-    }
-
-    // ---- live-trace streaming overhead: the wire workload with a
-    // SubscribeTelemetry follower tailing the span stream to a file
-    // vs. the same workload with no subscriber. Attaching a follower
-    // turns tracing on AND adds the service's timer-driven drain +
-    // SpanBatch encodes on the poll thread, so this measures the full
-    // cost of live observability, not just span recording; the smoke
-    // run ASSERTS followed throughput stays within 3% of unfollowed
-    // (best-of-3 each, interleaved, so machine drift hits both arms).
-    {
-        const int lw = smoke ? 16 : 32;      // frame edge
-        const int lns = smoke ? 24 : 48;     // samples per ray
-        const int lframes = smoke ? 6 : 12;  // submissions per viewer
-        core::RenderConfig lcfg = core::RenderConfig::asdr(lw, lw, lns);
-        lcfg.probe_stride = 4;
-
-        server::SceneRegistry registry;
-        registry.addProcedural("Lego", "Lego", nerf::NgpModelConfig::fast(),
-                               lcfg);
-        registry.addProcedural("Chair", "Chair",
-                               nerf::NgpModelConfig::fast(), lcfg);
-        server::ServerConfig scfg;
-        scfg.shards = 2;
-        scfg.threads_per_shard =
-            std::max(1, std::min(2, core::resolveThreadCount(0)));
-        scfg.frames_in_flight_per_shard = 2;
-        server::FrameServer srv(registry, scfg);
-        net::RenderService service(srv);
-        std::string lerr;
-        if (!service.start(&lerr)) {
-            std::cerr << "live-trace bench: service start failed: " << lerr
-                      << "\n";
-            return 1;
-        }
-
-        server::WorkloadSpec spec;
-        spec.scenes = {"Lego", "Chair"};
-        spec.clients[int(server::QosClass::Interactive)] = smoke ? 2 : 3;
-        spec.clients[int(server::QosClass::Standard)] = 1;
-        spec.clients[int(server::QosClass::Batch)] = 1;
-        spec.frames_per_client = lframes;
-        spec.width = lw;
-        spec.height = lw;
-        spec.burst = 2; // closed loop, no drops: pure throughput
-        server::WireWorkloadOptions wire;
-        wire.port = service.port();
-        wire.encoding = net::FrameEncoding::DeltaPrev;
-        const char *follow_file = "live_trace_overhead.trace.json";
-
-        auto run_once = [&](bool followed) {
-            std::atomic<bool> stop{false};
-            std::thread follower;
-            std::string ferr;
-            if (followed) {
-                follower = std::thread([&] {
-                    net::Client fc;
-                    if (!fc.connect("127.0.0.1", service.port(), &ferr))
-                        return;
-                    (void)fc.followSpans(follow_file, 3600.0, &stop,
-                                         &ferr);
-                    fc.disconnect();
-                });
-                // The follower's subscription is what turns tracing on;
-                // wait for it so the workload runs fully observed.
-                for (int spin = 0; spin < 400 && !telemetry::enabled();
-                     ++spin)
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(5));
-            }
-            server::WorkloadReport report =
-                server::runWorkloadOverWire(registry, spec, wire);
-            if (followed) {
-                stop = true;
-                follower.join();
-            }
-            telemetry::setEnabled(false);
-            telemetry::reset(); // equal-size span buffers every rep
-            return report.frames_per_s;
-        };
-
-        // Paired reps, best pair wins, extra smoke pairs until one
-        // clears the gate -- same discipline (and rationale) as the
-        // telemetry_overhead gate above.
-        const int reps = 3, max_reps = smoke ? 9 : 3;
-        double off_best = 0.0, on_best = 0.0, ratio = 0.0;
-        run_once(false); // warm fields, pools, and connections
-        for (int r = 0; r < max_reps; ++r) {
-            if (r >= reps && ratio >= 0.97)
-                break;
-            const double off = run_once(false);
-            const double on = run_once(true);
-            off_best = std::max(off_best, off);
-            on_best = std::max(on_best, on);
-            if (off > 0.0)
-                ratio = std::max(ratio, on / off);
-        }
-        const net::WireCounters lc = service.counters();
-
-        TextTable ltable({"follower", "frames/s (best of 3)",
-                          "span batches", "dropped", "on/off"});
-        ltable.addRow({"detached", fmt(off_best, 2), "0", "0",
-                       fmtTimes(1.0)});
-        ltable.addRow({"attached", fmt(on_best, 2),
-                       std::to_string(lc.span_batches_sent),
-                       std::to_string(lc.span_batches_dropped),
-                       fmtTimes(ratio)});
-        ltable.print(std::cout);
-        for (int followed : {0, 1})
-            emitBoth(JsonLine("live_trace_overhead")
-                         .field("follower",
-                                followed ? "attached" : "detached")
-                         .field("width", lw)
-                         .field("samples_per_ray", lns)
-                         .field("frames_per_viewer", lframes)
-                         .field("reps", reps)
-                         .field("frames_per_s",
-                                followed ? on_best : off_best)
-                         .field("span_batches_sent",
-                                followed ? double(lc.span_batches_sent)
-                                         : 0.0)
-                         .field("span_batches_dropped",
-                                followed
-                                    ? double(lc.span_batches_dropped)
-                                    : 0.0)
-                         .field("on_off_ratio", ratio),
-                     artifact);
-        std::remove(follow_file);
-        // The acceptance gate: live streaming within 3% of unobserved
-        // serving (smoke-asserted in ctest).
-        if (smoke && ratio < 0.97) {
-            std::cerr << "FAIL: follower-attached throughput is "
-                      << fmt(ratio, 3)
-                      << "x detached (need >= 0.97x)\n";
-            return 1;
-        }
     }
     return 0;
 }

@@ -316,7 +316,8 @@ main(int argc, char **argv)
     }
 
     if (!trace_out.empty()) {
-        if (!telemetry::writeJson(trace_out, &err)) {
+        if (!telemetry::writeJson(trace_out, telemetry::snapshot(),
+                                  &err)) {
             std::cerr << "trace write failed: " << err << "\n";
             return 1;
         }

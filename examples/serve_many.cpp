@@ -240,7 +240,8 @@ main(int argc, char **argv)
 
     if (!trace_out.empty()) {
         std::string err;
-        if (!telemetry::writeJson(trace_out, &err)) {
+        if (!telemetry::writeJson(trace_out, telemetry::snapshot(),
+                                  &err)) {
             std::cerr << "trace write failed: " << err << "\n";
             return 1;
         }

@@ -1,6 +1,5 @@
 #include "engine/frame_engine.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 
@@ -70,18 +69,14 @@ struct FrameEngine::InFlight
     std::exception_ptr error;
 };
 
-FrameEngine::FrameEngine(const EngineConfig &cfg) : cfg_(cfg)
+FrameEngine::FrameEngine(const EngineConfig &cfg)
+    : cfg_(cfg), pool_(core::resolveThreadCount(cfg.num_threads))
 {
     ASDR_ASSERT(cfg.max_frames_in_flight >= 1,
                 "need at least one pipeline slot");
-    pool_.start(std::max(1, core::resolveThreadCount(cfg.num_threads)));
 }
 
-FrameEngine::~FrameEngine()
-{
-    drain();
-    pool_.stop();
-}
+FrameEngine::~FrameEngine() { drain(); }
 
 std::future<Frame>
 FrameEngine::submit(FrameRequest req)

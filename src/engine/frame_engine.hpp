@@ -110,7 +110,7 @@ class FrameEngine
 {
   public:
     explicit FrameEngine(const EngineConfig &cfg = {});
-    /** Drains all in-flight frames, then stops the pool. */
+    /** Drains all in-flight frames, then joins the pool's workers. */
     ~FrameEngine();
 
     FrameEngine(const FrameEngine &) = delete;
@@ -153,13 +153,18 @@ class FrameEngine
     void finish(InFlight *f);
 
     EngineConfig cfg_;
-    ThreadPool pool_;
 
     std::mutex m_;
     std::condition_variable idle_cv_;
     std::deque<std::unique_ptr<InFlight>> queue_; ///< submitted, not admitted
     int in_flight_ = 0;
     uint64_t next_id_ = 1;
+
+    /** Declared last, so it is destroyed first: the worker that
+     *  finished the last frame may still be in finish(), notifying
+     *  idle_cv_, when drain() returns, so the workers are joined
+     *  before the members they use are destroyed. */
+    ThreadPool pool_;
 };
 
 } // namespace asdr::engine

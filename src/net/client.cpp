@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <sstream>
 #include <thread>
 
 namespace asdr::net {
@@ -402,7 +400,7 @@ Client::subscribeSpans(bool on, std::string *err)
 }
 
 size_t
-Client::drainSpans(std::vector<WireSpan> &out)
+Client::drainSpans(std::vector<telemetry::Span> &out)
 {
     const size_t n = spans_.size();
     out.reserve(out.size() + n);
@@ -418,22 +416,9 @@ Client::followSpans(const std::string &path, double duration_s,
 {
     if (!subscribeSpans(true, err))
         return false;
-    std::vector<WireSpan> all;
+    std::vector<telemetry::Span> all;
     std::string werr;
-    auto writeFile = [&]() -> bool {
-        const std::string body = spansToTraceJson(all);
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        if (!f) {
-            werr = "cannot open " + path;
-            return false;
-        }
-        const size_t wrote = std::fwrite(body.data(), 1, body.size(), f);
-        if (wrote != body.size() || std::fclose(f) != 0) {
-            werr = "short write to " + path;
-            return false;
-        }
-        return true;
-    };
+    auto writeFile = [&] { return telemetry::writeJson(path, all, &werr); };
     drainSpans(all);
     bool failed = !writeFile();
 
@@ -500,49 +485,6 @@ Client::followSpans(const std::string &path, double duration_s,
     }
     last_error_ = ClientError::None;
     return true;
-}
-
-std::string
-spansToTraceJson(const std::vector<WireSpan> &spans)
-{
-    // Same document shape as telemetry::toJsonString, so followed and
-    // exit-dumped traces are interchangeable in ui.perfetto.dev. Span
-    // names come off the wire, so they get JSON escaping here (the
-    // exit dump's names are compiled-in constants).
-    auto esc = [](const std::string &s) {
-        std::string out;
-        out.reserve(s.size());
-        for (unsigned char c : s) {
-            if (c == '"' || c == '\\') {
-                out.push_back('\\');
-                out.push_back(char(c));
-            } else if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out.push_back(char(c));
-            }
-        }
-        return out;
-    };
-    std::ostringstream os;
-    os << "{\"traceEvents\":[";
-    bool first = true;
-    for (const WireSpan &s : spans) {
-        if (!first)
-            os << ",";
-        first = false;
-        const uint64_t dur =
-            s.t_end_us > s.t_start_us ? s.t_end_us - s.t_start_us : 0;
-        os << "{\"name\":\"" << esc(s.name)
-           << "\",\"cat\":\"asdr\",\"ph\":\"X\",\"ts\":" << s.t_start_us
-           << ",\"dur\":" << dur << ",\"pid\":1,\"tid\":" << s.lane
-           << ",\"args\":{\"frame\":" << s.frame
-           << ",\"ticket\":" << s.ticket << "}}";
-    }
-    os << "],\"displayTimeUnit\":\"ms\"}";
-    return os.str();
 }
 
 // ------------------------------------------------------------- internals
@@ -737,7 +679,9 @@ Client::takeSpanBatch(const std::vector<uint8_t> &payload, std::string *err)
     // `dropped` is cumulative per subscription; last header wins.
     span_batches_dropped_ = msg.dropped;
     for (WireSpan &s : msg.spans)
-        spans_.push_back(std::move(s));
+        spans_.push_back(telemetry::Span{
+            span_names_.insert(std::move(s.name)).first->c_str(), s.frame,
+            s.ticket, s.lane, s.t_start_us, s.t_end_us});
     return true;
 }
 

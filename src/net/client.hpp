@@ -34,6 +34,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -43,6 +44,7 @@
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
 #include "server/qos.hpp"
+#include "util/telemetry.hpp"
 
 namespace asdr::net {
 
@@ -234,8 +236,10 @@ class Client
      * subscribeSpans(false) the buffer holds the complete stream.
      */
     bool subscribeSpans(bool on, std::string *err = nullptr);
-    /** Move every buffered streamed span into `out`; returns count. */
-    size_t drainSpans(std::vector<WireSpan> &out);
+    /** Move every buffered streamed span into `out`; returns count.
+     *  Span names point into this client and stay valid while it
+     *  lives. */
+    size_t drainSpans(std::vector<telemetry::Span> &out);
     /** Span batches the service shed under backpressure (cumulative,
      *  from the last SpanBatch header). */
     uint64_t spanBatchesDropped() const { return span_batches_dropped_; }
@@ -310,7 +314,10 @@ class Client
     ClientTransferStats transfer_;
     ClientError last_error_ = ClientError::None;
     /** Streamed spans awaiting drainSpans(). */
-    std::deque<WireSpan> spans_;
+    std::deque<telemetry::Span> spans_;
+    /** Every streamed span name, once: the storage spans_' names
+     *  point into (set nodes never move). */
+    std::set<std::string> span_names_;
     uint64_t span_batches_dropped_ = 0;
     bool span_sub_ = false;
 
@@ -318,11 +325,6 @@ class Client
     uint16_t port_ = 0;
     double recv_timeout_s_ = 30.0;
 };
-
-/** Render streamed spans as a Chrome/Perfetto trace_event JSON
- *  document (same shape as telemetry::toJsonString, so a followed
- *  trace and an exit dump load identically in ui.perfetto.dev). */
-std::string spansToTraceJson(const std::vector<WireSpan> &spans);
 
 } // namespace asdr::net
 

@@ -35,6 +35,19 @@ splitmix64(uint64_t &s)
 
 /** Poll granularity while detached sessions await resume/expiry. */
 constexpr int kGracePollMs = 50;
+/** HelloOk's service banner. */
+constexpr const char *kBanner = "asdr-render-service";
+/** Parked frame PAYLOADS per detached session; past it the oldest
+ *  parked payload is shed (its result kept, flagged Shed). */
+constexpr size_t kMaxParkedPayloads = 256;
+/** Live span-stream drain period: how often newly recorded spans are
+ *  copied into each subscriber's outbound queue. Subscribers shrink
+ *  the poll timeout to this; with none attached the loop blocks. */
+constexpr int kSpanStreamPeriodMs = 50;
+/** Spans per SpanBatch message (larger drains are chunked). */
+constexpr size_t kSpanBatchSpans = 8192;
+static_assert(kSpanBatchSpans <= kMaxSpansPerBatch,
+              "every net::Client rejects a larger SpanBatch");
 
 } // namespace
 
@@ -199,11 +212,9 @@ RenderService::run()
         }
         // Span subscribers turn the blocking poll into a periodic one:
         // the drain timer must fire even with no socket activity.
-        if (span_subs > 0) {
-            const int period = std::max(
-                1, int(cfg_.span_stream_period_s * 1e3));
-            timeout = timeout < 0 ? period : std::min(timeout, period);
-        }
+        if (span_subs > 0)
+            timeout = timeout < 0 ? kSpanStreamPeriodMs
+                                  : std::min(timeout, kSpanStreamPeriodMs);
         if (::poll(fds.data(), nfds_t(fds.size()), timeout) < 0) {
             if (errno == EINTR)
                 continue;
@@ -256,9 +267,8 @@ void
 RenderService::drainSpanStreams(bool force)
 {
     const auto now = std::chrono::steady_clock::now();
-    if (!force &&
-        std::chrono::duration<double>(now - last_span_drain_).count() <
-            cfg_.span_stream_period_s)
+    if (!force && now - last_span_drain_ < std::chrono::milliseconds(
+                                               kSpanStreamPeriodMs))
         return;
     last_span_drain_ = now;
     std::vector<std::shared_ptr<Connection>> subs;
@@ -278,7 +288,7 @@ RenderService::streamSpansTo(const std::shared_ptr<Connection> &conn)
     for (;;) {
         std::vector<telemetry::Span> spans;
         if (telemetry::collectNewSpans(conn->span_cursor, spans,
-                                       cfg_.span_stream_max_spans) == 0)
+                                       kSpanBatchSpans) == 0)
             return;
         bool dead;
         size_t out_bytes;
@@ -493,7 +503,7 @@ RenderService::handleMessage(const std::shared_ptr<Connection> &conn,
         }
         conn->hello_done = true;
         HelloOkMsg ok;
-        ok.server = cfg_.banner;
+        ok.server = kBanner;
         sendControl(*conn, MsgType::HelloOk, ok);
         return true;
     }
@@ -844,23 +854,16 @@ RenderService::onResult(const std::shared_ptr<WireSession> &ws,
     p.result = std::move(result);
     const bool has_payload = p.result.ok();
     if (has_payload) {
-        if (ws->parked_payloads >= cfg_.max_parked_results) {
+        if (ws->parked_payloads >= kMaxParkedPayloads) {
             // Payload bound hit: shed the OLDEST parked payload so the
-            // freshest frames survive the resume (with a zero bound,
-            // shed the newcomer). The result entry stays -- only the
-            // pixels go.
-            bool shed_old = false;
+            // freshest frames survive the resume. The result entry
+            // stays -- only the pixels go.
             for (ParkedResult &q : ws->parked) {
                 if (!q.shed && q.result.ok()) {
                     q.result.frame.image = Image();
                     q.shed = true;
-                    shed_old = true;
                     break;
                 }
-            }
-            if (!shed_old) {
-                p.result.frame.image = Image();
-                p.shed = true;
             }
             wire_.results_shed.inc();
         } else {

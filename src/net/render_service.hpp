@@ -108,18 +108,6 @@ struct ServiceConfig
      * a disconnect closes sessions immediately, as before.
      */
     double resume_grace_s = 0.0;
-    /** Max parked frame PAYLOADS per detached session; older payloads
-     *  shed (result kept, flagged Shed) when the bound is hit. */
-    size_t max_parked_results = 256;
-    /**
-     * Live span-stream drain period, seconds: how often the service
-     * copies newly recorded telemetry spans into each subscriber's
-     * outbound queue (MsgType::SpanBatch). Subscribers shrink the poll
-     * timeout to this; with none attached the loop blocks as before.
-     */
-    double span_stream_period_s = 0.05;
-    /** Spans per SpanBatch message (larger drains are chunked). */
-    size_t span_stream_max_spans = 8192;
     /**
      * Fixed kernel send-buffer size per connection; 0 = kernel default
      * (autotuned). A small fixed buffer makes slow consumers visible
@@ -127,8 +115,6 @@ struct ServiceConfig
      * absorb megabytes of queued output first.
      */
     size_t sndbuf_bytes = 0;
-    /** HelloOk banner. */
-    std::string banner = "asdr-render-service";
 };
 
 /** A typed read of the service's wire counters (asdr_wire_* in the
@@ -292,8 +278,8 @@ class RenderService
                        bool pre_shed);
     /**
      * Drain newly recorded telemetry spans to every subscribed
-     * connection (rate-limited to span_stream_period_s between full
-     * passes; `force` drains immediately -- the unsubscribe barrier).
+     * connection (rate-limited to one full pass per stream period;
+     * `force` drains immediately -- the unsubscribe barrier).
      */
     void drainSpanStreams(bool force);
     /** Stream everything new past `conn`'s cursor as SpanBatch

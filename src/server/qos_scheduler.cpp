@@ -51,13 +51,6 @@ QosScheduler::push(PendingFrame frame, std::vector<PendingFrame> &dropped)
 }
 
 bool
-QosScheduler::pop(const int (&in_flight)[kQosClasses], PendingFrame &out)
-{
-    static const std::unordered_map<uint32_t, int> no_scenes;
-    return pop(in_flight, no_scenes, out);
-}
-
-bool
 QosScheduler::pop(const int (&in_flight)[kQosClasses],
                   const std::unordered_map<uint32_t, int> &scene_in_flight,
                   PendingFrame &out)

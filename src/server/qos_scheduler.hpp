@@ -87,12 +87,9 @@ class QosScheduler
      * Select the next frame to admit given the shard's per-class
      * in-flight counts; false when nothing is eligible (empty, or all
      * backlogged classes are at their caps).
-     */
-    bool pop(const int (&in_flight)[kQosClasses], PendingFrame &out);
-
-    /**
-     * Scene-quota-aware variant: `scene_in_flight` maps SceneEntry::id
-     * to the shard's current in-flight count for that scene. With
+     *
+     * `scene_in_flight` maps SceneEntry::id to the shard's current
+     * in-flight count for that scene (absent = 0). With
      * QosParams::max_in_flight_per_scene set, a class's candidate is
      * its OLDEST frame whose scene is under quota -- frames of a
      * saturated scene are skipped (and counted in quotaDeferrals()),

@@ -2,12 +2,13 @@
  * @file
  * Load-adaptive quality ladder: degrade, don't drop.
  *
- * Under burst the PR 6 server survives by shedding work -- the
- * serve_latency bench drops ~62% of interactive frames. But the
- * paper's core observation is that sample count is a *tunable*
- * quality/cost knob: under pressure it is strictly better to render
- * cheaper than to render never. This module turns that knob into a
- * serving policy.
+ * Under burst a server without the ladder survives by shedding work:
+ * in the deterministic 8-frame burst of
+ * ServerLadder.BurstShedCollapsesFromLadderOffToOn, drop-oldest sheds
+ * 62.5% of the interactive frames. But the paper's core observation
+ * is that sample count is a *tunable* quality/cost knob: under
+ * pressure it is strictly better to render cheaper than to render
+ * never. This module turns that knob into a serving policy.
  *
  * Two cooperating pieces:
  *
@@ -52,10 +53,6 @@ struct LadderParams
     /** Master switch; off = seed behavior, every frame renders Full. */
     bool enabled = false;
 
-    /** Which classes the controller may degrade. Batch work is not
-     *  latency-sensitive, so it keeps full fidelity by default. */
-    bool apply[kQosClasses] = {true, true, false};
-
     /**
      * Queue-depth thresholds: a class with at least this many pending
      * frames targets at least the given rung. Must be non-decreasing
@@ -94,10 +91,12 @@ struct LadderParams
      *  divisor (rounded up, floor 8 px). */
     int resolution_divisor = 2;
 
+    /** Whether the controller may degrade class `c`. Batch work is
+     *  not latency-sensitive, so it keeps full fidelity. */
     bool
     applies(QosClass c) const
     {
-        return enabled && apply[int(c)];
+        return enabled && c != QosClass::Batch;
     }
 };
 

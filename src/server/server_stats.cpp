@@ -1,37 +1,9 @@
 #include "server/server_stats.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 namespace asdr::server {
-
-namespace {
-
-/** Minimal JSON string escaping: span names are arbitrary strings, so
- *  quotes/backslashes/control bytes must not leak into the dump
- *  verbatim. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (unsigned char c : s) {
-        if (c == '"' || c == '\\') {
-            out.push_back('\\');
-            out.push_back(char(c));
-        } else if (c < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", c);
-            out += buf;
-        } else {
-            out.push_back(char(c));
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 ClassMetrics::ClassMetrics(metrics::Registry &reg, QosClass c)
 {
@@ -179,7 +151,7 @@ ServerStatsSnapshot::toJson() const
             const SlowFrameSpan &sp = r.spans[s];
             if (s)
                 os << ",";
-            os << "{\"name\":\"" << jsonEscape(sp.name)
+            os << "{\"name\":\"" << telemetry::jsonEscape(sp.name)
                << "\",\"lane\":" << sp.lane
                << ",\"t0_us\":" << sp.t_start_us
                << ",\"t1_us\":" << sp.t_end_us << "}";

@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 
 #include "net/client.hpp"
 #include "nerf/camera.hpp"
@@ -219,7 +218,6 @@ runWorkloadOverWire(const SceneRegistry &registry, const WorkloadSpec &spec,
     ServerStatsSnapshot tally;
     std::map<std::string, SceneServeStats> scene_tally;
     metrics::Histogram server_latency[kQosClasses];
-    metrics::Histogram client_rtt[kQosClasses];
     std::atomic<uint64_t> results{0};
     net::ClientTransferStats transfer_total;
     std::atomic<bool> failed{false};
@@ -246,8 +244,6 @@ runWorkloadOverWire(const SceneRegistry &registry, const WorkloadSpec &spec,
             fail_reason = "openSession: " + err;
             return;
         }
-        using clock = std::chrono::steady_clock;
-        std::unordered_map<uint64_t, clock::time_point> sent;
         const int total = spec.frames_per_client;
         int issued = 0, received = 0;
         SceneServeStats mine;
@@ -255,11 +251,9 @@ runWorkloadOverWire(const SceneRegistry &registry, const WorkloadSpec &spec,
             // Transient faults (timeout, peer closed, I/O error) are
             // retried through reconnect-and-resume; only fatal errors
             // (refusals, protocol corruption) abort the viewer.
-            const uint64_t ticket = client.submitFrameRetry(
-                session, wv.path[size_t(issued)], {}, &err);
-            if (ticket == 0)
+            if (client.submitFrameRetry(session, wv.path[size_t(issued)],
+                                        {}, &err) == 0)
                 return false;
-            sent.emplace(ticket, clock::now());
             ++issued;
             return true;
         };
@@ -306,15 +300,6 @@ runWorkloadOverWire(const SceneRegistry &registry, const WorkloadSpec &spec,
             case net::FrameStatus::DeadlineExceeded:
                 mine.expired++;
                 break;
-            }
-            auto it = sent.find(frame.ticket);
-            if (it != sent.end()) {
-                if (frame.ok())
-                    client_rtt[wv.qos].record(
-                        std::chrono::duration<double>(clock::now() -
-                                                      it->second)
-                            .count());
-                sent.erase(it);
             }
             if (issued < total && !submitNext()) {
                 submitFailed();
@@ -364,15 +349,6 @@ runWorkloadOverWire(const SceneRegistry &registry, const WorkloadSpec &spec,
     report.wire_frames = transfer_total.frames;
     report.wire_payload_bytes = transfer_total.payload_bytes;
     report.wire_raw_bytes = transfer_total.raw_bytes;
-    for (int c = 0; c < kQosClasses; ++c) {
-        ClientRttStats &r = report.client_rtt[c];
-        const metrics::Histogram &h = client_rtt[c];
-        r.samples = h.count();
-        r.p50_ms = h.percentile(0.50) * 1e3;
-        r.p95_ms = h.percentile(0.95) * 1e3;
-        r.p99_ms = h.percentile(0.99) * 1e3;
-        r.mean_ms = h.mean() * 1e3;
-    }
     report.frames_per_s =
         wall > 0.0 ? double(report.stats.totalServed()) / wall : 0.0;
     fillLadderView(report, ServerStatsSnapshot());

@@ -4,7 +4,8 @@
  * at mixed QoS, driven entirely through the FrameServer's async
  * callback path -- the canonical exerciser of the whole serving stack
  * (registry sharing, sharding, QoS admission, async delivery), used by
- * examples/serve_many and bench_throughput's serve_latency rows.
+ * examples/serve_many and bench_throughput's quality_ladder and
+ * fault_recovery rows.
  *
  * Each viewer owns an orbit camera path over its scene and keeps up to
  * `burst` submissions outstanding: the initial burst goes in up front,
@@ -47,18 +48,6 @@ struct WorkloadSpec
     int burst = 1;
 };
 
-/** Client-observed round-trip latency of one QoS class (wire runs):
- *  percentiles of a metrics::Histogram, like the server latencies
- *  beside them (~4.5% relative error). */
-struct ClientRttStats
-{
-    uint64_t samples = 0; ///< served frames measured
-    double p50_ms = 0.0;
-    double p95_ms = 0.0;
-    double p99_ms = 0.0;
-    double mean_ms = 0.0;
-};
-
 struct WorkloadReport
 {
     ServerStatsSnapshot stats;
@@ -77,8 +66,6 @@ struct WorkloadReport
 
     // ---- wire runs only (runWorkloadOverWire) ----
     bool over_wire = false;
-    /** submit -> result round trip as the clients measured it. */
-    ClientRttStats client_rtt[kQosClasses];
     /** Ok-frame byte accounting summed over every viewer connection. */
     uint64_t wire_frames = 0;
     uint64_t wire_payload_bytes = 0; ///< encoded bytes on the wire
@@ -109,12 +96,11 @@ struct WireWorkloadOptions
  * host:port -- identical traffic shape to runWorkload, plus the wire:
  * framing, encode/decode, and socket scheduling. `registry` is only
  * consulted for camera framing (the scenes must also be registered in
- * the server behind the service). The report adds client-observed
- * round-trip percentiles per class and per-encoding byte totals. Its
- * `stats` counts this run's own results, per class and per scene:
- * each result's status and rung, and the server latency it carries
- * (a Shed result counts as served). Admission counts, queue wait and
- * breaker state are not visible to a client and stay zero.
+ * the server behind the service). The report adds the viewers' Ok-frame
+ * byte totals. Its `stats` counts this run's own results, per class
+ * and per scene: each result's status and rung, and the server latency
+ * it carries (a Shed result counts as served). Admission counts, queue
+ * wait and breaker state are not visible to a client and stay zero.
  */
 WorkloadReport runWorkloadOverWire(const SceneRegistry &registry,
                                    const WorkloadSpec &spec,

@@ -80,7 +80,7 @@ writeAtExit()
     if (!g_atexit_path)
         return;
     std::string err;
-    if (!writeJson(*g_atexit_path, &err))
+    if (!writeJson(*g_atexit_path, snapshot(), &err))
         std::fprintf(stderr, "[warn] ASDR_TRACE_OUT write failed: %s\n",
                      err.c_str());
 }
@@ -296,11 +296,10 @@ reset()
 }
 
 std::string
-toJsonString()
+toJsonString(const std::vector<Span> &spans)
 {
     // Chrome trace_event "complete" events: one X event per span,
     // lanes as tids under a single pid. ts/dur are microseconds.
-    const std::vector<Span> spans = snapshot();
     std::ostringstream os;
     os << "{\"traceEvents\":[";
     bool first = true;
@@ -310,7 +309,7 @@ toJsonString()
         first = false;
         const uint64_t dur =
             s.t_end_us > s.t_start_us ? s.t_end_us - s.t_start_us : 0;
-        os << "{\"name\":\"" << s.name
+        os << "{\"name\":\"" << jsonEscape(s.name)
            << "\",\"cat\":\"asdr\",\"ph\":\"X\",\"ts\":" << s.t_start_us
            << ",\"dur\":" << dur << ",\"pid\":1,\"tid\":" << s.lane
            << ",\"args\":{\"frame\":" << s.frame
@@ -321,9 +320,10 @@ toJsonString()
 }
 
 bool
-writeJson(const std::string &path, std::string *err)
+writeJson(const std::string &path, const std::vector<Span> &spans,
+          std::string *err)
 {
-    const std::string body = toJsonString();
+    const std::string body = toJsonString(spans);
     std::FILE *f = std::fopen(path.c_str(), "wb");
     if (!f) {
         if (err)
@@ -335,6 +335,26 @@ writeJson(const std::string &path, std::string *err)
     if (!ok && err)
         *err = "short write to " + path;
     return ok;
+}
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (unsigned char c : s) {
+        if (c == '"' || c == '\\') {
+            out.push_back('\\');
+            out.push_back(char(c));
+        } else if (c < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x", c);
+            out += buf;
+        } else {
+            out.push_back(char(c));
+        }
+    }
+    return out;
 }
 
 const std::vector<SpanInfo> &

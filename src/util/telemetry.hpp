@@ -238,11 +238,20 @@ void collectTicket(uint64_t ticket, std::vector<Span> &out);
 /** Drop all buffered spans (lane ids and the epoch persist). */
 void reset();
 
-/** The full trace as a Chrome trace_event JSON document. */
-std::string toJsonString();
+/**
+ * `spans` as a Chrome trace_event JSON document, every span name
+ * escaped. The exit dump and net::Client::followSpans both write
+ * through it, so their files load identically in ui.perfetto.dev.
+ */
+std::string toJsonString(const std::vector<Span> &spans);
 
-/** Write toJsonString() to `path`. False + *err on I/O failure. */
-bool writeJson(const std::string &path, std::string *err = nullptr);
+/** Write toJsonString(spans) to `path`. False + *err on I/O failure. */
+bool writeJson(const std::string &path, const std::vector<Span> &spans,
+               std::string *err = nullptr);
+
+/** `s` escaped for use inside a JSON string literal: quote, backslash
+ *  and control bytes never appear raw. */
+std::string jsonEscape(const std::string &s);
 
 } // namespace asdr::telemetry
 

@@ -22,16 +22,16 @@
  * dependencies are the submitter's job (the engine counts each
  * stage's tasks, and a stage's last task submits the next stage).
  *
- * The pool has an explicit start()/stop() lifecycle so one pool
- * outlives many frames: the engine starts it once and reuses it for
- * its whole lifetime (no per-frame thread construction). stop()
- * drains already-submitted tasks, joins the workers, and leaves the
- * pool restartable. A stopped pool runs submitted tasks inline.
+ * One pool outlives many frames: the engine constructs it once and
+ * reuses it for its whole lifetime (no per-frame thread construction).
+ * Destruction runs every already-submitted task, then joins the
+ * workers.
  */
 
 #ifndef ASDR_UTIL_THREAD_POOL_HPP
 #define ASDR_UTIL_THREAD_POOL_HPP
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -65,65 +65,35 @@ class ThreadPool
                (seq & ((uint64_t(1) << 48) - 1));
     }
 
-    /** Creates a stopped pool; call start() to spawn workers. */
-    ThreadPool() = default;
+    /** Spawn `workers` worker threads (at least one). */
+    explicit ThreadPool(int workers)
+    {
+        const int n = std::max(1, workers);
+        for (int t = 0; t < n; ++t)
+            queues_.push_back(std::make_unique<TaskQueue>());
+        try {
+            for (int t = 0; t < n; ++t)
+                workers_.emplace_back([this, t] { workerLoop(t); });
+        } catch (...) {
+            joinWorkers(); // no destructor runs for a failed constructor
+            throw;
+        }
+    }
 
-    ~ThreadPool() { stop(); }
+    /** Runs every submitted task, then joins the workers. */
+    ~ThreadPool() { joinWorkers(); }
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     /**
-     * Spawn exactly `workers` worker threads (no-op when already
-     * running or `workers <= 0`). Restartable after stop().
-     */
-    void
-    start(int workers)
-    {
-        if (!workers_.empty() || workers <= 0)
-            return;
-        stop_ = false;
-        queues_.clear();
-        for (int t = 0; t < workers; ++t)
-            queues_.push_back(std::make_unique<TaskQueue>());
-        for (int t = 0; t < workers; ++t)
-            workers_.emplace_back([this, t] { workerLoop(t); });
-    }
-
-    /**
-     * Drain submitted tasks, join all workers, and return the pool to
-     * the stopped (restartable) state. Safe to call repeatedly.
-     */
-    void
-    stop()
-    {
-        {
-            std::lock_guard<std::mutex> lock(m_);
-            stop_ = true;
-        }
-        cv_.notify_all();
-        for (auto &w : workers_)
-            w.join();
-        workers_.clear();
-        queues_.clear();
-        stop_ = false;
-    }
-
-    bool running() const { return !workers_.empty(); }
-    int workerCount() const { return int(workers_.size()); }
-
-    /**
-     * Run `task` asynchronously on a worker (inline when the pool is
-     * stopped). Smaller `key` runs sooner (best-effort; see the file
-     * header); tasks sharing a key are mutually unordered.
+     * Run `task` asynchronously on a worker. Smaller `key` runs sooner
+     * (best-effort; see the file header); tasks sharing a key are
+     * mutually unordered.
      */
     void
     submit(std::function<void()> task, uint64_t key = 0)
     {
-        if (workers_.empty()) {
-            task();
-            return;
-        }
         const size_t q = next_queue_.fetch_add(1, std::memory_order_relaxed) %
                          queues_.size();
         {
@@ -146,6 +116,19 @@ class ThreadPool
 
   private:
     static constexpr uint64_t kEmptyKey = ~uint64_t(0);
+
+    /** Let the workers drain every queued task and exit; join them. */
+    void
+    joinWorkers()
+    {
+        {
+            std::lock_guard<std::mutex> lock(m_);
+            stop_ = true;
+        }
+        cv_.notify_all();
+        for (auto &w : workers_)
+            w.join();
+    }
 
     struct TaskQueue
     {

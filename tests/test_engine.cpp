@@ -7,7 +7,8 @@
  *    and max_frames_in_flight.
  *  - The batched distillation trainer (Mlp::forwardBatch through
  *    fitField) produces a bit-identical field to the per-sample loop.
- *  - ThreadPool start()/stop() lifecycle, and QoS-keyed task order.
+ *  - ThreadPool destruction drains queued tasks, and QoS-keyed task
+ *    order.
  *    (Stage order within a frame is checked on real frames'
  *    telemetry spans: Telemetry.SpanOrderingInvariants.)
  */
@@ -43,34 +44,21 @@ expectFramesIdentical(const Image &a, const Image &b, const char *what)
 
 } // namespace
 
-TEST(ThreadPoolLifecycle, StartStopRestart)
+TEST(ThreadPoolLifecycle, DestructionDrainsBeforeJoining)
 {
-    ThreadPool pool;
-    EXPECT_FALSE(pool.running());
-    // submit on a stopped pool runs inline
-    int inline_runs = 0;
-    pool.submit([&] { ++inline_runs; });
-    EXPECT_EQ(inline_runs, 1);
-
-    for (int round = 0; round < 2; ++round) {
-        pool.start(3);
-        ASSERT_TRUE(pool.running());
-        EXPECT_EQ(pool.workerCount(), 3);
-
-        std::atomic<int> ran{0};
+    std::atomic<int> ran{0};
+    std::vector<int> squares(100, 0);
+    {
+        ThreadPool pool(3);
         for (int i = 0; i < 64; ++i)
             pool.submit([&] { ran.fetch_add(1); });
-        std::vector<int> squares(100, 0);
         for (int i = 0; i < 100; ++i)
             pool.submit([&, i] { squares[size_t(i)] = i * i; },
                         uint64_t(i));
-
-        pool.stop(); // drains remaining tasks before joining
-        EXPECT_EQ(ran.load(), 64);
-        for (int i = 0; i < 100; ++i)
-            EXPECT_EQ(squares[size_t(i)], i * i);
-        EXPECT_FALSE(pool.running());
-    }
+    } // drains remaining tasks before joining
+    EXPECT_EQ(ran.load(), 64);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_EQ(squares[size_t(i)], i * i);
 }
 
 TEST(FrameEnginePipeline, InFlightFramesMatchSequentialBitwise)

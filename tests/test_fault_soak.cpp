@@ -298,7 +298,7 @@ TEST(FaultSoak, ClosedLoopSurvivesArmedSitesWithExactAccounting)
         // The exit dump beside it, for CI's ticket-set comparison.
         std::string werr;
         ASSERT_TRUE(telemetry::writeJson(follow_out + ".exit.json",
-                                         &werr))
+                                         telemetry::snapshot(), &werr))
             << werr;
 
         // And the same comparison here: live streaming lost nothing.
@@ -308,8 +308,8 @@ TEST(FaultSoak, ClosedLoopSurvivesArmedSitesWithExactAccounting)
         buf << in.rdbuf();
         const std::set<uint64_t> followed =
             ticketsInTraceJson(buf.str());
-        const std::set<uint64_t> dumped =
-            ticketsInTraceJson(telemetry::toJsonString());
+        const std::set<uint64_t> dumped = ticketsInTraceJson(
+            telemetry::toJsonString(telemetry::snapshot()));
         EXPECT_EQ(followed, dumped);
         std::cout << "trace follow: " << followed.size()
                   << " tickets streamed live\n";

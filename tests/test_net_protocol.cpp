@@ -11,7 +11,9 @@
  *  - frame encodings: raw and delta roundtrip byte-exactly (delta
  *    both with and without a reference), quantized8 stays within its
  *    published error bound, and the zero-RLE back end survives
- *    corrupt streams.
+ *    corrupt streams;
+ *  - on a rendered small-step orbit, quantized8 and delta each stream
+ *    at least 2x fewer bytes than raw.
  */
 
 #include <gtest/gtest.h>
@@ -21,9 +23,13 @@
 #include <string>
 #include <vector>
 
+#include "core/renderer.hpp"
 #include "image/image.hpp"
+#include "nerf/camera.hpp"
+#include "nerf/procedural_field.hpp"
 #include "net/frame_codec.hpp"
 #include "net/protocol.hpp"
+#include "scene/scene_library.hpp"
 
 using namespace asdr;
 using namespace asdr::net;
@@ -784,4 +790,38 @@ TEST(FrameCodec, EncoderReferenceMismatchFallsBackToAbsolute)
                                    nullptr, back, &err))
         << err;
     expectImagesBitExact(img, back);
+}
+
+// The delivery-path data-reuse gate: an orbiting viewer's frames,
+// encoded as the service encodes a session's stream (the first frame
+// absolute, each DeltaPrev frame against the one before it), must cost
+// at most half the raw bytes in either compressed encoding. Rendering
+// and encoding are deterministic, so the byte counts never vary.
+TEST(FrameCodec, OrbitStreamIsAtLeastTwoTimesSmallerThanRaw)
+{
+    auto scene = scene::createScene("Lego");
+    const nerf::ProceduralField field(*scene, nerf::NgpModelConfig::fast());
+    core::RenderConfig cfg = core::RenderConfig::asdr(16, 16, 24);
+    cfg.probe_stride = 4;
+    const core::AsdrRenderer renderer(field, cfg);
+
+    std::vector<Image> frames;
+    for (const nerf::Camera &cam :
+         nerf::orbitCameraPath(scene->info(), 16, 16, 10, 0.02f))
+        frames.push_back(renderer.render(cam));
+
+    size_t raw = 0, quantized = 0, delta = 0;
+    for (size_t f = 0; f < frames.size(); ++f) {
+        raw += encodeFramePayload(frames[f], FrameEncoding::Raw, nullptr)
+                   .size();
+        quantized += encodeFramePayload(frames[f], FrameEncoding::Quantized8,
+                                        nullptr)
+                         .size();
+        delta += encodeFramePayload(frames[f], FrameEncoding::DeltaPrev,
+                                    f ? &frames[f - 1] : nullptr)
+                     .size();
+    }
+    EXPECT_EQ(raw, frames.size() * rawFrameBytes(16, 16));
+    EXPECT_GE(double(raw) / double(quantized), 2.0) << quantized << " B";
+    EXPECT_GE(double(raw) / double(delta), 2.0) << delta << " B";
 }

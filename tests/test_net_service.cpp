@@ -716,13 +716,6 @@ TEST(NetService, WireWorkloadDrivesIdenticalTrafficShape)
             }
         EXPECT_TRUE(seen) << s.name;
     }
-    // Client-observed round trips exist for every class that served.
-    for (int c = 0; c < server::kQosClasses; ++c) {
-        if (report.stats.cls[c].served > 0 &&
-            report.stats.cls[c].served == report.stats.cls[c].submitted) {
-            EXPECT_GT(report.client_rtt[c].samples, 0u);
-        }
-    }
     EXPECT_GT(report.wire_frames, 0u);
     EXPECT_GT(report.wire_raw_bytes, report.wire_payload_bytes);
 }

@@ -385,7 +385,7 @@ TEST(SchedulerLadder, DemotesBeforeDroppingUntilStretchExhausted)
     const int in_flight[kQosClasses] = {0, 0, 0};
     std::map<uint64_t, uint8_t> rungs;
     PendingFrame out;
-    while (sched.pop(in_flight, out))
+    while (sched.pop(in_flight, {}, out))
         rungs[out.ticket] = out.rung;
     EXPECT_EQ(rungs.size(), 4u);
     EXPECT_EQ(rungs[2], uint8_t(QualityRung::Full));
@@ -496,8 +496,8 @@ TEST(ServerLadder, BurstShedCollapsesFromLadderOffToOn)
         return o;
     };
 
-    // Ladder off (seed behavior): drop-oldest sheds 5 of 8 -- the
-    // 62.5% interactive shed rate of the serve_latency burst.
+    // Ladder off (seed behavior): drop-oldest sheds 5 of 8, a 62.5%
+    // interactive shed rate.
     const auto off = run(/*degraded_backlog=*/0, /*ladder_on=*/false);
     EXPECT_EQ(off.served, 3u);
     EXPECT_EQ(off.dropped, 5u);

@@ -143,7 +143,7 @@ TEST(QosSchedulerUnit, WeightedFairSharesAndPriorityTies)
     int in_flight[kQosClasses] = {0, 0, 0};
     PendingFrame pf;
     for (int k = 0; k < 12; ++k) {
-        ASSERT_TRUE(sched.pop(in_flight, pf));
+        ASSERT_TRUE(sched.pop(in_flight, {}, pf));
         counts[int(pf.qos)]++;
         if (k == 0) {
             EXPECT_EQ(pf.qos, QosClass::Interactive);
@@ -170,9 +170,9 @@ TEST(QosSchedulerUnit, InFlightCapsGateAdmission)
     }
     int at_cap[kQosClasses] = {1, 0, 0};
     PendingFrame out;
-    EXPECT_FALSE(sched.pop(at_cap, out)); // interactive capped, rest empty
+    EXPECT_FALSE(sched.pop(at_cap, {}, out)); // interactive capped, rest empty
     int free_slots[kQosClasses] = {0, 0, 0};
-    EXPECT_TRUE(sched.pop(free_slots, out));
+    EXPECT_TRUE(sched.pop(free_slots, {}, out));
     EXPECT_EQ(out.ticket, 1u);
 }
 
@@ -207,7 +207,7 @@ TEST(QosSchedulerUnit, AgingBeatsWeights)
     std::vector<QosClass> order;
     std::vector<uint64_t> batch_tickets;
     for (int k = 0; k < 6; ++k) {
-        ASSERT_TRUE(sched.pop(in_flight, out));
+        ASSERT_TRUE(sched.pop(in_flight, {}, out));
         order.push_back(out.qos);
         if (out.qos == QosClass::Batch)
             batch_tickets.push_back(out.ticket);

@@ -6,8 +6,11 @@
  *    published bucket error; a Registry's Prometheus text exposition
  *    round-trips names, labels, and values.
  *  - tracing: disabled recording is free (no spans, no measurable
- *    cost); an enabled serving run produces a well-formed Chrome
- *    trace_event JSON in which every served ticket has its own
+ *    cost); a served frame records exactly 5 + gh + jobs spans, and
+ *    recording them, alone or with the live stream's collect and pack,
+ *    costs under 3% of the frame's render; an enabled serving run
+ *    produces a well-formed Chrome trace_event JSON (span names
+ *    escaped) in which every served ticket has its own
  *    queue-wait and its render_ticket has admission and all five
  *    engine stages; span ordering invariants hold (a render's
  *    queue-wait ends before its first engine stage, each engine
@@ -31,6 +34,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -385,6 +389,114 @@ TEST(Telemetry, DisabledRecordingIsFreeAndRecordsNothing)
     EXPECT_LT(elapsed, 1.0);
 }
 
+// -------------------------------------------------------- tracing cost
+
+namespace {
+
+/** Least wall time of `reps` runs of `run`, each after `setup`. */
+double
+minSeconds(int reps, const std::function<void()> &setup,
+           const std::function<void()> &run)
+{
+    double best = 1e30;
+    for (int r = 0; r < reps; ++r) {
+        setup();
+        const auto t0 = std::chrono::steady_clock::now();
+        run();
+        best = std::min(best, std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count());
+    }
+    return best;
+}
+
+} // namespace
+
+// Tracing's cost, bounded as spans per frame x cost per span instead
+// of a traced/untraced throughput ratio, which host noise swamps. A
+// served frame records exactly 5 + gh + jobs spans: queue wait,
+// admission, ray setup, planning and finalize, plus one per probe row
+// and per Phase II job. Recording them -- alone, and with the live
+// stream's collect and SpanBatch pack -- must cost under 3% of one
+// single-threaded render() of the same shape. Every cost is the
+// minimum over repetitions, so a preempted repetition cannot fail it.
+TEST(Telemetry, SpansPerFrameCostUnderThreePercentOfItsRender)
+{
+    TelemetryGuard guard;
+    server::SceneRegistry reg;
+    const server::SceneEntry *entry = reg.addProcedural(
+        "lego", "Lego", nerf::NgpModelConfig::fast(), smallConfig());
+    ASSERT_NE(entry, nullptr);
+    const core::AsdrRenderer renderer(*entry->field, entry->config);
+    const core::FrameShape shape = renderer.frameShape(16, 16);
+    ASSERT_TRUE(shape.adaptive);
+    const size_t spans_per_frame = size_t(5 + shape.gh + shape.jobs);
+
+    // Distinct cameras, so no frame joins another's render.
+    const int kFrames = 6;
+    const auto path =
+        nerf::orbitCameraPath(entry->info, 16, 16, kFrames, 0.05f);
+    telemetry::setEnabled(true);
+    {
+        server::ServerConfig cfg;
+        cfg.shards = 1;
+        cfg.threads_per_shard = 2;
+        server::FrameServer srv(reg, cfg);
+        const uint64_t client =
+            srv.openSession("lego", server::QosClass::Standard);
+        ASSERT_NE(client, 0u);
+        for (const nerf::Camera &cam : path)
+            ASSERT_NE(srv.submitFrame(client, cam), 0u);
+        srv.waitIdle();
+        srv.closeSession(client);
+    }
+    EXPECT_EQ(telemetry::spanCount(), size_t(kFrames) * spans_per_frame);
+    EXPECT_EQ(telemetry::droppedCount(), 0u);
+
+    telemetry::setEnabled(false);
+    renderer.render(path[0]); // start the renderer's engine
+    const double frame_s =
+        minSeconds(5, [] {}, [&] { renderer.render(path[0]); });
+
+    telemetry::setEnabled(true);
+    const int kSpans = 1000, kReps = 20;
+    auto record = [&] {
+        for (int i = 0; i < kSpans; ++i)
+            telemetry::recordSpan(telemetry::kSpanTiles, 1, 2, 3, 4);
+    };
+    const double record_s = minSeconds(kReps, telemetry::reset, record) /
+                            double(kSpans);
+    size_t streamed = 0;
+    const double stream_s =
+        minSeconds(kReps, telemetry::reset,
+                   [&] {
+                       record();
+                       telemetry::CollectCursor cursor;
+                       std::vector<telemetry::Span> spans;
+                       telemetry::collectNewSpans(cursor, spans,
+                                                  net::kMaxSpansPerBatch);
+                       net::SpanBatchMsg msg;
+                       for (const telemetry::Span &s : spans)
+                           msg.spans.push_back(
+                               net::WireSpan{s.name, s.frame, s.ticket,
+                                             s.lane, s.t_start_us,
+                                             s.t_end_us});
+                       if (!net::packMessage(net::MsgType::SpanBatch, msg)
+                                .empty())
+                           streamed += msg.spans.size();
+                   }) /
+        double(kSpans);
+    EXPECT_EQ(streamed, size_t(kReps) * size_t(kSpans));
+
+    const double budget_s = 0.03 * frame_s;
+    EXPECT_LT(double(spans_per_frame) * record_s, budget_s)
+        << spans_per_frame << " spans x " << record_s * 1e6
+        << " us against a " << frame_s * 1e3 << " ms frame";
+    EXPECT_LT(double(spans_per_frame) * stream_s, budget_s)
+        << spans_per_frame << " spans x " << stream_s * 1e6
+        << " us against a " << frame_s * 1e3 << " ms frame";
+}
+
 // ------------------------------------------------------- trace export
 
 TEST(Telemetry, TraceJsonWellFormedAndCoversEveryTicket)
@@ -406,7 +518,8 @@ TEST(Telemetry, TraceJsonWellFormedAndCoversEveryTicket)
     ASSERT_EQ(render_of.size(), 4u);
 
     // Machine-parseable Chrome trace_event JSON.
-    const std::string json = telemetry::toJsonString();
+    const std::string json =
+        telemetry::toJsonString(telemetry::snapshot());
     JsonChecker checker(json);
     EXPECT_TRUE(checker.document()) << json.substr(0, 400);
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -451,6 +564,16 @@ TEST(Telemetry, TraceJsonWellFormedAndCoversEveryTicket)
         EXPECT_TRUE(known.count(want)) << want;
     for (const auto &s : spans)
         EXPECT_TRUE(known.count(s.name)) << s.name;
+
+    // Names are written escaped: a quote and a newline in a recorded
+    // name must not break the document.
+    telemetry::recordSpan("quoted \"name\"\nsecond line", 0, 0, 1, 2);
+    const std::string hostile =
+        telemetry::toJsonString(telemetry::snapshot());
+    JsonChecker hostile_checker(hostile);
+    EXPECT_TRUE(hostile_checker.document());
+    EXPECT_NE(hostile.find("\"quoted \\\"name\\\"\\u000asecond line\""),
+              std::string::npos);
 }
 
 TEST(Telemetry, SpanOrderingInvariants)
@@ -966,7 +1089,7 @@ TEST(WireTelemetry, UnsubscribeBarrierDeliversEveryRecordedSpan)
     EXPECT_FALSE(telemetry::enabled());
     EXPECT_EQ(c.spanBatchesDropped(), 0u);
 
-    std::vector<net::WireSpan> streamed;
+    std::vector<telemetry::Span> streamed;
     c.drainSpans(streamed);
 
     // Streamed spans are exactly the service-side buffer contents.
@@ -1003,7 +1126,7 @@ TEST(WireTelemetry, UnsubscribeBarrierDeliversEveryRecordedSpan)
     }
 
     // The client-side trace render is machine-parseable.
-    const std::string json = net::spansToTraceJson(streamed);
+    const std::string json = telemetry::toJsonString(streamed);
     JsonChecker checker(json);
     EXPECT_TRUE(checker.document()) << json.substr(0, 400);
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
@@ -1130,8 +1253,8 @@ TEST(WireTelemetry, TraceFollowMatchesExitDumpTicketCoverage)
     // write: live streaming lost nothing.
     const std::set<uint64_t> followed_tickets =
         ticketsInTraceJson(followed);
-    const std::set<uint64_t> dump_tickets =
-        ticketsInTraceJson(telemetry::toJsonString());
+    const std::set<uint64_t> dump_tickets = ticketsInTraceJson(
+        telemetry::toJsonString(telemetry::snapshot()));
     EXPECT_EQ(followed_tickets, dump_tickets);
     for (uint64_t t : tickets)
         EXPECT_TRUE(followed_tickets.count(t)) << "ticket " << t;
