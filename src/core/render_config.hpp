@@ -100,7 +100,11 @@ struct RenderConfig
      * equivalent of Instant-NGP's occupancy grid masking empty space.
      * Without it a trained field emits tiny nonzero densities
      * everywhere and the delta = 0 lossless criterion of Fig. 7 can
-     * never fire on background pixels.
+     * never fire on background pixels. The floor also decides which
+     * anchors the batched host path shades: an anchor whose sigma and
+     * whose interpolated points' sigmas all fall below it composites
+     * with alpha = 0, so its color network is not run (the workload
+     * counters still count it).
      */
     float sigma_floor = 0.1f;
 

@@ -131,21 +131,43 @@ AsdrRenderer::shadePoints(const nerf::Ray &ray, const Vec3 *positions,
                 sink->onColorExec();
         }
     } else {
+        // Shade only the live anchors (see the declaration). A dead
+        // anchor's color is set to 0, not left as an earlier ray wrote
+        // it: compositing multiplies it by alpha = 0, and 0 * NaN is NaN.
         const int na = int(ws.anchors.size());
         ws.anchor_pos.resize(size_t(na));
         ws.anchor_den.resize(size_t(na));
         ws.anchor_col.resize(size_t(na));
+        ws.shaded.resize(size_t(na));
+        int live = 0;
+        // A nonzero sigma strictly between the previous anchor and this
+        // one (gap_before) or this one and the next (gap_after).
+        bool gap_before = false;
         for (int k = 0; k < na; ++k) {
-            const size_t a = size_t(ws.anchors[size_t(k)]);
-            ws.anchor_pos[size_t(k)] = positions[a];
-            ws.anchor_den[size_t(k)] = density[a];
+            const int a = ws.anchors[size_t(k)];
+            const int next = k + 1 < na ? ws.anchors[size_t(k + 1)] : a;
+            bool gap_after = false;
+            for (int i = a + 1; i < next && !gap_after; ++i)
+                gap_after = sigma[i] != 0.0f;
+            if (gap_before || sigma[a] != 0.0f || gap_after) {
+                ws.anchor_pos[size_t(live)] = positions[size_t(a)];
+                ws.anchor_den[size_t(live)] = density[size_t(a)];
+                ws.shaded[size_t(live)] = a;
+                ++live;
+            } else {
+                colors[size_t(a)] = Vec3(0.0f);
+            }
+            gap_before = gap_after;
         }
-        field_.colorBatch(ws.anchor_pos.data(), ray.dir,
-                          ws.anchor_den.data(), na, ws.anchor_col.data());
-        for (int k = 0; k < na; ++k)
-            colors[size_t(ws.anchors[size_t(k)])] =
-                ws.anchor_col[size_t(k)];
+        if (live > 0)
+            field_.colorBatch(ws.anchor_pos.data(), ray.dir,
+                              ws.anchor_den.data(), live,
+                              ws.anchor_col.data());
+        for (int k = 0; k < live; ++k)
+            colors[size_t(ws.shaded[size_t(k)])] = ws.anchor_col[size_t(k)];
     }
+    // The modeled pipeline runs the color network at every anchor, shaded
+    // on the host or not.
     profile.color_execs += uint64_t(ws.anchors.size());
 
     // ---- approximation unit fills the gaps ----

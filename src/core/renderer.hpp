@@ -12,7 +12,13 @@
  *          anchors only (when the approximation is on), (3) linear
  *          interpolation of missing colors, (4) Eq. (1) compositing --
  *          exactly the hardware's engine ordering, so software counts
- *          and simulated cycles describe the same work.
+ *          and simulated cycles describe the same work. The counts
+ *          (WorkloadProfile) are the modeled pipeline's: step (2) counts
+ *          every anchor. The batched host path runs the color network
+ *          only at anchors that can reach the pixel, where the anchor
+ *          or a point interpolated from it has nonzero sigma; the
+ *          others composite with alpha = 0, so skipping them leaves the
+ *          frame bit-identical.
  *
  * Host execution has one batched path and one scalar oracle. The batched
  * path stages a list of rays -- one Phase I probe row, or one Phase II
@@ -186,11 +192,13 @@ class AsdrRenderer
         std::vector<float> sigma;
         std::vector<nerf::DensityOutput> density;
         std::vector<Vec3> colors;
-        std::vector<int> anchors;
-        // Gathered anchor rows for the batched color pass.
+        std::vector<int> anchors; ///< every anchor (what the model counts)
+        // Gathered rows of the live anchors only: the ones the batched
+        // color pass evaluates on the host, with their point indices.
         std::vector<Vec3> anchor_pos;
         std::vector<nerf::DensityOutput> anchor_den;
         std::vector<Vec3> anchor_col;
+        std::vector<int> shaded;
     };
 
     /** Result of marching a single ray. */
@@ -254,7 +262,13 @@ class AsdrRenderer
      * The color + approximation + compositing tail of a marched ray
      * (shared by renderRay and marchRays): color network at anchors,
      * gap interpolation, Eq. (1) compositing. `scalar` selects the
-     * oracle's per-point color path.
+     * oracle's per-point color path, which evaluates every anchor. The
+     * batched path evaluates only the live anchors, those whose own
+     * sigma or the sigma of a point interpolated from them is nonzero,
+     * in one colorBatch call (none when no anchor is live), and writes
+     * 0 for the rest: compositing weighs those colors by alpha = 0, so
+     * the result is the oracle's bit for bit. `profile.color_execs`
+     * counts every anchor on both paths.
      */
     Vec3 shadePoints(const nerf::Ray &ray, const Vec3 *positions,
                      const nerf::DensityOutput *density,
@@ -269,6 +283,9 @@ class AsdrRenderer
      * cache-line sharing. Early termination (off for `probe` rays) cuts
      * each ray at exactly the index renderRay would. Leaves per-ray
      * results in `tws`: `color`, `cut`, and the sigma/color segments.
+     * A segment color equals the oracle's wherever that point's sigma
+     * is nonzero; where it is 0 the color may differ (dead anchors are
+     * not shaded), and composite/compositeMulti weigh it by alpha = 0.
      * Counts the points' work into `profile`; callers count the rays.
      */
     void marchRays(TileWorkspace &tws, bool probe,

@@ -26,7 +26,11 @@ struct WorkloadProfile
     uint64_t probe_rays = 0;    ///< Phase I (adaptive sampling) rays
     uint64_t points = 0;        ///< sampled points (density executed)
     uint64_t density_execs = 0; ///< density-network executions
-    uint64_t color_execs = 0;   ///< color-network executions
+    /** Color-network executions of the modeled pipeline: every anchor.
+     *  The batched host path evaluates only the live ones (the anchor or
+     *  a point interpolated from it has nonzero sigma), so on that path
+     *  this counts more than the host runs. */
+    uint64_t color_execs = 0;
     uint64_t approx_colors = 0; ///< colors produced by interpolation
     uint64_t lookups = 0;       ///< embedding-table vertex lookups
 

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <vector>
 
 #include "baseline/quantized_field.hpp"
@@ -176,6 +178,83 @@ expectFramesIdentical(const Image &a, const Image &b, const char *what)
         ASSERT_EQ(a.data()[i], b.data()[i]) << what << " pixel " << i;
 }
 
+/**
+ * Forwards every virtual to `inner` and counts the colorBatch calls,
+ * the points they carry and the calls that carry none. The counters are
+ * atomic because the batched march calls in from every worker.
+ */
+class ColorCountingField final : public RadianceField
+{
+  public:
+    explicit ColorCountingField(const RadianceField &inner) : inner_(inner)
+    {
+    }
+
+    DensityOutput
+    density(const Vec3 &pos) const override
+    {
+        return inner_.density(pos);
+    }
+    Vec3
+    color(const Vec3 &pos, const Vec3 &dir,
+          const DensityOutput &den) const override
+    {
+        return inner_.color(pos, dir, den);
+    }
+    void
+    densityBatch(const Vec3 *pos, int count,
+                 DensityOutput *out) const override
+    {
+        inner_.densityBatch(pos, count, out);
+    }
+    void
+    colorBatch(const Vec3 *pos, const Vec3 &dir, const DensityOutput *den,
+               int count, Vec3 *out) const override
+    {
+        calls.fetch_add(1);
+        points.fetch_add(uint64_t(count));
+        if (count == 0)
+            empty_calls.fetch_add(1);
+        inner_.colorBatch(pos, dir, den, count, out);
+    }
+    void
+    traceLookups(const Vec3 &pos, LookupSink &sink) const override
+    {
+        inner_.traceLookups(pos, sink);
+    }
+    TableSchema tableSchema() const override { return inner_.tableSchema(); }
+    FieldCosts costs() const override { return inner_.costs(); }
+    std::string describe() const override { return inner_.describe(); }
+
+    void
+    reset()
+    {
+        calls = 0;
+        points = 0;
+        empty_calls = 0;
+    }
+
+    mutable std::atomic<uint64_t> calls{0}, points{0}, empty_calls{0};
+
+  private:
+    const RadianceField &inner_;
+};
+
+/** Median sigma `field` returns at uniformly random unit-cube points. */
+float
+medianSigma(const RadianceField &field, uint64_t seed)
+{
+    std::vector<Vec3> pos = randomPositions(4096, seed);
+    std::vector<DensityOutput> den(pos.size());
+    field.densityBatch(pos.data(), int(pos.size()), den.data());
+    std::vector<float> sigma;
+    for (const DensityOutput &d : den)
+        sigma.push_back(d.sigma);
+    std::nth_element(sigma.begin(), sigma.begin() + sigma.size() / 2,
+                     sigma.end());
+    return sigma[sigma.size() / 2];
+}
+
 } // namespace
 
 TEST(ParallelRender, ThreadCountDoesNotChangeTheFrame)
@@ -296,15 +375,39 @@ TEST(ParallelRender, MortonOrderMatchesScalarOnNgpField)
     DvgoField dvgo(DvgoConfig{}, 78);
     TensorfField tensorf(TensorfConfig{}, 79);
     baseline::QuantizedField quantized(ngp, 8, 0.05f);
-    const RadianceField *fields[] = {&procedural, &ngp, &dvgo, &tensorf,
-                                     &quantized};
     Camera camera = cameraForScene(scene->info(), 13, 11);
 
-    for (const RadianceField *field : fields) {
+    // The unfitted networks return sigma near 0.3 everywhere, above the
+    // default floor, so every one of their anchors is live. A floor at a
+    // network's median sigma leaves about half its points at sigma 0, so
+    // the batched color pass also skips anchors on the real networks,
+    // and its liveness rule (an anchor's own sigma or an interpolated
+    // point's) is checked against the oracle there too.
+    struct Case
+    {
+        const RadianceField *field;
+        float sigma_floor;
+        bool median_floor;
+    };
+    const float kFloor = RenderConfig{}.sigma_floor;
+    const Case cases[] = {
+        {&procedural, kFloor, false},
+        {&ngp, kFloor, false},
+        {&dvgo, kFloor, false},
+        {&tensorf, kFloor, false},
+        {&quantized, kFloor, false},
+        {&ngp, medianSigma(ngp, 80), true},
+        {&dvgo, medianSigma(dvgo, 81), true},
+        {&tensorf, medianSigma(tensorf, 82), true},
+    };
+
+    for (const Case &c : cases) {
+        ColorCountingField counting(*c.field);
         // Phase II alone, then with Phase I probe rows in front.
         for (bool adaptive : {false, true}) {
-            SCOPED_TRACE(field->describe() +
-                         (adaptive ? " adaptive" : " fixed budget"));
+            SCOPED_TRACE(c.field->describe() +
+                         (adaptive ? " adaptive" : " fixed budget") +
+                         " sigma_floor=" + std::to_string(c.sigma_floor));
             RenderConfig cfg = RenderConfig::baseline(13, 11, 24);
             cfg.adaptive_sampling = adaptive;
             cfg.delta = 1.0f / 2048.0f;
@@ -312,27 +415,78 @@ TEST(ParallelRender, MortonOrderMatchesScalarOnNgpField)
             cfg.early_termination = true;
             cfg.color_approx = true;
             cfg.approx_group = 2;
+            cfg.sigma_floor = c.sigma_floor;
             cfg.num_threads = 1;
 
             cfg.eval_batch = 1; // the scalar oracle
             RenderStats s_ref;
-            Image scalar = AsdrRenderer(*field, cfg).render(camera, &s_ref);
+            Image scalar = AsdrRenderer(*c.field, cfg).render(camera, &s_ref);
 
             cfg.eval_batch = 16;
             for (int tile : {4, 8}) {
                 cfg.tile_size = tile;
+                counting.reset();
                 RenderStats s;
-                Image frame = AsdrRenderer(*field, cfg).render(camera, &s);
+                Image frame = AsdrRenderer(counting, cfg).render(camera, &s);
                 expectFramesIdentical(scalar, frame, "morton");
                 EXPECT_EQ(s_ref.profile.probe_rays, s.profile.probe_rays);
                 EXPECT_EQ(s_ref.profile.points, s.profile.points);
                 EXPECT_EQ(s_ref.profile.color_execs, s.profile.color_execs);
+                EXPECT_EQ(s_ref.profile.approx_colors,
+                          s.profile.approx_colors);
                 EXPECT_EQ(s_ref.sample_count_map, s.sample_count_map);
                 EXPECT_EQ(s_ref.actual_points_map, s.actual_points_map);
+                EXPECT_EQ(counting.empty_calls.load(), 0u);
+                if (c.median_floor) {
+                    // Both live and dead anchors occur.
+                    EXPECT_GT(counting.points.load(), 0u);
+                    EXPECT_LT(counting.points.load(), s.profile.color_execs);
+                }
             }
             cfg.num_threads = 3;
-            Image threaded = AsdrRenderer(*field, cfg).render(camera);
+            Image threaded = AsdrRenderer(counting, cfg).render(camera);
             expectFramesIdentical(scalar, threaded, "morton threads");
+        }
+    }
+}
+
+TEST(ParallelRender, ColorPassShadesOnlyContributingAnchors)
+{
+    // The batched march runs the color network only at anchors that can
+    // reach the pixel; the scalar oracle runs it at every anchor, and
+    // the workload counters count every anchor on both paths. Most of
+    // procedural Lego's anchors lie in empty space, so the host shades
+    // well under half of what the modeled pipeline counts.
+    RenderFixture fx("Lego");
+    ColorCountingField counting(*fx.field);
+    for (bool adaptive : {true, false}) {
+        RenderConfig cfg = RenderConfig::asdr(20, 20, 48);
+        cfg.probe_stride = 4;
+        cfg.adaptive_sampling = adaptive;
+        cfg.num_threads = 1;
+
+        cfg.eval_batch = 1; // the scalar oracle
+        RenderStats s_ref;
+        Image ref = AsdrRenderer(*fx.field, cfg).render(fx.camera, &s_ref);
+
+        cfg.eval_batch = RenderConfig{}.eval_batch;
+        for (int threads : {1, 3}) {
+            SCOPED_TRACE(std::string(adaptive ? "adaptive" : "fixed budget") +
+                         " threads=" + std::to_string(threads));
+            cfg.num_threads = threads;
+            counting.reset();
+            RenderStats s;
+            Image frame = AsdrRenderer(counting, cfg).render(fx.camera, &s);
+            expectFramesIdentical(ref, frame, "shaded anchors");
+            EXPECT_EQ(s_ref.profile.color_execs, s.profile.color_execs);
+            EXPECT_EQ(s_ref.profile.approx_colors, s.profile.approx_colors);
+            EXPECT_EQ(s_ref.sample_count_map, s.sample_count_map);
+
+            EXPECT_GT(counting.points.load(), 0u);
+            EXPECT_LT(2 * counting.points.load(), s.profile.color_execs);
+            EXPECT_EQ(counting.empty_calls.load(), 0u);
+            // At most one call per marched ray.
+            EXPECT_LE(counting.calls.load(), s.profile.rays);
         }
     }
 }
