@@ -110,13 +110,15 @@ JsonLine
 renderReuseRow(const nerf::InstantNgpField &field,
                const scene::AnalyticScene &scene)
 {
-    nerf::EncodeReuseStats stats;
-    field.setEncodeReuseStats(&stats);
     core::RenderConfig cfg = core::RenderConfig::baseline(48, 48, 32);
     cfg.early_termination = true;
     cfg.num_threads = 1;
-    core::AsdrRenderer(field, cfg).render(
-        nerf::cameraForScene(scene.info(), 48, 48));
+    const core::AsdrRenderer renderer(field, cfg);
+    const nerf::Camera camera = nerf::cameraForScene(scene.info(), 48, 48);
+    renderer.render(camera); // builds the occupancy grid, unhooked
+    nerf::EncodeReuseStats stats;
+    field.setEncodeReuseStats(&stats);
+    renderer.render(camera);
     field.setEncodeReuseStats(nullptr);
     uint64_t lookups = 0, unique = 0;
     for (size_t l = 0; l < stats.lookups.size(); ++l) {

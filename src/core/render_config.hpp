@@ -96,15 +96,19 @@ struct RenderConfig
     int tile_size = 8;
 
     /**
-     * Densities below this are treated as exactly zero -- the software
-     * equivalent of Instant-NGP's occupancy grid masking empty space.
-     * Without it a trained field emits tiny nonzero densities
-     * everywhere and the delta = 0 lossless criterion of Fig. 7 can
-     * never fire on background pixels. The floor also decides which
-     * anchors the batched host path shades: an anchor whose sigma and
-     * whose interpolated points' sigmas all fall below it composites
-     * with alpha = 0, so its color network is not run (the workload
-     * counters still count it).
+     * Densities below this are treated as exactly zero. Without it a
+     * trained field emits tiny nonzero densities everywhere and the
+     * delta = 0 lossless criterion of Fig. 7 can never fire on
+     * background pixels. The floor also builds the renderer's occupancy
+     * grid (core/occupancy_grid.hpp), the software counterpart of
+     * Instant-NGP's: the cells where the field's sampled sigma reaches
+     * the floor, dilated by one cell. The host evaluates density only
+     * at samples in those cells and sets sigma = 0 elsewhere (a floor
+     * <= 0 marks every cell). And the floor decides which anchors the
+     * batched host path shades: an anchor whose sigma and whose
+     * interpolated points' sigmas are all 0 composites with alpha = 0,
+     * so its color network is not run. The workload counters count
+     * every sample and anchor either way.
      */
     float sigma_floor = 0.1f;
 

@@ -1,5 +1,6 @@
 #include "core/renderer.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -15,10 +16,19 @@ namespace asdr::core {
 AsdrRenderer::AsdrRenderer(const nerf::RadianceField &field,
                            const RenderConfig &cfg)
     : field_(field), cfg_(cfg), sampler_(cfg),
-      lookups_per_point_(field.costs().lookups_per_point)
+      lookups_per_point_(field.costs().lookups_per_point),
+      grid_(std::make_shared<GridSlot>())
 {
     ASDR_ASSERT(cfg.samples_per_ray >= 2, "need at least 2 samples per ray");
     ASDR_ASSERT(cfg.approx_group >= 1, "approximation group must be >= 1");
+}
+
+AsdrRenderer::AsdrRenderer(const AsdrRenderer &base, const RenderConfig &cfg)
+    : AsdrRenderer(base.field_, cfg)
+{
+    ASDR_ASSERT(cfg.sigma_floor == base.cfg_.sigma_floor,
+                "a renderer sharing an occupancy grid needs its floor");
+    grid_ = base.grid_;
 }
 
 // Out of line: engine::FrameEngine is incomplete in the header.
@@ -36,6 +46,20 @@ threadWorkspace()
 }
 
 } // namespace
+
+const OccupancyGrid &
+AsdrRenderer::occupancy() const
+{
+    GridSlot &slot = *grid_;
+    if (!slot.built) {
+        std::lock_guard<std::mutex> lock(slot.m);
+        if (!slot.built) {
+            slot.grid = OccupancyGrid::build(field_, cfg_.sigma_floor);
+            slot.built = true;
+        }
+    }
+    return slot.grid;
+}
 
 void
 AsdrRenderer::TileWorkspace::clear()
@@ -76,8 +100,10 @@ AsdrRenderer::renderRay(const nerf::Ray &ray, int budget, bool probe,
     ws.sigma.resize(size_t(n));
     ws.density.resize(size_t(n));
     ws.colors.resize(size_t(n));
+    const OccupancyGrid &grid = occupancy();
 
-    // ---- density pass (with early termination), point at a time ----
+    // ---- density pass (with early termination), point at a time; the
+    // sink sees every modeled sample, evaluated on the host or not ----
     const bool use_et = cfg_.early_termination && !probe;
     int cut = n;
     float transmittance = 1.0f;
@@ -88,10 +114,14 @@ AsdrRenderer::renderRay(const nerf::Ray &ray, int budget, bool probe,
             field_.traceLookups(pos, *sink);
             sink->onDensityExec();
         }
-        ws.density[size_t(i)] = field_.density(pos);
-        float sigma = ws.density[size_t(i)].sigma;
-        if (sigma < cfg_.sigma_floor)
-            sigma = 0.0f; // occupancy-grid-style empty-space masking
+        // Empty space: sigma 0 in unmarked cells, and below the floor.
+        float sigma = 0.0f;
+        if (grid.occupied(pos)) {
+            ws.density[size_t(i)] = field_.density(pos);
+            sigma = ws.density[size_t(i)].sigma;
+            if (sigma < cfg_.sigma_floor)
+                sigma = 0.0f;
+        }
         ws.sigma[size_t(i)] = sigma;
 
         if (use_et) {
@@ -121,48 +151,63 @@ AsdrRenderer::shadePoints(const nerf::Ray &ray, const Vec3 *positions,
                           WorkloadProfile &profile, TraceSink *sink) const
 {
     // ---- color pass at anchors ----
+    const OccupancyGrid &grid = occupancy();
     int group = cfg_.color_approx ? cfg_.approx_group : 1;
     ColorApproximator::anchorIndices(cut, group, ws.anchors);
-    if (scalar) {
-        for (int a : ws.anchors) {
-            colors[size_t(a)] = field_.color(positions[size_t(a)], ray.dir,
-                                             density[size_t(a)]);
+    const int na = int(ws.anchors.size());
+    ws.shaded.resize(size_t(na));
+    int live = 0;
+    // A nonzero sigma strictly between the previous anchor and this
+    // one (gap_before) or this one and the next (gap_after).
+    bool gap_before = false;
+    for (int k = 0; k < na; ++k) {
+        const int a = ws.anchors[size_t(k)];
+        const int next = k + 1 < na ? ws.anchors[size_t(k + 1)] : a;
+        bool gap_after = false;
+        for (int i = a + 1; i < next && !gap_after; ++i)
+            gap_after = sigma[i] != 0.0f;
+        const bool is_live = gap_before || sigma[a] != 0.0f || gap_after;
+        gap_before = gap_after;
+        const Vec3 &pos = positions[size_t(a)];
+        // An unshaded anchor's color is set to 0, not left as an earlier
+        // ray wrote it: compositing multiplies it by alpha = 0, and
+        // 0 * NaN is NaN.
+        if (scalar) {
+            if (grid.occupied(pos))
+                colors[size_t(a)] =
+                    field_.color(pos, ray.dir, density[size_t(a)]);
+            else if (is_live)
+                colors[size_t(a)] =
+                    field_.color(pos, ray.dir, field_.density(pos));
+            else
+                colors[size_t(a)] = Vec3(0.0f);
             if (sink)
                 sink->onColorExec();
+        } else if (is_live) {
+            ws.shaded[size_t(live++)] = a;
+        } else {
+            colors[size_t(a)] = Vec3(0.0f);
         }
-    } else {
-        // Shade only the live anchors (see the declaration). A dead
-        // anchor's color is set to 0, not left as an earlier ray wrote
-        // it: compositing multiplies it by alpha = 0, and 0 * NaN is NaN.
-        const int na = int(ws.anchors.size());
-        ws.anchor_pos.resize(size_t(na));
-        ws.anchor_den.resize(size_t(na));
-        ws.anchor_col.resize(size_t(na));
-        ws.shaded.resize(size_t(na));
-        int live = 0;
-        // A nonzero sigma strictly between the previous anchor and this
-        // one (gap_before) or this one and the next (gap_after).
-        bool gap_before = false;
-        for (int k = 0; k < na; ++k) {
-            const int a = ws.anchors[size_t(k)];
-            const int next = k + 1 < na ? ws.anchors[size_t(k + 1)] : a;
-            bool gap_after = false;
-            for (int i = a + 1; i < next && !gap_after; ++i)
-                gap_after = sigma[i] != 0.0f;
-            if (gap_before || sigma[a] != 0.0f || gap_after) {
-                ws.anchor_pos[size_t(live)] = positions[size_t(a)];
-                ws.anchor_den[size_t(live)] = density[size_t(a)];
-                ws.shaded[size_t(live)] = a;
-                ++live;
-            } else {
-                colors[size_t(a)] = Vec3(0.0f);
-            }
-            gap_before = gap_after;
-        }
-        if (live > 0)
-            field_.colorBatch(ws.anchor_pos.data(), ray.dir,
-                              ws.anchor_den.data(), live,
-                              ws.anchor_col.data());
+    }
+    if (live > 0) {
+        // The live anchors outside marked cells go first: their density
+        // is evaluated now.
+        const auto held = std::partition(
+            ws.shaded.begin(), ws.shaded.begin() + live,
+            [&](int a) { return !grid.occupied(positions[size_t(a)]); });
+        const int skipped = int(held - ws.shaded.begin());
+        ws.anchor_pos.resize(size_t(live));
+        ws.anchor_den.resize(size_t(live));
+        ws.anchor_col.resize(size_t(live));
+        for (int k = 0; k < live; ++k)
+            ws.anchor_pos[size_t(k)] = positions[size_t(ws.shaded[size_t(k)])];
+        for (int k = skipped; k < live; ++k)
+            ws.anchor_den[size_t(k)] = density[size_t(ws.shaded[size_t(k)])];
+        if (skipped > 0)
+            field_.densityBatch(ws.anchor_pos.data(), skipped,
+                                ws.anchor_den.data());
+        field_.colorBatch(ws.anchor_pos.data(), ray.dir,
+                          ws.anchor_den.data(), live, ws.anchor_col.data());
         for (int k = 0; k < live; ++k)
             colors[size_t(ws.shaded[size_t(k)])] = ws.anchor_col[size_t(k)];
     }
@@ -199,6 +244,7 @@ AsdrRenderer::marchRays(TileWorkspace &tws, bool probe,
     tws.transmittance.assign(size_t(R), 1.0f);
     tws.alive.assign(size_t(R), 0);
     tws.color.assign(size_t(R), Vec3(0.0f));
+    const OccupancyGrid &grid = occupancy();
     int total = 0;
     for (int r = 0; r < R; ++r) {
         float a, b;
@@ -231,7 +277,9 @@ AsdrRenderer::marchRays(TileWorkspace &tws, bool probe,
     // order, so consecutive batch points are spatially adjacent and
     // share hash-table cache lines. The band narrows to a single depth
     // while many rays march (batch width = survivors) and widens as
-    // rays terminate, keeping batches near eval_batch points.
+    // rays terminate, keeping batches near eval_batch points. Samples
+    // in unmarked cells join no batch; their sigma reads 0, as the
+    // floor would make it.
     int d0 = 0;
     for (;;) {
         int marching = 0;
@@ -247,13 +295,19 @@ AsdrRenderer::marchRays(TileWorkspace &tws, bool probe,
         for (int d = d0; d < d0 + D; ++d)
             for (int r = 0; r < R; ++r)
                 if (tws.alive[size_t(r)] && d < tws.n[size_t(r)]) {
-                    const int slot = tws.offset[size_t(r)] + d;
-                    tws.batch_pos.push_back(tws.positions[size_t(slot)]);
-                    tws.batch_slot.push_back(slot);
+                    const size_t slot = size_t(tws.offset[size_t(r)] + d);
+                    if (grid.occupied(tws.positions[slot])) {
+                        tws.batch_pos.push_back(tws.positions[slot]);
+                        tws.batch_slot.push_back(int(slot));
+                    } else {
+                        tws.density[slot].sigma = 0.0f;
+                    }
                 }
         const int bn = int(tws.batch_pos.size());
         tws.batch_den.resize(size_t(bn));
-        field_.densityBatch(tws.batch_pos.data(), bn, tws.batch_den.data());
+        if (bn > 0)
+            field_.densityBatch(tws.batch_pos.data(), bn,
+                                tws.batch_den.data());
         for (int k = 0; k < bn; ++k)
             tws.density[size_t(tws.batch_slot[size_t(k)])] =
                 tws.batch_den[size_t(k)];
@@ -292,7 +346,8 @@ AsdrRenderer::marchRays(TileWorkspace &tws, bool probe,
     }
 
     // ---- shade each ray; the work charged is exactly the points the
-    // modeled pipeline executes (up to the cut) ----
+    // modeled pipeline executes (up to the cut), whether the grid let
+    // the host skip them or not ----
     for (int r = 0; r < R; ++r) {
         if (tws.n[size_t(r)] == 0)
             continue;
@@ -332,6 +387,7 @@ AsdrRenderer::beginFrame(FrameState &fs) const
     // it unset.
     if (fs.start == std::chrono::steady_clock::time_point())
         fs.start = std::chrono::steady_clock::now();
+    occupancy(); // the renderer's first frame builds the grid
     const int w = fs.camera.width();
     const int h = fs.camera.height();
     // The engine derives the shape once at admission (its stages are

@@ -13,12 +13,20 @@
  *          interpolation of missing colors, (4) Eq. (1) compositing --
  *          exactly the hardware's engine ordering, so software counts
  *          and simulated cycles describe the same work. The counts
- *          (WorkloadProfile) are the modeled pipeline's: step (2) counts
- *          every anchor. The batched host path runs the color network
- *          only at anchors that can reach the pixel, where the anchor
- *          or a point interpolated from it has nonzero sigma; the
- *          others composite with alpha = 0, so skipping them leaves the
- *          frame bit-identical.
+ *          (WorkloadProfile) are the modeled pipeline's: step (1) counts
+ *          every sample and step (2) every anchor.
+ *
+ * The host runs less than the model counts, in two ways. An occupancy
+ * grid (core/occupancy_grid.hpp), built once per renderer from the
+ * field's densityBatch on its first frame and shared with renderers made
+ * from it, marks where sigma can reach sigma_floor; both host paths
+ * evaluate density only at samples in marked cells and set sigma = 0
+ * elsewhere, as the floor would. And the batched path runs the color
+ * network only at live anchors, where the anchor or a point interpolated
+ * from it has nonzero sigma; the others composite with alpha = 0, so
+ * skipping them leaves the frame bit-identical. A live anchor whose
+ * density the grid skipped is evaluated before it is shaded, so the
+ * color network always sees the field's own geometry features.
  *
  * Host execution has one batched path and one scalar oracle. The batched
  * path stages a list of rays -- one Phase I probe row, or one Phase II
@@ -37,12 +45,14 @@
 #ifndef ASDR_CORE_RENDERER_HPP
 #define ASDR_CORE_RENDERER_HPP
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <mutex>
 #include <vector>
 
 #include "core/adaptive_sampler.hpp"
+#include "core/occupancy_grid.hpp"
 #include "core/render_config.hpp"
 #include "core/trace.hpp"
 #include "image/image.hpp"
@@ -131,6 +141,12 @@ class AsdrRenderer
 {
   public:
     AsdrRenderer(const nerf::RadianceField &field, const RenderConfig &cfg);
+    /**
+     * A renderer of `base`'s field under `cfg` that shares base's
+     * occupancy grid, so one build serves both. The grid depends only on
+     * the field and the floor: `cfg.sigma_floor` must equal base's.
+     */
+    AsdrRenderer(const AsdrRenderer &base, const RenderConfig &cfg);
     ~AsdrRenderer();
 
     const RenderConfig &config() const { return cfg_; }
@@ -167,7 +183,9 @@ class AsdrRenderer
     /** Stage-chain shape for a frame at `w` x `h` under this config. */
     FrameShape frameShape(int w, int h) const;
 
-    /** Ray/buffer setup: allocates the image and per-pixel maps. */
+    /** Ray/buffer setup: allocates the image and per-pixel maps, and
+     *  builds the occupancy grid on the renderer's first frame (a build
+     *  that throws fails the frame; the next frame builds again). */
     void beginFrame(FrameState &fs) const;
 
     /** Phase I: probe row `gy` of the probe grid (full-budget rays +
@@ -194,7 +212,8 @@ class AsdrRenderer
         std::vector<Vec3> colors;
         std::vector<int> anchors; ///< every anchor (what the model counts)
         // Gathered rows of the live anchors only: the ones the batched
-        // color pass evaluates on the host, with their point indices.
+        // color pass evaluates on the host, with their point indices,
+        // those outside the grid's marked cells first.
         std::vector<Vec3> anchor_pos;
         std::vector<nerf::DensityOutput> anchor_den;
         std::vector<Vec3> anchor_col;
@@ -212,10 +231,13 @@ class AsdrRenderer
     /**
      * The scalar oracle: march one ray with `budget` samples, one field
      * evaluation at a time. Every batched result must match it bit for
-     * bit. Exposed for unit tests and the analysis tools; `probe`
-     * disables early termination (probe rays need every point for the
-     * subset comparisons) and retains sigma/colors in `ws` for the
-     * difficulty evaluation.
+     * bit. It calls density() only at samples in the occupancy grid's
+     * marked cells (building the grid if no frame has), and shades
+     * every anchor except the dead ones whose density it skipped.
+     * Exposed for unit tests and the analysis tools; `probe` disables
+     * early termination (probe rays need every point for the subset
+     * comparisons) and retains sigma/colors in `ws` for the difficulty
+     * evaluation.
      */
     RayResult renderRay(const nerf::Ray &ray, int budget, bool probe,
                         RayWorkspace &ws, WorkloadProfile &profile,
@@ -261,14 +283,18 @@ class AsdrRenderer
     /**
      * The color + approximation + compositing tail of a marched ray
      * (shared by renderRay and marchRays): color network at anchors,
-     * gap interpolation, Eq. (1) compositing. `scalar` selects the
-     * oracle's per-point color path, which evaluates every anchor. The
-     * batched path evaluates only the live anchors, those whose own
-     * sigma or the sigma of a point interpolated from them is nonzero,
-     * in one colorBatch call (none when no anchor is live), and writes
-     * 0 for the rest: compositing weighs those colors by alpha = 0, so
-     * the result is the oracle's bit for bit. `profile.color_execs`
-     * counts every anchor on both paths.
+     * gap interpolation, Eq. (1) compositing. An anchor is live when its
+     * own sigma or the sigma of a point interpolated from it is nonzero.
+     * The `density` row holds the field's output only at samples in
+     * marked cells; a live anchor outside them has its density
+     * evaluated here first (on the batched path, in one densityBatch
+     * call per ray). `scalar` selects the oracle's per-point color
+     * path, which shades every other anchor whose density it holds. The
+     * batched path shades only the live anchors, in one colorBatch call
+     * (none when no anchor is live). Both write 0 for the anchors they
+     * do not shade: compositing weighs those colors by alpha = 0, so
+     * the results agree bit for bit. `profile.color_execs` counts every
+     * anchor on both paths.
      */
     Vec3 shadePoints(const nerf::Ray &ray, const Vec3 *positions,
                      const nerf::DensityOutput *density,
@@ -278,15 +304,18 @@ class AsdrRenderer
 
     /**
      * The batched march over the rays staged in `tws`, depth-major:
-     * each density batch holds the surviving rays at a band of
-     * consecutive depths, in staging order, maximizing hash-table
-     * cache-line sharing. Early termination (off for `probe` rays) cuts
-     * each ray at exactly the index renderRay would. Leaves per-ray
-     * results in `tws`: `color`, `cut`, and the sigma/color segments.
-     * A segment color equals the oracle's wherever that point's sigma
-     * is nonzero; where it is 0 the color may differ (dead anchors are
-     * not shaded), and composite/compositeMulti weigh it by alpha = 0.
-     * Counts the points' work into `profile`; callers count the rays.
+     * each density batch holds the surviving rays' samples at a band of
+     * consecutive depths that lie in the occupancy grid's marked cells,
+     * in staging order, maximizing hash-table cache-line sharing; the
+     * other samples get sigma 0 without a call. Early termination (off
+     * for `probe` rays) cuts each ray at exactly the index renderRay
+     * would. Leaves per-ray results in `tws`: `color`, `cut`, and the
+     * sigma/color segments. A segment color equals the oracle's
+     * wherever that point's sigma is nonzero; where it is 0 the color
+     * may differ (dead anchors are not shaded), and
+     * composite/compositeMulti weigh it by alpha = 0. Counts every
+     * modeled sample's work into `profile`, evaluated on the host or
+     * not; callers count the rays.
      */
     void marchRays(TileWorkspace &tws, bool probe,
                    WorkloadProfile &profile) const;
@@ -295,10 +324,25 @@ class AsdrRenderer
     Image renderTraced(const nerf::Camera &camera, RenderStats *stats,
                        TraceSink &sink) const;
 
+    /** The occupancy grid, built on first use (under the slot's mutex;
+     *  a build that throws leaves it unbuilt for the next caller). */
+    const OccupancyGrid &occupancy() const;
+
+    /** The lazily built grid, shared by the renderers made from one
+     *  another: `grid` is written once, under `m`, before `built` is
+     *  set, and read without the lock after. */
+    struct GridSlot
+    {
+        std::mutex m;
+        std::atomic<bool> built{false};
+        OccupancyGrid grid;
+    };
+
     const nerf::RadianceField &field_;
     RenderConfig cfg_;
     AdaptiveSampler sampler_;
     int lookups_per_point_; ///< hoisted from costs() (hot path)
+    std::shared_ptr<GridSlot> grid_;
 
     /** Lazily-started engine behind the synchronous facade (one
      *  persistent pool per renderer, shared by all its frames). */

@@ -24,8 +24,14 @@ struct WorkloadProfile
 {
     uint64_t rays = 0;          ///< rays actually marched
     uint64_t probe_rays = 0;    ///< Phase I (adaptive sampling) rays
-    uint64_t points = 0;        ///< sampled points (density executed)
-    uint64_t density_execs = 0; ///< density-network executions
+    /** Sampled points of the modeled pipeline (density executed at
+     *  each). The host evaluates density only at samples in the
+     *  occupancy grid's marked cells, plus the live anchors outside
+     *  them, so it runs fewer than this counts. */
+    uint64_t points = 0;
+    /** Density-network executions of the modeled pipeline: one per
+     *  sampled point, evaluated on the host or not (see `points`). */
+    uint64_t density_execs = 0;
     /** Color-network executions of the modeled pipeline: every anchor.
      *  The batched host path evaluates only the live ones (the anchor or
      *  a point interpolated from it has nonzero sigma), so on that path

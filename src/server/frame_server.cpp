@@ -420,7 +420,8 @@ FrameServer::pumpLocked(int shard, std::vector<Launch> &launches,
                                         pf.camera, probe,
                                         /*stuck_flagged=*/false, {}});
         // Degraded frames render through the scene's renderer for
-        // their rung's sample budget.
+        // their rung's sample budget, which shares the full-rung
+        // renderer's occupancy grid.
         const core::AsdrRenderer *renderer = &c.state->renderer;
         if (rung != QualityRung::Full) {
             const core::RenderConfig dcfg =
@@ -428,7 +429,7 @@ FrameServer::pumpLocked(int shard, std::vector<Launch> &launches,
             std::unique_ptr<core::AsdrRenderer> &d =
                 c.state->degraded[dcfg.samples_per_ray];
             if (!d)
-                d = std::make_unique<core::AsdrRenderer>(*c.scene->field,
+                d = std::make_unique<core::AsdrRenderer>(c.state->renderer,
                                                          dcfg);
             renderer = d.get();
         }

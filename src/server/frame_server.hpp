@@ -371,8 +371,9 @@ class FrameServer
         core::AsdrRenderer renderer;
         /** The quality ladder's reduced-samples renderers, keyed by
          *  samples_per_ray, built under m_ when a frame is admitted
-         *  at their rung. Never evicted: in-flight frames hold bare
-         *  pointers. */
+         *  at their rung. They share `renderer`'s occupancy grid, so
+         *  the scene's grid is built once. Never evicted: in-flight
+         *  frames hold bare pointers. */
         std::map<int, std::unique_ptr<core::AsdrRenderer>> degraded;
     };
 

@@ -3,13 +3,16 @@
  * Equivalence guarantees of the batched, multi-threaded pipeline: for
  * every field type the batch evaluation API must be bit-identical to
  * per-point calls, and a rendered frame must be bit-identical across
- * thread counts, batch sizes, tile sizes, and the scalar oracle.
+ * thread counts, batch sizes, tile sizes, and the scalar oracle. A
+ * counting decorator checks what the host skips: density outside the
+ * occupancy grid's marked cells, and color at dead anchors.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <vector>
 
 #include "baseline/quantized_field.hpp"
@@ -180,31 +183,39 @@ expectFramesIdentical(const Image &a, const Image &b, const char *what)
 
 /**
  * Forwards every virtual to `inner` and counts the colorBatch calls,
- * the points they carry and the calls that carry none. The counters are
- * atomic because the batched march calls in from every worker.
+ * the points they carry and the calls that carry none, and the density
+ * work: densityBatch points and density() calls. With `check_density`
+ * it also counts the shaded points whose DensityOutput differs from
+ * `inner.density(pos)` in any bit. The counters are atomic because the
+ * batched march calls in from every worker.
  */
 class ColorCountingField final : public RadianceField
 {
   public:
-    explicit ColorCountingField(const RadianceField &inner) : inner_(inner)
+    explicit ColorCountingField(const RadianceField &inner,
+                                bool check_density = false)
+        : inner_(inner), check_density_(check_density)
     {
     }
 
     DensityOutput
     density(const Vec3 &pos) const override
     {
+        density_calls.fetch_add(1);
         return inner_.density(pos);
     }
     Vec3
     color(const Vec3 &pos, const Vec3 &dir,
           const DensityOutput &den) const override
     {
+        checkDensity(&pos, &den, 1);
         return inner_.color(pos, dir, den);
     }
     void
     densityBatch(const Vec3 *pos, int count,
                  DensityOutput *out) const override
     {
+        density_points.fetch_add(uint64_t(count));
         inner_.densityBatch(pos, count, out);
     }
     void
@@ -215,6 +226,7 @@ class ColorCountingField final : public RadianceField
         points.fetch_add(uint64_t(count));
         if (count == 0)
             empty_calls.fetch_add(1);
+        checkDensity(pos, den, count);
         inner_.colorBatch(pos, dir, den, count, out);
     }
     void
@@ -232,27 +244,73 @@ class ColorCountingField final : public RadianceField
         calls = 0;
         points = 0;
         empty_calls = 0;
+        density_points = 0;
+        density_calls = 0;
+        foreign_density = 0;
+    }
+
+    /** Density work on the host: batch points plus per-point calls. */
+    uint64_t
+    densityWork() const
+    {
+        return density_points.load() + density_calls.load();
     }
 
     mutable std::atomic<uint64_t> calls{0}, points{0}, empty_calls{0};
+    mutable std::atomic<uint64_t> density_points{0}, density_calls{0};
+    mutable std::atomic<uint64_t> foreign_density{0};
 
   private:
+    void
+    checkDensity(const Vec3 *pos, const DensityOutput *den, int count) const
+    {
+        if (!check_density_)
+            return;
+        for (int i = 0; i < count; ++i) {
+            const DensityOutput own = inner_.density(pos[i]);
+            if (std::memcmp(&own, &den[i], sizeof(DensityOutput)) != 0)
+                foreign_density.fetch_add(1);
+        }
+    }
+
     const RadianceField &inner_;
+    const bool check_density_;
 };
 
-/** Median sigma `field` returns at uniformly random unit-cube points. */
-float
-medianSigma(const RadianceField &field, uint64_t seed)
+/** The workload profiles of two renders of one frame agree. */
+void
+expectSameProfile(const WorkloadProfile &a, const WorkloadProfile &b)
 {
-    std::vector<Vec3> pos = randomPositions(4096, seed);
+    EXPECT_EQ(a.rays, b.rays);
+    EXPECT_EQ(a.probe_rays, b.probe_rays);
+    EXPECT_EQ(a.points, b.points);
+    EXPECT_EQ(a.density_execs, b.density_execs);
+    EXPECT_EQ(a.color_execs, b.color_execs);
+    EXPECT_EQ(a.approx_colors, b.approx_colors);
+    EXPECT_EQ(a.lookups, b.lookups);
+}
+
+/** The `q`-quantile of the sigma `field` returns at 4096 random points
+ *  of the occupancy grid's lattice of cell corners. */
+float
+latticeSigmaQuantile(const RadianceField &field, double q, uint64_t seed)
+{
+    constexpr int kRes = OccupancyGrid::kRes;
+    Rng rng(seed);
+    std::vector<Vec3> pos;
+    for (int i = 0; i < 4096; ++i)
+        pos.push_back(Vec3(float(rng.nextBounded(kRes + 1)),
+                           float(rng.nextBounded(kRes + 1)),
+                           float(rng.nextBounded(kRes + 1))) *
+                      (1.0f / float(kRes)));
     std::vector<DensityOutput> den(pos.size());
     field.densityBatch(pos.data(), int(pos.size()), den.data());
     std::vector<float> sigma;
     for (const DensityOutput &d : den)
         sigma.push_back(d.sigma);
-    std::nth_element(sigma.begin(), sigma.begin() + sigma.size() / 2,
-                     sigma.end());
-    return sigma[sigma.size() / 2];
+    const size_t k = size_t(q * double(sigma.size() - 1));
+    std::nth_element(sigma.begin(), sigma.begin() + k, sigma.end());
+    return sigma[k];
 }
 
 } // namespace
@@ -378,16 +436,20 @@ TEST(ParallelRender, MortonOrderMatchesScalarOnNgpField)
     Camera camera = cameraForScene(scene->info(), 13, 11);
 
     // The unfitted networks return sigma near 0.3 everywhere, above the
-    // default floor, so every one of their anchors is live. A floor at a
-    // network's median sigma leaves about half its points at sigma 0, so
-    // the batched color pass also skips anchors on the real networks,
-    // and its liveness rule (an anchor's own sigma or an interpolated
-    // point's) is checked against the oracle there too.
+    // default floor, so every one of their anchors is live and their
+    // occupancy grids mark every cell. Their sigma is noise at the
+    // grid's lattice spacing: at a floor at the median it crosses the
+    // floor every two or three lattice steps, and the grid still marks
+    // every cell. A floor that a tenth of the lattice points reach
+    // leaves most points at sigma 0 and some cells unmarked, so on the
+    // real networks the batched color pass skips anchors, the density
+    // pass skips samples, and a live anchor outside the marked cells is
+    // evaluated before it is shaded -- each checked against the oracle.
     struct Case
     {
         const RadianceField *field;
         float sigma_floor;
-        bool median_floor;
+        bool high_floor;
     };
     const float kFloor = RenderConfig{}.sigma_floor;
     const Case cases[] = {
@@ -396,13 +458,18 @@ TEST(ParallelRender, MortonOrderMatchesScalarOnNgpField)
         {&dvgo, kFloor, false},
         {&tensorf, kFloor, false},
         {&quantized, kFloor, false},
-        {&ngp, medianSigma(ngp, 80), true},
-        {&dvgo, medianSigma(dvgo, 81), true},
-        {&tensorf, medianSigma(tensorf, 82), true},
+        {&ngp, latticeSigmaQuantile(ngp, 0.9, 80), true},
+        {&dvgo, latticeSigmaQuantile(dvgo, 0.9, 81), true},
+        {&tensorf, latticeSigmaQuantile(tensorf, 0.9, 82), true},
     };
 
     for (const Case &c : cases) {
         ColorCountingField counting(*c.field);
+        // Every renderer of the case shares this one's occupancy grid,
+        // which the first oracle render builds.
+        RenderConfig base_cfg;
+        base_cfg.sigma_floor = c.sigma_floor;
+        const AsdrRenderer grid_owner(counting, base_cfg);
         // Phase II alone, then with Phase I probe rows in front.
         for (bool adaptive : {false, true}) {
             SCOPED_TRACE(c.field->describe() +
@@ -420,31 +487,31 @@ TEST(ParallelRender, MortonOrderMatchesScalarOnNgpField)
 
             cfg.eval_batch = 1; // the scalar oracle
             RenderStats s_ref;
-            Image scalar = AsdrRenderer(*c.field, cfg).render(camera, &s_ref);
+            Image scalar =
+                AsdrRenderer(grid_owner, cfg).render(camera, &s_ref);
 
             cfg.eval_batch = 16;
             for (int tile : {4, 8}) {
                 cfg.tile_size = tile;
                 counting.reset();
                 RenderStats s;
-                Image frame = AsdrRenderer(counting, cfg).render(camera, &s);
+                Image frame =
+                    AsdrRenderer(grid_owner, cfg).render(camera, &s);
                 expectFramesIdentical(scalar, frame, "morton");
-                EXPECT_EQ(s_ref.profile.probe_rays, s.profile.probe_rays);
-                EXPECT_EQ(s_ref.profile.points, s.profile.points);
-                EXPECT_EQ(s_ref.profile.color_execs, s.profile.color_execs);
-                EXPECT_EQ(s_ref.profile.approx_colors,
-                          s.profile.approx_colors);
+                expectSameProfile(s_ref.profile, s.profile);
                 EXPECT_EQ(s_ref.sample_count_map, s.sample_count_map);
                 EXPECT_EQ(s_ref.actual_points_map, s.actual_points_map);
                 EXPECT_EQ(counting.empty_calls.load(), 0u);
-                if (c.median_floor) {
-                    // Both live and dead anchors occur.
+                if (c.high_floor) {
+                    // Both live and dead anchors occur, and the grid
+                    // skips density work.
                     EXPECT_GT(counting.points.load(), 0u);
                     EXPECT_LT(counting.points.load(), s.profile.color_execs);
+                    EXPECT_LT(counting.densityWork(), s.profile.density_execs);
                 }
             }
             cfg.num_threads = 3;
-            Image threaded = AsdrRenderer(counting, cfg).render(camera);
+            Image threaded = AsdrRenderer(grid_owner, cfg).render(camera);
             expectFramesIdentical(scalar, threaded, "morton threads");
         }
     }
@@ -488,6 +555,94 @@ TEST(ParallelRender, ColorPassShadesOnlyContributingAnchors)
             // At most one call per marched ray.
             EXPECT_LE(counting.calls.load(), s.profile.rays);
         }
+    }
+}
+
+TEST(ParallelRender, DensityPassSkipsEmptySpace)
+{
+    // Both host paths evaluate density only at samples in the occupancy
+    // grid's marked cells (and at live anchors outside them), while the
+    // workload counters count every modeled sample. Most of procedural
+    // Lego's samples lie in empty space, so once the grid is built each
+    // path evaluates under half of what the modeled pipeline counts.
+    RenderFixture fx("Lego");
+    ColorCountingField counting(*fx.field);
+    for (bool adaptive : {true, false}) {
+        RenderConfig cfg = RenderConfig::asdr(20, 20, 48);
+        cfg.probe_stride = 4;
+        cfg.adaptive_sampling = adaptive;
+        cfg.num_threads = 1;
+
+        cfg.eval_batch = 1; // the scalar oracle
+        const AsdrRenderer oracle(counting, cfg);
+        oracle.render(fx.camera); // builds the grid
+        counting.reset();
+        RenderStats s_ref;
+        Image ref = oracle.render(fx.camera, &s_ref);
+        EXPECT_EQ(counting.density_points.load(), 0u);
+        EXPECT_GT(counting.density_calls.load(), 0u);
+        EXPECT_LT(2 * counting.density_calls.load(),
+                  s_ref.profile.density_execs);
+
+        cfg.eval_batch = RenderConfig{}.eval_batch;
+        for (int threads : {1, 3}) {
+            SCOPED_TRACE(std::string(adaptive ? "adaptive" : "fixed budget") +
+                         " threads=" + std::to_string(threads));
+            cfg.num_threads = threads;
+            const AsdrRenderer batched(counting, cfg);
+            batched.render(fx.camera); // builds the grid
+            counting.reset();
+            RenderStats s;
+            Image frame = batched.render(fx.camera, &s);
+            expectFramesIdentical(ref, frame, "density skip");
+            expectSameProfile(s_ref.profile, s.profile);
+            EXPECT_EQ(s_ref.sample_count_map, s.sample_count_map);
+            EXPECT_EQ(s_ref.actual_points_map, s.actual_points_map);
+            EXPECT_EQ(counting.density_calls.load(), 0u);
+            EXPECT_GT(counting.density_points.load(), 0u);
+            EXPECT_LT(2 * counting.density_points.load(),
+                      s.profile.density_execs);
+        }
+    }
+}
+
+TEST(ParallelRender, ShadedAnchorsSeeTheFieldsOwnDensity)
+{
+    // A live anchor outside the grid's marked cells has no density from
+    // the march. Both host paths evaluate it before shading, so every
+    // DensityOutput the color network sees is the field's own, bit for
+    // bit. The NGP floor leaves such anchors on the real network too
+    // (see MortonOrderMatchesScalarOnNgpField).
+    RenderFixture fx("Lego");
+    InstantNgpField ngp(NgpModelConfig::fast(), 77);
+    struct Case
+    {
+        const RadianceField *field;
+        float sigma_floor;
+    };
+    const Case cases[] = {
+        {fx.field.get(), RenderConfig{}.sigma_floor},
+        {&ngp, latticeSigmaQuantile(ngp, 0.9, 80)},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.field->describe());
+        ColorCountingField checking(*c.field, /*check_density=*/true);
+        RenderConfig cfg = RenderConfig::asdr(20, 20, 48);
+        cfg.probe_stride = 4;
+        cfg.sigma_floor = c.sigma_floor;
+        cfg.num_threads = 1;
+
+        cfg.eval_batch = 1; // the scalar oracle
+        const AsdrRenderer oracle(checking, cfg);
+        Image ref = oracle.render(fx.camera);
+        cfg.eval_batch = RenderConfig{}.eval_batch;
+        for (int threads : {1, 3}) {
+            cfg.num_threads = threads;
+            Image frame = AsdrRenderer(oracle, cfg).render(fx.camera);
+            expectFramesIdentical(ref, frame, "own density");
+        }
+        EXPECT_GT(checking.points.load(), 0u);
+        EXPECT_EQ(checking.foreign_density.load(), 0u);
     }
 }
 

@@ -1,14 +1,21 @@
 /**
  * @file
  * Tests for the ASDR algorithm primitives: the Eq. (3) adaptive sampler
- * (difficulty metric, candidate selection, budget interpolation) and
- * the color approximator (anchors, interpolation exactness).
+ * (difficulty metric, candidate selection, budget interpolation), the
+ * color approximator (anchors, interpolation exactness) and the
+ * occupancy grid (what it marks, and that it covers the field).
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+
 #include "core/adaptive_sampler.hpp"
 #include "core/color_approximator.hpp"
+#include "core/occupancy_grid.hpp"
+#include "nerf/procedural_field.hpp"
+#include "scene/scene_library.hpp"
 #include "util/rng.hpp"
 
 using namespace asdr;
@@ -222,4 +229,103 @@ TEST(ColorApproximator, ZeroCountIsSafe)
     ColorApproximator::anchorIndices(0, 2, anchors);
     EXPECT_TRUE(anchors.empty());
     EXPECT_EQ(ColorApproximator::interpolate(nullptr, anchors, 0), 0);
+}
+
+// ------------------------------------------------------- OccupancyGrid
+
+namespace {
+
+/** The same sigma everywhere; counts the points it evaluates. */
+class ConstantField final : public nerf::RadianceField
+{
+  public:
+    explicit ConstantField(float sigma) : sigma_(sigma) {}
+
+    nerf::DensityOutput
+    density(const Vec3 &) const override
+    {
+        points.fetch_add(1);
+        nerf::DensityOutput out;
+        out.sigma = sigma_;
+        return out;
+    }
+    void
+    densityBatch(const Vec3 *, int count,
+                 nerf::DensityOutput *out) const override
+    {
+        points.fetch_add(uint64_t(count));
+        for (int i = 0; i < count; ++i) {
+            out[i] = nerf::DensityOutput{};
+            out[i].sigma = sigma_;
+        }
+    }
+    Vec3
+    color(const Vec3 &, const Vec3 &,
+          const nerf::DensityOutput &) const override
+    {
+        return Vec3(0.5f);
+    }
+    void traceLookups(const Vec3 &, nerf::LookupSink &) const override {}
+    nerf::TableSchema tableSchema() const override { return {}; }
+    nerf::FieldCosts costs() const override { return {}; }
+    std::string describe() const override { return "Constant"; }
+
+    mutable std::atomic<uint64_t> points{0};
+
+  private:
+    float sigma_;
+};
+
+constexpr int kAllCells = OccupancyGrid::kRes * OccupancyGrid::kRes *
+                          OccupancyGrid::kRes;
+
+} // namespace
+
+TEST(OccupancyGrid, FloorAtOrBelowZeroMarksEveryCellUnevaluated)
+{
+    // A floor <= 0 keeps every sigma, so nothing can be skipped.
+    ConstantField field(0.0f);
+    for (float floor : {0.0f, -1.0f}) {
+        EXPECT_EQ(OccupancyGrid::build(field, floor).markedCells(),
+                  kAllCells);
+    }
+    EXPECT_EQ(field.points.load(), 0u);
+}
+
+TEST(OccupancyGrid, SigmaAtOrAboveTheFloorEverywhereMarksEveryCell)
+{
+    for (float sigma : {0.25f, 4.0f}) {
+        ConstantField field(sigma);
+        const OccupancyGrid grid = OccupancyGrid::build(field, 0.25f);
+        EXPECT_EQ(grid.markedCells(), kAllCells) << "sigma " << sigma;
+        EXPECT_GT(field.points.load(), 0u);
+    }
+    ConstantField empty(0.0f);
+    EXPECT_EQ(OccupancyGrid::build(empty, 0.25f).markedCells(), 0);
+}
+
+TEST(OccupancyGrid, EveryPointAtOrAboveTheFloorLiesInAMarkedCell)
+{
+    const float floor = RenderConfig{}.sigma_floor;
+    for (const char *name : {"Lego", "Chair"}) {
+        SCOPED_TRACE(name);
+        auto scene = scene::createScene(name);
+        nerf::ProceduralField field(*scene, nerf::NgpModelConfig::fast());
+        const OccupancyGrid grid = OccupancyGrid::build(field, floor);
+        // The grid skips most of the cube.
+        EXPECT_LT(2 * grid.markedCells(), kAllCells);
+        Rng rng(20261018);
+        int kept = 0;
+        for (int i = 0; i < 100000; ++i) {
+            const Vec3 p{rng.nextRange(0.0f, 1.0f), rng.nextRange(0.0f, 1.0f),
+                         rng.nextRange(0.0f, 1.0f)};
+            if (field.density(p).sigma < floor)
+                continue;
+            ++kept;
+            ASSERT_TRUE(grid.occupied(p)) << "sigma " << field.density(p).sigma
+                                          << " at " << p.x << ", " << p.y
+                                          << ", " << p.z;
+        }
+        EXPECT_GT(kept, 1000);
+    }
 }

@@ -119,15 +119,21 @@ TEST(FrameEnginePipeline, InFlightFramesMatchSequentialBitwise)
 
 namespace {
 
-/** A field whose evaluation throws: drives the engine's error path. */
+/**
+ * A field whose color network throws: drives the engine's error path.
+ * Density works, so the occupancy grid builds in ray setup and the
+ * error comes from the Phase I and Phase II tasks that shade.
+ */
 struct ThrowingField : ProceduralField
 {
     using ProceduralField::ProceduralField;
-    DensityOutput density(const Vec3 &) const override
+    Vec3 color(const Vec3 &, const Vec3 &,
+               const DensityOutput &) const override
     {
         throw std::runtime_error("field exploded");
     }
-    void densityBatch(const Vec3 *, int, DensityOutput *) const override
+    void colorBatch(const Vec3 *, const Vec3 &, const DensityOutput *, int,
+                    Vec3 *) const override
     {
         throw std::runtime_error("field exploded");
     }

@@ -10,6 +10,8 @@
  *    failing scene, fails fast while open, and recovers through a
  *    half-open probe; injected stage throws are bounded and isolated;
  *    a stuck stage surfaces in the watchdog's stuck counters.
+ *  - The renderer: an occupancy-grid build that throws fails its frame,
+ *    and the next frame builds the grid again.
  *  - Wire resilience: kill-and-resume keeps the DeltaPrev chain
  *    byte-exact (in-band re-seed); a mid-flight disconnect parks every
  *    outstanding ticket for replay after resume; client errors are
@@ -32,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/renderer.hpp"
 #include "net/client.hpp"
 #include "net/render_service.hpp"
 #include "net/socket.hpp"
@@ -608,6 +611,32 @@ TEST(FrameServerFault, InjectedStageThrowsAreBoundedAndIsolated)
     EXPECT_EQ(ok, 4);
     EXPECT_EQ(failed, 2);
     srv.closeSession(client);
+}
+
+// ---------------------------------------------------- occupancy grid
+
+TEST(GridBuildFault, ThrowingBuildFailsTheFrameAndTheNextFrameBuilds)
+{
+    // A renderer builds its occupancy grid from the field's densityBatch
+    // in its first frame's ray setup. A build that throws fails that
+    // frame and leaves the grid unbuilt; once the field heals, the next
+    // frame builds it and matches a fresh renderer bit for bit.
+    auto lego = scene::createScene("Lego");
+    std::atomic<bool> poisoned{true};
+    FlakyField flaky(*lego, nerf::NgpModelConfig::fast(), &poisoned);
+    const core::RenderConfig cfg = smallConfig();
+    const nerf::Camera cam = nerf::cameraForScene(lego->info(), 16, 16);
+    const core::AsdrRenderer renderer(flaky, cfg);
+
+    core::FrameState fs(cam);
+    fs.shape = renderer.frameShape(cam.width(), cam.height());
+    EXPECT_THROW(renderer.beginFrame(fs), std::runtime_error);
+    EXPECT_THROW(renderer.render(cam), std::runtime_error);
+
+    poisoned = false;
+    const Image healed = renderer.render(cam);
+    expectFramesIdentical(core::AsdrRenderer(flaky, cfg).render(cam), healed,
+                          "frame after a failed build");
 }
 
 // --------------------------------------------------- reconnect-and-resume

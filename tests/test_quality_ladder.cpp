@@ -18,7 +18,8 @@
  *    byte-exact vs sequential render; under a deterministic burst the
  *    interactive shed fraction collapses from ~62.5% (ladder off) to 0
  *    with every ticket still producing exactly one result; the
- *    server.admit.degrade fault site forces the floor rung.
+ *    server.admit.degrade fault site forces the floor rung, and a
+ *    degraded rung reuses the scene's occupancy grid.
  *  - Wire: the rung travels in protocol v3, the client upscales
  *    reduced-resolution payloads, and hold-last-frame substitutes the
  *    previous delivered image on payload-less results.
@@ -27,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <future>
 #include <map>
@@ -94,6 +96,60 @@ expectFramesIdentical(const Image &a, const Image &b, const char *what)
                              a.pixels() * sizeof(Vec3)))
         << what;
 }
+
+/** Forwards every virtual to `inner` and counts the points whose
+ *  density it evaluates, batched or one at a time. */
+class DensityCountingField final : public nerf::RadianceField
+{
+  public:
+    explicit DensityCountingField(const nerf::RadianceField &inner)
+        : inner_(inner)
+    {
+    }
+
+    nerf::DensityOutput
+    density(const Vec3 &pos) const override
+    {
+        points.fetch_add(1);
+        return inner_.density(pos);
+    }
+    Vec3
+    color(const Vec3 &pos, const Vec3 &dir,
+          const nerf::DensityOutput &den) const override
+    {
+        return inner_.color(pos, dir, den);
+    }
+    void
+    densityBatch(const Vec3 *pos, int count,
+                 nerf::DensityOutput *out) const override
+    {
+        points.fetch_add(uint64_t(count));
+        inner_.densityBatch(pos, count, out);
+    }
+    void
+    colorBatch(const Vec3 *pos, const Vec3 &dir,
+               const nerf::DensityOutput *den, int count,
+               Vec3 *out) const override
+    {
+        inner_.colorBatch(pos, dir, den, count, out);
+    }
+    void
+    traceLookups(const Vec3 &pos, nerf::LookupSink &sink) const override
+    {
+        inner_.traceLookups(pos, sink);
+    }
+    nerf::TableSchema tableSchema() const override
+    {
+        return inner_.tableSchema();
+    }
+    nerf::FieldCosts costs() const override { return inner_.costs(); }
+    std::string describe() const override { return inner_.describe(); }
+
+    mutable std::atomic<uint64_t> points{0};
+
+  private:
+    const nerf::RadianceField &inner_;
+};
 
 } // namespace
 
@@ -580,6 +636,50 @@ TEST(ServerLadder, AdmitDegradeFaultForcesFloorRung)
               6.0);
     for (uint64_t c : clients)
         srv.closeSession(c);
+}
+
+TEST(ServerLadder, DegradedRungsShareTheScenesOccupancyGrid)
+{
+    // A scene's degraded-rung renderers share its full-rung renderer's
+    // occupancy grid, so once a full-rung frame has built it no
+    // degraded frame pays for a build: the first floor-rung frame of a
+    // pose evaluates exactly the density points a repeat of it does.
+    FaultGuard guard;
+    auto lego = scene::createScene("Lego");
+    const nerf::ProceduralField field(*lego, nerf::NgpModelConfig::fast());
+    DensityCountingField counting(field);
+    SceneRegistry reg;
+    ASSERT_NE(reg.addShared("lego", counting, smallConfig(), lego->info()),
+              nullptr);
+    ServerConfig cfg;
+    cfg.shards = 1;
+    cfg.threads_per_shard = 1;
+    FrameServer srv(reg, cfg);
+    const uint64_t client = srv.openSession("lego", QosClass::Standard);
+    const nerf::Camera full = nerf::cameraForScene(lego->info(), 16, 16);
+    const nerf::Camera pose = nerf::orbitCameraPath(lego->info(), 16, 16, 2)[1];
+
+    auto serve = [&](const nerf::Camera &cam, QualityRung want) {
+        const uint64_t before = counting.points.load();
+        EXPECT_NE(srv.submitFrame(client, cam), 0u);
+        srv.waitIdle();
+        std::vector<FrameResult> results;
+        srv.drainResults(results);
+        EXPECT_EQ(results.size(), 1u);
+        for (const FrameResult &r : results) {
+            EXPECT_TRUE(r.ok());
+            EXPECT_EQ(r.rung, want);
+        }
+        return counting.points.load() - before;
+    };
+    serve(full, QualityRung::Full); // builds the scene's grid
+
+    fault::arm(fault::kServerAdmitDegrade, 1.0);
+    const uint64_t first = serve(pose, QualityRung::Quantized8);
+    const uint64_t repeat = serve(pose, QualityRung::Quantized8);
+    EXPECT_GT(first, 0u);
+    EXPECT_EQ(first, repeat);
+    srv.closeSession(client);
 }
 
 TEST(FaultSites, IntrospectionListsEveryCompiledInSite)

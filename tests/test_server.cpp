@@ -608,16 +608,21 @@ TEST(FrameServerQos, BatchBacklogRejectsNewest)
 
 namespace {
 
-/** A field whose evaluation throws: a tenant with a corrupt scene. */
+/**
+ * A field whose color network throws: a tenant with a corrupt scene.
+ * Density works, so the occupancy grid builds in ray setup and the
+ * error comes from the Phase I and Phase II tasks that shade.
+ */
 struct ThrowingField : nerf::ProceduralField
 {
     using ProceduralField::ProceduralField;
-    nerf::DensityOutput density(const Vec3 &) const override
+    Vec3 color(const Vec3 &, const Vec3 &,
+               const nerf::DensityOutput &) const override
     {
         throw std::runtime_error("tenant field exploded");
     }
-    void densityBatch(const Vec3 *, int,
-                      nerf::DensityOutput *) const override
+    void colorBatch(const Vec3 *, const Vec3 &, const nerf::DensityOutput *,
+                    int, Vec3 *) const override
     {
         throw std::runtime_error("tenant field exploded");
     }
