@@ -22,6 +22,18 @@ ColorApproximator::anchorIndices(int count, int group, std::vector<int> &out)
 }
 
 int
+ColorApproximator::anchorCount(int count, int group)
+{
+    if (count <= 0)
+        return 0;
+    if (group <= 1)
+        return count;
+    // 0, n, 2n, ... up to count - 1, plus count - 1 unless n divides it.
+    const int last = count - 1;
+    return last / group + 1 + (last % group != 0 ? 1 : 0);
+}
+
+int
 ColorApproximator::interpolate(Vec3 *colors, const std::vector<int> &anchors,
                                int count)
 {

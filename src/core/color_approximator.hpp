@@ -28,6 +28,13 @@ class ColorApproximator
     static void anchorIndices(int count, int group, std::vector<int> &out);
 
     /**
+     * How many indices anchorIndices(count, group) selects, without
+     * listing them. The other count - anchorCount points of a ray are
+     * interpolated.
+     */
+    static int anchorCount(int count, int group);
+
+    /**
      * Fill non-anchor entries of `colors` (length `count`) by linear
      * interpolation between consecutive anchors, in place.
      * @return number of interpolated entries

@@ -78,18 +78,20 @@ struct RenderConfig
      */
     int num_threads = 0;
     /**
-     * Target points per batched density evaluation. The batched march
-     * takes a list of rays -- one Phase I probe row, or one Phase II
-     * tile walked along a Z-curve -- and evaluates them depth-major:
-     * each batch holds the surviving rays at a band of consecutive
-     * depths, the band sized to keep batches near this many points, so
+     * The fewest samples in the occupancy grid's marked cells that a
+     * band of the batched march gathers before it calls densityBatch;
+     * only a march's last band may hold fewer. The batched march takes
+     * a list of rays -- one Phase I probe row, or one Phase II tile
+     * walked along a Z-curve -- and evaluates them depth-major: a band
+     * adds every marching ray's sample at one depth after another, so
      * consecutive points come from adjacent rays at similar depths and
      * hit overlapping hash-table cache lines (Cicero-style memory
      * ordering). Early termination stays exact (each ray stops at the
-     * point the one-at-a-time path would), and results are scattered
-     * back to pixel order. Values <= 1 select the scalar oracle: one
-     * point at a time, pixel order (the bench's scalar reference).
-     * Frames are bit-identical for every value.
+     * point the one-at-a-time path would; band samples past the cut
+     * are evaluated but not counted), and results are scattered back to
+     * pixel order. Values <= 1 select the scalar oracle: one point at a
+     * time, pixel order (the bench's scalar reference). Frames are
+     * bit-identical for every value.
      */
     int eval_batch = 32;
     /** Tile edge (pixels) of the batched Phase II march. */
@@ -104,11 +106,13 @@ struct RenderConfig
      * Instant-NGP's: the cells where the field's sampled sigma reaches
      * the floor, dilated by one cell. The host evaluates density only
      * at samples in those cells and sets sigma = 0 elsewhere (a floor
-     * <= 0 marks every cell). And the floor decides which anchors the
-     * batched host path shades: an anchor whose sigma and whose
-     * interpolated points' sigmas are all 0 composites with alpha = 0,
-     * so its color network is not run. The workload counters count
-     * every sample and anchor either way.
+     * <= 0 marks every cell); the batched march keeps a density output
+     * only for the samples it evaluated, and does not shade a Phase II
+     * ray whose sigma is 0 up to its cut. And the floor decides which
+     * anchors the batched host path shades: an anchor whose sigma and
+     * whose interpolated points' sigmas are all 0 composites with
+     * alpha = 0, so its color network is not run. The workload
+     * counters count every sample and anchor either way.
      */
     float sigma_floor = 0.1f;
 

@@ -98,7 +98,8 @@ AsdrRenderer::renderRay(const nerf::Ray &ray, int budget, bool probe,
 
     ws.positions.resize(size_t(n));
     ws.sigma.resize(size_t(n));
-    ws.density.resize(size_t(n));
+    ws.store_index.resize(size_t(n));
+    ws.store.clear();
     ws.colors.resize(size_t(n));
     const OccupancyGrid &grid = occupancy();
 
@@ -116,9 +117,11 @@ AsdrRenderer::renderRay(const nerf::Ray &ray, int budget, bool probe,
         }
         // Empty space: sigma 0 in unmarked cells, and below the floor.
         float sigma = 0.0f;
+        ws.store_index[size_t(i)] = -1;
         if (grid.occupied(pos)) {
-            ws.density[size_t(i)] = field_.density(pos);
-            sigma = ws.density[size_t(i)].sigma;
+            ws.store_index[size_t(i)] = int(ws.store.size());
+            ws.store.push_back(field_.density(pos));
+            sigma = ws.store.back().sigma;
             if (sigma < cfg_.sigma_floor)
                 sigma = 0.0f;
         }
@@ -137,7 +140,8 @@ AsdrRenderer::renderRay(const nerf::Ray &ray, int budget, bool probe,
     profile.density_execs += uint64_t(cut);
     profile.lookups += uint64_t(cut) * uint64_t(lookups_per_point_);
 
-    result.color = shadePoints(ray, ws.positions.data(), ws.density.data(),
+    result.color = shadePoints(ray, ws.positions.data(),
+                               ws.store_index.data(), ws.store.data(),
                                ws.sigma.data(), ws.colors.data(), cut, dt,
                                /*scalar=*/true, ws, profile, sink);
     return result;
@@ -145,15 +149,14 @@ AsdrRenderer::renderRay(const nerf::Ray &ray, int budget, bool probe,
 
 Vec3
 AsdrRenderer::shadePoints(const nerf::Ray &ray, const Vec3 *positions,
-                          const nerf::DensityOutput *density,
+                          const int *store_index,
+                          const nerf::DensityOutput *store,
                           const float *sigma, Vec3 *colors, int cut,
                           float dt, bool scalar, RayWorkspace &ws,
                           WorkloadProfile &profile, TraceSink *sink) const
 {
     // ---- color pass at anchors ----
-    const OccupancyGrid &grid = occupancy();
-    int group = cfg_.color_approx ? cfg_.approx_group : 1;
-    ColorApproximator::anchorIndices(cut, group, ws.anchors);
+    ColorApproximator::anchorIndices(cut, anchorGroup(), ws.anchors);
     const int na = int(ws.anchors.size());
     ws.shaded.resize(size_t(na));
     int live = 0;
@@ -173,9 +176,9 @@ AsdrRenderer::shadePoints(const nerf::Ray &ray, const Vec3 *positions,
         // ray wrote it: compositing multiplies it by alpha = 0, and
         // 0 * NaN is NaN.
         if (scalar) {
-            if (grid.occupied(pos))
+            if (store_index[a] >= 0)
                 colors[size_t(a)] =
-                    field_.color(pos, ray.dir, density[size_t(a)]);
+                    field_.color(pos, ray.dir, store[store_index[a]]);
             else if (is_live)
                 colors[size_t(a)] =
                     field_.color(pos, ray.dir, field_.density(pos));
@@ -190,11 +193,11 @@ AsdrRenderer::shadePoints(const nerf::Ray &ray, const Vec3 *positions,
         }
     }
     if (live > 0) {
-        // The live anchors outside marked cells go first: their density
-        // is evaluated now.
-        const auto held = std::partition(
-            ws.shaded.begin(), ws.shaded.begin() + live,
-            [&](int a) { return !grid.occupied(positions[size_t(a)]); });
+        // The live anchors without a density output go first: their
+        // density is evaluated now.
+        const auto held =
+            std::partition(ws.shaded.begin(), ws.shaded.begin() + live,
+                           [&](int a) { return store_index[a] < 0; });
         const int skipped = int(held - ws.shaded.begin());
         ws.anchor_pos.resize(size_t(live));
         ws.anchor_den.resize(size_t(live));
@@ -202,7 +205,7 @@ AsdrRenderer::shadePoints(const nerf::Ray &ray, const Vec3 *positions,
         for (int k = 0; k < live; ++k)
             ws.anchor_pos[size_t(k)] = positions[size_t(ws.shaded[size_t(k)])];
         for (int k = skipped; k < live; ++k)
-            ws.anchor_den[size_t(k)] = density[size_t(ws.shaded[size_t(k)])];
+            ws.anchor_den[size_t(k)] = store[store_index[ws.shaded[size_t(k)]]];
         if (skipped > 0)
             field_.densityBatch(ws.anchor_pos.data(), skipped,
                                 ws.anchor_den.data());
@@ -240,10 +243,10 @@ AsdrRenderer::marchRays(TileWorkspace &tws, bool probe,
     tws.dt.assign(size_t(R), 0.0f);
     tws.offset.assign(size_t(R), 0);
     tws.cut.assign(size_t(R), 0);
-    tws.scanned.assign(size_t(R), 0);
     tws.transmittance.assign(size_t(R), 1.0f);
-    tws.alive.assign(size_t(R), 0);
+    tws.lit.assign(size_t(R), 0);
     tws.color.assign(size_t(R), Vec3(0.0f));
+    tws.marching.clear();
     const OccupancyGrid &grid = occupancy();
     int total = 0;
     for (int r = 0; r < R; ++r) {
@@ -256,93 +259,98 @@ AsdrRenderer::marchRays(TileWorkspace &tws, bool probe,
         tws.cut[size_t(r)] = bud;
         tws.t0[size_t(r)] = a;
         tws.dt[size_t(r)] = (b - a) / float(bud);
-        tws.alive[size_t(r)] = 1;
+        tws.marching.push_back(r);
         total += bud;
     }
     tws.positions.resize(size_t(total));
     tws.sigma.resize(size_t(total));
-    tws.density.resize(size_t(total));
+    tws.store_index.resize(size_t(total));
     tws.colors.resize(size_t(total));
-    for (int r = 0; r < R; ++r) {
-        const nerf::Ray &ray = tws.rays[size_t(r)];
-        Vec3 *seg = tws.positions.data() + tws.offset[size_t(r)];
-        const float t0 = tws.t0[size_t(r)];
-        const float dt = tws.dt[size_t(r)];
-        for (int i = 0; i < tws.n[size_t(r)]; ++i)
-            seg[i] = ray.origin + ray.dir * (t0 + (float(i) + 0.5f) * dt);
-    }
 
-    // ---- depth-major chunked density pass: each batch holds all
-    // surviving rays at a band of consecutive depths, in staging
-    // order, so consecutive batch points are spatially adjacent and
-    // share hash-table cache lines. The band narrows to a single depth
-    // while many rays march (batch width = survivors) and widens as
-    // rays terminate, keeping batches near eval_batch points. Samples
-    // in unmarked cells join no batch; their sigma reads 0, as the
-    // floor would make it.
+    // ---- depth-major banded density pass: a band takes every marching
+    // ray's sample at one depth after another, in staging order, so
+    // consecutive batch points are spatially adjacent and share
+    // hash-table cache lines. Samples in unmarked cells join no batch;
+    // their sigma reads 0, as the floor would make it. The band closes
+    // once it holds eval_batch marked samples, so batches stay wide
+    // however few of the rays' samples the grid keeps.
+    int stored = 0; // store rows written by this march
     int d0 = 0;
-    for (;;) {
-        int marching = 0;
-        for (int r = 0; r < R; ++r)
-            if (tws.alive[size_t(r)])
-                ++marching;
-        if (marching == 0)
-            break;
-        const int D = std::max(1, cfg_.eval_batch / marching);
-
+    while (!tws.marching.empty()) {
+        int reach = 0; // the deepest marching ray's sample count
+        for (int r : tws.marching)
+            reach = std::max(reach, tws.n[size_t(r)]);
         tws.batch_pos.clear();
         tws.batch_slot.clear();
-        for (int d = d0; d < d0 + D; ++d)
-            for (int r = 0; r < R; ++r)
-                if (tws.alive[size_t(r)] && d < tws.n[size_t(r)]) {
-                    const size_t slot = size_t(tws.offset[size_t(r)] + d);
-                    if (grid.occupied(tws.positions[slot])) {
-                        tws.batch_pos.push_back(tws.positions[slot]);
-                        tws.batch_slot.push_back(int(slot));
-                    } else {
-                        tws.density[slot].sigma = 0.0f;
-                    }
+        int d1 = d0; // every marching ray has a sample at d0
+        do {
+            for (int r : tws.marching) {
+                if (d1 >= tws.n[size_t(r)])
+                    continue;
+                const nerf::Ray &ray = tws.rays[size_t(r)];
+                const size_t slot = size_t(tws.offset[size_t(r)] + d1);
+                const Vec3 pos =
+                    ray.origin + ray.dir * (tws.t0[size_t(r)] +
+                                            (float(d1) + 0.5f) *
+                                                tws.dt[size_t(r)]);
+                tws.positions[slot] = pos;
+                if (grid.occupied(pos)) {
+                    tws.store_index[slot] =
+                        stored + int(tws.batch_pos.size());
+                    tws.batch_pos.push_back(pos);
+                    tws.batch_slot.push_back(int(slot));
+                } else {
+                    tws.store_index[slot] = -1;
+                    tws.sigma[slot] = 0.0f;
                 }
+            }
+            ++d1;
+        } while (d1 < reach && int(tws.batch_pos.size()) < cfg_.eval_batch);
         const int bn = int(tws.batch_pos.size());
-        tws.batch_den.resize(size_t(bn));
+        if (tws.store.size() < size_t(stored + bn))
+            tws.store.resize(size_t(stored + bn));
         if (bn > 0)
             field_.densityBatch(tws.batch_pos.data(), bn,
-                                tws.batch_den.data());
-        for (int k = 0; k < bn; ++k)
-            tws.density[size_t(tws.batch_slot[size_t(k)])] =
-                tws.batch_den[size_t(k)];
+                                tws.store.data() + stored);
+        for (int k = 0; k < bn; ++k) {
+            const float sigma = tws.store[size_t(stored + k)].sigma;
+            tws.sigma[size_t(tws.batch_slot[size_t(k)])] =
+                sigma < cfg_.sigma_floor ? 0.0f : sigma;
+        }
+        stored += bn;
 
-        // Per-ray sigma floor + early-termination scan over the band;
-        // the cut lands at exactly renderRay's index (points of this
-        // band past the cut are host slack, not workload).
-        for (int r = 0; r < R; ++r) {
-            if (!tws.alive[size_t(r)])
-                continue;
-            const int off = tws.offset[size_t(r)];
-            const int dmax = std::min(d0 + D, tws.n[size_t(r)]);
-            for (int d = tws.scanned[size_t(r)]; d < dmax; ++d) {
-                float sigma = tws.density[size_t(off + d)].sigma;
-                if (sigma < cfg_.sigma_floor)
-                    sigma = 0.0f;
-                tws.sigma[size_t(off + d)] = sigma;
+        // Early-termination scan over the band, for the rays still
+        // marching only; the cut lands at exactly renderRay's index
+        // (points of this band past the cut are host slack, not
+        // workload). A ray leaves the list at its cut or its last
+        // sample.
+        size_t still = 0;
+        for (int r : tws.marching) {
+            const float *sigma = tws.sigma.data() + tws.offset[size_t(r)];
+            const int end = std::min(d1, tws.n[size_t(r)]);
+            const float dt = tws.dt[size_t(r)];
+            float transmittance = tws.transmittance[size_t(r)];
+            bool lit = false;
+            bool done = end == tws.n[size_t(r)];
+            for (int d = d0; d < end; ++d) {
+                lit = lit || sigma[d] != 0.0f;
                 if (use_et) {
-                    tws.transmittance[size_t(r)] *=
-                        1.0f - nerf::alphaFromSigma(sigma,
-                                                    tws.dt[size_t(r)]);
-                    if (tws.transmittance[size_t(r)] < cfg_.et_eps) {
+                    transmittance *= 1.0f - nerf::alphaFromSigma(sigma[d], dt);
+                    if (transmittance < cfg_.et_eps) {
                         tws.cut[size_t(r)] = d + 1;
-                        tws.alive[size_t(r)] = 0;
+                        done = true;
                         break;
                     }
                 }
             }
-            if (tws.alive[size_t(r)]) {
-                tws.scanned[size_t(r)] = dmax;
-                if (dmax == tws.n[size_t(r)])
-                    tws.alive[size_t(r)] = 0;
-            }
+            tws.transmittance[size_t(r)] = transmittance;
+            if (lit)
+                tws.lit[size_t(r)] = 1;
+            if (!done)
+                tws.marching[still++] = r;
         }
-        d0 += D;
+        tws.marching.resize(still);
+        d0 = d1;
     }
 
     // ---- shade each ray; the work charged is exactly the points the
@@ -355,12 +363,23 @@ AsdrRenderer::marchRays(TileWorkspace &tws, bool probe,
         profile.points += uint64_t(cut);
         profile.density_execs += uint64_t(cut);
         profile.lookups += uint64_t(cut) * uint64_t(lookups_per_point_);
+        if (!probe && !tws.lit[size_t(r)]) {
+            // Sigma 0 up to the cut: every alpha is 0, so the color is
+            // exactly 0 and no anchor is live. Phase I rays are shaded
+            // anyway, because selectCount reads their color segments.
+            const int anchors =
+                ColorApproximator::anchorCount(cut, anchorGroup());
+            profile.color_execs += uint64_t(anchors);
+            profile.approx_colors += uint64_t(cut - anchors);
+            continue;
+        }
         const int off = tws.offset[size_t(r)];
         tws.color[size_t(r)] = shadePoints(
             tws.rays[size_t(r)], tws.positions.data() + off,
-            tws.density.data() + off, tws.sigma.data() + off,
-            tws.colors.data() + off, cut, tws.dt[size_t(r)],
-            /*scalar=*/false, tws.shade, profile, nullptr);
+            tws.store_index.data() + off, tws.store.data(),
+            tws.sigma.data() + off, tws.colors.data() + off, cut,
+            tws.dt[size_t(r)], /*scalar=*/false, tws.shade, profile,
+            nullptr);
     }
 }
 

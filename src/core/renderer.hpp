@@ -32,14 +32,20 @@
  * path stages a list of rays -- one Phase I probe row, or one Phase II
  * tile walked along a Z-curve -- and marches them depth-major through
  * the field's batch API (marchRays), so each density batch holds
- * adjacent rays at similar depths. Probe rows march with early
+ * adjacent rays at similar depths; a batch closes once it holds
+ * eval_batch samples in marked cells. Probe rows march with early
  * termination off; tiles cut each ray at exactly the index the oracle
- * would. The scalar oracle (renderRay) evaluates one point at a time in
- * pixel order; it runs when a trace sink is attached, so the event
- * stream keeps the seed ordering, or when eval_batch <= 1. Probe rows
- * and tiles are jobs over a thread pool with per-thread workspaces,
- * merged in index order. Frames are bit-identical for every thread
- * count, tile size and batch size, and to the scalar oracle.
+ * would. The march's own work follows what the grid keeps: a sample
+ * costs 32 bytes of segment state and a grid test, density outputs are
+ * stored only for the samples evaluated, alpha skips exp at sigma 0,
+ * and a Phase II ray whose sigma is 0 up to its cut is not shaded (its
+ * color is exactly 0). The scalar oracle (renderRay) evaluates one
+ * point at a time in pixel order; it runs when a trace sink is
+ * attached, so the event stream keeps the seed ordering, or when
+ * eval_batch <= 1. Probe rows and tiles are jobs over a thread pool
+ * with per-thread workspaces, merged in index order. Frames are
+ * bit-identical for every thread count, tile size and batch size, and
+ * to the scalar oracle.
  */
 
 #ifndef ASDR_CORE_RENDERER_HPP
@@ -208,7 +214,10 @@ class AsdrRenderer
     {
         std::vector<Vec3> positions;
         std::vector<float> sigma;
-        std::vector<nerf::DensityOutput> density;
+        /** Per sample: its row in `store`, or -1 where density was not
+         *  evaluated (outside the grid's marked cells). */
+        std::vector<int> store_index;
+        std::vector<nerf::DensityOutput> store; ///< evaluated samples only
         std::vector<Vec3> colors;
         std::vector<int> anchors; ///< every anchor (what the model counts)
         // Gathered rows of the live anchors only: the ones the batched
@@ -244,9 +253,12 @@ class AsdrRenderer
                         TraceSink *sink) const;
 
     /**
-     * Per-thread scratch of the batched march: SoA ray state plus flat
-     * ray-major sample buffers (per-ray segments at `offset[r]`),
-     * reused across probe rows and tiles.
+     * Per-thread scratch of the batched march, reused across probe rows
+     * and tiles: SoA ray state, flat ray-major sample segments (per-ray
+     * at `offset[r]`) of 32 bytes a sample, and a compact store of the
+     * density outputs the host evaluated, which densityBatch writes
+     * into directly. A sample outside the grid's marked cells costs no
+     * store row.
      */
     struct TileWorkspace
     {
@@ -263,19 +275,20 @@ class AsdrRenderer
         std::vector<float> t0, dt;
         std::vector<int> offset;   ///< segment start in the flat buffers
         std::vector<int> cut;      ///< early-termination index (== n if none)
-        std::vector<int> scanned;  ///< sigma/ET progress along the ray
         std::vector<float> transmittance;
-        std::vector<char> alive;
+        std::vector<char> lit;     ///< a nonzero sigma before the cut
         std::vector<Vec3> color;   ///< composited color (0 on a miss)
-        // Flat per-ray sample segments.
+        std::vector<int> marching; ///< rays not yet cut, in staging order
+        // Flat per-ray sample segments, written up to the last band.
         std::vector<Vec3> positions;
-        std::vector<float> sigma;
-        std::vector<nerf::DensityOutput> density;
+        std::vector<float> sigma;     ///< floored; 0 outside marked cells
+        std::vector<int> store_index; ///< row in `store`, or -1
         std::vector<Vec3> colors;
-        // Depth-major evaluation chunk (gather order + scatter targets).
+        // One band's marked samples (gather order) and their segment
+        // slots; `store` rows past the march's count are stale.
         std::vector<Vec3> batch_pos;
         std::vector<int> batch_slot;
-        std::vector<nerf::DensityOutput> batch_den;
+        std::vector<nerf::DensityOutput> store;
         RayWorkspace shade; ///< anchor scratch for the color pass
     };
 
@@ -285,40 +298,57 @@ class AsdrRenderer
      * (shared by renderRay and marchRays): color network at anchors,
      * gap interpolation, Eq. (1) compositing. An anchor is live when its
      * own sigma or the sigma of a point interpolated from it is nonzero.
-     * The `density` row holds the field's output only at samples in
-     * marked cells; a live anchor outside them has its density
-     * evaluated here first (on the batched path, in one densityBatch
-     * call per ray). `scalar` selects the oracle's per-point color
-     * path, which shades every other anchor whose density it holds. The
-     * batched path shades only the live anchors, in one colorBatch call
-     * (none when no anchor is live). Both write 0 for the anchors they
-     * do not shade: compositing weighs those colors by alpha = 0, so
-     * the results agree bit for bit. `profile.color_execs` counts every
-     * anchor on both paths.
+     * Sample i's density output is `store[store_index[i]]`, held only
+     * where the host evaluated it (store_index -1 elsewhere); a live
+     * anchor without one has its density evaluated here first (on the
+     * batched path, in one densityBatch call per ray). `scalar` selects
+     * the oracle's per-point color path, which shades every other
+     * anchor whose density it holds. The batched path shades only the
+     * live anchors, in one colorBatch call (none when no anchor is
+     * live). Both write 0 for the anchors they do not shade:
+     * compositing weighs those colors by alpha = 0, so the results
+     * agree bit for bit. `profile.color_execs` counts every anchor on
+     * both paths.
      */
     Vec3 shadePoints(const nerf::Ray &ray, const Vec3 *positions,
-                     const nerf::DensityOutput *density,
-                     const float *sigma, Vec3 *colors, int cut, float dt,
-                     bool scalar, RayWorkspace &ws,
-                     WorkloadProfile &profile, TraceSink *sink) const;
+                     const int *store_index,
+                     const nerf::DensityOutput *store, const float *sigma,
+                     Vec3 *colors, int cut, float dt, bool scalar,
+                     RayWorkspace &ws, WorkloadProfile &profile,
+                     TraceSink *sink) const;
 
     /**
-     * The batched march over the rays staged in `tws`, depth-major:
-     * each density batch holds the surviving rays' samples at a band of
-     * consecutive depths that lie in the occupancy grid's marked cells,
-     * in staging order, maximizing hash-table cache-line sharing; the
-     * other samples get sigma 0 without a call. Early termination (off
-     * for `probe` rays) cuts each ray at exactly the index renderRay
-     * would. Leaves per-ray results in `tws`: `color`, `cut`, and the
-     * sigma/color segments. A segment color equals the oracle's
-     * wherever that point's sigma is nonzero; where it is 0 the color
-     * may differ (dead anchors are not shaded), and
+     * The batched march over the rays staged in `tws`, depth-major. A
+     * band adds whole depths -- every marching ray's sample at that
+     * depth, in staging order, so consecutive batch points share
+     * hash-table cache lines -- until it holds eval_batch samples in
+     * the occupancy grid's marked cells (a march's last band may hold
+     * fewer); those go to densityBatch in one call, which writes into
+     * the workspace's compact store, and the others get sigma 0 with
+     * no store row. The early-termination scan (off for `probe` rays)
+     * then reads the band's floored sigma for the rays still marching
+     * and cuts each at exactly the index renderRay would; band samples
+     * past a cut are host slack, not workload. A Phase II ray whose
+     * sigma is 0 everywhere before its cut composites to exactly 0, so
+     * it is not shaded; only its anchors are counted. Leaves per-ray
+     * results in `tws`: `color`, `cut`, and for probe rays the
+     * sigma/color segments Phase I reads. A segment color equals the
+     * oracle's wherever that point's sigma is nonzero; where it is 0
+     * the color may differ (dead anchors are not shaded), and
      * composite/compositeMulti weigh it by alpha = 0. Counts every
      * modeled sample's work into `profile`, evaluated on the host or
      * not; callers count the rays.
      */
     void marchRays(TileWorkspace &tws, bool probe,
                    WorkloadProfile &profile) const;
+
+    /** Anchor spacing along a ray: approx_group with color
+     *  approximation on, else 1 (every point is an anchor). */
+    int
+    anchorGroup() const
+    {
+        return cfg_.color_approx ? cfg_.approx_group : 1;
+    }
 
     /** Serial in-thread render used when a trace sink is attached. */
     Image renderTraced(const nerf::Camera &camera, RenderStats *stats,

@@ -49,10 +49,17 @@ void compositeMulti(const float *sigma, const Vec3 *color, int n, float dt,
  */
 int earlyTerminationIndex(const float *sigma, int n, float dt, float eps);
 
-/** alpha_i for one sample. */
+/**
+ * alpha_i for one sample. A sigma of exactly 0 (either sign) returns +0
+ * without calling exp: for any finite dt, 1 - exp(-0 * dt) is exactly
+ * +0, and after the floor and the occupancy grid most samples have
+ * sigma 0.
+ */
 inline float
 alphaFromSigma(float sigma, float dt)
 {
+    if (sigma == 0.0f)
+        return 0.0f;
     return 1.0f - std::exp(-sigma * dt);
 }
 

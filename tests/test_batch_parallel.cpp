@@ -184,7 +184,8 @@ expectFramesIdentical(const Image &a, const Image &b, const char *what)
 /**
  * Forwards every virtual to `inner` and counts the colorBatch calls,
  * the points they carry and the calls that carry none, and the density
- * work: densityBatch points and density() calls. With `check_density`
+ * work: densityBatch calls and points, and density() calls. With
+ * `check_density`
  * it also counts the shaded points whose DensityOutput differs from
  * `inner.density(pos)` in any bit. The counters are atomic because the
  * batched march calls in from every worker.
@@ -215,6 +216,7 @@ class ColorCountingField final : public RadianceField
     densityBatch(const Vec3 *pos, int count,
                  DensityOutput *out) const override
     {
+        density_batch_calls.fetch_add(1);
         density_points.fetch_add(uint64_t(count));
         inner_.densityBatch(pos, count, out);
     }
@@ -244,6 +246,7 @@ class ColorCountingField final : public RadianceField
         calls = 0;
         points = 0;
         empty_calls = 0;
+        density_batch_calls = 0;
         density_points = 0;
         density_calls = 0;
         foreign_density = 0;
@@ -257,7 +260,8 @@ class ColorCountingField final : public RadianceField
     }
 
     mutable std::atomic<uint64_t> calls{0}, points{0}, empty_calls{0};
-    mutable std::atomic<uint64_t> density_points{0}, density_calls{0};
+    mutable std::atomic<uint64_t> density_batch_calls{0}, density_points{0};
+    mutable std::atomic<uint64_t> density_calls{0};
     mutable std::atomic<uint64_t> foreign_density{0};
 
   private:
@@ -602,6 +606,66 @@ TEST(ParallelRender, DensityPassSkipsEmptySpace)
             EXPECT_GT(counting.density_points.load(), 0u);
             EXPECT_LT(2 * counting.density_points.load(),
                       s.profile.density_execs);
+        }
+    }
+}
+
+TEST(ParallelRender, DensityBatchesHoldEvalBatchMarkedSamples)
+{
+    // servebench's frame shapes: procedural Lego at 48x48 and an NGP
+    // network at 32x32, the asdr preset at 64 samples per ray. A band of
+    // the batched march closes only once it holds eval_batch samples in
+    // marked cells, so the host's density calls average at least
+    // eval_batch points although the grid skips most samples (a march's
+    // last band, and the color pass's calls for live anchors outside
+    // marked cells, hold fewer). The unfitted network's sigma is noise
+    // around one value (see MortonOrderMatchesScalarOnNgpField); at a
+    // floor that 1% of the lattice points reach, its grid keeps about a
+    // third of the modeled samples, as the fitted NGP Lego's grid does
+    // on servebench's serve_shared.
+    auto scene = scene::createScene("Lego");
+    ProceduralField procedural(*scene, NgpModelConfig::fast());
+    InstantNgpField ngp(NgpModelConfig::fast(), 77);
+    struct Case
+    {
+        const RadianceField *field;
+        int size;
+        float sigma_floor;
+    };
+    const Case cases[] = {
+        {&procedural, 48, RenderConfig{}.sigma_floor},
+        {&ngp, 32, latticeSigmaQuantile(ngp, 0.99, 80)},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.field->describe());
+        ColorCountingField counting(*c.field);
+        const Camera camera = cameraForScene(scene->info(), c.size, c.size);
+        RenderConfig cfg = RenderConfig::asdr(c.size, c.size, 64);
+        cfg.sigma_floor = c.sigma_floor;
+        cfg.num_threads = 1;
+
+        cfg.eval_batch = 1; // the scalar oracle; builds the shared grid
+        const AsdrRenderer oracle(counting, cfg);
+        RenderStats s_ref;
+        Image ref = oracle.render(camera, &s_ref);
+
+        cfg.eval_batch = 32;
+        for (int threads : {1, 3}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            cfg.num_threads = threads;
+            counting.reset();
+            RenderStats s;
+            Image frame = AsdrRenderer(oracle, cfg).render(camera, &s);
+            expectFramesIdentical(ref, frame, "batch width");
+            expectSameProfile(s_ref.profile, s.profile);
+            EXPECT_EQ(s_ref.sample_count_map, s.sample_count_map);
+            EXPECT_EQ(s_ref.actual_points_map, s.actual_points_map);
+            const uint64_t calls = counting.density_batch_calls.load();
+            ASSERT_GT(calls, 0u);
+            EXPECT_GE(counting.density_points.load(),
+                      uint64_t(cfg.eval_batch) * calls)
+                << double(counting.density_points.load()) / double(calls)
+                << " points per call";
         }
     }
 }

@@ -179,6 +179,19 @@ TEST(ColorApproximator, GroupOneIsIdentity)
     EXPECT_EQ(anchors, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
+TEST(ColorApproximator, AnchorCountMatchesTheAnchorList)
+{
+    // The march counts an unshaded ray's anchors without listing them.
+    std::vector<int> anchors;
+    for (int group = 0; group <= 6; ++group)
+        for (int count = -1; count <= 40; ++count) {
+            ColorApproximator::anchorIndices(count, group, anchors);
+            EXPECT_EQ(ColorApproximator::anchorCount(count, group),
+                      int(anchors.size()))
+                << "count " << count << " group " << group;
+        }
+}
+
 TEST(ColorApproximator, AnchorShareMatchesPaper)
 {
     // n = 2 must execute the color network for ~half the points

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "nerf/camera.hpp"
 #include "nerf/sh_encoding.hpp"
@@ -122,35 +124,48 @@ TEST(Composite, MultiStrideMatchesSeparateCalls)
 {
     // The one-pass multi-stride composite (Phase I's candidate
     // evaluation) must be bit-identical to one composite() call per
-    // stride, including the early break on saturated transmittance.
+    // stride, including the early break on saturated transmittance --
+    // on dense sigma, and on sigma that is mostly exactly 0, as a ray's
+    // is after the floor and the occupancy grid (alpha skips exp there).
     Rng rng(42);
     const int n = 96;
-    std::vector<float> sigma(n);
+    std::vector<float> dense(n);
     std::vector<Vec3> color(n);
     for (int i = 0; i < n; ++i) {
-        sigma[size_t(i)] = rng.nextRange(0.0f, 30.0f);
+        dense[size_t(i)] = rng.nextRange(0.0f, 30.0f);
         color[size_t(i)] = {rng.nextRange(0.0f, 1.0f),
                             rng.nextRange(0.0f, 1.0f),
                             rng.nextRange(0.0f, 1.0f)};
     }
     // Dense wall so some candidates saturate mid-ray.
     for (int i = 40; i < 48; ++i)
-        sigma[size_t(i)] = 400.0f;
+        dense[size_t(i)] = 400.0f;
+    // Keep about one sample in seven, and half the wall.
+    std::vector<float> sparse(n, 0.0f);
+    int zeros = 0;
+    for (int i = 0; i < n; ++i) {
+        if ((i >= 40 && i < 44) || rng.nextFloat() < 0.15f)
+            sparse[size_t(i)] = dense[size_t(i)];
+        zeros += sparse[size_t(i)] == 0.0f;
+    }
+    ASSERT_GE(4 * zeros, 3 * n);
 
     const int strides[] = {1, 16, 8, 4, 2, 3};
     const int count = 6;
     CompositeResult multi[6];
-    for (float dt : {0.004f, 0.05f}) {
-        compositeMulti(sigma.data(), color.data(), n, dt, strides, count,
-                       multi);
-        for (int k = 0; k < count; ++k) {
-            CompositeResult ref =
-                composite(sigma.data(), color.data(), n, dt, strides[k]);
-            EXPECT_EQ(multi[k].color, ref.color) << "stride " << strides[k];
-            EXPECT_EQ(multi[k].opacity, ref.opacity)
-                << "stride " << strides[k];
+    for (const std::vector<float> *sigma : {&dense, &sparse})
+        for (float dt : {0.004f, 0.05f}) {
+            compositeMulti(sigma->data(), color.data(), n, dt, strides,
+                           count, multi);
+            for (int k = 0; k < count; ++k) {
+                CompositeResult ref = composite(sigma->data(), color.data(),
+                                                n, dt, strides[k]);
+                EXPECT_EQ(multi[k].color, ref.color)
+                    << "stride " << strides[k];
+                EXPECT_EQ(multi[k].opacity, ref.opacity)
+                    << "stride " << strides[k];
+            }
         }
-    }
 }
 
 TEST(Composite, StrideDivergesOnThinFeatures)
@@ -204,6 +219,24 @@ TEST(AlphaFromSigma, Limits)
     EXPECT_FLOAT_EQ(alphaFromSigma(0.0f, 0.1f), 0.0f);
     EXPECT_NEAR(alphaFromSigma(1000.0f, 1.0f), 1.0f, 1e-6f);
     EXPECT_NEAR(alphaFromSigma(1.0f, 0.5f), 1.0f - std::exp(-0.5f), 1e-6f);
+}
+
+TEST(AlphaFromSigma, ZeroSigmaIsPositiveZeroBitForBit)
+{
+    // The shortcut at sigma 0 returns what 1 - exp(-sigma * dt) gives:
+    // +0, for either sign of zero and any finite dt.
+    const auto bits = [](float f) {
+        uint32_t u;
+        std::memcpy(&u, &f, sizeof u);
+        return u;
+    };
+    for (float sigma : {0.0f, -0.0f})
+        for (float dt : {0.0f, 1e-3f, 1.0f}) {
+            EXPECT_EQ(bits(alphaFromSigma(sigma, dt)), 0u)
+                << "sigma " << sigma << " dt " << dt;
+            EXPECT_EQ(bits(1.0f - std::exp(-sigma * dt)), 0u)
+                << "sigma " << sigma << " dt " << dt;
+        }
 }
 
 // --------------------------------------------------------------- camera
