@@ -4,7 +4,8 @@
  * (point-at-a-time) oracle vs. the batched Morton-tile march vs.
  * batched + tile-parallel, at several resolutions, plus a hash-encode
  * microbenchmark (scalar vs two-pass SIMD vs SIMD over Morton-ordered
- * input), multi-frame pipelining through the streaming engine, the
+ * input), an MLP microbenchmark per kernel build (baseline vs the
+ * CPU-dispatched one), multi-frame pipelining through the streaming engine, the
  * quality ladder's shed-vs-degrade trade under an over-backlog burst,
  * and fault recovery (time to resume, circuit breaker on vs. off).
  * Serving throughput and latency are servebench's job (servebench/),
@@ -32,10 +33,12 @@
 #include "engine/frame_engine.hpp"
 #include "net/client.hpp"
 #include "net/render_service.hpp"
+#include "nerf/kernels.hpp"
 #include "nerf/ngp_field.hpp"
 #include "nerf/procedural_field.hpp"
 #include "server/frame_server.hpp"
 #include "server/workload.hpp"
+#include "util/rng.hpp"
 
 using namespace asdr;
 using namespace asdr::bench;
@@ -307,9 +310,13 @@ main(int argc, char **argv)
             enc_table.addRow({mode.name, std::to_string(count),
                               fmt(per_pass, 4), fmt(msps, 2),
                               fmtTimes(speedup)});
+            const bool simd = std::string(mode.name) != "scalar";
             emitBoth(JsonLine("encode_micro")
                          .field("field", field.describe())
                          .field("mode", mode.name)
+                         .field("kernel_isa",
+                                simd ? nerf::kernels::dispatched().isa
+                                     : "none")
                          .field("points", count)
                          .field("wall_s", per_pass)
                          .field("msamples_per_s", msps)
@@ -340,6 +347,75 @@ main(int argc, char **argv)
                 artifact);
         }
         emitBoth(renderReuseRow(field, *scene), artifact);
+    }
+
+    // ---- MLP microbenchmark: the fast NGP density network at 40 points
+    // per call and the color network at 8 and 16, the call widths
+    // servebench's serve_shared traces (nerf.density_batch_points 40.0,
+    // nerf.color_batch_points 7.9), run on the baseline kernel build and
+    // on the one the CPU dispatches to.
+    {
+        struct MlpCase
+        {
+            const char *net;
+            const nerf::Mlp &mlp;
+            int points;
+        };
+        const MlpCase cases[] = {{"density", field.densityMlp(), 40},
+                                 {"color", field.colorMlp(), 8},
+                                 {"color", field.colorMlp(), 16}};
+        const int calls = smoke ? 20 : 2000; // per timed pass
+        const int reps = smoke ? 2 : 7;
+        Rng rng(0x3170);
+        TextTable mtable({"MLP", "points/call", "kernel", "us/call",
+                          "ns/point", "speedup"});
+        for (const MlpCase &c : cases) {
+            const int in_dim = c.mlp.inputDim();
+            const int out_dim = c.mlp.outputDim();
+            std::vector<float> in(size_t(c.points) * size_t(in_dim));
+            for (auto &x : in)
+                x = rng.nextGaussian();
+            std::vector<float> out(size_t(c.points) * size_t(out_dim));
+            std::vector<const nerf::kernels::Variant *> builds{
+                &nerf::kernels::baseline()};
+            if (&nerf::kernels::dispatched() != builds[0])
+                builds.push_back(&nerf::kernels::dispatched());
+            double baseline_s = 0.0;
+            for (const nerf::kernels::Variant *v : builds) {
+                nerf::kernels::ScopedVariant use(*v);
+                auto run = [&] {
+                    for (int k = 0; k < calls; ++k)
+                        c.mlp.forwardBatch(in.data(), c.points, in_dim,
+                                           out.data(), out_dim);
+                };
+                run(); // warm the thread-local lanes
+                double per_pass = 1e30;
+                for (int r = 0; r < reps; ++r)
+                    per_pass = std::min(per_pass, secondsOf(run));
+                const double per_call = per_pass / double(calls);
+                if (v == builds[0])
+                    baseline_s = per_call;
+                const double speedup =
+                    per_call > 0.0 ? baseline_s / per_call : 1.0;
+                mtable.addRow({c.net, std::to_string(c.points), v->isa,
+                               fmt(per_call * 1e6, 2),
+                               fmt(per_call / c.points * 1e9, 1),
+                               fmtTimes(speedup)});
+                emitBoth(JsonLine("mlp_micro")
+                             .field("field", field.describe())
+                             .field("net", c.net)
+                             .field("kernel_isa", v->isa)
+                             .field("points_per_call", c.points)
+                             .field("calls", calls)
+                             .field("reps", reps)
+                             .field("us_per_call", per_call * 1e6)
+                             .field("ns_per_point",
+                                    per_call / c.points * 1e9)
+                             .field("speedup_vs_baseline", speedup),
+                         artifact);
+            }
+        }
+        mtable.print(std::cout);
     }
 
     // ---- Morton reuse at paper-scale tables: the default bench field
@@ -385,6 +461,8 @@ main(int argc, char **argv)
                          .field("log2_table_size", 19)
                          .field("mode",
                                 use_morton ? "simd+morton" : "simd")
+                         .field("kernel_isa",
+                                nerf::kernels::dispatched().isa)
                          .field("points", count)
                          .field("wall_s", per_pass)
                          .field("msamples_per_s", msps)

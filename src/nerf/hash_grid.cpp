@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nerf/kernels.hpp"
 #include "util/hashing.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -104,57 +105,28 @@ GridGeometry::trilinearWeights(const Vec3 &frac, float out[8])
         out[i] = wx[i & 1] * wy[(i >> 1) & 1] * wz[(i >> 2) & 1];
 }
 
+kernels::LevelSetup
+GridGeometry::levelSetup(int l) const
+{
+    const GridLevelInfo &info = levels_[size_t(l)];
+    kernels::LevelSetup s;
+    s.res = float(info.resolution);
+    s.last = info.resolution - 1;
+    s.verts = uint32_t(info.resolution + 1);
+    s.mask = (1u << cfg_.log2_table_size) - 1u;
+    s.dense = info.dense;
+    return s;
+}
+
 void
 GridGeometry::gatherSetup(int l, const Vec3 &pos, uint32_t idx[8],
                           float w[8]) const
 {
-    const GridLevelInfo &info = levels_[size_t(l)];
-    Vec3i voxel;
-    Vec3 frac;
-    locate(l, pos, voxel, frac);
-    trilinearWeights(frac, w);
-    if (info.dense) {
-        // denseIndex(v) = (z*V + y)*V + x; the 8 corners share per-axis
-        // partial sums ((z[+1])*V + y[+1])*V and x[+1].
-        const uint32_t V = uint32_t(info.resolution + 1);
-        const uint32_t x0 = uint32_t(voxel.x);
-        const uint32_t x1 = x0 + 1u;
-        const uint32_t zv0 = uint32_t(voxel.z) * V;
-        const uint32_t zv1 = (uint32_t(voxel.z) + 1u) * V;
-        const uint32_t y0 = uint32_t(voxel.y);
-        const uint32_t y1 = y0 + 1u;
-        const uint32_t r0 = (zv0 + y0) * V;
-        const uint32_t r1 = (zv0 + y1) * V;
-        const uint32_t r2 = (zv1 + y0) * V;
-        const uint32_t r3 = (zv1 + y1) * V;
-        idx[0] = r0 + x0;
-        idx[1] = r0 + x1;
-        idx[2] = r1 + x0;
-        idx[3] = r1 + x1;
-        idx[4] = r2 + x0;
-        idx[5] = r2 + x1;
-        idx[6] = r3 + x0;
-        idx[7] = r3 + x1;
-    } else {
-        // Eq. (2) hash of all 8 corners from 6 per-axis products:
-        // (x+1)*pi = x*pi + pi in uint32, so the corner hashes are XORs
-        // of precomputed halves -- identical bits to spatialHash().
-        const uint32_t mask = (1u << cfg_.log2_table_size) - 1u;
-        const uint32_t hx0 = uint32_t(voxel.x) * kHashPrime1;
-        const uint32_t hx1 = hx0 + kHashPrime1;
-        const uint32_t hy0 = uint32_t(voxel.y) * kHashPrime2;
-        const uint32_t hy1 = hy0 + kHashPrime2;
-        const uint32_t hz0 = uint32_t(voxel.z) * kHashPrime3;
-        const uint32_t hz1 = hz0 + kHashPrime3;
-        idx[0] = (hx0 ^ hy0 ^ hz0) & mask;
-        idx[1] = (hx1 ^ hy0 ^ hz0) & mask;
-        idx[2] = (hx0 ^ hy1 ^ hz0) & mask;
-        idx[3] = (hx1 ^ hy1 ^ hz0) & mask;
-        idx[4] = (hx0 ^ hy0 ^ hz1) & mask;
-        idx[5] = (hx1 ^ hy0 ^ hz1) & mask;
-        idx[6] = (hx0 ^ hy1 ^ hz1) & mask;
-        idx[7] = (hx1 ^ hy1 ^ hz1) & mask;
-    }
+    const kernels::LevelSetup s = levelSetup(l);
+    if (s.dense)
+        kernels::setupPoint<true>(s, pos.x, pos.y, pos.z, idx, w);
+    else
+        kernels::setupPoint<false>(s, pos.x, pos.y, pos.z, idx, w);
 }
 
 void
@@ -221,18 +193,6 @@ HashGrid::encode(const Vec3 &pos, float *out) const
     }
 }
 
-namespace {
-
-/** Points per two-pass slice: the corner-major index/weight workspace
- *  of one slice is 8 * kEncChunk * 8 bytes = 32 KB, so it stays cache-
- *  resident between the setup and gather passes for any batch size. */
-constexpr int kEncChunk = 512;
-
-/** Points per register block of the gather/interpolate pass. */
-constexpr int kEncBlock = 64;
-
-} // namespace
-
 void
 HashGrid::encodeBatch(const Vec3 *pos, int count, float *out,
                       int out_stride, EncodeReuseStats *stats) const
@@ -245,18 +205,21 @@ HashGrid::encodeBatch(const Vec3 *pos, int count, float *out,
         stats->reset(L);
 
     // Corner-major SoA workspaces for one slice: corner i of slice
-    // point p lives at [i * kEncChunk + p], so the gather pass reads
-    // each corner's index/weight lane unit-stride.
+    // point p lives at [i * kEncSlice + p], so the gather pass reads
+    // each corner's index/weight lane unit-stride. One slice's
+    // workspace is 8 * kEncSlice * 8 bytes = 32 KB, so it stays cache-
+    // resident between the setup and gather passes for any batch size.
+    using kernels::kEncSlice;
     thread_local std::vector<uint32_t> ws_idx;
     thread_local std::vector<float> ws_w;
     thread_local std::vector<uint32_t> ws_sorted; // stats scratch
-    thread_local std::vector<float> ws_acc;       // generic-F lanes
-    ws_idx.resize(8 * size_t(kEncChunk));
-    ws_w.resize(8 * size_t(kEncChunk));
+    ws_idx.resize(8 * size_t(kEncSlice));
+    ws_w.resize(8 * size_t(kEncSlice));
+    const kernels::Variant &k = kernels::active();
 
     for (int l = 0; l < L; ++l) {
-        const float *__restrict base =
-            params_.data() + geom_.level(l).param_offset;
+        const kernels::LevelSetup setup = geom_.levelSetup(l);
+        const float *base = params_.data() + geom_.level(l).param_offset;
         if (stats) {
             ws_sorted.clear();
             ws_sorted.reserve(size_t(count) * 8);
@@ -265,24 +228,14 @@ HashGrid::encodeBatch(const Vec3 *pos, int count, float *out,
         uint64_t coherent = 0;
         bool has_prev = false;
 
-        for (int c0 = 0; c0 < count; c0 += kEncChunk) {
-            const int cn = std::min(kEncChunk, count - c0);
-
-            // ---- pass 1: lattice indices + trilinear weights, SoA ----
-            for (int p = 0; p < cn; ++p) {
-                uint32_t idx[8];
-                float w[8];
-                geom_.gatherSetup(l, pos[c0 + p], idx, w);
-                for (int i = 0; i < 8; ++i) {
-                    ws_idx[size_t(i) * kEncChunk + size_t(p)] = idx[i];
-                    ws_w[size_t(i) * kEncChunk + size_t(p)] = w[i];
-                }
-            }
+        for (int c0 = 0; c0 < count; c0 += kEncSlice) {
+            const int cn = std::min(kEncSlice, count - c0);
+            k.encode_setup(setup, pos + c0, cn, ws_idx.data(), ws_w.data());
 
             if (stats) {
                 for (int i = 0; i < 8; ++i) {
                     const uint32_t *lane = ws_idx.data() +
-                                           size_t(i) * kEncChunk;
+                                           size_t(i) * kEncSlice;
                     if (has_prev && lane[0] == prev[i])
                         ++coherent;
                     for (int p = 1; p < cn; ++p)
@@ -294,79 +247,10 @@ HashGrid::encodeBatch(const Vec3 *pos, int count, float *out,
                 has_prev = true;
             }
 
-            // ---- pass 2: gather + interpolate, register-blocked
-            // across points. Accumulation runs corner 0..7 per output
-            // feature, exactly the scalar order, so results are
-            // bit-identical; the level's table segment is the only
-            // gathered region, so it alone streams through the cache.
-            if (F == 2) {
-                // The common NGP config: both features of a corner
-                // share one 8-byte entry load; accumulators stay in
-                // registers.
-                for (int p0 = 0; p0 < cn; p0 += kEncBlock) {
-                    const int bn = std::min(kEncBlock, cn - p0);
-                    float acc0[kEncBlock];
-                    float acc1[kEncBlock];
-                    for (int p = 0; p < bn; ++p) {
-                        acc0[p] = 0.0f;
-                        acc1[p] = 0.0f;
-                    }
-                    for (int i = 0; i < 8; ++i) {
-                        const uint32_t *__restrict idx =
-                            ws_idx.data() + size_t(i) * kEncChunk + p0;
-                        const float *__restrict wv =
-                            ws_w.data() + size_t(i) * kEncChunk + p0;
-#pragma omp simd
-                        for (int p = 0; p < bn; ++p) {
-                            const float *__restrict e =
-                                base + size_t(idx[p]) * 2;
-                            acc0[p] += wv[p] * e[0];
-                            acc1[p] += wv[p] * e[1];
-                        }
-                    }
-                    for (int p = 0; p < bn; ++p) {
-                        float *dst = out +
-                                     size_t(c0 + p0 + p) *
-                                         size_t(out_stride) +
-                                     size_t(l) * 2;
-                        dst[0] = acc0[p];
-                        dst[1] = acc1[p];
-                    }
-                }
-            } else {
-                ws_acc.resize(size_t(F) * kEncBlock);
-                for (int p0 = 0; p0 < cn; p0 += kEncBlock) {
-                    const int bn = std::min(kEncBlock, cn - p0);
-                    std::fill(ws_acc.begin(),
-                              ws_acc.begin() + size_t(F) * kEncBlock,
-                              0.0f);
-                    for (int i = 0; i < 8; ++i) {
-                        const uint32_t *__restrict idx =
-                            ws_idx.data() + size_t(i) * kEncChunk + p0;
-                        const float *__restrict wv =
-                            ws_w.data() + size_t(i) * kEncChunk + p0;
-                        for (int f = 0; f < F; ++f) {
-                            float *__restrict lane =
-                                ws_acc.data() + size_t(f) * kEncBlock;
-#pragma omp simd
-                            for (int p = 0; p < bn; ++p)
-                                lane[p] += wv[p] *
-                                           base[size_t(idx[p]) *
-                                                    size_t(F) +
-                                                size_t(f)];
-                        }
-                    }
-                    for (int p = 0; p < bn; ++p) {
-                        float *dst = out +
-                                     size_t(c0 + p0 + p) *
-                                         size_t(out_stride) +
-                                     size_t(l) * size_t(F);
-                        for (int f = 0; f < F; ++f)
-                            dst[f] =
-                                ws_acc[size_t(f) * kEncBlock + size_t(p)];
-                    }
-                }
-            }
+            k.encode_gather(base, F, ws_idx.data(), ws_w.data(), cn,
+                            out + size_t(c0) * size_t(out_stride) +
+                                size_t(l) * size_t(F),
+                            out_stride);
         }
 
         if (stats) {
@@ -374,8 +258,8 @@ HashGrid::encodeBatch(const Vec3 *pos, int count, float *out,
             stats->coherent[size_t(l)] += coherent;
             std::sort(ws_sorted.begin(), ws_sorted.end());
             uint64_t uniq = 0;
-            for (size_t k = 0; k < ws_sorted.size(); ++k)
-                if (k == 0 || ws_sorted[k] != ws_sorted[k - 1])
+            for (size_t j = 0; j < ws_sorted.size(); ++j)
+                if (j == 0 || ws_sorted[j] != ws_sorted[j - 1])
                     ++uniq;
             stats->unique[size_t(l)] += uniq;
         }

@@ -20,6 +20,10 @@
 
 namespace asdr::nerf {
 
+namespace kernels {
+struct LevelSetup;
+}
+
 /** Hash-grid hyperparameters (paper defaults: L=16, T=2^19, F=2). */
 struct HashGridConfig
 {
@@ -85,10 +89,14 @@ class GridGeometry
      * (x*pi1, y*pi2, z*pi3 and their +1 neighbors), so the hash costs 3
      * multiplies instead of 24. Bit-identical to index() by the
      * associativity of uint32 arithmetic. Every encode path and the
-     * batched kernel's setup pass go through this one implementation.
+     * batched kernel's setup pass run this one body
+     * (kernels::setupPoint).
      */
     void gatherSetup(int l, const Vec3 &pos, uint32_t idx[8],
                      float w[8]) const;
+
+    /** The constants of level `l` that kernels::setupPoint reads. */
+    kernels::LevelSetup levelSetup(int l) const;
 
   private:
     HashGridConfig cfg_;
@@ -143,13 +151,14 @@ class HashGrid
      * walked in the outer loop so one level's table region stays hot
      * across the whole batch (ray samples are spatially clustered).
      *
-     * Internally a two-pass kernel per level: (1) a setup pass computes
-     * all 8 lattice indices + trilinear weights for the whole batch
-     * into corner-major SoA workspaces, then (2) a gather/interpolate
-     * pass runs `#pragma omp simd` across points in register-blocked
-     * lanes (Mlp::forwardBatch style) with a specialized F=2 path, so
-     * each corner's weight lane streams unit-stride and the accumulators
-     * stay in registers. Bit-identical to per-point encode() calls.
+     * Internally a two-pass kernel per level and 512-point slice, run by
+     * kernels::active(): (1) a setup pass computes all 8 lattice indices
+     * + trilinear weights vectorized across the slice's points into
+     * corner-major SoA workspaces, then (2) a gather/interpolate pass
+     * runs across points in register-blocked lanes with a specialized
+     * F=2 path, so each corner's weight lane streams unit-stride and the
+     * accumulators stay in registers. Bit-identical to per-point
+     * encode() calls.
      *
      * `stats`, when non-null, accumulates per-level reuse counters for
      * this batch (measured host-side data reuse; see EncodeReuseStats).

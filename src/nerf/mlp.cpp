@@ -3,40 +3,15 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nerf/kernels.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
 namespace asdr::nerf {
 
 namespace {
-
-/** Lane width of the register-blocked batch kernels. */
-constexpr int kLaneBlock = 16;
-
-/**
- * acc[p] = bias + wrow[0]*lanes0[p] + wrow[1]*lanes1[p] + ... -- THE
- * matvec micro-kernel shared by both forwardBatch variants. Lanes are
- * independent points, so within-point rounding matches the scalar
- * forward()'s accumulation order exactly; this one function is the
- * whole bit-identity contract. The pragma (a no-op without
- * -fopenmp-simd) keeps the lanes in vector registers; without it GCC
- * emits 16 scalar FMA chains.
- */
-inline void
-accumulateLanes(const float *__restrict wrow, float bias, int in,
-                const float *__restrict lanes, float acc[kLaneBlock])
-{
-    for (int p = 0; p < kLaneBlock; ++p)
-        acc[p] = bias;
-    for (int i = 0; i < in; ++i) {
-        const float wv = wrow[i];
-        const float *__restrict lane = lanes + size_t(i) * kLaneBlock;
-#pragma omp simd
-        for (int p = 0; p < kLaneBlock; ++p)
-            acc[p] += wv * lane[p];
-    }
-}
-
+/** Per-layer pointer scratch bound (layers + 1; the deepest net is 5). */
+constexpr size_t kMaxDepth = 16;
 } // namespace
 
 Mlp::Mlp(const MlpConfig &cfg, uint64_t seed) : cfg_(cfg)
@@ -103,52 +78,7 @@ Mlp::forwardBatch(const float *in, int count, int in_stride, float *out,
     ASDR_ASSERT(count >= 0 && in_stride >= cfg_.input &&
                     out_stride >= cfg_.output,
                 "bad forwardBatch geometry");
-    // Register-blocked micro-kernel: activations of a block of kBlock
-    // points are held feature-major (lane p of feature i at
-    // acts[i * kBlock + p]), so the inner loop runs *across points* --
-    // independent accumulator lanes the compiler vectorizes -- while
-    // each weight row streams exactly once per block (see
-    // accumulateLanes; results are bit-identical to the scalar path).
-    constexpr int kBlock = kLaneBlock;
-    const size_t lane_w = std::max(size_t(cfg_.input), widest_);
-    thread_local std::vector<float> acts_a, acts_b;
-    acts_a.resize(lane_w * size_t(kBlock));
-    acts_b.resize(lane_w * size_t(kBlock));
-
-    for (int p0 = 0; p0 < count; p0 += kBlock) {
-        const int bn = std::min(kBlock, count - p0);
-        // Transpose the block's inputs into lanes; dead lanes are
-        // zeroed so the arithmetic below stays finite.
-        float *src_t = acts_a.data();
-        float *dst_t = acts_b.data();
-        for (int i = 0; i < cfg_.input; ++i) {
-            float *lane = src_t + size_t(i) * kBlock;
-            for (int p = 0; p < bn; ++p)
-                lane[p] = in[size_t(p0 + p) * size_t(in_stride) + size_t(i)];
-            for (int p = bn; p < kBlock; ++p)
-                lane[p] = 0.0f;
-        }
-
-        for (size_t li = 0; li < layers_.size(); ++li) {
-            const Layer &layer = layers_[li];
-            const bool last = li + 1 == layers_.size();
-            for (int o = 0; o < layer.out; ++o) {
-                float acc[kBlock];
-                accumulateLanes(layer.w.data() + size_t(o) * layer.in,
-                                layer.b[size_t(o)], layer.in, src_t, acc);
-                if (last) {
-                    for (int p = 0; p < bn; ++p)
-                        out[size_t(p0 + p) * size_t(out_stride) +
-                            size_t(o)] = acc[p];
-                } else {
-                    float *lane = dst_t + size_t(o) * kBlock;
-                    for (int p = 0; p < kBlock; ++p)
-                        lane[p] = std::max(acc[p], 0.0f);
-                }
-            }
-            std::swap(src_t, dst_t);
-        }
-    }
+    forwardLanes(in, count, in_stride, out, out_stride, nullptr);
 }
 
 void
@@ -180,12 +110,8 @@ Mlp::forwardBatch(const float *in, int count, int in_stride, float *out,
     ASDR_ASSERT(count >= 0 && in_stride >= cfg_.input &&
                     out_stride >= cfg_.output,
                 "bad forwardBatch geometry");
-    // Same accumulateLanes kernel as the inference forwardBatch above
-    // -- identical accumulation order, so outputs are bit-identical to
-    // per-sample forward() -- except every layer's activations are
-    // written out row-major so backward(ws, p, ...) can replay any
-    // sample.
-    constexpr int kBlock = kLaneBlock;
+    // The inference kernel, also writing every layer's activations
+    // row-major so backward(ws, p, ...) can replay any sample.
     ws.count = count;
     ws.acts.resize(layers_.size() + 1);
     ws.acts[0].resize(size_t(count) * size_t(cfg_.input));
@@ -193,45 +119,37 @@ Mlp::forwardBatch(const float *in, int count, int in_stride, float *out,
         std::copy(in + size_t(p) * size_t(in_stride),
                   in + size_t(p) * size_t(in_stride) + size_t(cfg_.input),
                   ws.acts[0].data() + size_t(p) * size_t(cfg_.input));
-
-    thread_local std::vector<float> lanes;
+    ASDR_ASSERT(layers_.size() <= kMaxDepth, "MLP too deep");
+    float *keep[kMaxDepth];
     for (size_t li = 0; li < layers_.size(); ++li) {
-        const Layer &layer = layers_[li];
-        const bool last = li + 1 == layers_.size();
-        ws.acts[li + 1].resize(size_t(count) * size_t(layer.out));
-        const float *src = ws.acts[li].data();
-        float *dst = ws.acts[li + 1].data();
-        lanes.resize(size_t(layer.in) * size_t(kBlock));
-
-        for (int p0 = 0; p0 < count; p0 += kBlock) {
-            const int bn = std::min(kBlock, count - p0);
-            // Transpose the block's rows into feature-major lanes; dead
-            // lanes are zeroed so the arithmetic stays finite.
-            for (int i = 0; i < layer.in; ++i) {
-                float *lane = lanes.data() + size_t(i) * kBlock;
-                for (int p = 0; p < bn; ++p)
-                    lane[p] =
-                        src[size_t(p0 + p) * size_t(layer.in) + size_t(i)];
-                for (int p = bn; p < kBlock; ++p)
-                    lane[p] = 0.0f;
-            }
-            for (int o = 0; o < layer.out; ++o) {
-                float acc[kBlock];
-                accumulateLanes(layer.w.data() + size_t(o) * layer.in,
-                                layer.b[size_t(o)], layer.in,
-                                lanes.data(), acc);
-                for (int p = 0; p < bn; ++p)
-                    dst[size_t(p0 + p) * size_t(layer.out) + size_t(o)] =
-                        last ? acc[p] : std::max(acc[p], 0.0f);
-            }
-        }
+        ws.acts[li + 1].resize(size_t(count) * size_t(layers_[li].out));
+        keep[li] = ws.acts[li + 1].data();
     }
+    forwardLanes(ws.acts[0].data(), count, cfg_.input,
+                 ws.acts.back().data(), cfg_.output, keep);
 
     const std::vector<float> &last_acts = ws.acts.back();
     for (int p = 0; p < count; ++p)
         std::copy(last_acts.data() + size_t(p) * size_t(cfg_.output),
                   last_acts.data() + size_t(p + 1) * size_t(cfg_.output),
                   out + size_t(p) * size_t(out_stride));
+}
+
+void
+Mlp::forwardLanes(const float *in, int count, int in_stride, float *out,
+                  int out_stride, float *const *keep) const
+{
+    ASDR_ASSERT(layers_.size() <= kMaxDepth, "MLP too deep");
+    kernels::LayerView views[kMaxDepth];
+    for (size_t li = 0; li < layers_.size(); ++li)
+        views[li] = {layers_[li].w.data(), layers_[li].b.data(),
+                     layers_[li].in, layers_[li].out};
+    const size_t lane_w = std::max(size_t(cfg_.input), widest_);
+    thread_local std::vector<float> scratch;
+    scratch.resize(2 * lane_w * size_t(kernels::kMlpLanes));
+    kernels::active().mlp_forward(views, int(layers_.size()), in, count,
+                                  in_stride, out, out_stride, keep,
+                                  scratch.data());
 }
 
 void
@@ -297,18 +215,13 @@ Mlp::backwardImpl(const float *const *acts, const float *dout, float *din)
     }
 }
 
-namespace {
-/** Activation-pointer scratch bound (layers + 1; deepest net is 5). */
-constexpr size_t kMaxBackwardDepth = 16;
-} // namespace
-
 void
 Mlp::backward(const MlpWorkspace &ws, const float *dout, float *din)
 {
     ASDR_ASSERT(ws.acts.size() == layers_.size() + 1,
                 "workspace does not match a forward pass");
-    ASDR_ASSERT(ws.acts.size() <= kMaxBackwardDepth, "MLP too deep");
-    const float *acts[kMaxBackwardDepth];
+    ASDR_ASSERT(ws.acts.size() <= kMaxDepth, "MLP too deep");
+    const float *acts[kMaxDepth];
     for (size_t li = 0; li < ws.acts.size(); ++li)
         acts[li] = ws.acts[li].data();
     backwardImpl(acts, dout, din);
@@ -321,8 +234,8 @@ Mlp::backward(const MlpBatchWorkspace &ws, int p, const float *dout,
     ASDR_ASSERT(ws.acts.size() == layers_.size() + 1 && p >= 0 &&
                     p < ws.count,
                 "workspace does not match a batched forward pass");
-    ASDR_ASSERT(ws.acts.size() <= kMaxBackwardDepth, "MLP too deep");
-    const float *acts[kMaxBackwardDepth];
+    ASDR_ASSERT(ws.acts.size() <= kMaxDepth, "MLP too deep");
+    const float *acts[kMaxDepth];
     acts[0] = ws.acts[0].data() + size_t(p) * size_t(cfg_.input);
     for (size_t li = 0; li < layers_.size(); ++li)
         acts[li + 1] = ws.acts[li + 1].data() +

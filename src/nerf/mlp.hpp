@@ -59,9 +59,9 @@ class Mlp
      * input at `in + p * in_stride` and writes its output at
      * `out + p * out_stride` (strides in floats, so SoA matrices and
      * strided struct members both work). Results are bit-identical to
-     * `count` forward() calls; the win is data movement: points are
-     * processed in cache-sized blocks and each weight row is streamed
-     * once per block instead of once per point.
+     * `count` forward() calls. Runs kernels::active(): points go in
+     * 16-lane blocks, each weight row streams once per block, and four
+     * outputs accumulate per pass at the CPU's vector width.
      */
     void forwardBatch(const float *in, int count, int in_stride, float *out,
                       int out_stride) const;
@@ -70,10 +70,10 @@ class Mlp
     void forward(const float *in, float *out, MlpWorkspace &ws) const;
 
     /**
-     * Batched training forward: the same register-blocked lane kernel
-     * as the inference forwardBatch (bit-identical outputs), but every
-     * layer's activations are retained in `ws` so backward(ws, p, ...)
-     * can replay any sample of the batch. This is what lets the
+     * Batched training forward: the same lane kernel as the inference
+     * forwardBatch (bit-identical outputs), but every layer's
+     * activations are retained in `ws` so backward(ws, p, ...) can
+     * replay any sample of the batch. This is what lets the
      * distillation trainer stream its whole batch through the fast
      * kernel and still run exact per-sample backprop.
      */
@@ -105,6 +105,12 @@ class Mlp
     void deserializeParams(const std::vector<float> &flat);
 
   private:
+    /** Both forwardBatch overloads: kernels::active()'s MLP kernel over
+     *  this network; `keep`, when set, takes each hidden layer's
+     *  activations row-major. */
+    void forwardLanes(const float *in, int count, int in_stride, float *out,
+                      int out_stride, float *const *keep) const;
+
     /** Shared backward core: acts[li] points at layer li's input
      *  activation vector (acts[layer count] = the linear output). */
     void backwardImpl(const float *const *acts, const float *dout,

@@ -2,18 +2,35 @@
  * @file
  * Tests for the MLP: forward correctness against a hand-computed
  * network, numerical gradient checks for weights and inputs, Adam
- * convergence on a toy regression, and serialization round-trips.
+ * convergence on a toy regression, serialization round-trips, and every
+ * build of the batched kernel (kernels::available()) against forward()
+ * bit for bit.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
+#include "nerf/kernels.hpp"
 #include "nerf/mlp.hpp"
 #include "util/rng.hpp"
 
 using namespace asdr;
 using namespace asdr::nerf;
+
+namespace {
+
+uint32_t
+bitsOf(float f)
+{
+    uint32_t u;
+    std::memcpy(&u, &f, sizeof u);
+    return u;
+}
+
+} // namespace
 
 TEST(Mlp, ForwardHandComputed)
 {
@@ -166,4 +183,114 @@ TEST(Mlp, RejectsBadBlobs)
     Mlp mlp({4, {8}, 2}, 1);
     std::vector<float> wrong(3, 0.0f);
     EXPECT_DEATH({ mlp.deserializeParams(wrong); }, "blob size");
+}
+
+TEST(MlpKernels, DispatcherPicksAvx2WhereTheCpuHasIt)
+{
+    const auto variants = kernels::available();
+    std::string names;
+    for (const kernels::Variant *v : variants)
+        names += (names.empty() ? "" : ",") + std::string(v->isa);
+    RecordProperty("kernel_variants", names);
+    RecordProperty("dispatched", kernels::dispatched().isa);
+
+    ASSERT_FALSE(variants.empty());
+    EXPECT_STREQ(variants.front()->isa, "baseline");
+#if defined(__x86_64__) || defined(__i386__)
+    // A silent fallback to the baseline build fails here.
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) {
+        ASSERT_EQ(variants.size(), 2u);
+        EXPECT_STREQ(variants[1]->isa, "avx2");
+        EXPECT_STREQ(kernels::dispatched().isa, "avx2");
+    } else {
+        EXPECT_EQ(variants.size(), 1u);
+        EXPECT_STREQ(kernels::dispatched().isa, "baseline");
+    }
+#endif
+
+    // A ScopedVariant redirects only its own thread, and only while it
+    // lives.
+    EXPECT_EQ(&kernels::active(), &kernels::dispatched());
+    {
+        kernels::ScopedVariant use(kernels::baseline());
+        EXPECT_EQ(&kernels::active(), &kernels::baseline());
+    }
+    EXPECT_EQ(&kernels::active(), &kernels::dispatched());
+}
+
+TEST(MlpKernels, EveryVariantMatchesForwardBitForBit)
+{
+    // Output counts that are not a multiple of the 4-output pass, odd
+    // hidden widths, and point counts around the 8- and 16-lane blocks.
+    const MlpConfig shapes[] = {
+        {31, {64, 64}, 3}, {32, {48}, 16}, {13, {7, 5}, 5}};
+    const int counts[] = {1, 7, 8, 9, 15, 16, 17, 77};
+    std::string ran;
+    for (const kernels::Variant *v : kernels::available()) {
+        ran += (ran.empty() ? "" : ",") + std::string(v->isa);
+        kernels::ScopedVariant use(*v);
+        uint64_t seed = 40;
+        for (const MlpConfig &shape : shapes) {
+            Mlp mlp(shape, ++seed);
+            const int in_dim = shape.input;
+            const int out_dim = shape.output;
+            // Strided rows on both sides, as the fields pass them.
+            const int in_stride = in_dim + 3;
+            const int out_stride = out_dim + 2;
+            for (int count : counts) {
+                SCOPED_TRACE(std::string(v->isa) + " " +
+                             std::to_string(in_dim) + "->" +
+                             std::to_string(out_dim) + " count " +
+                             std::to_string(count));
+                Rng rng(seed * 100 + uint64_t(count));
+                std::vector<float> in(size_t(count) * size_t(in_stride));
+                for (auto &x : in)
+                    x = rng.nextGaussian();
+                std::vector<float> out(size_t(count) * size_t(out_stride),
+                                       -3.0f);
+                std::vector<float> trained(size_t(count) *
+                                               size_t(out_stride),
+                                           -3.0f);
+                mlp.forwardBatch(in.data(), count, in_stride, out.data(),
+                                 out_stride);
+                MlpBatchWorkspace bws;
+                mlp.forwardBatch(in.data(), count, in_stride,
+                                 trained.data(), out_stride, bws);
+
+                std::vector<float> ref(static_cast<size_t>(out_dim));
+                for (int p = 0; p < count; ++p) {
+                    const float *x = in.data() + size_t(p) * in_stride;
+                    mlp.forward(x, ref.data());
+                    MlpWorkspace ws;
+                    std::vector<float> ref_ws(static_cast<size_t>(out_dim));
+                    mlp.forward(x, ref_ws.data(), ws);
+                    for (int o = 0; o < out_stride; ++o) {
+                        const size_t at = size_t(p) * out_stride + size_t(o);
+                        if (o >= out_dim) { // the gap stays untouched
+                            ASSERT_EQ(out[at], -3.0f);
+                            ASSERT_EQ(trained[at], -3.0f);
+                            continue;
+                        }
+                        ASSERT_EQ(bitsOf(out[at]), bitsOf(ref[size_t(o)]))
+                            << "point " << p << " output " << o;
+                        ASSERT_EQ(bitsOf(trained[at]),
+                                  bitsOf(ref[size_t(o)]))
+                            << "point " << p << " output " << o;
+                    }
+                    // The retained activations backward() replays.
+                    ASSERT_EQ(bws.acts.size(), ws.acts.size());
+                    for (size_t li = 0; li < ws.acts.size(); ++li) {
+                        const size_t w = ws.acts[li].size();
+                        for (size_t k = 0; k < w; ++k)
+                            ASSERT_EQ(bitsOf(bws.acts[li][size_t(p) * w + k]),
+                                      bitsOf(ws.acts[li][k]))
+                                << "point " << p << " layer " << li
+                                << " unit " << k;
+                    }
+                }
+            }
+        }
+    }
+    RecordProperty("kernel_variants", ran);
 }
