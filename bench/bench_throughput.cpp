@@ -597,10 +597,9 @@ main(int argc, char **argv)
                                    nerf::NgpModelConfig::fast(),
                                    qcfg_render);
             server::ServerConfig scfg;
-            scfg.shards = 2;
             scfg.threads_per_shard =
-                std::max(1, std::min(2, core::resolveThreadCount(0)));
-            scfg.frames_in_flight_per_shard = 2;
+                2 * std::max(1, std::min(2, core::resolveThreadCount(0)));
+            scfg.frames_in_flight_per_shard = 4;
             if (ladder_on) {
                 scfg.ladder.enabled = true;
                 // Stretch the interactive backlog to cover the burst:
@@ -638,7 +637,6 @@ main(int argc, char **argv)
                 emitBoth(JsonLine("quality_ladder")
                              .field("ladder", ladder_on ? "on" : "off")
                              .field("qos", cls)
-                             .field("shards", scfg.shards)
                              .field("viewers", int(report.viewers))
                              .field("frames_per_viewer", qframes)
                              .field("burst", spec.burst)
@@ -755,7 +753,7 @@ main(int argc, char **argv)
         }
 
         // (b) breaker off vs. on: one healthy viewer and one poisoned
-        // viewer share a shard; the breaker quarantines the poisoned
+        // viewer share the server; the breaker quarantines the poisoned
         // scene after 3 failures, so its frames fail fast at admission
         // instead of occupying pipeline slots.
         TextTable ftable({"breaker", "good p99 (ms)", "good served",
@@ -769,7 +767,6 @@ main(int argc, char **argv)
             registry.addShared("bad", bad, fcfg, bad_scene->info());
 
             server::ServerConfig scfg;
-            scfg.shards = 1;
             scfg.threads_per_shard =
                 std::max(1, std::min(2, core::resolveThreadCount(0)));
             scfg.frames_in_flight_per_shard = 2;

@@ -1,13 +1,13 @@
 /**
  * @file
  * Multi-tenant serving demo: a SceneRegistry of shared fields, a
- * FrameServer sharding frames across FrameEngines, and a closed-loop
- * workload of N viewers orbiting M scenes at mixed QoS -- every frame
- * delivered through the async callback path (no blocking future gets
- * anywhere). Prints per-class served/dropped counts and latency
- * percentiles, then the flight recorder's JSON (the slow, failed,
- * expired and shed frames it retained) and the server's Prometheus
- * text exposition, the scrape a dashboard would ingest.
+ * FrameServer whose one FrameEngine renders every viewer's frames, and
+ * a closed-loop workload of N viewers orbiting M scenes at mixed QoS --
+ * every frame delivered through the async callback path (no blocking
+ * future gets anywhere). Prints per-class served/dropped counts and
+ * latency percentiles, then the flight recorder's JSON (the slow,
+ * failed, expired and shed frames it retained) and the server's
+ * Prometheus text exposition, the scrape a dashboard would ingest.
  */
 
 #include <cstdlib>
@@ -34,7 +34,7 @@ usage(const char *argv0)
     std::cout
         << "Usage: " << argv0 << " [options]\n"
            "Serve a closed-loop multi-tenant workload (N viewers x M\n"
-           "scenes x mixed QoS) through the sharded FrameServer.\n\n"
+           "scenes x mixed QoS) through one FrameServer.\n\n"
            "  --scenes <n>        registry scenes to serve (default 2)\n"
            "  --interactive <n>   interactive viewers (default 3)\n"
            "  --standard <n>      standard viewers (default 2)\n"
@@ -42,9 +42,8 @@ usage(const char *argv0)
            "  --frames <n>        submissions per viewer (default 8)\n"
            "  --width <px>        frame edge (default 32)\n"
            "  --samples <n>       samples per ray (default 48)\n"
-           "  --shards <n>        FrameEngine shards (default 2)\n"
-           "  --threads <n>       workers per shard (default 1)\n"
-           "  --in-flight <n>     pipeline slots per shard (default 2)\n"
+           "  --threads <n>       render workers (default 2)\n"
+           "  --in-flight <n>     pipeline slots (default 2)\n"
            "  --burst <n>         outstanding frames per viewer "
            "(default 2;\n"
            "                      above the class backlog forces drops)\n"
@@ -81,7 +80,7 @@ main(int argc, char **argv)
 {
     int scenes = 2, interactive = 3, standard = 2, batch = 2;
     int frames = 8, width = 32, samples = 48;
-    int shards = 2, threads = 1, in_flight = 2, burst = 2;
+    int threads = 2, in_flight = 2, burst = 2;
     bool ladder = false;
     std::string trace_out, metrics_out = "-";
     double slow_ms = 0.0;
@@ -107,8 +106,6 @@ main(int argc, char **argv)
             width = next();
         else if (arg == "--samples" && i + 1 < argc)
             samples = next();
-        else if (arg == "--shards" && i + 1 < argc)
-            shards = next();
         else if (arg == "--threads" && i + 1 < argc)
             threads = next();
         else if (arg == "--in-flight" && i + 1 < argc)
@@ -166,7 +163,6 @@ main(int argc, char **argv)
     spec.burst = burst;
 
     server::ServerConfig scfg;
-    scfg.shards = shards;
     scfg.threads_per_shard = threads;
     scfg.frames_in_flight_per_shard = in_flight;
     if (ladder) {
@@ -190,11 +186,10 @@ main(int argc, char **argv)
 
     const int viewers = interactive + standard + batch;
     std::cout << "Serving " << viewers << " viewers over "
-              << spec.scenes.size() << " scenes through " << shards
-              << " shard(s) (" << threads << " worker(s), " << in_flight
-              << " slots each), " << frames << " frames per viewer at "
-              << width << "x" << width << "x" << samples << ", burst "
-              << burst << "\n\n";
+              << spec.scenes.size() << " scenes on " << threads
+              << " worker(s) and " << in_flight << " pipeline slot(s), "
+              << frames << " frames per viewer at " << width << "x"
+              << width << "x" << samples << ", burst " << burst << "\n\n";
 
     server::FrameServer srv(registry, scfg);
     server::WorkloadReport report = server::runWorkload(srv, registry, spec);

@@ -89,17 +89,6 @@ slowDumpText(const SlowFrameRecord &rec)
     return os.str();
 }
 
-/** splitmix64: the sticky session -> shard hash. Client ids are
- *  sequential, so they need a real mix to spread across shards. */
-uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
-
 } // namespace
 
 FrameServer::FrameServer(const SceneRegistry &registry,
@@ -107,24 +96,16 @@ FrameServer::FrameServer(const SceneRegistry &registry,
     : registry_(registry), cfg_(cfg),
       stuck_in_flight_(metrics_.gauge("asdr_stuck_in_flight")),
       stuck_events_(metrics_.counter("asdr_stuck_events_total")),
-      stats_(metrics_), slo_(cfg.slo, metrics_)
+      sched_(cfg.qos), stats_(metrics_), slo_(cfg.slo, metrics_),
+      engine_(engine::EngineConfig{cfg.threads_per_shard,
+                                   cfg.frames_in_flight_per_shard})
 {
-    ASDR_ASSERT(cfg.shards >= 1, "need at least one shard");
-    ASDR_ASSERT(cfg.frames_in_flight_per_shard >= 1,
-                "need at least one pipeline slot per shard");
+    ASDR_ASSERT(cfg.shards == 1, "the server runs one engine: shards = 1");
     for (int c = 0; c < kQosClasses; ++c)
         class_metrics_[c] = ClassMetrics(metrics_, QosClass(c));
     stats_.setSlowFrameKeep(cfg.flight_recorder_frames);
-    shards_.resize(size_t(cfg.shards));
-    for (Shard &s : shards_) {
-        engine::EngineConfig ec;
-        ec.num_threads = cfg.threads_per_shard;
-        ec.max_frames_in_flight = cfg.frames_in_flight_per_shard;
-        s.engine = std::make_unique<engine::FrameEngine>(ec);
-        s.sched = std::make_unique<QosScheduler>(cfg.qos);
-        if (cfg.ladder.enabled)
-            s.brownout = std::make_unique<BrownoutController>(cfg.ladder);
-    }
+    if (cfg.ladder.enabled)
+        brownout_ = std::make_unique<BrownoutController>(cfg.ladder);
     for (int c = 0; c < kQosClasses; ++c)
         deadlines_enabled_ =
             deadlines_enabled_ || cfg.qos.cls[c].deadline_ms > 0.0;
@@ -155,35 +136,13 @@ FrameServer::~FrameServer()
     std::vector<PendingFrame> dropped;
     {
         std::lock_guard<std::mutex> lock(m_);
-        for (auto &entry : clients_)
+        for (auto &entry : clients_) {
             entry.second->closing = true;
-        for (auto &entry : clients_)
-            shards_[size_t(entry.second->shard)].sched->dropClient(
-                entry.first, dropped);
+            sched_.dropClient(entry.first, dropped);
+        }
     }
     dropFrames(std::move(dropped));
     waitIdle();
-    clients_.clear();
-    shards_.clear(); // engine destructors drain + stop their pools
-}
-
-int
-FrameServer::pickShardLocked(uint64_t client_id) const
-{
-    const int n = int(shards_.size());
-    if (n == 1)
-        return 0;
-    const int preferred = int(mix64(client_id) % uint64_t(n));
-    int least = 0;
-    for (int s = 1; s < n; ++s)
-        if (shards_[size_t(s)].sessions < shards_[size_t(least)].sessions)
-            least = s;
-    // Sticky hashing spreads sessions statistically; the fallback
-    // catches the unlucky tail (hash collisions piling onto one shard).
-    if (shards_[size_t(preferred)].sessions >
-        shards_[size_t(least)].sessions + cfg_.rebalance_threshold)
-        return least;
-    return preferred;
 }
 
 uint64_t
@@ -204,8 +163,6 @@ FrameServer::openSession(const std::string &scene, QosClass qos,
         state = std::make_unique<SceneState>(metrics_, *entry);
     client->state = state.get();
     client->id = next_client_++;
-    client->shard = pickShardLocked(client->id);
-    shards_[size_t(client->shard)].sessions++;
     const uint64_t id = client->id;
     clients_.emplace(id, std::move(client));
     return id;
@@ -237,8 +194,8 @@ FrameServer::submitFrame(uint64_t client_id, const nerf::Camera &camera)
         pf.qos = c.qos;
         pf.camera = camera;
         pf.submitted_at = std::chrono::steady_clock::now();
-        shards_[size_t(c.shard)].sched->push(std::move(pf), dropped);
-        pumpLocked(c.shard, launches, rejects);
+        sched_.push(std::move(pf), dropped);
+        pumpLocked(launches, rejects);
     }
     for (const Launch &l : launches)
         launch(l);
@@ -318,23 +275,22 @@ FrameServer::deliverAll(std::vector<Deliverable> &&rejects)
 }
 
 void
-FrameServer::pumpLocked(int shard, std::vector<Launch> &launches,
+FrameServer::pumpLocked(std::vector<Launch> &launches,
                         std::vector<Deliverable> &rejects)
 {
-    Shard &s = shards_[size_t(shard)];
     const auto now = std::chrono::steady_clock::now();
     // Fail-fast before admission: a pose that waited past its class
     // deadline is stale -- rendering it would waste a slot to deliver
     // an image the viewer has already moved beyond.
     if (deadlines_enabled_) {
         std::vector<PendingFrame> overdue;
-        s.sched->expireOverdue(now, overdue);
+        sched_.expireOverdue(now, overdue);
         for (PendingFrame &pf : overdue)
             rejects.push_back(expireLocked(std::move(pf)));
     }
     PendingFrame pf;
-    while (s.total_in_flight < cfg_.frames_in_flight_per_shard &&
-           s.sched->pop(s.in_flight, s.scene_in_flight, pf)) {
+    while (int(running_.size()) < cfg_.frames_in_flight_per_shard &&
+           sched_.pop(in_flight_, scene_in_flight_, pf)) {
         // The client is alive: its pending frame counts toward
         // `outstanding`, and sessions are only freed at zero.
         Client &c = *clients_.at(pf.client);
@@ -363,7 +319,7 @@ FrameServer::pumpLocked(int shard, std::vector<Launch> &launches,
         // further under pressure. The effective rung is whichever is
         // worse -- a floored frame never recovers fidelity here.
         QualityRung rung = QualityRung(pf.rung);
-        if (s.brownout && cfg_.ladder.applies(pf.qos)) {
+        if (brownout_ && cfg_.ladder.applies(pf.qos)) {
             const double deadline_ms = cfg_.qos.cls[int(pf.qos)].deadline_ms;
             const double waited_frac =
                 deadline_ms > 0.0
@@ -371,9 +327,9 @@ FrameServer::pumpLocked(int shard, std::vector<Launch> &launches,
                           deadline_ms
                     : 0.0;
             rung = std::max(rung,
-                            s.brownout->decide(
-                                pf.qos, s.sched->pendingOf(pf.qos),
-                                waited_frac));
+                            brownout_->decide(pf.qos,
+                                              sched_.pendingOf(pf.qos),
+                                              waited_frac));
         }
         // Injection: force the admission to the ladder floor, driving
         // the full degraded render + wire + upscale path on demand.
@@ -396,7 +352,7 @@ FrameServer::pumpLocked(int shard, std::vector<Launch> &launches,
         // slot of its own. Probes stay out both ways: a probe's outcome
         // must be its own render's.
         InFlightFrame *render = nullptr;
-        for (auto &entry : s.running) {
+        for (auto &entry : running_) {
             InFlightFrame &f = entry.second;
             if (!probe && !f.probe && f.scene == pf.scene &&
                 f.qos == pf.qos && f.rung == rung &&
@@ -411,14 +367,13 @@ FrameServer::pumpLocked(int shard, std::vector<Launch> &launches,
                 Waiter{pf.ticket, pf.client, pf.submitted_at, c.callback});
             continue;
         }
-        s.in_flight[int(pf.qos)]++;
-        s.total_in_flight++;
+        in_flight_[int(pf.qos)]++;
         cm.admitted->inc();
-        c.state->series.notePeak(++s.scene_in_flight[pf.scene]);
-        s.running.emplace(pf.ticket,
-                          InFlightFrame{now, pf.qos, pf.scene, rung,
-                                        pf.camera, probe,
-                                        /*stuck_flagged=*/false, {}});
+        c.state->series.notePeak(++scene_in_flight_[pf.scene]);
+        running_.emplace(pf.ticket,
+                         InFlightFrame{now, pf.qos, pf.scene, rung,
+                                       pf.camera, probe,
+                                       /*stuck_flagged=*/false, {}});
         // Degraded frames render through the scene's renderer for
         // their rung's sample budget, which shares the full-rung
         // renderer's occupancy grid.
@@ -433,7 +388,7 @@ FrameServer::pumpLocked(int shard, std::vector<Launch> &launches,
                                                          dcfg);
             renderer = d.get();
         }
-        launches.push_back(Launch{shard, std::move(pf), renderer});
+        launches.push_back(Launch{std::move(pf), renderer});
     }
 }
 
@@ -458,24 +413,22 @@ FrameServer::launch(const Launch &l)
     req.renderer = l.renderer;
     req.priority = qosPoolPriority(l.frame.qos);
     req.ticket = l.frame.ticket; // correlates engine stage spans
-    const int shard = l.shard;
     const uint64_t client = l.frame.client;
     const uint64_t ticket = l.frame.ticket;
     const QosClass qos = l.frame.qos;
     const auto submitted_at = l.frame.submitted_at;
-    req.on_complete = [this, shard, client, ticket, qos, rung, full_w,
-                       full_h, submitted_at](engine::Frame &&frame,
-                                             std::exception_ptr err) {
-        onFrameDone(shard, client, ticket, qos, rung, full_w, full_h,
-                    submitted_at, std::move(frame), err);
+    req.on_complete = [this, client, ticket, qos, rung, full_w, full_h,
+                       submitted_at](engine::Frame &&frame,
+                                     std::exception_ptr err) {
+        onFrameDone(client, ticket, qos, rung, full_w, full_h, submitted_at,
+                    std::move(frame), err);
     };
-    shards_[size_t(shard)].engine->submitAsync(std::move(req));
+    engine_.submitAsync(std::move(req));
 }
 
 void
-FrameServer::onFrameDone(int shard, uint64_t client, uint64_t ticket,
-                         QosClass qos, QualityRung rung, int full_w,
-                         int full_h,
+FrameServer::onFrameDone(uint64_t client, uint64_t ticket, QosClass qos,
+                         QualityRung rung, int full_w, int full_h,
                          std::chrono::steady_clock::time_point submitted_at,
                          engine::Frame &&frame, std::exception_ptr err)
 {
@@ -489,23 +442,21 @@ FrameServer::onFrameDone(int shard, uint64_t client, uint64_t ticket,
     SceneMetrics *scene = nullptr;
     {
         std::lock_guard<std::mutex> lock(m_);
-        Shard &s = shards_[size_t(shard)];
-        s.in_flight[int(qos)]--;
-        s.total_in_flight--;
+        in_flight_[int(qos)]--;
         Client &c = *clients_.at(client);
         scene = &c.state->series;
         answers.push_back(Waiter{ticket, client, submitted_at, c.callback});
-        auto sit = s.scene_in_flight.find(c.scene->id);
-        if (sit != s.scene_in_flight.end() && --sit->second == 0)
-            s.scene_in_flight.erase(sit);
+        auto sit = scene_in_flight_.find(c.scene->id);
+        if (sit != scene_in_flight_.end() && --sit->second == 0)
+            scene_in_flight_.erase(sit);
         bool was_probe = false;
-        auto rit = s.running.find(ticket);
-        if (rit != s.running.end()) {
+        auto rit = running_.find(ticket);
+        if (rit != running_.end()) {
             was_probe = rit->second.probe;
             std::vector<Waiter> &w = rit->second.waiters;
             answers.insert(answers.end(), std::make_move_iterator(w.begin()),
                            std::make_move_iterator(w.end()));
-            s.running.erase(rit);
+            running_.erase(rit);
         }
         if (cfg_.breaker.failure_threshold > 0) {
             Breaker &b = c.state->breaker;
@@ -531,9 +482,9 @@ FrameServer::onFrameDone(int shard, uint64_t client, uint64_t ticket,
         }
         // Feed the brownout controller before pumping: the admissions
         // below see a p95 that includes this frame.
-        if (!err && s.brownout)
-            s.brownout->observeLatency(qos, latency * 1e3);
-        pumpLocked(shard, launches, rejects);
+        if (!err && brownout_)
+            brownout_->observeLatency(qos, latency * 1e3);
+        pumpLocked(launches, rejects);
     }
     // Refill the freed server slot before delivery. The engine keeps
     // this frame's own slot until its deliveries return, so the next
@@ -669,8 +620,7 @@ FrameServer::closeSession(uint64_t client)
         if (it == clients_.end() || it->second->closing)
             return;
         it->second->closing = true;
-        shards_[size_t(it->second->shard)].sched->dropClient(client,
-                                                             dropped);
+        sched_.dropClient(client, dropped);
     }
     dropFrames(std::move(dropped));
     std::unique_lock<std::mutex> lock(m_);
@@ -681,7 +631,6 @@ FrameServer::closeSession(uint64_t client)
     // concurrent openSession may rehash the table mid-wait.
     Client *c = it->second.get();
     idle_cv_.wait(lock, [&] { return c->outstanding == 0; });
-    shards_[size_t(c->shard)].sessions--;
     clients_.erase(client);
 }
 
@@ -739,11 +688,9 @@ FrameServer::watchdogTick()
     {
         std::lock_guard<std::mutex> lock(m_);
         const auto now = std::chrono::steady_clock::now();
-        for (int sh = 0; sh < int(shards_.size()); ++sh) {
-            pumpLocked(sh, launches, rejects);
-            if (cfg_.stuck_after_ms <= 0.0)
-                continue;
-            for (auto &entry : shards_[size_t(sh)].running) {
+        pumpLocked(launches, rejects);
+        if (cfg_.stuck_after_ms > 0.0)
+            for (auto &entry : running_) {
                 InFlightFrame &f = entry.second;
                 if (secondsBetween(f.launched_at, now) * 1e3 >
                     cfg_.stuck_after_ms) {
@@ -754,7 +701,6 @@ FrameServer::watchdogTick()
                     }
                 }
             }
-        }
     }
     if (cfg_.stuck_after_ms > 0.0) {
         stuck_in_flight_.set(double(stuck_now));
@@ -819,36 +765,14 @@ FrameServer::breakerState(const std::string &scene) const
 }
 
 int
-FrameServer::shardOf(uint64_t client) const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    auto it = clients_.find(client);
-    return it == clients_.end() ? -1 : it->second->shard;
-}
-
-engine::FrameEngine &
-FrameServer::shardEngine(int shard)
-{
-    return *shards_.at(size_t(shard)).engine;
-}
-
-int
-FrameServer::shardSessions(int shard) const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    return shards_.at(size_t(shard)).sessions;
-}
-
-int
-FrameServer::sceneInFlight(int shard, const std::string &scene) const
+FrameServer::sceneInFlight(const std::string &scene) const
 {
     const SceneEntry *entry = registry_.find(scene);
     if (!entry)
         return 0;
     std::lock_guard<std::mutex> lock(m_);
-    const auto &counts = shards_.at(size_t(shard)).scene_in_flight;
-    auto it = counts.find(entry->id);
-    return it == counts.end() ? 0 : it->second;
+    auto it = scene_in_flight_.find(entry->id);
+    return it == scene_in_flight_.end() ? 0 : it->second;
 }
 
 } // namespace asdr::server

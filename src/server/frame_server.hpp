@@ -13,21 +13,22 @@
  *                    first session (plus one per degraded sample
  *                    budget the quality ladder admits a frame at), and
  *                    every session of the scene renders through them.
- *   FrameServer      owns a shard set of FrameEngines (each with its
- *                    own worker pool and pipeline slots). A client
- *                    session is pinned to a shard at open time by a
- *                    sticky hash of its id, falling back to the least-
- *                    loaded shard when the hashed one is overloaded --
- *                    sticky placement keeps a session's scene tables
- *                    warm in one pool's caches.
- *   QosScheduler     per-shard admission (replaces FIFO): weighted-
- *                    fair across {interactive, standard, batch},
- *                    per-class in-flight caps, bounded per-client
- *                    backlogs (drop-oldest for interactive), aging so
- *                    batch never starves. The server keeps each
- *                    engine's own queue EMPTY -- frames wait in the
- *                    scheduler, not the engine, so admission order is
- *                    always the scheduler's decision.
+ *   FrameServer      owns one FrameEngine: one worker pool and one
+ *                    set of pipeline slots that every session's
+ *                    frames share, as the paper's Phase I and Phase
+ *                    II engines share one set of arrays. The
+ *                    per-class and per-scene in-flight counts, the
+ *                    brownout controller and the coalescing scan all
+ *                    cover the whole server.
+ *   QosScheduler     the server's one admission queue (replaces
+ *                    FIFO): weighted-fair across {interactive,
+ *                    standard, batch}, per-class in-flight caps,
+ *                    per-scene quotas, bounded per-client backlogs
+ *                    (drop-oldest for interactive), aging so batch
+ *                    never starves. The server keeps the engine's own
+ *                    queue EMPTY -- frames wait in the scheduler, not
+ *                    the engine, so admission order is always the
+ *                    scheduler's decision.
  *   delivery         fully async: per-client completion callbacks or
  *                    the server's poll()/drainResults() mailbox; a
  *                    serving loop never blocks in a future get().
@@ -36,16 +37,17 @@
  *                    frame's callback has run AND submitted nothing.
  *   coalescing       an admitted frame whose scene, QoS class, rung
  *                    and camera (bitwise) match a render already on
- *                    one of its shard's pipeline slots joins that
- *                    render as a waiter and takes no slot. When the
- *                    render finishes, every waiter gets its own
- *                    FrameResult (ticket, latency, counts, SLO
- *                    outcome, image copy); nothing is kept after
- *                    delivery. Half-open breaker probes neither lead
- *                    nor join a shared render.
+ *                    a pipeline slot joins that render as a waiter
+ *                    and takes no slot, whichever session submitted
+ *                    either frame. When the render finishes, every
+ *                    waiter gets its own FrameResult (ticket,
+ *                    latency, counts, SLO outcome, image copy);
+ *                    nothing is kept after delivery. Half-open
+ *                    breaker probes neither lead nor join a shared
+ *                    render.
  *
- * Frames served through any shard/QoS mix are bit-identical to the
- * client's own sequential AsdrRenderer::render() calls: the engine
+ * Frames served through any worker count and QoS mix are bit-identical
+ * to the client's own sequential AsdrRenderer::render() calls: the engine
  * stages are bit-exact and nothing carries over between frames, so
  * the scene's shared renderer and a shared render serve every request
  * for a view alike -- enforced by tests/test_server.cpp.
@@ -82,7 +84,7 @@ namespace asdr::server {
  * Per-scene circuit breaker: `failure_threshold` consecutive render
  * failures quarantine the scene (state Open) -- its frames are failed
  * fast at admission, without occupying pipeline slots, so a poisoned
- * field cannot monopolize a shard. After `open_s` the breaker goes
+ * field cannot monopolize the server. After `open_s` the breaker goes
  * half-open: up to `half_open_probes` frames are admitted as probes;
  * a probe success closes the breaker, a failure reopens it.
  */
@@ -98,26 +100,26 @@ struct BreakerParams
 
 struct ServerConfig
 {
-    /** Independent FrameEngines, each with its own worker pool. */
+    /**
+     * Must be 1: the server runs one FrameEngine. The field survives,
+     * and the two below keep "shard" in their names, only because
+     * servebench/main.cpp sets all three; they go or are renamed
+     * together with that file.
+     */
     int shards = 1;
-    /** Workers per shard engine; 0 = auto (ASDR_NUM_THREADS / cores).
-     *  With multiple shards, prefer explicit sizing: auto on every
-     *  shard oversubscribes the host. */
+    /** Render workers of the server's engine; 0 = auto
+     *  (ASDR_NUM_THREADS / cores). */
     int threads_per_shard = 0;
-    /** Pipeline slots per shard (frames executing concurrently). */
+    /** Pipeline slots: frames rendering concurrently. */
     int frames_in_flight_per_shard = 2;
     /** Admission policy knobs (weights, caps, backlogs, aging). */
     QosParams qos;
-    /** Sticky-hash fallback: when the hashed shard already has this
-     *  many more sessions than the least-loaded shard, the new session
-     *  goes to the least-loaded one instead. */
-    int rebalance_threshold = 2;
     /** Per-scene failure quarantine (disabled by default). */
     BreakerParams breaker;
     /**
      * Watchdog tick period, milliseconds. The watchdog expires queued
      * frames past their class deadline even when no submission would
-     * pump the shard, and scans in-flight frames for the stuck gauge.
+     * pump the scheduler, and scans in-flight frames for the stuck gauge.
      * The thread only starts when it has work: some class deadline or
      * `stuck_after_ms` is set. 0 disables it (deadlines then expire
      * lazily, on the next admission pump).
@@ -130,7 +132,7 @@ struct ServerConfig
     double stuck_after_ms = 0.0;
     /**
      * Quality ladder (server/quality_ladder.hpp): with
-     * `ladder.enabled`, each shard runs a BrownoutController that may
+     * `ladder.enabled`, the server runs a BrownoutController that may
      * admit frames at a degraded rung under pressure instead of
      * letting them pile up toward the backlog policy. Disabled by
      * default -- every frame renders Full, bit-exact with the seed.
@@ -216,7 +218,8 @@ class FrameServer
 
     /** The registry must outlive the server. */
     FrameServer(const SceneRegistry &registry, const ServerConfig &cfg);
-    /** Sheds pending frames, waits out in-flight ones, stops shards. */
+    /** Sheds pending frames, waits out in-flight ones, stops the
+     *  engine. */
     ~FrameServer();
 
     FrameServer(const FrameServer &) = delete;
@@ -276,16 +279,11 @@ class FrameServer
      *  server records its counters here too. */
     metrics::Registry &metricsRegistry() { return metrics_; }
 
-    int shardCount() const { return int(shards_.size()); }
-    /** Shard a client was pinned to (-1 when unknown). */
-    int shardOf(uint64_t client) const;
-    /** A shard's engine (diagnostics/tests). */
-    engine::FrameEngine &shardEngine(int shard);
-    /** Open sessions pinned to a shard. */
-    int shardSessions(int shard) const;
-    /** A scene's current in-flight frames on a shard (0 when none;
-     *  quota observability for tests/diagnostics). */
-    int sceneInFlight(int shard, const std::string &scene) const;
+    /** The server's engine (diagnostics/tests). */
+    engine::FrameEngine &engine() { return engine_; }
+    /** A scene's current in-flight frames (0 when none; quota
+     *  observability for tests/diagnostics). */
+    int sceneInFlight(const std::string &scene) const;
 
   public:
     enum class BreakerState : uint8_t
@@ -310,7 +308,7 @@ class FrameServer
     };
 
     /** One render on a pipeline slot, keyed by its leading ticket in
-     *  Shard::running: watchdog, breaker and coalescing bookkeeping. */
+     *  running_: watchdog, breaker and coalescing bookkeeping. */
     struct InFlightFrame
     {
         std::chrono::steady_clock::time_point launched_at;
@@ -323,25 +321,6 @@ class FrameServer
         /** Frames served by this render besides its leader, in join
          *  order. */
         std::vector<Waiter> waiters;
-    };
-
-    struct Shard
-    {
-        std::unique_ptr<engine::FrameEngine> engine;
-        std::unique_ptr<QosScheduler> sched;
-        int in_flight[kQosClasses] = {0, 0, 0};
-        int total_in_flight = 0;
-        int sessions = 0;
-        /** In-flight frames per SceneEntry::id (the per-scene-quota
-         *  accounting handed to QosScheduler::pop). */
-        std::unordered_map<uint32_t, int> scene_in_flight;
-        /** Launch-time record per in-flight render (at most
-         *  frames_in_flight_per_shard entries, so the coalescing scan
-         *  needs no index). */
-        std::unordered_map<uint64_t, InFlightFrame> running;
-        /** Per-shard quality-ladder controller (null when the ladder
-         *  is disabled); guarded by the server's m_, like sched. */
-        std::unique_ptr<BrownoutController> brownout;
     };
 
     struct Breaker
@@ -383,19 +362,17 @@ class FrameServer
         const SceneEntry *scene = nullptr;
         SceneState *state = nullptr;
         QosClass qos = QosClass::Standard;
-        int shard = 0;
         ResultCallback callback;
         /** Frames pending + in flight + mid-delivery. */
         uint64_t outstanding = 0;
         bool closing = false;
     };
 
-    /** A scheduler decision to hand one frame to a shard engine;
+    /** A scheduler decision to hand one frame to the engine;
      *  executed outside m_ (engine submission can deliver failures
      *  straight into user callbacks). */
     struct Launch
     {
-        int shard = 0;
         PendingFrame frame;
         const core::AsdrRenderer *renderer = nullptr; ///< its scene's, at its rung
     };
@@ -408,12 +385,11 @@ class FrameServer
         ResultCallback cb;
     };
 
-    int pickShardLocked(uint64_t client_id) const;
-    /** Admit frames while the shard has free slots (m_ held). Queued
+    /** Admit frames while pipeline slots are free (m_ held). Queued
      *  frames past their deadline, and frames of quarantined scenes,
      *  are turned into `rejects` instead of launches; a frame whose
      *  view is already rendering joins that render. */
-    void pumpLocked(int shard, std::vector<Launch> &launches,
+    void pumpLocked(std::vector<Launch> &launches,
                     std::vector<Deliverable> &rejects);
     /** Deadline-expire `pf` (m_ held): stats + expired result. */
     Deliverable expireLocked(PendingFrame &&pf);
@@ -423,8 +399,8 @@ class FrameServer
     static void setBreaker(SceneState &scene, BreakerState to);
     void deliverAll(std::vector<Deliverable> &&rejects);
     void launch(const Launch &l);
-    void onFrameDone(int shard, uint64_t client, uint64_t ticket,
-                     QosClass qos, QualityRung rung, int full_w, int full_h,
+    void onFrameDone(uint64_t client, uint64_t ticket, QosClass qos,
+                     QualityRung rung, int full_w, int full_h,
                      std::chrono::steady_clock::time_point submitted_at,
                      engine::Frame &&frame, std::exception_ptr err);
     /** Invoke the callback / fill the mailbox, then retire the frame
@@ -432,8 +408,8 @@ class FrameServer
     void deliverResult(FrameResult &&result, const ResultCallback &cb);
     void retireLocked(uint64_t client);
     void dropFrames(std::vector<PendingFrame> &&dropped);
-    /** One watchdog pass: pump every shard (deadline expiry included)
-     *  and refresh the stuck gauge. */
+    /** One watchdog pass: pump the scheduler (deadline expiry
+     *  included) and refresh the stuck gauge. */
     void watchdogTick();
     void watchdogRun();
     /** Re-evaluate SLO burn rates and pin breach evidence into the
@@ -449,7 +425,6 @@ class FrameServer
     ClassMetrics class_metrics_[kQosClasses];
     metrics::Gauge &stuck_in_flight_;
     metrics::Counter &stuck_events_;
-    std::vector<Shard> shards_;
 
     mutable std::mutex m_;
     std::condition_variable idle_cv_;
@@ -457,6 +432,20 @@ class FrameServer
     uint64_t next_client_ = 1;
     uint64_t next_ticket_ = 1;
     uint64_t outstanding_total_ = 0;
+
+    /** Admission state, all under m_: the pending queue, the frames on
+     *  pipeline slots per class and per SceneEntry::id (the per-scene
+     *  quota accounting handed to QosScheduler::pop), and the
+     *  launch-time record of each render on a slot. running_.size() is
+     *  the number of slots in use, so the coalescing scan visits at
+     *  most one entry per slot and needs no index. */
+    QosScheduler sched_;
+    int in_flight_[kQosClasses] = {0, 0, 0};
+    std::unordered_map<uint32_t, int> scene_in_flight_;
+    std::unordered_map<uint64_t, InFlightFrame> running_;
+    /** The quality ladder's controller (null when the ladder is
+     *  disabled); guarded by m_, like sched_. */
+    std::unique_ptr<BrownoutController> brownout_;
 
     /** Per-scene state by name (the map under m_; sorted, so stats()
      *  lists scenes by name). */
@@ -473,6 +462,11 @@ class FrameServer
     /** The flight recorder. */
     ServerStats stats_;
     SloTracker slo_;
+
+    /** Declared last, so it is destroyed first: its workers run
+     *  onFrameDone, so they are joined before the members it uses are
+     *  destroyed. */
+    engine::FrameEngine engine_;
 };
 
 } // namespace asdr::server

@@ -108,8 +108,8 @@ struct QosClassParams
     /** Weighted-fair admission share: a class receives weight/(sum of
      *  backlogged classes' weights) of admissions over time. */
     double weight = 1.0;
-    /** Frames of this class in flight per shard; 0 = no cap (bounded
-     *  only by the shard's pipeline slots). */
+    /** Frames of this class in flight at once; 0 = no cap (bounded
+     *  only by the server's pipeline slots). */
     int max_in_flight = 0;
     /** Pending frames per client before the backlog policy kicks in. */
     int max_backlog = 8;
@@ -148,10 +148,10 @@ struct QosParams
     int aging_limit = 16;
     /**
      * Per-scene admission quota: at most this many frames of any one
-     * scene in flight per shard (0 = uncapped). A hot scene at its
+     * scene in flight at once (0 = uncapped). A hot scene at its
      * quota is skipped over -- later frames of other scenes in the
      * same class queue admit ahead of it -- so one scene's burst
-     * cannot monopolize a shard's pipeline slots. Skipped frames age
+     * cannot monopolize the server's pipeline slots. Skipped frames age
      * normally, so the hot scene is served the moment a slot frees.
      */
     int max_in_flight_per_scene = 0;

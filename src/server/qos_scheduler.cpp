@@ -172,16 +172,4 @@ QosScheduler::pending() const
     return n;
 }
 
-size_t
-QosScheduler::pendingOfClient(uint64_t client) const
-{
-    size_t n = 0;
-    for (const auto &counts : client_pending_) {
-        auto it = counts.find(client);
-        if (it != counts.end())
-            n += size_t(it->second);
-    }
-    return n;
-}
-
 } // namespace asdr::server

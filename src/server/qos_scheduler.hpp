@@ -1,7 +1,7 @@
 /**
  * @file
- * QoS-aware admission scheduler: the per-shard pending queue that
- * replaces the engine's FIFO for multi-tenant traffic.
+ * QoS-aware admission scheduler: the server's one pending queue,
+ * which replaces the engine's FIFO for multi-tenant traffic.
  *
  * Ordering is weighted-fair across the three QoS classes: each class
  * keeps a virtual time advanced by 1/weight per admission, and the
@@ -84,16 +84,16 @@ class QosScheduler
     void push(PendingFrame frame, std::vector<PendingFrame> &dropped);
 
     /**
-     * Select the next frame to admit given the shard's per-class
+     * Select the next frame to admit given the server's per-class
      * in-flight counts; false when nothing is eligible (empty, or all
      * backlogged classes are at their caps).
      *
-     * `scene_in_flight` maps SceneEntry::id to the shard's current
+     * `scene_in_flight` maps SceneEntry::id to the server's current
      * in-flight count for that scene (absent = 0). With
      * QosParams::max_in_flight_per_scene set, a class's candidate is
      * its OLDEST frame whose scene is under quota -- frames of a
      * saturated scene are skipped (and counted in quotaDeferrals()),
-     * so a hot scene cannot monopolize the shard while colder scenes
+     * so a hot scene cannot monopolize the server while colder scenes
      * have work queued. Skipping preserves per-scene FIFO order and
      * the skipped frames' aging credit.
      */
@@ -125,7 +125,6 @@ class QosScheduler
 
     size_t pending() const;
     size_t pendingOf(QosClass c) const { return q_[int(c)].size(); }
-    size_t pendingOfClient(uint64_t client) const;
 
   private:
     QosParams p_;

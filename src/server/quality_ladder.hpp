@@ -18,7 +18,7 @@
  *    monotone by construction (tests/test_quality_ladder.cpp proves
  *    PSNR ordered one way, rendered work the other).
  *
- *  - BrownoutController: a deterministic per-shard controller that
+ *  - BrownoutController: the server's deterministic controller that
  *    picks a rung per admitted frame from three pressure signals --
  *    the class's queue depth, how much of its deadline the candidate
  *    has already burned in queue, and the recent per-class p95 service
@@ -121,8 +121,8 @@ void rungResolution(QualityRung rung, const LadderParams &p, int full_w,
                     int full_h, int &render_w, int &render_h);
 
 /**
- * Deterministic per-shard brownout controller. One instance per shard,
- * guarded by the FrameServer's lock; all state is a pure function of
+ * Deterministic brownout controller. One instance per FrameServer,
+ * guarded by the server's lock; all state is a pure function of
  * the observed (latency, decision-input) sequence, so identical
  * traffic replays identical rung decisions.
  */

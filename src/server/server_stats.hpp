@@ -42,7 +42,7 @@ namespace asdr::server {
 struct QosClassStats
 {
     uint64_t submitted = 0; ///< frames entering the server
-    uint64_t admitted = 0;  ///< frames handed to a shard engine
+    uint64_t admitted = 0;  ///< frames handed to the engine
     /** Frames that joined an in-flight render of the same view instead
      *  of taking a slot; admitted + coalesced is every frame that got
      *  past admission. */
@@ -106,7 +106,7 @@ struct QosClassStats
 };
 
 /** One scene's aggregated serving record (the per-scene-quota view:
- *  who is hot, and how much of a shard it peaked at). */
+ *  who is hot, and how many pipeline slots it peaked at). */
 struct SceneServeStats
 {
     std::string name;
@@ -115,7 +115,7 @@ struct SceneServeStats
     uint64_t dropped = 0;
     uint64_t failed = 0;
     uint64_t expired = 0;
-    /** Peak concurrent in-flight frames observed on any one shard. */
+    /** Peak concurrent in-flight frames of the scene. */
     int peak_in_flight = 0;
     /** Circuit-breaker state: 0 closed, 1 open, 2 half-open. */
     uint8_t breaker_state = 0;
@@ -191,7 +191,7 @@ struct ClassMetrics
     ClassMetrics(metrics::Registry &reg, QosClass c);
 
     metrics::Counter *submitted = nullptr; ///< frames entering the server
-    metrics::Counter *admitted = nullptr;  ///< handed to a shard engine
+    metrics::Counter *admitted = nullptr;  ///< handed to the engine
     metrics::Counter *coalesced = nullptr; ///< joined an in-flight render
     metrics::Counter *dropped = nullptr;   ///< shed by the backlog policy
     metrics::Counter *failed = nullptr;    ///< render threw / fast-failed
@@ -219,7 +219,7 @@ struct SceneMetrics
     metrics::Counter *expired = nullptr;
     /** Served frames per QualityRung; served is their sum. */
     std::array<metrics::Counter *, kQualityRungs> served_rung{};
-    /** Peak concurrent in-flight frames on any one shard (notePeak). */
+    /** Peak concurrent in-flight frames of the scene (notePeak). */
     metrics::Gauge *peak_in_flight = nullptr;
     /** 0 closed, 1 open, 2 half-open. */
     metrics::Gauge *breaker_state = nullptr;

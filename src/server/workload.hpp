@@ -3,7 +3,7 @@
  * Closed-loop serving workload generator: N viewers orbiting M scenes
  * at mixed QoS, driven entirely through the FrameServer's async
  * callback path -- the canonical exerciser of the whole serving stack
- * (registry sharing, sharding, QoS admission, async delivery), used by
+ * (registry sharing, QoS admission, coalescing, async delivery), used by
  * examples/serve_many and bench_throughput's quality_ladder and
  * fault_recovery rows.
  *

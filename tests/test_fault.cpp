@@ -240,7 +240,6 @@ TEST(FrameServerFault, DeadlineExpiresQueuedFramesViaWatchdog)
                                 smallConfig()),
               nullptr);
     server::ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     cfg.frames_in_flight_per_shard = 1;
     cfg.qos.cls[0].deadline_ms = 40.0;
@@ -256,7 +255,7 @@ TEST(FrameServerFault, DeadlineExpiresQueuedFramesViaWatchdog)
 
     // The first frame takes the only slot and stalls well past the
     // deadline; the five queued behind it must expire via the watchdog
-    // (nothing pumps the shard while the slot is held).
+    // (nothing pumps the scheduler while the slot is held).
     fault::arm(fault::kEngineStageStall, 1.0, /*max_fires=*/1,
                /*delay_ms=*/250.0);
     std::set<uint64_t> tickets;
@@ -303,7 +302,6 @@ TEST(FrameServerFault, StuckStageSurfacesInWatchdogCounters)
                                 smallConfig()),
               nullptr);
     server::ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     cfg.frames_in_flight_per_shard = 1;
     cfg.watchdog_period_ms = 10;
@@ -345,7 +343,6 @@ TEST(FrameServerFault, BreakerQuarantinesFastFailsAndRecovers)
     ASSERT_NE(reg.addShared("flaky", flaky, smallConfig(), scn->info()),
               nullptr);
     server::ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     cfg.frames_in_flight_per_shard = 1;
     cfg.breaker.failure_threshold = 2;
@@ -432,7 +429,6 @@ TEST(FrameServerFault, ExpiredFramesDoNotCountAsBreakerFailures)
                                 smallConfig()),
               nullptr);
     server::ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     cfg.frames_in_flight_per_shard = 1;
     cfg.qos.cls[0].deadline_ms = 40.0;
@@ -496,7 +492,6 @@ TEST(FrameServerFault, ExpiryDoesNotReopenHalfOpenBreaker)
     ASSERT_NE(reg.addShared("flaky", flaky, smallConfig(), scn->info()),
               nullptr);
     server::ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     cfg.frames_in_flight_per_shard = 1;
     cfg.qos.cls[1].deadline_ms = 60.0;
@@ -576,7 +571,6 @@ TEST(FrameServerFault, InjectedStageThrowsAreBoundedAndIsolated)
                                 smallConfig()),
               nullptr);
     server::ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     cfg.frames_in_flight_per_shard = 1;
     server::FrameServer srv(reg, cfg);
@@ -913,7 +907,6 @@ TEST(FrameServerFault, SloLatencyBreachFlipsBurnGaugeAndPinsOffenders)
                                 smallConfig()),
               nullptr);
     server::ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     cfg.flight_recorder_frames = 16;
     // A 5ms p99 objective over test-scaled windows: every stalled
@@ -992,7 +985,6 @@ TEST(FrameServerFault, SloAvailabilityBreachOnInjectedFaults)
                                 smallConfig()),
               nullptr);
     server::ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     cfg.flight_recorder_frames = 16;
     cfg.slo.cls[int(server::QosClass::Standard)].max_error_fraction =

@@ -106,9 +106,8 @@ TEST(FaultSoak, ClosedLoopSurvivesArmedSitesWithExactAccounting)
               nullptr);
 
     server::ServerConfig scfg;
-    scfg.shards = 2;
-    scfg.threads_per_shard = 1;
-    scfg.frames_in_flight_per_shard = 2;
+    scfg.threads_per_shard = 2;
+    scfg.frames_in_flight_per_shard = 4;
     server::FrameServer srv(registry, scfg);
 
     ServiceConfig ncfg;

@@ -638,8 +638,8 @@ TEST(NetService, StatsRoundTripMatchesClientObservations)
 TEST(NetService, WireWorkloadDrivesIdenticalTrafficShape)
 {
     server::ServerConfig scfg;
-    scfg.shards = 2;
-    scfg.threads_per_shard = 1;
+    scfg.threads_per_shard = 2;
+    scfg.frames_in_flight_per_shard = 4;
     Harness h({}, scfg);
 
     server::WorkloadSpec spec;

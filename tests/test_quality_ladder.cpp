@@ -73,7 +73,7 @@ struct FaultGuard
     ~FaultGuard() { fault::resetAll(); }
 };
 
-/** Park a shard's workers behind a gate so admission decisions are
+/** Park the engine's workers behind a gate so admission decisions are
  *  made against a deterministically saturated pipeline. */
 struct PoolGate
 {
@@ -460,7 +460,6 @@ TEST(ServerLadder, FullRungStaysByteExactWithLadderEnabled)
     ASSERT_NE(entry, nullptr);
 
     ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     cfg.ladder.enabled = true;
     // Thresholds no sequential submission can reach: the controller is
@@ -499,10 +498,10 @@ TEST(ServerLadder, FullRungStaysByteExactWithLadderEnabled)
 
 TEST(ServerLadder, BurstShedCollapsesFromLadderOffToOn)
 {
-    // The deterministic burst: one shard, one gated worker, one
-    // pipeline slot, interactive backlog 2. Eight submissions while
-    // nothing renders -> 1 in flight + 2 pending; the other five are
-    // the overload the two configurations handle differently.
+    // The deterministic burst: one gated worker, one pipeline slot,
+    // interactive backlog 2. Eight submissions while nothing renders
+    // -> 1 in flight + 2 pending; the other five are the overload the
+    // two configurations handle differently.
     auto run = [](int degraded_backlog, bool ladder_on) {
         SceneRegistry reg;
         const SceneEntry *entry = reg.addProcedural(
@@ -510,7 +509,6 @@ TEST(ServerLadder, BurstShedCollapsesFromLadderOffToOn)
         EXPECT_NE(entry, nullptr);
 
         ServerConfig cfg;
-        cfg.shards = 1;
         cfg.threads_per_shard = 1;
         cfg.frames_in_flight_per_shard = 1;
         cfg.qos.cls[0].max_backlog = 2;
@@ -524,7 +522,7 @@ TEST(ServerLadder, BurstShedCollapsesFromLadderOffToOn)
             nerf::cameraForScene(entry->info, 16, 16);
 
         PoolGate gate;
-        gate.block(srv.shardEngine(0), 1);
+        gate.block(srv.engine(), 1);
         std::set<uint64_t> tickets;
         for (int f = 0; f < 8; ++f)
             tickets.insert(srv.submitFrame(client, cam));
@@ -576,7 +574,6 @@ TEST(ServerLadder, AdmitDegradeFaultForcesFloorRung)
         "lego", "Lego", nerf::NgpModelConfig::fast(), smallConfig());
     ASSERT_NE(entry, nullptr);
     ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     FrameServer srv(reg, cfg); // ladder disabled: the site still works
 
@@ -652,7 +649,6 @@ TEST(ServerLadder, DegradedRungsShareTheScenesOccupancyGrid)
     ASSERT_NE(reg.addShared("lego", counting, smallConfig(), lego->info()),
               nullptr);
     ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     FrameServer srv(reg, cfg);
     const uint64_t client = srv.openSession("lego", QosClass::Standard);
@@ -888,7 +884,7 @@ TEST(WireLadder, HoldLastFrameSubstitutesOnPayloadlessResults)
     // Gate the worker and overflow the interactive backlog: drop-oldest
     // sheds some tickets, whose results arrive payload-less.
     PoolGate gate;
-    gate.block(h.srv->shardEngine(0), 1);
+    gate.block(h.srv->engine(), 1);
     const int burst = 8;
     for (int f = 0; f < burst; ++f)
         ASSERT_NE(c.submitFrame(s, h.specAt(0.05f * float(f + 1), 24, 24),
@@ -930,7 +926,6 @@ TEST(WorkloadLadder, ReportsDegradedFractionAndMeanRung)
                                 smallConfig()),
               nullptr);
     ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     cfg.frames_in_flight_per_shard = 1;
     cfg.qos.cls[0].max_backlog = 2;

@@ -3,8 +3,8 @@
  * Guarantees of the multi-tenant render server (src/server):
  *
  *  - Bit-exactness under multiplexing: every frame served through the
- *    FrameServer -- any shard count, worker count, or concurrent QoS
- *    mix -- is bitwise identical to the client's own sequential
+ *    FrameServer -- any worker count or concurrent QoS mix -- is
+ *    bitwise identical to the client's own sequential
  *    AsdrRenderer::render() call.
  *  - Scheduler properties: weighted-fair admission, interactive frames
  *    never reordered behind batch frames of the same engine (pool-key
@@ -13,10 +13,12 @@
  *    newest for batch, drops reported in ServerStats.
  *  - Failure isolation: a client whose field throws gets its error in
  *    the FrameResult; the server keeps serving everyone else.
- *  - Registry sharing and sticky-hash shard placement.
+ *  - Registry sharing and session lifecycle.
  *  - Coalescing: frames of one view (scene, class, rung, camera bits)
  *    admitted while it renders share that render, and each still gets
  *    its own result, counts and image; probes stay out of it.
+ *  - One result per ticket under a seeded random mix of opens,
+ *    submissions, closes, backlog drops and coalesced waiters.
  */
 
 #include <gtest/gtest.h>
@@ -28,6 +30,7 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -64,8 +67,8 @@ expectFramesIdentical(const Image &a, const Image &b, const char *what)
         ASSERT_EQ(a.data()[i], b.data()[i]) << what << " pixel " << i;
 }
 
-/** Park a shard's only workers behind a gate so submissions pile up in
- *  the scheduler/engine deterministically. */
+/** Park the engine's only workers behind a gate so submissions pile up
+ *  in the scheduler/engine deterministically. */
 struct PoolGate
 {
     std::promise<void> gate;
@@ -260,7 +263,7 @@ TEST(QosSchedulerUnit, BacklogPoliciesDropOldestOrNewest)
 
 // ------------------------------------------------------------- bit-exactness
 
-TEST(FrameServerMultiplex, BitExactAcrossShardsQosMixesAndThreads)
+TEST(FrameServerMultiplex, BitExactAcrossQosMixesAndThreads)
 {
     SceneRegistry reg;
     ASSERT_NE(reg.addProcedural("lego", "Lego",
@@ -274,75 +277,69 @@ TEST(FrameServerMultiplex, BitExactAcrossShardsQosMixesAndThreads)
     const char *scenes[] = {"lego", "chair"};
 
     const int FRAMES = 3;
-    for (int shards : {1, 2}) {
-        for (int threads : {1, 2}) {
-            SCOPED_TRACE("shards=" + std::to_string(shards) +
-                         " threads=" + std::to_string(threads));
-            ServerConfig cfg;
-            cfg.shards = shards;
-            cfg.threads_per_shard = threads;
-            cfg.frames_in_flight_per_shard = 2;
-            FrameServer srv(reg, cfg);
+    for (int threads : {1, 2, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        ServerConfig cfg;
+        cfg.threads_per_shard = threads;
+        cfg.frames_in_flight_per_shard = 2;
+        FrameServer srv(reg, cfg);
 
-            // One client of every QoS class on every scene, all
-            // submitting concurrently: 6 interleaved streams.
-            struct Stream
-            {
-                uint64_t client;
-                const SceneEntry *entry;
-                std::vector<nerf::Camera> path;
-                std::map<uint64_t, int> ticket_to_frame;
-            };
-            std::vector<Stream> streams;
-            for (const char *scene : scenes)
-                for (int c = 0; c < kQosClasses; ++c) {
-                    Stream s;
-                    s.entry = reg.find(scene);
-                    s.client = srv.openSession(scene, QosClass(c));
-                    ASSERT_NE(s.client, 0u);
-                    s.path = nerf::orbitCameraPath(s.entry->info, 16, 16,
-                                                   FRAMES,
-                                                   0.07f + 0.01f * c);
-                    streams.push_back(std::move(s));
-                }
-            size_t expected = 0;
-            for (auto &s : streams)
-                for (int f = 0; f < FRAMES; ++f) {
-                    uint64_t t = srv.submitFrame(s.client,
-                                                 s.path[size_t(f)]);
-                    ASSERT_NE(t, 0u);
-                    s.ticket_to_frame[t] = f;
-                    ++expected;
-                }
-
-            srv.waitIdle();
-            std::vector<FrameResult> results;
-            srv.drainResults(results);
-            ASSERT_EQ(results.size(), expected);
-
-            // Every served frame must equal the client's own
-            // sequential render of the same camera.
-            for (const FrameResult &r : results) {
-                ASSERT_TRUE(r.ok());
-                auto stream = std::find_if(
-                    streams.begin(), streams.end(),
-                    [&](const Stream &s) { return s.client == r.client; });
-                ASSERT_NE(stream, streams.end());
-                const int f = stream->ticket_to_frame.at(r.ticket);
-                core::AsdrRenderer ref(*stream->entry->field,
-                                       stream->entry->config);
-                Image want = ref.render(stream->path[size_t(f)]);
-                expectFramesIdentical(want, r.frame.image, "served frame");
-            }
-
-            ServerStatsSnapshot snap = srv.stats();
-            EXPECT_EQ(snap.totalServed(), expected);
+        // One client of every QoS class on every scene, all submitting
+        // concurrently: 6 interleaved streams.
+        struct Stream
+        {
+            uint64_t client;
+            const SceneEntry *entry;
+            std::vector<nerf::Camera> path;
+            std::map<uint64_t, int> ticket_to_frame;
+        };
+        std::vector<Stream> streams;
+        for (const char *scene : scenes)
             for (int c = 0; c < kQosClasses; ++c) {
-                EXPECT_EQ(snap.cls[c].served, uint64_t(2 * FRAMES));
-                EXPECT_EQ(snap.cls[c].dropped, 0u);
-                EXPECT_EQ(snap.cls[c].failed, 0u);
-                EXPECT_GT(snap.cls[c].p50_ms, 0.0);
+                Stream s;
+                s.entry = reg.find(scene);
+                s.client = srv.openSession(scene, QosClass(c));
+                ASSERT_NE(s.client, 0u);
+                s.path = nerf::orbitCameraPath(s.entry->info, 16, 16, FRAMES,
+                                               0.07f + 0.01f * c);
+                streams.push_back(std::move(s));
             }
+        size_t expected = 0;
+        for (auto &s : streams)
+            for (int f = 0; f < FRAMES; ++f) {
+                uint64_t t = srv.submitFrame(s.client, s.path[size_t(f)]);
+                ASSERT_NE(t, 0u);
+                s.ticket_to_frame[t] = f;
+                ++expected;
+            }
+
+        srv.waitIdle();
+        std::vector<FrameResult> results;
+        srv.drainResults(results);
+        ASSERT_EQ(results.size(), expected);
+
+        // Every served frame must equal the client's own sequential
+        // render of the same camera.
+        for (const FrameResult &r : results) {
+            ASSERT_TRUE(r.ok());
+            auto stream = std::find_if(
+                streams.begin(), streams.end(),
+                [&](const Stream &s) { return s.client == r.client; });
+            ASSERT_NE(stream, streams.end());
+            const int f = stream->ticket_to_frame.at(r.ticket);
+            core::AsdrRenderer ref(*stream->entry->field,
+                                   stream->entry->config);
+            Image want = ref.render(stream->path[size_t(f)]);
+            expectFramesIdentical(want, r.frame.image, "served frame");
+        }
+
+        ServerStatsSnapshot snap = srv.stats();
+        EXPECT_EQ(snap.totalServed(), expected);
+        for (int c = 0; c < kQosClasses; ++c) {
+            EXPECT_EQ(snap.cls[c].served, uint64_t(2 * FRAMES));
+            EXPECT_EQ(snap.cls[c].dropped, 0u);
+            EXPECT_EQ(snap.cls[c].failed, 0u);
+            EXPECT_GT(snap.cls[c].p50_ms, 0.0);
         }
     }
 }
@@ -357,7 +354,6 @@ TEST(FrameServerQos, InteractiveNeverReorderedBehindBatchOnOneEngine)
                                 smallConfig()),
               nullptr);
     ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     cfg.frames_in_flight_per_shard = 2;
     FrameServer srv(reg, cfg);
@@ -373,7 +369,7 @@ TEST(FrameServerQos, InteractiveNeverReorderedBehindBatchOnOneEngine)
     // frame's stages before the batch frame's (class priority beats
     // submission order), so the interactive frame completes first.
     PoolGate gate;
-    gate.block(srv.shardEngine(0), 1);
+    gate.block(srv.engine(), 1);
     uint64_t bt = srv.submitFrame(batch, cam);
     uint64_t it = srv.submitFrame(inter, cam);
     ASSERT_NE(bt, 0u);
@@ -398,7 +394,6 @@ TEST(FrameServerQos, WeightedFairAdmissionInterleavesClasses)
                                 smallConfig()),
               nullptr);
     ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     cfg.frames_in_flight_per_shard = 1; // admissions fully serialized
     FrameServer srv(reg, cfg);
@@ -415,7 +410,7 @@ TEST(FrameServerQos, WeightedFairAdmissionInterleavesClasses)
     // banked share), i2 -- not FIFO (which would run both batch frames
     // first) and not strict priority (which would starve b2).
     PoolGate gate;
-    gate.block(srv.shardEngine(0), 1);
+    gate.block(srv.engine(), 1);
     uint64_t b1 = srv.submitFrame(batch, cam);
     uint64_t b2 = srv.submitFrame(batch, cam);
     uint64_t i1 = srv.submitFrame(inter, cam);
@@ -444,7 +439,6 @@ TEST(FrameServerQos, BatchProgressesUnderSustainedInteractiveLoad)
               nullptr);
 
     ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     cfg.frames_in_flight_per_shard = 1;
     // Interactive essentially always wins weighted-fair; only aging
@@ -484,7 +478,7 @@ TEST(FrameServerQos, BatchProgressesUnderSustainedInteractiveLoad)
     // Sustained interactive pressure (closed loop, 2 outstanding)
     // with the batch frames queued behind it.
     PoolGate gate;
-    gate.block(srv.shardEngine(0), 1);
+    gate.block(srv.engine(), 1);
     srv.submitFrame(inter, path[0]);
     srv.submitFrame(inter, path[1]);
     for (int f = 0; f < BATCH_FRAMES; ++f)
@@ -520,7 +514,6 @@ TEST(FrameServerQos, BoundedBacklogDropsOldestAndReportsThem)
                                 smallConfig()),
               nullptr);
     ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     cfg.frames_in_flight_per_shard = 1;
     cfg.qos.cls[int(QosClass::Interactive)].max_backlog = 2;
@@ -533,7 +526,7 @@ TEST(FrameServerQos, BoundedBacklogDropsOldestAndReportsThem)
     // t1 renders (stuck behind the gate); t2..t6 hit the backlog of 2:
     // each overflow sheds the OLDEST pending pose.
     PoolGate gate;
-    gate.block(srv.shardEngine(0), 1);
+    gate.block(srv.engine(), 1);
     std::vector<uint64_t> tickets;
     for (int f = 0; f < 6; ++f)
         tickets.push_back(srv.submitFrame(client, cam));
@@ -576,7 +569,6 @@ TEST(FrameServerQos, BatchBacklogRejectsNewest)
                                 smallConfig()),
               nullptr);
     ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     cfg.frames_in_flight_per_shard = 1;
     cfg.qos.cls[int(QosClass::Batch)].max_backlog = 2;
@@ -587,7 +579,7 @@ TEST(FrameServerQos, BatchBacklogRejectsNewest)
     nerf::Camera cam = nerf::cameraForScene(entry->info, 16, 16);
 
     PoolGate gate;
-    gate.block(srv.shardEngine(0), 1);
+    gate.block(srv.engine(), 1);
     std::vector<uint64_t> tickets;
     for (int f = 0; f < 5; ++f)
         tickets.push_back(srv.submitFrame(client, cam));
@@ -644,7 +636,6 @@ TEST(FrameServerFailure, TenantErrorsDoNotWedgeTheServer)
               nullptr);
 
     ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 2;
     cfg.frames_in_flight_per_shard = 2;
     FrameServer srv(reg, cfg);
@@ -693,9 +684,9 @@ TEST(FrameServerFailure, TenantErrorsDoNotWedgeTheServer)
     EXPECT_TRUE(results[0].ok());
 }
 
-// ------------------------------------------------------- sharding & lifecycle
+// ----------------------------------------------------------------- lifecycle
 
-TEST(FrameServerSharding, StickyPlacementStaysBalanced)
+TEST(FrameServerLifecycle, CloseSessionShedsPendingAndFreesTheSlot)
 {
     SceneRegistry reg;
     ASSERT_NE(reg.addProcedural("lego", "Lego",
@@ -703,60 +694,18 @@ TEST(FrameServerSharding, StickyPlacementStaysBalanced)
                                 smallConfig()),
               nullptr);
     ServerConfig cfg;
-    cfg.shards = 4;
-    cfg.threads_per_shard = 1;
-    cfg.rebalance_threshold = 1;
-    FrameServer srv(reg, cfg);
-
-    std::vector<uint64_t> clients;
-    for (int k = 0; k < 32; ++k) {
-        uint64_t id = srv.openSession("lego", QosClass::Standard);
-        ASSERT_NE(id, 0u);
-        clients.push_back(id);
-    }
-    // Placement is sticky (stable across queries) and bounded-skew:
-    // the fallback caps any shard at min + threshold + 1 sessions.
-    int per_shard[4] = {0, 0, 0, 0};
-    for (uint64_t id : clients) {
-        const int s = srv.shardOf(id);
-        ASSERT_GE(s, 0);
-        ASSERT_LT(s, 4);
-        EXPECT_EQ(s, srv.shardOf(id));
-        per_shard[s]++;
-    }
-    int lo = per_shard[0], hi = per_shard[0], total = 0;
-    for (int s = 0; s < 4; ++s) {
-        lo = std::min(lo, per_shard[s]);
-        hi = std::max(hi, per_shard[s]);
-        total += per_shard[s];
-        EXPECT_EQ(per_shard[s], srv.shardSessions(s));
-    }
-    EXPECT_EQ(total, 32);
-    EXPECT_LE(hi, lo + cfg.rebalance_threshold + 1);
-
-    EXPECT_EQ(srv.openSession("unknown-scene", QosClass::Standard), 0u);
-}
-
-TEST(FrameServerSharding, CloseSessionShedsPendingAndFreesTheSlot)
-{
-    SceneRegistry reg;
-    ASSERT_NE(reg.addProcedural("lego", "Lego",
-                                nerf::NgpModelConfig::fast(),
-                                smallConfig()),
-              nullptr);
-    ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     cfg.frames_in_flight_per_shard = 1;
     FrameServer srv(reg, cfg);
 
+    EXPECT_EQ(srv.openSession("unknown-scene", QosClass::Standard), 0u);
     uint64_t a = srv.openSession("lego", QosClass::Standard);
     uint64_t b = srv.openSession("lego", QosClass::Standard);
     const SceneEntry *entry = reg.find("lego");
     nerf::Camera cam = nerf::cameraForScene(entry->info, 16, 16);
 
     PoolGate gate;
-    gate.block(srv.shardEngine(0), 1);
+    gate.block(srv.engine(), 1);
     uint64_t a1 = srv.submitFrame(a, cam); // in flight, gated
     uint64_t a2 = srv.submitFrame(a, cam); // pending -> shed by close
     uint64_t b1 = srv.submitFrame(b, cam);
@@ -790,7 +739,15 @@ TEST(FrameServerSharding, CloseSessionShedsPendingAndFreesTheSlot)
     }
     EXPECT_EQ(a_served, 1);
     EXPECT_EQ(b_served, 1);
-    EXPECT_EQ(srv.shardSessions(0), 1);
+
+    // The other session still submits, and its frame is served.
+    const uint64_t b2 = srv.submitFrame(b, cam);
+    ASSERT_NE(b2, 0u);
+    srv.waitIdle();
+    FrameResult last;
+    ASSERT_TRUE(srv.poll(last));
+    EXPECT_EQ(last.ticket, b2);
+    EXPECT_TRUE(last.ok());
 }
 
 // ------------------------------------------------------------- workload gen
@@ -810,9 +767,8 @@ TEST(ServeWorkload, ClosedLoopServesEveryClassAndTerminates)
               nullptr);
 
     ServerConfig cfg;
-    cfg.shards = 2;
-    cfg.threads_per_shard = 1;
-    cfg.frames_in_flight_per_shard = 2;
+    cfg.threads_per_shard = 2;
+    cfg.frames_in_flight_per_shard = 4;
     FrameServer srv(reg, cfg);
 
     WorkloadSpec spec;
@@ -888,7 +844,7 @@ TEST(QosSchedulerUnit, SceneQuotaSkipsSaturatedScene)
     EXPECT_EQ(sched.pending(), 0u);
 }
 
-TEST(FrameServerQuota, HotSceneCannotMonopolizeShard)
+TEST(FrameServerQuota, HotSceneCannotMonopolizeTheServer)
 {
     SceneRegistry reg;
     ASSERT_NE(reg.addProcedural("lego", "Lego",
@@ -902,7 +858,6 @@ TEST(FrameServerQuota, HotSceneCannotMonopolizeShard)
 
     auto runOnce = [&](int quota) {
         ServerConfig cfg;
-        cfg.shards = 1;
         cfg.threads_per_shard = 1;
         cfg.frames_in_flight_per_shard = 2;
         cfg.qos.max_in_flight_per_scene = quota;
@@ -919,15 +874,15 @@ TEST(FrameServerQuota, HotSceneCannotMonopolizeShard)
 
         // Park the only worker so admission decisions are observable.
         PoolGate gate;
-        gate.block(srv.shardEngine(0), 1);
+        gate.block(srv.engine(), 1);
 
         std::vector<uint64_t> tickets;
         tickets.push_back(srv.submitFrame(hot, lego_path[0]));
         tickets.push_back(srv.submitFrame(hot, lego_path[1]));
         tickets.push_back(srv.submitFrame(cold, chair_path[0]));
 
-        const int lego_in_flight = srv.sceneInFlight(0, "lego");
-        const int chair_in_flight = srv.sceneInFlight(0, "chair");
+        const int lego_in_flight = srv.sceneInFlight("lego");
+        const int chair_in_flight = srv.sceneInFlight("chair");
 
         gate.release();
         srv.waitIdle();
@@ -1040,7 +995,6 @@ TEST(FrameServerMetrics, StoresArePerServer)
                                 smallConfig()),
               nullptr);
     ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     FrameServer a(reg, cfg), b(reg, cfg);
 
@@ -1109,14 +1063,13 @@ struct FaultGuard
     ~FaultGuard() { fault::resetAll(); }
 };
 
-/** One shard with one worker and `slots` pipeline slots. With the
- *  worker parked behind a PoolGate, the first render stays open while
+/** One worker and `slots` pipeline slots. With the worker parked
+ *  behind a PoolGate, the first render stays open while
  *  later submissions are admitted (and may join it). */
 ServerConfig
 coalesceConfig(int slots)
 {
     ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     cfg.frames_in_flight_per_shard = slots;
     return cfg;
@@ -1175,7 +1128,7 @@ TEST(FrameServerCoalesce, SessionsAtOneCameraShareOneRender)
     for (int k = 0; k < N; ++k)
         clients.push_back(srv.openSession("lego", QosClass::Standard));
     PoolGate gate;
-    gate.block(srv.shardEngine(0), 1);
+    gate.block(srv.engine(), 1);
     std::map<uint64_t, uint64_t> client_of;
     for (uint64_t c : clients) {
         const uint64_t t = srv.submitFrame(c, cam);
@@ -1183,7 +1136,7 @@ TEST(FrameServerCoalesce, SessionsAtOneCameraShareOneRender)
         client_of[t] = c;
     }
     // Only the first frame took a slot; the rest wait on its render.
-    EXPECT_EQ(srv.sceneInFlight(0, "lego"), 1);
+    EXPECT_EQ(srv.sceneInFlight("lego"), 1);
     gate.release();
     srv.waitIdle();
 
@@ -1267,7 +1220,7 @@ TEST(FrameServerCoalesce, NoJoinAcrossClassRungSceneOrCamera)
     const uint64_t same = srv.openSession("lego", QosClass::Standard);
 
     PoolGate gate;
-    gate.block(srv.shardEngine(0), 1);
+    gate.block(srv.engine(), 1);
     const uint64_t t_base = srv.submitFrame(base, cam);
     const uint64_t t_class = srv.submitFrame(other_class, cam);
     const uint64_t t_scene = srv.submitFrame(other_scene, cam);
@@ -1312,7 +1265,7 @@ TEST(FrameServerCoalesce, ClosingSessionsMidRenderServesEveryWaiter)
     const uint64_t w2 = srv.openSession("lego", QosClass::Standard);
 
     PoolGate gate;
-    gate.block(srv.shardEngine(0), 1);
+    gate.block(srv.engine(), 1);
     const uint64_t t_owner = srv.submitFrame(owner, cam);
     const uint64_t t1 = srv.submitFrame(w1, cam);
     const uint64_t t2 = srv.submitFrame(w2, cam);
@@ -1375,7 +1328,7 @@ TEST(FrameServerCoalesce, ThrowingRenderFailsEachWaiterOnceForTheBreaker)
 
     std::vector<uint64_t> clients, tickets;
     PoolGate gate;
-    gate.block(srv.shardEngine(0), 1);
+    gate.block(srv.engine(), 1);
     for (int k = 0; k < 3; ++k) {
         clients.push_back(srv.openSession("bad", QosClass::Standard));
         tickets.push_back(srv.submitFrame(clients.back(), cam));
@@ -1451,7 +1404,7 @@ TEST(FrameServerCoalesce, HalfOpenProbeNeverJoinsARender)
         });
 
     PoolGate gate;
-    gate.block(srv.shardEngine(0), 1);
+    gate.block(srv.engine(), 1);
     const uint64_t t_straggler = srv.submitFrame(straggler, cam);
     fault::arm(fault::kEngineStageThrow, 1.0, /*max_fires=*/1);
     const uint64_t t_trip = srv.submitFrame(tripper, cam);
@@ -1524,7 +1477,7 @@ TEST(FrameServerCoalesce, HalfOpenProbeRenderTakesNoWaiters)
         });
 
     PoolGate gate;
-    gate.block(srv.shardEngine(0), 1);
+    gate.block(srv.engine(), 1);
     const uint64_t t_first = srv.submitFrame(first_probe, other);
     const uint64_t t_probe = srv.submitFrame(batch_probe, cam);
     gate.release();
@@ -1545,4 +1498,163 @@ TEST(FrameServerCoalesce, HalfOpenProbeRenderTakesNoWaiters)
     srv.closeSession(batch_probe);
     srv.closeSession(late);
     srv.closeSession(first_probe);
+}
+
+// ------------------------------------------------------------ model test
+
+/**
+ * A seeded random mix of session opens and closes, submissions at three
+ * poses per scene (so frames coalesce), and a gate that parks or frees
+ * the only worker, against 3 pipeline slots and backlogs of 2 (so
+ * frames drop). Whatever the interleaving, every ticket gets exactly
+ * one result, each class's outcomes add up to its submissions, and
+ * every served image is render()'s, bit for bit. Only invariants are
+ * checked, never timings.
+ */
+TEST(FrameServerModel, SeededOpsGiveEveryTicketOneResult)
+{
+    SceneRegistry reg;
+    ASSERT_NE(reg.addProcedural("lego", "Lego",
+                                nerf::NgpModelConfig::fast(),
+                                smallConfig()),
+              nullptr);
+    ASSERT_NE(reg.addProcedural("chair", "Chair",
+                                nerf::NgpModelConfig::fast(),
+                                smallConfig()),
+              nullptr);
+    const char *scenes[] = {"lego", "chair"};
+    constexpr int kPoses = 3;
+    std::vector<nerf::Camera> poses[2];
+    std::vector<Image> want[2];
+    for (int s = 0; s < 2; ++s) {
+        const SceneEntry *entry = reg.find(scenes[s]);
+        poses[s] = nerf::orbitCameraPath(entry->info, 16, 16, kPoses, 0.07f);
+        core::AsdrRenderer ref(*entry->field, entry->config);
+        for (const nerf::Camera &cam : poses[s])
+            want[s].push_back(ref.render(cam));
+    }
+
+    uint64_t total_dropped = 0, total_coalesced = 0;
+    for (uint32_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE("seed=" + std::to_string(seed));
+        std::mt19937 rng(seed);
+        Delivered delivered;
+        ServerConfig cfg;
+        cfg.threads_per_shard = 1;
+        cfg.frames_in_flight_per_shard = 3;
+        for (QosClassParams &c : cfg.qos.cls)
+            c.max_backlog = 2;
+        FrameServer srv(reg, cfg);
+
+        struct Session
+        {
+            uint64_t id;
+            int scene;
+            QosClass qos;
+            bool closing;
+        };
+        struct Sent
+        {
+            uint64_t client;
+            int scene, pose;
+            QosClass qos;
+        };
+        std::vector<Session> sessions;
+        std::map<uint64_t, Sent> sent;
+        std::vector<std::thread> closers;
+        std::unique_ptr<PoolGate> gate;
+        auto open = [&](int scene, QosClass qos, bool callback) {
+            FrameServer::ResultCallback cb;
+            if (callback)
+                cb = [&](FrameResult &&r) { delivered.keep(std::move(r)); };
+            const uint64_t id =
+                srv.openSession(scenes[scene], qos, {}, std::move(cb));
+            ASSERT_NE(id, 0u);
+            sessions.push_back(Session{id, scene, qos, false});
+        };
+        for (int s = 0; s < 2; ++s)
+            for (int c = 0; c < kQosClasses; ++c)
+                open(s, QosClass(c), c == 1);
+
+        for (int op = 0; op < 300; ++op) {
+            const uint32_t kind = rng() % 20;
+            if (kind < 2) {
+                const int scene = int(rng() % 2);
+                const QosClass qos = QosClass(rng() % kQosClasses);
+                open(scene, qos, rng() % 2 == 0);
+            } else if (kind < 15) {
+                const Session &s = sessions[rng() % sessions.size()];
+                const int pose = int(rng() % kPoses);
+                const uint64_t t =
+                    srv.submitFrame(s.id, poses[s.scene][size_t(pose)]);
+                if (t != 0)
+                    sent.emplace(t, Sent{s.id, s.scene, pose, s.qos});
+                else
+                    EXPECT_TRUE(s.closing) << "an open session refused";
+            } else if (kind == 15) {
+                // closeSession waits for the session's in-flight frames,
+                // which a parked worker cannot finish.
+                Session &s = sessions[rng() % sessions.size()];
+                if (!s.closing) {
+                    s.closing = true;
+                    closers.emplace_back(
+                        [&srv, id = s.id] { srv.closeSession(id); });
+                }
+            } else if (gate) {
+                gate->release();
+                gate.reset();
+            } else {
+                gate = std::make_unique<PoolGate>();
+                gate->block(srv.engine(), 1);
+            }
+        }
+        if (gate)
+            gate->release();
+        for (std::thread &t : closers)
+            t.join();
+        srv.waitIdle();
+
+        const auto results = delivered.all(srv);
+        EXPECT_EQ(results.size(), sent.size());
+        uint64_t served[kQosClasses] = {}, dropped[kQosClasses] = {};
+        for (const auto &[ticket, r] : results) {
+            const auto it = sent.find(ticket);
+            ASSERT_NE(it, sent.end()) << "unknown ticket " << ticket;
+            const Sent &s = it->second;
+            EXPECT_EQ(r.client, s.client);
+            EXPECT_EQ(r.qos, s.qos);
+            if (r.dropped) {
+                ++dropped[int(s.qos)];
+                continue;
+            }
+            ASSERT_TRUE(r.ok()) << "ticket " << ticket;
+            ++served[int(s.qos)];
+            EXPECT_EQ(r.rung, QualityRung::Full);
+            // A frame that joined a render shares its leader's view.
+            const Sent &leader = sent.at(r.render_ticket);
+            EXPECT_EQ(leader.scene, s.scene);
+            EXPECT_EQ(leader.pose, s.pose);
+            EXPECT_EQ(leader.qos, s.qos);
+            expectFramesIdentical(want[s.scene][size_t(s.pose)],
+                                  r.frame.image, "served frame");
+        }
+
+        const ServerStatsSnapshot snap = srv.stats();
+        uint64_t submitted = 0;
+        for (int c = 0; c < kQosClasses; ++c) {
+            const QosClassStats &st = snap.cls[c];
+            submitted += st.submitted;
+            EXPECT_EQ(st.served + st.dropped + st.failed + st.expired,
+                      st.submitted);
+            EXPECT_EQ(st.served, served[c]);
+            EXPECT_EQ(st.dropped, dropped[c]);
+            EXPECT_EQ(st.admitted + st.coalesced, st.served + st.failed);
+            total_dropped += st.dropped;
+            total_coalesced += st.coalesced;
+        }
+        EXPECT_EQ(submitted, uint64_t(sent.size()));
+    }
+    // The sequences reach both paths the invariants must survive.
+    EXPECT_GT(total_dropped, 0u);
+    EXPECT_GT(total_coalesced, 0u);
 }

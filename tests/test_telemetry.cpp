@@ -237,7 +237,7 @@ struct JsonChecker
     }
 };
 
-/** One-shard serving run with tracing on: submit `frames` frames of
+/** Serving run with tracing on: submit `frames` frames of
  *  one camera and return each served ticket's render_ticket. Frames
  *  submitted while an identical one is rendering join that render, so
  *  several tickets may share one. */
@@ -439,7 +439,6 @@ TEST(Telemetry, SpansPerFrameCostUnderThreePercentOfItsRender)
     telemetry::setEnabled(true);
     {
         server::ServerConfig cfg;
-        cfg.shards = 1;
         cfg.threads_per_shard = 2;
         server::FrameServer srv(reg, cfg);
         const uint64_t client =
@@ -510,7 +509,6 @@ TEST(Telemetry, TraceJsonWellFormedAndCoversEveryTicket)
                                 smallConfig()),
               nullptr);
     server::ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 2;
     server::FrameServer srv(reg, cfg);
     const std::map<uint64_t, uint64_t> render_of = tracedRun(srv, reg, 4);
@@ -587,7 +585,6 @@ TEST(Telemetry, SpanOrderingInvariants)
                                 smallConfig()),
               nullptr);
     server::ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 2;
     cfg.frames_in_flight_per_shard = 2;
     server::FrameServer srv(reg, cfg);
@@ -694,7 +691,6 @@ TEST(Telemetry, SlowFrameFlightRecorderCapturesStalledFrames)
                                 smallConfig()),
               nullptr);
     server::ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     cfg.slow_frame_ms = 10.0;
     cfg.flight_recorder_frames = 4;
@@ -780,7 +776,6 @@ TEST(Telemetry, FlightRecorderRingIsBounded)
                                 smallConfig()),
               nullptr);
     server::ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     cfg.slow_frame_ms = 0.001; // everything is "slow"
     cfg.flight_recorder_frames = 2;
@@ -821,7 +816,6 @@ TEST(WireTelemetry, MetricsTextScrapeRoundTrip)
                                 smallConfig()),
               nullptr);
     server::ServerConfig scfg;
-    scfg.shards = 1;
     scfg.threads_per_shard = 1;
     auto srv = std::make_unique<server::FrameServer>(reg, scfg);
     auto service = std::make_unique<net::RenderService>(*srv);
@@ -907,7 +901,6 @@ TEST(Metrics, LabelValuesEscapedInExposition)
                                 smallConfig()),
               nullptr);
     server::ServerConfig cfg;
-    cfg.shards = 1;
     cfg.threads_per_shard = 1;
     server::FrameServer srv(reg, cfg);
     const uint64_t client =
@@ -1030,7 +1023,6 @@ TEST(WireTelemetry, UnsubscribeBarrierDeliversEveryRecordedSpan)
                                 smallConfig()),
               nullptr);
     server::ServerConfig scfg;
-    scfg.shards = 1;
     scfg.threads_per_shard = 1;
     auto srv = std::make_unique<server::FrameServer>(reg, scfg);
     auto service = std::make_unique<net::RenderService>(*srv);
@@ -1166,7 +1158,6 @@ TEST(WireTelemetry, TraceFollowMatchesExitDumpTicketCoverage)
                                 smallConfig()),
               nullptr);
     server::ServerConfig scfg;
-    scfg.shards = 1;
     scfg.threads_per_shard = 1;
     auto srv = std::make_unique<server::FrameServer>(reg, scfg);
     auto service = std::make_unique<net::RenderService>(*srv);
