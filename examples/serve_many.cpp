@@ -5,11 +5,14 @@
  * a closed-loop workload of N viewers orbiting M scenes at mixed QoS --
  * every frame delivered through the async callback path (no blocking
  * future gets anywhere). Prints per-class served/dropped counts and
- * latency percentiles, then the flight recorder's JSON (the slow,
- * failed, expired and shed frames it retained) and the server's
- * Prometheus text exposition, the scrape a dashboard would ingest.
+ * exact (nearest-rank) latency percentiles of the served frames, then
+ * the flight recorder's JSON (the slow, failed, expired and shed frames
+ * it retained) and the server's Prometheus text exposition, the scrape
+ * a dashboard would ingest.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -71,6 +74,18 @@ usage(const char *argv0)
            "  --slo-windows <f,s> fast,slow burn windows in seconds\n"
            "                      (default 60,3600)\n"
            "  --help              this message\n";
+}
+
+/** Nearest-rank percentile `q` in (0, 1] of `seconds`, in ms; 0 when
+ *  empty. */
+double
+percentileMs(std::vector<double> seconds, double q)
+{
+    if (seconds.empty())
+        return 0.0;
+    std::sort(seconds.begin(), seconds.end());
+    const size_t rank = size_t(std::ceil(q * double(seconds.size())));
+    return seconds[std::max<size_t>(rank, 1) - 1] * 1e3;
 }
 
 } // namespace
@@ -195,13 +210,18 @@ main(int argc, char **argv)
     server::WorkloadReport report = server::runWorkload(srv, registry, spec);
 
     TextTable table({"class", "submitted", "served", "dropped", "failed",
-                     "p50 (ms)", "p95 (ms)", "p99 (ms)", "queue (ms)"});
+                     "p50 (ms)", "p95 (ms)", "p99 (ms)", "max (ms)",
+                     "queue (ms)"});
     for (int c = 0; c < server::kQosClasses; ++c) {
         const server::QosClassStats &s = report.stats.cls[c];
+        const std::vector<double> &lat = report.latency_s[c];
         table.addRow({server::qosClassName(server::QosClass(c)),
                       std::to_string(s.submitted), std::to_string(s.served),
                       std::to_string(s.dropped), std::to_string(s.failed),
-                      fmt(s.p50_ms, 1), fmt(s.p95_ms, 1), fmt(s.p99_ms, 1),
+                      fmt(percentileMs(lat, 0.50), 2),
+                      fmt(percentileMs(lat, 0.95), 2),
+                      fmt(percentileMs(lat, 0.99), 2),
+                      fmt(percentileMs(lat, 1.0), 2),
                       fmt(s.mean_queue_ms, 1)});
     }
     table.print(std::cout);

@@ -52,13 +52,16 @@ stageTasks(const core::FrameShape &s, int stage)
 struct FrameEngine::InFlight
 {
     InFlight(FrameRequest r, uint64_t frame_id)
-        : req(std::move(r)), fs(req.camera), id(frame_id)
+        : req(std::move(r)), fs(req.camera), id(frame_id),
+          qos(telemetry::currentQos())
     {
     }
 
     FrameRequest req;
     core::FrameState fs;
     uint64_t id;
+    /** The submitting thread's QoS label, for the stage spans. */
+    uint8_t qos;
     std::chrono::steady_clock::time_point started_at; ///< admission time
     Frame frame; ///< filled by the finalize stage
     /** Tasks of the current stage still to run. */
@@ -145,16 +148,13 @@ FrameEngine::startStage(InFlight *f, int stage)
         return;
     }
     f->tasks_left.store(tasks, std::memory_order_release);
-    // Execution priority: QoS class first, frame id second
-    // (ThreadPool::composeKey) -- a lower class's ready stages always
-    // outrank a higher class's in the worker scan, and within a class
-    // older frames drain first, so pipelining fills idle workers
-    // without inverting the pipeline. A submission that throws would
-    // leave a frame whose queued tasks we can no longer account for,
-    // so treat it as fatal rather than wedging the engine (it only
+    // Every task of the frame carries its one key, so pipelining fills
+    // idle workers without reordering frames. A submission that throws
+    // would leave a frame whose queued tasks we can no longer account
+    // for, so treat it as fatal rather than wedging the engine (it only
     // throws under allocation failure). After the last submission the
     // frame may already be finished and freed: nothing reads `f`.
-    const uint64_t key = ThreadPool::composeKey(f->req.priority, f->id);
+    const uint64_t key = f->req.priority != 0 ? f->req.priority : f->id;
     try {
         for (int i = 0; i < tasks; ++i)
             pool_.submit([this, f, stage, i] { runTask(f, stage, i); },
@@ -172,7 +172,7 @@ FrameEngine::runTask(InFlight *f, int stage, int index)
     // buffers); the stage still completes so the error is delivered.
     if (!f->failed.load(std::memory_order_acquire)) {
         try {
-            telemetry::ScopedQos qc(uint8_t(f->req.priority));
+            telemetry::ScopedQos qc(f->qos);
             // Closed before finish() runs the consumer callback, so a
             // slow-frame dump collecting this ticket's spans from
             // inside on_complete sees the finalize span.

@@ -20,6 +20,9 @@
  * pipelines the Phase I and Phase II engines over shared CIM arrays
  * (§5.5).
  *
+ * A frame's tasks all carry its one order key (FrameRequest::priority),
+ * and its stage spans the QoS label of the thread that submitted it.
+ *
  * Every stage is a bit-exact decomposition of AsdrRenderer::render()
  * (which is itself a one-frame facade over this engine), so pipelined
  * frames are bit-identical to sequential render() calls -- enforced by
@@ -78,14 +81,14 @@ struct FrameRequest
     const core::AsdrRenderer *renderer = nullptr;
 
     /**
-     * QoS class priority of this frame's pool tasks, composed with the
-     * frame id via ThreadPool::composeKey: smaller runs sooner, so a
-     * priority-0 (interactive) frame's ready stages always outrank a
-     * priority-2 (batch) frame's in the worker scan -- an interactive
-     * frame is never reordered behind batch work on the same engine.
-     * Within a class, older frames still drain first.
+     * Order key of this frame's pool tasks: a worker takes the ready
+     * task with the smallest key, so a frame with a smaller key runs
+     * ahead of co-resident frames whatever their submission order. The
+     * server passes its ticket plus the class lag
+     * (server::PendingFrame::key). 0 keys the frame by its engine
+     * frame id, so keyless frames drain oldest first.
      */
-    uint32_t priority = 0;
+    uint64_t priority = 0;
 
     /**
      * Serving-layer correlation id stamped onto every telemetry span

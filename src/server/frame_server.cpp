@@ -411,7 +411,9 @@ FrameServer::launch(const Launch &l)
                                                               render_h)
                                     : l.frame.camera);
     req.renderer = l.renderer;
-    req.priority = qosPoolPriority(l.frame.qos);
+    // The key the scheduler admitted the frame by orders its stage
+    // tasks too; the stage spans take admit_qos's label.
+    req.priority = l.frame.key();
     req.ticket = l.frame.ticket; // correlates engine stage spans
     const uint64_t client = l.frame.client;
     const uint64_t ticket = l.frame.ticket;

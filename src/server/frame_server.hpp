@@ -21,14 +21,14 @@
  *                    brownout controller and the coalescing scan all
  *                    cover the whole server.
  *   QosScheduler     the server's one admission queue (replaces
- *                    FIFO): weighted-fair across {interactive,
- *                    standard, batch}, per-class in-flight caps,
- *                    per-scene quotas, bounded per-client backlogs
- *                    (drop-oldest for interactive), aging so batch
- *                    never starves. The server keeps the engine's own
- *                    queue EMPTY -- frames wait in the scheduler, not
- *                    the engine, so admission order is always the
- *                    scheduler's decision.
+ *                    FIFO): smallest order key (ticket + qosLag)
+ *                    first, per-class in-flight caps, per-scene
+ *                    quotas, bounded per-client backlogs (drop-oldest
+ *                    for interactive). The engine runs the frame's
+ *                    stage tasks by the same key. The server keeps the
+ *                    engine's own queue EMPTY -- frames wait in the
+ *                    scheduler, not the engine, so admission order is
+ *                    always the scheduler's decision.
  *   delivery         fully async: per-client completion callbacks or
  *                    the server's poll()/drainResults() mailbox; a
  *                    serving loop never blocks in a future get().
@@ -112,7 +112,8 @@ struct ServerConfig
     int threads_per_shard = 0;
     /** Pipeline slots: frames rendering concurrently. */
     int frames_in_flight_per_shard = 2;
-    /** Admission policy knobs (weights, caps, backlogs, aging). */
+    /** Admission policy knobs (caps, backlogs, deadlines, quotas);
+     *  the order itself is fixed by qosLag. */
     QosParams qos;
     /** Per-scene failure quarantine (disabled by default). */
     BreakerParams breaker;

@@ -1,6 +1,5 @@
 #include "server/qos_scheduler.hpp"
 
-#include <algorithm>
 #include <cstddef>
 
 namespace asdr::server {
@@ -20,7 +19,6 @@ QosScheduler::push(PendingFrame frame, std::vector<PendingFrame> &dropped)
             // Demote-before-drop: admit at the ladder floor instead of
             // invoking the backlog policy -- served cheap beats never.
             frame.rung = uint8_t(QualityRung::Quantized8);
-            ++degraded_admits_;
         } else if (!cp.drop_oldest) {
             dropped.push_back(std::move(frame)); // reject the newest
             return;
@@ -39,13 +37,10 @@ QosScheduler::push(PendingFrame frame, std::vector<PendingFrame> &dropped)
                 // The freed slot is a stretch slot (the client is still
                 // past max_backlog), so the admission stays demoted.
                 frame.rung = uint8_t(QualityRung::Quantized8);
-                ++degraded_admits_;
             }
         }
     }
 
-    if (q.empty())
-        vtime_[c] = std::max(vtime_[c], vclock_);
     ++client_pending;
     q.push_back(std::move(frame));
 }
@@ -55,66 +50,35 @@ QosScheduler::pop(const int (&in_flight)[kQosClasses],
                   const std::unordered_map<uint32_t, int> &scene_in_flight,
                   PendingFrame &out)
 {
-    // Eligible: backlogged, below the class's in-flight cap, and
-    // holding at least one frame whose scene is under the per-scene
-    // quota. The class's candidate is its oldest such frame -- frames
-    // of saturated scenes are skipped, not blocked behind.
+    // A class queue is in ticket order, so its candidate -- the oldest
+    // frame whose scene is under quota -- is also its smallest key.
+    // The smallest candidate key across eligible classes wins; ties go
+    // to the more urgent (lower) class.
     const int scene_cap = p_.max_in_flight_per_scene;
-    size_t cand[kQosClasses] = {0, 0, 0};
-    bool eligible[kQosClasses];
-    bool any = false;
+    int sel = -1;
+    size_t sel_i = 0;
     for (int c = 0; c < kQosClasses; ++c) {
-        eligible[c] = false;
-        const QosClassParams &cp = p_.cls[c];
-        if (q_[c].empty() ||
-            (cp.max_in_flight > 0 && in_flight[c] >= cp.max_in_flight))
+        const int cap = p_.cls[c].max_in_flight;
+        if (cap > 0 && in_flight[c] >= cap)
             continue;
         for (size_t i = 0; i < q_[c].size(); ++i) {
             if (scene_cap > 0) {
                 auto it = scene_in_flight.find(q_[c][i].scene);
-                if (it != scene_in_flight.end() &&
-                    it->second >= scene_cap) {
-                    ++quota_deferrals_;
+                if (it != scene_in_flight.end() && it->second >= scene_cap)
                     continue;
-                }
             }
-            cand[c] = i;
-            eligible[c] = true;
+            if (sel < 0 || q_[c][i].key() < q_[sel][sel_i].key()) {
+                sel = c;
+                sel_i = i;
+            }
             break;
         }
-        any = any || eligible[c];
     }
-    if (!any)
+    if (sel < 0)
         return false;
 
-    // Aging first: a candidate passed over aging_limit times takes the
-    // slot outright (earliest submission wins among aged candidates).
-    int sel = -1;
-    for (int c = 0; c < kQosClasses; ++c) {
-        if (!eligible[c] || q_[c][cand[c]].passed_over < p_.aging_limit)
-            continue;
-        if (sel < 0 ||
-            q_[c][cand[c]].submitted_at < q_[sel][cand[sel]].submitted_at)
-            sel = c;
-    }
-    // Otherwise weighted-fair: smallest virtual time; ties go to the
-    // higher-priority (lower-index) class.
-    if (sel < 0)
-        for (int c = 0; c < kQosClasses; ++c) {
-            if (!eligible[c])
-                continue;
-            if (sel < 0 || vtime_[c] < vtime_[sel])
-                sel = c;
-        }
-
-    vtime_[sel] += 1.0 / std::max(1e-9, p_.cls[sel].weight);
-    vclock_ = vtime_[sel];
-    for (int c = 0; c < kQosClasses; ++c)
-        if (c != sel && eligible[c])
-            q_[c][cand[c]].passed_over++;
-
-    out = std::move(q_[sel][cand[sel]]);
-    q_[sel].erase(q_[sel].begin() + std::ptrdiff_t(cand[sel]));
+    out = std::move(q_[sel][sel_i]);
+    q_[sel].erase(q_[sel].begin() + std::ptrdiff_t(sel_i));
     auto it = client_pending_[sel].find(out.client);
     if (--it->second == 0)
         client_pending_[sel].erase(it);

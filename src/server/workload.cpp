@@ -117,6 +117,8 @@ runWorkload(FrameServer &server, const SceneRegistry &registry,
 
     std::vector<std::unique_ptr<Viewer>> viewers;
     std::atomic<uint64_t> results{0};
+    std::mutex latency_m;
+    std::vector<double> latency_s[kQosClasses];
 
     // One viewer = one client session + one orbit path over its scene,
     // phase-shifted per viewer so concurrent viewers of one scene look
@@ -137,8 +139,12 @@ runWorkload(FrameServer &server, const SceneRegistry &registry,
             // failed) triggers the viewer's next submission until its
             // budget is spent. Dropped content is not re-submitted, so
             // the loop always terminates.
-            auto on_result = [&server, &results, vp](FrameResult &&r) {
-                (void)r;
+            auto on_result = [&server, &results, &latency_m, &latency_s,
+                              vp](FrameResult &&r) {
+                if (r.ok()) {
+                    std::lock_guard<std::mutex> lock(latency_m);
+                    latency_s[int(r.qos)].push_back(r.latency_s);
+                }
                 results.fetch_add(1, std::memory_order_relaxed);
                 const int next =
                     vp->issued.fetch_add(1, std::memory_order_relaxed);
@@ -179,6 +185,8 @@ runWorkload(FrameServer &server, const SceneRegistry &registry,
     const uint64_t served_delta =
         report.stats.totalServed() - before.totalServed();
     report.frames_per_s = wall > 0.0 ? double(served_delta) / wall : 0.0;
+    for (int c = 0; c < kQosClasses; ++c)
+        report.latency_s[c] = std::move(latency_s[c]);
     fillLadderView(report, before);
     return report;
 }

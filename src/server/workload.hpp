@@ -56,6 +56,10 @@ struct WorkloadReport
     uint64_t viewers = 0;
     /** Served frames per wall second across all viewers. */
     double frames_per_s = 0.0;
+    /** Every served result's latency_s, per class (runWorkload only):
+     *  exact percentiles, where `stats` reads them off histogram
+     *  buckets 8-10% apart. */
+    std::vector<double> latency_s[kQosClasses];
 
     // Quality-ladder view of THIS run (in-process runs take
     // before/after snapshot deltas of the server's cumulative `stats`):

@@ -12,15 +12,14 @@
  * vs. dense object tiles) re-balance without a central queue
  * bottleneck. Each queue itself is sorted by key (FIFO within a key),
  * so the smallest key wins even when later submissions carry smaller
- * keys -- which is exactly what QoS priorities do: the engine keys
- * every task with (class priority, frame id) via composeKey, so an
- * interactive frame's ready stages always outrank batch stages no
- * matter the submission order, older frames drain before newer ones
- * within a class, and multi-frame pipelining can't invert. Cross-queue
- * ordering is best-effort (fronts move between scan and pop) and
- * tasks sharing a key are mutually unordered -- completion and
- * dependencies are the submitter's job (the engine counts each
- * stage's tasks, and a stage's last task submits the next stage).
+ * keys: the engine keys every task with its frame's order key (the
+ * server's ticket plus class lag, or the frame id), so a frame that
+ * arrived later with a smaller key runs first, and multi-frame
+ * pipelining cannot invert the order. Cross-queue ordering is
+ * best-effort (fronts move between scan and pop) and tasks sharing a
+ * key are mutually unordered -- completion and dependencies are the
+ * submitter's job (the engine counts each stage's tasks, and a
+ * stage's last task submits the next stage).
  *
  * One pool outlives many frames: the engine constructs it once and
  * reuses it for its whole lifetime (no per-frame thread construction).
@@ -48,23 +47,6 @@ namespace asdr {
 class ThreadPool
 {
   public:
-    /**
-     * Compose a scan key from a class priority and a sequence number:
-     * priority in the high bits, sequence in the low 48. The worker
-     * scan takes the smallest key, so a lower-priority-class task (e.g.
-     * an interactive frame's stage) always outranks a higher class's
-     * (batch) regardless of submission order, and within a class the
-     * sequence (the engine's frame id) keeps older frames draining
-     * first. 48 bits of sequence never wrap in practice (centuries of
-     * frames at any real rate).
-     */
-    static constexpr uint64_t
-    composeKey(uint32_t priority, uint64_t seq)
-    {
-        return (uint64_t(priority) << 48) |
-               (seq & ((uint64_t(1) << 48) - 1));
-    }
-
     /** Spawn `workers` worker threads (at least one). */
     explicit ThreadPool(int workers)
     {

@@ -7,8 +7,8 @@
  *    and max_frames_in_flight.
  *  - The batched distillation trainer (Mlp::forwardBatch through
  *    fitField) produces a bit-identical field to the per-sample loop.
- *  - ThreadPool destruction drains queued tasks, and QoS-keyed task
- *    order.
+ *  - ThreadPool destruction drains queued tasks, and frames run in
+ *    order-key order.
  *    (Stage order within a frame is checked on real frames'
  *    telemetry spans: Telemetry.SpanOrderingInvariants.)
  */
@@ -265,20 +265,13 @@ TEST(FrameEngineAsync, StageFailureReachesCallbackAndFutureWithoutWedging)
     eng.drain();
 }
 
-TEST(FrameEngineAsync, PoolKeysComposeClassPriorityThenFrameId)
+TEST(FrameEngineAsync, SmallerKeySubmittedSecondFinishesFirst)
 {
-    // The key layout behind QoS execution ordering: any priority-0 key
-    // sorts below any priority-1 key, and within a priority the
-    // sequence (frame id) orders.
-    EXPECT_LT(ThreadPool::composeKey(0, 1000), ThreadPool::composeKey(1, 1));
-    EXPECT_LT(ThreadPool::composeKey(1, 7), ThreadPool::composeKey(1, 8));
-    EXPECT_LT(ThreadPool::composeKey(2, 1),
-              ThreadPool::composeKey(3, 0));
-
-    // An interactive frame submitted AFTER a batch frame still runs
-    // first on the engine's single worker: the batch frame parks
-    // behind a gate, both frames queue, and the key scan drains the
-    // interactive frame's stages first.
+    // A frame submitted AFTER another but with a smaller order key
+    // still runs first on the engine's single worker: the worker parks
+    // behind a gate, the frames queue, and the key scan drains the
+    // smaller key's stages first. A keyless frame is keyed by its
+    // frame id (3 here), which undercuts both.
     auto scene = scene::createScene("Lego");
     ProceduralField field(*scene, NgpModelConfig::fast());
     Camera camera = cameraForScene(scene->info(), 12, 12);
@@ -286,7 +279,7 @@ TEST(FrameEngineAsync, PoolKeysComposeClassPriorityThenFrameId)
 
     engine::EngineConfig ec;
     ec.num_threads = 1;
-    ec.max_frames_in_flight = 2;
+    ec.max_frames_in_flight = 3;
     engine::FrameEngine eng(ec);
 
     std::promise<void> gate;
@@ -294,26 +287,24 @@ TEST(FrameEngineAsync, PoolKeysComposeClassPriorityThenFrameId)
     eng.pool().submit([gate_fut] { gate_fut.wait(); });
 
     std::mutex m;
-    std::vector<uint32_t> completion_order;
-    auto submitWithPriority = [&](uint32_t prio) {
+    std::vector<uint64_t> completion_order;
+    auto submitWithKey = [&](uint64_t key) {
         engine::FrameRequest req(camera);
         req.renderer = &r;
-        req.priority = prio;
+        req.priority = key;
         req.on_complete = [&m, &completion_order,
-                           prio](engine::Frame &&, std::exception_ptr) {
+                           key](engine::Frame &&, std::exception_ptr) {
             std::lock_guard<std::mutex> lock(m);
-            completion_order.push_back(prio);
+            completion_order.push_back(key);
         };
         eng.submitAsync(std::move(req));
     };
-    submitWithPriority(2); // batch first...
-    submitWithPriority(0); // ...interactive second
+    submitWithKey(20); // frame 1
+    submitWithKey(10); // frame 2
+    submitWithKey(0);  // frame 3: keyed 3
     gate.set_value();
     eng.drain();
-    ASSERT_EQ(completion_order.size(), 2u);
-    EXPECT_EQ(completion_order[0], 0u) << "interactive must not queue "
-                                          "behind batch";
-    EXPECT_EQ(completion_order[1], 2u);
+    EXPECT_EQ(completion_order, (std::vector<uint64_t>{0, 10, 20}));
 }
 
 TEST(FrameEnginePipeline, NonAdaptiveAndScalarConfigsToo)

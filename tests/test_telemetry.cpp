@@ -17,6 +17,8 @@
  *    stage's spans end before the next stage's first span starts, a
  *    joiner's queue-wait ends before its render's finalize ends; spans
  *    on one worker lane never overlap).
+ *  - qos labels: a traced render() outside any class records its
+ *    stage spans under qos="none" only.
  *  - flight recorder: a frame stalled past slow_frame_ms is retained
  *    with its span timeline and surfaces in the recorder's JSON; a
  *    frame that joined its render is retained with the render's
@@ -42,6 +44,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/client.hpp"
@@ -494,6 +497,63 @@ TEST(Telemetry, SpansPerFrameCostUnderThreePercentOfItsRender)
     EXPECT_LT(double(spans_per_frame) * stream_s, budget_s)
         << spans_per_frame << " spans x " << stream_s * 1e6
         << " us against a " << frame_s * 1e3 << " ms frame";
+}
+
+// ------------------------------------------------------- qos labels
+
+// A frame submitted outside any QoS context -- a plain render() -- has
+// no class, so its engine stage spans feed the `qos="none"` series of
+// asdr_stage_duration_seconds and no class's.
+TEST(Telemetry, TracedRenderRecordsStagesUnderNone)
+{
+    TelemetryGuard guard;
+    server::SceneRegistry reg;
+    const server::SceneEntry *entry = reg.addProcedural(
+        "lego", "Lego", nerf::NgpModelConfig::fast(), smallConfig());
+    ASSERT_NE(entry, nullptr);
+    const core::AsdrRenderer renderer(*entry->field, entry->config);
+    const core::FrameShape shape = renderer.frameShape(16, 16);
+    ASSERT_TRUE(shape.adaptive);
+    const nerf::Camera cam = nerf::cameraForScene(entry->info, 16, 16);
+
+    const std::pair<const char *, int> stages[] = {
+        {telemetry::kSpanRaySetup, 1},
+        {telemetry::kSpanProbes, shape.gh},
+        {telemetry::kSpanPlanning, 1},
+        {telemetry::kSpanTiles, shape.jobs},
+        {telemetry::kSpanFinalize, 1},
+    };
+    const char *labels[] = {"interactive", "standard", "batch", "none"};
+    // Spans already recorded by this process stay in the counts, so
+    // compare before and after; a series not yet created reads 0.
+    auto counts = [&] {
+        const std::string text = metrics::processRegistry().renderText();
+        std::vector<double> out;
+        for (const auto &stage : stages)
+            for (const char *qos : labels)
+                out.push_back(std::max(
+                    0.0, expositionValue(
+                             text, std::string("asdr_stage_duration_"
+                                               "seconds_count{stage=\"") +
+                                       stage.first + "\",qos=\"" + qos +
+                                       "\"}")));
+        return out;
+    };
+    const std::vector<double> before = counts();
+    telemetry::setEnabled(true);
+    renderer.render(cam);
+    telemetry::setEnabled(false);
+    const std::vector<double> after = counts();
+
+    size_t i = 0;
+    for (const auto &stage : stages)
+        for (const char *qos : labels) {
+            const double want =
+                std::string(qos) == "none" ? double(stage.second) : 0.0;
+            EXPECT_EQ(after[i] - before[i], want)
+                << stage.first << " qos=" << qos;
+            ++i;
+        }
 }
 
 // ------------------------------------------------------- trace export
