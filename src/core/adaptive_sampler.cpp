@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
 
 #include "util/logging.hpp"
 
@@ -23,30 +25,42 @@ AdaptiveSampler::renderingDifficulty(const Vec3 &full_color,
 }
 
 int
-AdaptiveSampler::selectCount(const float *sigma, const Vec3 *color, int ns,
-                             float dt) const
+AdaptiveSampler::selectCount(const float *sigma, const Vec3 *color,
+                             int count, int ns, float dt) const
 {
     // The full render and every candidate subset composite in a single
     // pass over the probe ray's already-batched sigma/color buffers
     // (results bit-identical to one composite() call per candidate).
     int strides[32];
-    int count = 0;
-    strides[count++] = 1;
+    int candidates = 0;
+    strides[candidates++] = 1;
     for (int stride : cfg_.subset_strides)
         if (stride < ns)
-            strides[count++] = stride;
+            strides[candidates++] = stride;
     nerf::CompositeResult res[32];
-    nerf::compositeMulti(sigma, color, ns, dt, strides, count, res);
+    nerf::compositeMulti(sigma, color, count, dt, strides, candidates, res);
 
     // Strides are tried largest-first (fewest points first); the first
     // candidate within the threshold wins, giving the smallest budget.
-    for (int k = 1; k < count; ++k) {
+    for (int k = 1; k < candidates; ++k) {
         float rd = renderingDifficulty(res[0].color, res[k].color);
         if (rd <= cfg_.delta)
             return std::max(cfg_.min_samples,
                             (ns + strides[k] - 1) / strides[k]);
     }
     return ns;
+}
+
+int
+AdaptiveSampler::subsetAlignment(int ns, int multiple) const
+{
+    // Once past ns the lcm stays past it, so the cap keeps it in range.
+    const int64_t cap = int64_t(ns) + 1;
+    int64_t align = std::min<int64_t>(multiple, cap);
+    for (int stride : cfg_.subset_strides)
+        if (stride < ns)
+            align = std::min(std::lcm(align, int64_t(stride)), cap);
+    return int(align);
 }
 
 void

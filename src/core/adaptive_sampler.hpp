@@ -34,12 +34,24 @@ class AdaptiveSampler
                                      const Vec3 &subset_color);
 
     /**
-     * Pick the per-pixel budget from a fully-predicted probe ray.
-     * @param sigma, color the ns predicted points (spacing dt)
+     * Pick the per-pixel budget from a fully-predicted probe ray of `ns`
+     * points at spacing `dt`, given as its points [lo, lo + count):
+     * `sigma` and `color` start at point lo, lo is a multiple of
+     * subsetAlignment(ns, ...), and every point outside has sigma 0.
+     * Each strided subset then keeps its indices, and every composite
+     * equals the whole ray's bit for bit (count == ns is the whole ray).
      * @return the chosen number of samples (ns when no candidate passes)
      */
-    int selectCount(const float *sigma, const Vec3 *color, int ns,
-                    float dt) const;
+    int selectCount(const float *sigma, const Vec3 *color, int count,
+                    int ns, float dt) const;
+
+    /**
+     * The least common multiple of `multiple` and every subset stride
+     * selectCount uses at `ns` points, capped at ns + 1: a probe
+     * sub-range may start at any multiple of it (past the cap, only at
+     * 0).
+     */
+    int subsetAlignment(int ns, int multiple) const;
 
     /** Probe-grid dimensions for a frame. */
     static void probeGridDims(int width, int height, int stride, int &gw,

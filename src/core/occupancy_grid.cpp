@@ -1,6 +1,9 @@
 #include "core/occupancy_grid.hpp"
 
+#include <algorithm>
 #include <bitset>
+#include <cmath>
+#include <limits>
 
 namespace asdr::core {
 
@@ -139,7 +142,111 @@ OccupancyGrid::build(const nerf::RadianceField &field, float sigma_floor)
                 }
             grid.rows_[size_t(z) * kRes + size_t(y)] = w;
         }
+    grid.fitBox();
     return grid;
+}
+
+void
+OccupancyGrid::fitBox()
+{
+    for (int a = 0; a < 3; ++a) {
+        lo_[a] = kRes;
+        hi_[a] = -1;
+    }
+    for (int z = 0; z < kRes; ++z)
+        for (int y = 0; y < kRes; ++y) {
+            const uint64_t w = rows_[size_t(z) * kRes + size_t(y)];
+            if (w == 0)
+                continue;
+            const int lo[3] = {__builtin_ctzll(w), y, z};
+            const int hi[3] = {63 - __builtin_clzll(w), y, z};
+            for (int a = 0; a < 3; ++a) {
+                lo_[a] = std::min(lo_[a], lo[a]);
+                hi_[a] = std::max(hi_[a], hi[a]);
+            }
+        }
+    whole_ = true;
+    for (int a = 0; a < 3; ++a)
+        whole_ = whole_ && lo_[a] == 0 && hi_[a] == kRes - 1;
+}
+
+OccupancyGrid::SampleRange
+OccupancyGrid::sampleRange(const nerf::Ray &ray, float t0, float dt,
+                           int n) const
+{
+    if (whole_)
+        return {0, n};
+    if (lo_[0] > hi_[0])
+        return {};
+    if (!(dt > 0.0f))
+        return {0, n};
+
+    // ---- estimate: the box's slab on each axis, in t. The box spans
+    // [lo / kRes, (hi + 1) / kRes) on an axis; a face on the grid's
+    // boundary bounds nothing, because points outside the grid take the
+    // nearest cell. Each face moves out by a margin far above the
+    // rounding error of a marched coordinate and of this estimate, so
+    // the checks below pass, at the price of the samples that lie within
+    // the margin outside the box ----
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    const float t_far = std::fabs(t0) + float(n) * dt;
+    float enter = -kInf, leave = kInf;
+    for (int a = 0; a < 3; ++a) {
+        const float o = ray.origin[a], v = ray.dir[a];
+        if (v == 0.0f) {
+            // +-0 * t is +-0, so the coordinate is o at every sample.
+            const int c = cellIndex(o);
+            if (c < lo_[a] || c > hi_[a])
+                return {};
+            continue;
+        }
+        const float margin = 1e-5f * (1.0f + std::fabs(o) + t_far);
+        const float low = lo_[a] > 0
+                              ? float(lo_[a]) / float(kRes) - margin
+                              : -kInf;
+        const float high = hi_[a] < kRes - 1
+                               ? float(hi_[a] + 1) / float(kRes) + margin
+                               : kInf;
+        const float inv = 1.0f / v;
+        const float ta = (low - o) * inv, tb = (high - o) * inv;
+        enter = std::max(enter, std::min(ta, tb));
+        leave = std::min(leave, std::max(ta, tb));
+    }
+    // Sample d lies at t0 + (d + 0.5) * dt: the first one at or past t.
+    const float inv_dt = 1.0f / dt;
+    const auto first = [&](float t) {
+        const float x = (t - t0) * inv_dt - 0.5f;
+        if (!(x > 0.0f))
+            return 0;
+        if (!(x < float(n)))
+            return n;
+        const int d = int(x);
+        return d + (float(d) < x ? 1 : 0);
+    };
+    SampleRange s;
+    s.lo = first(enter);
+    s.hi = std::max(s.lo, first(leave));
+
+    // ---- confirm through the march's own positions: sample d has not
+    // reached the box (`left` false) or has left it (`left` true) on
+    // some axis, in the ray's direction of travel ----
+    const auto outside = [&](int d, bool left) {
+        const Vec3 p = marchPoint(ray, t0, dt, d);
+        for (int a = 0; a < 3; ++a) {
+            const float v = ray.dir[a];
+            const int c = cellIndex(p[a]);
+            if (v > 0.0f && (left ? c > hi_[a] : c < lo_[a]))
+                return true;
+            if (v < 0.0f && (left ? c < lo_[a] : c > hi_[a]))
+                return true;
+        }
+        return false;
+    };
+    if (s.lo > 0 && !outside(s.lo - 1, false))
+        s.lo = 0;
+    if (s.hi < n && !outside(s.hi, true))
+        s.hi = n;
+    return s;
 }
 
 int

@@ -106,8 +106,9 @@ struct RenderConfig
      * Instant-NGP's: the cells where the field's sampled sigma reaches
      * the floor, dilated by one cell. The host evaluates density only
      * at samples in those cells and sets sigma = 0 elsewhere (a floor
-     * <= 0 marks every cell); the batched march keeps a density output
-     * only for the samples it evaluated, and does not shade a Phase II
+     * <= 0 marks every cell). The batched march clips each ray to the
+     * samples inside the marked cells' bounding box, keeps a density
+     * output only for the samples it evaluated, and does not shade a
      * ray whose sigma is 0 up to its cut. And the floor decides which
      * anchors the batched host path shades: an anchor whose sigma and
      * whose interpolated points' sigmas are all 0 composites with

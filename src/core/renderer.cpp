@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "core/color_approximator.hpp"
 #include "engine/frame_engine.hpp"
@@ -21,6 +22,8 @@ AsdrRenderer::AsdrRenderer(const nerf::RadianceField &field,
 {
     ASDR_ASSERT(cfg.samples_per_ray >= 2, "need at least 2 samples per ray");
     ASDR_ASSERT(cfg.approx_group >= 1, "approximation group must be >= 1");
+    probe_align_ =
+        sampler_.subsetAlignment(cfg.samples_per_ray, anchorGroup());
 }
 
 AsdrRenderer::AsdrRenderer(const AsdrRenderer &base, const RenderConfig &cfg)
@@ -109,7 +112,7 @@ AsdrRenderer::renderRay(const nerf::Ray &ray, int budget, bool probe,
     int cut = n;
     float transmittance = 1.0f;
     for (int i = 0; i < n; ++i) {
-        const Vec3 pos = ray.origin + ray.dir * (t0 + (float(i) + 0.5f) * dt);
+        const Vec3 pos = marchPoint(ray, t0, dt, i);
         ws.positions[size_t(i)] = pos;
         if (sink) {
             field_.traceLookups(pos, *sink);
@@ -136,27 +139,38 @@ AsdrRenderer::renderRay(const nerf::Ray &ray, int budget, bool probe,
         }
     }
     result.points_used = cut;
-    profile.points += uint64_t(cut);
-    profile.density_execs += uint64_t(cut);
-    profile.lookups += uint64_t(cut) * uint64_t(lookups_per_point_);
+    countRay(cut, profile);
 
-    result.color = shadePoints(ray, ws.positions.data(),
-                               ws.store_index.data(), ws.store.data(),
-                               ws.sigma.data(), ws.colors.data(), cut, dt,
-                               /*scalar=*/true, ws, profile, sink);
+    shadePoints(ray, ws.positions.data(), ws.store_index.data(),
+                ws.store.data(), ws.sigma.data(), ws.colors.data(), cut,
+                /*scalar=*/true, ws, sink);
+    // ---- RGB unit: Eq. (1) compositing ----
+    result.color =
+        nerf::composite(ws.sigma.data(), ws.colors.data(), cut, dt).color;
     return result;
 }
 
-Vec3
+void
+AsdrRenderer::countRay(int cut, WorkloadProfile &profile) const
+{
+    const int anchors = ColorApproximator::anchorCount(cut, anchorGroup());
+    profile.points += uint64_t(cut);
+    profile.density_execs += uint64_t(cut);
+    profile.lookups += uint64_t(cut) * uint64_t(lookups_per_point_);
+    profile.color_execs += uint64_t(anchors);
+    profile.approx_colors += uint64_t(cut - anchors);
+}
+
+void
 AsdrRenderer::shadePoints(const nerf::Ray &ray, const Vec3 *positions,
                           const int *store_index,
                           const nerf::DensityOutput *store,
-                          const float *sigma, Vec3 *colors, int cut,
-                          float dt, bool scalar, RayWorkspace &ws,
-                          WorkloadProfile &profile, TraceSink *sink) const
+                          const float *sigma, Vec3 *colors, int count,
+                          bool scalar, RayWorkspace &ws,
+                          TraceSink *sink) const
 {
     // ---- color pass at anchors ----
-    ColorApproximator::anchorIndices(cut, anchorGroup(), ws.anchors);
+    ColorApproximator::anchorIndices(count, anchorGroup(), ws.anchors);
     const int na = int(ws.anchors.size());
     ws.shaded.resize(size_t(na));
     int live = 0;
@@ -214,20 +228,11 @@ AsdrRenderer::shadePoints(const nerf::Ray &ray, const Vec3 *positions,
         for (int k = 0; k < live; ++k)
             colors[size_t(ws.shaded[size_t(k)])] = ws.anchor_col[size_t(k)];
     }
-    // The modeled pipeline runs the color network at every anchor, shaded
-    // on the host or not.
-    profile.color_execs += uint64_t(ws.anchors.size());
-
     // ---- approximation unit fills the gaps ----
-    int filled = ColorApproximator::interpolate(colors, ws.anchors, cut);
-    profile.approx_colors += uint64_t(filled);
+    int filled = ColorApproximator::interpolate(colors, ws.anchors, count);
     if (sink)
         for (int i = 0; i < filled; ++i)
             sink->onApproxColor();
-
-    // ---- RGB unit: Eq. (1) compositing ----
-    nerf::CompositeResult comp = nerf::composite(sigma, colors, cut, dt);
-    return comp.color;
 }
 
 void
@@ -236,63 +241,98 @@ AsdrRenderer::marchRays(TileWorkspace &tws, bool probe,
 {
     const int R = int(tws.rays.size());
     const bool use_et = cfg_.early_termination && !probe;
+    // Transmittance is exactly 1 before a ray's range, so the range moves
+    // no cut -- unless et_eps > 1, where transmittance 1 cuts every ray
+    // at its first sample: such rays march whole.
+    const bool clip = !(use_et && cfg_.et_eps > 1.0f);
+    // A range starts at an anchor and ends at one, so its anchors are the
+    // ray's own; a probe ray's range also starts at a multiple of every
+    // subset stride, so selectCount's subsets keep their indices.
+    const int group = anchorGroup();
+    const int align = probe ? probe_align_ : group;
+    // Past the first anchor at or after sample `last` of a ray of `count`
+    // samples: the next multiple of the group, or the ray's last sample
+    // where that comes first.
+    const auto anchorEnd = [group](int last, int count) {
+        const int rem = last % group;
+        return rem == 0                     ? last + 1
+               : group - rem < count - last ? last + group - rem + 1
+                                            : count;
+    };
 
     // ---- per-ray march setup (identical formulas to renderRay) ----
     tws.n.assign(size_t(R), 0);
     tws.t0.assign(size_t(R), 0.0f);
     tws.dt.assign(size_t(R), 0.0f);
+    tws.lo.assign(size_t(R), 0);
+    tws.hi.assign(size_t(R), 0);
     tws.offset.assign(size_t(R), 0);
     tws.cut.assign(size_t(R), 0);
     tws.transmittance.assign(size_t(R), 1.0f);
-    tws.lit.assign(size_t(R), 0);
     tws.color.assign(size_t(R), Vec3(0.0f));
     tws.marching.clear();
     const OccupancyGrid &grid = occupancy();
     int total = 0;
+    // The marching rays' first range start and last range end.
+    int start = std::numeric_limits<int>::max(), reach = 0;
     for (int r = 0; r < R; ++r) {
+        const size_t ri = size_t(r);
+        const nerf::Ray &ray = tws.rays[ri];
+        const int bud = tws.budget[ri];
         float a, b;
-        const int bud = tws.budget[size_t(r)];
-        tws.offset[size_t(r)] = total;
-        if (!nerf::intersectUnitCube(tws.rays[size_t(r)], a, b) || bud < 1)
+        tws.offset[ri] = total;
+        if (!nerf::intersectUnitCube(ray, a, b) || bud < 1)
             continue;
-        tws.n[size_t(r)] = bud;
-        tws.cut[size_t(r)] = bud;
-        tws.t0[size_t(r)] = a;
-        tws.dt[size_t(r)] = (b - a) / float(bud);
+        const float dt = (b - a) / float(bud);
+        tws.n[ri] = bud;
+        tws.cut[ri] = bud;
+        tws.t0[ri] = a;
+        tws.dt[ri] = dt;
+        const OccupancyGrid::SampleRange s =
+            clip ? grid.sampleRange(ray, a, dt, bud)
+                 : OccupancyGrid::SampleRange{0, bud};
+        if (s.lo == s.hi)
+            continue; // no sample can be marked: not marched, not shaded
+        tws.lo[ri] = s.lo - s.lo % align;
+        tws.hi[ri] = anchorEnd(s.hi - 1, bud);
         tws.marching.push_back(r);
-        total += bud;
+        start = std::min(start, tws.lo[ri]);
+        reach = std::max(reach, tws.hi[ri]);
+        total += tws.hi[ri] - tws.lo[ri];
     }
     tws.positions.resize(size_t(total));
     tws.sigma.resize(size_t(total));
+    tws.alpha.resize(size_t(total));
     tws.store_index.resize(size_t(total));
     tws.colors.resize(size_t(total));
 
-    // ---- depth-major banded density pass: a band takes every marching
-    // ray's sample at one depth after another, in staging order, so
-    // consecutive batch points are spatially adjacent and share
-    // hash-table cache lines. Samples in unmarked cells join no batch;
-    // their sigma reads 0, as the floor would make it. The band closes
-    // once it holds eval_batch marked samples, so batches stay wide
-    // however few of the rays' samples the grid keeps.
+    // ---- depth-major banded density pass over the rays' ranges: a band
+    // takes every marching ray's sample at one depth after another, in
+    // staging order, so consecutive batch points are spatially adjacent
+    // and share hash-table cache lines. Samples in unmarked cells join
+    // no batch; their sigma reads 0, as the floor would make it. The
+    // band closes once it holds eval_batch marked samples, so batches
+    // stay wide however few of the rays' samples the grid keeps. A ray's
+    // sample at depth d sits at slot offset + d - lo of the flat
+    // buffers.
     int stored = 0; // store rows written by this march
     int d0 = 0;
     while (!tws.marching.empty()) {
-        int reach = 0; // the deepest marching ray's sample count
-        for (int r : tws.marching)
-            reach = std::max(reach, tws.n[size_t(r)]);
+        // The band starts where the first marching range does, at the
+        // earliest, and can reach as deep as the last one ends.
+        d0 = std::max(d0, start);
         tws.batch_pos.clear();
         tws.batch_slot.clear();
-        int d1 = d0; // every marching ray has a sample at d0
+        int d1 = d0;
         do {
             for (int r : tws.marching) {
-                if (d1 >= tws.n[size_t(r)])
+                const size_t ri = size_t(r);
+                if (d1 < tws.lo[ri] || d1 >= tws.hi[ri])
                     continue;
-                const nerf::Ray &ray = tws.rays[size_t(r)];
-                const size_t slot = size_t(tws.offset[size_t(r)] + d1);
+                const size_t slot =
+                    size_t(tws.offset[ri] + (d1 - tws.lo[ri]));
                 const Vec3 pos =
-                    ray.origin + ray.dir * (tws.t0[size_t(r)] +
-                                            (float(d1) + 0.5f) *
-                                                tws.dt[size_t(r)]);
+                    marchPoint(tws.rays[ri], tws.t0[ri], tws.dt[ri], d1);
                 tws.positions[slot] = pos;
                 if (grid.occupied(pos)) {
                     tws.store_index[slot] =
@@ -322,64 +362,79 @@ AsdrRenderer::marchRays(TileWorkspace &tws, bool probe,
         // Early-termination scan over the band, for the rays still
         // marching only; the cut lands at exactly renderRay's index
         // (points of this band past the cut are host slack, not
-        // workload). A ray leaves the list at its cut or its last
-        // sample.
+        // workload). It keeps each sample's alpha for compositing. A ray
+        // leaves the list at its cut or the end of its range.
         size_t still = 0;
+        start = std::numeric_limits<int>::max();
+        reach = 0;
         for (int r : tws.marching) {
-            const float *sigma = tws.sigma.data() + tws.offset[size_t(r)];
-            const int end = std::min(d1, tws.n[size_t(r)]);
-            const float dt = tws.dt[size_t(r)];
-            float transmittance = tws.transmittance[size_t(r)];
-            bool lit = false;
-            bool done = end == tws.n[size_t(r)];
-            for (int d = d0; d < end; ++d) {
-                lit = lit || sigma[d] != 0.0f;
+            const size_t ri = size_t(r);
+            const int lo = tws.lo[ri];
+            const float *sigma = tws.sigma.data() + tws.offset[ri];
+            float *alpha = tws.alpha.data() + tws.offset[ri];
+            const int end = std::min(d1, tws.hi[ri]);
+            const float dt = tws.dt[ri];
+            float transmittance = tws.transmittance[ri];
+            bool done = end == tws.hi[ri];
+            for (int d = std::max(d0, lo); d < end; ++d) {
+                const float a = nerf::alphaFromSigma(sigma[d - lo], dt);
+                alpha[d - lo] = a;
                 if (use_et) {
-                    transmittance *= 1.0f - nerf::alphaFromSigma(sigma[d], dt);
+                    transmittance *= 1.0f - a;
                     if (transmittance < cfg_.et_eps) {
-                        tws.cut[size_t(r)] = d + 1;
+                        tws.cut[ri] = d + 1;
                         done = true;
                         break;
                     }
                 }
             }
-            tws.transmittance[size_t(r)] = transmittance;
-            if (lit)
-                tws.lit[size_t(r)] = 1;
-            if (!done)
+            tws.transmittance[ri] = transmittance;
+            if (!done) {
                 tws.marching[still++] = r;
+                start = std::min(start, lo);
+                reach = std::max(reach, tws.hi[ri]);
+            }
         }
         tws.marching.resize(still);
         d0 = d1;
     }
 
-    // ---- shade each ray; the work charged is exactly the points the
-    // modeled pipeline executes (up to the cut), whether the grid let
-    // the host skip them or not ----
+    // ---- narrow each range to its lit span and shade it; the work
+    // charged is exactly what the modeled pipeline executes over the
+    // whole ray up to the cut, whether the host skipped it or not ----
     for (int r = 0; r < R; ++r) {
-        if (tws.n[size_t(r)] == 0)
+        const size_t ri = size_t(r);
+        if (tws.n[ri] == 0)
             continue;
-        const int cut = tws.cut[size_t(r)];
-        profile.points += uint64_t(cut);
-        profile.density_execs += uint64_t(cut);
-        profile.lookups += uint64_t(cut) * uint64_t(lookups_per_point_);
-        if (!probe && !tws.lit[size_t(r)]) {
-            // Sigma 0 up to the cut: every alpha is 0, so the color is
-            // exactly 0 and no anchor is live. Phase I rays are shaded
-            // anyway, because selectCount reads their color segments.
-            const int anchors =
-                ColorApproximator::anchorCount(cut, anchorGroup());
-            profile.color_execs += uint64_t(anchors);
-            profile.approx_colors += uint64_t(cut - anchors);
+        const int cut = tws.cut[ri];
+        countRay(cut, profile);
+        // From the first nonzero sigma to the last one before the cut,
+        // rounded out as the range was; every sigma outside is 0.
+        const int lo = tws.lo[ri];
+        const float *sigma = tws.sigma.data() + tws.offset[ri];
+        int first = lo, end = std::min(cut, tws.hi[ri]);
+        while (first < end && sigma[first - lo] == 0.0f)
+            ++first;
+        while (end > first && sigma[end - 1 - lo] == 0.0f)
+            --end;
+        if (first == end) {
+            // Unlit: every alpha is 0, so the color is exactly 0 and no
+            // anchor is live.
+            tws.hi[ri] = lo;
             continue;
         }
-        const int off = tws.offset[size_t(r)];
-        tws.color[size_t(r)] = shadePoints(
-            tws.rays[size_t(r)], tws.positions.data() + off,
-            tws.store_index.data() + off, tws.store.data(),
-            tws.sigma.data() + off, tws.colors.data() + off, cut,
-            tws.dt[size_t(r)], /*scalar=*/false, tws.shade, profile,
-            nullptr);
+        tws.lo[ri] = first - first % align;
+        tws.hi[ri] = anchorEnd(end - 1, cut);
+        tws.offset[ri] += tws.lo[ri] - lo;
+        const int off = tws.offset[ri];
+        const int count = tws.hi[ri] - tws.lo[ri];
+        shadePoints(tws.rays[ri], tws.positions.data() + off,
+                    tws.store_index.data() + off, tws.store.data(),
+                    tws.sigma.data() + off, tws.colors.data() + off, count,
+                    /*scalar=*/false, tws.shade, nullptr);
+        tws.color[ri] = nerf::compositeAlphas(tws.alpha.data() + off,
+                                              tws.colors.data() + off, count)
+                            .color;
     }
 }
 
@@ -481,7 +536,7 @@ AsdrRenderer::probeRow(FrameState &fs, int gy) const
                 float t0, t1;
                 intersectUnitCube(ray, t0, t1);
                 chosen = sampler_.selectCount(ws.sigma.data(),
-                                              ws.colors.data(), ns,
+                                              ws.colors.data(), ns, ns,
                                               (t1 - t0) / float(ns));
             }
             record(gx, rr.color, rr.points_used, chosen);
@@ -489,16 +544,19 @@ AsdrRenderer::probeRow(FrameState &fs, int gy) const
         return;
     }
     // Batched: the whole row in one march; each ray's sigma/color
-    // segment stays in the workspace for the difficulty evaluation.
+    // segment over its lit span stays in the workspace for the
+    // difficulty evaluation (an unlit ray's empty span composites to 0
+    // at every stride, as its sigma 0 would).
     marchRays(tws, /*probe=*/true, rp);
     for (int gx = 0; gx < gw; ++gx) {
         const size_t r = size_t(gx);
         const int off = tws.offset[r];
+        const int count = tws.hi[r] - tws.lo[r];
         const int chosen =
             tws.n[r] > 0
                 ? sampler_.selectCount(tws.sigma.data() + off,
-                                       tws.colors.data() + off, tws.n[r],
-                                       tws.dt[r])
+                                       tws.colors.data() + off, count,
+                                       tws.n[r], tws.dt[r])
                 : cfg_.min_samples;
         record(gx, tws.color[r], tws.cut[r], chosen);
     }

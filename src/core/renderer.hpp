@@ -35,17 +35,25 @@
  * adjacent rays at similar depths; a batch closes once it holds
  * eval_batch samples in marked cells. Probe rows march with early
  * termination off; tiles cut each ray at exactly the index the oracle
- * would. The march's own work follows what the grid keeps: a sample
- * costs 32 bytes of segment state and a grid test, density outputs are
- * stored only for the samples evaluated, alpha skips exp at sigma 0,
- * and a Phase II ray whose sigma is 0 up to its cut is not shaded (its
- * color is exactly 0). The scalar oracle (renderRay) evaluates one
- * point at a time in pixel order; it runs when a trace sink is
- * attached, so the event stream keeps the seed ordering, or when
- * eval_batch <= 1. Probe rows and tiles are jobs over a thread pool
- * with per-thread workspaces, merged in index order. Frames are
- * bit-identical for every thread count, tile size and batch size, and
- * to the scalar oracle.
+ * would. The march's own work follows what the grid keeps. Each ray
+ * gets one sample range from the bounding box of the grid's marked
+ * cells (OccupancyGrid::sampleRange), aligned to its anchors; every
+ * sample outside lies in an unmarked cell, so it has sigma 0, alpha +0
+ * and no effect on any composite. The march and the early-termination
+ * scan touch only that range, and a ray with no sample in it is neither
+ * marched nor shaded. The shading and Phase I's selectCount touch only
+ * the range's lit span, from the first nonzero sigma to the last before
+ * the cut, aligned alike; a ray whose span is empty is not shaded (its
+ * color is exactly 0). Inside the range a sample costs 36 bytes of
+ * segment state and a grid test, density outputs are stored only for
+ * the samples evaluated, and each alpha is computed once, by the
+ * early-termination scan, skipping exp at sigma 0. The scalar oracle
+ * (renderRay) evaluates one point at a time in pixel order over the
+ * whole ray; it runs when a trace sink is attached, so the event stream
+ * keeps the seed ordering, or when eval_batch <= 1. Probe rows and
+ * tiles are jobs over a thread pool with per-thread workspaces, merged
+ * in index order. Frames are bit-identical for every thread count, tile
+ * size and batch size, and to the scalar oracle.
  */
 
 #ifndef ASDR_CORE_RENDERER_HPP
@@ -254,11 +262,13 @@ class AsdrRenderer
 
     /**
      * Per-thread scratch of the batched march, reused across probe rows
-     * and tiles: SoA ray state, flat ray-major sample segments (per-ray
-     * at `offset[r]`) of 32 bytes a sample, and a compact store of the
-     * density outputs the host evaluated, which densityBatch writes
-     * into directly. A sample outside the grid's marked cells costs no
-     * store row.
+     * and tiles: SoA ray state, flat ray-major sample segments of 36
+     * bytes a sample, and a compact store of the density outputs the
+     * host evaluated, which densityBatch writes into directly. Ray r's
+     * segment holds the samples of its range [lo[r], hi[r]) from
+     * `offset[r]` on, sample d at offset[r] + d - lo[r]; samples outside
+     * the range cost nothing, and a sample outside the grid's marked
+     * cells costs no store row.
      */
     struct TileWorkspace
     {
@@ -271,17 +281,24 @@ class AsdrRenderer
         std::vector<nerf::Ray> rays;
         std::vector<int> px, py;
         std::vector<int> budget;   ///< assigned samples (the budget map)
-        std::vector<int> n;        ///< marched samples (0 = cube miss)
+        std::vector<int> n;        ///< modeled samples (0 = cube miss)
         std::vector<float> t0, dt;
-        std::vector<int> offset;   ///< segment start in the flat buffers
+        /** The samples that can lie in a marked cell, rounded out to
+         *  anchors (and on probe rays to subset strides); lo == hi when
+         *  none can. marchRays narrows it to the lit span: from the
+         *  first nonzero sigma to the last before the cut, rounded out
+         *  alike, and empty when there is none. Every sigma outside the
+         *  range is 0. */
+        std::vector<int> lo, hi;
+        std::vector<int> offset;   ///< slot of sample lo in the flat buffers
         std::vector<int> cut;      ///< early-termination index (== n if none)
         std::vector<float> transmittance;
-        std::vector<char> lit;     ///< a nonzero sigma before the cut
         std::vector<Vec3> color;   ///< composited color (0 on a miss)
         std::vector<int> marching; ///< rays not yet cut, in staging order
         // Flat per-ray sample segments, written up to the last band.
         std::vector<Vec3> positions;
         std::vector<float> sigma;     ///< floored; 0 outside marked cells
+        std::vector<float> alpha;     ///< from the ET scan, up to the cut
         std::vector<int> store_index; ///< row in `store`, or -1
         std::vector<Vec3> colors;
         // One band's marked samples (gather order) and their segment
@@ -294,50 +311,64 @@ class AsdrRenderer
 
   private:
     /**
-     * The color + approximation + compositing tail of a marched ray
-     * (shared by renderRay and marchRays): color network at anchors,
-     * gap interpolation, Eq. (1) compositing. An anchor is live when its
-     * own sigma or the sigma of a point interpolated from it is nonzero.
-     * Sample i's density output is `store[store_index[i]]`, held only
-     * where the host evaluated it (store_index -1 elsewhere); a live
-     * anchor without one has its density evaluated here first (on the
-     * batched path, in one densityBatch call per ray). `scalar` selects
-     * the oracle's per-point color path, which shades every other
-     * anchor whose density it holds. The batched path shades only the
-     * live anchors, in one colorBatch call (none when no anchor is
-     * live). Both write 0 for the anchors they do not shade:
-     * compositing weighs those colors by alpha = 0, so the results
-     * agree bit for bit. `profile.color_execs` counts every anchor on
-     * both paths.
+     * The color + approximation tail of a marched ray (shared by
+     * renderRay and marchRays): color network at anchors, then gap
+     * interpolation, into colors[0, count). The points [0, count) begin
+     * at one of the ray's anchors and end at one, so their anchors are
+     * anchorIndices(count, anchorGroup()): the whole ray up to its cut
+     * on the oracle, a ray's lit span on the batched path.
+     * An anchor is live when its own sigma or the sigma of a point
+     * interpolated from it is nonzero. Point i's density output is
+     * `store[store_index[i]]`, held only where the host evaluated it
+     * (store_index -1 elsewhere); a live anchor without one has its
+     * density evaluated here first (on the batched path, in one
+     * densityBatch call per ray). `scalar` selects the oracle's
+     * per-point color path, which shades every other anchor whose
+     * density it holds. The batched path shades only the live anchors,
+     * in one colorBatch call (none when no anchor is live). Both write 0
+     * for the anchors they do not shade: compositing weighs those colors
+     * by alpha = 0, so the results agree bit for bit. The caller
+     * composites and counts (countRay).
      */
-    Vec3 shadePoints(const nerf::Ray &ray, const Vec3 *positions,
+    void shadePoints(const nerf::Ray &ray, const Vec3 *positions,
                      const int *store_index,
                      const nerf::DensityOutput *store, const float *sigma,
-                     Vec3 *colors, int cut, float dt, bool scalar,
-                     RayWorkspace &ws, WorkloadProfile &profile,
-                     TraceSink *sink) const;
+                     Vec3 *colors, int count, bool scalar,
+                     RayWorkspace &ws, TraceSink *sink) const;
+
+    /** Count the modeled work of a ray cut at `cut` into `profile`: its
+     *  density pass and every anchor's color execution up to the cut,
+     *  whatever the host skipped. */
+    void countRay(int cut, WorkloadProfile &profile) const;
 
     /**
-     * The batched march over the rays staged in `tws`, depth-major. A
-     * band adds whole depths -- every marching ray's sample at that
-     * depth, in staging order, so consecutive batch points share
-     * hash-table cache lines -- until it holds eval_batch samples in
-     * the occupancy grid's marked cells (a march's last band may hold
-     * fewer); those go to densityBatch in one call, which writes into
-     * the workspace's compact store, and the others get sigma 0 with
-     * no store row. The early-termination scan (off for `probe` rays)
-     * then reads the band's floored sigma for the rays still marching
-     * and cuts each at exactly the index renderRay would; band samples
-     * past a cut are host slack, not workload. A Phase II ray whose
-     * sigma is 0 everywhere before its cut composites to exactly 0, so
-     * it is not shaded; only its anchors are counted. Leaves per-ray
-     * results in `tws`: `color`, `cut`, and for probe rays the
-     * sigma/color segments Phase I reads. A segment color equals the
-     * oracle's wherever that point's sigma is nonzero; where it is 0
-     * the color may differ (dead anchors are not shaded), and
-     * composite/compositeMulti weigh it by alpha = 0. Counts every
-     * modeled sample's work into `profile`, evaluated on the host or
-     * not; callers count the rays.
+     * The batched march over the rays staged in `tws`, depth-major, each
+     * over its sample range only (TileWorkspace::lo/hi): samples outside
+     * lie in unmarked cells, and a ray with an empty range is neither
+     * marched nor shaded. Transmittance stays exactly 1 before the
+     * range, so no cut moves, except at et_eps > 1, where transmittance
+     * 1 cuts at the first sample and rays march whole. A band adds whole
+     * depths -- every marching ray's sample at that depth, in staging
+     * order, so consecutive batch points share hash-table cache lines --
+     * until it holds eval_batch samples in the occupancy grid's marked
+     * cells (a march's last band may hold fewer); those go to
+     * densityBatch in one call, which writes into the workspace's
+     * compact store, and the others get sigma 0 with no store row. The
+     * early-termination scan then reads the band's floored sigma for the
+     * rays still marching, keeps each sample's alpha, and (not on
+     * `probe` rays) cuts each ray at exactly the index renderRay would;
+     * band samples past a cut are host slack, not workload. Each range
+     * then narrows to its lit span (TileWorkspace::lo/hi). A ray whose
+     * span is empty, sigma 0 everywhere before its cut, composites to
+     * exactly 0, so it is not shaded; only its anchors are counted. A
+     * lit ray is shaded over its span and composited from the kept
+     * alphas. Leaves per-ray results in `tws`: `color`, `cut`, the span,
+     * and for probe rays the sigma/color segments over the span that
+     * Phase I reads. A segment color equals the oracle's wherever that
+     * point's sigma is nonzero; where it is 0 the color may differ (dead
+     * anchors are not shaded), and composite/compositeMulti weigh it by
+     * alpha = 0. Counts every modeled sample's work into `profile`,
+     * evaluated on the host or not; callers count the rays.
      */
     void marchRays(TileWorkspace &tws, bool probe,
                    WorkloadProfile &profile) const;
@@ -372,6 +403,9 @@ class AsdrRenderer
     RenderConfig cfg_;
     AdaptiveSampler sampler_;
     int lookups_per_point_; ///< hoisted from costs() (hot path)
+    /** A probe ray's range starts at a multiple of this: the anchor
+     *  group and every subset stride (AdaptiveSampler::subsetAlignment). */
+    int probe_align_ = 1;
     std::shared_ptr<GridSlot> grid_;
 
     /** Lazily-started engine behind the synchronous facade (one

@@ -25,6 +25,23 @@ composite(const float *sigma, const Vec3 *color, int n, float dt, int stride)
     return out;
 }
 
+CompositeResult
+compositeAlphas(const float *alpha, const Vec3 *color, int n)
+{
+    // Exactly composite()'s per-point update at stride 1.
+    CompositeResult out;
+    float transmittance = 1.0f;
+    for (int i = 0; i < n; ++i) {
+        float w = transmittance * alpha[i];
+        out.color += color[i] * w;
+        transmittance *= (1.0f - alpha[i]);
+        if (transmittance < 1e-5f)
+            break;
+    }
+    out.opacity = 1.0f - transmittance;
+    return out;
+}
+
 void
 compositeMulti(const float *sigma, const Vec3 *color, int n, float dt,
                const int *strides, int count, CompositeResult *out)

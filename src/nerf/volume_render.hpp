@@ -34,6 +34,14 @@ CompositeResult composite(const float *sigma, const Vec3 *color, int n,
                           float dt, int stride = 1);
 
 /**
+ * composite(sigma, color, n, dt) from the points' alphas, alpha[i] =
+ * alphaFromSigma(sigma[i], dt), bit for bit: the batched march computes
+ * each alpha once, in its early-termination scan, and composites from it.
+ */
+CompositeResult compositeAlphas(const float *alpha, const Vec3 *color,
+                                int n);
+
+/**
  * Composite the same point buffers at `count` strides in a single pass
  * over sigma/color (one memory walk instead of one per candidate --
  * Phase I evaluates all its candidate subsets this way). out[k] is

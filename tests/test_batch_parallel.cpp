@@ -710,6 +710,63 @@ TEST(ParallelRender, ShadedAnchorsSeeTheFieldsOwnDensity)
     }
 }
 
+TEST(ParallelRender, ClippedRangesMatchTheOracleAtTheirEdges)
+{
+    // The batched march and its early-termination scan touch only each
+    // ray's range of samples that can lie in a marked cell, and the
+    // shading and Phase I's difficulty pass only the range's lit span.
+    // These configs sit at the range's edges: et_eps > 1, where
+    // transmittance 1 cuts every ray at its first sample, so rays march
+    // whole; an anchor group of 3 with subset strides {16, 6, 4}, so
+    // ranges start at multiples of 3 and probe ranges at multiples of
+    // 48; early termination off; color approximation off, so every
+    // sample is an anchor; and a floor above every sigma, so no cell is
+    // marked and every range is empty.
+    RenderFixture fx("Lego", 40, 40);
+    const auto set = [](RenderConfig &cfg, int which) {
+        switch (which) {
+        case 0:
+            cfg.et_eps = 1.5f;
+            return "et_eps 1.5";
+        case 1:
+            cfg.approx_group = 3;
+            cfg.subset_strides = {16, 6, 4};
+            return "group 3, strides 16 6 4";
+        case 2:
+            cfg.early_termination = false;
+            return "no early termination";
+        case 3:
+            cfg.color_approx = false;
+            return "no color approximation";
+        default:
+            cfg.sigma_floor = 1e30f;
+            return "floor above every sigma";
+        }
+    };
+    EXPECT_EQ(OccupancyGrid::build(*fx.field, 1e30f).markedCells(), 0);
+    for (int which = 0; which < 5; ++which) {
+        RenderConfig cfg = RenderConfig::asdr(40, 40, 64);
+        SCOPED_TRACE(set(cfg, which));
+        cfg.num_threads = 1;
+        cfg.eval_batch = 1; // the scalar oracle
+        const AsdrRenderer oracle(*fx.field, cfg);
+        RenderStats s_ref;
+        Image ref = oracle.render(fx.camera, &s_ref);
+
+        cfg.eval_batch = RenderConfig{}.eval_batch;
+        for (int threads : {1, 3}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads));
+            cfg.num_threads = threads;
+            RenderStats s;
+            Image frame = AsdrRenderer(oracle, cfg).render(fx.camera, &s);
+            expectFramesIdentical(ref, frame, "clip edges");
+            expectSameProfile(s_ref.profile, s.profile);
+            EXPECT_EQ(s_ref.sample_count_map, s.sample_count_map);
+            EXPECT_EQ(s_ref.actual_points_map, s.actual_points_map);
+        }
+    }
+}
+
 TEST(ParallelRender, SinkForcesSerialButSameFrame)
 {
     RenderFixture fx("Mic");

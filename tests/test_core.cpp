@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <sstream>
 #include <string>
 
 #include "core/adaptive_sampler.hpp"
@@ -53,7 +56,8 @@ TEST(AdaptiveSampler, EmptyRayGetsMinimumBudget)
     AdaptiveSampler sampler(asCfg(0.0f));
     std::vector<float> sigma(192, 0.0f);
     std::vector<Vec3> color(192, Vec3(0.0f));
-    int count = sampler.selectCount(sigma.data(), color.data(), 192, 0.01f);
+    int count =
+        sampler.selectCount(sigma.data(), color.data(), 192, 192, 0.01f);
     EXPECT_EQ(count, 12); // 192 / 16
 }
 
@@ -66,7 +70,8 @@ TEST(AdaptiveSampler, ThinFeatureForcesFullBudget)
     std::vector<Vec3> color(192, Vec3(0.0f));
     sigma[13] = 400.0f;
     color[13] = Vec3(1.0f, 1.0f, 1.0f);
-    int count = sampler.selectCount(sigma.data(), color.data(), 192, 0.01f);
+    int count =
+        sampler.selectCount(sigma.data(), color.data(), 192, 192, 0.01f);
     EXPECT_EQ(count, 192);
 }
 
@@ -83,7 +88,7 @@ TEST(AdaptiveSampler, LooserThresholdNeverIncreasesBudget)
     for (float delta : {0.0f, 1.0f / 2048.0f, 1.0f / 256.0f, 0.1f}) {
         AdaptiveSampler sampler(asCfg(delta));
         int count =
-            sampler.selectCount(sigma.data(), color.data(), 192, 0.01f);
+            sampler.selectCount(sigma.data(), color.data(), 192, 192, 0.01f);
         EXPECT_LE(count, prev);
         prev = count;
     }
@@ -97,7 +102,8 @@ TEST(AdaptiveSampler, UniformMediumPassesAtSmallDelta)
     AdaptiveSampler sampler(asCfg(1.0f / 256.0f));
     std::vector<float> sigma(192, 4.0f);
     std::vector<Vec3> color(192, Vec3(0.4f, 0.5f, 0.6f));
-    int count = sampler.selectCount(sigma.data(), color.data(), 192, 0.01f);
+    int count =
+        sampler.selectCount(sigma.data(), color.data(), 192, 192, 0.01f);
     EXPECT_LT(count, 192);
 }
 
@@ -340,5 +346,243 @@ TEST(OccupancyGrid, EveryPointAtOrAboveTheFloorLiesInAMarkedCell)
                                           << ", " << p.z;
         }
         EXPECT_GT(kept, 1000);
+    }
+}
+
+namespace {
+
+/** Inclusive cell bounds of a grid's marked cells on each axis. */
+struct CellBox
+{
+    int lo[3] = {OccupancyGrid::kRes, OccupancyGrid::kRes,
+                 OccupancyGrid::kRes};
+    int hi[3] = {-1, -1, -1};
+};
+
+CellBox
+markedBox(const OccupancyGrid &grid)
+{
+    constexpr int kRes = OccupancyGrid::kRes;
+    CellBox box;
+    for (int z = 0; z < kRes; ++z)
+        for (int y = 0; y < kRes; ++y)
+            for (int x = 0; x < kRes; ++x) {
+                const int c[3] = {x, y, z};
+                if (!grid.occupied(Vec3(float(x) + 0.5f, float(y) + 0.5f,
+                                        float(z) + 0.5f) *
+                                   (1.0f / float(kRes))))
+                    continue;
+                for (int a = 0; a < 3; ++a) {
+                    box.lo[a] = std::min(box.lo[a], c[a]);
+                    box.hi[a] = std::max(box.hi[a], c[a]);
+                }
+            }
+    return box;
+}
+
+/** Totals over the rays checkSampleRange saw hit the cube. */
+struct RangeTally
+{
+    uint64_t rays = 0;
+    uint64_t in_box = 0;   ///< samples inside the marked cells' box
+    uint64_t in_range = 0; ///< samples inside sampleRange's range
+    uint64_t whole = 0;    ///< every sample
+};
+
+/**
+ * March `ray` at `n` samples as the renderer does and check, sample by
+ * sample, that every one outside grid.sampleRange lies outside the
+ * marked cells' bounding box and in an unmarked cell.
+ */
+bool
+checkSampleRange(const OccupancyGrid &grid, const CellBox &box,
+                 const nerf::Ray &ray, int n, RangeTally &tally)
+{
+    float t0, t1;
+    if (!nerf::intersectUnitCube(ray, t0, t1))
+        return true;
+    const float dt = (t1 - t0) / float(n);
+    const OccupancyGrid::SampleRange s = grid.sampleRange(ray, t0, dt, n);
+    const auto where = [&] {
+        std::ostringstream os;
+        os.precision(9);
+        os << "origin (" << ray.origin.x << ", " << ray.origin.y << ", "
+           << ray.origin.z << ") dir (" << ray.dir.x << ", " << ray.dir.y
+           << ", " << ray.dir.z << ") n " << n << " range [" << s.lo
+           << ", " << s.hi << ")";
+        return os.str();
+    };
+    if (!(0 <= s.lo && s.lo <= s.hi && s.hi <= n)) {
+        ADD_FAILURE() << "range out of bounds: " << where();
+        return false;
+    }
+    for (int d = 0; d < n; ++d) {
+        const Vec3 p = marchPoint(ray, t0, dt, d);
+        bool inside = true;
+        for (int a = 0; a < 3; ++a) {
+            const int c = OccupancyGrid::cellIndex(p[a]);
+            inside = inside && c >= box.lo[a] && c <= box.hi[a];
+        }
+        tally.in_box += inside;
+        if ((d < s.lo || d >= s.hi) && (inside || grid.occupied(p))) {
+            ADD_FAILURE() << "sample " << d << " in the box: " << where();
+            return false;
+        }
+    }
+    ++tally.rays;
+    tally.in_range += uint64_t(s.hi - s.lo);
+    tally.whole += uint64_t(n);
+    return true;
+}
+
+} // namespace
+
+TEST(OccupancyGrid, SampleRangeHoldsEveryMarkedSample)
+{
+    // Brute force over every sample of 120k rays: random ones, ones that
+    // start inside the cube, axis-parallel ones whose other direction
+    // components are +0 or -0, ones through the marked box's corners and
+    // edges and along its faces, and ones that miss it, at budgets 1 to
+    // 192. Every sample outside a ray's range lies in an unmarked cell,
+    // and the ranges stay tight: a clip that fell back to whole rays
+    // would hold far more than the samples in the box.
+    const float floor = RenderConfig{}.sigma_floor;
+    for (const char *name : {"Lego", "Chair"}) {
+        SCOPED_TRACE(name);
+        auto scene = scene::createScene(name);
+        nerf::ProceduralField field(*scene, nerf::NgpModelConfig::fast());
+        const OccupancyGrid grid = OccupancyGrid::build(field, floor);
+        const CellBox box = markedBox(grid);
+        // The box's face planes on each axis.
+        float lo_f[3], hi_f[3];
+        for (int a = 0; a < 3; ++a) {
+            ASSERT_LE(box.lo[a], box.hi[a]);
+            lo_f[a] = float(box.lo[a]) / float(OccupancyGrid::kRes);
+            hi_f[a] = float(box.hi[a] + 1) / float(OccupancyGrid::kRes);
+        }
+        const Vec3 center(0.5f);
+        Rng rng(20261019);
+        // A coordinate on axis a: uniform, a box face, a cell boundary,
+        // or a face one ulp off.
+        const auto coordinate = [&](int a) {
+            const float face = rng.nextFloat() < 0.5f ? lo_f[a] : hi_f[a];
+            switch (rng.nextBounded(4)) {
+            case 0:
+                return rng.nextFloat();
+            case 1:
+                return face;
+            case 2:
+                return float(rng.nextBounded(OccupancyGrid::kRes + 1)) /
+                       float(OccupancyGrid::kRes);
+            default:
+                return std::nextafter(face, rng.nextFloat() < 0.5f ? 0.0f
+                                                                   : 1.0f);
+            }
+        };
+        RangeTally tally;
+        for (int i = 0; i < 60000; ++i) {
+            const int n = 1 + i % 192;
+            nerf::Ray ray;
+            switch (i % 6) {
+            case 0: // random, toward the cube
+                ray.origin = center + rng.nextDirection() * 2.5f;
+                ray.dir = normalize(Vec3(rng.nextRange(-0.1f, 1.1f),
+                                         rng.nextRange(-0.1f, 1.1f),
+                                         rng.nextRange(-0.1f, 1.1f)) -
+                                    ray.origin);
+                break;
+            case 1: // starts inside the cube
+                ray.origin = rng.nextVec3();
+                ray.dir = rng.nextDirection();
+                break;
+            case 2: { // axis-parallel, other components +0 or -0
+                const int a = int(rng.nextBounded(3));
+                const float sign = rng.nextFloat() < 0.5f ? 1.0f : -1.0f;
+                float o[3], v[3];
+                for (int b = 0; b < 3; ++b) {
+                    o[b] = coordinate(b);
+                    v[b] = rng.nextFloat() < 0.5f ? 0.0f : -0.0f;
+                }
+                v[a] = sign;
+                if (rng.nextFloat() < 0.7f)
+                    o[a] = sign > 0.0f ? -0.5f : 1.5f;
+                ray.origin = {o[0], o[1], o[2]};
+                ray.dir = {v[0], v[1], v[2]};
+                break;
+            }
+            case 3: { // through a corner or an edge of the box
+                float p[3];
+                const int free_axis = int(rng.nextBounded(4)); // 3: corner
+                for (int a = 0; a < 3; ++a)
+                    p[a] = a == free_axis
+                               ? rng.nextRange(lo_f[a], hi_f[a])
+                               : (rng.nextFloat() < 0.5f ? lo_f[a]
+                                                         : hi_f[a]);
+                const Vec3 target(p[0], p[1], p[2]);
+                ray.origin = target + rng.nextDirection() * 2.0f;
+                ray.dir = normalize(target - ray.origin);
+                break;
+            }
+            case 4: { // along a face of the box, nearly parallel to it
+                const int a = int(rng.nextBounded(3));
+                float o[3];
+                for (int b = 0; b < 3; ++b)
+                    o[b] = rng.nextRange(-0.2f, 1.2f);
+                o[a] = coordinate(a);
+                Vec3 dir = rng.nextDirection();
+                const float tilt[] = {0.0f, -0.0f, 1e-7f, -1e-6f, 1e-4f};
+                const float t = tilt[rng.nextBounded(5)];
+                dir = Vec3(a == 0 ? t : dir.x, a == 1 ? t : dir.y,
+                           a == 2 ? t : dir.z);
+                ray.origin = {o[0], o[1], o[2]};
+                ray.dir = normalize(dir);
+                break;
+            }
+            default: { // through the cube's shell outside the box
+                float p[3];
+                for (int a = 0; a < 3; ++a)
+                    p[a] = rng.nextFloat() < 0.5f
+                               ? rng.nextRange(0.0f, lo_f[a])
+                               : rng.nextRange(hi_f[a], 1.0f);
+                const Vec3 target(p[0], p[1], p[2]);
+                ray.origin = target + rng.nextDirection() * 2.0f;
+                ray.dir = normalize(target - ray.origin);
+                break;
+            }
+            }
+            ASSERT_TRUE(checkSampleRange(grid, box, ray, n, tally));
+        }
+        EXPECT_GT(tally.rays, 50000u);
+        EXPECT_GT(tally.in_box, 0u);
+        EXPECT_LE(double(tally.in_range), 1.5 * double(tally.in_box))
+            << tally.in_range << " samples in ranges, " << tally.in_box
+            << " in the box";
+        // A clip that returned whole rays would fail the bound above.
+        EXPECT_GT(double(tally.whole), 1.5 * double(tally.in_box))
+            << tally.whole << " samples, " << tally.in_box << " in the box";
+    }
+}
+
+TEST(OccupancyGrid, SampleRangeIsWholeOnAFullGridAndEmptyOnAnEmptyOne)
+{
+    const OccupancyGrid full; // every cell marked
+    ConstantField nothing(0.0f);
+    const OccupancyGrid empty = OccupancyGrid::build(nothing, 0.25f);
+    ASSERT_EQ(empty.markedCells(), 0);
+    Rng rng(7);
+    for (int i = 0; i < 1000; ++i) {
+        nerf::Ray ray;
+        ray.origin = Vec3(0.5f) + rng.nextDirection() * 2.0f;
+        ray.dir = normalize(rng.nextVec3() - ray.origin);
+        float t0, t1;
+        ASSERT_TRUE(nerf::intersectUnitCube(ray, t0, t1));
+        const int n = 1 + i % 192;
+        const float dt = (t1 - t0) / float(n);
+        const OccupancyGrid::SampleRange all = full.sampleRange(ray, t0, dt, n);
+        EXPECT_EQ(all.lo, 0);
+        EXPECT_EQ(all.hi, n);
+        const OccupancyGrid::SampleRange none =
+            empty.sampleRange(ray, t0, dt, n);
+        EXPECT_EQ(none.lo, none.hi);
     }
 }

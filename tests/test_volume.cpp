@@ -168,6 +168,52 @@ TEST(Composite, MultiStrideMatchesSeparateCalls)
         }
 }
 
+TEST(Composite, FromAlphasMatchesCompositeBitForBit)
+{
+    // The batched march composites from the alphas its early-termination
+    // scan kept; the result must be composite()'s, bit for bit: on
+    // buffers of mostly exact zeros, with huge sigma that takes the
+    // early break below 1e-5, and with negative-zero colors.
+    const auto bits = [](float f) {
+        uint32_t u;
+        std::memcpy(&u, &f, sizeof u);
+        return u;
+    };
+    Rng rng(27);
+    const int n = 128;
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<float> sigma(n, 0.0f);
+        std::vector<Vec3> color(n);
+        for (int i = 0; i < n; ++i) {
+            const float u = rng.nextFloat();
+            if (u < 0.15f)
+                sigma[size_t(i)] = rng.nextRange(0.0f, 30.0f);
+            else if (u < 0.17f && trial % 2 == 1)
+                sigma[size_t(i)] = 1e6f; // saturates: the early break
+            else if (u < 0.2f)
+                sigma[size_t(i)] = -0.0f;
+            const float c = rng.nextFloat();
+            color[size_t(i)] =
+                c < 0.3f ? Vec3(-0.0f)
+                         : Vec3(rng.nextFloat(), -0.0f, rng.nextFloat());
+        }
+        const float dt = trial % 3 == 0 ? 0.004f : 0.05f;
+        std::vector<float> alpha(n);
+        for (int i = 0; i < n; ++i)
+            alpha[size_t(i)] = alphaFromSigma(sigma[size_t(i)], dt);
+        for (int count : {0, 1, 17, n}) {
+            const CompositeResult ref =
+                composite(sigma.data(), color.data(), count, dt);
+            const CompositeResult got =
+                compositeAlphas(alpha.data(), color.data(), count);
+            ASSERT_EQ(bits(got.color.x), bits(ref.color.x)) << trial;
+            ASSERT_EQ(bits(got.color.y), bits(ref.color.y)) << trial;
+            ASSERT_EQ(bits(got.color.z), bits(ref.color.z)) << trial;
+            ASSERT_EQ(bits(got.opacity), bits(ref.opacity)) << trial;
+        }
+    }
+}
+
 TEST(Composite, StrideDivergesOnThinFeatures)
 {
     // A thin occluder hit by only one of the samples: subsets differ,
