@@ -18,8 +18,8 @@ namespace asdr::core {
 /**
  * Resolve RenderConfig::num_threads. 0 = auto: the ASDR_NUM_THREADS
  * environment variable when set, else the hardware concurrency.
- * Shared by the renderer facade and the frame engine so both size
- * their pools identically.
+ * Shared by the renderer facade and the frame engine so both start
+ * the same number of workers.
  */
 inline int
 resolveThreadCount(int requested)

@@ -688,8 +688,8 @@ AsdrRenderer::render(const nerf::Camera &camera, RenderStats *stats,
     if (sink)
         return renderTraced(camera, stats, *sink);
 
-    // Thin synchronous facade over the streaming engine: the worker
-    // pool persists across render() calls instead of being rebuilt per
+    // Thin synchronous facade over the streaming engine: the workers
+    // persist across render() calls instead of being rebuilt per
     // frame, and one frame's stages flow through the same stage chain
     // the pipelined path uses (max_frames_in_flight = 1 here -- the
     // caller blocks on the frame anyway).

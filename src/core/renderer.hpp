@@ -51,9 +51,9 @@
  * (renderRay) evaluates one point at a time in pixel order over the
  * whole ray; it runs when a trace sink is attached, so the event stream
  * keeps the seed ordering, or when eval_batch <= 1. Probe rows and
- * tiles are jobs over a thread pool with per-thread workspaces, merged
- * in index order. Frames are bit-identical for every thread count, tile
- * size and batch size, and to the scalar oracle.
+ * tiles are jobs on the frame engine's workers with per-thread
+ * workspaces, merged in index order. Frames are bit-identical for every
+ * thread count, tile size and batch size, and to the scalar oracle.
  */
 
 #ifndef ASDR_CORE_RENDERER_HPP
@@ -171,11 +171,10 @@ class AsdrRenderer
      *
      * This is a thin synchronous facade over the streaming frame
      * engine: the first non-traced render lazily starts a per-renderer
-     * engine::FrameEngine (one persistent worker pool sized by
-     * cfg.num_threads), and every subsequent render reuses it -- no
-     * per-frame thread construction. Traced renders (`sink` attached)
-     * run the serial in-thread path so the event stream keeps its
-     * exact ordering.
+     * engine::FrameEngine (cfg.num_threads persistent workers), and
+     * every subsequent render reuses it -- no per-frame thread
+     * construction. Traced renders (`sink` attached) run the serial
+     * in-thread path so the event stream keeps its exact ordering.
      */
     Image render(const nerf::Camera &camera, RenderStats *stats = nullptr,
                  TraceSink *sink = nullptr) const;
@@ -408,8 +407,8 @@ class AsdrRenderer
     int probe_align_ = 1;
     std::shared_ptr<GridSlot> grid_;
 
-    /** Lazily-started engine behind the synchronous facade (one
-     *  persistent pool per renderer, shared by all its frames). */
+    /** Lazily-started engine behind the synchronous facade (one set
+     *  of persistent workers per renderer, shared by all its frames). */
     mutable std::unique_ptr<engine::FrameEngine> engine_;
     mutable std::once_flag engine_once_;
 };

@@ -3,25 +3,32 @@
  * Streaming frame-serving engine: the pipelined execution model behind
  * continuous rendering traffic (camera paths, many concurrent viewers).
  *
- * The engine owns ONE long-lived worker pool for its whole lifetime --
- * no per-frame thread construction -- and accepts FrameRequests on a
- * queue. Up to `max_frames_in_flight` admitted frames execute
- * concurrently, each as a fixed chain of five stages
+ * The engine owns its worker threads for its whole lifetime -- no
+ * per-frame thread construction -- and holds submitted frames in one
+ * submission-order list. The first `max_frames_in_flight` of them are
+ * admitted and execute concurrently, each as a fixed chain of five
+ * stages
  *
  *   ray setup -> Phase I probe rows -> sample-count planning
  *             -> Phase II Morton tiles -> composite/finalize
  *
- * over the shared pool: the last task of a stage submits the next
- * stage's tasks. Only a frame's own stages are ordered, so frame N's
- * Phase II tiles overlap frame N+1's Phase I probes on idle workers:
- * the serial planning/finalize stages and the straggler tails at each
- * stage boundary -- dead time in the blocking path -- are covered by
- * neighboring frames' work. This mirrors the paper's hardware, which
- * pipelines the Phase I and Phase II engines over shared CIM arrays
- * (§5.5).
+ * An admitted frame's current stage is an index range: its task
+ * count, its next unclaimed index and its count of unfinished tasks.
+ * Under the engine's one mutex a free worker takes the next index of
+ * the admitted frame with the smallest order key (FrameRequest::
+ * priority, or the frame id when that is 0), so the order is exact;
+ * the worker that finishes a stage's last index opens the next stage.
+ * Opening a stage only resets those three counters, so it allocates
+ * nothing and cannot fail. Only a frame's own stages are ordered, so
+ * frame N's Phase II tiles overlap frame N+1's Phase I probes on idle
+ * workers: the serial planning/finalize stages and the straggler tails
+ * at each stage boundary -- dead time in the blocking path -- are
+ * covered by neighboring frames' work. This mirrors the paper's
+ * hardware, which pipelines the Phase I and Phase II engines over
+ * shared CIM arrays (§5.5).
  *
- * A frame's tasks all carry its one order key (FrameRequest::priority),
- * and its stage spans the QoS label of the thread that submitted it.
+ * A frame's stage spans carry the QoS label of the thread that
+ * submitted it.
  *
  * Every stage is a bit-exact decomposition of AsdrRenderer::render()
  * (which is itself a one-frame facade over this engine), so pipelined
@@ -40,16 +47,17 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <thread>
+#include <vector>
 
 #include "core/renderer.hpp"
-#include "util/thread_pool.hpp"
 
 namespace asdr::engine {
 
 struct EngineConfig
 {
-    /** Worker threads of the engine's pool. 0 = auto: ASDR_NUM_THREADS
-     *  when set, else the hardware concurrency. */
+    /** Worker threads of the engine. 0 = auto: ASDR_NUM_THREADS when
+     *  set, else the hardware concurrency. */
     int num_threads = 0;
     /** Frames pipelined concurrently; 1 = strictly sequential frames
      *  (still no per-frame thread churn). */
@@ -81,12 +89,12 @@ struct FrameRequest
     const core::AsdrRenderer *renderer = nullptr;
 
     /**
-     * Order key of this frame's pool tasks: a worker takes the ready
-     * task with the smallest key, so a frame with a smaller key runs
-     * ahead of co-resident frames whatever their submission order. The
-     * server passes its ticket plus the class lag
-     * (server::PendingFrame::key). 0 keys the frame by its engine
-     * frame id, so keyless frames drain oldest first.
+     * Order key of this frame's stage tasks: a worker takes the next
+     * task of the admitted frame with the smallest key, so a frame
+     * with a smaller key runs ahead of co-resident frames whatever
+     * their submission order. The server passes its ticket plus the
+     * class lag (server::PendingFrame::key). 0 keys the frame by its
+     * engine frame id, so keyless frames drain oldest first.
      */
     uint64_t priority = 0;
 
@@ -113,7 +121,8 @@ class FrameEngine
 {
   public:
     explicit FrameEngine(const EngineConfig &cfg = {});
-    /** Drains all in-flight frames, then joins the pool's workers. */
+    /** Resumes, delivers every submitted frame, then joins the
+     *  workers. */
     ~FrameEngine();
 
     FrameEngine(const FrameEngine &) = delete;
@@ -139,35 +148,46 @@ class FrameEngine
      *  returned. */
     void drain();
 
-    /** The engine's persistent pool (exposed for diagnostics/tests). */
-    ThreadPool &pool() { return pool_; }
+    /**
+     * Test seam: while paused, workers claim no task, so submissions
+     * pile up deterministically. Frames still queue and admit, and a
+     * task already running finishes. resume() lets the workers go on.
+     */
+    void pause();
+    void resume();
 
   private:
     struct InFlight;
 
-    /** Admit queued frames while pipeline slots are free (m_ held). */
-    void pumpLocked();
-    /** Submit the tasks of `stage`, or of the first later stage that
-     *  has any; past the last stage, or after a failure, finish. */
-    void startStage(InFlight *f, int stage);
-    /** One task of a stage; the stage's last task starts the next. */
-    void runTask(InFlight *f, int stage, int index);
+    /** Stamp an admitted frame's start and open its ray setup (m_
+     *  held). */
+    void admitLocked(InFlight &f);
+    /** Take the next index of the admitted frame with the smallest key
+     *  (m_ held); null when there is none or the engine is paused. */
+    InFlight *claimLocked(int &stage, int &index);
+    /** Claim, run and complete tasks until stopped; the worker that
+     *  completes a stage's last task opens the next stage or finishes
+     *  the frame. */
+    void workerLoop();
+    /** Run one task of the frame's `stage`; returns what it threw. */
+    static std::exception_ptr runTask(InFlight &f, int stage, int index);
     /** Hand the outcome to the consumer, then free the slot. */
     void finish(InFlight *f);
+    /** Let the workers run out of work and exit; join them. */
+    void stopWorkers();
 
     EngineConfig cfg_;
 
     std::mutex m_;
-    std::condition_variable idle_cv_;
-    std::deque<std::unique_ptr<InFlight>> queue_; ///< submitted, not admitted
-    int in_flight_ = 0;
+    std::condition_variable work_cv_; ///< wakes idle workers
+    std::condition_variable idle_cv_; ///< wakes drain()
+    /** Submitted frames in submission order; the first
+     *  max_frames_in_flight are the admitted ones. */
+    std::deque<std::unique_ptr<InFlight>> frames_;
     uint64_t next_id_ = 1;
-
-    /** Declared last, so it is destroyed first: the worker that
-     *  finished the last frame may still be in finish(), notifying
-     *  idle_cv_, when drain() returns, so the workers are joined
-     *  before the members they use are destroyed. */
-    ThreadPool pool_;
+    bool paused_ = false;
+    bool stop_ = false;
+    std::vector<std::thread> workers_; ///< joined before any member dies
 };
 
 } // namespace asdr::engine

@@ -345,8 +345,6 @@ RenderService::acceptNew()
         }
         s.setNonBlocking(true);
         s.setNoDelay(true);
-        if (cfg_.sndbuf_bytes > 0)
-            s.setSendBuffer(cfg_.sndbuf_bytes);
         auto conn = std::make_shared<Connection>();
         conn->sock = std::move(s);
         wire_.connections_accepted.inc();

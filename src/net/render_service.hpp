@@ -108,13 +108,6 @@ struct ServiceConfig
      * a disconnect closes sessions immediately, as before.
      */
     double resume_grace_s = 0.0;
-    /**
-     * Fixed kernel send-buffer size per connection; 0 = kernel default
-     * (autotuned). A small fixed buffer makes slow consumers visible
-     * to the shed threshold promptly instead of letting the kernel
-     * absorb megabytes of queued output first.
-     */
-    size_t sndbuf_bytes = 0;
 };
 
 /** A typed read of the service's wire counters (asdr_wire_* in the

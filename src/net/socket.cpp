@@ -87,13 +87,6 @@ Socket::setRecvTimeout(double seconds)
 }
 
 bool
-Socket::setSendBuffer(size_t bytes)
-{
-    const int v = int(bytes);
-    return ::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &v, sizeof v) == 0;
-}
-
-bool
 Socket::sendAll(const void *data, size_t n)
 {
     if (fault::fire(fault::kSocketSend)) {

@@ -49,10 +49,6 @@ class Socket
     /** Blocking-read timeout (0 = never time out). The client library
      *  sets one so a dead service can't hang a caller forever. */
     bool setRecvTimeout(double seconds);
-    /** Fixed kernel send-buffer size (disables autotuning). Bounds how
-     *  much output the kernel absorbs before backpressure becomes
-     *  visible to the service's outbound-queue accounting. */
-    bool setSendBuffer(size_t bytes);
 
     /** Blocking send of the whole buffer (retries partial writes and
      *  EINTR). False when the connection died. */

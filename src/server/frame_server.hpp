@@ -13,8 +13,8 @@
  *                    first session (plus one per degraded sample
  *                    budget the quality ladder admits a frame at), and
  *                    every session of the scene renders through them.
- *   FrameServer      owns one FrameEngine: one worker pool and one
- *                    set of pipeline slots that every session's
+ *   FrameServer      owns one FrameEngine: one set of workers and
+ *                    one set of pipeline slots that every session's
  *                    frames share, as the paper's Phase I and Phase
  *                    II engines share one set of arrays. The
  *                    per-class and per-scene in-flight counts, the
@@ -24,8 +24,9 @@
  *                    FIFO): smallest order key (ticket + qosLag)
  *                    first, per-class in-flight caps, per-scene
  *                    quotas, bounded per-client backlogs (drop-oldest
- *                    for interactive). The engine runs the frame's
- *                    stage tasks by the same key. The server keeps the
+ *                    for interactive). The engine's workers take
+ *                    each admitted frame's stage tasks by the same
+ *                    key, smallest first. The server keeps the
  *                    engine's own queue EMPTY -- frames wait in the
  *                    scheduler, not the engine, so admission order is
  *                    always the scheduler's decision.

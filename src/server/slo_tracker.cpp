@@ -19,6 +19,10 @@ constexpr size_t kRecentOffenders = 8;
  *  1% of frames over it. */
 constexpr double kLatencyBudget = 0.01;
 
+/** Both windows must burn at or above this to breach: 1.0 alerts
+ *  exactly when the budget is being consumed unsustainably. */
+constexpr double kBreachBurn = 1.0;
+
 std::string
 breachText(QosClass c, const char *slo, bool entered, double fast,
            double slow, double objective)
@@ -179,8 +183,7 @@ SloTracker::evaluateLocked(QosClass c, ClassState &st, Objective &obj,
     const double slow = windowFraction(st, slow_buckets_, bad) / budget;
     obj.fast->set(fast);
     obj.slow->set(slow);
-    const bool breached =
-        fast >= p_.burn_threshold && slow >= p_.burn_threshold;
+    const bool breached = fast >= kBreachBurn && slow >= kBreachBurn;
     if (breached == (obj.breached->value() != 0.0))
         return;
     obj.breached->set(breached ? 1.0 : 0.0);

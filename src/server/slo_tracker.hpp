@@ -14,11 +14,11 @@
  * fraction of budget-violating frames in a window divided by the
  * budget (burn 1.0 == consuming the budget exactly at the sustainable
  * rate; burn 10 == the budget gone in a tenth of the window). An
- * objective breaches only when the FAST and SLOW windows are both
- * over `burn_threshold` -- the classic multi-window alert shape: the
- * slow window proves the problem is real, the fast window proves it
- * is still happening, so a breach clears quickly once the cause is
- * fixed instead of lingering for a full slow window.
+ * objective breaches only when the FAST and SLOW windows both burn at
+ * 1.0 or more -- the classic multi-window alert shape: the slow window
+ * proves the problem is real, the fast window proves it is still
+ * happening, so a breach clears quickly once the cause is fixed
+ * instead of lingering for a full slow window.
  *
  * The burns, the breach state (asdr_slo_breach{qos,slo}) and the
  * per-class breach events live in the server's metrics registry; the
@@ -71,9 +71,6 @@ struct SloParams
     double fast_window_s = 60.0;
     /** Slow alert window, seconds ("is it real?"); production ~1 h. */
     double slow_window_s = 3600.0;
-    /** Both windows must burn at or above this to breach. 1.0 alerts
-     *  exactly when the budget is being consumed unsustainably. */
-    double burn_threshold = 1.0;
 
     bool enabled() const
     {

@@ -7,8 +7,9 @@
  *    and max_frames_in_flight.
  *  - The batched distillation trainer (Mlp::forwardBatch through
  *    fitField) produces a bit-identical field to the per-sample loop.
- *  - ThreadPool destruction drains queued tasks, and frames run in
- *    order-key order.
+ *  - Destroying an engine delivers every submitted frame before its
+ *    workers are joined, and the workers run frames in order-key order
+ *    (pause()/resume() holds them while the frames queue).
  *    (Stage order within a frame is checked on real frames'
  *    telemetry spans: Telemetry.SpanOrderingInvariants.)
  */
@@ -26,7 +27,6 @@
 #include "nerf/procedural_field.hpp"
 #include "nerf/trainer.hpp"
 #include "scene/scene_library.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace asdr;
 using namespace asdr::core;
@@ -44,21 +44,55 @@ expectFramesIdentical(const Image &a, const Image &b, const char *what)
 
 } // namespace
 
-TEST(ThreadPoolLifecycle, DestructionDrainsBeforeJoining)
+TEST(FrameEngineLifecycle, DestructionDeliversEverySubmittedFrame)
 {
-    std::atomic<int> ran{0};
-    std::vector<int> squares(100, 0);
-    {
-        ThreadPool pool(3);
-        for (int i = 0; i < 64; ++i)
-            pool.submit([&] { ran.fetch_add(1); });
-        for (int i = 0; i < 100; ++i)
-            pool.submit([&, i] { squares[size_t(i)] = i * i; },
-                        uint64_t(i));
-    } // drains remaining tasks before joining
-    EXPECT_EQ(ran.load(), 64);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(squares[size_t(i)], i * i);
+    // An engine destroyed right after its submissions still runs every
+    // frame's callback exactly once, with the frame render() draws,
+    // before its destructor returns: it drains, then joins its workers.
+    auto scene = scene::createScene("Lego");
+    ProceduralField field(*scene, NgpModelConfig::fast());
+    const int W = 12, FRAMES = 6;
+    auto path = orbitCameraPath(scene->info(), W, W, FRAMES);
+    RenderConfig cfg = RenderConfig::asdr(W, W, 24);
+    cfg.num_threads = 1;
+    const AsdrRenderer reference(field, cfg);
+    std::vector<Image> seq;
+    for (const auto &cam : path)
+        seq.push_back(reference.render(cam));
+
+    for (int threads : {1, 3}) {
+        for (int slots : {1, 2}) {
+            SCOPED_TRACE("threads=" + std::to_string(threads) +
+                         " slots=" + std::to_string(slots));
+            std::vector<int> calls(size_t(FRAMES), 0);
+            std::vector<Image> got;
+            got.resize(size_t(FRAMES));
+            {
+                engine::EngineConfig ec;
+                ec.num_threads = threads;
+                ec.max_frames_in_flight = slots;
+                engine::FrameEngine eng(ec);
+                for (int f = 0; f < FRAMES; ++f) {
+                    engine::FrameRequest req(path[size_t(f)]);
+                    req.renderer = &reference;
+                    // Each frame writes only its own elements.
+                    req.on_complete = [&calls, &got,
+                                       f](engine::Frame &&frame,
+                                          std::exception_ptr err) {
+                        EXPECT_EQ(err, nullptr);
+                        ++calls[size_t(f)];
+                        got[size_t(f)] = std::move(frame.image);
+                    };
+                    eng.submitAsync(std::move(req));
+                }
+            }
+            for (int f = 0; f < FRAMES; ++f) {
+                EXPECT_EQ(calls[size_t(f)], 1) << "frame " << f;
+                expectFramesIdentical(seq[size_t(f)], got[size_t(f)],
+                                      "frame delivered by the destructor");
+            }
+        }
+    }
 }
 
 TEST(FrameEnginePipeline, InFlightFramesMatchSequentialBitwise)
@@ -268,10 +302,10 @@ TEST(FrameEngineAsync, StageFailureReachesCallbackAndFutureWithoutWedging)
 TEST(FrameEngineAsync, SmallerKeySubmittedSecondFinishesFirst)
 {
     // A frame submitted AFTER another but with a smaller order key
-    // still runs first on the engine's single worker: the worker parks
-    // behind a gate, the frames queue, and the key scan drains the
-    // smaller key's stages first. A keyless frame is keyed by its
-    // frame id (3 here), which undercuts both.
+    // still runs first on the engine's single worker: the engine is
+    // paused while the frames queue, and on resume the worker takes the
+    // smaller key's stages first. A keyless frame is keyed by its frame
+    // id (3 here), which undercuts both.
     auto scene = scene::createScene("Lego");
     ProceduralField field(*scene, NgpModelConfig::fast());
     Camera camera = cameraForScene(scene->info(), 12, 12);
@@ -282,9 +316,7 @@ TEST(FrameEngineAsync, SmallerKeySubmittedSecondFinishesFirst)
     ec.max_frames_in_flight = 3;
     engine::FrameEngine eng(ec);
 
-    std::promise<void> gate;
-    std::shared_future<void> gate_fut = gate.get_future().share();
-    eng.pool().submit([gate_fut] { gate_fut.wait(); });
+    eng.pause();
 
     std::mutex m;
     std::vector<uint64_t> completion_order;
@@ -302,7 +334,7 @@ TEST(FrameEngineAsync, SmallerKeySubmittedSecondFinishesFirst)
     submitWithKey(20); // frame 1
     submitWithKey(10); // frame 2
     submitWithKey(0);  // frame 3: keyed 3
-    gate.set_value();
+    eng.resume();
     eng.drain();
     EXPECT_EQ(completion_order, (std::vector<uint64_t>{0, 10, 20}));
 }

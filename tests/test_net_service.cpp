@@ -10,8 +10,9 @@
  *  - Ticket accounting survives the wire: every submission produces
  *    exactly one FrameResult, including under backpressure shedding.
  *  - Protocol hardening at the socket level: garbage bytes, wrong
- *    versions, and pre-handshake traffic get an Error and a close,
- *    and the service keeps serving everyone else.
+ *    versions, pre-handshake traffic and connections past
+ *    max_connections get an Error and a close, and the service keeps
+ *    serving everyone else.
  *  - Wire counters and the stats roundtrip.
  */
 
@@ -411,6 +412,54 @@ TEST(NetService, OversizedRequestsAndFramesRejected)
         ASSERT_TRUE(client.nextFrame(frame, &err)) << err;
         EXPECT_TRUE(frame.ok());
         client.closeSession(id, &err);
+    }
+}
+
+TEST(NetService, ConnectionLimitRejectsTheExtraConnection)
+{
+    ServiceConfig ncfg;
+    ncfg.max_connections = 2;
+    Harness h(ncfg);
+    Client clients[2];
+    std::string err;
+    for (Client &c : clients) // each returns after its Hello round trip
+        ASSERT_TRUE(c.connect("127.0.0.1", h.port(), &err)) << err;
+
+    // A third connection reads one framed Error{Rejected}, then EOF.
+    Socket raw = Socket::connectTo("127.0.0.1", h.port(), nullptr);
+    ASSERT_TRUE(raw.valid());
+    raw.setRecvTimeout(10.0);
+    uint8_t reply[1024];
+    size_t n = 0;
+    ssize_t k = 0;
+    while ((k = raw.recvSome(reply + n, sizeof reply - n)) > 0)
+        n += size_t(k);
+    EXPECT_EQ(k, kRecvClosed);
+    ASSERT_GE(n, kHeaderSize);
+    MsgHeader hdr;
+    ASSERT_EQ(decodeHeader(reply, kHeaderSize, hdr), WireError::None);
+    EXPECT_EQ(hdr.type, MsgType::Error);
+    EXPECT_EQ(n, kHeaderSize + hdr.length);
+    ErrorMsg msg;
+    ASSERT_TRUE(decodePayload(reply + kHeaderSize, hdr.length, msg));
+    EXPECT_EQ(msg.code, uint32_t(WireError::Rejected));
+    EXPECT_EQ(h.service->counters().connections_accepted, 2u);
+
+    // The two admitted connections still serve render()'s frames.
+    const server::SceneEntry *entry = h.registry.find("Lego");
+    const auto path = orbitSpecs(entry->info, 1, 0.0f, 16, 16);
+    const Image want = core::AsdrRenderer(*entry->field, entry->config)
+                           .render(path[0].toCamera());
+    for (Client &c : clients) {
+        const uint64_t id = c.openSession(
+            "Lego", server::QosClass::Standard, FrameEncoding::Raw, &err);
+        ASSERT_NE(id, 0u) << err;
+        ASSERT_NE(c.submitFrame(id, path[0], &err), 0u) << err;
+        ClientFrame frame;
+        ASSERT_TRUE(c.nextFrame(frame, &err)) << err;
+        ASSERT_TRUE(frame.ok());
+        expectFramesIdentical(want, frame.image, "frame past the limit");
+        c.closeSession(id, &err);
     }
 }
 

@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <future>
 #include <map>
 #include <memory>
 #include <set>
@@ -73,19 +72,16 @@ struct FaultGuard
     ~FaultGuard() { fault::resetAll(); }
 };
 
-/** Park the engine's workers behind a gate so admission decisions are
- *  made against a deterministically saturated pipeline. */
-struct PoolGate
+/** Pause the engine's workers so admission decisions are made against
+ *  a deterministically saturated pipeline; release() or leaving the
+ *  scope resumes them. */
+struct EnginePause
 {
-    std::promise<void> gate;
-    std::shared_future<void> fut{gate.get_future().share()};
+    explicit EnginePause(engine::FrameEngine &e) : eng(e) { eng.pause(); }
+    ~EnginePause() { eng.resume(); }
+    void release() { eng.resume(); }
 
-    void block(engine::FrameEngine &eng, int workers)
-    {
-        for (int w = 0; w < workers; ++w)
-            eng.pool().submit([f = fut] { f.wait(); });
-    }
-    void release() { gate.set_value(); }
+    engine::FrameEngine &eng;
 };
 
 void
@@ -496,7 +492,7 @@ TEST(ServerLadder, FullRungStaysByteExactWithLadderEnabled)
 
 TEST(ServerLadder, BurstShedCollapsesFromLadderOffToOn)
 {
-    // The deterministic burst: one gated worker, one pipeline slot,
+    // The deterministic burst: one paused worker, one pipeline slot,
     // interactive backlog 2. Eight submissions while nothing renders
     // -> 1 in flight + 2 pending; the other five are the overload the
     // two configurations handle differently.
@@ -519,12 +515,11 @@ TEST(ServerLadder, BurstShedCollapsesFromLadderOffToOn)
         const nerf::Camera cam =
             nerf::cameraForScene(entry->info, 16, 16);
 
-        PoolGate gate;
-        gate.block(srv.engine(), 1);
+        EnginePause pause(srv.engine());
         std::set<uint64_t> tickets;
         for (int f = 0; f < 8; ++f)
             tickets.insert(srv.submitFrame(client, cam));
-        gate.release();
+        pause.release();
         srv.waitIdle();
 
         std::vector<FrameResult> results;
@@ -879,17 +874,16 @@ TEST(WireLadder, HoldLastFrameSubstitutesOnPayloadlessResults)
     EXPECT_FALSE(first.stale);
     const Image held = first.image;
 
-    // Gate the worker and overflow the interactive backlog: drop-oldest
+    // Pause the worker and overflow the interactive backlog: drop-oldest
     // sheds some tickets, whose results arrive payload-less.
-    PoolGate gate;
-    gate.block(h.srv->engine(), 1);
+    EnginePause pause(h.srv->engine());
     const int burst = 8;
     for (int f = 0; f < burst; ++f)
         ASSERT_NE(c.submitFrame(s, h.specAt(0.05f * float(f + 1), 24, 24),
                                 &err),
                   0u)
             << err;
-    gate.release();
+    pause.release();
     h.srv->waitIdle();
 
     int dropped = 0, ok = 0;

@@ -28,7 +28,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <future>
 #include <map>
 #include <mutex>
 #include <random>
@@ -68,19 +67,16 @@ expectFramesIdentical(const Image &a, const Image &b, const char *what)
         ASSERT_EQ(a.data()[i], b.data()[i]) << what << " pixel " << i;
 }
 
-/** Park the engine's only workers behind a gate so submissions pile up
- *  in the scheduler/engine deterministically. */
-struct PoolGate
+/** Pause the engine's workers so submissions pile up in the
+ *  scheduler/engine deterministically; release() or leaving the scope
+ *  resumes them. */
+struct EnginePause
 {
-    std::promise<void> gate;
-    std::shared_future<void> fut{gate.get_future().share()};
+    explicit EnginePause(engine::FrameEngine &e) : eng(e) { eng.pause(); }
+    ~EnginePause() { eng.resume(); }
+    void release() { eng.resume(); }
 
-    void block(engine::FrameEngine &eng, int workers)
-    {
-        for (int w = 0; w < workers; ++w)
-            eng.pool().submit([f = fut] { f.wait(); });
-    }
-    void release() { gate.set_value(); }
+    engine::FrameEngine &eng;
 };
 
 /** Frames as (ticket, class), in the order they were admitted or
@@ -384,13 +380,12 @@ TEST(FrameServerQos, InteractiveOvertakesEarlierBatchWithinItsLag)
     // frame, so its key (ticket 2 + 0) is smaller than the batch
     // frame's (ticket 1 + qosLag(Batch)): on release the worker's key
     // scan drains its stages first, and it completes first.
-    PoolGate gate;
-    gate.block(srv.engine(), 1);
+    EnginePause pause(srv.engine());
     uint64_t bt = srv.submitFrame(batch, cam);
     uint64_t it = srv.submitFrame(inter, cam);
     ASSERT_NE(bt, 0u);
     ASSERT_NE(it, 0u);
-    gate.release();
+    pause.release();
     srv.waitIdle();
 
     std::vector<FrameResult> results;
@@ -424,13 +419,12 @@ TEST(FrameServerQos, AdmissionOrdersByTicketPlusLag)
     // 3, i2 = 4, so both interactive frames, which arrived within
     // batch's lag of b2, go ahead of it -- not FIFO (which would run
     // both batch frames first).
-    PoolGate gate;
-    gate.block(srv.engine(), 1);
+    EnginePause pause(srv.engine());
     uint64_t b1 = srv.submitFrame(batch, cam);
     uint64_t b2 = srv.submitFrame(batch, cam);
     uint64_t i1 = srv.submitFrame(inter, cam);
     uint64_t i2 = srv.submitFrame(inter, cam);
-    gate.release();
+    pause.release();
     srv.waitIdle();
 
     std::vector<FrameResult> results;
@@ -445,7 +439,7 @@ TEST(FrameServerQos, AdmissionOrdersByTicketPlusLag)
 /**
  * A closed loop of interactive frames, two outstanding, far more of
  * them than batch's lag, with standard and batch frames queued behind
- * it, on one worker. Everything after the gate opens runs on that
+ * it, on one worker. Everything after the engine resumes runs on that
  * worker, so the completion order is deterministic: each frame must
  * finish after at most its class's lag of frames with larger tickets,
  * at every slot count. Completions are counted, never timed.
@@ -499,15 +493,14 @@ TEST(FrameServerQos, BatchProgressesUnderSustainedInteractiveLoad)
         const uint64_t batch = srv.openSession(
             "lego", QosClass::Batch, {}, [&](FrameResult &&r) { record(r); });
 
-        PoolGate gate;
-        gate.block(srv.engine(), 1);
+        EnginePause pause(srv.engine());
         srv.submitFrame(inter, path[0]);
         srv.submitFrame(inter, path[1]);
         for (int f = 0; f < QUEUED_FRAMES; ++f) {
             srv.submitFrame(standard, queued[size_t(2 * f)]);
             srv.submitFrame(batch, queued[size_t(2 * f + 1)]);
         }
-        gate.release();
+        pause.release();
         srv.waitIdle();
 
         const ServerStatsSnapshot snap = srv.stats();
@@ -544,10 +537,9 @@ TEST(FrameServerQos, BoundedBacklogDropsOldestAndReportsThem)
     const SceneEntry *entry = reg.find("lego");
     nerf::Camera cam = nerf::cameraForScene(entry->info, 16, 16);
 
-    // t1 renders (stuck behind the gate); t2..t6 hit the backlog of 2:
+    // t1 renders (stuck while paused); t2..t6 hit the backlog of 2:
     // each overflow sheds the OLDEST pending pose.
-    PoolGate gate;
-    gate.block(srv.engine(), 1);
+    EnginePause pause(srv.engine());
     std::vector<uint64_t> tickets;
     for (int f = 0; f < 6; ++f)
         tickets.push_back(srv.submitFrame(client, cam));
@@ -565,7 +557,7 @@ TEST(FrameServerQos, BoundedBacklogDropsOldestAndReportsThem)
         EXPECT_FALSE(r.ok());
     }
 
-    gate.release();
+    pause.release();
     srv.waitIdle();
     std::vector<FrameResult> served;
     srv.drainResults(served);
@@ -599,8 +591,7 @@ TEST(FrameServerQos, BatchBacklogRejectsNewest)
     const SceneEntry *entry = reg.find("lego");
     nerf::Camera cam = nerf::cameraForScene(entry->info, 16, 16);
 
-    PoolGate gate;
-    gate.block(srv.engine(), 1);
+    EnginePause pause(srv.engine());
     std::vector<uint64_t> tickets;
     for (int f = 0; f < 5; ++f)
         tickets.push_back(srv.submitFrame(client, cam));
@@ -610,7 +601,7 @@ TEST(FrameServerQos, BatchBacklogRejectsNewest)
     EXPECT_EQ(shed[0].ticket, tickets[3]); // newest rejected
     EXPECT_EQ(shed[1].ticket, tickets[4]);
 
-    gate.release();
+    pause.release();
     srv.waitIdle();
     ServerStatsSnapshot snap = srv.stats();
     EXPECT_EQ(snap.cls[int(QosClass::Batch)].served, 3u);
@@ -725,9 +716,8 @@ TEST(FrameServerLifecycle, CloseSessionShedsPendingAndFreesTheSlot)
     const SceneEntry *entry = reg.find("lego");
     nerf::Camera cam = nerf::cameraForScene(entry->info, 16, 16);
 
-    PoolGate gate;
-    gate.block(srv.engine(), 1);
-    uint64_t a1 = srv.submitFrame(a, cam); // in flight, gated
+    EnginePause pause(srv.engine());
+    uint64_t a1 = srv.submitFrame(a, cam); // in flight, paused
     uint64_t a2 = srv.submitFrame(a, cam); // pending -> shed by close
     uint64_t b1 = srv.submitFrame(b, cam);
     ASSERT_NE(a1, 0u);
@@ -736,14 +726,14 @@ TEST(FrameServerLifecycle, CloseSessionShedsPendingAndFreesTheSlot)
 
     std::thread closer([&] { srv.closeSession(a); });
     // closeSession sheds a2 synchronously before it waits for a1;
-    // hold the gate until the shed notice is visible so a2 cannot
+    // stay paused until the shed notice is visible so a2 cannot
     // sneak into the freed slot instead.
     FrameResult shed;
     while (!srv.poll(shed))
         std::this_thread::yield();
     EXPECT_TRUE(shed.dropped);
     EXPECT_EQ(shed.ticket, a2);
-    gate.release();
+    pause.release();
     closer.join();
     EXPECT_EQ(srv.submitFrame(a, cam), 0u); // session gone
     srv.waitIdle();
@@ -893,8 +883,7 @@ TEST(FrameServerQuota, HotSceneCannotMonopolizeTheServer)
             reg.find("chair")->info, 12, 12, 1, 0.07f);
 
         // Park the only worker so admission decisions are observable.
-        PoolGate gate;
-        gate.block(srv.engine(), 1);
+        EnginePause pause(srv.engine());
 
         std::vector<uint64_t> tickets;
         tickets.push_back(srv.submitFrame(hot, lego_path[0]));
@@ -904,7 +893,7 @@ TEST(FrameServerQuota, HotSceneCannotMonopolizeTheServer)
         const int lego_in_flight = srv.sceneInFlight("lego");
         const int chair_in_flight = srv.sceneInFlight("chair");
 
-        gate.release();
+        pause.release();
         srv.waitIdle();
         std::vector<FrameResult> results;
         srv.drainResults(results);
@@ -1085,9 +1074,9 @@ struct FaultGuard
     ~FaultGuard() { fault::resetAll(); }
 };
 
-/** One worker and `slots` pipeline slots. With the worker parked
- *  behind a PoolGate, the first render stays open while
- *  later submissions are admitted (and may join it). */
+/** One worker and `slots` pipeline slots. With the engine paused, the
+ *  first render stays open while later submissions are admitted (and
+ *  may join it). */
 ServerConfig
 coalesceConfig(int slots)
 {
@@ -1149,8 +1138,7 @@ TEST(FrameServerCoalesce, SessionsAtOneCameraShareOneRender)
     std::vector<uint64_t> clients;
     for (int k = 0; k < N; ++k)
         clients.push_back(srv.openSession("lego", QosClass::Standard));
-    PoolGate gate;
-    gate.block(srv.engine(), 1);
+    EnginePause pause(srv.engine());
     std::map<uint64_t, uint64_t> client_of;
     for (uint64_t c : clients) {
         const uint64_t t = srv.submitFrame(c, cam);
@@ -1159,7 +1147,7 @@ TEST(FrameServerCoalesce, SessionsAtOneCameraShareOneRender)
     }
     // Only the first frame took a slot; the rest wait on its render.
     EXPECT_EQ(srv.sceneInFlight("lego"), 1);
-    gate.release();
+    pause.release();
     srv.waitIdle();
 
     const auto results = drainByTicket(srv);
@@ -1241,8 +1229,7 @@ TEST(FrameServerCoalesce, NoJoinAcrossClassRungSceneOrCamera)
     const uint64_t other_rung = srv.openSession("lego", QosClass::Standard);
     const uint64_t same = srv.openSession("lego", QosClass::Standard);
 
-    PoolGate gate;
-    gate.block(srv.engine(), 1);
+    EnginePause pause(srv.engine());
     const uint64_t t_base = srv.submitFrame(base, cam);
     const uint64_t t_class = srv.submitFrame(other_class, cam);
     const uint64_t t_scene = srv.submitFrame(other_scene, cam);
@@ -1251,7 +1238,7 @@ TEST(FrameServerCoalesce, NoJoinAcrossClassRungSceneOrCamera)
     const uint64_t t_rung = srv.submitFrame(other_rung, cam);
     // Control: the base frame's exact view does join it.
     const uint64_t t_same = srv.submitFrame(same, cam);
-    gate.release();
+    pause.release();
     srv.waitIdle();
 
     auto results = drainByTicket(srv);
@@ -1286,8 +1273,7 @@ TEST(FrameServerCoalesce, ClosingSessionsMidRenderServesEveryWaiter)
     const uint64_t w1 = srv.openSession("lego", QosClass::Standard);
     const uint64_t w2 = srv.openSession("lego", QosClass::Standard);
 
-    PoolGate gate;
-    gate.block(srv.engine(), 1);
+    EnginePause pause(srv.engine());
     const uint64_t t_owner = srv.submitFrame(owner, cam);
     const uint64_t t1 = srv.submitFrame(w1, cam);
     const uint64_t t2 = srv.submitFrame(w2, cam);
@@ -1307,7 +1293,7 @@ TEST(FrameServerCoalesce, ClosingSessionsMidRenderServesEveryWaiter)
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     EXPECT_FALSE(owner_closed.load());
     EXPECT_FALSE(w1_closed.load());
-    gate.release();
+    pause.release();
     close_owner.join();
     close_w1.join();
     srv.waitIdle();
@@ -1349,13 +1335,12 @@ TEST(FrameServerCoalesce, ThrowingRenderFailsEachWaiterOnceForTheBreaker)
     const nerf::Camera cam = nerf::cameraForScene(lego->info(), 16, 16);
 
     std::vector<uint64_t> clients, tickets;
-    PoolGate gate;
-    gate.block(srv.engine(), 1);
+    EnginePause pause(srv.engine());
     for (int k = 0; k < 3; ++k) {
         clients.push_back(srv.openSession("bad", QosClass::Standard));
         tickets.push_back(srv.submitFrame(clients.back(), cam));
     }
-    gate.release();
+    pause.release();
     srv.waitIdle();
 
     auto results = drainByTicket(srv);
@@ -1425,12 +1410,11 @@ TEST(FrameServerCoalesce, HalfOpenProbeNeverJoinsARender)
             t_probe = srv.submitFrame(prober, cam);
         });
 
-    PoolGate gate;
-    gate.block(srv.engine(), 1);
+    EnginePause pause(srv.engine());
     const uint64_t t_straggler = srv.submitFrame(straggler, cam);
     fault::arm(fault::kEngineStageThrow, 1.0, /*max_fires=*/1);
     const uint64_t t_trip = srv.submitFrame(tripper, cam);
-    gate.release();
+    pause.release();
     srv.waitIdle();
 
     EXPECT_TRUE(straggler_running) << "the probe met no render to join";
@@ -1498,11 +1482,10 @@ TEST(FrameServerCoalesce, HalfOpenProbeRenderTakesNoWaiters)
             t_late = srv.submitFrame(late, cam);
         });
 
-    PoolGate gate;
-    gate.block(srv.engine(), 1);
+    EnginePause pause(srv.engine());
     const uint64_t t_first = srv.submitFrame(first_probe, other);
     const uint64_t t_probe = srv.submitFrame(batch_probe, cam);
-    gate.release();
+    pause.release();
     srv.waitIdle();
 
     EXPECT_TRUE(probe_running) << "the late frame met no probe to join";
@@ -1526,7 +1509,7 @@ TEST(FrameServerCoalesce, HalfOpenProbeRenderTakesNoWaiters)
 
 /**
  * A seeded random mix of session opens and closes, submissions at three
- * poses per scene (so frames coalesce), and a gate that parks or frees
+ * poses per scene (so frames coalesce), and pauses and resumptions of
  * the only worker, against 3 pipeline slots and backlogs of 2 (so
  * frames drop). Whatever the interleaving, every ticket gets exactly
  * one result, each class's outcomes add up to its submissions, every
@@ -1586,7 +1569,7 @@ TEST(FrameServerModel, SeededOpsGiveEveryTicketOneResult)
         std::vector<Session> sessions;
         std::map<uint64_t, Sent> sent;
         std::vector<std::thread> closers;
-        std::unique_ptr<PoolGate> gate;
+        std::unique_ptr<EnginePause> pause;
         auto open = [&](int scene, QosClass qos, bool callback) {
             FrameServer::ResultCallback cb;
             if (callback)
@@ -1617,23 +1600,20 @@ TEST(FrameServerModel, SeededOpsGiveEveryTicketOneResult)
                     EXPECT_TRUE(s.closing) << "an open session refused";
             } else if (kind == 15) {
                 // closeSession waits for the session's in-flight frames,
-                // which a parked worker cannot finish.
+                // which a paused worker cannot finish.
                 Session &s = sessions[rng() % sessions.size()];
                 if (!s.closing) {
                     s.closing = true;
                     closers.emplace_back(
                         [&srv, id = s.id] { srv.closeSession(id); });
                 }
-            } else if (gate) {
-                gate->release();
-                gate.reset();
+            } else if (pause) {
+                pause.reset();
             } else {
-                gate = std::make_unique<PoolGate>();
-                gate->block(srv.engine(), 1);
+                pause = std::make_unique<EnginePause>(srv.engine());
             }
         }
-        if (gate)
-            gate->release();
+        pause.reset();
         for (std::thread &t : closers)
             t.join();
         srv.waitIdle();
