@@ -11,25 +11,6 @@ namespace asdr::engine {
 
 namespace {
 
-/** A frame's stages, in chain order. */
-enum Stage
-{
-    kRaySetup,
-    kProbes,
-    kPlanning,
-    kTiles,
-    kFinalize,
-    kStages
-};
-
-/** Every stage task records one span under its stage's name, so a
- *  trace shows the per-lane spread of probe rows and tiles. */
-constexpr const char *kStageSpan[kStages] = {
-    telemetry::kSpanRaySetup, telemetry::kSpanProbes,
-    telemetry::kSpanPlanning, telemetry::kSpanTiles,
-    telemetry::kSpanFinalize,
-};
-
 /** Tasks of `stage` for a frame of shape `s` (0 skips the stage). */
 int
 stageTasks(const core::FrameShape &s, int stage)
@@ -52,8 +33,7 @@ struct FrameEngine::InFlight
 {
     InFlight(FrameRequest r, uint64_t frame_id)
         : req(std::move(r)), fs(req.camera), id(frame_id),
-          key(req.priority != 0 ? req.priority : frame_id),
-          qos(telemetry::currentQos())
+          key(req.priority != 0 ? req.priority : frame_id)
     {
     }
 
@@ -76,10 +56,10 @@ struct FrameEngine::InFlight
     core::FrameState fs;
     uint64_t id;
     uint64_t key; ///< order key of every task of the frame
-    /** The submitting thread's QoS label, for the stage spans. */
-    uint8_t qos;
     std::chrono::steady_clock::time_point started_at; ///< admission time
-    Frame frame; ///< filled by the finalize stage
+    /** The last stage's end stamp (started_at before the first). */
+    std::chrono::steady_clock::time_point stage_end;
+    Frame frame; ///< stage times per stage, image and stats at finalize
     /** The current stage as an index range: [next, tasks) is
      *  unclaimed, and `unfinished` tasks have not completed. */
     int stage = kRaySetup;
@@ -169,7 +149,7 @@ FrameEngine::resume()
 void
 FrameEngine::admitLocked(InFlight &f)
 {
-    f.started_at = std::chrono::steady_clock::now();
+    f.started_at = f.stage_end = std::chrono::steady_clock::now();
     // Derive the chain's shape once and store it: beginFrame must see
     // exactly the shape the stages were sized from.
     f.fs.shape = f.req.renderer->frameShape(f.req.camera.width(),
@@ -227,9 +207,13 @@ FrameEngine::workerLoop()
         }
         if (--f->unfinished > 0)
             continue;
-        // This worker finished the stage's last index, so it moves the
-        // frame on, and takes one of the new stage's indices itself
-        // when its key is the smallest.
+        // This worker finished the stage's last index, so it stamps the
+        // stage's end and moves the frame on, and takes one of the new
+        // stage's indices itself when its key is the smallest.
+        const auto now = std::chrono::steady_clock::now();
+        f->frame.stage_s[size_t(stage)] =
+            std::chrono::duration<double>(now - f->stage_end).count();
+        f->stage_end = now;
         if (!f->error && f->openStage(stage + 1)) {
             if (f->tasks > 1)
                 work_cv_.notify_all();
@@ -245,11 +229,12 @@ std::exception_ptr
 FrameEngine::runTask(InFlight &f, int stage, int index)
 {
     try {
-        telemetry::ScopedQos qc(f.qos);
-        // Closed before finish() runs the consumer callback, so a
+        // Every task records one span under its stage's name, so a
+        // trace shows the per-lane spread of probe rows and tiles. The
+        // span closes before finish() runs the consumer callback, so a
         // slow-frame dump collecting this ticket's spans from inside
         // on_complete sees the finalize span.
-        telemetry::ScopedSpan sp(kStageSpan[stage], f.id, f.req.ticket);
+        telemetry::ScopedSpan sp(kStageName[stage], f.id, f.req.ticket);
         const core::AsdrRenderer &r = *f.req.renderer;
         switch (stage) {
         case kRaySetup:
@@ -274,7 +259,6 @@ FrameEngine::runTask(InFlight &f, int stage, int index)
         case kFinalize:
             r.finalizeFrame(f.fs, &f.frame.stats);
             f.frame.image = std::move(f.fs.img);
-            f.frame.finished_at = std::chrono::steady_clock::now();
             break;
         }
     } catch (...) {
@@ -290,8 +274,7 @@ FrameEngine::finish(InFlight *f)
     frame.id = f->id;
     frame.submitted_at = f->fs.start;
     frame.started_at = f->started_at;
-    if (f->error)
-        frame.finished_at = std::chrono::steady_clock::now();
+    frame.finished_at = f->stage_end;
     f->req.on_complete(std::move(frame), f->error);
     // Freed outside the lock: the request's callback may own state
     // whose destructor calls back into the engine.

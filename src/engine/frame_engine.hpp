@@ -27,8 +27,9 @@
  * hardware, which pipelines the Phase I and Phase II engines over
  * shared CIM arrays (§5.5).
  *
- * A frame's stage spans carry the QoS label of the thread that
- * submitted it.
+ * The worker that completes a stage's last task stamps the stage's end
+ * under the lock it already holds, so every delivered Frame carries
+ * each stage's wall time (Frame::stage_s), always, tracing or not.
  *
  * Every stage is a bit-exact decomposition of AsdrRenderer::render()
  * (which is itself a one-frame facade over this engine), so pipelined
@@ -39,6 +40,7 @@
 #ifndef ASDR_ENGINE_FRAME_ENGINE_HPP
 #define ASDR_ENGINE_FRAME_ENGINE_HPP
 
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -47,12 +49,36 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "core/renderer.hpp"
+#include "util/telemetry.hpp"
 
 namespace asdr::engine {
+
+/** A frame's stages, in chain order. */
+enum Stage
+{
+    kRaySetup,
+    kProbes,
+    kPlanning,
+    kTiles,
+    kFinalize,
+    kStages
+};
+
+/** Each stage's name: the span its tasks record, and the `stage`
+ *  label of its asdr_stage_duration_seconds series. */
+inline constexpr const char *kStageName[kStages] = {
+    telemetry::kSpanRaySetup, telemetry::kSpanProbes,
+    telemetry::kSpanPlanning, telemetry::kSpanTiles,
+    telemetry::kSpanFinalize,
+};
+
+/** Wall seconds per stage; a stage the frame skipped has none. */
+using StageSeconds = std::array<std::optional<double>, kStages>;
 
 struct EngineConfig
 {
@@ -72,12 +98,18 @@ struct Frame
     uint64_t id = 0; ///< submission order, 1-based
 
     /** Monotonic-clock milestones: queued into the engine, admitted to
-     *  a pipeline slot, finalize completed. (submitted -> started) is
-     *  queue wait, (started -> finished) is pipeline residency; the
-     *  serving layer's latency percentiles are built from these. */
+     *  a pipeline slot, the last stage's end stamp (finalize's, unless
+     *  a stage failed). (submitted -> started) is queue wait,
+     *  (started -> finished) is pipeline residency; the serving
+     *  layer's latency percentiles are built from these. */
     std::chrono::steady_clock::time_point submitted_at;
     std::chrono::steady_clock::time_point started_at;
     std::chrono::steady_clock::time_point finished_at;
+
+    /** Each stage's wall time, from the previous stage's end stamp
+     *  (ray setup's from started_at) to its own, so the stages that
+     *  ran sum to (started -> finished). Empty on failure. */
+    StageSeconds stage_s;
 };
 
 struct FrameRequest

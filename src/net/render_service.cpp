@@ -70,6 +70,12 @@ RenderService::WireMetrics::WireMetrics(metrics::Registry &reg)
       span_batches_dropped(
           reg.counter("asdr_wire_span_batches_dropped_total"))
 {
+    for (int c = 0; c < server::kQosClasses; ++c)
+        encode[size_t(c)] = &reg.histogram(
+            "asdr_stage_duration_seconds",
+            metrics::label("stage", telemetry::kSpanEncode) + "," +
+                metrics::label("qos",
+                               server::qosClassName(server::QosClass(c))));
 }
 
 RenderService::RenderService(server::FrameServer &server,
@@ -754,10 +760,11 @@ RenderService::deliverLocked(const std::shared_ptr<Connection> &conn,
             return false; // result untouched; the caller parks it
         out_bytes = conn->out_bytes;
     }
-    // Encode span: message build + payload encode + enqueue for one
-    // delivered result (drops/expiries pass through in microseconds;
-    // the interesting ones are the Ok frames' codec time).
-    telemetry::ScopedQos qc(uint8_t(result.qos));
+    // Encode time and span: message build + payload encode + enqueue
+    // for one delivered result (drops/expiries pass through in
+    // microseconds; the interesting ones are the Ok frames' codec
+    // time).
+    const auto encode_start = std::chrono::steady_clock::now();
     telemetry::ScopedSpan span(telemetry::kSpanEncode, result.frame.id,
                                result.ticket);
     FrameResultMsg msg;
@@ -831,6 +838,10 @@ RenderService::deliverLocked(const std::shared_ptr<Connection> &conn,
         std::lock_guard<std::mutex> out(conn->out_m);
         enqueueLocked(*conn, packMessage(MsgType::FrameResult, msg));
     }
+    wire_.encode[size_t(result.qos)]->record(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      encode_start)
+            .count());
     wake_.wake();
     return true;
 }

@@ -33,9 +33,11 @@
  *    MESSAGE's encoding, not the session's).
  *
  * Counters: every wire counter lives in the wrapped FrameServer's
- * metrics registry (asdr_wire_*), so GetStats' exposition carries
- * them next to the serving metrics; counters() is a typed read. One
- * service per server: a second would add into the same series.
+ * metrics registry (asdr_wire_*), as does each delivered result's
+ * encode time (asdr_stage_duration_seconds{stage="net.encode",qos}),
+ * so GetStats' exposition carries them next to the serving metrics;
+ * counters() is a typed read. One service per server: a second would
+ * add into the same series.
  *
  * Reconnect-and-resume: sessions are owned by the SERVICE, not the
  * connection. OpenSessionOk carries a resume token; when a connection
@@ -67,6 +69,7 @@
 #ifndef ASDR_NET_RENDER_SERVICE_HPP
 #define ASDR_NET_RENDER_SERVICE_HPP
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -178,6 +181,8 @@ class RenderService
         metrics::Counter &frame_raw_bytes;
         metrics::Counter &span_batches_sent;
         metrics::Counter &span_batches_dropped;
+        /** Per-class encode time of one delivered result, seconds. */
+        std::array<metrics::Histogram *, server::kQosClasses> encode{};
     };
 
     /** One parked frame outcome awaiting resume (payload raw, encoded

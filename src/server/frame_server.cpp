@@ -23,8 +23,8 @@ secondsBetween(std::chrono::steady_clock::time_point a,
 
 /** Build one flight-recorder entry: the frame's facts plus whatever
  *  spans the telemetry buffers hold for its ticket and, for a frame
- *  that joined another's render, for that render's ticket (empty when
- *  tracing is off -- the record still lands). */
+ *  that joined another's render, for that render's ticket, in one scan
+ *  (empty when tracing is off -- the record still lands). */
 SlowFrameRecord
 makeSlowRecord(uint64_t ticket, uint64_t render_ticket, uint64_t frame_id,
                QosClass qos, double latency_ms, bool failed, bool expired,
@@ -40,16 +40,7 @@ makeSlowRecord(uint64_t ticket, uint64_t render_ticket, uint64_t frame_id,
     rec.expired = expired;
     rec.dropped = dropped;
     std::vector<telemetry::Span> spans;
-    telemetry::collectTicket(ticket, spans);
-    if (render_ticket != 0 && render_ticket != ticket) {
-        std::vector<telemetry::Span> render;
-        telemetry::collectTicket(render_ticket, render);
-        spans.insert(spans.end(), render.begin(), render.end());
-        std::sort(spans.begin(), spans.end(),
-                  [](const telemetry::Span &a, const telemetry::Span &b) {
-                      return a.t_start_us < b.t_start_us;
-                  });
-    }
+    telemetry::collectTicket(ticket, render_ticket, spans);
     rec.spans.reserve(spans.size());
     for (const telemetry::Span &s : spans)
         rec.spans.push_back(
@@ -58,7 +49,7 @@ makeSlowRecord(uint64_t ticket, uint64_t render_ticket, uint64_t frame_id,
 }
 
 /** The warn()-dump timeline of one slow frame, offsets relative to
- *  its first span. */
+ *  its first span; without spans, its render's stage times. */
 std::string
 slowDumpText(const SlowFrameRecord &rec)
 {
@@ -73,6 +64,13 @@ slowDumpText(const SlowFrameRecord &rec)
         os << " [deadline expired]";
     if (rec.spans.empty()) {
         os << " -- no spans (tracing off)";
+        for (int k = 0; k < engine::kStages; ++k)
+            if (const auto &sec = rec.stage_s[size_t(k)]) {
+                char line[96];
+                std::snprintf(line, sizeof line, "\n  %-22s %9.3f ms",
+                              engine::kStageName[k], *sec * 1e3);
+                os << line;
+            }
         return os.str();
     }
     const uint64_t base = rec.spans.front().t_start_us;
@@ -339,12 +337,9 @@ FrameServer::pumpLocked(std::vector<Launch> &launches,
         // Queue-wait span: submit -> this admission decision. The
         // engine frame id doesn't exist yet, so the span is
         // ticket-correlated only.
-        {
-            telemetry::ScopedQos qc(uint8_t(pf.qos));
-            telemetry::recordSpan(telemetry::kSpanQueueWait, 0, pf.ticket,
-                                  telemetry::toUs(pf.submitted_at),
-                                  telemetry::toUs(now));
-        }
+        telemetry::recordSpan(telemetry::kSpanQueueWait, 0, pf.ticket,
+                              telemetry::toUs(pf.submitted_at),
+                              telemetry::toUs(now));
         ClassMetrics &cm = class_metrics_[int(pf.qos)];
         cm.queue_wait->record(secondsBetween(pf.submitted_at, now));
         // Coalescing: the same view already on a slot renders the same
@@ -395,7 +390,6 @@ FrameServer::pumpLocked(std::vector<Launch> &launches,
 void
 FrameServer::launch(const Launch &l)
 {
-    telemetry::ScopedQos admit_qos(uint8_t(l.frame.qos));
     telemetry::ScopedSpan admit_span(telemetry::kSpanAdmit, 0,
                                      l.frame.ticket);
     const QualityRung rung = QualityRung(l.frame.rung);
@@ -412,7 +406,7 @@ FrameServer::launch(const Launch &l)
                                     : l.frame.camera);
     req.renderer = l.renderer;
     // The key the scheduler admitted the frame by orders its stage
-    // tasks too; the stage spans take admit_qos's label.
+    // tasks too.
     req.priority = l.frame.key();
     req.ticket = l.frame.ticket; // correlates engine stage spans
     const uint64_t client = l.frame.client;
@@ -496,8 +490,14 @@ FrameServer::onFrameDone(uint64_t client, uint64_t ticket, QosClass qos,
         launch(l);
     deliverAll(std::move(rejects));
 
-    // Each answered frame is its own outcome: counts, latency and SLO.
+    // The render's stage times count once, under its class: the frames
+    // that joined it share the class and add nothing.
     ClassMetrics &cm = class_metrics_[int(qos)];
+    if (!err)
+        for (int k = 0; k < engine::kStages; ++k)
+            if (const auto &sec = frame.stage_s[size_t(k)])
+                cm.stage_duration[size_t(k)]->record(*sec);
+    // Each answered frame is its own outcome: counts, latency and SLO.
     for (const Waiter &a : answers) {
         const double ms = secondsBetween(a.submitted_at, now) * 1e3;
         if (err) {
@@ -514,6 +514,7 @@ FrameServer::onFrameDone(uint64_t client, uint64_t ticket, QosClass qos,
     sloEvaluate();
 
     const uint64_t frame_id = frame.id;
+    const engine::StageSeconds stage_s = frame.stage_s;
     for (size_t i = 0; i < answers.size(); ++i) {
         const Waiter &a = answers[i];
         const double ms = secondsBetween(a.submitted_at, now) * 1e3;
@@ -525,6 +526,7 @@ FrameServer::onFrameDone(uint64_t client, uint64_t ticket, QosClass qos,
             SlowFrameRecord rec =
                 makeSlowRecord(a.ticket, ticket, frame_id, qos, ms,
                                err != nullptr, false, false);
+            rec.stage_s = stage_s;
             warn(slowDumpText(rec));
             stats_.recordSlowFrame(std::move(rec));
         }
@@ -754,7 +756,7 @@ FrameServer::stats() const
 std::string
 FrameServer::metricsText() const
 {
-    return metrics_.renderText() + metrics::processRegistry().renderText();
+    return metrics_.renderText();
 }
 
 FrameServer::BreakerState

@@ -272,9 +272,10 @@ class FrameServer
      *  registry, plus the flight recorder's records. */
     ServerStatsSnapshot stats() const;
     /**
-     * Prometheus text exposition: this server's registry, then the
-     * process registry (the span-fed stage histograms). The two never
-     * share a family. GetStats answers with exactly this text.
+     * Prometheus text exposition of this server's registry, the one
+     * store every serving value is recorded in (stage times and the
+     * wire service's counters too). GetStats answers with exactly this
+     * text.
      */
     std::string metricsText() const;
     /** This server's metrics store. The wire service wrapping the

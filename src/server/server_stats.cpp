@@ -20,6 +20,11 @@ ClassMetrics::ClassMetrics(metrics::Registry &reg, QosClass c)
             l + "," + metrics::label("rung", rungName(QualityRung(r))));
     latency = &reg.histogram("asdr_frame_latency_seconds", l);
     queue_wait = &reg.histogram("asdr_frame_queue_wait_seconds", l);
+    for (int k = 0; k < engine::kStages; ++k)
+        stage_duration[size_t(k)] =
+            &reg.histogram("asdr_stage_duration_seconds",
+                           metrics::label("stage", engine::kStageName[k]) +
+                               "," + l);
 }
 
 QosClassStats
@@ -156,7 +161,16 @@ ServerStatsSnapshot::toJson() const
                << ",\"t0_us\":" << sp.t_start_us
                << ",\"t1_us\":" << sp.t_end_us << "}";
         }
-        os << "]}";
+        os << "],\"stage_ms\":{";
+        bool first = true;
+        for (int k = 0; k < engine::kStages; ++k) {
+            if (!r.stage_s[size_t(k)])
+                continue;
+            os << (first ? "" : ",") << "\"" << engine::kStageName[k]
+               << "\":" << *r.stage_s[size_t(k)] * 1e3;
+            first = false;
+        }
+        os << "}}";
     }
     os << "]}";
     return os.str();

@@ -11,7 +11,8 @@
  * FrameServer::metricsText() renders the same series as Prometheus
  * text (the body of the wire's MetricsReply).
  *
- * Latency and queue wait land in log-bucketed histograms
+ * Latency, queue wait and each engine stage's time land in
+ * log-bucketed histograms
  * (metrics::Histogram: 256 buckets, ~±4.5% relative error), so memory
  * stays bounded on arbitrarily long serving runs while the
  * percentiles cover EVERY observation -- no reservoir sampling bias
@@ -19,8 +20,9 @@
  *
  * ServerStats is the flight recorder: the last N frames that blew the
  * server's `slow_frame_ms` budget (or failed, expired, or were shed),
- * each with its full telemetry span timeline. Those are records, not
- * metrics; ServerStatsSnapshot::toJson() renders them.
+ * each with its telemetry span timeline and, when it was rendered,
+ * its render's stage times. Those are records, not metrics;
+ * ServerStatsSnapshot::toJson() renders them.
  */
 
 #ifndef ASDR_SERVER_SERVER_STATS_HPP
@@ -33,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/frame_engine.hpp"
 #include "server/qos.hpp"
 #include "util/telemetry.hpp"
 
@@ -139,7 +142,8 @@ struct SlowFrameSpan
 
 /** One flight-recorder entry: a frame that exceeded the slow budget,
  *  failed, or expired, with its span timeline (empty when tracing was
- *  off -- the record itself still lands). */
+ *  off -- the record itself still lands) and, for a delivered render,
+ *  its stage times (present whether tracing was on or not). */
 struct SlowFrameRecord
 {
     uint64_t ticket = 0;
@@ -153,6 +157,9 @@ struct SlowFrameRecord
     bool expired = false;
     bool dropped = false; ///< shed by the backlog policy
     std::vector<SlowFrameSpan> spans;
+    /** The render's engine::Frame::stage_s, seconds; empty unless the
+     *  record was made when a rendered frame was delivered. */
+    engine::StageSeconds stage_s;
 };
 
 struct ServerStatsSnapshot
@@ -202,6 +209,9 @@ struct ClassMetrics
     metrics::Histogram *latency = nullptr;
     /** Submit -> admit (or join) wait, seconds. */
     metrics::Histogram *queue_wait = nullptr;
+    /** Each engine stage's time, seconds, one observation per
+     *  successful render (asdr_stage_duration_seconds{stage,qos}). */
+    std::array<metrics::Histogram *, engine::kStages> stage_duration{};
 
     /** Counts, percentiles, and rung occupancy (SLO fields zero). */
     QosClassStats read() const;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -103,52 +102,6 @@ struct EnvInit
 };
 EnvInit env_init;
 
-/** qos label values for the stage-duration histograms: the three
- *  server classes (by index) plus "none" for spans recorded outside
- *  any class context (e.g. the shared socket flush). */
-constexpr int kQosLabels = 4;
-constexpr const char *kQosLabelName[kQosLabels] = {"interactive",
-                                                   "standard", "batch",
-                                                   "none"};
-
-/**
- * The `asdr_stage_duration_seconds{stage,qos}` histogram for a span
- * site. All series resolve once (first span close) and are cached by
- * site; lookups pointer-compare against the interned kSpan* constants
- * with a strcmp fallback, so spans recorded under a re-spelled name
- * still land. Unknown (test-local) names feed nothing.
- */
-metrics::Histogram *
-stageHistogram(const char *name, uint8_t qos)
-{
-    struct Site
-    {
-        const char *name;
-        metrics::Histogram *h[kQosLabels];
-    };
-    static std::once_flag once;
-    static std::vector<Site> *sites = nullptr;
-    std::call_once(once, [] {
-        auto *built = new std::vector<Site>;
-        for (const SpanInfo &info : spanNames()) {
-            Site site;
-            site.name = info.name;
-            for (int q = 0; q < kQosLabels; ++q)
-                site.h[q] = &metrics::processRegistry().histogram(
-                    "asdr_stage_duration_seconds",
-                    metrics::label("stage", info.name) + "," +
-                        metrics::label("qos", kQosLabelName[q]));
-            built->push_back(site);
-        }
-        sites = built;
-    });
-    const int q = qos < kQosLabels - 1 ? qos : kQosLabels - 1;
-    for (const Site &site : *sites)
-        if (site.name == name || std::strcmp(site.name, name) == 0)
-            return site.h[q];
-    return nullptr;
-}
-
 } // namespace
 
 namespace detail {
@@ -157,10 +110,6 @@ void
 recordSlow(const char *name, uint64_t frame, uint64_t ticket,
            uint64_t t_start_us, uint64_t t_end_us)
 {
-    if (metrics::Histogram *h = stageHistogram(name, t_qos))
-        h->record(double(t_end_us > t_start_us ? t_end_us - t_start_us
-                                               : 0) *
-                  1e-6);
     ThreadBuf &b = threadBuf();
     std::lock_guard<std::mutex> lock(b.m);
     if (b.spans.size() >= kMaxSpansPerThread) {
@@ -265,7 +214,8 @@ collectNewSpans(CollectCursor &cur, std::vector<Span> &out,
 }
 
 void
-collectTicket(uint64_t ticket, std::vector<Span> &out)
+collectTicket(uint64_t ticket, uint64_t render_ticket,
+              std::vector<Span> &out)
 {
     out.clear();
     {
@@ -274,7 +224,8 @@ collectTicket(uint64_t ticket, std::vector<Span> &out)
         for (const auto &b : r.bufs) {
             std::lock_guard<std::mutex> bl(b->m);
             for (const Span &s : b->spans)
-                if (s.ticket == ticket)
+                if (s.ticket == ticket ||
+                    (render_ticket != 0 && s.ticket == render_ticket))
                     out.push_back(s);
         }
     }
@@ -496,13 +447,6 @@ Registry::histogram(const std::string &family, const std::string &labels)
 {
     std::lock_guard<std::mutex> lock(m_);
     return findOrAdd(histograms_, family, labels);
-}
-
-Registry &
-processRegistry()
-{
-    static Registry *r = new Registry;
-    return *r;
 }
 
 std::string

@@ -15,10 +15,12 @@
  *    other workers (each thread appends to its own buffer) and the
  *    disabled cost is one relaxed atomic load, the same discipline as
  *    `util/fault` -- so the instrumentation stays compiled into
- *    release builds.
+ *    release builds. Spans feed traces and the flight recorder only:
+ *    no metric depends on tracing being on.
  *
  *  - `metrics` -- named counters, gauges, and log-bucketed histograms
- *    in a `metrics::Registry` with a Prometheus text exposition.
+ *    in a `metrics::Registry` with a Prometheus text exposition. Each
+ *    server owns one; there is no process-wide registry.
  *    The histogram replaces sampling reservoirs for latency
  *    percentiles: every observation lands in one of 256 logarithmic
  *    buckets (growth 2^(1/8), ~4.5% relative error), so p99 under a
@@ -90,47 +92,11 @@ struct SpanInfo
 /** Every span site compiled into production code, in pipeline order. */
 const std::vector<SpanInfo> &spanNames();
 
-/** QoS label index meaning "no class context" (renders qos="none"). */
-inline constexpr uint8_t kQosNone = 0xFF;
-
 namespace detail {
 extern std::atomic<bool> g_enabled;
-/** Defined inline with a constant initializer, so every translation
- *  unit accesses it directly instead of through a TLS wrapper call. */
-inline thread_local uint8_t t_qos = kQosNone;
 void recordSlow(const char *name, uint64_t frame, uint64_t ticket,
                 uint64_t t_start_us, uint64_t t_end_us);
 } // namespace detail
-
-/**
- * RAII QoS context for the calling thread: spans recorded inside the
- * scope feed their per-stage duration histogram under this class's
- * qos label. Construct BEFORE the ScopedSpan whose close should carry
- * the label (the histogram is fed at span close). Values >= the class
- * count mean "none".
- */
-class ScopedQos
-{
-  public:
-    explicit ScopedQos(uint8_t qos) : prev_(detail::t_qos)
-    {
-        detail::t_qos = qos;
-    }
-    ~ScopedQos() { detail::t_qos = prev_; }
-    ScopedQos(const ScopedQos &) = delete;
-    ScopedQos &operator=(const ScopedQos &) = delete;
-
-  private:
-    uint8_t prev_;
-};
-
-/** The calling thread's current QoS context (kQosNone outside any
- *  ScopedQos scope). */
-inline uint8_t
-currentQos()
-{
-    return detail::t_qos;
-}
 
 /** True when span recording is on (one relaxed load). */
 inline bool
@@ -151,10 +117,9 @@ uint64_t toUs(std::chrono::steady_clock::time_point tp);
 /**
  * Record one completed interval. Disabled processes pay one relaxed
  * load and branch; enabled ones append to the calling thread's own
- * buffer (uncontended mutex, no cross-thread waits) and feed the
- * span's `asdr_stage_duration_seconds{stage,qos}` histogram (qos from
- * the thread's ScopedQos context), so the exposition shows where time
- * goes per stage and per class whenever tracing is on.
+ * buffer (uncontended mutex, no cross-thread waits). Spans feed traces
+ * and the flight recorder only; stage time is measured without them
+ * (FrameEngine's stage stamps).
  */
 inline void
 recordSpan(const char *name, uint64_t frame, uint64_t ticket,
@@ -229,11 +194,13 @@ size_t collectNewSpans(CollectCursor &cur, std::vector<Span> &out,
                        size_t max_spans);
 
 /**
- * Copy out every buffered span belonging to `ticket`, sorted by start
- * time. O(total spans) -- meant for rare events (slow-frame dumps),
- * not per-frame use.
+ * Copy out every buffered span belonging to `ticket` or to
+ * `render_ticket` (the render a joined frame rode on; 0 adds nothing),
+ * sorted by start time, in one pass over the buffers. O(total spans)
+ * -- meant for rare events (slow-frame dumps), not per-frame use.
  */
-void collectTicket(uint64_t ticket, std::vector<Span> &out);
+void collectTicket(uint64_t ticket, uint64_t render_ticket,
+                   std::vector<Span> &out);
 
 /** Drop all buffered spans (lane ids and the epoch persist). */
 void reset();
@@ -329,9 +296,8 @@ class Histogram
 
 /**
  * A named-series store with a Prometheus text exposition. Each
- * FrameServer owns one and records every serving value into it;
- * processRegistry() holds the span-fed stage histograms, which no
- * server owns. Lookup returns a stable reference: record sites
+ * FrameServer owns one and records every serving value into it, stage
+ * time included. Lookup returns a stable reference: record sites
  * resolve their series once and bump them forever after.
  *
  * `labels` is the Prometheus inner label text, e.g. `qos="batch"`, or
@@ -371,11 +337,6 @@ class Registry
     Families<Gauge> gauges_;
     Families<Histogram> histograms_;
 };
-
-/** The process-wide registry: only `asdr_stage_duration_seconds`,
- *  fed by span closes. Never destroyed, so references outlive static
- *  destruction. */
-Registry &processRegistry();
 
 /**
  * Escape a label VALUE per the Prometheus text-format spec:

@@ -17,12 +17,17 @@
  *    stage's spans end before the next stage's first span starts, a
  *    joiner's queue-wait ends before its render's finalize ends; spans
  *    on one worker lane never overlap).
- *  - qos labels: a traced render() outside any class records its
- *    stage spans under qos="none" only.
+ *  - stage time, tracing off: each render adds one
+ *    asdr_stage_duration_seconds observation per stage to its own
+ *    server's registry, under its class only (a frame that joined it
+ *    adds none), and a delivered frame's stage times sum to its
+ *    pipeline residency; their per-render cost stays under 1% of the
+ *    render.
  *  - flight recorder: a frame stalled past slow_frame_ms is retained
  *    with its span timeline and surfaces in the recorder's JSON; a
  *    frame that joined its render is retained with the render's
- *    spans and names it in render_ticket.
+ *    spans and names it in render_ticket; untraced records carry
+ *    their render's stage times.
  *  - wire: GetStats returns the server's exposition over a real
  *    socket, the same series the in-process typed reads see.
  */
@@ -421,8 +426,11 @@ minSeconds(int reps, const std::function<void()> &setup,
 // admission, ray setup, planning and finalize, plus one per probe row
 // and per Phase II job. Recording them -- alone, and with the live
 // stream's collect and SpanBatch pack -- must cost under 3% of one
-// single-threaded render() of the same shape. Every cost is the
-// minimum over repetitions, so a preempted repetition cannot fail it.
+// single-threaded render() of the same shape. The always-on stage
+// time -- one clock read and one histogram record per stage, and
+// net.encode's two clock reads and one record -- must cost under 1%.
+// Every cost is the minimum over repetitions, so a preempted
+// repetition cannot fail it.
 TEST(Telemetry, SpansPerFrameCostUnderThreePercentOfItsRender)
 {
     TelemetryGuard guard;
@@ -497,63 +505,129 @@ TEST(Telemetry, SpansPerFrameCostUnderThreePercentOfItsRender)
     EXPECT_LT(double(spans_per_frame) * stream_s, budget_s)
         << spans_per_frame << " spans x " << stream_s * 1e6
         << " us against a " << frame_s * 1e3 << " ms frame";
+
+    telemetry::setEnabled(false);
+    const int kCalls = 1000;
+    int64_t ticks = 0;
+    const double clock_s =
+        minSeconds(kReps, [] {},
+                   [&] {
+                       for (int i = 0; i < kCalls; ++i)
+                           ticks += std::chrono::steady_clock::now()
+                                        .time_since_epoch()
+                                        .count();
+                   }) /
+        double(kCalls);
+    EXPECT_NE(ticks, 0);
+    metrics::Histogram h;
+    const double hist_s = minSeconds(kReps, [] {},
+                                     [&] {
+                                         for (int i = 0; i < kCalls; ++i)
+                                             h.record(1e-4);
+                                     }) /
+                          double(kCalls);
+    const int clock_reads = engine::kStages + 2; // all five stages ran
+    const int records = engine::kStages + 1;
+    const double untraced_s = clock_reads * clock_s + records * hist_s;
+    EXPECT_LT(untraced_s, 0.01 * frame_s)
+        << clock_reads << " clock reads x " << clock_s * 1e9 << " ns + "
+        << records << " records x " << hist_s * 1e9 << " ns against a "
+        << frame_s * 1e3 << " ms frame";
 }
 
-// ------------------------------------------------------- qos labels
+// ------------------------------------------------- stage time, untraced
 
-// A frame submitted outside any QoS context -- a plain render() -- has
-// no class, so its engine stage spans feed the `qos="none"` series of
-// asdr_stage_duration_seconds and no class's.
-TEST(Telemetry, TracedRenderRecordsStagesUnderNone)
+// Stage time comes from the engine's stage stamps, not from spans, so
+// it is recorded with tracing off: each render adds one observation
+// per stage under its own class, in its own server's registry only. A
+// frame that joined a render shares the render's class and adds
+// nothing.
+TEST(Telemetry, UntracedRendersRecordStageTimesPerServer)
 {
     TelemetryGuard guard;
+    ASSERT_FALSE(telemetry::enabled());
     server::SceneRegistry reg;
     const server::SceneEntry *entry = reg.addProcedural(
         "lego", "Lego", nerf::NgpModelConfig::fast(), smallConfig());
     ASSERT_NE(entry, nullptr);
-    const core::AsdrRenderer renderer(*entry->field, entry->config);
-    const core::FrameShape shape = renderer.frameShape(16, 16);
-    ASSERT_TRUE(shape.adaptive);
-    const nerf::Camera cam = nerf::cameraForScene(entry->info, 16, 16);
+    ASSERT_TRUE(core::AsdrRenderer(*entry->field, entry->config)
+                    .frameShape(16, 16)
+                    .adaptive); // all five stages run
+    const auto path = nerf::orbitCameraPath(entry->info, 16, 16, 2, 0.05f);
 
-    const std::pair<const char *, int> stages[] = {
-        {telemetry::kSpanRaySetup, 1},
-        {telemetry::kSpanProbes, shape.gh},
-        {telemetry::kSpanPlanning, 1},
-        {telemetry::kSpanTiles, shape.jobs},
-        {telemetry::kSpanFinalize, 1},
-    };
-    const char *labels[] = {"interactive", "standard", "batch", "none"};
-    // Spans already recorded by this process stay in the counts, so
-    // compare before and after; a series not yet created reads 0.
-    auto counts = [&] {
-        const std::string text = metrics::processRegistry().renderText();
-        std::vector<double> out;
-        for (const auto &stage : stages)
-            for (const char *qos : labels)
-                out.push_back(std::max(
-                    0.0, expositionValue(
-                             text, std::string("asdr_stage_duration_"
-                                               "seconds_count{stage=\"") +
-                                       stage.first + "\",qos=\"" + qos +
-                                       "\"}")));
-        return out;
-    };
-    const std::vector<double> before = counts();
-    telemetry::setEnabled(true);
-    renderer.render(cam);
-    telemetry::setEnabled(false);
-    const std::vector<double> after = counts();
-
-    size_t i = 0;
-    for (const auto &stage : stages)
-        for (const char *qos : labels) {
-            const double want =
-                std::string(qos) == "none" ? double(stage.second) : 0.0;
-            EXPECT_EQ(after[i] - before[i], want)
-                << stage.first << " qos=" << qos;
-            ++i;
+    server::ServerConfig cfg;
+    cfg.threads_per_shard = 2;
+    cfg.frames_in_flight_per_shard = 2;
+    server::FrameServer srv(reg, cfg);
+    const uint64_t inter =
+        srv.openSession("lego", server::QosClass::Interactive);
+    const uint64_t joiner =
+        srv.openSession("lego", server::QosClass::Interactive);
+    const uint64_t batch = srv.openSession("lego", server::QosClass::Batch);
+    ASSERT_TRUE(inter != 0 && joiner != 0 && batch != 0);
+    {
+        // Paused, the first interactive frame holds its slot, so the
+        // second of the same view joins it; the batch frame renders
+        // on the other slot.
+        struct Pause
+        {
+            engine::FrameEngine &eng;
+            ~Pause() { eng.resume(); }
+        } pause{srv.engine()};
+        srv.engine().pause();
+        ASSERT_NE(srv.submitFrame(inter, path[0]), 0u);
+        ASSERT_NE(srv.submitFrame(joiner, path[0]), 0u);
+        ASSERT_NE(srv.submitFrame(batch, path[1]), 0u);
+    }
+    srv.waitIdle();
+    std::vector<server::FrameResult> results;
+    srv.drainResults(results);
+    ASSERT_EQ(results.size(), 3u);
+    std::set<uint64_t> renders;
+    for (const server::FrameResult &r : results) {
+        ASSERT_TRUE(r.ok());
+        renders.insert(r.render_ticket);
+        // The stage times tile the pipeline residency.
+        double sum = 0.0;
+        for (int k = 0; k < engine::kStages; ++k) {
+            ASSERT_TRUE(r.frame.stage_s[size_t(k)].has_value())
+                << engine::kStageName[k];
+            EXPECT_GE(*r.frame.stage_s[size_t(k)], 0.0);
+            sum += *r.frame.stage_s[size_t(k)];
         }
+        EXPECT_NEAR(sum,
+                    std::chrono::duration<double>(r.frame.finished_at -
+                                                  r.frame.started_at)
+                        .count(),
+                    1e-6)
+            << "ticket " << r.ticket;
+        if (r.ticket == r.render_ticket) {
+            EXPECT_LE(sum, r.latency_s) << "ticket " << r.ticket;
+        }
+    }
+    EXPECT_EQ(renders.size(), 2u) << "the second frame joined the first";
+    EXPECT_EQ(telemetry::spanCount(), 0u);
+
+    // A second server in the same process has its own store.
+    server::FrameServer other(reg, cfg);
+    const std::string text = srv.metricsText();
+    const std::string other_text = other.metricsText();
+    auto count = [](const std::string &t, int stage, const char *qos) {
+        return expositionValue(
+            t, std::string("asdr_stage_duration_seconds_count{stage=\"") +
+                   engine::kStageName[stage] + "\",qos=\"" + qos + "\"}");
+    };
+    for (int k = 0; k < engine::kStages; ++k) {
+        EXPECT_EQ(count(text, k, "interactive"), 1.0)
+            << engine::kStageName[k];
+        EXPECT_EQ(count(text, k, "batch"), 1.0) << engine::kStageName[k];
+        EXPECT_EQ(count(text, k, "standard"), 0.0) << engine::kStageName[k];
+        for (const char *qos : {"interactive", "standard", "batch"})
+            EXPECT_EQ(count(other_text, k, qos), 0.0)
+                << engine::kStageName[k] << " qos=" << qos;
+    }
+    for (uint64_t c : {inter, joiner, batch})
+        srv.closeSession(c);
 }
 
 // ------------------------------------------------------- trace export
@@ -658,7 +732,7 @@ TEST(Telemetry, SpanOrderingInvariants)
     for (const auto &entry : render_of) {
         const uint64_t ticket = entry.first, render = entry.second;
         std::vector<telemetry::Span> spans;
-        telemetry::collectTicket(ticket, spans);
+        telemetry::collectTicket(ticket, 0, spans);
         ASSERT_FALSE(spans.empty()) << "ticket " << ticket;
         for (size_t i = 1; i < spans.size(); ++i)
             EXPECT_LE(spans[i - 1].t_start_us, spans[i].t_start_us)
@@ -706,7 +780,7 @@ TEST(Telemetry, SpanOrderingInvariants)
         EXPECT_EQ(first_engine, UINT64_MAX)
             << "joined ticket " << ticket << " rendered on its own";
         std::vector<telemetry::Span> render_spans;
-        telemetry::collectTicket(render, render_spans);
+        telemetry::collectTicket(render, 0, render_spans);
         uint64_t finalize_end = 0;
         for (const auto &s : render_spans)
             if (std::string(s.name) == telemetry::kSpanFinalize)
@@ -789,6 +863,14 @@ TEST(Telemetry, SlowFrameFlightRecorderCapturesStalledFrames)
     EXPECT_GT(rec->latency_ms, 10.0);
     EXPECT_FALSE(rec->failed);
     EXPECT_EQ(rec->render_ticket, slow_ticket);
+    // The record's stage times name the stalled stage (the stall fires
+    // in ray setup) and lie inside the frame's latency.
+    double sum_ms = 0.0;
+    for (const auto &sec : rec->stage_s)
+        sum_ms += sec.value_or(0.0) * 1e3;
+    ASSERT_TRUE(rec->stage_s[engine::kRaySetup].has_value());
+    EXPECT_GE(*rec->stage_s[engine::kRaySetup] * 1e3, 60.0);
+    EXPECT_LE(sum_ms, rec->latency_ms);
     std::set<std::string> names;
     for (const auto &s : rec->spans)
         names.insert(s.name);
@@ -799,6 +881,7 @@ TEST(Telemetry, SlowFrameFlightRecorderCapturesStalledFrames)
     // engine spans beside the frame's own queue-wait.
     ASSERT_NE(joined, nullptr) << "joined ticket not retained";
     EXPECT_EQ(joined->render_ticket, slow_ticket);
+    EXPECT_EQ(joined->stage_s, rec->stage_s);
     names.clear();
     for (const auto &s : joined->spans)
         names.insert(s.name);
@@ -852,9 +935,26 @@ TEST(Telemetry, FlightRecorderRingIsBounded)
     const server::ServerStatsSnapshot snap = srv.stats();
     EXPECT_EQ(snap.slow_frame_count, 6u); // every frame tripped it
     EXPECT_EQ(snap.slow_frames.size(), 2u); // ring keeps the last two
-    // With tracing off the records carry facts but no spans.
-    for (const auto &r : snap.slow_frames)
+    // With tracing off the records carry facts and their render's stage
+    // times, but no spans. The stage times lie inside the frame's
+    // latency when the frame led its render; a frame that joined one
+    // may have waited less than the render ran (here the frames after
+    // the first usually all join it, so the ring holds two joiners).
+    for (const auto &r : snap.slow_frames) {
         EXPECT_TRUE(r.spans.empty());
+        double sum_ms = 0.0;
+        for (int k = 0; k < engine::kStages; ++k) {
+            ASSERT_TRUE(r.stage_s[size_t(k)].has_value())
+                << "ticket " << r.ticket << " " << engine::kStageName[k];
+            EXPECT_GE(*r.stage_s[size_t(k)], 0.0);
+            sum_ms += *r.stage_s[size_t(k)] * 1e3;
+        }
+        if (r.ticket == r.render_ticket) {
+            EXPECT_LE(sum_ms, r.latency_ms) << "ticket " << r.ticket;
+        }
+    }
+    EXPECT_NE(snap.toJson().find("\"stage_ms\":{\"engine.ray_setup\":"),
+              std::string::npos);
 
     std::vector<server::FrameResult> results;
     srv.drainResults(results);
@@ -865,10 +965,7 @@ TEST(Telemetry, FlightRecorderRingIsBounded)
 
 TEST(WireTelemetry, MetricsTextScrapeRoundTrip)
 {
-    TelemetryGuard guard;
-    // Tracing on so span closes feed the per-stage histograms the
-    // scrape below asserts on (the guard restores the off state).
-    telemetry::setEnabled(true);
+    TelemetryGuard guard; // tracing stays OFF: stage time is recorded
 
     server::SceneRegistry reg;
     ASSERT_NE(reg.addProcedural("Lego", "Lego",
@@ -914,8 +1011,8 @@ TEST(WireTelemetry, MetricsTextScrapeRoundTrip)
               std::string::npos);
     EXPECT_NE(text.find("asdr_frame_latency_seconds_bucket"),
               std::string::npos);
-    // The engine stage spans feed per-stage duration histograms, and
-    // those travel the same wire scrape.
+    // Every render's engine stage times feed per-stage duration
+    // histograms, and those travel the same wire scrape.
     EXPECT_NE(text.find("# TYPE asdr_stage_duration_seconds histogram"),
               std::string::npos);
     EXPECT_NE(text.find("asdr_stage_duration_seconds_bucket{"
