@@ -28,7 +28,6 @@
 #include "server/frame_server.hpp"
 #include "server/scene_registry.hpp"
 #include "util/table.hpp"
-#include "util/telemetry.hpp"
 
 using namespace asdr;
 
@@ -54,20 +53,21 @@ usage(const char *argv0)
            "  --step <rad>        orbit step (default 0.05)\n"
            "  --ppm <prefix>      write every decoded frame as\n"
            "                      <prefix>NNN.ppm\n"
-           "  --trace-out <file>  self-hosted service only: enable\n"
-           "                      stage-span tracing and write a\n"
-           "                      Chrome/Perfetto trace JSON at exit\n"
            "  --trace-follow <f>  subscribe to the service's live span\n"
            "                      stream on a second connection and\n"
            "                      tail it into <f> (Perfetto JSON,\n"
            "                      rewritten as spans arrive) -- works\n"
            "                      against a remote service, no restart\n"
            "  --slow-ms <n>       self-hosted service only: slow-frame\n"
-           "                      flight recorder threshold, ms\n"
+           "                      flight recorder threshold, ms (each\n"
+           "                      slow render's stage times are dumped\n"
+           "                      once)\n"
            "  --metrics-out <f>   scrape the service's Prometheus text\n"
            "                      exposition over the wire after the\n"
            "                      orbit (- for stdout)\n"
-           "  --help              this message\n";
+           "  --help              this message\n"
+           "Set ASDR_TRACE_OUT=<file> to record the self-hosted service's\n"
+           "stage spans and write a Chrome/Perfetto trace JSON at exit.\n";
 }
 
 net::FrameEncoding
@@ -102,7 +102,7 @@ int
 main(int argc, char **argv)
 {
     std::string host = "127.0.0.1", scene = "Lego", ppm;
-    std::string trace_out, trace_follow, metrics_out;
+    std::string trace_follow, metrics_out;
     int port = 0, frames = 12, width = 48, samples = 48;
     float step = 0.05f;
     double slow_ms = 0.0;
@@ -134,8 +134,6 @@ main(int argc, char **argv)
             step = float(std::atof(argv[++i]));
         else if (arg == "--ppm" && i + 1 < argc)
             ppm = next();
-        else if (arg == "--trace-out" && i + 1 < argc)
-            trace_out = next();
         else if (arg == "--trace-follow" && i + 1 < argc)
             trace_follow = next();
         else if (arg == "--slow-ms" && i + 1 < argc)
@@ -183,9 +181,6 @@ main(int argc, char **argv)
         // Remote service: frame the orbit off the library defaults.
         info = scene::createScene(scene)->info();
     }
-
-    if (!trace_out.empty())
-        telemetry::setEnabled(true);
 
     // ---- optional live span follower (own connection + thread) ----
     // Subscribing turns span recording on service-side, so this works
@@ -313,16 +308,6 @@ main(int argc, char **argv)
                       << " (open at ui.perfetto.dev)\n";
         else
             std::cerr << "trace follow failed: " << follow_err << "\n";
-    }
-
-    if (!trace_out.empty()) {
-        if (!telemetry::writeJson(trace_out, telemetry::snapshot(),
-                                  &err)) {
-            std::cerr << "trace write failed: " << err << "\n";
-            return 1;
-        }
-        std::cout << "wrote " << telemetry::spanCount() << " spans to "
-                  << trace_out << " (open at ui.perfetto.dev)\n";
     }
     return 0;
 }

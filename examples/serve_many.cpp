@@ -25,7 +25,6 @@
 #include "server/scene_registry.hpp"
 #include "server/workload.hpp"
 #include "util/table.hpp"
-#include "util/telemetry.hpp"
 
 using namespace asdr;
 
@@ -53,27 +52,28 @@ usage(const char *argv0)
            "  --ladder            enable the quality ladder: brownout\n"
            "                      controller + interactive stretch slots\n"
            "                      (degrade under burst instead of drop)\n"
-           "  --trace-out <file>  enable stage-span tracing and write a\n"
-           "                      Chrome/Perfetto trace_event JSON file\n"
-           "                      at exit (open at ui.perfetto.dev)\n"
            "  --slow-ms <n>       slow-frame flight recorder threshold,\n"
            "                      ms: frames over it (or failed/expired/\n"
-           "                      shed) get their span timeline dumped\n"
-           "                      and retained in the recorder's JSON\n"
+           "                      shed) are retained in the recorder's\n"
+           "                      JSON with their render's stage times;\n"
+           "                      each slow render is dumped once\n"
            "  --metrics-out <f>   write the server's Prometheus text\n"
            "                      exposition to <f> instead of stdout\n"
            "                      (default -, stdout)\n"
            "  --slo-p99-ms <n>    per-class latency SLO: frames over\n"
            "                      <n> ms burn the 1% latency budget;\n"
            "                      sustained burn over both windows\n"
-           "                      raises the breach gauge and pins the\n"
-           "                      offenders into the flight recorder\n"
+           "                      raises the breach gauge; each frame\n"
+           "                      over <n> lands in the flight recorder\n"
            "  --slo-errors <f>    availability SLO: tolerated error\n"
            "                      fraction (failed/expired/shed), e.g.\n"
            "                      0.01\n"
            "  --slo-windows <f,s> fast,slow burn windows in seconds\n"
            "                      (default 60,3600)\n"
-           "  --help              this message\n";
+           "  --help              this message\n"
+           "Set ASDR_TRACE_OUT=<file> to record stage spans and write a\n"
+           "Chrome/Perfetto trace_event JSON file at exit (open at\n"
+           "ui.perfetto.dev).\n";
 }
 
 /** Nearest-rank percentile `q` in (0, 1] of `seconds`, in ms; 0 when
@@ -97,7 +97,7 @@ main(int argc, char **argv)
     int frames = 8, width = 32, samples = 48;
     int threads = 2, in_flight = 2, burst = 2;
     bool ladder = false;
-    std::string trace_out, metrics_out = "-";
+    std::string metrics_out = "-";
     double slow_ms = 0.0;
     double slo_p99_ms = 0.0, slo_errors = 0.0;
     double slo_fast_s = 60.0, slo_slow_s = 3600.0;
@@ -129,8 +129,6 @@ main(int argc, char **argv)
             burst = next();
         else if (arg == "--ladder")
             ladder = true;
-        else if (arg == "--trace-out" && i + 1 < argc)
-            trace_out = argv[++i];
         else if (arg == "--slow-ms" && i + 1 < argc)
             slow_ms = std::atof(argv[++i]);
         else if (arg == "--metrics-out" && i + 1 < argc)
@@ -196,9 +194,6 @@ main(int argc, char **argv)
         scfg.slo.fast_window_s = slo_fast_s;
         scfg.slo.slow_window_s = slo_slow_s;
     }
-    if (!trace_out.empty())
-        telemetry::setEnabled(true);
-
     const int viewers = interactive + standard + batch;
     std::cout << "Serving " << viewers << " viewers over "
               << spec.scenes.size() << " scenes on " << threads
@@ -253,16 +248,6 @@ main(int argc, char **argv)
               << " served frames/s aggregate)\n\nFlight recorder JSON: "
               << report.stats.toJson() << "\n";
 
-    if (!trace_out.empty()) {
-        std::string err;
-        if (!telemetry::writeJson(trace_out, telemetry::snapshot(),
-                                  &err)) {
-            std::cerr << "trace write failed: " << err << "\n";
-            return 1;
-        }
-        std::cout << "\nwrote " << telemetry::spanCount() << " spans to "
-                  << trace_out << " (open at ui.perfetto.dev)\n";
-    }
     const std::string text = srv.metricsText();
     if (metrics_out == "-") {
         std::cout << "\nMetrics exposition:\n" << text;

@@ -21,69 +21,31 @@ secondsBetween(std::chrono::steady_clock::time_point a,
     return std::chrono::duration<double>(b - a).count();
 }
 
-/** Build one flight-recorder entry: the frame's facts plus whatever
- *  spans the telemetry buffers hold for its ticket and, for a frame
- *  that joined another's render, for that render's ticket, in one scan
- *  (empty when tracing is off -- the record still lands). */
-SlowFrameRecord
-makeSlowRecord(uint64_t ticket, uint64_t render_ticket, uint64_t frame_id,
-               QosClass qos, double latency_ms, bool failed, bool expired,
-               bool dropped)
-{
-    SlowFrameRecord rec;
-    rec.ticket = ticket;
-    rec.render_ticket = render_ticket;
-    rec.frame = frame_id;
-    rec.qos = qos;
-    rec.latency_ms = latency_ms;
-    rec.failed = failed;
-    rec.expired = expired;
-    rec.dropped = dropped;
-    std::vector<telemetry::Span> spans;
-    telemetry::collectTicket(ticket, render_ticket, spans);
-    rec.spans.reserve(spans.size());
-    for (const telemetry::Span &s : spans)
-        rec.spans.push_back(
-            SlowFrameSpan{s.name, s.lane, s.t_start_us, s.t_end_us});
-    return rec;
-}
-
-/** The warn()-dump timeline of one slow frame, offsets relative to
- *  its first span; without spans, its render's stage times. */
+/** The warn() dump of one slow frame: its facts, then its render's
+ *  stage times. `others` counts the other tickets the same render
+ *  answered, whose records the render's one dump stands for. */
 std::string
-slowDumpText(const SlowFrameRecord &rec)
+slowDumpText(const SlowFrameRecord &rec, size_t others)
 {
     std::ostringstream os;
     os << "slow frame: ticket " << rec.ticket << " ("
        << qosClassName(rec.qos) << ") " << rec.latency_ms << " ms";
     if (rec.render_ticket != 0 && rec.render_ticket != rec.ticket)
         os << " [joined ticket " << rec.render_ticket << "'s render]";
+    if (others)
+        os << " [render answered " << others << " other ticket"
+           << (others == 1 ? "" : "s") << "]";
     if (rec.failed)
         os << " [failed]";
     if (rec.expired)
         os << " [deadline expired]";
-    if (rec.spans.empty()) {
-        os << " -- no spans (tracing off)";
-        for (int k = 0; k < engine::kStages; ++k)
-            if (const auto &sec = rec.stage_s[size_t(k)]) {
-                char line[96];
-                std::snprintf(line, sizeof line, "\n  %-22s %9.3f ms",
-                              engine::kStageName[k], *sec * 1e3);
-                os << line;
-            }
-        return os.str();
-    }
-    const uint64_t base = rec.spans.front().t_start_us;
-    os << " -- " << rec.spans.size() << " spans:";
-    for (const SlowFrameSpan &sp : rec.spans) {
-        char line[160];
-        std::snprintf(line, sizeof line,
-                      "\n  +%8.3f ms %9.3f ms  %-22s lane %u",
-                      double(sp.t_start_us - base) * 1e-3,
-                      double(sp.t_end_us - sp.t_start_us) * 1e-3,
-                      sp.name.c_str(), sp.lane);
-        os << line;
-    }
+    for (int k = 0; k < engine::kStages; ++k)
+        if (const auto &sec = rec.stage_s[size_t(k)]) {
+            char line[96];
+            std::snprintf(line, sizeof line, "\n  %-22s %9.3f ms",
+                          engine::kStageName[k], *sec * 1e3);
+            os << line;
+        }
     return os.str();
 }
 
@@ -251,25 +213,26 @@ FrameServer::deliverAll(std::vector<Deliverable> &&rejects)
 {
     const bool had_rejects = !rejects.empty();
     for (Deliverable &d : rejects) {
-        // Every admission-time reject is an SLO error outcome.
-        slo_.recordError(d.result.qos, d.result.ticket, 0,
-                         d.result.latency_s * 1e3);
-        // Flight recorder: deadline expiries and breaker fast-fails
-        // are exactly the frames an operator asks "why" about.
-        if (cfg_.slow_frame_ms > 0.0 &&
-            (d.result.expired || d.result.error)) {
-            SlowFrameRecord rec = makeSlowRecord(
-                d.result.ticket, 0, 0, d.result.qos,
-                d.result.latency_s * 1e3, d.result.error != nullptr,
-                d.result.expired, false);
-            warn(slowDumpText(rec));
+        // Every admission-time reject (a deadline expiry or a breaker
+        // fast-fail) is an SLO error outcome, and exactly the kind of
+        // frame an operator asks "why" about: with a slow budget set,
+        // each is recorded and dumped; without, one that violates an
+        // availability objective is recorded silently.
+        const bool violates = slo_.recordError(d.result.qos);
+        if (cfg_.slow_frame_ms > 0.0 || violates) {
+            SlowFrameRecord rec{d.result.ticket, 0, 0, d.result.qos,
+                                d.result.latency_s * 1e3,
+                                d.result.error != nullptr,
+                                d.result.expired, false, {}};
+            if (cfg_.slow_frame_ms > 0.0)
+                warn(slowDumpText(rec, 0));
             stats_.recordSlowFrame(std::move(rec));
         }
         deliverResult(std::move(d.result), d.cb);
     }
     rejects.clear();
     if (had_rejects)
-        sloEvaluate();
+        slo_.evaluate();
 }
 
 void
@@ -497,39 +460,42 @@ FrameServer::onFrameDone(uint64_t client, uint64_t ticket, QosClass qos,
         for (int k = 0; k < engine::kStages; ++k)
             if (const auto &sec = frame.stage_s[size_t(k)])
                 cm.stage_duration[size_t(k)]->record(*sec);
-    // Each answered frame is its own outcome: counts, latency and SLO.
+    // Each answered frame is its own outcome: counts, latency, SLO and,
+    // when it is slow or violates its class's objective, one
+    // flight-recorder record carrying the render's stage times. A slow
+    // render is dumped once, at its first slow answer; an SLO-only
+    // record stays out of the log (the breach warns for them all).
+    bool dumped = false;
     for (const Waiter &a : answers) {
         const double ms = secondsBetween(a.submitted_at, now) * 1e3;
+        bool violates;
         if (err) {
             cm.failed->inc();
             scene->failed->inc();
-            slo_.recordError(qos, a.ticket, ticket, ms);
+            violates = slo_.recordError(qos);
         } else {
             cm.served_rung[size_t(rung)]->inc();
             cm.latency->record(ms * 1e-3);
             scene->served_rung[size_t(rung)]->inc();
-            slo_.recordServed(qos, a.ticket, ticket, ms);
+            violates = slo_.recordServed(qos, ms);
         }
+        const bool slow = cfg_.slow_frame_ms > 0.0 &&
+                          (err || ms > cfg_.slow_frame_ms);
+        if (!slow && !violates)
+            continue;
+        SlowFrameRecord rec{a.ticket, ticket, frame.id, qos, ms,
+                            err != nullptr, false, false, frame.stage_s};
+        if (slow && !dumped) {
+            warn(slowDumpText(rec, answers.size() - 1));
+            dumped = true;
+        }
+        stats_.recordSlowFrame(std::move(rec));
     }
-    sloEvaluate();
+    slo_.evaluate();
 
-    const uint64_t frame_id = frame.id;
-    const engine::StageSeconds stage_s = frame.stage_s;
     for (size_t i = 0; i < answers.size(); ++i) {
         const Waiter &a = answers[i];
         const double ms = secondsBetween(a.submitted_at, now) * 1e3;
-        // Flight recorder: a frame over the slow budget (or one whose
-        // render threw) is dumped with its span timeline and retained.
-        // The engine's finalize span is already recorded at this point
-        // (it closes before on_complete runs).
-        if (cfg_.slow_frame_ms > 0.0 && (err || ms > cfg_.slow_frame_ms)) {
-            SlowFrameRecord rec =
-                makeSlowRecord(a.ticket, ticket, frame_id, qos, ms,
-                               err != nullptr, false, false);
-            rec.stage_s = stage_s;
-            warn(slowDumpText(rec));
-            stats_.recordSlowFrame(std::move(rec));
-        }
         FrameResult result;
         result.client = a.client;
         result.ticket = a.ticket;
@@ -588,7 +554,7 @@ FrameServer::dropFrames(std::vector<PendingFrame> &&dropped)
     const bool had_drops = !dropped.empty();
     for (PendingFrame &pf : dropped) {
         class_metrics_[int(pf.qos)].dropped->inc();
-        slo_.recordError(pf.qos, pf.ticket, 0, 0.0);
+        const bool violates = slo_.recordError(pf.qos);
         ResultCallback cb;
         {
             std::lock_guard<std::mutex> lock(m_);
@@ -600,9 +566,9 @@ FrameServer::dropFrames(std::vector<PendingFrame> &&dropped)
         // shed burst should not flood the log), so the ring answers
         // "what happened to ticket N" for every terminal outcome the
         // operator might chase.
-        if (cfg_.slow_frame_ms > 0.0)
-            stats_.recordSlowFrame(makeSlowRecord(
-                pf.ticket, 0, 0, pf.qos, 0.0, false, false, true));
+        if (cfg_.slow_frame_ms > 0.0 || violates)
+            stats_.recordSlowFrame(SlowFrameRecord{
+                pf.ticket, 0, 0, pf.qos, 0.0, false, false, true, {}});
         FrameResult result;
         result.client = pf.client;
         result.ticket = pf.ticket;
@@ -611,7 +577,7 @@ FrameServer::dropFrames(std::vector<PendingFrame> &&dropped)
         deliverResult(std::move(result), cb);
     }
     if (had_drops)
-        sloEvaluate();
+        slo_.evaluate();
 }
 
 void
@@ -715,22 +681,7 @@ FrameServer::watchdogTick()
     deliverAll(std::move(rejects));
     // Time alone moves the burn windows: evaluate even when no frame
     // finished this tick, so breaches clear after traffic stops.
-    sloEvaluate();
-}
-
-void
-FrameServer::sloEvaluate()
-{
-    std::vector<SloTracker::Offender> pin;
-    slo_.evaluate(pin);
-    // Breach evidence lands in the flight recorder regardless of
-    // slow_frame_ms: an alert must carry its offending frames even
-    // when the operator never tuned the slow budget. Pinning is
-    // silent -- the tracker already warned with the breach summary.
-    for (const SloTracker::Offender &o : pin)
-        stats_.recordSlowFrame(makeSlowRecord(o.ticket, o.render_ticket, 0,
-                                              o.qos, o.latency_ms, o.error,
-                                              false, false));
+    slo_.evaluate();
 }
 
 ServerStatsSnapshot

@@ -148,8 +148,10 @@ struct ServerConfig
      * Slow-frame flight recorder: frames whose submit -> delivery
      * latency exceeds this (milliseconds), or which fail, expire past
      * their deadline, or are shed, are retained in the recorder with
-     * their full telemetry span timeline; slow/failed/expired ones are
-     * also dumped through warn(). 0 disables the recorder (default).
+     * their facts and, when rendered, their render's stage times;
+     * slow/failed/expired ones are also dumped through warn(), once
+     * per render. 0 disables the budget (default); frames that violate
+     * an SLO objective are recorded all the same.
      */
     double slow_frame_ms = 0.0;
     /** Flight-recorder ring capacity (most recent records kept). */
@@ -158,8 +160,9 @@ struct ServerConfig
      * Per-class SLOs (server/slo_tracker.hpp): when any class carries
      * an objective, a SloTracker watches every terminal outcome over
      * sliding fast/slow burn-rate windows. Breaches raise the breach
-     * gauge, warn() once per transition, and pin the offending
-     * frames into the flight recorder (independent of slow_frame_ms).
+     * gauge and warn() once per transition; every frame that violates
+     * its class's objective is recorded into the flight recorder as it
+     * is delivered (independent of slow_frame_ms, and silently).
      * Disabled by default (no objectives set).
      */
     SloParams slo;
@@ -415,9 +418,6 @@ class FrameServer
      *  included) and refresh the stuck gauge. */
     void watchdogTick();
     void watchdogRun();
-    /** Re-evaluate SLO burn rates and pin breach evidence into the
-     *  flight recorder. No-op without configured objectives. */
-    void sloEvaluate();
 
     const SceneRegistry &registry_;
     ServerConfig cfg_;

@@ -151,17 +151,7 @@ ServerStatsSnapshot::toJson() const
            << ",\"latency_ms\":" << r.latency_ms
            << ",\"failed\":" << (r.failed ? 1 : 0)
            << ",\"expired\":" << (r.expired ? 1 : 0)
-           << ",\"dropped\":" << (r.dropped ? 1 : 0) << ",\"spans\":[";
-        for (size_t s = 0; s < r.spans.size(); ++s) {
-            const SlowFrameSpan &sp = r.spans[s];
-            if (s)
-                os << ",";
-            os << "{\"name\":\"" << telemetry::jsonEscape(sp.name)
-               << "\",\"lane\":" << sp.lane
-               << ",\"t0_us\":" << sp.t_start_us
-               << ",\"t1_us\":" << sp.t_end_us << "}";
-        }
-        os << "],\"stage_ms\":{";
+           << ",\"dropped\":" << (r.dropped ? 1 : 0) << ",\"stage_ms\":{";
         bool first = true;
         for (int k = 0; k < engine::kStages; ++k) {
             if (!r.stage_s[size_t(k)])

@@ -19,10 +19,13 @@
  * under bursts.
  *
  * ServerStats is the flight recorder: the last N frames that blew the
- * server's `slow_frame_ms` budget (or failed, expired, or were shed),
- * each with its telemetry span timeline and, when it was rendered,
- * its render's stage times. Those are records, not metrics;
- * ServerStatsSnapshot::toJson() renders them.
+ * server's `slow_frame_ms` budget (or failed, expired, or were shed)
+ * or violated their class's SLO objective, each with its facts and,
+ * when it was rendered, its render's stage times. Each record is made
+ * once, where the frame's outcome is decided, and costs O(1): it
+ * copies nothing from the span buffers, whose spans stay in the trace
+ * under the record's ticket and render_ticket. Those are records, not
+ * metrics; ServerStatsSnapshot::toJson() renders them.
  */
 
 #ifndef ASDR_SERVER_SERVER_STATS_HPP
@@ -130,20 +133,9 @@ struct SceneServeStats
     uint64_t degraded = 0;
 };
 
-/** One span of a slow frame's retained timeline (value copy of the
- *  telemetry::Span, name owned so the record outlives the buffers). */
-struct SlowFrameSpan
-{
-    std::string name;
-    uint32_t lane = 0;
-    uint64_t t_start_us = 0;
-    uint64_t t_end_us = 0;
-};
-
 /** One flight-recorder entry: a frame that exceeded the slow budget,
- *  failed, or expired, with its span timeline (empty when tracing was
- *  off -- the record itself still lands) and, for a delivered render,
- *  its stage times (present whether tracing was on or not). */
+ *  failed, expired, was shed, or violated its class's SLO objective:
+ *  its facts and, for a delivered render, its stage times. */
 struct SlowFrameRecord
 {
     uint64_t ticket = 0;
@@ -156,7 +148,6 @@ struct SlowFrameRecord
     bool failed = false;
     bool expired = false;
     bool dropped = false; ///< shed by the backlog policy
-    std::vector<SlowFrameSpan> spans;
     /** The render's engine::Frame::stage_s, seconds; empty unless the
      *  record was made when a rendered frame was delivered. */
     engine::StageSeconds stage_s;
@@ -172,8 +163,8 @@ struct ServerStatsSnapshot
      *  it. */
     uint64_t stuck_in_flight = 0;
     uint64_t stuck_events = 0;
-    /** Flight recorder: the most recent slow/failed/expired frames
-     *  (bounded ring) and the cumulative count of all of them. */
+    /** Flight recorder: the most recent records (bounded ring) and
+     *  the cumulative count of all of them. */
     std::vector<SlowFrameRecord> slow_frames;
     uint64_t slow_frame_count = 0;
 

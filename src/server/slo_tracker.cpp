@@ -11,10 +11,6 @@ namespace asdr::server {
 
 namespace {
 
-/** Violations remembered while healthy, per class: enough evidence to
- *  make a fresh breach explainable without recording forever. */
-constexpr size_t kRecentOffenders = 8;
-
 /** The latency objective's implicit error budget: a p99 target allows
  *  1% of frames over it. */
 constexpr double kLatencyBudget = 0.01;
@@ -68,50 +64,36 @@ SloTracker::SloTracker(const SloParams &p, metrics::Registry &reg)
     }
 }
 
-void
-SloTracker::recordServed(QosClass c, uint64_t ticket, uint64_t render_ticket,
-                         double latency_ms)
+bool
+SloTracker::recordServed(QosClass c, double latency_ms)
 {
-    recordLocked(Offender{ticket, render_ticket, c, latency_ms, false});
+    return record(c, latency_ms, false);
 }
 
-void
-SloTracker::recordError(QosClass c, uint64_t ticket, uint64_t render_ticket,
-                        double latency_ms)
+bool
+SloTracker::recordError(QosClass c)
 {
-    recordLocked(Offender{ticket, render_ticket, c, latency_ms, true});
+    return record(c, 0.0, true);
 }
 
-void
-SloTracker::recordLocked(const Offender &off)
+bool
+SloTracker::record(QosClass c, double latency_ms, bool error)
 {
-    const SloClassObjective &obj = p_.cls[int(off.qos)];
+    const SloClassObjective &obj = p_.cls[int(c)];
     if (!obj.enabled())
-        return;
+        return false;
+    const bool lat_bad =
+        !error && obj.target_p99_ms > 0.0 && latency_ms > obj.target_p99_ms;
     std::lock_guard<std::mutex> lock(m_);
-    ClassState &st = cls_[int(off.qos)];
+    ClassState &st = cls_[int(c)];
     advanceLocked(st, std::chrono::steady_clock::now());
     Bucket &b = st.ring[size_t(st.cur % slow_buckets_)];
     b.total++;
-    const bool lat_bad = !off.error && obj.target_p99_ms > 0.0 &&
-                         off.latency_ms > obj.target_p99_ms;
     if (lat_bad)
         b.lat_bad++;
-    if (off.error)
+    if (error)
         b.err_bad++;
-    if (!lat_bad && !(off.error && obj.max_error_fraction > 0.0))
-        return;
-    // Budget violation: retain it as evidence. While breached it goes
-    // straight to the pin queue; while healthy it waits in the bounded
-    // recent ring for a breach to flush it.
-    if (st.latency.breached->value() != 0.0 ||
-        st.errors.breached->value() != 0.0) {
-        st.pending.push_back(off);
-    } else {
-        st.recent.push_back(off);
-        while (st.recent.size() > kRecentOffenders)
-            st.recent.pop_front();
-    }
+    return lat_bad || (error && obj.max_error_fraction > 0.0);
 }
 
 void
@@ -148,7 +130,7 @@ SloTracker::windowFraction(const ClassState &st, int64_t buckets,
 }
 
 void
-SloTracker::evaluate(std::vector<Offender> &pin)
+SloTracker::evaluate()
 {
     if (!p_.enabled())
         return;
@@ -168,9 +150,6 @@ SloTracker::evaluate(std::vector<Offender> &pin)
             evaluateLocked(QosClass(c), st, st.errors, "availability",
                            &Bucket::err_bad, obj.max_error_fraction,
                            obj.max_error_fraction);
-        for (Offender &o : st.pending)
-            pin.push_back(o);
-        st.pending.clear();
     }
 }
 
@@ -187,12 +166,8 @@ SloTracker::evaluateLocked(QosClass c, ClassState &st, Objective &obj,
     if (breached == (obj.breached->value() != 0.0))
         return;
     obj.breached->set(breached ? 1.0 : 0.0);
-    if (breached) {
+    if (breached)
         st.breach_events->inc();
-        for (Offender &o : st.recent)
-            st.pending.push_back(o);
-        st.recent.clear();
-    }
     warn(breachText(c, slo, breached, fast, slow, objective));
 }
 

@@ -23,10 +23,11 @@
  * The burns, the breach state (asdr_slo_breach{qos,slo}) and the
  * per-class breach events live in the server's metrics registry; the
  * series exist for every class, zero where no objective is set. A
- * breach emits one structured warn() per transition and hands the
- * offending tickets to the caller (FrameServer pins them into the
- * slow-frame flight recorder so every alert arrives with its
- * evidence).
+ * breach emits one structured warn() per transition. Each record call
+ * returns whether its frame violates the class's objective, and
+ * FrameServer records every violating frame into the flight recorder
+ * as it is delivered, so an alert's evidence is already there when
+ * the alert fires. The tracker keeps counts, never frames.
  *
  * Thread-safe; records and evaluations may race from engine workers,
  * the watchdog, and snapshot readers.
@@ -37,7 +38,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <vector>
 
@@ -84,36 +84,22 @@ struct SloParams
 class SloTracker
 {
   public:
-    /** A budget-violating frame retained as breach evidence. */
-    struct Offender
-    {
-        uint64_t ticket = 0;
-        /** FrameResult::render_ticket (0 when never rendered). */
-        uint64_t render_ticket = 0;
-        QosClass qos = QosClass::Standard;
-        double latency_ms = 0.0;
-        bool error = false; ///< failed/expired/dropped (vs slow-served)
-    };
-
     /** Registers the SLO series of every class in `reg`. */
     SloTracker(const SloParams &p, metrics::Registry &reg);
 
-    /** A served frame; `latency_ms` submit -> delivery. */
-    void recordServed(QosClass c, uint64_t ticket, uint64_t render_ticket,
-                      double latency_ms);
-    /** A failed, expired, or shed frame. */
-    void recordError(QosClass c, uint64_t ticket, uint64_t render_ticket,
-                     double latency_ms);
+    /** A served frame; `latency_ms` submit -> delivery. True when it
+     *  violates the class's latency objective. */
+    bool recordServed(QosClass c, double latency_ms);
+    /** A failed, expired, or shed frame. True when the class carries
+     *  an availability objective, which every such frame violates. */
+    bool recordError(QosClass c);
 
     /**
      * Advance the windows, recompute burns, update gauges, and warn on
-     * breach transitions. Offending tickets needing flight-recorder
-     * pinning (the recent violations behind a fresh breach, plus every
-     * violation while breached) are appended to `pin`. Call after
-     * outcome batches and from the watchdog tick; a no-op when no
-     * class carries an objective.
+     * breach transitions. Call after outcome batches and from the
+     * watchdog tick; a no-op when no class carries an objective.
      */
-    void evaluate(std::vector<Offender> &pin);
+    void evaluate();
 
     /** Typed read of class `c`'s SLO series into the slo_* fields. */
     void read(QosClass c, QosClassStats &out) const;
@@ -143,15 +129,11 @@ class SloTracker
         Objective latency;
         Objective errors;
         metrics::Counter *breach_events = nullptr; ///< ok -> breached
-        /** Violations seen while healthy (bounded; flushed to `pin`
-         *  when a breach starts -- the evidence trail). */
-        std::deque<Offender> recent;
-        /** Violations seen while breached, awaiting the next
-         *  evaluate()'s pin handoff. */
-        std::vector<Offender> pending;
     };
 
-    void recordLocked(const Offender &off);
+    /** Count one outcome into class `c`'s current slice; returns the
+     *  violation verdict of recordServed/recordError. */
+    bool record(QosClass c, double latency_ms, bool error);
     /** Update one objective's burns from its windows and handle a
      *  breach transition (m_ held). */
     void evaluateLocked(QosClass c, ClassState &st, Objective &obj,

@@ -214,27 +214,6 @@ collectNewSpans(CollectCursor &cur, std::vector<Span> &out,
 }
 
 void
-collectTicket(uint64_t ticket, uint64_t render_ticket,
-              std::vector<Span> &out)
-{
-    out.clear();
-    {
-        Registry &r = registry();
-        std::lock_guard<std::mutex> lock(r.m);
-        for (const auto &b : r.bufs) {
-            std::lock_guard<std::mutex> bl(b->m);
-            for (const Span &s : b->spans)
-                if (s.ticket == ticket ||
-                    (render_ticket != 0 && s.ticket == render_ticket))
-                    out.push_back(s);
-        }
-    }
-    std::sort(out.begin(), out.end(), [](const Span &a, const Span &b) {
-        return a.t_start_us < b.t_start_us;
-    });
-}
-
-void
 reset()
 {
     Registry &r = registry();

@@ -1,7 +1,7 @@
 /**
  * @file
- * End-to-end frame telemetry: stage-span tracing, the metrics
- * registry, and the plumbing behind the slow-frame flight recorder.
+ * End-to-end frame telemetry: stage-span tracing and the metrics
+ * registry.
  *
  * Two cooperating namespaces:
  *
@@ -15,8 +15,9 @@
  *    other workers (each thread appends to its own buffer) and the
  *    disabled cost is one relaxed atomic load, the same discipline as
  *    `util/fault` -- so the instrumentation stays compiled into
- *    release builds. Spans feed traces and the flight recorder only:
- *    no metric depends on tracing being on.
+ *    release builds. Spans feed traces only (the exit dump and the
+ *    live stream): no metric, and no flight-recorder record, depends
+ *    on tracing being on.
  *
  *  - `metrics` -- named counters, gauges, and log-bucketed histograms
  *    in a `metrics::Registry` with a Prometheus text exposition. Each
@@ -118,8 +119,8 @@ uint64_t toUs(std::chrono::steady_clock::time_point tp);
  * Record one completed interval. Disabled processes pay one relaxed
  * load and branch; enabled ones append to the calling thread's own
  * buffer (uncontended mutex, no cross-thread waits). Spans feed traces
- * and the flight recorder only; stage time is measured without them
- * (FrameEngine's stage stamps).
+ * only; stage time is measured without them (FrameEngine's stage
+ * stamps).
  */
 inline void
 recordSpan(const char *name, uint64_t frame, uint64_t ticket,
@@ -131,7 +132,8 @@ recordSpan(const char *name, uint64_t frame, uint64_t ticket,
 }
 
 /**
- * RAII span: stamps t_start at construction, records at destruction.
+ * RAII span for the trace, like recordSpan: stamps t_start at
+ * construction, records at destruction.
  * The enabled() check is taken once, at construction, so a span is
  * never half-recorded across a mid-scope toggle.
  */
@@ -192,15 +194,6 @@ struct CollectCursor
  */
 size_t collectNewSpans(CollectCursor &cur, std::vector<Span> &out,
                        size_t max_spans);
-
-/**
- * Copy out every buffered span belonging to `ticket` or to
- * `render_ticket` (the render a joined frame rode on; 0 adds nothing),
- * sorted by start time, in one pass over the buffers. O(total spans)
- * -- meant for rare events (slow-frame dumps), not per-frame use.
- */
-void collectTicket(uint64_t ticket, uint64_t render_ticket,
-                   std::vector<Span> &out);
 
 /** Drop all buffered spans (lane ids and the epoch persist). */
 void reset();

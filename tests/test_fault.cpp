@@ -245,6 +245,9 @@ TEST(FrameServerFault, DeadlineExpiresQueuedFramesViaWatchdog)
     cfg.qos.cls[0].deadline_ms = 40.0;
     cfg.qos.cls[0].max_backlog = 16; // keep the backlog policy out
     cfg.watchdog_period_ms = 10;
+    // Far above any frame's latency: the recorder keeps the expiries
+    // alone.
+    cfg.slow_frame_ms = 60000.0;
     server::FrameServer srv(reg, cfg);
 
     const uint64_t client =
@@ -259,12 +262,14 @@ TEST(FrameServerFault, DeadlineExpiresQueuedFramesViaWatchdog)
     fault::arm(fault::kEngineStageStall, 1.0, /*max_fires=*/1,
                /*delay_ms=*/250.0);
     std::set<uint64_t> tickets;
+    testing::internal::CaptureStderr();
     for (int f = 0; f < 6; ++f) {
         const uint64_t t = srv.submitFrame(client, cam);
-        ASSERT_NE(t, 0u);
+        EXPECT_NE(t, 0u);
         tickets.insert(t);
     }
     srv.waitIdle();
+    const std::string log = testing::internal::GetCapturedStderr();
 
     std::vector<server::FrameResult> results;
     srv.drainResults(results);
@@ -289,6 +294,28 @@ TEST(FrameServerFault, DeadlineExpiresQueuedFramesViaWatchdog)
     const auto snap = srv.stats();
     EXPECT_EQ(snap.cls[0].served, 1u);
     EXPECT_EQ(snap.cls[0].expired, 5u);
+
+    // Each expiry is recorded once, where the watchdog decided it, with
+    // no stage times (it never rendered), and dumped to the log.
+    EXPECT_EQ(snap.slow_frame_count, 5u);
+    for (const auto &r : results) {
+        if (!r.expired)
+            continue;
+        int records = 0;
+        for (const auto &rec : snap.slow_frames)
+            if (rec.ticket == r.ticket) {
+                ++records;
+                EXPECT_TRUE(rec.expired);
+                EXPECT_EQ(rec.render_ticket, 0u);
+                for (const auto &sec : rec.stage_s)
+                    EXPECT_FALSE(sec.has_value()) << "ticket " << r.ticket;
+            }
+        EXPECT_EQ(records, 1) << "ticket " << r.ticket;
+        EXPECT_NE(log.find("slow frame: ticket " + std::to_string(r.ticket) +
+                           " (interactive)"),
+                  std::string::npos)
+            << "ticket " << r.ticket << " not dumped:\n" << log;
+    }
     srv.closeSession(client);
 }
 
@@ -968,6 +995,19 @@ TEST(FrameServerFault, SloLatencyBreachFlipsBurnGaugeAndPinsOffenders)
         if (tickets.count(r.ticket) && r.latency_ms > 5.0 && !r.failed)
             pinned = true;
     EXPECT_TRUE(pinned) << "no breaching ticket in the flight recorder";
+    // Every breaching ticket was recorded as it was delivered, with its
+    // render's stage times naming the injected ray-setup stall.
+    for (uint64_t t : tickets) {
+        const server::SlowFrameRecord *rec = nullptr;
+        for (const auto &r : snap.slow_frames)
+            if (r.ticket == t)
+                rec = &r;
+        ASSERT_NE(rec, nullptr) << "ticket " << t << " not recorded";
+        ASSERT_TRUE(rec->stage_s[engine::kRaySetup].has_value())
+            << "ticket " << t;
+        EXPECT_GE(*rec->stage_s[engine::kRaySetup] * 1e3, 20.0)
+            << "ticket " << t;
+    }
 
     std::vector<server::FrameResult> results;
     srv.drainResults(results);

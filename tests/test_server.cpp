@@ -531,6 +531,8 @@ TEST(FrameServerQos, BoundedBacklogDropsOldestAndReportsThem)
     cfg.threads_per_shard = 1;
     cfg.frames_in_flight_per_shard = 1;
     cfg.qos.cls[int(QosClass::Interactive)].max_backlog = 2;
+    // Far above any frame's latency: the recorder keeps the sheds alone.
+    cfg.slow_frame_ms = 60000.0;
     FrameServer srv(reg, cfg);
 
     uint64_t client = srv.openSession("lego", QosClass::Interactive);
@@ -541,8 +543,10 @@ TEST(FrameServerQos, BoundedBacklogDropsOldestAndReportsThem)
     // each overflow sheds the OLDEST pending pose.
     EnginePause pause(srv.engine());
     std::vector<uint64_t> tickets;
+    testing::internal::CaptureStderr();
     for (int f = 0; f < 6; ++f)
         tickets.push_back(srv.submitFrame(client, cam));
+    const std::string log = testing::internal::GetCapturedStderr();
 
     // The three drops are delivered immediately, before any render
     // completes -- a live stream learns about shed poses right away.
@@ -572,6 +576,20 @@ TEST(FrameServerQos, BoundedBacklogDropsOldestAndReportsThem)
     EXPECT_EQ(s.served, 3u);
     EXPECT_EQ(s.dropped, 3u);
     EXPECT_NEAR(s.dropRate(), 0.5, 1e-9);
+
+    // Each shed frame is recorded once, where it was shed, and stays
+    // out of the log: a shed burst must not flood it.
+    EXPECT_EQ(snap.slow_frame_count, 3u);
+    for (const FrameResult &r : shed) {
+        int records = 0;
+        for (const SlowFrameRecord &rec : snap.slow_frames)
+            if (rec.ticket == r.ticket) {
+                ++records;
+                EXPECT_TRUE(rec.dropped);
+            }
+        EXPECT_EQ(records, 1) << "ticket " << r.ticket;
+    }
+    EXPECT_EQ(log.find("slow frame:"), std::string::npos) << log;
 }
 
 TEST(FrameServerQos, BatchBacklogRejectsNewest)
