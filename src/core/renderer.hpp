@@ -52,7 +52,9 @@
  * whole ray; it runs when a trace sink is attached, so the event stream
  * keeps the seed ordering, or when eval_batch <= 1. Probe rows and
  * tiles are jobs on the frame engine's workers with per-thread
- * workspaces, merged in index order. Frames are bit-identical for every
+ * workspaces, their profiles merged in job order; an adaptive frame's
+ * tiles are handed out heaviest planned cost first. Frames are
+ * bit-identical for every
  * thread count, tile size and batch size, and to the scalar oracle.
  */
 
@@ -136,7 +138,16 @@ struct FrameState
     std::vector<char> probed;
     std::vector<int> probe_counts; ///< per probe cell, gw x gh
     std::vector<int> budgets;      ///< per pixel, after planBudgets
-    /** Per-job profiles, merged in index order at finalize. */
+    /**
+     * The Phase II job that claimed index j runs: job tile_order[j].
+     * Index order from beginFrame; on the batched path of an adaptive
+     * frame planBudgets sorts the tiles by descending planned cost, so
+     * workers claiming indices in order start the heaviest tiles first
+     * and the stage ends on light ones.
+     */
+    std::vector<int> tile_order;
+    /** Per-job profiles (by job, not by claimed index), merged in job
+     *  order at finalize. */
     std::vector<WorkloadProfile> probe_profiles;
     std::vector<WorkloadProfile> job_profiles;
 
@@ -205,14 +216,20 @@ class AsdrRenderer
      *  Eq. (3) difficulty -> per-cell budgets). */
     void probeRow(FrameState &fs, int gy) const;
 
-    /** Sample-count planning: bilinear budget interpolation. */
+    /**
+     * Sample-count planning: bilinear budget interpolation. On the
+     * batched path it also orders the tiles by planned cost, the sum of
+     * the budgets of a tile's unprobed pixels, largest first, ties in
+     * index order (FrameState::tile_order). The scalar oracle, traced
+     * renders and non-adaptive frames keep index order.
+     */
     void planBudgets(FrameState &fs) const;
 
-    /** Phase II job `j`: one Morton tile (one image row on the scalar
-     *  oracle). */
+    /** Phase II index `j`: job fs.tile_order[j], one Morton tile (one
+     *  image row on the scalar oracle). It writes that job's profile. */
     void phase2Job(FrameState &fs, int j) const;
 
-    /** Merge per-job profiles (index order) and fill `stats`. */
+    /** Merge per-job profiles (job order) and fill `stats`. */
     void finalizeFrame(FrameState &fs, RenderStats *stats) const;
 
     /** Reusable per-ray scratch buffers (the scalar oracle's samples,

@@ -18,6 +18,10 @@
  * the admitted frame with the smallest order key (FrameRequest::
  * priority, or the frame id when that is 0), so the order is exact;
  * the worker that finishes a stage's last index opens the next stage.
+ * Indices are claimed in order; which tile a Phase II index marches is
+ * the renderer's choice (FrameState::tile_order: heaviest planned cost
+ * first on an adaptive frame, so the stage does not end on a heavy
+ * straggler).
  * Opening a stage only resets those three counters, so it allocates
  * nothing and cannot fail. Only a frame's own stages are ordered, so
  * frame N's Phase II tiles overlap frame N+1's Phase I probes on idle

@@ -5,6 +5,7 @@
 #include <iterator>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "util/fault.hpp"
 #include "util/logging.hpp"
@@ -134,6 +135,7 @@ FrameServer::submitFrame(uint64_t client_id, const nerf::Camera &camera)
     std::vector<PendingFrame> dropped;
     std::vector<Launch> launches;
     std::vector<Deliverable> rejects;
+    std::vector<std::shared_ptr<RenderOutcome>> answering;
     uint64_t ticket = 0;
     {
         std::lock_guard<std::mutex> lock(m_);
@@ -155,12 +157,13 @@ FrameServer::submitFrame(uint64_t client_id, const nerf::Camera &camera)
         pf.camera = camera;
         pf.submitted_at = std::chrono::steady_clock::now();
         sched_.push(std::move(pf), dropped);
-        pumpLocked(launches, rejects);
+        pumpLocked(launches, rejects, answering);
     }
     for (const Launch &l : launches)
         launch(l);
     dropFrames(std::move(dropped));
     deliverAll(std::move(rejects));
+    deliverHeld(answering);
     return ticket;
 }
 
@@ -237,7 +240,8 @@ FrameServer::deliverAll(std::vector<Deliverable> &&rejects)
 
 void
 FrameServer::pumpLocked(std::vector<Launch> &launches,
-                        std::vector<Deliverable> &rejects)
+                        std::vector<Deliverable> &rejects,
+                        std::vector<std::shared_ptr<RenderOutcome>> &answering)
 {
     const auto now = std::chrono::steady_clock::now();
     // Fail-fast before admission: a pose that waited past its class
@@ -305,33 +309,51 @@ FrameServer::pumpLocked(std::vector<Launch> &launches,
                               telemetry::toUs(now));
         ClassMetrics &cm = class_metrics_[int(pf.qos)];
         cm.queue_wait->record(secondsBetween(pf.submitted_at, now));
-        // Coalescing: the same view already on a slot renders the same
-        // bits, so the frame waits on that render instead of taking a
-        // slot of its own. Probes stay out both ways: a probe's outcome
-        // must be its own render's.
-        InFlightFrame *render = nullptr;
-        for (auto &entry : running_) {
-            InFlightFrame &f = entry.second;
-            if (!probe && !f.probe && f.scene == pf.scene &&
-                f.qos == pf.qos && f.rung == rung &&
-                f.camera.identical(pf.camera)) {
-                render = &f;
-                break;
+        // Coalescing: a render of the same view makes the same bits, so
+        // the frame is answered by one instead of taking a slot: a render
+        // on a slot (it joins), else the scene's last render, after that
+        // left its slot. Probes stay out both ways: a probe's outcome
+        // must be its own render's, and a probe on its slot takes no
+        // joiners.
+        auto sameView = [&](const RenderOutcome &r) {
+            return r.qos == pf.qos && r.rung == rung &&
+                   r.camera.identical(pf.camera);
+        };
+        std::shared_ptr<RenderOutcome> render;
+        if (!probe) {
+            for (const auto &entry : running_) {
+                const InFlightFrame &f = entry.second;
+                if (!f.probe && f.scene == pf.scene && sameView(*f.render)) {
+                    render = f.render;
+                    break;
+                }
             }
+            const std::shared_ptr<RenderOutcome> &last = c.state->last_render;
+            if (!render && last && sameView(*last))
+                render = last;
         }
         if (render) {
             cm.coalesced->inc();
-            render->waiters.push_back(
+            render->held.push_back(
                 Waiter{pf.ticket, pf.client, pf.submitted_at, c.callback});
+            // A render on its slot is delivering: its completion answers
+            // its joiners. Else this caller delivers from it.
+            if (!render->delivering) {
+                render->delivering = true;
+                answering.push_back(std::move(render));
+            }
             continue;
         }
         in_flight_[int(pf.qos)]++;
         cm.admitted->inc();
         c.state->series.notePeak(++scene_in_flight_[pf.scene]);
+        // Keyed by the view as submitted, before any rung scaling.
+        auto outcome = std::make_shared<RenderOutcome>(RenderOutcome{
+            pf.ticket, pf.qos, rung, pf.camera.width(), pf.camera.height(),
+            engine::Frame{}, pf.camera, &c.state->series});
         running_.emplace(pf.ticket,
-                         InFlightFrame{now, pf.qos, pf.scene, rung,
-                                       pf.camera, probe,
-                                       /*stuck_flagged=*/false, {}});
+                         InFlightFrame{now, pf.scene, probe,
+                                       /*stuck_flagged=*/false, outcome});
         // Degraded frames render through the scene's renderer for
         // their rung's sample budget, which shares the full-rung
         // renderer's occupancy grid.
@@ -346,7 +368,7 @@ FrameServer::pumpLocked(std::vector<Launch> &launches,
                                                          dcfg);
             renderer = d.get();
         }
-        launches.push_back(Launch{std::move(pf), renderer});
+        launches.push_back(Launch{std::move(pf), renderer, std::move(outcome)});
     }
 }
 
@@ -373,37 +395,36 @@ FrameServer::launch(const Launch &l)
     req.priority = l.frame.key();
     req.ticket = l.frame.ticket; // correlates engine stage spans
     const uint64_t client = l.frame.client;
-    const uint64_t ticket = l.frame.ticket;
-    const QosClass qos = l.frame.qos;
     const auto submitted_at = l.frame.submitted_at;
-    req.on_complete = [this, client, ticket, qos, rung, full_w, full_h,
-                       submitted_at](engine::Frame &&frame,
-                                     std::exception_ptr err) {
-        onFrameDone(client, ticket, qos, rung, full_w, full_h, submitted_at,
-                    std::move(frame), err);
+    req.on_complete = [this, client, submitted_at, done = l.render](
+                          engine::Frame &&frame, std::exception_ptr err) {
+        done->frame = std::move(frame);
+        onFrameDone(client, submitted_at, done, err);
     };
     engine_.submitAsync(std::move(req));
 }
 
 void
-FrameServer::onFrameDone(uint64_t client, uint64_t ticket, QosClass qos,
-                         QualityRung rung, int full_w, int full_h,
+FrameServer::onFrameDone(uint64_t client,
                          std::chrono::steady_clock::time_point submitted_at,
-                         engine::Frame &&frame, std::exception_ptr err)
+                         const std::shared_ptr<RenderOutcome> &done,
+                         std::exception_ptr err)
 {
     const auto now = std::chrono::steady_clock::now();
     const double latency = secondsBetween(submitted_at, now);
+    const uint64_t ticket = done->ticket;
+    const QosClass qos = done->qos;
     std::vector<Launch> launches;
     std::vector<Deliverable> rejects;
+    std::vector<std::shared_ptr<RenderOutcome>> answering;
     // Every frame this render answers: its leader, then the frames that
     // joined it, in join order.
     std::vector<Waiter> answers;
-    SceneMetrics *scene = nullptr;
+    std::shared_ptr<RenderOutcome> replaced; // released outside m_
     {
         std::lock_guard<std::mutex> lock(m_);
         in_flight_[int(qos)]--;
         Client &c = *clients_.at(client);
-        scene = &c.state->series;
         answers.push_back(Waiter{ticket, client, submitted_at, c.callback});
         auto sit = scene_in_flight_.find(c.scene->id);
         if (sit != scene_in_flight_.end() && --sit->second == 0)
@@ -412,11 +433,19 @@ FrameServer::onFrameDone(uint64_t client, uint64_t ticket, QosClass qos,
         auto rit = running_.find(ticket);
         if (rit != running_.end()) {
             was_probe = rit->second.probe;
-            std::vector<Waiter> &w = rit->second.waiters;
-            answers.insert(answers.end(), std::make_move_iterator(w.begin()),
-                           std::make_move_iterator(w.end()));
             running_.erase(rit);
         }
+        // The frames that joined the render on its slot are answered
+        // with its leader.
+        answers.insert(answers.end(),
+                       std::make_move_iterator(done->held.begin()),
+                       std::make_move_iterator(done->held.end()));
+        done->held.clear();
+        // Published before the pump, so a repeat of the view that queued
+        // while it rendered is answered from it; a failed render leaves
+        // the scene's previous one in place.
+        if (!err)
+            replaced = std::exchange(c.state->last_render, done);
         if (cfg_.breaker.failure_threshold > 0) {
             Breaker &b = c.state->breaker;
             // Any failure while half-open (probe or straggler), or the
@@ -430,7 +459,7 @@ FrameServer::onFrameDone(uint64_t client, uint64_t ticket, QosClass qos,
                 setBreaker(*c.state, BreakerState::Open);
                 b.opened_at = now;
                 b.consecutive_failures = 0;
-                scene->breaker_opens->inc();
+                done->scene->breaker_opens->inc();
             } else if (!err) {
                 b.consecutive_failures = 0;
                 if (b.state == BreakerState::HalfOpen && was_probe) {
@@ -443,7 +472,7 @@ FrameServer::onFrameDone(uint64_t client, uint64_t ticket, QosClass qos,
         // below see a p95 that includes this frame.
         if (!err && brownout_)
             brownout_->observeLatency(qos, latency * 1e3);
-        pumpLocked(launches, rejects);
+        pumpLocked(launches, rejects, answering);
     }
     // Refill the freed server slot before delivery. The engine keeps
     // this frame's own slot until its deliveries return, so the next
@@ -455,10 +484,11 @@ FrameServer::onFrameDone(uint64_t client, uint64_t ticket, QosClass qos,
 
     // The render's stage times count once, under its class: the frames
     // that joined it share the class and add nothing.
+    const engine::Frame &out = done->frame;
     ClassMetrics &cm = class_metrics_[int(qos)];
     if (!err)
         for (int k = 0; k < engine::kStages; ++k)
-            if (const auto &sec = frame.stage_s[size_t(k)])
+            if (const auto &sec = out.stage_s[size_t(k)])
                 cm.stage_duration[size_t(k)]->record(*sec);
     // Each answered frame is its own outcome: counts, latency, SLO and,
     // when it is slow or violates its class's objective, one
@@ -468,23 +498,13 @@ FrameServer::onFrameDone(uint64_t client, uint64_t ticket, QosClass qos,
     bool dumped = false;
     for (const Waiter &a : answers) {
         const double ms = secondsBetween(a.submitted_at, now) * 1e3;
-        bool violates;
-        if (err) {
-            cm.failed->inc();
-            scene->failed->inc();
-            violates = slo_.recordError(qos);
-        } else {
-            cm.served_rung[size_t(rung)]->inc();
-            cm.latency->record(ms * 1e-3);
-            scene->served_rung[size_t(rung)]->inc();
-            violates = slo_.recordServed(qos, ms);
-        }
+        const bool violates = countAnswer(*done, err != nullptr, ms);
         const bool slow = cfg_.slow_frame_ms > 0.0 &&
                           (err || ms > cfg_.slow_frame_ms);
         if (!slow && !violates)
             continue;
-        SlowFrameRecord rec{a.ticket, ticket, frame.id, qos, ms,
-                            err != nullptr, false, false, frame.stage_s};
+        SlowFrameRecord rec{a.ticket, ticket, out.id, qos, ms,
+                            err != nullptr, false, false, out.stage_s};
         if (slow && !dumped) {
             warn(slowDumpText(rec, answers.size() - 1));
             dumped = true;
@@ -493,28 +513,80 @@ FrameServer::onFrameDone(uint64_t client, uint64_t ticket, QosClass qos,
     }
     slo_.evaluate();
 
-    for (size_t i = 0; i < answers.size(); ++i) {
-        const Waiter &a = answers[i];
-        const double ms = secondsBetween(a.submitted_at, now) * 1e3;
-        FrameResult result;
-        result.client = a.client;
-        result.ticket = a.ticket;
-        result.render_ticket = ticket;
-        result.qos = qos;
-        // Every consumer owns its image (a wire session encodes it
-        // against its own delta reference); the last one takes the
-        // render's.
-        if (i + 1 < answers.size())
-            result.frame = frame;
-        else
-            result.frame = std::move(frame);
-        result.error = err;
-        result.latency_s = ms * 1e-3;
-        result.rung = rung;
-        result.full_width = full_w;
-        result.full_height = full_h;
-        deliverResult(std::move(result), a.cb);
+    for (const Waiter &a : answers)
+        answer(a, *done, secondsBetween(a.submitted_at, now), err);
+    // A published render was delivering from the start: the frames it
+    // answered meanwhile follow its own answers.
+    if (!err)
+        answering.push_back(done);
+    deliverHeld(answering);
+}
+
+bool
+FrameServer::countAnswer(const RenderOutcome &r, bool failed, double ms)
+{
+    ClassMetrics &cm = class_metrics_[int(r.qos)];
+    if (failed) {
+        cm.failed->inc();
+        r.scene->failed->inc();
+        return slo_.recordError(r.qos);
     }
+    cm.served_rung[size_t(r.rung)]->inc();
+    cm.latency->record(ms * 1e-3);
+    r.scene->served_rung[size_t(r.rung)]->inc();
+    return slo_.recordServed(r.qos, ms);
+}
+
+void
+FrameServer::deliverHeld(
+    const std::vector<std::shared_ptr<RenderOutcome>> &renders)
+{
+    for (const std::shared_ptr<RenderOutcome> &r : renders)
+        for (;;) {
+            std::vector<Waiter> held;
+            {
+                std::lock_guard<std::mutex> lock(m_);
+                held.swap(r->held);
+                if (held.empty()) {
+                    r->delivering = false;
+                    break;
+                }
+            }
+            // Each is counted and recorded as a frame that joined the
+            // render is. The render was dumped, if at all, with its own
+            // answers.
+            const auto now = std::chrono::steady_clock::now();
+            for (const Waiter &w : held) {
+                const double ms = secondsBetween(w.submitted_at, now) * 1e3;
+                const bool violates = countAnswer(*r, false, ms);
+                if (violates ||
+                    (cfg_.slow_frame_ms > 0.0 && ms > cfg_.slow_frame_ms))
+                    stats_.recordSlowFrame(SlowFrameRecord{
+                        w.ticket, r->ticket, r->frame.id, r->qos, ms, false,
+                        false, false, r->frame.stage_s});
+                answer(w, *r, ms * 1e-3, nullptr);
+            }
+        }
+}
+
+void
+FrameServer::answer(const Waiter &a, const RenderOutcome &r,
+                    double latency_s, std::exception_ptr err)
+{
+    FrameResult result;
+    result.client = a.client;
+    result.ticket = a.ticket;
+    result.render_ticket = r.ticket;
+    result.qos = r.qos;
+    // Every consumer owns its image: a wire session encodes it against
+    // its own delta reference.
+    result.frame = r.frame;
+    result.error = err;
+    result.latency_s = latency_s;
+    result.rung = r.rung;
+    result.full_width = r.full_w;
+    result.full_height = r.full_h;
+    deliverResult(std::move(result), a.cb);
 }
 
 void
@@ -552,7 +624,10 @@ void
 FrameServer::dropFrames(std::vector<PendingFrame> &&dropped)
 {
     const bool had_drops = !dropped.empty();
+    const auto now = std::chrono::steady_clock::now();
     for (PendingFrame &pf : dropped) {
+        // A shed frame waited from submit until it was shed.
+        const double latency_s = secondsBetween(pf.submitted_at, now);
         class_metrics_[int(pf.qos)].dropped->inc();
         const bool violates = slo_.recordError(pf.qos);
         ResultCallback cb;
@@ -567,13 +642,15 @@ FrameServer::dropFrames(std::vector<PendingFrame> &&dropped)
         // "what happened to ticket N" for every terminal outcome the
         // operator might chase.
         if (cfg_.slow_frame_ms > 0.0 || violates)
-            stats_.recordSlowFrame(SlowFrameRecord{
-                pf.ticket, 0, 0, pf.qos, 0.0, false, false, true, {}});
+            stats_.recordSlowFrame(SlowFrameRecord{pf.ticket, 0, 0, pf.qos,
+                                                   latency_s * 1e3, false,
+                                                   false, true, {}});
         FrameResult result;
         result.client = pf.client;
         result.ticket = pf.ticket;
         result.qos = pf.qos;
         result.dropped = true;
+        result.latency_s = latency_s;
         deliverResult(std::move(result), cb);
     }
     if (had_drops)
@@ -654,11 +731,12 @@ FrameServer::watchdogTick()
 {
     std::vector<Launch> launches;
     std::vector<Deliverable> rejects;
+    std::vector<std::shared_ptr<RenderOutcome>> answering;
     uint64_t stuck_now = 0, new_events = 0;
     {
         std::lock_guard<std::mutex> lock(m_);
         const auto now = std::chrono::steady_clock::now();
-        pumpLocked(launches, rejects);
+        pumpLocked(launches, rejects, answering);
         if (cfg_.stuck_after_ms > 0.0)
             for (auto &entry : running_) {
                 InFlightFrame &f = entry.second;
@@ -679,6 +757,7 @@ FrameServer::watchdogTick()
     for (const Launch &l : launches)
         launch(l);
     deliverAll(std::move(rejects));
+    deliverHeld(answering);
     // Time alone moves the burn windows: evaluate even when no frame
     // finished this tick, so breaches clear after traffic stops.
     slo_.evaluate();

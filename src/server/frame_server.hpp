@@ -42,10 +42,15 @@
  *                    and takes no slot, whichever session submitted
  *                    either frame. When the render finishes, every
  *                    waiter gets its own FrameResult (ticket,
- *                    latency, counts, SLO outcome, image copy);
- *                    nothing is kept after delivery. Half-open
- *                    breaker probes neither lead nor join a shared
- *                    render.
+ *                    latency, counts, SLO outcome, image copy). Each
+ *                    scene keeps its last successful render, so an
+ *                    admitted frame that matches it (a repeat that
+ *                    arrived after the render left its slot, or one
+ *                    still queued while it rendered) is answered from
+ *                    it the same way, after the render's own answers,
+ *                    with no slot and no render. Half-open breaker
+ *                    probes neither lead, join nor take such an
+ *                    answer.
  *
  * Frames served through any worker count and QoS mix are bit-identical
  * to the client's own sequential AsdrRenderer::render() calls: the engine
@@ -192,13 +197,15 @@ struct FrameResult
     bool dropped = false;
     /** Expired in the queue past its class deadline (never rendered). */
     bool expired = false;
-    /** Submit -> delivery latency, seconds (0 for drops). */
+    /** Submit -> delivery latency, seconds; for a shed frame, submit
+     *  -> shed. */
     double latency_s = 0.0;
     /**
      * The ticket whose render produced this frame (or threw): equal to
      * `ticket` for the frame that led the render, the leader's ticket
-     * for a frame that joined it. 0 when nothing was rendered
-     * (dropped, expired, breaker fast-fail).
+     * for a frame that joined it or was answered from it after it
+     * finished. 0 when nothing was rendered (dropped, expired, breaker
+     * fast-fail).
      */
     uint64_t render_ticket = 0;
     /** Quality-ladder rung the frame was served at (Full unless the
@@ -304,7 +311,7 @@ class FrameServer
     BreakerState breakerState(const std::string &scene) const;
 
   private:
-    /** A frame that joined an in-flight render of its view. */
+    /** A frame answered by a render of its view that it did not lead. */
     struct Waiter
     {
         uint64_t ticket = 0;
@@ -313,20 +320,48 @@ class FrameServer
         ResultCallback cb; ///< the client's delivery callback
     };
 
+    /**
+     * One render of a view, from its admission, as its answers read it.
+     * A successful one is kept as its scene's last render
+     * (SceneState::last_render) until the scene's next success replaces
+     * it, so a later frame of the same view is answered from it. It is
+     * shared, and its frame is not written once it is published, so
+     * publishing it is a pointer swap and each answer copies the image
+     * outside m_.
+     */
+    struct RenderOutcome
+    {
+        uint64_t ticket = 0; ///< the render's leading ticket
+        QosClass qos = QosClass::Standard;
+        QualityRung rung = QualityRung::Full;
+        int full_w = 0, full_h = 0; ///< the dimensions the leader asked for
+        engine::Frame frame;        ///< moved in when the render completes
+        nerf::Camera camera; ///< the view key's camera, as submitted
+        SceneMetrics *scene = nullptr;
+        /**
+         * Frames the render answers besides its leader, not yet
+         * delivered, and whether a thread is delivering them (both m_).
+         * Frames that join it on its slot are answered with its leader
+         * when it completes; frames of its view admitted after it left
+         * the slot wait here too. One thread at a time delivers them,
+         * the render's completion first, so they follow its own
+         * answers; frames that match meanwhile, from that thread's
+         * callbacks too, wait here for it, so a callback that resubmits
+         * its view loops instead of recursing.
+         */
+        bool delivering = true;
+        std::vector<Waiter> held = {};
+    };
+
     /** One render on a pipeline slot, keyed by its leading ticket in
      *  running_: watchdog, breaker and coalescing bookkeeping. */
     struct InFlightFrame
     {
         std::chrono::steady_clock::time_point launched_at;
-        QosClass qos = QosClass::Standard;
         uint32_t scene = 0;
-        QualityRung rung = QualityRung::Full;
-        nerf::Camera camera;        ///< as submitted (before any rung scaling)
         bool probe = false;         ///< admitted as a half-open probe
         bool stuck_flagged = false; ///< already counted a stuck event
-        /** Frames served by this render besides its leader, in join
-         *  order. */
-        std::vector<Waiter> waiters;
+        std::shared_ptr<RenderOutcome> render;
     };
 
     struct Breaker
@@ -360,6 +395,8 @@ class FrameServer
          *  the scene's grid is built once. Never evicted: in-flight
          *  frames hold bare pointers. */
         std::map<int, std::unique_ptr<core::AsdrRenderer>> degraded;
+        /** The scene's last successful render (m_); null before one. */
+        std::shared_ptr<RenderOutcome> last_render;
     };
 
     struct Client
@@ -381,6 +418,7 @@ class FrameServer
     {
         PendingFrame frame;
         const core::AsdrRenderer *renderer = nullptr; ///< its scene's, at its rung
+        std::shared_ptr<RenderOutcome> render;
     };
 
     /** A result decided at admission time (deadline expiry, breaker
@@ -394,9 +432,13 @@ class FrameServer
     /** Admit frames while pipeline slots are free (m_ held). Queued
      *  frames past their deadline, and frames of quarantined scenes,
      *  are turned into `rejects` instead of launches; a frame whose
-     *  view is already rendering joins that render. */
+     *  view is rendering, or was its scene's last render, waits in
+     *  that render's `held`; a finished render no thread was
+     *  delivering from goes into `answering`, for the caller to
+     *  deliver. */
     void pumpLocked(std::vector<Launch> &launches,
-                    std::vector<Deliverable> &rejects);
+                    std::vector<Deliverable> &rejects,
+                    std::vector<std::shared_ptr<RenderOutcome>> &answering);
     /** Deadline-expire `pf` (m_ held): stats + expired result. */
     Deliverable expireLocked(PendingFrame &&pf);
     /** Breaker fast-fail `pf` (m_ held): stats + failed result. */
@@ -405,10 +447,22 @@ class FrameServer
     static void setBreaker(SceneState &scene, BreakerState to);
     void deliverAll(std::vector<Deliverable> &&rejects);
     void launch(const Launch &l);
-    void onFrameDone(uint64_t client, uint64_t ticket, QosClass qos,
-                     QualityRung rung, int full_w, int full_h,
+    /** `done` carries the render's view key and, by now, its frame. */
+    void onFrameDone(uint64_t client,
                      std::chrono::steady_clock::time_point submitted_at,
-                     engine::Frame &&frame, std::exception_ptr err);
+                     const std::shared_ptr<RenderOutcome> &done,
+                     std::exception_ptr err);
+    /** Count one frame a render answered (failed with it, or served
+     *  by it) and return whether it violates its class's objective. */
+    bool countAnswer(const RenderOutcome &r, bool failed, double ms);
+    /** Count, record and deliver the frames each of `renders` holds,
+     *  until none holds any more, then stop delivering from them.
+     *  Never called under m_. */
+    void deliverHeld(
+        const std::vector<std::shared_ptr<RenderOutcome>> &renders);
+    /** Deliver `r`'s outcome to `a`, with a copy of its frame. */
+    void answer(const Waiter &a, const RenderOutcome &r, double latency_s,
+                std::exception_ptr err);
     /** Invoke the callback / fill the mailbox, then retire the frame
      *  from the outstanding counts. Never called under m_. */
     void deliverResult(FrameResult &&result, const ResultCallback &cb);

@@ -49,9 +49,10 @@ struct QosClassStats
 {
     uint64_t submitted = 0; ///< frames entering the server
     uint64_t admitted = 0;  ///< frames handed to the engine
-    /** Frames that joined an in-flight render of the same view instead
-     *  of taking a slot; admitted + coalesced is every frame that got
-     *  past admission. */
+    /** Frames answered by a render of the same view instead of taking
+     *  a slot: they joined it while it rendered, or its scene's last
+     *  render answered them after it finished. admitted + coalesced is
+     *  every frame that got past admission. */
     uint64_t coalesced = 0;
     uint64_t served = 0;    ///< frames delivered successfully
     uint64_t dropped = 0;   ///< frames shed by the backlog policy
@@ -190,7 +191,7 @@ struct ClassMetrics
 
     metrics::Counter *submitted = nullptr; ///< frames entering the server
     metrics::Counter *admitted = nullptr;  ///< handed to the engine
-    metrics::Counter *coalesced = nullptr; ///< joined an in-flight render
+    metrics::Counter *coalesced = nullptr; ///< answered by another's render
     metrics::Counter *dropped = nullptr;   ///< shed by the backlog policy
     metrics::Counter *failed = nullptr;    ///< render threw / fast-failed
     metrics::Counter *expired = nullptr;   ///< past the class deadline

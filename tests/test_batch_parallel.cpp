@@ -767,6 +767,123 @@ TEST(ParallelRender, ClippedRangesMatchTheOracleAtTheirEdges)
     }
 }
 
+namespace {
+
+/** Every tile's planned cost: the budgets of its unprobed pixels. */
+std::vector<int64_t>
+plannedTileCosts(const FrameState &fs, int tile_size)
+{
+    const int w = fs.camera.width();
+    const int h = fs.camera.height();
+    std::vector<int64_t> cost(size_t(fs.shape.jobs), 0);
+    for (int y = 0; y < h; ++y)
+        for (int x = 0; x < w; ++x)
+            if (!fs.probed[size_t(y) * w + x])
+                cost[size_t((y / tile_size) * fs.shape.tiles_x +
+                            x / tile_size)] += fs.budgets[size_t(y) * w + x];
+    return cost;
+}
+
+/** Ray setup, Phase I and planning of one frame, on this thread. */
+void
+planFrame(const AsdrRenderer &r, FrameState &fs)
+{
+    r.beginFrame(fs);
+    for (int gy = 0; gy < fs.shape.gh; ++gy)
+        r.probeRow(fs, gy);
+    r.planBudgets(fs);
+}
+
+} // namespace
+
+TEST(ParallelRender, Phase2ClaimsTilesByPlannedCost)
+{
+    RenderFixture fx("Lego", 48, 48);
+    RenderConfig cfg = RenderConfig::asdr(48, 48, 64);
+    cfg.num_threads = 1;
+    const AsdrRenderer renderer(*fx.field, cfg);
+
+    FrameState fs(fx.camera);
+    planFrame(renderer, fs);
+    const int jobs = fs.shape.jobs;
+    ASSERT_EQ(jobs, 36);
+    ASSERT_EQ(int(fs.tile_order.size()), jobs);
+    std::vector<int> sorted = fs.tile_order;
+    std::sort(sorted.begin(), sorted.end());
+    for (int j = 0; j < jobs; ++j)
+        ASSERT_EQ(sorted[size_t(j)], j) << "not a permutation";
+    // Largest planned cost first; equal costs in ascending index order.
+    const std::vector<int64_t> cost = plannedTileCosts(fs, cfg.tile_size);
+    bool ties = false;
+    for (int j = 1; j < jobs; ++j) {
+        const int prev = fs.tile_order[size_t(j - 1)];
+        const int cur = fs.tile_order[size_t(j)];
+        ASSERT_GE(cost[size_t(prev)], cost[size_t(cur)]) << "index " << j;
+        if (cost[size_t(prev)] == cost[size_t(cur)]) {
+            ties = true;
+            EXPECT_LT(prev, cur) << "tie at index " << j;
+        }
+    }
+    EXPECT_TRUE(ties) << "the frame exercises no tie";
+    const int heaviest = fs.tile_order[0];
+    ASSERT_NE(heaviest, 0) << "tile 0 is the costliest: order untested";
+
+    // Index 0 alone marches exactly the costliest tile's unprobed
+    // pixels, into that tile's profile.
+    const int w = 48, T = cfg.tile_size;
+    for (size_t p = 0; p < fs.budget_map.size(); ++p)
+        if (!fs.probed[p])
+            fs.budget_map[p] = -1.0f;
+    renderer.phase2Job(fs, 0);
+    uint64_t unprobed_in_tile = 0;
+    for (int y = 0; y < 48; ++y)
+        for (int x = 0; x < w; ++x) {
+            const size_t p = size_t(y) * w + size_t(x);
+            if (fs.probed[p])
+                continue;
+            const bool in_tile = (y / T) * fs.shape.tiles_x + x / T == heaviest;
+            unprobed_in_tile += in_tile ? 1 : 0;
+            EXPECT_EQ(fs.budget_map[p] != -1.0f, in_tile)
+                << "pixel " << x << "," << y;
+        }
+    for (int t = 0; t < jobs; ++t)
+        EXPECT_EQ(fs.job_profiles[size_t(t)].rays,
+                  t == heaviest ? unprobed_in_tile : 0u)
+            << "job " << t;
+
+    // A traced frame (the oracle in pixel order) and a non-adaptive
+    // frame have no order to follow but the index's.
+    TraceSink sink;
+    FrameState traced(fx.camera);
+    traced.sink = &sink;
+    planFrame(renderer, traced);
+    RenderConfig flat_cfg = RenderConfig::baseline(48, 48, 64);
+    flat_cfg.num_threads = 1;
+    FrameState flat(fx.camera);
+    planFrame(AsdrRenderer(*fx.field, flat_cfg), flat);
+    for (const FrameState *f : {&traced, &flat}) {
+        ASSERT_EQ(int(f->tile_order.size()), f->shape.jobs);
+        for (int j = 0; j < f->shape.jobs; ++j)
+            ASSERT_EQ(f->tile_order[size_t(j)], j);
+    }
+
+    // Whatever the order, the frame is the oracle's, bit for bit.
+    cfg.eval_batch = 1;
+    RenderStats s_ref;
+    const Image ref = AsdrRenderer(*fx.field, cfg).render(fx.camera, &s_ref);
+    cfg.eval_batch = 64;
+    for (int threads : {1, 3}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        cfg.num_threads = threads;
+        RenderStats st;
+        const Image img = AsdrRenderer(*fx.field, cfg).render(fx.camera, &st);
+        expectFramesIdentical(ref, img, "cost order");
+        expectSameProfile(s_ref.profile, st.profile);
+        EXPECT_EQ(s_ref.sample_count_map, st.sample_count_map);
+        EXPECT_EQ(s_ref.actual_points_map, st.actual_points_map);
+    }
+}
+
 TEST(ParallelRender, SinkForcesSerialButSameFrame)
 {
     RenderFixture fx("Mic");

@@ -646,7 +646,8 @@ TEST(ServerLadder, DegradedRungsShareTheScenesOccupancyGrid)
     FrameServer srv(reg, cfg);
     const uint64_t client = srv.openSession("lego", QosClass::Standard);
     const nerf::Camera full = nerf::cameraForScene(lego->info(), 16, 16);
-    const nerf::Camera pose = nerf::orbitCameraPath(lego->info(), 16, 16, 2)[1];
+    const auto path = nerf::orbitCameraPath(lego->info(), 16, 16, 3);
+    const nerf::Camera &pose = path[1];
 
     auto serve = [&](const nerf::Camera &cam, QualityRung want) {
         const uint64_t before = counting.points.load();
@@ -665,6 +666,9 @@ TEST(ServerLadder, DegradedRungsShareTheScenesOccupancyGrid)
 
     fault::arm(fault::kServerAdmitDegrade, 1.0);
     const uint64_t first = serve(pose, QualityRung::Quantized8);
+    // Another view in between, so the repeat renders rather than being
+    // answered from the scene's last render.
+    serve(path[2], QualityRung::Quantized8);
     const uint64_t repeat = serve(pose, QualityRung::Quantized8);
     EXPECT_GT(first, 0u);
     EXPECT_EQ(first, repeat);

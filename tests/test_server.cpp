@@ -543,10 +543,19 @@ TEST(FrameServerQos, BoundedBacklogDropsOldestAndReportsThem)
     // each overflow sheds the OLDEST pending pose.
     EnginePause pause(srv.engine());
     std::vector<uint64_t> tickets;
+    std::map<uint64_t, std::chrono::steady_clock::time_point> sent;
     testing::internal::CaptureStderr();
-    for (int f = 0; f < 6; ++f)
+    for (int f = 0; f < 6; ++f) {
+        const auto before = std::chrono::steady_clock::now();
         tickets.push_back(srv.submitFrame(client, cam));
+        sent[tickets.back()] = before;
+    }
     const std::string log = testing::internal::GetCapturedStderr();
+    auto sinceSubmit = [&](uint64_t ticket) {
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - sent.at(ticket))
+            .count();
+    };
 
     // The three drops are delivered immediately, before any render
     // completes -- a live stream learns about shed poses right away.
@@ -559,6 +568,9 @@ TEST(FrameServerQos, BoundedBacklogDropsOldestAndReportsThem)
     for (const FrameResult &r : shed) {
         EXPECT_TRUE(r.dropped);
         EXPECT_FALSE(r.ok());
+        // A shed frame reports how long it waited before it was shed.
+        EXPECT_GT(r.latency_s, 0.0) << "ticket " << r.ticket;
+        EXPECT_LE(r.latency_s, sinceSubmit(r.ticket)) << "ticket " << r.ticket;
     }
 
     pause.release();
@@ -586,6 +598,8 @@ TEST(FrameServerQos, BoundedBacklogDropsOldestAndReportsThem)
             if (rec.ticket == r.ticket) {
                 ++records;
                 EXPECT_TRUE(rec.dropped);
+                EXPECT_GT(rec.latency_ms, 0.0);
+                EXPECT_LE(rec.latency_ms, sinceSubmit(r.ticket) * 1e3);
             }
         EXPECT_EQ(records, 1) << "ticket " << r.ticket;
     }
@@ -1325,8 +1339,12 @@ TEST(FrameServerCoalesce, ClosingSessionsMidRenderServesEveryWaiter)
     EXPECT_EQ(srv.submitFrame(owner, cam), 0u);
     EXPECT_EQ(srv.submitFrame(w1, cam), 0u);
 
-    // The surviving waiter's session keeps serving, now on its own.
-    const uint64_t t3 = srv.submitFrame(w2, cam);
+    // The surviving waiter's session keeps serving, now on its own, at
+    // another pose (the finished render would answer `cam`).
+    const nerf::Camera other =
+        nerf::orbitCameraPath(reg.find("lego")->info, 16, 16, 2, 0.07f)[1];
+    ASSERT_FALSE(other.identical(cam));
+    const uint64_t t3 = srv.submitFrame(w2, other);
     ASSERT_NE(t3, 0u);
     srv.waitIdle();
     FrameResult last;
@@ -1521,6 +1539,221 @@ TEST(FrameServerCoalesce, HalfOpenProbeRenderTakesNoWaiters)
     srv.closeSession(batch_probe);
     srv.closeSession(late);
     srv.closeSession(first_probe);
+}
+
+/**
+ * A finished render stays joinable: a later frame of its view (same
+ * scene, class, rung and camera bits) is answered from the scene's last
+ * render, counted as a joiner and rendered by nobody. Anything else
+ * renders, a failed render leaves the kept one in place, and a
+ * half-open probe renders for itself.
+ */
+TEST(FrameServerCoalesce, RepeatAfterItsRenderFinishedIsAnsweredFromIt)
+{
+    FaultGuard faults;
+    SceneRegistry reg;
+    ASSERT_NE(reg.addProcedural("lego", "Lego",
+                                nerf::NgpModelConfig::fast(),
+                                smallConfig()),
+              nullptr);
+    ServerConfig cfg = coalesceConfig(2);
+    cfg.breaker.failure_threshold = 2;
+    cfg.breaker.open_s = 0.02;
+    FrameServer srv(reg, cfg);
+    const SceneEntry *entry = reg.find("lego");
+    const auto path = nerf::orbitCameraPath(entry->info, 16, 16, 2, 0.07f);
+    const nerf::Camera &view = path[0], &other = path[1];
+    core::AsdrRenderer ref(*entry->field, entry->config);
+    const Image want = ref.render(view);
+
+    const uint64_t a = srv.openSession("lego", QosClass::Standard);
+    const uint64_t b = srv.openSession("lego", QosClass::Standard);
+    const uint64_t inter = srv.openSession("lego", QosClass::Interactive);
+    // Submit one frame and wait for its one result.
+    auto serve = [&](uint64_t client, const nerf::Camera &cam) {
+        const uint64_t t = srv.submitFrame(client, cam);
+        EXPECT_NE(t, 0u);
+        srv.waitIdle();
+        std::vector<FrameResult> results;
+        srv.drainResults(results);
+        EXPECT_EQ(results.size(), 1u);
+        if (results.empty())
+            return FrameResult{};
+        EXPECT_EQ(results[0].ticket, t);
+        return std::move(results[0]);
+    };
+
+    const FrameResult first = serve(a, view);
+    ASSERT_TRUE(first.ok());
+    EXPECT_EQ(first.render_ticket, first.ticket);
+    const FrameResult repeat = serve(b, view);
+    ASSERT_TRUE(repeat.ok());
+    EXPECT_EQ(repeat.client, b);
+    EXPECT_EQ(repeat.render_ticket, first.ticket) << "answered, not rendered";
+    EXPECT_EQ(repeat.rung, QualityRung::Full);
+    EXPECT_EQ(repeat.full_width, 16);
+    EXPECT_EQ(repeat.full_height, 16);
+    expectFramesIdentical(want, repeat.frame.image, "answered frame");
+    EXPECT_NE(repeat.frame.image.data().data(),
+              first.frame.image.data().data());
+    {
+        const ServerStatsSnapshot snap = srv.stats();
+        const QosClassStats &s = snap.cls[int(QosClass::Standard)];
+        EXPECT_EQ(s.admitted, 1u);
+        EXPECT_EQ(s.coalesced, 1u);
+        EXPECT_EQ(s.served, 2u);
+        ASSERT_EQ(snap.scenes.size(), 1u);
+        EXPECT_EQ(snap.scenes[0].served, 2u);
+        const std::string text = srv.metricsText();
+        const std::string q = "{qos=\"standard\"} ";
+        EXPECT_NE(text.find("asdr_frame_latency_seconds_count" + q + "2\n"),
+                  std::string::npos);
+    }
+
+    // Another class renders, and becomes the scene's last render.
+    const FrameResult cls = serve(inter, view);
+    ASSERT_TRUE(cls.ok());
+    EXPECT_EQ(cls.render_ticket, cls.ticket) << "another class";
+    // Another camera renders; after it, the view renders again.
+    const FrameResult cam = serve(b, other);
+    ASSERT_TRUE(cam.ok());
+    EXPECT_EQ(cam.render_ticket, cam.ticket) << "another camera";
+    const FrameResult again = serve(a, view);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again.render_ticket, again.ticket) << "after another view";
+    expectFramesIdentical(want, again.frame.image, "rendered again");
+    // Another rung renders.
+    fault::arm(fault::kServerAdmitDegrade, 1.0, /*max_fires=*/1);
+    const FrameResult rung = serve(b, view);
+    ASSERT_TRUE(rung.ok());
+    EXPECT_EQ(rung.rung, QualityRung(kQualityRungs - 1));
+    EXPECT_EQ(rung.render_ticket, rung.ticket) << "another rung";
+    const FrameResult full = serve(a, view);
+    ASSERT_TRUE(full.ok());
+    EXPECT_EQ(full.rung, QualityRung::Full);
+    EXPECT_EQ(full.render_ticket, full.ticket) << "back at the full rung";
+
+    // A failed render leaves the kept one in place.
+    fault::arm(fault::kEngineStageThrow, 1.0, /*max_fires=*/1);
+    const FrameResult failed = serve(b, other);
+    EXPECT_FALSE(failed.ok());
+    const FrameResult kept = serve(b, view);
+    ASSERT_TRUE(kept.ok());
+    EXPECT_EQ(kept.render_ticket, full.ticket) << "kept past a failure";
+    expectFramesIdentical(want, kept.frame.image, "kept frame");
+
+    // The second consecutive failure opens the breaker; once it is
+    // half-open, the probe renders the kept view itself.
+    fault::arm(fault::kEngineStageThrow, 1.0, /*max_fires=*/1);
+    EXPECT_FALSE(serve(b, other).ok());
+    ASSERT_EQ(srv.breakerState("lego"), FrameServer::BreakerState::Open);
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    const FrameResult probe = serve(a, view);
+    ASSERT_TRUE(probe.ok());
+    EXPECT_EQ(probe.render_ticket, probe.ticket) << "a probe renders";
+    EXPECT_EQ(srv.breakerState("lego"), FrameServer::BreakerState::Closed);
+    const FrameResult after = serve(b, view);
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(after.render_ticket, probe.ticket);
+
+    const QosClassStats s = srv.stats().cls[int(QosClass::Standard)];
+    EXPECT_EQ(s.coalesced, 3u);
+    EXPECT_EQ(s.admitted + s.coalesced, s.served + s.failed);
+    srv.closeSession(a);
+    srv.closeSession(b);
+    srv.closeSession(inter);
+}
+
+/**
+ * With one pipeline slot a repeat cannot join a render on the slot: it
+ * waits in the scheduler. Once the render finishes, its last render
+ * answers the repeat, after the render's own answer.
+ */
+TEST(FrameServerCoalesce, OneSlotServerAnswersAQueuedRepeat)
+{
+    SceneRegistry reg;
+    ASSERT_NE(reg.addProcedural("lego", "Lego",
+                                nerf::NgpModelConfig::fast(),
+                                smallConfig()),
+              nullptr);
+    FrameServer srv(reg, coalesceConfig(1));
+    const SceneEntry *entry = reg.find("lego");
+    const nerf::Camera cam = nerf::cameraForScene(entry->info, 16, 16);
+    const uint64_t a = srv.openSession("lego", QosClass::Standard);
+    const uint64_t b = srv.openSession("lego", QosClass::Standard);
+
+    EnginePause pause(srv.engine());
+    const uint64_t t1 = srv.submitFrame(a, cam);
+    const uint64_t t2 = srv.submitFrame(b, cam);
+    EXPECT_EQ(srv.stats().cls[int(QosClass::Standard)].coalesced, 0u)
+        << "queued behind the only slot";
+    pause.release();
+    srv.waitIdle();
+
+    std::vector<FrameResult> results;
+    srv.drainResults(results);
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].ticket, t1) << "the leader is delivered first";
+    EXPECT_EQ(results[1].ticket, t2);
+    core::AsdrRenderer ref(*entry->field, entry->config);
+    const Image want = ref.render(cam);
+    for (const FrameResult &r : results) {
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(r.render_ticket, t1) << "ticket " << r.ticket;
+        expectFramesIdentical(want, r.frame.image, "one-slot frame");
+    }
+    const QosClassStats s = srv.stats().cls[int(QosClass::Standard)];
+    EXPECT_EQ(s.admitted, 1u);
+    EXPECT_EQ(s.coalesced, 1u);
+    EXPECT_EQ(s.served, 2u);
+    srv.closeSession(a);
+    srv.closeSession(b);
+}
+
+/**
+ * A closed-loop callback that resubmits its own view is answered from
+ * the finished render each time, by the thread already delivering it:
+ * the answers come one after another, never nested in a callback.
+ */
+TEST(FrameServerCoalesce, CallbackResubmittingItsViewDoesNotNest)
+{
+    SceneRegistry reg;
+    ASSERT_NE(reg.addProcedural("lego", "Lego",
+                                nerf::NgpModelConfig::fast(),
+                                smallConfig()),
+              nullptr);
+    FrameServer srv(reg, coalesceConfig(2));
+    const nerf::Camera cam =
+        nerf::cameraForScene(reg.find("lego")->info, 16, 16);
+    const int FRAMES = 200;
+    std::atomic<int> depth{0}, deepest{0}, answered{0}, issued{1};
+    std::set<uint64_t> renders;
+    std::mutex m;
+    uint64_t client = 0;
+    client = srv.openSession(
+        "lego", QosClass::Standard, {}, [&](FrameResult &&r) {
+            const int d = ++depth;
+            int seen = deepest.load();
+            while (d > seen && !deepest.compare_exchange_weak(seen, d)) {
+            }
+            EXPECT_TRUE(r.ok());
+            {
+                std::lock_guard<std::mutex> lock(m);
+                renders.insert(r.render_ticket);
+            }
+            ++answered;
+            if (issued.fetch_add(1) < FRAMES)
+                srv.submitFrame(client, cam);
+            --depth;
+        });
+    ASSERT_NE(srv.submitFrame(client, cam), 0u);
+    srv.waitIdle();
+    EXPECT_EQ(answered.load(), FRAMES);
+    EXPECT_EQ(deepest.load(), 1);
+    EXPECT_EQ(renders.size(), 1u) << "one render answers every frame";
+    EXPECT_EQ(srv.stats().cls[int(QosClass::Standard)].coalesced,
+              uint64_t(FRAMES - 1));
+    srv.closeSession(client);
 }
 
 // ------------------------------------------------------------ model test

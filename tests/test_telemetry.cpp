@@ -1223,13 +1223,15 @@ TEST(WireTelemetry, UnsubscribeBarrierDeliversEveryRecordedSpan)
 
     net::CameraSpec cs;
     const scene::SceneInfo &info = reg.find("Lego")->info;
-    cs.pos = nerf::orbitPosition(info, 0.0f);
     cs.look_at = info.look_at;
     cs.fov_deg = info.fov_deg;
     cs.width = 16;
     cs.height = 16;
     std::set<uint64_t> tickets;
     for (int f = 0; f < 3; ++f) {
+        // A pose of its own per frame, so each renders: a repeat would be
+        // answered from the last render and record no stage spans.
+        cs.pos = nerf::orbitPosition(info, 0.1f * float(f));
         const uint64_t t = c.submitFrame(s, cs, &err);
         ASSERT_NE(t, 0u) << err;
         tickets.insert(t);
