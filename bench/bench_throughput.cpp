@@ -5,9 +5,11 @@
  * batched + tile-parallel, at several resolutions, plus a hash-encode
  * microbenchmark (scalar vs two-pass SIMD vs SIMD over Morton-ordered
  * input), an MLP microbenchmark per kernel build (baseline vs the
- * CPU-dispatched one), multi-frame pipelining through the streaming engine, the
- * quality ladder's shed-vs-degrade trade under an over-backlog burst,
- * and fault recovery (time to resume, circuit breaker on vs. off).
+ * CPU-dispatched one), a procedural-field microbenchmark (batched vs
+ * per-point density and color), multi-frame pipelining through the
+ * streaming engine, the quality ladder's shed-vs-degrade trade under an
+ * over-backlog burst, and fault recovery (time to resume, circuit
+ * breaker on vs. off).
  * Serving throughput and latency are servebench's job (servebench/),
  * which measures them net of host steal. Frames are bit-identical
  * across all render modes, so every row measures the same workload.
@@ -416,6 +418,99 @@ main(int argc, char **argv)
             }
         }
         mtable.print(std::cout);
+    }
+
+    // ---- Procedural field microbenchmark: ProceduralField on the two
+    // scenes serve_distinct serves, densityBatch at 40 points per call
+    // and colorBatch at 8 over its outputs (about the call widths the
+    // batched march makes), beside the per-point density() and color()
+    // loops they must equal bit for bit. Points are drawn from the box
+    // around the scene's primitives, where the march spends its samples.
+    {
+        const int calls = smoke ? 20 : 2000; // per timed pass
+        const int reps = smoke ? 2 : 7;
+        TextTable ftable({"field", "call", "points/call", "us/call",
+                          "ns/point", "speedup"});
+        for (const char *name : {"Lego", "Chair"}) {
+            auto fscene = scene::createScene(name);
+            nerf::ProceduralField pfield(*fscene);
+            const nerf::RadianceField &rf = pfield;
+            Vec3 lo(1.0f), hi(0.0f);
+            for (const scene::Primitive &prim : fscene->primitives()) {
+                lo = vmin(lo, prim.center - prim.params);
+                hi = vmax(hi, prim.center + prim.params);
+            }
+            Rng rng(0x3171);
+            std::vector<Vec3> pos(40);
+            for (Vec3 &p : pos)
+                p = lo + (hi - lo) * rng.nextVec3();
+            const Vec3 dir = rng.nextDirection();
+            std::vector<nerf::DensityOutput> den(pos.size());
+            std::vector<Vec3> rgb(pos.size());
+            pfield.densityBatch(pos.data(), int(pos.size()), den.data());
+
+            struct FieldCase
+            {
+                const char *call;
+                int points;
+                bool batched;
+                std::function<void()> once;
+            };
+            // Each per-point reference precedes the batch call it checks.
+            const FieldCase cases[] = {
+                {"density", 40, false,
+                 [&] {
+                     for (int p = 0; p < 40; ++p)
+                         den[size_t(p)] = rf.density(pos[size_t(p)]);
+                 }},
+                {"densityBatch", 40, true,
+                 [&] { rf.densityBatch(pos.data(), 40, den.data()); }},
+                {"color", 8, false,
+                 [&] {
+                     for (int p = 0; p < 8; ++p)
+                         rgb[size_t(p)] = rf.color(pos[size_t(p)], dir,
+                                                   den[size_t(p)]);
+                 }},
+                {"colorBatch", 8, true,
+                 [&] {
+                     rf.colorBatch(pos.data(), dir, den.data(), 8,
+                                   rgb.data());
+                 }},
+            };
+            double per_point_s = 0.0;
+            for (const FieldCase &c : cases) {
+                auto run = [&] {
+                    for (int k = 0; k < calls; ++k)
+                        c.once();
+                };
+                run();
+                double per_pass = 1e30;
+                for (int r = 0; r < reps; ++r)
+                    per_pass = std::min(per_pass, secondsOf(run));
+                const double per_call = per_pass / double(calls);
+                if (!c.batched)
+                    per_point_s = per_call;
+                const double speedup =
+                    per_call > 0.0 ? per_point_s / per_call : 1.0;
+                ftable.addRow({pfield.describe(), c.call,
+                               std::to_string(c.points),
+                               fmt(per_call * 1e6, 3),
+                               fmt(per_call / c.points * 1e9, 1),
+                               fmtTimes(speedup)});
+                emitBoth(JsonLine("field_micro")
+                             .field("field", pfield.describe())
+                             .field("call", c.call)
+                             .field("points_per_call", c.points)
+                             .field("calls", calls)
+                             .field("reps", reps)
+                             .field("us_per_call", per_call * 1e6)
+                             .field("ns_per_point",
+                                    per_call / c.points * 1e9)
+                             .field("speedup_vs_per_point", speedup),
+                         artifact);
+            }
+        }
+        ftable.print(std::cout);
     }
 
     // ---- Morton reuse at paper-scale tables: the default bench field

@@ -8,7 +8,9 @@
  *  - ProceduralField: analytic density/color with the *same* lookup
  *    structure and reference FLOP profile (performance experiments,
  *    where running NN arithmetic on the host would only slow the sweep
- *    without changing any simulated quantity),
+ *    without changing any simulated quantity); its geometry features
+ *    carry each primitive's falloff term from density to color, as the
+ *    NGP density network hands the color network its features,
  *  - TensorfField: the VM-decomposed TensoRF model of §6.8.
  *
  * The architecture side consumes fields through two contracts: the
@@ -108,7 +110,11 @@ class RadianceField
     /** Run the density network (or analytic equivalent) at `pos`. */
     virtual DensityOutput density(const Vec3 &pos) const = 0;
 
-    /** Run the color network given the density result and direction. */
+    /** Run the color network given the density result and direction.
+     *  `den` must be this field's density(pos) (or a densityBatch()
+     *  output for `pos`): fields read their color inputs from its
+     *  geometry features (ProceduralField reads nothing else), and a
+     *  decorator may change `sigma` only. */
     virtual Vec3 color(const Vec3 &pos, const Vec3 &dir,
                        const DensityOutput &den) const = 0;
 

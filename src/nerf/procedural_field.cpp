@@ -1,5 +1,7 @@
 #include "nerf/procedural_field.hpp"
 
+#include <algorithm>
+
 #include "nerf/sh_encoding.hpp"
 
 namespace asdr::nerf {
@@ -56,13 +58,8 @@ DensityOutput
 ProceduralField::density(const Vec3 &pos) const
 {
     DensityOutput out;
-    out.sigma = scene_.density(pos);
-    // Geometry features carry the position forward so color() can query
-    // the analytic field without re-deriving it.
+    out.sigma = scene_.density(pos, &out.geo[1], kTerms);
     out.geo[0] = out.sigma;
-    out.geo[1] = pos.x;
-    out.geo[2] = pos.y;
-    out.geo[3] = pos.z;
     return out;
 }
 
@@ -70,16 +67,29 @@ Vec3
 ProceduralField::color(const Vec3 &pos, const Vec3 &dir,
                        const DensityOutput &den) const
 {
-    (void)den;
-    return scene_.sample(pos, dir).color;
+    return scene_.sample(pos, dir, &den.geo[1], kTerms).color;
 }
 
 void
 ProceduralField::densityBatch(const Vec3 *pos, int count,
                               DensityOutput *out) const
 {
-    for (int p = 0; p < count; ++p)
-        out[p] = density(pos[p]);
+    constexpr int kBatch = scene::AnalyticScene::kBatch;
+    const int nterms =
+        std::min(int(scene_.primitives().size()), kTerms);
+    float sigma[kBatch];
+    float terms[kBatch * kTerms];
+    for (int base = 0; base < count; base += kBatch) {
+        const int n = std::min(kBatch, count - base);
+        scene_.densityBatch(pos + base, n, sigma, terms, nterms);
+        for (int p = 0; p < n; ++p) {
+            DensityOutput &o = out[base + p];
+            o.sigma = sigma[p];
+            o.geo[0] = sigma[p];
+            std::copy_n(terms + p * nterms, nterms, &o.geo[1]);
+            std::fill(o.geo.begin() + 1 + nterms, o.geo.end(), 0.0f);
+        }
+    }
 }
 
 void

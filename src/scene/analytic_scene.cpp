@@ -10,49 +10,106 @@ namespace asdr::scene {
 
 namespace {
 
-float
-sdSphere(const Vec3 &p, float r)
+// One body per signed-distance formula, on the coordinates (x, y, z)
+// relative to the primitive's center. Primitive::sdf calls them per
+// point and AnalyticScene::densityBatch inside its SIMD loops, so both
+// evaluate the same float operations in the same order.
+
+inline float
+sdSphere(float x, float y, float z, float r)
 {
-    return length(p) - r;
+    return std::sqrt(x * x + y * y + z * z) - r;
 }
 
-float
-sdBox(const Vec3 &p, const Vec3 &half)
+inline float
+sdBox(float x, float y, float z, float hx, float hy, float hz)
 {
-    Vec3 q{std::fabs(p.x) - half.x, std::fabs(p.y) - half.y,
-           std::fabs(p.z) - half.z};
-    Vec3 qpos = vmax(q, Vec3(0.0f));
-    float outside = length(qpos);
-    float inside = std::min(std::max({q.x, q.y, q.z}), 0.0f);
+    const float qx = std::fabs(x) - hx;
+    const float qy = std::fabs(y) - hy;
+    const float qz = std::fabs(z) - hz;
+    const float ox = std::max(qx, 0.0f);
+    const float oy = std::max(qy, 0.0f);
+    const float oz = std::max(qz, 0.0f);
+    const float outside = std::sqrt(ox * ox + oy * oy + oz * oz);
+    const float inside = std::min(std::max(std::max(qx, qy), qz), 0.0f);
     return outside + inside;
 }
 
-float
-sdTorus(const Vec3 &p, float major, float minor)
+inline float
+sdTorus(float x, float y, float z, float major, float minor)
 {
-    float qx = std::sqrt(p.x * p.x + p.z * p.z) - major;
-    return std::sqrt(qx * qx + p.y * p.y) - minor;
+    const float qx = std::sqrt(x * x + z * z) - major;
+    return std::sqrt(qx * qx + y * y) - minor;
 }
 
-float
-sdCylinderY(const Vec3 &p, float r, float halfh)
+inline float
+sdCylinderY(float x, float y, float z, float r, float halfh)
 {
-    float dxz = std::sqrt(p.x * p.x + p.z * p.z) - r;
-    float dy = std::fabs(p.y) - halfh;
-    float outside =
-        std::sqrt(std::max(dxz, 0.0f) * std::max(dxz, 0.0f) +
-                  std::max(dy, 0.0f) * std::max(dy, 0.0f));
+    const float dxz = std::sqrt(x * x + z * z) - r;
+    const float dy = std::fabs(y) - halfh;
+    const float ox = std::max(dxz, 0.0f);
+    const float oy = std::max(dy, 0.0f);
+    const float outside = std::sqrt(ox * ox + oy * oy);
     return outside + std::min(std::max(dxz, dy), 0.0f);
 }
 
-float
-sdEllipsoid(const Vec3 &p, const Vec3 &radii)
+inline float
+sdEllipsoid(float x, float y, float z, float rx, float ry, float rz)
 {
-    Vec3 q{p.x / radii.x, p.y / radii.y, p.z / radii.z};
-    float k = length(q);
+    const float qx = x / rx;
+    const float qy = y / ry;
+    const float qz = z / rz;
+    const float k = std::sqrt(qx * qx + qy * qy + qz * qz);
     // Approximate SDF (exact ellipsoid SDF has no closed form).
-    float minr = std::min({radii.x, radii.y, radii.z});
-    return (k - 1.0f) * minr;
+    return (k - 1.0f) * std::min(std::min(rx, ry), rz);
+}
+
+/** Calls `f` with `prim`'s SDF, as a callable on center-relative
+ *  coordinates, and returns what `f` returns. */
+template <class F>
+decltype(auto)
+withSdf(const Primitive &prim, F &&f)
+{
+    using Shape = Primitive::Shape;
+    const Vec3 a = prim.params;
+    switch (prim.shape) {
+      case Shape::Sphere:
+        return f([r = a.x](float x, float y, float z) {
+            return sdSphere(x, y, z, r);
+        });
+      case Shape::Box:
+        return f([a](float x, float y, float z) {
+            return sdBox(x, y, z, a.x, a.y, a.z);
+        });
+      case Shape::Torus:
+        return f([a](float x, float y, float z) {
+            return sdTorus(x, y, z, a.x, a.y);
+        });
+      case Shape::CylinderY:
+        return f([a](float x, float y, float z) {
+            return sdCylinderY(x, y, z, a.x, a.y);
+        });
+      case Shape::Ellipsoid:
+        break;
+    }
+    return f([a](float x, float y, float z) {
+        return sdEllipsoid(x, y, z, a.x, a.y, a.z);
+    });
+}
+
+/** Logistic falloff through the surface: smooth density the hash grid
+ *  + MLP can fit well while keeping crisp silhouettes. Returns the term
+ *  t = 1 + exp(d / softness); density is amp / t, occupancy 1 / t. */
+inline float
+falloff(float d, float softness)
+{
+    return 1.0f + std::exp(d / softness);
+}
+
+inline float
+falloff(const Primitive &prim, const Vec3 &pos)
+{
+    return falloff(prim.sdf(pos), prim.softness);
 }
 
 } // namespace
@@ -60,20 +117,8 @@ sdEllipsoid(const Vec3 &p, const Vec3 &radii)
 float
 Primitive::sdf(const Vec3 &pos) const
 {
-    Vec3 p = pos - center;
-    switch (shape) {
-      case Shape::Sphere:
-        return sdSphere(p, params.x);
-      case Shape::Box:
-        return sdBox(p, params);
-      case Shape::Torus:
-        return sdTorus(p, params.x, params.y);
-      case Shape::CylinderY:
-        return sdCylinderY(p, params.x, params.y);
-      case Shape::Ellipsoid:
-        return sdEllipsoid(p, params);
-    }
-    return 1.0f;
+    const Vec3 p = pos - center;
+    return withSdf(*this, [&](auto sd) { return sd(p.x, p.y, p.z); });
 }
 
 Vec3
@@ -105,16 +150,16 @@ AnalyticScene::AnalyticScene(SceneInfo info, std::vector<Primitive> prims)
 }
 
 SceneSample
-AnalyticScene::sample(const Vec3 &pos, const Vec3 &dir) const
+AnalyticScene::sample(const Vec3 &pos, const Vec3 &dir, const float *terms,
+                      int nterms) const
 {
     float sigma = 0.0f;
     Vec3 color_acc(0.0f);
     float weight_acc = 0.0f;
-    for (const auto &prim : prims_) {
-        float d = prim.sdf(pos);
-        // Logistic falloff through the surface: smooth density the hash
-        // grid + MLP can fit well while keeping crisp silhouettes.
-        float occ = 1.0f / (1.0f + std::exp(d / prim.softness));
+    for (size_t i = 0; i < prims_.size(); ++i) {
+        const Primitive &prim = prims_[i];
+        const float t = int(i) < nterms ? terms[i] : falloff(prim, pos);
+        float occ = 1.0f / t;
         float s = prim.density_amp * occ;
         if (s < 1e-4f)
             continue;
@@ -133,14 +178,55 @@ AnalyticScene::sample(const Vec3 &pos, const Vec3 &dir) const
 }
 
 float
-AnalyticScene::density(const Vec3 &pos) const
+AnalyticScene::density(const Vec3 &pos, float *terms, int nterms) const
 {
     float sigma = 0.0f;
-    for (const auto &prim : prims_) {
-        float d = prim.sdf(pos);
-        sigma += prim.density_amp / (1.0f + std::exp(d / prim.softness));
+    for (size_t i = 0; i < prims_.size(); ++i) {
+        const float t = falloff(prims_[i], pos);
+        if (int(i) < nterms)
+            terms[i] = t;
+        sigma += prims_[i].density_amp / t;
     }
     return std::min(sigma, 200.0f);
+}
+
+void
+AnalyticScene::densityBatch(const Vec3 *pos, int count, float *sigma,
+                            float *terms, int nterms) const
+{
+    ASDR_ASSERT(count >= 0 && count <= kBatch, "batch of ", count);
+    float x[kBatch], y[kBatch], z[kBatch], acc[kBatch], t[kBatch];
+    for (int p = 0; p < count; ++p) {
+        x[p] = pos[p].x;
+        y[p] = pos[p].y;
+        z[p] = pos[p].z;
+        acc[p] = 0.0f;
+    }
+    // Per primitive: its SDF over the chunk, then the falloff, then the
+    // density sum. The SDF and sum loops vectorize (CMakeLists.txt gives
+    // this file the two flags GCC needs for the SDFs), and SIMD lanes
+    // round as scalar code does. The falloff calls expf per point: a
+    // vector exp would not round as expf does.
+    for (size_t i = 0; i < prims_.size(); ++i) {
+        const Primitive &prim = prims_[i];
+        const Vec3 c = prim.center;
+        withSdf(prim, [&](auto sd) {
+#pragma omp simd
+            for (int p = 0; p < count; ++p)
+                t[p] = sd(x[p] - c.x, y[p] - c.y, z[p] - c.z);
+        });
+        for (int p = 0; p < count; ++p)
+            t[p] = falloff(t[p], prim.softness);
+        const float amp = prim.density_amp;
+#pragma omp simd
+        for (int p = 0; p < count; ++p)
+            acc[p] += amp / t[p];
+        if (int(i) < nterms)
+            for (int p = 0; p < count; ++p)
+                terms[p * nterms + int(i)] = t[p];
+    }
+    for (int p = 0; p < count; ++p)
+        sigma[p] = std::min(acc[p], 200.0f);
 }
 
 double

@@ -73,20 +73,53 @@ struct SceneInfo
  * (capped) sum of primitive densities; color is the density-weighted
  * average of primitive colors with a mild view-dependent term, so the
  * color MLP of the fitted field has something real to learn.
+ *
+ * Both are built from each primitive's falloff term
+ * t_i = 1 + exp(sdf_i(pos) / softness_i): primitive i adds
+ * density_amp_i / t_i to the density and weighs its color by
+ * density_amp_i * (1 / t_i). density() can hand the terms it computed to
+ * a later sample() at the same point, which then skips the SDFs and
+ * exps, and densityBatch() computes them one primitive at a time over a
+ * chunk of points. Every path evaluates the one SDF and falloff body per
+ * formula (analytic_scene.cpp), so all of them agree bit for bit.
  */
 class AnalyticScene
 {
   public:
+    /** Most points one densityBatch() call takes: its x/y/z staging
+     *  arrays live on the stack. */
+    static constexpr int kBatch = 64;
+
     AnalyticScene(SceneInfo info, std::vector<Primitive> prims);
 
     const SceneInfo &info() const { return info_; }
     const std::vector<Primitive> &primitives() const { return prims_; }
 
-    /** Full query: density and view-dependent color. */
-    SceneSample sample(const Vec3 &pos, const Vec3 &dir) const;
+    /**
+     * Full query: density and view-dependent color. `terms[i]` for
+     * i < `nterms` may hold primitive i's falloff term at `pos`, as
+     * density() or densityBatch() wrote it; the terms of the other
+     * primitives are computed here.
+     */
+    SceneSample sample(const Vec3 &pos, const Vec3 &dir,
+                       const float *terms = nullptr, int nterms = 0) const;
 
-    /** Density only (used by occupancy statistics and distillation). */
-    float density(const Vec3 &pos) const;
+    /** Density only (used by occupancy statistics and distillation).
+     *  Also writes the falloff terms of the first `nterms` primitives
+     *  (fewer when the scene has fewer) to `terms`. */
+    float density(const Vec3 &pos, float *terms = nullptr,
+                  int nterms = 0) const;
+
+    /**
+     * density() of `count` <= kBatch points, primitive-major: each
+     * primitive's SDF and falloff run over every point before the next
+     * primitive's, and the densities sum in primitive order, so
+     * `sigma[p]` equals density(pos[p]) bit for bit. `terms[p * nterms
+     * + i]` receives primitive i's falloff term at pos[p] for the first
+     * `nterms` primitives, as density() writes them.
+     */
+    void densityBatch(const Vec3 *pos, int count, float *sigma,
+                      float *terms, int nterms) const;
 
     /** Fraction of uniformly-sampled unit-cube points with sigma below
      *  `thresh`; the "background fraction" the paper quotes (~40%). */
