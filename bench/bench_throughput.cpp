@@ -6,7 +6,8 @@
  * microbenchmark (scalar vs two-pass SIMD vs SIMD over Morton-ordered
  * input), an MLP microbenchmark per kernel build (baseline vs the
  * CPU-dispatched one), a procedural-field microbenchmark (batched vs
- * per-point density and color), multi-frame pipelining through the
+ * per-point density and color), a batched-exp microbenchmark (std::exp
+ * vs expBatch), multi-frame pipelining through the
  * streaming engine, the quality ladder's shed-vs-degrade trade under an
  * over-backlog burst, and fault recovery (time to resume, circuit
  * breaker on vs. off).
@@ -23,6 +24,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -40,6 +42,7 @@
 #include "nerf/procedural_field.hpp"
 #include "server/frame_server.hpp"
 #include "server/workload.hpp"
+#include "util/exp_batch.hpp"
 #include "util/rng.hpp"
 
 using namespace asdr;
@@ -511,6 +514,62 @@ main(int argc, char **argv)
             }
         }
         ftable.print(std::cout);
+    }
+
+    // ---- Batched exp microbenchmark: std::exp per element against
+    // expBatch (the build picked for this process) over 64-float chunks
+    // in [-30, 30], the width of the analytic field's falloff pass.
+    {
+        const int calls = smoke ? 20 : 2000; // per timed pass
+        const int reps = smoke ? 2 : 7;
+        constexpr int kChunk = 64;
+        Rng rng(0xE4B);
+        std::vector<float> in(kChunk), out(kChunk);
+        for (float &x : in)
+            x = rng.nextRange(-30.0f, 30.0f);
+        TextTable etable({"call", "isa", "elements/call", "ns/element",
+                          "speedup"});
+        const struct
+        {
+            const char *call;
+            const char *isa;
+            std::function<void()> once;
+        } cases[] = {
+            {"std::exp", "libm",
+             [&] {
+                 for (int i = 0; i < kChunk; ++i)
+                     out[size_t(i)] = std::exp(in[size_t(i)]);
+             }},
+            {"expBatch", expBatchIsa(),
+             [&] { expBatch(in.data(), kChunk, out.data()); }},
+        };
+        double libm_s = 0.0;
+        for (const auto &c : cases) {
+            auto run = [&] {
+                for (int k = 0; k < calls; ++k)
+                    c.once();
+            };
+            run();
+            double per_pass = 1e30;
+            for (int r = 0; r < reps; ++r)
+                per_pass = std::min(per_pass, secondsOf(run));
+            const double per_elem = per_pass / double(calls) / kChunk;
+            if (libm_s == 0.0)
+                libm_s = per_elem;
+            const double speedup = per_elem > 0.0 ? libm_s / per_elem : 1.0;
+            etable.addRow({c.call, c.isa, std::to_string(kChunk),
+                           fmt(per_elem * 1e9, 2), fmtTimes(speedup)});
+            emitBoth(JsonLine("exp_micro")
+                         .field("call", c.call)
+                         .field("isa", c.isa)
+                         .field("elements_per_call", kChunk)
+                         .field("calls", calls)
+                         .field("reps", reps)
+                         .field("ns_per_element", per_elem * 1e9)
+                         .field("speedup_vs_libm", speedup),
+                     artifact);
+        }
+        etable.print(std::cout);
     }
 
     // ---- Morton reuse at paper-scale tables: the default bench field

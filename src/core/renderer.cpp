@@ -11,6 +11,7 @@
 #include "core/color_approximator.hpp"
 #include "engine/frame_engine.hpp"
 #include "nerf/volume_render.hpp"
+#include "util/exp_batch.hpp"
 #include "util/hashing.hpp"
 #include "util/logging.hpp"
 
@@ -307,15 +308,21 @@ AsdrRenderer::marchRays(TileWorkspace &tws, bool probe,
     tws.alpha.resize(size_t(total));
     tws.store_index.resize(size_t(total));
     tws.colors.resize(size_t(total));
+    // A band stages fewer than eval_batch marked samples before its last
+    // depth and at most one per marching ray at it.
+    const size_t band_cap = size_t(cfg_.eval_batch) + tws.marching.size();
+    tws.batch_pos.resize(band_cap);
+    tws.batch_slot.resize(band_cap);
+    tws.batch_exp.resize(band_cap);
 
     // ---- depth-major banded density pass over the rays' ranges: a band
     // takes every marching ray's sample at one depth after another, in
     // staging order, so consecutive batch points are spatially adjacent
     // and share hash-table cache lines. Samples in unmarked cells join
-    // no batch; their sigma reads 0, as the floor would make it. The
-    // band closes once it holds eval_batch marked samples, so batches
-    // stay wide however few of the rays' samples the grid keeps. A ray's
-    // sample at depth d sits at slot offset + d - lo of the flat
+    // no batch; their sigma and alpha read 0, as the floor would make
+    // them. The band closes once it holds eval_batch marked samples, so
+    // batches stay wide however few of the rays' samples the grid keeps.
+    // A ray's sample at depth d sits at slot offset + d - lo of the flat
     // buffers.
     int stored = 0; // store rows written by this march
     int d0 = 0;
@@ -323,66 +330,69 @@ AsdrRenderer::marchRays(TileWorkspace &tws, bool probe,
         // The band starts where the first marching range does, at the
         // earliest, and can reach as deep as the last one ends.
         d0 = std::max(d0, start);
-        tws.batch_pos.clear();
-        tws.batch_slot.clear();
+        int bn = 0;
         int d1 = d0;
         do {
+            // Every sample is written into the next batch row, and only
+            // a marked one advances past it.
             for (int r : tws.marching) {
                 const size_t ri = size_t(r);
                 if (d1 < tws.lo[ri] || d1 >= tws.hi[ri])
                     continue;
-                const size_t slot =
-                    size_t(tws.offset[ri] + (d1 - tws.lo[ri]));
+                const int slot = tws.offset[ri] + (d1 - tws.lo[ri]);
                 const Vec3 pos =
                     marchPoint(tws.rays[ri], tws.t0[ri], tws.dt[ri], d1);
-                tws.positions[slot] = pos;
-                if (grid.occupied(pos)) {
-                    tws.store_index[slot] =
-                        stored + int(tws.batch_pos.size());
-                    tws.batch_pos.push_back(pos);
-                    tws.batch_slot.push_back(int(slot));
-                } else {
-                    tws.store_index[slot] = -1;
-                    tws.sigma[slot] = 0.0f;
-                }
+                const bool marked = grid.occupied(pos);
+                tws.positions[size_t(slot)] = pos;
+                tws.store_index[size_t(slot)] = marked ? stored + bn : -1;
+                tws.sigma[size_t(slot)] = 0.0f;
+                tws.alpha[size_t(slot)] = 0.0f;
+                tws.batch_pos[size_t(bn)] = pos;
+                tws.batch_slot[size_t(bn)] = slot;
+                tws.batch_exp[size_t(bn)] = tws.dt[ri];
+                bn += int(marked);
             }
             ++d1;
-        } while (d1 < reach && int(tws.batch_pos.size()) < cfg_.eval_batch);
-        const int bn = int(tws.batch_pos.size());
+        } while (d1 < reach && bn < cfg_.eval_batch);
         if (tws.store.size() < size_t(stored + bn))
             tws.store.resize(size_t(stored + bn));
         if (bn > 0)
             field_.densityBatch(tws.batch_pos.data(), bn,
                                 tws.store.data() + stored);
+        // The floor, then the marked samples' alphas: alphaFromSigma's
+        // 1 - exp(-sigma * dt), the band's exps in one expBatch call,
+        // which returns std::exp's bits. A floored sigma gives
+        // 1 - exp(-0) = +0, as alphaFromSigma returns.
+        float *e = tws.batch_exp.data();
         for (int k = 0; k < bn; ++k) {
-            const float sigma = tws.store[size_t(stored + k)].sigma;
-            tws.sigma[size_t(tws.batch_slot[size_t(k)])] =
-                sigma < cfg_.sigma_floor ? 0.0f : sigma;
+            float sigma = tws.store[size_t(stored + k)].sigma;
+            sigma = sigma < cfg_.sigma_floor ? 0.0f : sigma;
+            tws.sigma[size_t(tws.batch_slot[size_t(k)])] = sigma;
+            e[k] = -sigma * e[k];
         }
+        expBatch(e, bn, e);
+        for (int k = 0; k < bn; ++k)
+            tws.alpha[size_t(tws.batch_slot[size_t(k)])] = 1.0f - e[k];
         stored += bn;
 
         // Early-termination scan over the band, for the rays still
         // marching only; the cut lands at exactly renderRay's index
         // (points of this band past the cut are host slack, not
-        // workload). It keeps each sample's alpha for compositing. A ray
-        // leaves the list at its cut or the end of its range.
+        // workload). A ray leaves the list at its cut or the end of its
+        // range.
         size_t still = 0;
         start = std::numeric_limits<int>::max();
         reach = 0;
         for (int r : tws.marching) {
             const size_t ri = size_t(r);
             const int lo = tws.lo[ri];
-            const float *sigma = tws.sigma.data() + tws.offset[ri];
-            float *alpha = tws.alpha.data() + tws.offset[ri];
+            const float *alpha = tws.alpha.data() + tws.offset[ri];
             const int end = std::min(d1, tws.hi[ri]);
-            const float dt = tws.dt[ri];
             float transmittance = tws.transmittance[ri];
             bool done = end == tws.hi[ri];
-            for (int d = std::max(d0, lo); d < end; ++d) {
-                const float a = nerf::alphaFromSigma(sigma[d - lo], dt);
-                alpha[d - lo] = a;
-                if (use_et) {
-                    transmittance *= 1.0f - a;
+            if (use_et) {
+                for (int d = std::max(d0, lo); d < end; ++d) {
+                    transmittance *= 1.0f - alpha[d - lo];
                     if (transmittance < cfg_.et_eps) {
                         tws.cut[ri] = d + 1;
                         done = true;

@@ -46,8 +46,10 @@
  * the cut, aligned alike; a ray whose span is empty is not shaded (its
  * color is exactly 0). Inside the range a sample costs 36 bytes of
  * segment state and a grid test, density outputs are stored only for
- * the samples evaluated, and each alpha is computed once, by the
- * early-termination scan, skipping exp at sigma 0. The scalar oracle
+ * the samples evaluated, and each alpha is computed once: 0 outside
+ * marked cells, and for a band's marked samples by one batched exp
+ * (util/exp_batch.hpp) after its density batch, so the
+ * early-termination scan only multiplies. The scalar oracle
  * (renderRay) evaluates one point at a time in pixel order over the
  * whole ray; it runs when a trace sink is attached, so the event stream
  * keeps the seed ordering, or when eval_batch <= 1. Probe rows and
@@ -314,13 +316,15 @@ class AsdrRenderer
         // Flat per-ray sample segments, written up to the last band.
         std::vector<Vec3> positions;
         std::vector<float> sigma;     ///< floored; 0 outside marked cells
-        std::vector<float> alpha;     ///< from the ET scan, up to the cut
+        std::vector<float> alpha;     ///< 0 outside marked cells
         std::vector<int> store_index; ///< row in `store`, or -1
         std::vector<Vec3> colors;
-        // One band's marked samples (gather order) and their segment
-        // slots; `store` rows past the march's count are stale.
+        // One band's marked samples (gather order), their segment slots
+        // and their rays' dt, overwritten in place by exp(-sigma * dt);
+        // `store` rows past the march's count are stale.
         std::vector<Vec3> batch_pos;
         std::vector<int> batch_slot;
+        std::vector<float> batch_exp;
         std::vector<nerf::DensityOutput> store;
         RayWorkspace shade; ///< anchor scratch for the color pass
     };

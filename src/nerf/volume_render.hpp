@@ -36,7 +36,8 @@ CompositeResult composite(const float *sigma, const Vec3 *color, int n,
 /**
  * composite(sigma, color, n, dt) from the points' alphas, alpha[i] =
  * alphaFromSigma(sigma[i], dt), bit for bit: the batched march computes
- * each alpha once, in its early-termination scan, and composites from it.
+ * each alpha once, a band's in one batched exp after its density batch,
+ * and composites from them.
  */
 CompositeResult compositeAlphas(const float *alpha, const Vec3 *color,
                                 int n);

@@ -181,6 +181,13 @@ class WireWriter
         buf_.insert(buf_.end(), b.begin(), b.end());
     }
 
+    /** Overwrites the u32 written at byte `at`. */
+    void patchU32(size_t at, uint32_t v)
+    {
+        for (size_t i = 0; i < 4; ++i)
+            buf_[at + i] = uint8_t(v >> (8 * i));
+    }
+
     const std::vector<uint8_t> &data() const { return buf_; }
     std::vector<uint8_t> take() { return std::move(buf_); }
 
@@ -324,22 +331,19 @@ void encodeHeader(const MsgHeader &h, WireWriter &w);
  */
 WireError decodeHeader(const uint8_t *data, size_t size, MsgHeader &out);
 
-/** header + payload, ready to send. */
+/** header + payload, ready to send: the payload is encoded behind a
+ *  header whose length field is then patched, in one buffer. */
 template <typename Msg>
 std::vector<uint8_t>
 packMessage(MsgType type, const Msg &msg)
 {
-    WireWriter payload;
-    msg.encode(payload);
     MsgHeader h;
     h.type = type;
-    h.length = uint32_t(payload.data().size());
-    WireWriter out;
-    encodeHeader(h, out);
-    std::vector<uint8_t> buf = out.take();
-    const std::vector<uint8_t> &p = payload.data();
-    buf.insert(buf.end(), p.begin(), p.end());
-    return buf;
+    WireWriter w;
+    encodeHeader(h, w);
+    msg.encode(w);
+    w.patchU32(kHeaderSize - 4, uint32_t(w.data().size() - kHeaderSize));
+    return w.take();
 }
 
 /** Strict payload decode: every field read AND the buffer consumed

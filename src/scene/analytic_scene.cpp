@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/exp_batch.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -205,8 +206,9 @@ AnalyticScene::densityBatch(const Vec3 *pos, int count, float *sigma,
     // Per primitive: its SDF over the chunk, then the falloff, then the
     // density sum. The SDF and sum loops vectorize (CMakeLists.txt gives
     // this file the two flags GCC needs for the SDFs), and SIMD lanes
-    // round as scalar code does. The falloff calls expf per point: a
-    // vector exp would not round as expf does.
+    // round as scalar code does. The falloff is falloff()'s
+    // 1 + exp(d / softness) in three passes, its exps in one expBatch
+    // call, which returns std::exp's bits.
     for (size_t i = 0; i < prims_.size(); ++i) {
         const Primitive &prim = prims_[i];
         const Vec3 c = prim.center;
@@ -215,12 +217,17 @@ AnalyticScene::densityBatch(const Vec3 *pos, int count, float *sigma,
             for (int p = 0; p < count; ++p)
                 t[p] = sd(x[p] - c.x, y[p] - c.y, z[p] - c.z);
         });
-        for (int p = 0; p < count; ++p)
-            t[p] = falloff(t[p], prim.softness);
-        const float amp = prim.density_amp;
+        const float softness = prim.softness;
 #pragma omp simd
         for (int p = 0; p < count; ++p)
+            t[p] = t[p] / softness;
+        expBatch(t, count, t);
+        const float amp = prim.density_amp;
+#pragma omp simd
+        for (int p = 0; p < count; ++p) {
+            t[p] = 1.0f + t[p];
             acc[p] += amp / t[p];
+        }
         if (int(i) < nterms)
             for (int p = 0; p < count; ++p)
                 terms[p * nterms + int(i)] = t[p];

@@ -80,8 +80,11 @@ struct SceneInfo
  * density_amp_i * (1 / t_i). density() can hand the terms it computed to
  * a later sample() at the same point, which then skips the SDFs and
  * exps, and densityBatch() computes them one primitive at a time over a
- * chunk of points. Every path evaluates the one SDF and falloff body per
- * formula (analytic_scene.cpp), so all of them agree bit for bit.
+ * chunk of points. Every path evaluates the one SDF body per formula
+ * (analytic_scene.cpp) and the falloff's same float operations,
+ * densityBatch() taking a chunk's exps from one expBatch call
+ * (util/exp_batch.hpp), which returns std::exp's bits; so all of them
+ * agree bit for bit.
  */
 class AnalyticScene
 {
