@@ -12,13 +12,11 @@
  * (framing, encode, TCP, decode) is exercised with zero setup.
  */
 
-#include <atomic>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/client.hpp"
@@ -53,11 +51,12 @@ usage(const char *argv0)
            "  --step <rad>        orbit step (default 0.05)\n"
            "  --ppm <prefix>      write every decoded frame as\n"
            "                      <prefix>NNN.ppm\n"
-           "  --trace-follow <f>  subscribe to the service's live span\n"
-           "                      stream on a second connection and\n"
-           "                      tail it into <f> (Perfetto JSON,\n"
-           "                      rewritten as spans arrive) -- works\n"
-           "                      against a remote service, no restart\n"
+           "  --trace-fetch <f>   turn the service's span recording on\n"
+           "                      for the orbit, then fetch the spans\n"
+           "                      its rings hold into <f> (Perfetto\n"
+           "                      JSON) and restore the recording\n"
+           "                      state -- works against a remote\n"
+           "                      service, no restart\n"
            "  --slow-ms <n>       self-hosted service only: slow-frame\n"
            "                      flight recorder threshold, ms (each\n"
            "                      slow render's stage times are dumped\n"
@@ -102,7 +101,7 @@ int
 main(int argc, char **argv)
 {
     std::string host = "127.0.0.1", scene = "Lego", ppm;
-    std::string trace_follow, metrics_out;
+    std::string trace_fetch, metrics_out;
     int port = 0, frames = 12, width = 48, samples = 48;
     float step = 0.05f;
     double slow_ms = 0.0;
@@ -134,8 +133,8 @@ main(int argc, char **argv)
             step = float(std::atof(argv[++i]));
         else if (arg == "--ppm" && i + 1 < argc)
             ppm = next();
-        else if (arg == "--trace-follow" && i + 1 < argc)
-            trace_follow = next();
+        else if (arg == "--trace-fetch" && i + 1 < argc)
+            trace_fetch = next();
         else if (arg == "--slow-ms" && i + 1 < argc)
             slow_ms = std::atof(argv[++i]);
         else if (arg == "--metrics-out" && i + 1 < argc)
@@ -182,28 +181,18 @@ main(int argc, char **argv)
         info = scene::createScene(scene)->info();
     }
 
-    // ---- optional live span follower (own connection + thread) ----
-    // Subscribing turns span recording on service-side, so this works
-    // against an already-running remote service with tracing off.
-    std::atomic<bool> follow_stop{false};
-    std::thread follower;
-    std::string follow_err;
-    bool follow_ok = false;
-    if (!trace_follow.empty()) {
-        follower = std::thread([&] {
-            net::Client fc;
-            if (!fc.connect(host, uint16_t(port), &follow_err))
-                return;
-            follow_ok = fc.followSpans(trace_follow, 3600.0,
-                                       &follow_stop, &follow_err);
-            fc.disconnect();
-        });
-    }
-
     net::Client client;
     std::string err;
     if (!client.connect(host, uint16_t(port), &err)) {
         std::cerr << "connect failed: " << err << "\n";
+        return 1;
+    }
+    // Recording on for the orbit, so this works against a running
+    // service with tracing off; the second fetch restores the state
+    // this one replaced.
+    net::FetchedTrace before;
+    if (!trace_fetch.empty() && !client.fetchTrace(true, before, &err)) {
+        std::cerr << "trace fetch failed: " << err << "\n";
         return 1;
     }
     const uint64_t session = client.openSession(scene, qos, encoding, &err);
@@ -274,6 +263,18 @@ main(int argc, char **argv)
                               : 0.0)
               << " smaller with " << net::encodingName(encoding) << ")\n";
 
+    if (!trace_fetch.empty()) {
+        net::FetchedTrace trace;
+        if (!client.fetchTrace(before.was_recording, trace, &err) ||
+            !telemetry::writeJson(trace_fetch, trace.spans, &err)) {
+            std::cerr << "trace fetch failed: " << err << "\n";
+            return 1;
+        }
+        std::cout << "fetched " << trace.spans.size() << " spans ("
+                  << trace.overwritten << " overwritten) into "
+                  << trace_fetch << " (open at ui.perfetto.dev)\n";
+    }
+
     // The server's metrics travel the wire too (GetStats answers with
     // the exposition), so this works against a remote service as well.
     if (!metrics_out.empty()) {
@@ -299,15 +300,5 @@ main(int argc, char **argv)
 
     client.closeSession(session, &err);
     client.disconnect();
-
-    if (follower.joinable()) {
-        follow_stop = true;
-        follower.join();
-        if (follow_ok)
-            std::cout << "followed live spans into " << trace_follow
-                      << " (open at ui.perfetto.dev)\n";
-        else
-            std::cerr << "trace follow failed: " << follow_err << "\n";
-    }
     return 0;
 }

@@ -231,9 +231,9 @@ FrameEngine::runTask(InFlight &f, int stage, int index)
     try {
         // Every task records one span under its stage's name, so a
         // trace shows the per-lane spread of probe rows and tiles. The
-        // span closes before finish() runs the consumer callback, so a
-        // slow-frame dump collecting this ticket's spans from inside
-        // on_complete sees the finalize span.
+        // span closes before finish() runs the consumer callback:
+        // engine.finalize covers the stats finalize, and delivery
+        // follows it.
         telemetry::ScopedSpan sp(kStageName[stage], f.id, f.req.ticket);
         const core::AsdrRenderer &r = *f.req.renderer;
         switch (stage) {

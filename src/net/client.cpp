@@ -142,9 +142,6 @@ Client::disconnect()
     refs_.clear();
     last_frames_.clear();
     sessions_.clear();
-    spans_.clear();
-    span_batches_dropped_ = 0;
-    span_sub_ = false;
 }
 
 void
@@ -338,17 +335,12 @@ Client::nextFrame(ClientFrame &out, std::string *err)
         std::vector<uint8_t> payload;
         if (!readMessage(type, payload, err))
             return false;
-        if (type == MsgType::FrameResult) {
-            if (!takeFrameResult(payload, err))
-                return false;
-        } else if (type == MsgType::SpanBatch) {
-            if (!takeSpanBatch(payload, err))
-                return false;
-        } else {
+        if (type != MsgType::FrameResult)
             return fail(err, ClientError::Protocol,
                         std::string("unexpected ") + msgTypeName(type) +
                             " while waiting for a frame");
-        }
+        if (!takeFrameResult(payload, err))
+            return false;
     }
     out = std::move(results_.front());
     results_.pop_front();
@@ -374,114 +366,30 @@ Client::fetchMetricsText(std::string &out, std::string *err)
 }
 
 bool
-Client::subscribeSpans(bool on, std::string *err)
+Client::fetchTrace(bool recording, FetchedTrace &out, std::string *err)
 {
-    SubscribeTelemetryMsg msg;
-    msg.enable = on ? 1 : 0;
-    if (!send(MsgType::SubscribeTelemetry,
-              packMessage(MsgType::SubscribeTelemetry, msg), err))
+    GetTraceMsg msg;
+    msg.recording = recording ? 1 : 0;
+    if (!send(MsgType::GetTrace, packMessage(MsgType::GetTrace, msg), err))
         return false;
-    // waitReply buffers every SpanBatch ahead of the Ok -- on
-    // unsubscribe that IS the final drain the service queued before
-    // replying, so nothing recorded pre-barrier is lost.
-    std::vector<uint8_t> payload;
-    if (!waitReply(MsgType::SubscribeTelemetryOk, payload, err))
-        return false;
-    SubscribeTelemetryOkMsg ok;
-    if (!decodePayload(payload.data(), payload.size(), ok))
-        return fail(err, ClientError::Protocol,
-                    "bad SubscribeTelemetryOk");
-    if ((ok.enabled != 0) != on)
-        return fail(err, ClientError::Protocol,
-                    "SubscribeTelemetryOk state mismatch");
-    span_sub_ = on;
-    last_error_ = ClientError::None;
-    return true;
-}
-
-size_t
-Client::drainSpans(std::vector<telemetry::Span> &out)
-{
-    const size_t n = spans_.size();
-    out.reserve(out.size() + n);
-    for (auto &s : spans_)
-        out.push_back(std::move(s));
-    spans_.clear();
-    return n;
-}
-
-bool
-Client::followSpans(const std::string &path, double duration_s,
-                    const std::atomic<bool> *stop, std::string *err)
-{
-    if (!subscribeSpans(true, err))
-        return false;
-    std::vector<telemetry::Span> all;
-    std::string werr;
-    auto writeFile = [&] { return telemetry::writeJson(path, all, &werr); };
-    drainSpans(all);
-    bool failed = !writeFile();
-
-    // Poll with a short receive window so `stop`/`duration_s` are
-    // honored promptly; a clean-boundary timeout is "nothing new yet"
-    // and leaves the connection open.
-    sock_.setRecvTimeout(0.2);
-    const auto t0 = std::chrono::steady_clock::now();
-    while (!failed) {
-        if (stop && stop->load(std::memory_order_relaxed))
-            break;
-        if (duration_s > 0.0 &&
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                    .count() >= duration_s)
-            break;
-        MsgType type;
+    out = FetchedTrace();
+    for (;;) {
         std::vector<uint8_t> payload;
-        if (!readMessage(type, payload, &werr)) {
-            if (last_error_ == ClientError::Timeout && connected())
-                continue;
-            failed = true;
-            break;
+        if (!waitReply(MsgType::SpanBatch, payload, err))
+            return false;
+        SpanBatchMsg chunk;
+        if (!decodePayload(payload.data(), payload.size(), chunk)) {
+            sock_.close();
+            return fail(err, ClientError::Protocol, "corrupt SpanBatch");
         }
-        if (type == MsgType::SpanBatch) {
-            if (!takeSpanBatch(payload, &werr)) {
-                failed = true;
-                break;
-            }
-        } else if (type == MsgType::FrameResult) {
-            if (!takeFrameResult(payload, &werr)) {
-                failed = true;
-                break;
-            }
-        } else {
-            last_error_ = ClientError::Protocol;
-            werr = std::string("unexpected ") + msgTypeName(type) +
-                   " while following spans";
-            failed = true;
+        out.overwritten = chunk.overwritten;
+        out.was_recording = chunk.was_recording != 0;
+        for (WireSpan &s : chunk.spans)
+            out.spans.push_back(telemetry::Span{
+                out.names.insert(std::move(s.name)).first->c_str(),
+                s.frame, s.ticket, s.lane, s.t_start_us, s.t_end_us});
+        if (chunk.last)
             break;
-        }
-        // Every batch grows the file in place: the trace is loadable
-        // at any moment, not only after a clean shutdown.
-        if (drainSpans(all) > 0 && !writeFile()) {
-            failed = true;
-            break;
-        }
-    }
-    if (connected()) {
-        sock_.setRecvTimeout(recv_timeout_s_);
-        if (!failed && !subscribeSpans(false, &werr))
-            failed = true;
-    } else if (!failed) {
-        failed = true;
-        if (werr.empty())
-            werr = "connection lost while following spans";
-    }
-    drainSpans(all);
-    if (!writeFile())
-        failed = true;
-    if (failed) {
-        setErr(err, werr.empty() ? "span follow failed" : werr);
-        return false;
     }
     last_error_ = ClientError::None;
     return true;
@@ -516,9 +424,9 @@ Client::readMessage(MsgType &type, std::vector<uint8_t> &payload,
         if (k <= 0) {
             // A timeout on a clean message boundary (no header byte
             // read yet) is just "nothing arrived": the stream is
-            // intact, so the connection survives -- pollers (span
-            // followers) rely on this. A mid-message timeout means a
-            // truncated frame and still closes.
+            // intact, so the connection survives and the caller may
+            // read again. A mid-message timeout means a truncated
+            // frame and still closes.
             if (k == kRecvWouldBlock && got == 0)
                 return fail(err, ClientError::Timeout,
                             "receive timed out");
@@ -574,11 +482,6 @@ Client::waitReply(MsgType want, std::vector<uint8_t> &payload,
             return true;
         if (type == MsgType::FrameResult) {
             if (!takeFrameResult(payload, err))
-                return false;
-            continue;
-        }
-        if (type == MsgType::SpanBatch) {
-            if (!takeSpanBatch(payload, err))
                 return false;
             continue;
         }
@@ -665,23 +568,6 @@ Client::takeFrameResult(const std::vector<uint8_t> &payload,
         }
     }
     results_.push_back(std::move(frame));
-    return true;
-}
-
-bool
-Client::takeSpanBatch(const std::vector<uint8_t> &payload, std::string *err)
-{
-    SpanBatchMsg msg;
-    if (!decodePayload(payload.data(), payload.size(), msg)) {
-        sock_.close();
-        return fail(err, ClientError::Protocol, "corrupt SpanBatch");
-    }
-    // `dropped` is cumulative per subscription; last header wins.
-    span_batches_dropped_ = msg.dropped;
-    for (WireSpan &s : msg.spans)
-        spans_.push_back(telemetry::Span{
-            span_names_.insert(std::move(s.name)).first->c_str(), s.frame,
-            s.ticket, s.lane, s.t_start_us, s.t_end_us});
     return true;
 }
 

@@ -31,7 +31,6 @@
 #ifndef ASDR_NET_CLIENT_HPP
 #define ASDR_NET_CLIENT_HPP
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <set>
@@ -81,6 +80,26 @@ struct ClientFrame
     bool stale = false;
 
     bool ok() const { return status == FrameStatus::Ok; }
+};
+
+/** GetTrace's reply, reassembled from its SpanBatch chunks. Move-only:
+ *  the spans' names point into `names`. */
+struct FetchedTrace
+{
+    FetchedTrace() = default;
+    FetchedTrace(FetchedTrace &&) = default;
+    FetchedTrace &operator=(FetchedTrace &&) = default;
+    FetchedTrace(const FetchedTrace &) = delete;
+    FetchedTrace &operator=(const FetchedTrace &) = delete;
+
+    /** Every span the service's rings held, each lane oldest first. */
+    std::vector<telemetry::Span> spans;
+    /** Spans the service's rings had overwritten. */
+    uint64_t overwritten = 0;
+    /** The service's recording state before this request. */
+    bool was_recording = false;
+    /** Each span name once (set nodes never move). */
+    std::set<std::string> names;
 };
 
 /** Received-frame byte accounting across a connection's lifetime. */
@@ -227,35 +246,15 @@ class Client
     bool fetchMetricsText(std::string &out, std::string *err = nullptr);
 
     /**
-     * Subscribe to (or end) the service's live telemetry span stream.
-     * While subscribed, SpanBatch messages arrive interleaved with
-     * control replies and frames; they are buffered internally (drain
-     * with drainSpans) and never disturb nextFrame()/control calls.
-     * Unsubscribing is a deterministic barrier: the service drains
-     * everything recorded so far BEFORE the Ok, so after a successful
-     * subscribeSpans(false) the buffer holds the complete stream.
+     * Set the service's span recording on or off and fetch every span
+     * its rings hold (GetTrace; write the result with
+     * telemetry::writeJson). FrameResults that arrive between the
+     * chunks are buffered for nextFrame(). The remote analog of
+     * ASDR_TRACE_OUT's exit dump: no restart needed. A service with a
+     * full outbound queue refuses (ClientError::Refused).
      */
-    bool subscribeSpans(bool on, std::string *err = nullptr);
-    /** Move every buffered streamed span into `out`; returns count.
-     *  Span names point into this client and stay valid while it
-     *  lives. */
-    size_t drainSpans(std::vector<telemetry::Span> &out);
-    /** Span batches the service shed under backpressure (cumulative,
-     *  from the last SpanBatch header). */
-    uint64_t spanBatchesDropped() const { return span_batches_dropped_; }
-
-    /**
-     * Tail the service's spans into a growing Perfetto-loadable JSON
-     * file: subscribe, then rewrite `path` as a complete trace
-     * document after every received batch, until `duration_s` elapses
-     * (0 = no time limit) or `*stop` turns true, then unsubscribe and
-     * write the final drain. False on connection/protocol failure
-     * (the file still holds everything received). The live remote
-     * analog of ASDR_TRACE_OUT's exit dump -- no restart needed.
-     */
-    bool followSpans(const std::string &path, double duration_s,
-                     const std::atomic<bool> *stop = nullptr,
-                     std::string *err = nullptr);
+    bool fetchTrace(bool recording, FetchedTrace &out,
+                    std::string *err = nullptr);
 
     const ClientTransferStats &transfer() const { return transfer_; }
     /** Classification of the most recent failure (None on success). */
@@ -296,9 +295,6 @@ class Client
     /** Decode + buffer one FrameResult payload. */
     bool takeFrameResult(const std::vector<uint8_t> &payload,
                          std::string *err);
-    /** Decode + buffer one SpanBatch payload. */
-    bool takeSpanBatch(const std::vector<uint8_t> &payload,
-                       std::string *err);
     bool fail(std::string *err, ClientError cls, const std::string &what);
 
     Socket sock_;
@@ -313,13 +309,6 @@ class Client
     std::unordered_map<uint64_t, SessionState> sessions_;
     ClientTransferStats transfer_;
     ClientError last_error_ = ClientError::None;
-    /** Streamed spans awaiting drainSpans(). */
-    std::deque<telemetry::Span> spans_;
-    /** Every streamed span name, once: the storage spans_' names
-     *  point into (set nodes never move). */
-    std::set<std::string> span_names_;
-    uint64_t span_batches_dropped_ = 0;
-    bool span_sub_ = false;
 
     std::string host_;
     uint16_t port_ = 0;

@@ -47,12 +47,10 @@ msgTypeName(MsgType t)
         return "ResumeSessionOk";
     case MsgType::MetricsReply:
         return "MetricsReply";
-    case MsgType::SubscribeTelemetry:
-        return "SubscribeTelemetry";
-    case MsgType::SubscribeTelemetryOk:
-        return "SubscribeTelemetryOk";
     case MsgType::SpanBatch:
         return "SpanBatch";
+    case MsgType::GetTrace:
+        return "GetTrace";
     }
     return "?";
 }
@@ -288,27 +286,15 @@ MetricsReplyMsg::decode(WireReader &r)
 }
 
 void
-SubscribeTelemetryMsg::encode(WireWriter &w) const
+GetTraceMsg::encode(WireWriter &w) const
 {
-    w.u8(enable);
+    w.u8(recording);
 }
 
 bool
-SubscribeTelemetryMsg::decode(WireReader &r)
+GetTraceMsg::decode(WireReader &r)
 {
-    return r.u8(enable) && enable <= 1;
-}
-
-void
-SubscribeTelemetryOkMsg::encode(WireWriter &w) const
-{
-    w.u8(enabled);
-}
-
-bool
-SubscribeTelemetryOkMsg::decode(WireReader &r)
-{
-    return r.u8(enabled) && enabled <= 1;
+    return r.u8(recording) && recording <= 1;
 }
 
 void
@@ -336,8 +322,9 @@ WireSpan::decode(WireReader &r)
 void
 SpanBatchMsg::encode(WireWriter &w) const
 {
-    w.u64(seq);
-    w.u64(dropped);
+    w.u64(overwritten);
+    w.u8(was_recording);
+    w.u8(last);
     w.u32(uint32_t(spans.size()));
     for (const WireSpan &s : spans)
         s.encode(w);
@@ -347,8 +334,9 @@ bool
 SpanBatchMsg::decode(WireReader &r)
 {
     uint32_t count = 0;
-    if (!(r.u64(seq) && r.u64(dropped) && r.u32(count)) ||
-        count > kMaxSpansPerBatch)
+    if (!(r.u64(overwritten) && r.u8(was_recording) && r.u8(last) &&
+          r.u32(count)) ||
+        was_recording > 1 || last > 1 || count > kMaxSpansPerBatch)
         return false;
     spans.clear();
     spans.reserve(count);

@@ -40,11 +40,9 @@
  *                            connection lost in flight.
  *   CloseSession / -Ok       sheds pending frames, waits in-flight ones
  *   GetStats / MetricsReply  the server's metrics as Prometheus text
- *   SubscribeTelemetry / -Ok live-span subscription toggle; while on,
- *                            the service streams SpanBatch messages
- *   SpanBatch (service)      async: stage spans recorded since the
- *                            last batch (droppable under backpressure,
- *                            drops counted in the next batch header)
+ *   GetTrace / SpanBatch...  set span recording on or off; answered
+ *                            with every span the service's rings hold,
+ *                            in SpanBatch chunks, the last one flagged
  *   Error (service)          failed request, or protocol violation
  *                            (violations are followed by a close)
  */
@@ -71,15 +69,20 @@ constexpr uint32_t kMagic = 0x52445341u; // 'A','S','D','R' on the wire
  *  per-scene density memo (hits/misses/evictions/epoch_drops). */
 /** v5: GetStats carries a format selector (binary StatsReply or
  *  Prometheus text) and MetricsReply carries the text exposition. */
-/** v6: SubscribeTelemetry/-Ok + SpanBatch stream live stage spans to a
- *  subscribed client; WireCounters count span batches sent/dropped;
- *  StatsReply per-class sections carry the SLO burn-rate fields. */
+/** v6: a subscribe request and reply (types 16, 17) + SpanBatch stream
+ *  live stage spans to a subscribed client; WireCounters count span
+ *  batches sent/dropped; StatsReply per-class sections carry the SLO
+ *  burn-rate fields. */
 /** v7: StatsReply per-scene sections drop the four v4 memo counters
  *  (the memo was removed). */
 /** v8: GetStats has an empty payload and always answers MetricsReply
  *  (the server's exposition); StatsReply (type 11), its codecs and the
  *  v5 format selector are gone. */
-constexpr uint16_t kProtocolVersion = 8;
+/** v9: GetTrace (type 19) replaces v6's live span stream and its
+ *  subscribe messages (types 16 and 17 are gone). SpanBatch is its
+ *  only reply, and its header carries the overwritten count, the
+ *  replaced recording state and a last-chunk flag. */
+constexpr uint16_t kProtocolVersion = 9;
 constexpr size_t kHeaderSize = 12;
 /** Hard cap on one message's payload; oversized headers are a protocol
  *  violation (a 4K frame is ~200 MB raw -- far beyond this service's
@@ -98,8 +101,8 @@ constexpr uint32_t kMaxRequestPayload = 64u * 1024;
 constexpr uint32_t kMaxFrameBytes = 32u << 20;
 /** Cap on any string field (scene names, error text). */
 constexpr uint32_t kMaxString = 4096;
-/** Cap on spans in one SpanBatch: bounds the decode allocation a
- *  hostile count could ask for. */
+/** Cap on spans in one SpanBatch chunk: bounds the decode allocation
+ *  a hostile count could ask for. */
 constexpr uint32_t kMaxSpansPerBatch = 65536;
 
 enum class MsgType : uint16_t
@@ -118,9 +121,8 @@ enum class MsgType : uint16_t
     ResumeSession = 13,
     ResumeSessionOk = 14,
     MetricsReply = 15,
-    SubscribeTelemetry = 16,
-    SubscribeTelemetryOk = 17,
     SpanBatch = 18,
+    GetTrace = 19,
 };
 
 const char *msgTypeName(MsgType t);
@@ -525,24 +527,11 @@ struct MetricsReplyMsg
     bool decode(WireReader &r);
 };
 
-/** Toggle a live-span subscription for this connection (v6). While
- *  enabled, the service drains newly recorded stage spans to the
- *  connection as SpanBatch messages on its stream timer. Enabling
- *  turns span recording on service-side if it was off; the reply to a
- *  disable is sent AFTER the final drain, so a follower that reads
- *  until SubscribeTelemetryOk holds every span recorded before the
- *  unsubscribe. */
-struct SubscribeTelemetryMsg
+/** Set the service's span recording on (1) or off (0), then fetch
+ *  every span its rings hold (v9). Any other value fails decode. */
+struct GetTraceMsg
 {
-    uint8_t enable = 1;
-
-    void encode(WireWriter &w) const;
-    bool decode(WireReader &r);
-};
-
-struct SubscribeTelemetryOkMsg
-{
-    uint8_t enabled = 0; ///< subscription state after the request
+    uint8_t recording = 1;
 
     void encode(WireWriter &w) const;
     bool decode(WireReader &r);
@@ -563,14 +552,17 @@ struct WireSpan
     bool decode(WireReader &r);
 };
 
-/** A batch of live spans (service -> subscribed client, async). */
+/** One chunk of GetTrace's reply: at most kMaxSpansPerBatch spans,
+ *  each lane's oldest first. Every chunk repeats the header. */
 struct SpanBatchMsg
 {
-    /** Batch sequence number on this connection, starting at 1. */
-    uint64_t seq = 0;
-    /** Cumulative batches dropped to this subscriber by outbound
-     *  backpressure (whole batches, never partial ones). */
-    uint64_t dropped = 0;
+    /** Spans the service's rings had overwritten
+     *  (telemetry::droppedCount()). */
+    uint64_t overwritten = 0;
+    /** The recording state the GetTrace replaced (0 off, 1 on). */
+    uint8_t was_recording = 0;
+    /** 1 on the reply's final chunk. */
+    uint8_t last = 0;
     std::vector<WireSpan> spans;
 
     void encode(WireWriter &w) const;

@@ -2,6 +2,7 @@
 
 #include <poll.h>
 
+#include <algorithm>
 #include <random>
 #include <stdexcept>
 
@@ -40,14 +41,6 @@ constexpr const char *kBanner = "asdr-render-service";
 /** Parked frame PAYLOADS per detached session; past it the oldest
  *  parked payload is shed (its result kept, flagged Shed). */
 constexpr size_t kMaxParkedPayloads = 256;
-/** Live span-stream drain period: how often newly recorded spans are
- *  copied into each subscriber's outbound queue. Subscribers shrink
- *  the poll timeout to this; with none attached the loop blocks. */
-constexpr int kSpanStreamPeriodMs = 50;
-/** Spans per SpanBatch message (larger drains are chunked). */
-constexpr size_t kSpanBatchSpans = 8192;
-static_assert(kSpanBatchSpans <= kMaxSpansPerBatch,
-              "every net::Client rejects a larger SpanBatch");
 
 } // namespace
 
@@ -65,10 +58,7 @@ RenderService::WireMetrics::WireMetrics(metrics::Registry &reg)
       bytes_rx(reg.counter("asdr_wire_bytes_rx_total")),
       frame_payload_bytes(
           reg.counter("asdr_wire_frame_payload_bytes_total")),
-      frame_raw_bytes(reg.counter("asdr_wire_frame_raw_bytes_total")),
-      span_batches_sent(reg.counter("asdr_wire_span_batches_sent_total")),
-      span_batches_dropped(
-          reg.counter("asdr_wire_span_batches_dropped_total"))
+      frame_raw_bytes(reg.counter("asdr_wire_frame_raw_bytes_total"))
 {
     for (int c = 0; c < server::kQosClasses; ++c)
         encode[size_t(c)] = &reg.histogram(
@@ -180,8 +170,6 @@ RenderService::counters() const
     c.bytes_rx = wire_.bytes_rx.value();
     c.frame_payload_bytes = wire_.frame_payload_bytes.value();
     c.frame_raw_bytes = wire_.frame_raw_bytes.value();
-    c.span_batches_sent = wire_.span_batches_sent.value();
-    c.span_batches_dropped = wire_.span_batches_dropped.value();
     return c;
 }
 
@@ -198,7 +186,6 @@ RenderService::run()
         fds.push_back({wake_.readFd(), POLLIN, 0});
         fds.push_back({listener_.fd(), POLLIN, 0});
         int timeout = -1;
-        size_t span_subs = 0;
         {
             std::lock_guard<std::mutex> lock(m_);
             for (auto &entry : conns_) {
@@ -210,17 +197,10 @@ RenderService::run()
                 }
                 fds.push_back({entry.second->sock.fd(), events, 0});
                 polled.push_back(entry.second);
-                if (entry.second->telemetry_sub)
-                    span_subs++;
             }
             if (detached_sessions_ > 0)
                 timeout = kGracePollMs;
         }
-        // Span subscribers turn the blocking poll into a periodic one:
-        // the drain timer must fire even with no socket activity.
-        if (span_subs > 0)
-            timeout = timeout < 0 ? kSpanStreamPeriodMs
-                                  : std::min(timeout, kSpanStreamPeriodMs);
         if (::poll(fds.data(), nfds_t(fds.size()), timeout) < 0) {
             if (errno == EINTR)
                 continue;
@@ -252,79 +232,7 @@ RenderService::run()
                 teardown(conn, /*allow_grace=*/true);
             }
         }
-        if (span_subs > 0)
-            drainSpanStreams(/*force=*/false);
         expireDetached();
-    }
-}
-
-size_t
-RenderService::telemetrySubscribers()
-{
-    std::lock_guard<std::mutex> lock(m_);
-    size_t n = 0;
-    for (auto &entry : conns_)
-        if (entry.second->telemetry_sub)
-            n++;
-    return n;
-}
-
-void
-RenderService::drainSpanStreams(bool force)
-{
-    const auto now = std::chrono::steady_clock::now();
-    if (!force && now - last_span_drain_ < std::chrono::milliseconds(
-                                               kSpanStreamPeriodMs))
-        return;
-    last_span_drain_ = now;
-    std::vector<std::shared_ptr<Connection>> subs;
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        for (auto &entry : conns_)
-            if (entry.second->telemetry_sub)
-                subs.push_back(entry.second);
-    }
-    for (auto &conn : subs)
-        streamSpansTo(conn);
-}
-
-void
-RenderService::streamSpansTo(const std::shared_ptr<Connection> &conn)
-{
-    for (;;) {
-        std::vector<telemetry::Span> spans;
-        if (telemetry::collectNewSpans(conn->span_cursor, spans,
-                                       kSpanBatchSpans) == 0)
-            return;
-        bool dead;
-        size_t out_bytes;
-        {
-            std::lock_guard<std::mutex> out(conn->out_m);
-            dead = conn->dead;
-            out_bytes = conn->out_bytes;
-        }
-        if (dead)
-            return;
-        if (out_bytes >= cfg_.max_outbound_bytes) {
-            // Degrade-before-shed, telemetry flavor: whole batches are
-            // dropped (the cursor already moved past them), counted
-            // here and surfaced in the next delivered batch's
-            // cumulative `dropped` header. Control replies and frame
-            // accounting are never displaced by span traffic.
-            conn->span_dropped++;
-            wire_.span_batches_dropped.inc();
-            continue; // keep draining; later batches may fit
-        }
-        SpanBatchMsg msg;
-        msg.seq = ++conn->span_seq;
-        msg.dropped = conn->span_dropped;
-        msg.spans.reserve(spans.size());
-        for (const telemetry::Span &s : spans)
-            msg.spans.push_back(WireSpan{s.name, s.frame, s.ticket,
-                                         s.lane, s.t_start_us,
-                                         s.t_end_us});
-        wire_.span_batches_sent.inc();
-        sendControl(*conn, MsgType::SpanBatch, msg);
     }
 }
 
@@ -690,51 +598,13 @@ RenderService::handleMessage(const std::shared_ptr<Connection> &conn,
         return true;
     }
 
-    case MsgType::SubscribeTelemetry: {
-        SubscribeTelemetryMsg msg;
+    case MsgType::GetTrace: {
+        GetTraceMsg msg;
         if (!decodePayload(payload, len, msg)) {
-            sendError(*conn, WireError::BadMessage,
-                      "bad SubscribeTelemetry");
+            sendError(*conn, WireError::BadMessage, "bad GetTrace");
             return false;
         }
-        if (msg.enable) {
-            if (!conn->telemetry_sub) {
-                conn->telemetry_sub = true;
-                conn->span_cursor = telemetry::CollectCursor{};
-                conn->span_seq = 0;
-                conn->span_dropped = 0;
-                // A subscriber wants spans: turn recording on if the
-                // host process left it off. The service remembers who
-                // enabled it and restores the off state when the last
-                // subscriber leaves, so a scrape-and-go client does
-                // not leave tracing running forever.
-                if (!telemetry::enabled()) {
-                    telemetry::setEnabled(true);
-                    service_enabled_tracing_ = true;
-                }
-            }
-            SubscribeTelemetryOkMsg ok;
-            ok.enabled = 1;
-            sendControl(*conn, MsgType::SubscribeTelemetryOk, ok);
-        } else {
-            if (conn->telemetry_sub) {
-                // Final drain BEFORE the Ok: batches and the reply
-                // share the ordered outbound queue, so the Ok is a
-                // deterministic end-of-stream barrier -- the client
-                // reads SpanBatch messages until it sees the Ok and
-                // misses nothing recorded before the unsubscribe.
-                streamSpansTo(conn);
-                conn->telemetry_sub = false;
-                if (service_enabled_tracing_ &&
-                    telemetrySubscribers() == 0) {
-                    telemetry::setEnabled(false);
-                    service_enabled_tracing_ = false;
-                }
-            }
-            SubscribeTelemetryOkMsg ok;
-            ok.enabled = 0;
-            sendControl(*conn, MsgType::SubscribeTelemetryOk, ok);
-        }
+        sendTrace(*conn, msg.recording != 0);
         return true;
     }
 
@@ -744,6 +614,43 @@ RenderService::handleMessage(const std::shared_ptr<Connection> &conn,
         sendError(*conn, WireError::BadMessage, "unexpected message type");
         return false;
     }
+}
+
+void
+RenderService::sendTrace(Connection &conn, bool recording)
+{
+    size_t queued;
+    {
+        std::lock_guard<std::mutex> out(conn.out_m);
+        queued = conn.out_bytes;
+    }
+    // Control replies are never shed, so a client that kept asking
+    // without reading would grow its queue without bound. Past the
+    // bound frame payloads obey, the request is refused instead and
+    // changes nothing.
+    if (queued >= cfg_.max_outbound_bytes) {
+        sendError(conn, WireError::Rejected, "outbound queue full");
+        return;
+    }
+    SpanBatchMsg chunk;
+    chunk.was_recording = telemetry::enabled() ? 1 : 0;
+    telemetry::setEnabled(recording);
+    const std::vector<telemetry::Span> spans = telemetry::snapshot();
+    chunk.overwritten = telemetry::droppedCount();
+    size_t at = 0;
+    do {
+        const size_t end =
+            std::min(spans.size(), at + size_t(kMaxSpansPerBatch));
+        chunk.spans.clear();
+        for (; at < end; ++at) {
+            const telemetry::Span &s = spans[at];
+            chunk.spans.push_back(WireSpan{s.name, s.frame, s.ticket,
+                                           s.lane, s.t_start_us,
+                                           s.t_end_us});
+        }
+        chunk.last = at == spans.size() ? 1 : 0;
+        sendControl(conn, MsgType::SpanBatch, chunk);
+    } while (at < spans.size());
 }
 
 // -------------------------------------------------- completion delivery
@@ -887,26 +794,15 @@ void
 RenderService::teardown(const std::shared_ptr<Connection> &conn,
                         bool allow_grace)
 {
-    // A dead subscriber ends its stream; if it was the reason tracing
-    // was on, and no other subscriber remains, restore the off state.
-    if (conn->telemetry_sub) {
-        conn->telemetry_sub = false;
-        if (service_enabled_tracing_ && telemetrySubscribers() == 0) {
-            telemetry::setEnabled(false);
-            service_enabled_tracing_ = false;
-        }
-    }
     // Stop the socket side first: no more reads, no more writes.
     // Steal the unsent outbound queue -- complete FrameResult messages
     // still in it are scavenged below so their tickets keep their
     // one-result guarantee across a resume.
     std::deque<std::vector<uint8_t>> unsent;
-    size_t front_off = 0;
     {
         std::lock_guard<std::mutex> out(conn->out_m);
         conn->dead = true;
         unsent = std::move(conn->outq);
-        front_off = conn->out_off;
         conn->outq.clear();
         conn->out_bytes = 0;
         conn->out_off = 0;
@@ -920,10 +816,9 @@ RenderService::teardown(const std::shared_ptr<Connection> &conn,
     // client never saw them (a partially written front message is
     // discarded by the peer), so re-park them as payload-less Shed
     // results. Only the delta payloads are unrecoverable -- dropping
-    // them is exactly what Shed means. (void)front_off: even the
-    // partially sent front message is re-parked; the client cannot
-    // have decoded a partial frame.
-    (void)front_off;
+    // them is exactly what Shed means. Even a partially sent front
+    // message is re-parked: the client cannot have decoded a partial
+    // frame.
     std::unordered_map<uint64_t, std::vector<ParkedResult>> scavenged;
     if (grace) {
         for (const std::vector<uint8_t> &bytes : unsent) {

@@ -26,11 +26,19 @@
  *    still arrives, flagged FrameStatus::Shed, so ticket accounting
  *    stays exact ("every ticket produces exactly one result" survives
  *    the wire) while queue memory stays bounded. Control replies are
- *    never shed. Degrading a frame before it comes to that is the
- *    quality ladder's job (server/quality_ladder.hpp): its floor rung
+ *    never shed, so the one large reply, GetTrace's, is refused
+ *    (Error Rejected, the connection stays open) instead of queued
+ *    past the same bound. Degrading a frame before it comes to that
+ *    is the quality ladder's job (server/quality_ladder.hpp): its floor rung
  *    travels Quantized8. Shed and Quantized8 frames do not advance
  *    the delta reference on either endpoint (both key it off the
  *    MESSAGE's encoding, not the session's).
+ *
+ * Tracing: GetTrace is answered on the poll thread. It sets span
+ * recording on or off, snapshots the process's span rings
+ * (util/telemetry) and queues the spans as SpanBatch chunks, so a
+ * running service can be traced without a restart. Nothing is pushed
+ * unasked.
  *
  * Counters: every wire counter lives in the wrapped FrameServer's
  * metrics registry (asdr_wire_*), as does each delivered result's
@@ -134,10 +142,6 @@ struct WireCounters
      *  the delivery-path analog of the paper's data-reuse savings. */
     uint64_t frame_payload_bytes = 0;
     uint64_t frame_raw_bytes = 0;
-    /** Live-telemetry stream: SpanBatch messages written, and batches
-     *  dropped by per-subscriber backpressure. */
-    uint64_t span_batches_sent = 0;
-    uint64_t span_batches_dropped = 0;
 };
 
 class RenderService
@@ -179,8 +183,6 @@ class RenderService
         metrics::Counter &bytes_rx;
         metrics::Counter &frame_payload_bytes;
         metrics::Counter &frame_raw_bytes;
-        metrics::Counter &span_batches_sent;
-        metrics::Counter &span_batches_dropped;
         /** Per-class encode time of one delivered result, seconds. */
         std::array<metrics::Histogram *, server::kQosClasses> encode{};
     };
@@ -224,14 +226,6 @@ class RenderService
         std::unordered_map<uint64_t, std::shared_ptr<WireSession>> sessions;
         bool hello_done = false;
 
-        // Telemetry span subscription (service thread only, like
-        // `sessions`): an incremental cursor over the process span
-        // buffers plus the stream's sequence/drop accounting.
-        bool telemetry_sub = false;
-        telemetry::CollectCursor span_cursor;
-        uint64_t span_seq = 0;     ///< SpanBatch sequence (sent batches)
-        uint64_t span_dropped = 0; ///< cumulative batches shed (backpressure)
-
         /** out_m guards everything below -- shared between the service
          *  thread, engine callbacks, and the reaper. */
         std::mutex out_m;
@@ -274,18 +268,9 @@ class RenderService
     bool deliverLocked(const std::shared_ptr<Connection> &conn,
                        WireSession &ws, server::FrameResult &&result,
                        bool pre_shed);
-    /**
-     * Drain newly recorded telemetry spans to every subscribed
-     * connection (rate-limited to one full pass per stream period;
-     * `force` drains immediately -- the unsubscribe barrier).
-     */
-    void drainSpanStreams(bool force);
-    /** Stream everything new past `conn`'s cursor as SpanBatch
-     *  messages; sheds whole batches (counted) past the outbound
-     *  bound -- control replies are never shed. */
-    void streamSpansTo(const std::shared_ptr<Connection> &conn);
-    /** Subscribed connections (service thread). */
-    size_t telemetrySubscribers();
+    /** Answer GetTrace: apply the recording state, then queue every
+     *  retained span as SpanBatch chunks. */
+    void sendTrace(Connection &conn, bool recording);
     /** Detached sessions past the grace window -> reaper close. */
     void expireDetached();
     void enqueueClose(CloseJob &&job);
@@ -312,12 +297,6 @@ class RenderService
     uint64_t next_conn_ = 1;
     size_t detached_sessions_ = 0; ///< sessions awaiting resume
     uint64_t token_rng_ = 0;       ///< resume-token stream state
-    /** True when a subscriber turned span recording on (the service
-     *  restores it off when the last subscriber leaves). Service
-     *  thread only. */
-    bool service_enabled_tracing_ = false;
-    /** Last full span-stream drain pass (service thread only). */
-    std::chrono::steady_clock::time_point last_span_drain_{};
 
     std::mutex reap_m_;
     std::condition_variable reap_cv_;

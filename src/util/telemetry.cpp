@@ -17,25 +17,27 @@ std::atomic<bool> g_enabled{false};
 
 namespace {
 
-/** Per-thread span store. Appends lock the owning thread's mutex only
- *  (uncontended on the hot path); exporters lock the registry, then
- *  each buffer, so recording threads never wait on each other. */
-struct ThreadBuf
+/** Per-thread span ring. Appends lock the owning thread's mutex only
+ *  (uncontended on the hot path); readers lock the registry, then
+ *  each ring, so recording threads never wait on each other. */
+struct ThreadRing
 {
     uint32_t lane = 0;
     std::mutex m;
+    /** Up to kRingSpans spans; once full, the oldest is at `head`. */
     std::vector<Span> spans;
-    uint64_t dropped = 0;
+    size_t head = 0; ///< next slot to overwrite once full
+    uint64_t overwritten = 0;
 };
 
-/** Buffers live for the process lifetime: threads may exit, but their
+/** Rings live for the process lifetime: threads may exit, but their
  *  spans stay exportable, and a late atexit writer can still walk the
  *  list. Heap-allocated and never destroyed so the atexit trace
  *  writer cannot race static destruction. */
 struct Registry
 {
     std::mutex m;
-    std::vector<std::unique_ptr<ThreadBuf>> bufs;
+    std::vector<std::unique_ptr<ThreadRing>> rings;
 };
 
 Registry &
@@ -45,21 +47,19 @@ registry()
     return *r;
 }
 
-constexpr size_t kMaxSpansPerThread = 1u << 20;
-
-ThreadBuf &
-threadBuf()
+ThreadRing &
+threadRing()
 {
-    thread_local ThreadBuf *buf = nullptr;
-    if (!buf) {
-        auto owned = std::make_unique<ThreadBuf>();
+    thread_local ThreadRing *ring = nullptr;
+    if (!ring) {
+        auto owned = std::make_unique<ThreadRing>();
         Registry &r = registry();
         std::lock_guard<std::mutex> lock(r.m);
-        owned->lane = uint32_t(r.bufs.size());
-        buf = owned.get();
-        r.bufs.push_back(std::move(owned));
+        owned->lane = uint32_t(r.rings.size());
+        ring = owned.get();
+        r.rings.push_back(std::move(owned));
     }
-    return *buf;
+    return *ring;
 }
 
 std::chrono::steady_clock::time_point
@@ -110,20 +110,20 @@ void
 recordSlow(const char *name, uint64_t frame, uint64_t ticket,
            uint64_t t_start_us, uint64_t t_end_us)
 {
-    ThreadBuf &b = threadBuf();
+    ThreadRing &b = threadRing();
+    const Span s{name, frame, ticket, b.lane, t_start_us, t_end_us};
     std::lock_guard<std::mutex> lock(b.m);
-    if (b.spans.size() >= kMaxSpansPerThread) {
-        b.dropped++;
+    if (b.spans.size() < kRingSpans) {
+        // Grow by doubling, but never past the ring's size.
+        if (b.spans.size() == b.spans.capacity())
+            b.spans.reserve(std::min(
+                kRingSpans, std::max<size_t>(64, 2 * b.spans.size())));
+        b.spans.push_back(s);
         return;
     }
-    Span s;
-    s.name = name;
-    s.frame = frame;
-    s.ticket = ticket;
-    s.lane = b.lane;
-    s.t_start_us = t_start_us;
-    s.t_end_us = t_end_us;
-    b.spans.push_back(s);
+    b.spans[b.head] = s;
+    b.head = (b.head + 1) % kRingSpans;
+    b.overwritten++;
 }
 
 } // namespace detail
@@ -157,7 +157,7 @@ spanCount()
     Registry &r = registry();
     std::lock_guard<std::mutex> lock(r.m);
     size_t n = 0;
-    for (const auto &b : r.bufs) {
+    for (const auto &b : r.rings) {
         std::lock_guard<std::mutex> bl(b->m);
         n += b->spans.size();
     }
@@ -170,9 +170,9 @@ droppedCount()
     Registry &r = registry();
     std::lock_guard<std::mutex> lock(r.m);
     uint64_t n = 0;
-    for (const auto &b : r.bufs) {
+    for (const auto &b : r.rings) {
         std::lock_guard<std::mutex> bl(b->m);
-        n += b->dropped;
+        n += b->overwritten;
     }
     return n;
 }
@@ -183,34 +183,13 @@ snapshot()
     std::vector<Span> out;
     Registry &r = registry();
     std::lock_guard<std::mutex> lock(r.m);
-    for (const auto &b : r.bufs) {
+    for (const auto &b : r.rings) {
         std::lock_guard<std::mutex> bl(b->m);
-        out.insert(out.end(), b->spans.begin(), b->spans.end());
+        const auto oldest = b->spans.begin() + std::ptrdiff_t(b->head);
+        out.insert(out.end(), oldest, b->spans.end());
+        out.insert(out.end(), b->spans.begin(), oldest);
     }
     return out;
-}
-
-size_t
-collectNewSpans(CollectCursor &cur, std::vector<Span> &out,
-                size_t max_spans)
-{
-    Registry &r = registry();
-    std::lock_guard<std::mutex> lock(r.m);
-    if (cur.offsets.size() < r.bufs.size())
-        cur.offsets.resize(r.bufs.size(), 0);
-    size_t appended = 0;
-    for (size_t l = 0; l < r.bufs.size() && appended < max_spans; ++l) {
-        ThreadBuf &b = *r.bufs[l];
-        std::lock_guard<std::mutex> bl(b.m);
-        size_t &off = cur.offsets[l];
-        if (off > b.spans.size())
-            off = 0; // the buffer was reset() under the cursor
-        for (; off < b.spans.size() && appended < max_spans; ++off) {
-            out.push_back(b.spans[off]);
-            ++appended;
-        }
-    }
-    return appended;
 }
 
 void
@@ -218,10 +197,11 @@ reset()
 {
     Registry &r = registry();
     std::lock_guard<std::mutex> lock(r.m);
-    for (const auto &b : r.bufs) {
+    for (const auto &b : r.rings) {
         std::lock_guard<std::mutex> bl(b->m);
         b->spans.clear();
-        b->dropped = 0;
+        b->head = 0;
+        b->overwritten = 0;
     }
 }
 
@@ -299,7 +279,7 @@ spanNames()
         {kSpanProbes, "stage 2: Phase I probe sampling"},
         {kSpanPlanning, "stage 3: per-ray adaptive sample planning"},
         {kSpanTiles, "stage 4: Phase II tile rendering"},
-        {kSpanFinalize, "stage 5: stats finalize + delivery"},
+        {kSpanFinalize, "stage 5: stats finalize (delivery follows)"},
         {kSpanEncode, "wire-side frame encode for one session"},
         {kSpanFlush, "socket flush of queued reply bytes"},
     };

@@ -5,19 +5,20 @@
  *
  * Two cooperating namespaces:
  *
- *  - `telemetry` -- per-thread span buffers recording (frame, ticket,
+ *  - `telemetry` -- per-thread span rings recording (frame, ticket,
  *    stage, worker lane, t_start, t_end) for every pipeline stage a
  *    frame crosses: QoS queue-wait, admission, the five engine
- *    stages, wire encode, and socket flush. Spans export as
- *    Chrome/Perfetto `trace_event` JSON (open the file in
+ *    stages, wire encode, and socket flush. Each ring keeps its
+ *    thread's newest kRingSpans spans, overwriting the oldest. Spans
+ *    export as Chrome/Perfetto `trace_event` JSON (open the file in
  *    ui.perfetto.dev). Unlike the legacy per-frame TraceSink this
  *    never forces the serial path: recording is wait-free against
- *    other workers (each thread appends to its own buffer) and the
+ *    other workers (each thread appends to its own ring) and the
  *    disabled cost is one relaxed atomic load, the same discipline as
  *    `util/fault` -- so the instrumentation stays compiled into
  *    release builds. Spans feed traces only (the exit dump and the
- *    live stream): no metric, and no flight-recorder record, depends
- *    on tracing being on.
+ *    wire's GetTrace request, both reading snapshot()): no metric,
+ *    and no flight-recorder record, depends on tracing being on.
  *
  *  - `metrics` -- named counters, gauges, and log-bucketed histograms
  *    in a `metrics::Registry` with a Prometheus text exposition. Each
@@ -118,7 +119,7 @@ uint64_t toUs(std::chrono::steady_clock::time_point tp);
 /**
  * Record one completed interval. Disabled processes pay one relaxed
  * load and branch; enabled ones append to the calling thread's own
- * buffer (uncontended mutex, no cross-thread waits). Spans feed traces
+ * ring (uncontended mutex, no cross-thread waits). Spans feed traces
  * only; stage time is measured without them (FrameEngine's stage
  * stamps).
  */
@@ -166,41 +167,32 @@ class ScopedSpan
     uint64_t t0_ = 0;
 };
 
-/** Total spans currently buffered across all threads. */
+/**
+ * Spans each recording thread's ring holds. A ring grows on demand to
+ * this many spans (48 bytes each, so 3 MB), then overwrites its
+ * oldest. An in-process server of 3 workers serving about 1,240
+ * frames/s (48x48 Lego) recorded about 63k spans/s over 4 lanes, so a
+ * ring holds its lane's newest few seconds; the fault soak's few
+ * hundred spans fit many times over.
+ */
+inline constexpr size_t kRingSpans = size_t(1) << 16;
+
+/** Total spans currently held across all threads' rings. */
 size_t spanCount();
 
-/** Spans dropped because a thread hit its buffer cap. */
+/** Spans the rings have overwritten since the last reset(). */
 uint64_t droppedCount();
 
-/** Copy out every buffered span (unsorted across lanes). */
+/** Copy out every held span: lane by lane, each lane oldest first. */
 std::vector<Span> snapshot();
 
-/**
- * Incremental reader position over the per-thread span buffers, for
- * live streaming: each drain copies only the spans appended since the
- * previous one. One cursor per subscriber; a reset() (buffer shrank
- * under the cursor) restarts that lane from its beginning.
- */
-struct CollectCursor
-{
-    std::vector<size_t> offsets; ///< next unread index per lane
-};
-
-/**
- * Append up to `max_spans` spans recorded since `cur` last advanced
- * (across all lanes, oldest lanes first) and move the cursor past
- * them. Returns the number appended; calling again after a short read
- * (return == max_spans) picks up where it stopped.
- */
-size_t collectNewSpans(CollectCursor &cur, std::vector<Span> &out,
-                       size_t max_spans);
-
-/** Drop all buffered spans (lane ids and the epoch persist). */
+/** Drop all held spans and the overwritten count (lane ids and the
+ *  epoch persist). */
 void reset();
 
 /**
  * `spans` as a Chrome trace_event JSON document, every span name
- * escaped. The exit dump and net::Client::followSpans both write
+ * escaped. The exit dump and `render_client --trace-fetch` both write
  * through it, so their files load identically in ui.perfetto.dev.
  */
 std::string toJsonString(const std::vector<Span> &spans);

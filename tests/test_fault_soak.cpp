@@ -27,11 +27,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -211,30 +210,27 @@ TEST(FaultSoak, ClosedLoopSurvivesArmedSitesWithExactAccounting)
         client.closeSession(session, &err); // best effort under faults
     };
 
-    // Optional live-trace follower (CI's trace-soak job sets
-    // ASDR_SOAK_FOLLOW_OUT): a subscriber tails the service's span
-    // stream into a file WHILE the soak's socket faults tear
-    // connections around it. A fresh subscription replays the whole
-    // span buffer, so the file converges on the full trace no matter
-    // how many times the follower's own connection is torn.
-    const char *follow_out_env = std::getenv("ASDR_SOAK_FOLLOW_OUT");
-    const std::string follow_out = follow_out_env ? follow_out_env : "";
-    std::atomic<bool> follow_stop{false};
-    std::thread follower;
-    if (!follow_out.empty()) {
-        follower = std::thread([&] {
-            while (!follow_stop.load()) {
+    // Optional trace fetches (CI's trace-soak job sets
+    // ASDR_SOAK_FETCH_OUT): a fetcher asks for the service's retained
+    // trace over and over WHILE the soak's socket faults tear
+    // connections around it. A torn fetch is tolerated and retried on
+    // a fresh connection.
+    const char *fetch_out_env = std::getenv("ASDR_SOAK_FETCH_OUT");
+    const std::string fetch_out = fetch_out_env ? fetch_out_env : "";
+    std::atomic<bool> fetch_stop{false};
+    int fetches_during = 0;
+    std::thread fetcher;
+    if (!fetch_out.empty()) {
+        fetcher = std::thread([&] {
+            while (!fetch_stop.load()) {
                 Client fc;
                 std::string ferr;
-                RetryPolicy retry;
-                retry.max_attempts = 8;
-                if (!fc.connectWithRetry("127.0.0.1", service.port(),
-                                         retry, &ferr,
-                                         /*recv_timeout_s=*/2.0))
-                    break;
-                (void)fc.followSpans(follow_out, 3600.0, &follow_stop,
-                                     &ferr);
-                fc.disconnect();
+                FetchedTrace trace;
+                if (fc.connect("127.0.0.1", service.port(), &ferr,
+                               /*recv_timeout_s=*/2.0) &&
+                    fc.fetchTrace(true, trace, &ferr))
+                    fetches_during++;
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
             }
         });
     }
@@ -273,45 +269,40 @@ TEST(FaultSoak, ClosedLoopSurvivesArmedSitesWithExactAccounting)
     EXPECT_GT(submitted, 0u);
     EXPECT_EQ(submitted, resolved);
 
-    if (!follow_out.empty()) {
-        follow_stop = true;
-        follower.join();
-        // Final convergence pass on a clean connection: followSpans
-        // with the stop flag already up subscribes, lets the service's
-        // unsubscribe barrier drain the FULL buffer (a fresh cursor
-        // replays from the start), and rewrites the file. Retry past
-        // any still-armed socket faults.
-        bool converged = false;
+    if (!fetch_out.empty()) {
+        fetch_stop = true;
+        fetcher.join();
+        // The final fetch, on a clean connection, retried past any
+        // still-armed socket faults: the server is idle, so it holds
+        // everything the soak recorded.
+        bool fetched = false;
         std::string ferr;
-        for (int attempt = 0; attempt < 8 && !converged; ++attempt) {
+        FetchedTrace trace;
+        for (int attempt = 0; attempt < 8 && !fetched; ++attempt) {
             Client fc;
-            std::atomic<bool> stop_now{true};
-            if (!fc.connect("127.0.0.1", service.port(), &ferr))
-                continue;
-            converged =
-                fc.followSpans(follow_out, 3600.0, &stop_now, &ferr);
-            fc.disconnect();
+            fetched = fc.connect("127.0.0.1", service.port(), &ferr) &&
+                      fc.fetchTrace(true, trace, &ferr);
         }
-        ASSERT_TRUE(converged) << ferr;
+        ASSERT_TRUE(fetched) << ferr;
+        EXPECT_EQ(trace.overwritten, 0u) << "the soak outgrew the rings";
+        std::string werr;
+        ASSERT_TRUE(telemetry::writeJson(fetch_out, trace.spans, &werr))
+            << werr;
 
         // The exit dump beside it, for CI's ticket-set comparison.
-        std::string werr;
-        ASSERT_TRUE(telemetry::writeJson(follow_out + ".exit.json",
+        ASSERT_TRUE(telemetry::writeJson(fetch_out + ".exit.json",
                                          telemetry::snapshot(), &werr))
             << werr;
 
-        // And the same comparison here: live streaming lost nothing.
-        std::ifstream in(follow_out, std::ios::binary);
-        ASSERT_TRUE(in.good()) << follow_out;
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        const std::set<uint64_t> followed =
-            ticketsInTraceJson(buf.str());
+        // And the same comparison here: the fetch lost nothing.
+        const std::set<uint64_t> fetched_tickets =
+            ticketsInTraceJson(telemetry::toJsonString(trace.spans));
         const std::set<uint64_t> dumped = ticketsInTraceJson(
             telemetry::toJsonString(telemetry::snapshot()));
-        EXPECT_EQ(followed, dumped);
-        std::cout << "trace follow: " << followed.size()
-                  << " tickets streamed live\n";
+        EXPECT_EQ(fetched_tickets, dumped);
+        std::cout << "trace fetch: " << fetched_tickets.size()
+                  << " tickets, " << trace.spans.size() << " spans; "
+                  << fetches_during << " fetches during the soak\n";
     }
 
     // When ctest armed the sites, record that the soak actually soaked

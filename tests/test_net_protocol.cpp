@@ -370,32 +370,16 @@ TEST(Messages, ResumeMessagesRoundTrip)
     }
 }
 
-TEST(Messages, TelemetrySubscriptionRoundTrips)
-{
-    {
-        SubscribeTelemetryMsg msg;
-        msg.enable = 0;
-        auto buf = packMessage(MsgType::SubscribeTelemetry, msg);
-        SubscribeTelemetryMsg got;
-        ASSERT_TRUE(unpack(buf, MsgType::SubscribeTelemetry, got));
-        EXPECT_EQ(got.enable, 0);
-        expectTruncationsRejected<SubscribeTelemetryMsg>(
-            buf, MsgType::SubscribeTelemetry);
-    }
-    {
-        SubscribeTelemetryOkMsg msg;
-        msg.enabled = 1;
-        auto buf = packMessage(MsgType::SubscribeTelemetryOk, msg);
-        SubscribeTelemetryOkMsg got;
-        ASSERT_TRUE(unpack(buf, MsgType::SubscribeTelemetryOk, got));
-        EXPECT_EQ(got.enabled, 1);
-        expectTruncationsRejected<SubscribeTelemetryOkMsg>(
-            buf, MsgType::SubscribeTelemetryOk);
-    }
+namespace {
 
+/** A two-span SpanBatch chunk, as GetTrace's final reply. */
+SpanBatchMsg
+testSpanBatch()
+{
     SpanBatchMsg msg;
-    msg.seq = 7;
-    msg.dropped = 2;
+    msg.overwritten = 70000;
+    msg.was_recording = 1;
+    msg.last = 1;
     WireSpan s;
     s.name = "engine.phase2_tiles";
     s.frame = 11;
@@ -408,13 +392,41 @@ TEST(Messages, TelemetrySubscriptionRoundTrips)
     s.t_start_us = 1500;
     s.t_end_us = 1501;
     msg.spans.push_back(s);
+    return msg;
+}
+
+} // namespace
+
+TEST(Messages, TraceMessagesRoundTripAndRangeChecks)
+{
+    for (uint8_t recording : {0, 1}) {
+        GetTraceMsg msg;
+        msg.recording = recording;
+        auto buf = packMessage(MsgType::GetTrace, msg);
+        GetTraceMsg got;
+        ASSERT_TRUE(unpack(buf, MsgType::GetTrace, got));
+        EXPECT_EQ(got.recording, recording);
+        expectTruncationsRejected<GetTraceMsg>(buf, MsgType::GetTrace);
+    }
+    {
+        GetTraceMsg bad;
+        bad.recording = 2;
+        GetTraceMsg got;
+        EXPECT_FALSE(
+            unpack(packMessage(MsgType::GetTrace, bad), MsgType::GetTrace,
+                   got));
+    }
+
+    const SpanBatchMsg msg = testSpanBatch();
     auto buf = packMessage(MsgType::SpanBatch, msg);
     SpanBatchMsg got;
     ASSERT_TRUE(unpack(buf, MsgType::SpanBatch, got));
-    EXPECT_EQ(got.seq, 7u);
-    EXPECT_EQ(got.dropped, 2u);
+    EXPECT_EQ(got.overwritten, 70000u);
+    EXPECT_EQ(got.was_recording, 1);
+    EXPECT_EQ(got.last, 1);
     ASSERT_EQ(got.spans.size(), 2u);
     EXPECT_EQ(got.spans[0].name, "engine.phase2_tiles");
+    EXPECT_EQ(got.spans[0].frame, 11u);
     EXPECT_EQ(got.spans[0].ticket, 42u);
     EXPECT_EQ(got.spans[0].lane, 3u);
     EXPECT_EQ(got.spans[0].t_start_us, 1000u);
@@ -422,16 +434,25 @@ TEST(Messages, TelemetrySubscriptionRoundTrips)
     EXPECT_EQ(got.spans[1].name, "net.encode");
     expectTruncationsRejected<SpanBatchMsg>(buf, MsgType::SpanBatch);
 
-    // Validation: a span with an empty name or a backwards interval is
-    // a protocol violation, not a silently accepted record.
+    // Header flags are 0 or 1, and a span with an empty name or a
+    // backwards interval is a protocol violation, not a silently
+    // accepted record.
     SpanBatchMsg bad = msg;
+    bad.was_recording = 2;
+    EXPECT_FALSE(unpack(packMessage(MsgType::SpanBatch, bad),
+                        MsgType::SpanBatch, got));
+    bad = msg;
+    bad.last = 2;
+    EXPECT_FALSE(unpack(packMessage(MsgType::SpanBatch, bad),
+                        MsgType::SpanBatch, got));
+    bad = msg;
     bad.spans[0].name.clear();
-    buf = packMessage(MsgType::SpanBatch, bad);
-    EXPECT_FALSE(unpack(buf, MsgType::SpanBatch, got));
+    EXPECT_FALSE(unpack(packMessage(MsgType::SpanBatch, bad),
+                        MsgType::SpanBatch, got));
     bad = msg;
     bad.spans[1].t_end_us = bad.spans[1].t_start_us - 1;
-    buf = packMessage(MsgType::SpanBatch, bad);
-    EXPECT_FALSE(unpack(buf, MsgType::SpanBatch, got));
+    EXPECT_FALSE(unpack(packMessage(MsgType::SpanBatch, bad),
+                        MsgType::SpanBatch, got));
 }
 
 TEST(Messages, RemainingControlRoundTrips)
@@ -564,11 +585,7 @@ TEST(Fuzz, RandomBuffersNeverCrashAnyDecoder)
             (void)decodePayload(p, n, m);
         }
         {
-            SubscribeTelemetryMsg m;
-            (void)decodePayload(p, n, m);
-        }
-        {
-            SubscribeTelemetryOkMsg m;
+            GetTraceMsg m;
             (void)decodePayload(p, n, m);
         }
         {
@@ -578,13 +595,15 @@ TEST(Fuzz, RandomBuffersNeverCrashAnyDecoder)
     }
 }
 
-TEST(Fuzz, BitFlippedRealMessagesNeverCrash)
+namespace {
+
+/** Decode `base` as a Msg with one random bit flipped, 2000 times: a
+ *  decoder may reject the result but must never crash on it. */
+template <typename Msg>
+void
+decodeBitFlips(const std::vector<uint8_t> &base, uint32_t seed)
 {
-    SubmitFrameMsg msg;
-    msg.session = 12;
-    msg.camera = testCamera();
-    const auto base = packMessage(MsgType::SubmitFrame, msg);
-    std::mt19937 rng(1234);
+    std::mt19937 rng(seed);
     std::uniform_int_distribution<size_t> pos(0, base.size() - 1);
     std::uniform_int_distribution<int> bit(0, 7);
     for (int iter = 0; iter < 2000; ++iter) {
@@ -595,9 +614,24 @@ TEST(Fuzz, BitFlippedRealMessagesNeverCrash)
             continue;
         if (hdr.length != buf.size() - kHeaderSize)
             continue; // framing would resync/close; not a payload case
-        SubmitFrameMsg got;
+        Msg got;
         (void)decodePayload(buf.data() + kHeaderSize, hdr.length, got);
     }
+}
+
+} // namespace
+
+TEST(Fuzz, BitFlippedRealMessagesNeverCrash)
+{
+    SubmitFrameMsg msg;
+    msg.session = 12;
+    msg.camera = testCamera();
+    decodeBitFlips<SubmitFrameMsg>(packMessage(MsgType::SubmitFrame, msg),
+                                   1234);
+    decodeBitFlips<GetTraceMsg>(packMessage(MsgType::GetTrace, GetTraceMsg{}),
+                                1235);
+    decodeBitFlips<SpanBatchMsg>(
+        packMessage(MsgType::SpanBatch, testSpanBatch()), 1236);
 }
 
 // ------------------------------------------------------------------- RLE

@@ -8,7 +8,8 @@
  *    AsdrRenderer::render() calls of the same cameras.
  *  - Quantized frames stay within the codec's published error bound.
  *  - Ticket accounting survives the wire: every submission produces
- *    exactly one FrameResult, including under backpressure shedding.
+ *    exactly one FrameResult, including under backpressure shedding;
+ *    past the same bound a GetTrace is refused, not queued.
  *  - Protocol hardening at the socket level: garbage bytes, wrong
  *    versions, pre-handshake traffic and connections past
  *    max_connections get an Error and a close, and the service keeps
@@ -526,6 +527,35 @@ TEST(NetService, BackpressureShedsPayloadsButKeepsTicketAccounting)
     EXPECT_EQ(counters.frame_payload_bytes, 0u);
 }
 
+TEST(NetService, GetTraceRefusedPastTheOutboundBound)
+{
+    // Past the bound frame payloads obey (here: always), GetTrace's
+    // reply is refused rather than queued; the refusal changes nothing
+    // and the connection stays open.
+    ServiceConfig ncfg;
+    ncfg.max_outbound_bytes = 0;
+    Harness h(ncfg);
+
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connect("127.0.0.1", h.port(), &err)) << err;
+    const bool recording = telemetry::enabled();
+    FetchedTrace trace;
+    EXPECT_FALSE(client.fetchTrace(!recording, trace, &err));
+    EXPECT_EQ(client.lastError(), ClientError::Refused);
+    EXPECT_NE(err.find("service error " +
+                       std::to_string(uint32_t(WireError::Rejected))),
+              std::string::npos)
+        << err;
+    EXPECT_EQ(telemetry::enabled(), recording);
+
+    ASSERT_TRUE(client.connected());
+    const uint64_t id = client.openSession(
+        "Lego", server::QosClass::Standard, FrameEncoding::Raw, &err);
+    EXPECT_NE(id, 0u) << err;
+    EXPECT_TRUE(client.closeSession(id, &err)) << err;
+}
+
 TEST(NetService, AbruptDisconnectMidStreamCleansUpSessions)
 {
     Harness h;
@@ -667,8 +697,6 @@ TEST(NetService, StatsRoundTripMatchesClientObservations)
         {"asdr_wire_bytes_rx_total", wc.bytes_rx},
         {"asdr_wire_frame_payload_bytes_total", wc.frame_payload_bytes},
         {"asdr_wire_frame_raw_bytes_total", wc.frame_raw_bytes},
-        {"asdr_wire_span_batches_sent_total", wc.span_batches_sent},
-        {"asdr_wire_span_batches_dropped_total", wc.span_batches_dropped},
     };
     for (const auto &w : wire)
         EXPECT_EQ(expositionValue(text, w.first), double(w.second))

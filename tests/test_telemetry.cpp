@@ -7,8 +7,9 @@
  *    round-trips names, labels, and values.
  *  - tracing: disabled recording is free (no spans, no measurable
  *    cost); a served frame records exactly 5 + gh + jobs spans, and
- *    recording them, alone or with the live stream's collect and pack,
- *    costs under 3% of the frame's render; an enabled serving run
+ *    recording them costs under 3% of the frame's render; each
+ *    thread's ring keeps its newest kRingSpans spans in order and
+ *    counts the rest as overwritten; an enabled serving run
  *    produces a well-formed Chrome trace_event JSON (span names
  *    escaped) in which every served ticket has its own
  *    queue-wait and its render_ticket has admission and all five
@@ -31,7 +32,10 @@
  *    and a slow render is dumped to the log once, however many frames
  *    it answered.
  *  - wire: GetStats returns the server's exposition over a real
- *    socket, the same series the in-process typed reads see.
+ *    socket, the same series the in-process typed reads see; GetTrace
+ *    sets recording on or off, reports the state it replaced, and
+ *    returns exactly the spans the rings hold, in as many chunks as
+ *    they need.
  */
 
 #include <gtest/gtest.h>
@@ -452,8 +456,7 @@ minSeconds(int reps, const std::function<void()> &setup,
 // of a traced/untraced throughput ratio, which host noise swamps. A
 // served frame records exactly 5 + gh + jobs spans: queue wait,
 // admission, ray setup, planning and finalize, plus one per probe row
-// and per Phase II job. Recording them -- alone, and with the live
-// stream's collect and SpanBatch pack -- must cost under 3% of one
+// and per Phase II job. Recording them must cost under 3% of one
 // single-threaded render() of the same shape. The always-on stage
 // time -- one clock read and one histogram record per stage, and
 // net.encode's two clock reads and one record -- must cost under 1%.
@@ -504,34 +507,8 @@ TEST(Telemetry, SpansPerFrameCostUnderThreePercentOfItsRender)
     };
     const double record_s = minSeconds(kReps, telemetry::reset, record) /
                             double(kSpans);
-    size_t streamed = 0;
-    const double stream_s =
-        minSeconds(kReps, telemetry::reset,
-                   [&] {
-                       record();
-                       telemetry::CollectCursor cursor;
-                       std::vector<telemetry::Span> spans;
-                       telemetry::collectNewSpans(cursor, spans,
-                                                  net::kMaxSpansPerBatch);
-                       net::SpanBatchMsg msg;
-                       for (const telemetry::Span &s : spans)
-                           msg.spans.push_back(
-                               net::WireSpan{s.name, s.frame, s.ticket,
-                                             s.lane, s.t_start_us,
-                                             s.t_end_us});
-                       if (!net::packMessage(net::MsgType::SpanBatch, msg)
-                                .empty())
-                           streamed += msg.spans.size();
-                   }) /
-        double(kSpans);
-    EXPECT_EQ(streamed, size_t(kReps) * size_t(kSpans));
-
-    const double budget_s = 0.03 * frame_s;
-    EXPECT_LT(double(spans_per_frame) * record_s, budget_s)
+    EXPECT_LT(double(spans_per_frame) * record_s, 0.03 * frame_s)
         << spans_per_frame << " spans x " << record_s * 1e6
-        << " us against a " << frame_s * 1e3 << " ms frame";
-    EXPECT_LT(double(spans_per_frame) * stream_s, budget_s)
-        << spans_per_frame << " spans x " << stream_s * 1e6
         << " us against a " << frame_s * 1e3 << " ms frame";
 
     telemetry::setEnabled(false);
@@ -1149,52 +1126,83 @@ TEST(Metrics, HistogramBucketsAreCumulativeAndEndAtInf)
               std::string::npos);
 }
 
-// ------------------------------------------------- incremental cursor
+// ------------------------------------------------------------ span rings
 
-TEST(Telemetry, CollectCursorDrainsOnlyNewSpans)
+// Each thread's ring keeps its newest kRingSpans spans, oldest first,
+// and counts the rest as overwritten -- also while a reader snapshots
+// the rings under the writers' feet.
+TEST(Telemetry, RingsKeepEachThreadsNewestSpansInOrder)
 {
     TelemetryGuard guard;
     telemetry::setEnabled(true);
+    constexpr int kThreads = 4;
+    constexpr uint64_t kPerThread = 10 * telemetry::kRingSpans;
 
-    for (uint64_t t = 1; t <= 5; ++t)
-        telemetry::recordSpan(telemetry::kSpanTiles, 1, t, 10 * t,
-                              10 * t + 5);
+    std::atomic<bool> done{false};
+    std::atomic<bool> in_order{true};
+    std::thread reader([&] {
+        while (!done.load()) {
+            // A writer's sequence numbers come out consecutive.
+            std::map<uint64_t, uint64_t> next;
+            for (const telemetry::Span &s : telemetry::snapshot()) {
+                auto it = next.find(s.ticket);
+                if (it != next.end() && s.frame != it->second)
+                    in_order = false;
+                next[s.ticket] = s.frame + 1;
+            }
+        }
+    });
+    std::vector<std::thread> writers;
+    for (uint64_t t = 1; t <= kThreads; ++t)
+        writers.emplace_back([t] {
+            for (uint64_t seq = 0; seq < kPerThread; ++seq)
+                telemetry::recordSpan(telemetry::kSpanTiles, seq, t, seq,
+                                      seq + 1);
+        });
+    for (auto &w : writers)
+        w.join();
+    done = true;
+    reader.join();
+    EXPECT_TRUE(in_order.load());
 
-    telemetry::CollectCursor cur;
-    std::vector<telemetry::Span> out;
-    EXPECT_EQ(telemetry::collectNewSpans(cur, out, 1024), 5u);
-    EXPECT_EQ(out.size(), 5u);
-    out.clear();
-    // Nothing new: the cursor advanced past everything.
-    EXPECT_EQ(telemetry::collectNewSpans(cur, out, 1024), 0u);
-
-    for (uint64_t t = 6; t <= 8; ++t)
-        telemetry::recordSpan(telemetry::kSpanTiles, 1, t, 10 * t,
-                              10 * t + 5);
-    EXPECT_EQ(telemetry::collectNewSpans(cur, out, 1024), 3u);
-    std::set<uint64_t> tickets;
-    for (const auto &s : out)
-        tickets.insert(s.ticket);
-    EXPECT_EQ(tickets, (std::set<uint64_t>{6, 7, 8}));
-
-    // Short reads resume where they stopped.
-    for (uint64_t t = 9; t <= 12; ++t)
-        telemetry::recordSpan(telemetry::kSpanTiles, 1, t, 10 * t,
-                              10 * t + 5);
-    out.clear();
-    EXPECT_EQ(telemetry::collectNewSpans(cur, out, 2), 2u);
-    EXPECT_EQ(telemetry::collectNewSpans(cur, out, 2), 2u);
-    EXPECT_EQ(telemetry::collectNewSpans(cur, out, 2), 0u);
-
-    // An independent cursor replays the full buffer from the start.
-    telemetry::CollectCursor fresh;
-    out.clear();
-    EXPECT_EQ(telemetry::collectNewSpans(fresh, out, 1024), 12u);
+    // Writer (its ticket) -> its sequence numbers in snapshot order.
+    std::map<uint64_t, std::vector<uint64_t>> kept;
+    for (const telemetry::Span &s : telemetry::snapshot())
+        kept[s.ticket].push_back(s.frame);
+    ASSERT_EQ(kept.size(), size_t(kThreads));
+    for (const auto &entry : kept) {
+        const std::vector<uint64_t> &seqs = entry.second;
+        ASSERT_EQ(seqs.size(), telemetry::kRingSpans)
+            << "writer " << entry.first;
+        for (size_t i = 0; i < seqs.size(); ++i)
+            ASSERT_EQ(seqs[i], kPerThread - telemetry::kRingSpans + i)
+                << "writer " << entry.first << " slot " << i;
+    }
+    EXPECT_EQ(telemetry::spanCount(), kThreads * telemetry::kRingSpans);
+    EXPECT_EQ(telemetry::droppedCount(), 36 * telemetry::kRingSpans);
 }
 
-// ------------------------------------------------------ span streaming
+// ------------------------------------------------------------ GetTrace
 
-TEST(WireTelemetry, UnsubscribeBarrierDeliversEveryRecordedSpan)
+namespace {
+
+/** Spans as comparable keys: every field, the name by value. */
+std::multiset<std::string>
+spanKeys(const std::vector<telemetry::Span> &spans)
+{
+    std::multiset<std::string> out;
+    for (const telemetry::Span &s : spans) {
+        std::ostringstream os;
+        os << s.name << "|" << s.frame << "|" << s.ticket << "|" << s.lane
+           << "|" << s.t_start_us << "|" << s.t_end_us;
+        out.insert(os.str());
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(WireTelemetry, GetTraceFetchesEveryRetainedSpan)
 {
     TelemetryGuard guard;
 
@@ -1216,9 +1224,11 @@ TEST(WireTelemetry, UnsubscribeBarrierDeliversEveryRecordedSpan)
                                      net::FrameEncoding::Raw, &err);
     ASSERT_NE(s, 0u) << err;
 
-    // Subscribing turns tracing on service-side when it was off.
+    // The request turns recording on and reports that it was off.
     ASSERT_FALSE(telemetry::enabled());
-    ASSERT_TRUE(c.subscribeSpans(true, &err)) << err;
+    net::FetchedTrace trace;
+    ASSERT_TRUE(c.fetchTrace(true, trace, &err)) << err;
+    EXPECT_FALSE(trace.was_recording);
     EXPECT_TRUE(telemetry::enabled());
 
     net::CameraSpec cs;
@@ -1242,9 +1252,8 @@ TEST(WireTelemetry, UnsubscribeBarrierDeliversEveryRecordedSpan)
 
     // Delivery's encode span closes on the engine completion thread
     // just after the result bytes go out, so it can land a beat after
-    // nextFrame returns. Wait for the buffers to go quiescent before
-    // unsubscribing -- the barrier below is about what was RECORDED
-    // before the disable, not about engine scheduling.
+    // nextFrame returns. Wait for it: the fetch below is about what
+    // was recorded, not about engine scheduling.
     auto encodeSpansRecorded = [&] {
         size_t n = 0;
         for (const auto &sp : telemetry::snapshot())
@@ -1257,31 +1266,13 @@ TEST(WireTelemetry, UnsubscribeBarrierDeliversEveryRecordedSpan)
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     ASSERT_TRUE(encodeSpansRecorded());
 
-    // The disable reply is sent after the final drain, so everything
-    // recorded up to here is in hand once this returns...
-    ASSERT_TRUE(c.subscribeSpans(false, &err)) << err;
-    // ...and the service restored tracing off (it enabled it).
+    // Recording off: the reply reports it was on, and holds exactly
+    // what the rings hold.
+    ASSERT_TRUE(c.fetchTrace(false, trace, &err)) << err;
+    EXPECT_TRUE(trace.was_recording);
     EXPECT_FALSE(telemetry::enabled());
-    EXPECT_EQ(c.spanBatchesDropped(), 0u);
-
-    std::vector<telemetry::Span> streamed;
-    c.drainSpans(streamed);
-
-    // Streamed spans are exactly the service-side buffer contents.
-    auto key = [](const std::string &name, uint64_t ticket,
-                  uint64_t t0, uint64_t t1) {
-        std::ostringstream os;
-        os << name << "|" << ticket << "|" << t0 << "|" << t1;
-        return os.str();
-    };
-    std::multiset<std::string> remote, local;
-    for (const auto &sp : streamed)
-        remote.insert(key(sp.name, sp.ticket, sp.t_start_us,
-                          sp.t_end_us));
-    for (const auto &sp : telemetry::snapshot())
-        local.insert(key(sp.name, sp.ticket, sp.t_start_us,
-                         sp.t_end_us));
-    EXPECT_EQ(remote, local);
+    EXPECT_EQ(trace.overwritten, telemetry::droppedCount());
+    EXPECT_EQ(spanKeys(trace.spans), spanKeys(telemetry::snapshot()));
 
     // Full stage coverage for every served ticket.
     const std::vector<std::string> expected = {
@@ -1292,7 +1283,7 @@ TEST(WireTelemetry, UnsubscribeBarrierDeliversEveryRecordedSpan)
     };
     for (uint64_t ticket : tickets) {
         std::set<std::string> names;
-        for (const auto &sp : streamed)
+        for (const auto &sp : trace.spans)
             if (sp.ticket == ticket)
                 names.insert(sp.name);
         for (const std::string &want : expected)
@@ -1300,140 +1291,39 @@ TEST(WireTelemetry, UnsubscribeBarrierDeliversEveryRecordedSpan)
                 << "ticket " << ticket << " missing " << want;
     }
 
-    // The client-side trace render is machine-parseable.
-    const std::string json = telemetry::toJsonString(streamed);
-    JsonChecker checker(json);
-    EXPECT_TRUE(checker.document()) << json.substr(0, 400);
-    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-
-    c.closeSession(s, &err);
-    c.disconnect();
-    service.reset();
-    srv.reset();
-}
-
-namespace {
-
-/** Every "ticket":N value in a trace_event JSON document. */
-std::set<uint64_t>
-ticketsInTraceJson(const std::string &json)
-{
-    std::set<uint64_t> out;
-    const std::string needle = "\"ticket\":";
-    for (size_t pos = json.find(needle); pos != std::string::npos;
-         pos = json.find(needle, pos + 1)) {
-        const uint64_t t = std::stoull(json.substr(pos + needle.size()));
-        if (t != 0)
-            out.insert(t);
-    }
-    return out;
-}
-
-} // namespace
-
-TEST(WireTelemetry, TraceFollowMatchesExitDumpTicketCoverage)
-{
-    TelemetryGuard guard;
-
-    server::SceneRegistry reg;
-    ASSERT_NE(reg.addProcedural("Lego", "Lego",
-                                nerf::NgpModelConfig::fast(),
-                                smallConfig()),
-              nullptr);
-    server::ServerConfig scfg;
-    scfg.threads_per_shard = 1;
-    auto srv = std::make_unique<server::FrameServer>(reg, scfg);
-    auto service = std::make_unique<net::RenderService>(*srv);
-    std::string err;
-    ASSERT_TRUE(service->start(&err)) << err;
-
-    // A second connection tails the spans into a growing trace file
-    // while the first renders -- no server restart, no exit dump.
-    const std::string path = "asdr_trace_follow_test.json";
-    std::atomic<bool> stop{false};
-    std::atomic<bool> follow_ok{false};
-    std::string follow_err;
-    const uint16_t port = service->port();
-    std::thread follower([&] {
-        net::Client f;
-        std::string ferr;
-        if (!f.connect("127.0.0.1", port, &ferr)) {
-            follow_err = ferr;
-            return;
-        }
-        follow_ok = f.followSpans(path, 30.0, &stop, &ferr);
-        follow_err = ferr;
-        f.disconnect();
-    });
-
-    net::Client c;
-    ASSERT_TRUE(c.connect("127.0.0.1", service->port(), &err)) << err;
-    const uint64_t s = c.openSession("Lego", server::QosClass::Standard,
-                                     net::FrameEncoding::Raw, &err);
-    ASSERT_NE(s, 0u) << err;
-    net::CameraSpec cs;
-    const scene::SceneInfo &info = reg.find("Lego")->info;
-    cs.pos = nerf::orbitPosition(info, 0.0f);
-    cs.look_at = info.look_at;
-    cs.fov_deg = info.fov_deg;
-    cs.width = 16;
-    cs.height = 16;
-    // Give the follower a beat to attach (its subscription is what
-    // turns tracing on), then render.
-    for (int spin = 0; spin < 200 && !telemetry::enabled(); ++spin)
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    ASSERT_TRUE(telemetry::enabled()) << follow_err;
-    std::set<uint64_t> tickets;
-    for (int f = 0; f < 3; ++f) {
-        const uint64_t t = c.submitFrame(s, cs, &err);
-        ASSERT_NE(t, 0u) << err;
-        tickets.insert(t);
-        net::ClientFrame frame;
-        ASSERT_TRUE(c.nextFrame(frame, &err)) << err;
-        EXPECT_TRUE(frame.ok());
-    }
-
-    // Same quiescence wait as the barrier test: the last encode span
-    // closes on the engine completion thread a beat after delivery.
-    auto encodeSpansRecorded = [&] {
-        size_t n = 0;
-        for (const auto &sp : telemetry::snapshot())
-            if (sp.name == std::string(telemetry::kSpanEncode) &&
-                tickets.count(sp.ticket))
-                n++;
-        return n == tickets.size();
-    };
-    for (int spin = 0; spin < 400 && !encodeSpansRecorded(); ++spin)
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    ASSERT_TRUE(encodeSpansRecorded());
-
-    stop = true;
-    follower.join();
-    EXPECT_TRUE(follow_ok.load()) << follow_err;
-
+    // The written trace parses and covers every served ticket.
+    const std::string path = "asdr_trace_fetch_test.json";
+    ASSERT_TRUE(telemetry::writeJson(path, trace.spans, &err)) << err;
     std::ifstream in(path, std::ios::binary);
     ASSERT_TRUE(in.good()) << path;
     std::ostringstream buf;
     buf << in.rdbuf();
-    const std::string followed = buf.str();
-
-    JsonChecker checker(followed);
-    EXPECT_TRUE(checker.document()) << followed.substr(0, 400);
-    EXPECT_NE(followed.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(followed.find(telemetry::kSpanFinalize),
-              std::string::npos);
-
-    // Ticket coverage equals the exit dump the server itself would
-    // write: live streaming lost nothing.
-    const std::set<uint64_t> followed_tickets =
-        ticketsInTraceJson(followed);
-    const std::set<uint64_t> dump_tickets = ticketsInTraceJson(
-        telemetry::toJsonString(telemetry::snapshot()));
-    EXPECT_EQ(followed_tickets, dump_tickets);
-    for (uint64_t t : tickets)
-        EXPECT_TRUE(followed_tickets.count(t)) << "ticket " << t;
-
+    in.close();
     std::remove(path.c_str());
+    const std::string json = buf.str();
+    JsonChecker checker(json);
+    EXPECT_TRUE(checker.document()) << json.substr(0, 400);
+    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+    for (uint64_t t : tickets)
+        EXPECT_NE(json.find("\"ticket\":" + std::to_string(t) + "}"),
+                  std::string::npos)
+            << "ticket " << t;
+
+    // Past a ring's size, this thread's ring overwrites its oldest
+    // spans. A chunk holds at most kMaxSpansPerBatch spans (the client
+    // rejects a bigger one), so a reply of more spans than that came
+    // in two chunks or more.
+    telemetry::setEnabled(true);
+    const uint64_t extra = 100;
+    for (uint64_t i = 0; i < telemetry::kRingSpans + extra; ++i)
+        telemetry::recordSpan(telemetry::kSpanFlush, 0, 0, i, i + 1);
+    ASSERT_TRUE(c.fetchTrace(false, trace, &err)) << err;
+    EXPECT_TRUE(trace.was_recording);
+    EXPECT_GE(trace.overwritten, extra);
+    EXPECT_EQ(trace.overwritten, telemetry::droppedCount());
+    EXPECT_GT(trace.spans.size(), size_t(net::kMaxSpansPerBatch));
+    EXPECT_EQ(spanKeys(trace.spans), spanKeys(telemetry::snapshot()));
+
     c.closeSession(s, &err);
     c.disconnect();
     service.reset();
