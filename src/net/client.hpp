@@ -216,7 +216,7 @@ class Client
     uint64_t openSession(const std::string &scene, server::QosClass qos,
                          FrameEncoding encoding,
                          std::string *err = nullptr);
-    /** Close a session; buffered/late results of it are discarded. */
+    /** Close a session; its results, all before the Ok, stay buffered. */
     bool closeSession(uint64_t session, std::string *err = nullptr);
 
     /** Submit one camera pose; returns the ticket (0 + `err` when

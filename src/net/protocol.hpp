@@ -38,7 +38,8 @@
  *                            in-band, so the resumed stream is byte-
  *                            exact regardless of what the old
  *                            connection lost in flight.
- *   CloseSession / -Ok       sheds pending frames, waits in-flight ones
+ *   CloseSession / -Ok       sheds pending frames; the Ok follows
+ *                            every result of the session
  *   GetStats / MetricsReply  the server's metrics as Prometheus text
  *   GetTrace / SpanBatch...  set span recording on or off; answered
  *                            with every span the service's rings hold,

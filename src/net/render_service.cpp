@@ -93,11 +93,6 @@ RenderService::start(std::string *err)
     if (!listener_.bind(cfg_.host, cfg_.port, err))
         return false;
     running_ = true;
-    {
-        std::lock_guard<std::mutex> lock(reap_m_);
-        reap_stop_ = false;
-    }
-    reaper_ = std::thread([this] { reaperRun(); });
     thread_ = std::thread([this] { run(); });
     return true;
 }
@@ -113,8 +108,8 @@ RenderService::stop()
         thread_.join();
     }
     // The service thread is gone; tear down surviving connections from
-    // here. No grace windows at shutdown: every session (attached or
-    // detached) goes to the reaper, which drains it before exiting.
+    // here. No grace windows at shutdown: every session, attached or
+    // detached, closes.
     std::vector<std::shared_ptr<Connection>> leftover;
     {
         std::lock_guard<std::mutex> lock(m_);
@@ -131,25 +126,22 @@ RenderService::stop()
         detached_sessions_ = 0;
     }
     for (auto &ws : orphans) {
-        bool enqueue = false;
+        bool close = false;
         {
             std::lock_guard<std::mutex> lock(ws->m);
             if (!ws->closing) {
                 ws->closing = true;
                 ws->conn = nullptr;
-                enqueue = true;
+                close = true;
             }
         }
-        if (enqueue)
-            enqueueClose({ws, nullptr, false});
+        if (close)
+            closeSession(ws, nullptr, false);
     }
-    if (reaper_.joinable()) {
-        {
-            std::lock_guard<std::mutex> lock(reap_m_);
-            reap_stop_ = true;
-        }
-        reap_cv_.notify_all();
-        reaper_.join();
+    // Close callbacks capture this service: wait until the last ran.
+    {
+        std::unique_lock<std::mutex> lock(m_);
+        closed_cv_.wait(lock, [this] { return sessions_.empty(); });
     }
     listener_.close();
 }
@@ -541,14 +533,14 @@ RenderService::handleMessage(const std::shared_ptr<Connection> &conn,
         std::shared_ptr<WireSession> ws = it->second;
         conn->sessions.erase(it);
         {
-            // Stays attached: in-flight results keep delivering to the
-            // client until the reaper's drain returns, and only then
-            // does the reaper queue CloseSessionOk -- so the client
+            // Stays attached: its shed and in-flight results keep
+            // delivering to the client, and the close callback queues
+            // CloseSessionOk after the last of them -- so the client
             // never sees a result after the close reply.
             std::lock_guard<std::mutex> lock(ws->m);
             ws->closing = true;
         }
-        enqueueClose({std::move(ws), conn, false});
+        closeSession(ws, conn, false);
         return true;
     }
 
@@ -861,7 +853,7 @@ RenderService::teardown(const std::shared_ptr<Connection> &conn,
     }
 
     size_t newly_detached = 0;
-    std::vector<CloseJob> closes;
+    std::vector<std::shared_ptr<WireSession>> closes;
     for (auto &entry : conn->sessions) {
         const std::shared_ptr<WireSession> &ws = entry.second;
         std::lock_guard<std::mutex> lock(ws->m);
@@ -881,7 +873,7 @@ RenderService::teardown(const std::shared_ptr<Connection> &conn,
             newly_detached++;
         } else {
             ws->closing = true;
-            closes.push_back({ws, nullptr, false});
+            closes.push_back(ws);
         }
     }
     conn->sessions.clear();
@@ -892,8 +884,9 @@ RenderService::teardown(const std::shared_ptr<Connection> &conn,
         wire_.connections_open.set(double(conns_.size()));
         detached_sessions_ += newly_detached;
     }
-    for (auto &job : closes)
-        enqueueClose(std::move(job));
+    // Outside the locks: shedding delivers through onResult (ws->m).
+    for (auto &ws : closes)
+        closeSession(ws, nullptr, false);
 }
 
 void
@@ -901,7 +894,7 @@ RenderService::expireDetached()
 {
     if (cfg_.resume_grace_s <= 0.0)
         return;
-    std::vector<CloseJob> expired;
+    std::vector<std::shared_ptr<WireSession>> expired;
     const auto now = std::chrono::steady_clock::now();
     {
         std::lock_guard<std::mutex> lock(m_);
@@ -918,57 +911,37 @@ RenderService::expireDetached()
             if (waited < cfg_.resume_grace_s)
                 continue;
             ws->closing = true;
-            expired.push_back({ws, nullptr, true});
+            expired.push_back(ws);
             if (detached_sessions_ > 0)
                 detached_sessions_--;
         }
     }
-    for (auto &job : expired)
-        enqueueClose(std::move(job));
+    for (auto &ws : expired)
+        closeSession(ws, nullptr, true);
 }
 
 void
-RenderService::enqueueClose(CloseJob &&job)
+RenderService::closeSession(const std::shared_ptr<WireSession> &ws,
+                            std::shared_ptr<Connection> reply_to,
+                            bool expired)
 {
-    {
-        std::lock_guard<std::mutex> lock(reap_m_);
-        reap_q_.push_back(std::move(job));
-    }
-    reap_cv_.notify_one();
-}
-
-void
-RenderService::reaperRun()
-{
-    for (;;) {
-        CloseJob job;
-        {
-            std::unique_lock<std::mutex> lock(reap_m_);
-            reap_cv_.wait(lock, [this] {
-                return reap_stop_ || !reap_q_.empty();
-            });
-            if (reap_q_.empty())
-                return; // reap_stop_ and fully drained
-            job = std::move(reap_q_.front());
-            reap_q_.pop_front();
-        }
-        // The blocking drain, off the poll thread: sheds the session's
-        // pending frames and waits out in-flight ones. Their result
-        // callbacks run before closeSession returns, so everything the
-        // client is owed is queued before the Ok below.
-        server_.closeSession(job.ws->id);
-        if (job.reply_to) {
-            CloseSessionOkMsg ok;
-            ok.session = job.ws->id;
-            sendControl(*job.reply_to, MsgType::CloseSessionOk, ok);
-        }
-        if (job.expired)
-            wire_.sessions_expired.inc();
-        {
+    // Sheds the session's pending frames here; the callback runs after
+    // its last result was queued, on the thread that delivered it.
+    server_.closeSession(
+        ws->id, [this, id = ws->id, reply_to = std::move(reply_to),
+                 expired] {
+            if (reply_to) {
+                CloseSessionOkMsg ok;
+                ok.session = id;
+                sendControl(*reply_to, MsgType::CloseSessionOk, ok);
+            }
+            if (expired)
+                wire_.sessions_expired.inc();
             std::lock_guard<std::mutex> lock(m_);
-            sessions_.erase(job.ws->id);
-        }
-    }
+            sessions_.erase(id);
+            if (sessions_.empty())
+                closed_cv_.notify_all();
+        });
 }
 
 } // namespace asdr::net

@@ -7,13 +7,15 @@
  *
  *  - ONE service thread runs the whole socket side: non-blocking
  *    accept, request parsing/dispatch, and draining per-connection
- *    outbound queues when sockets turn writable. Steady-state control
- *    handling is cheap (FrameServer::submitFrame never blocks), and
- *    the poll thread never blocks on session drains either: session
- *    teardown (CloseSession, disconnects, resume-grace expiry) is
- *    handed to a REAPER thread that runs the blocking
- *    FrameServer::closeSession and replies CloseSessionOk afterwards,
- *    so a close never stalls other connections' I/O.
+ *    outbound queues when sockets turn writable. Control handling
+ *    never waits on a render: FrameServer::submitFrame never blocks,
+ *    and this thread STARTS every session close (CloseSession,
+ *    disconnects, resume-grace expiry) through the callback form of
+ *    FrameServer::closeSession, which sheds the session's pending
+ *    frames here, at most its backlog, and returns. The thread that
+ *    delivers the session's last result then runs the close callback:
+ *    it queues CloseSessionOk when the client asked, counts an expiry,
+ *    and forgets the session. The service runs no other thread.
  *  - Render completions arrive on ENGINE workers via the FrameServer's
  *    per-session callbacks. A callback never touches a socket: it
  *    encodes the frame (per the session's chosen FrameEncoding),
@@ -58,15 +60,15 @@
  * resume, so the first Ok frame travels in absolute form (the DeltaPrev
  * codec's null-reference fallback) and the resumed stream stays
  * byte-exact without any out-of-band state. Sessions that outlive the
- * grace window are closed by the reaper and counted sessions_expired.
+ * grace window are closed and counted sessions_expired.
  *
  * Robustness: malformed framing (bad magic, oversized length),
  * undecodable payloads, wrong protocol versions, and pre-handshake
  * traffic all get an Error message and a close -- the service never
  * trusts a length or enum from the wire (see net/protocol). A
  * disconnect mid-stream with no grace window closes the connection's
- * FrameServer sessions, shedding its pending frames and waiting out
- * in-flight ones (on the reaper).
+ * FrameServer sessions: their pending frames are shed at once, and
+ * each session is forgotten after its in-flight frames are delivered.
  *
  * Lifetime: the FrameServer and SceneRegistry must outlive the
  * service; stop() (or destruction) quiesces the socket side first.
@@ -115,8 +117,8 @@ struct ServiceConfig
     size_t max_outbound_bytes = size_t(64) << 20;
     /**
      * How long a disconnected connection's sessions stay resumable
-     * before the reaper closes them. 0 (default) = resume disabled:
-     * a disconnect closes sessions immediately, as before.
+     * before the poll thread closes them. 0 (default) = resume
+     * disabled: a disconnect closes sessions immediately.
      */
     double resume_grace_s = 0.0;
 };
@@ -154,10 +156,11 @@ class RenderService
     RenderService(const RenderService &) = delete;
     RenderService &operator=(const RenderService &) = delete;
 
-    /** Bind + listen + start the service + reaper threads. */
+    /** Bind + listen + start the service thread. */
     bool start(std::string *err = nullptr);
-    /** Close every connection (their sessions included), then stop the
-     *  service and reaper threads. Idempotent. */
+    /** Stop the service thread, close every connection and session,
+     *  and return once each session's last result is delivered and
+     *  its close callback has run. Idempotent. */
     void stop();
 
     bool running() const { return running_; }
@@ -213,7 +216,7 @@ class RenderService
         /** Results completed while detached, replayed on resume. */
         std::deque<ParkedResult> parked;
         size_t parked_payloads = 0;
-        bool closing = false; ///< handed to the reaper; no resume
+        bool closing = false; ///< its close has started; no resume
         std::chrono::steady_clock::time_point detached_at{};
     };
 
@@ -227,21 +230,12 @@ class RenderService
         bool hello_done = false;
 
         /** out_m guards everything below -- shared between the service
-         *  thread, engine callbacks, and the reaper. */
+         *  thread, engine callbacks and close callbacks. */
         std::mutex out_m;
         std::deque<std::vector<uint8_t>> outq;
         size_t out_off = 0; ///< bytes of outq.front() already written
         size_t out_bytes = 0;
         bool dead = false;
-    };
-
-    /** One blocking drain for the reaper thread. */
-    struct CloseJob
-    {
-        std::shared_ptr<WireSession> ws;
-        /** Non-null: reply CloseSessionOk here after the drain. */
-        std::shared_ptr<Connection> reply_to;
-        bool expired = false; ///< grace-window expiry (counted)
     };
 
     void run();
@@ -254,9 +248,9 @@ class RenderService
      *  queued; the caller closes the connection). */
     bool handleMessage(const std::shared_ptr<Connection> &conn,
                        const MsgHeader &hdr, const uint8_t *payload);
-    /** Detach (grace window) or enqueue-close the connection's
-     *  sessions and forget it; never blocks on a drain (the reaper
-     *  does). `allow_grace=false` at shutdown: everything closes. */
+    /** Detach (grace window) or close the connection's sessions and
+     *  forget it; never waits on a render. `allow_grace=false` at
+     *  shutdown: everything closes. */
     void teardown(const std::shared_ptr<Connection> &conn,
                   bool allow_grace);
     /** Engine-callback path: deliver (attached) or park (detached). */
@@ -271,10 +265,13 @@ class RenderService
     /** Answer GetTrace: apply the recording state, then queue every
      *  retained span as SpanBatch chunks. */
     void sendTrace(Connection &conn, bool recording);
-    /** Detached sessions past the grace window -> reaper close. */
+    /** Close detached sessions past the grace window. */
     void expireDetached();
-    void enqueueClose(CloseJob &&job);
-    void reaperRun();
+    /** Close `ws` (closing set, no lock held) without waiting; after
+     *  its last result, reply CloseSessionOk on `reply_to` when set,
+     *  count an `expired` close, and erase the session. */
+    void closeSession(const std::shared_ptr<WireSession> &ws,
+                      std::shared_ptr<Connection> reply_to, bool expired);
 
     template <typename Msg>
     void sendControl(Connection &conn, MsgType type, const Msg &msg);
@@ -289,20 +286,16 @@ class RenderService
     std::thread thread_;
     std::atomic<bool> running_{false};
 
-    /** Connection + session tables; mutated only by the service
-     *  thread, read by engine callbacks and the reaper -- under m_. */
+    /** Connection + session tables, under m_; a session leaves in its
+     *  close callback, on whichever thread runs it. */
     mutable std::mutex m_;
     std::unordered_map<uint64_t, std::shared_ptr<Connection>> conns_;
     std::unordered_map<uint64_t, std::shared_ptr<WireSession>> sessions_;
+    /** stop() waits on it for sessions_ to empty. */
+    std::condition_variable closed_cv_;
     uint64_t next_conn_ = 1;
     size_t detached_sessions_ = 0; ///< sessions awaiting resume
     uint64_t token_rng_ = 0;       ///< resume-token stream state
-
-    std::mutex reap_m_;
-    std::condition_variable reap_cv_;
-    std::deque<CloseJob> reap_q_;
-    bool reap_stop_ = false;
-    std::thread reaper_;
 
     WireMetrics wire_;
 };

@@ -592,6 +592,35 @@ FrameServer::answer(const Waiter &a, const RenderOutcome &r,
 void
 FrameServer::deliverResult(FrameResult &&result, const ResultCallback &cb)
 {
+    // A thread already running a result callback queues the results
+    // the callback's own calls make it deliver (breaker fast-fails,
+    // backlog drops, answers from a finished render, a close's sheds)
+    // and delivers them in order after it returns: no nesting.
+    struct Queued
+    {
+        FrameServer *server;
+        FrameResult result;
+        ResultCallback cb;
+    };
+    thread_local std::deque<Queued> queued;
+    thread_local bool delivering = false;
+    if (delivering) {
+        queued.push_back(Queued{this, std::move(result), cb});
+        return;
+    }
+    delivering = true;
+    deliverNow(std::move(result), cb);
+    while (!queued.empty()) {
+        Queued q = std::move(queued.front());
+        queued.pop_front();
+        q.server->deliverNow(std::move(q.result), q.cb);
+    }
+    delivering = false;
+}
+
+void
+FrameServer::deliverNow(FrameResult &&result, const ResultCallback &cb)
+{
     // Injection: a slow consumer between engine and client (the
     // delivery-path analog of a stalled socket reader).
     fault::fire(fault::kServerDeliverStall);
@@ -605,17 +634,22 @@ FrameServer::deliverResult(FrameResult &&result, const ResultCallback &cb)
     // Retire AFTER the consumer ran: a closed-loop callback that
     // submits the next frame does so before the count can reach zero,
     // so waitIdle() cannot report idle mid-loop.
-    std::lock_guard<std::mutex> lock(m_);
-    retireLocked(client);
-}
-
-void
-FrameServer::retireLocked(uint64_t client)
-{
+    std::unique_lock<std::mutex> lock(m_);
     auto it = clients_.find(client);
     ASDR_ASSERT(it != clients_.end(), "retiring a frame of a freed client");
     ASDR_ASSERT(it->second->outstanding > 0, "outstanding underflow");
-    it->second->outstanding--;
+    if (--it->second->outstanding == 0 && it->second->closing) {
+        // A closing session's last result frees it. Its close callback
+        // runs and dies outside m_, before the frame stops counting.
+        {
+            const CloseCallback closed = std::move(it->second->on_closed);
+            clients_.erase(it);
+            lock.unlock();
+            if (closed)
+                closed();
+        }
+        lock.lock();
+    }
     outstanding_total_--;
     idle_cv_.notify_all();
 }
@@ -658,27 +692,43 @@ FrameServer::dropFrames(std::vector<PendingFrame> &&dropped)
 }
 
 void
-FrameServer::closeSession(uint64_t client)
+FrameServer::closeSession(uint64_t client, CloseCallback done)
 {
     std::vector<PendingFrame> dropped;
     {
         std::lock_guard<std::mutex> lock(m_);
         auto it = clients_.find(client);
-        if (it == clients_.end() || it->second->closing)
-            return;
-        it->second->closing = true;
-        sched_.dropClient(client, dropped);
+        if (it != clients_.end() && !it->second->closing) {
+            Client &c = *it->second;
+            c.closing = true;
+            if (c.outstanding == 0) {
+                clients_.erase(it);
+            } else {
+                c.on_closed = std::exchange(done, nullptr);
+                sched_.dropClient(client, dropped);
+            }
+        }
     }
+    // When nothing else is outstanding, the last shed frame's delivery
+    // runs the stored callback on this thread.
     dropFrames(std::move(dropped));
-    std::unique_lock<std::mutex> lock(m_);
-    auto it = clients_.find(client);
-    if (it == clients_.end())
-        return;
-    // Wait on the stable Client object, not the map iterator: a
-    // concurrent openSession may rehash the table mid-wait.
-    Client *c = it->second.get();
-    idle_cv_.wait(lock, [&] { return c->outstanding == 0; });
-    clients_.erase(client);
+    if (done)
+        done();
+}
+
+void
+FrameServer::closeSession(uint64_t client)
+{
+    std::mutex m;
+    std::condition_variable cv;
+    bool closed = false;
+    closeSession(client, [&] {
+        std::lock_guard<std::mutex> lock(m);
+        closed = true;
+        cv.notify_all();
+    });
+    std::unique_lock<std::mutex> lock(m);
+    cv.wait(lock, [&] { return closed; });
 }
 
 bool

@@ -227,6 +227,7 @@ class FrameServer
 {
   public:
     using ResultCallback = std::function<void(FrameResult &&)>;
+    using CloseCallback = std::function<void()>;
 
     /** The registry must outlive the server. */
     FrameServer(const SceneRegistry &registry, const ServerConfig &cfg);
@@ -242,17 +243,28 @@ class FrameServer
      * client id (nonzero), or 0 when the scene is unknown. When
      * `callback` is set, the client's results are delivered through it
      * (on engine workers; it may call submitFrame -- closed-loop
-     * streaming); otherwise they land in the server mailbox for
-     * poll()/drainResults(). A callback must NOT call closeSession or
-     * waitIdle: the result it is handling still counts as outstanding
-     * until the callback returns, so either call would wait on itself.
+     * streaming -- and the callback form of closeSession); otherwise
+     * they land in the server mailbox for poll()/drainResults(). A
+     * callback must NOT call the blocking closeSession or waitIdle: the
+     * result it handles, and any its own calls produce (delivered on
+     * its thread after it returns), count as outstanding until then,
+     * so either call would wait on itself.
      */
     uint64_t openSession(const std::string &scene, QosClass qos,
                          const SessionOptions &opt = {},
                          ResultCallback callback = nullptr);
 
-    /** Shed the client's pending frames, wait for its in-flight ones,
-     *  then free the session. Safe against concurrent submissions. */
+    /**
+     * Close a session without waiting: refuse its later submits, shed
+     * its pending frames on this thread, and free it once its in-flight
+     * frames are delivered. `done` runs then, on the thread that
+     * delivered the last result, after that result's callback returned;
+     * at once here when nothing is outstanding or the id is unknown or
+     * closing. The last frame counts toward waitIdle() until it returns;
+     * like a result callback, it must not call the blocking forms.
+     */
+    void closeSession(uint64_t client, CloseCallback done);
+    /** The callback form, waited on. */
     void closeSession(uint64_t client);
 
     /**
@@ -271,10 +283,10 @@ class FrameServer
 
     /**
      * Block until no frame is pending, in flight, or mid-delivery.
-     * A result's callback runs to completion BEFORE the frame stops
-     * counting, so closed-loop clients (callbacks submitting the next
-     * frame) keep the server non-idle until their last callback
-     * submits nothing.
+     * A result's callback (and a closing session's close callback)
+     * runs to completion BEFORE the frame stops counting, so
+     * closed-loop clients (callbacks submitting the next frame) keep
+     * the server non-idle until their last callback submits nothing.
      */
     void waitIdle();
 
@@ -409,11 +421,12 @@ class FrameServer
         /** Frames pending + in flight + mid-delivery. */
         uint64_t outstanding = 0;
         bool closing = false;
+        CloseCallback on_closed; ///< runs after a closing one's last result
     };
 
-    /** A scheduler decision to hand one frame to the engine;
-     *  executed outside m_ (engine submission can deliver failures
-     *  straight into user callbacks). */
+    /** A scheduler decision to hand one frame to the engine; executed
+     *  outside m_, so m_ never waits on the engine's lock, which every
+     *  worker takes to claim a task. */
     struct Launch
     {
         PendingFrame frame;
@@ -463,10 +476,12 @@ class FrameServer
     /** Deliver `r`'s outcome to `a`, with a copy of its frame. */
     void answer(const Waiter &a, const RenderOutcome &r, double latency_s,
                 std::exception_ptr err);
-    /** Invoke the callback / fill the mailbox, then retire the frame
-     *  from the outstanding counts. Never called under m_. */
+    /** deliverNow, or, on a thread already inside a result callback,
+     *  after that callback returns. Never called under m_. */
     void deliverResult(FrameResult &&result, const ResultCallback &cb);
-    void retireLocked(uint64_t client);
+    /** Invoke the callback / fill the mailbox, then retire the frame
+     *  from the outstanding counts, freeing a closing session at 0. */
+    void deliverNow(FrameResult &&result, const ResultCallback &cb);
     void dropFrames(std::vector<PendingFrame> &&dropped);
     /** One watchdog pass: pump the scheduler (deadline expiry
      *  included) and refresh the stuck gauge. */

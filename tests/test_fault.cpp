@@ -8,13 +8,17 @@
  *  - FrameServer robustness: per-class deadlines expire queued frames
  *    via the watchdog; the per-scene circuit breaker quarantines a
  *    failing scene, fails fast while open, and recovers through a
- *    half-open probe; injected stage throws are bounded and isolated;
- *    a stuck stage surfaces in the watchdog's stuck counters.
+ *    half-open probe; a callback resubmitting into an open breaker
+ *    gets each fast-fail after it returns, never nested inside it;
+ *    injected stage throws are bounded and isolated; a stuck stage
+ *    surfaces in the watchdog's stuck counters.
  *  - The renderer: an occupancy-grid build that throws fails its frame,
  *    and the next frame builds the grid again.
  *  - Wire resilience: kill-and-resume keeps the DeltaPrev chain
  *    byte-exact (in-band re-seed); a mid-flight disconnect parks every
- *    outstanding ticket for replay after resume; client errors are
+ *    outstanding ticket for replay after resume; a detached session
+ *    past its grace window refuses a resume and, once its in-flight
+ *    frame is delivered, is closed and counted; client errors are
  *    typed (transient vs fatal); a single injected
  *    socket fault heals transparently through submitFrameRetry.
  *
@@ -27,7 +31,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -46,6 +52,7 @@
 #include "server/scene_registry.hpp"
 #include "util/fault.hpp"
 
+#include "engine_pause.hpp"
 #include "exposition.hpp"
 
 using namespace asdr;
@@ -588,6 +595,69 @@ TEST(FrameServerFault, ExpiryDoesNotReopenHalfOpenBreaker)
     srv.closeSession(client);
 }
 
+/**
+ * A closed-loop callback that resubmits into an open breaker: each
+ * submit fast-fails on the thread running the callback, and that
+ * result is delivered after the callback returns, not inside it, so
+ * 200 resubmits never nest.
+ */
+TEST(FrameServerFault, ResubmitsIntoAnOpenBreakerDoNotNest)
+{
+    auto scn = scene::createScene("Lego");
+    std::atomic<bool> poisoned{true};
+    FlakyField flaky(*scn, nerf::NgpModelConfig::fast(), &poisoned);
+
+    server::SceneRegistry reg;
+    ASSERT_NE(reg.addShared("flaky", flaky, smallConfig(), scn->info()),
+              nullptr);
+    server::ServerConfig cfg;
+    cfg.threads_per_shard = 1;
+    cfg.frames_in_flight_per_shard = 1;
+    cfg.breaker.failure_threshold = 1;
+    cfg.breaker.open_s = 60.0;
+    server::FrameServer srv(reg, cfg);
+    const nerf::Camera cam = nerf::cameraForScene(scn->info(), 16, 16);
+
+    // The first frame renders, throws and opens the breaker; each
+    // result's callback submits the next frame, which fast-fails.
+    const int FRAMES = 200;
+    std::atomic<int> depth{0}, deepest{0}, issued{1};
+    std::mutex m;
+    std::map<uint64_t, int> results;
+    uint64_t client = 0;
+    client = srv.openSession(
+        "flaky", server::QosClass::Standard, {},
+        [&](server::FrameResult &&r) {
+            const int d = ++depth;
+            int seen = deepest.load();
+            while (d > seen && !deepest.compare_exchange_weak(seen, d)) {
+            }
+            EXPECT_NE(r.error, nullptr) << "ticket " << r.ticket;
+            {
+                std::lock_guard<std::mutex> lock(m);
+                results[r.ticket]++;
+            }
+            if (issued.fetch_add(1) < FRAMES)
+                srv.submitFrame(client, cam);
+            --depth;
+        });
+    ASSERT_NE(client, 0u);
+    ASSERT_NE(srv.submitFrame(client, cam), 0u);
+    srv.waitIdle();
+
+    EXPECT_EQ(deepest.load(), 1);
+    EXPECT_EQ(results.size(), size_t(FRAMES));
+    for (const auto &[ticket, n] : results)
+        EXPECT_EQ(n, 1) << "ticket " << ticket;
+    EXPECT_EQ(srv.breakerState("flaky"),
+              server::FrameServer::BreakerState::Open);
+    const auto snap = srv.stats();
+    EXPECT_EQ(snap.cls[1].failed, uint64_t(FRAMES));
+    ASSERT_EQ(snap.scenes.size(), 1u);
+    EXPECT_EQ(snap.scenes[0].breaker_fast_fails, uint64_t(FRAMES - 1));
+    srv.closeSession(client);
+}
+
 TEST(FrameServerFault, InjectedStageThrowsAreBoundedAndIsolated)
 {
     FaultGuard guard;
@@ -787,6 +857,58 @@ TEST(WireFault, MidFlightDisconnectParksEveryTicket)
     EXPECT_GE(expositionValue(text, "asdr_wire_sessions_resumed_total"),
               1.0);
     c.closeSession(s, &err);
+}
+
+TEST(WireFault, DetachedSessionPastItsGraceWindowIsClosedAndCounted)
+{
+    FaultGuard guard;
+
+    ServiceConfig ncfg;
+    ncfg.resume_grace_s = 0.2;
+    Harness h(ncfg);
+
+    Client c;
+    std::string err;
+    ASSERT_TRUE(c.connect("127.0.0.1", h.port(), &err, 5.0)) << err;
+    const uint64_t s = c.openSession(
+        "Lego", server::QosClass::Standard, FrameEncoding::Raw, &err);
+    ASSERT_NE(s, 0u) << err;
+    const auto specs =
+        orbitSpecs(h.registry.find("Lego")->info, 1, 0.0f, 16, 16);
+    {
+        // The frame stays in flight while the connection drops and the
+        // grace window runs out, so the close waits on it.
+        EnginePause pause(h.srv->engine());
+        ASSERT_NE(c.submitFrame(s, specs[0], &err), 0u) << err;
+        c.dropConnection();
+        std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+        EXPECT_FALSE(c.reconnect(&err));
+        EXPECT_EQ(c.lastError(), ClientError::Refused);
+        EXPECT_NE(err.find("service error " +
+                           std::to_string(
+                               uint32_t(WireError::ResumeFailed))),
+                  std::string::npos)
+            << err;
+    }
+
+    // Once the frame is delivered, the close completes and counts the
+    // expiry once.
+    for (int spin = 0;
+         spin < 500 && h.service->counters().sessions_expired == 0; ++spin)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_EQ(h.service->counters().sessions_expired, 1u);
+    EXPECT_EQ(expositionValue(h.srv->metricsText(),
+                              "asdr_wire_sessions_expired_total"),
+              1.0);
+    h.srv->waitIdle();
+    const server::ServerStatsSnapshot snap = h.srv->stats();
+    uint64_t submitted = 0;
+    for (const server::QosClassStats &st : snap.cls) {
+        EXPECT_EQ(st.served + st.dropped + st.failed + st.expired,
+                  st.submitted);
+        submitted += st.submitted;
+    }
+    EXPECT_EQ(submitted, 1u);
 }
 
 // ------------------------------------------------- typed client errors

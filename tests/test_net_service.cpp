@@ -10,6 +10,9 @@
  *  - Ticket accounting survives the wire: every submission produces
  *    exactly one FrameResult, including under backpressure shedding;
  *    past the same bound a GetTrace is refused, not queued.
+ *  - Closing: CloseSessionOk follows every result of the session, a
+ *    session with nothing in flight closes at once, and stop() returns
+ *    only after a closing session's last result.
  *  - Protocol hardening at the socket level: garbage bytes, wrong
  *    versions, pre-handshake traffic and connections past
  *    max_connections get an Error and a close, and the service keeps
@@ -19,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -35,6 +39,7 @@
 #include "server/scene_registry.hpp"
 #include "server/workload.hpp"
 
+#include "engine_pause.hpp"
 #include "exposition.hpp"
 
 using namespace asdr;
@@ -597,6 +602,101 @@ TEST(NetService, AbruptDisconnectMidStreamCleansUpSessions)
     ASSERT_TRUE(again.nextFrame(frame, &err)) << err;
     EXPECT_TRUE(frame.ok());
     again.closeSession(id, &err);
+}
+
+// ------------------------------------------------------- session close
+
+TEST(NetService, CloseSessionOkFollowsEveryResultOfTheSession)
+{
+    server::ServerConfig scfg;
+    scfg.frames_in_flight_per_shard = 2;
+    Harness h({}, scfg);
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connect("127.0.0.1", h.port(), &err, 5.0)) << err;
+    const uint64_t idle = client.openSession(
+        "Chair", server::QosClass::Standard, FrameEncoding::Raw, &err);
+    ASSERT_NE(idle, 0u) << err;
+    const uint64_t id = client.openSession(
+        "Lego", server::QosClass::Standard, FrameEncoding::Raw, &err);
+    ASSERT_NE(id, 0u) << err;
+
+    const auto path =
+        orbitSpecs(h.registry.find("Lego")->info, 3, 0.05f, 16, 16);
+    std::vector<uint64_t> tickets;
+    {
+        // The first two frames take the pipeline slots and stay there;
+        // the third waits in the queue until the close sheds it.
+        EnginePause pause(h.srv->engine());
+        for (const auto &cs : path) {
+            const uint64_t t = client.submitFrame(id, cs, &err);
+            ASSERT_NE(t, 0u) << err;
+            tickets.push_back(t);
+        }
+        // A session with nothing in flight closes at once, though the
+        // engine holds the other session's frames.
+        EXPECT_TRUE(client.closeSession(idle, &err)) << err;
+        std::thread resume([&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            pause.release();
+        });
+        EXPECT_TRUE(client.closeSession(id, &err)) << err;
+        resume.join();
+    }
+
+    // Every result arrived before the Ok: with the connection gone, the
+    // client still returns each ticket from its buffer, then nothing.
+    client.dropConnection();
+    std::map<uint64_t, FrameStatus> got;
+    for (size_t k = 0; k < tickets.size(); ++k) {
+        ClientFrame frame;
+        ASSERT_TRUE(client.nextFrame(frame, &err)) << err;
+        EXPECT_EQ(frame.session, id);
+        EXPECT_TRUE(got.emplace(frame.ticket, frame.status).second)
+            << "ticket " << frame.ticket << " twice";
+    }
+    ClientFrame extra;
+    EXPECT_FALSE(client.nextFrame(extra, &err));
+    EXPECT_EQ(got[tickets[0]], FrameStatus::Ok);
+    EXPECT_EQ(got[tickets[1]], FrameStatus::Ok);
+    EXPECT_EQ(got[tickets[2]], FrameStatus::Dropped);
+}
+
+TEST(NetService, StopReturnsAfterAClosingSessionsLastResult)
+{
+    ServiceConfig ncfg;
+    ncfg.resume_grace_s = 5.0;
+    Harness h(ncfg);
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connect("127.0.0.1", h.port(), &err, 5.0)) << err;
+    const uint64_t id = client.openSession(
+        "Lego", server::QosClass::Standard, FrameEncoding::Raw, &err);
+    ASSERT_NE(id, 0u) << err;
+    const auto path =
+        orbitSpecs(h.registry.find("Lego")->info, 1, 0.0f, 16, 16);
+
+    // The session detaches with its frame in flight; stop() closes it
+    // and must not return before the frame's outcome is in.
+    EnginePause pause(h.srv->engine());
+    ASSERT_NE(client.submitFrame(id, path[0], &err), 0u) << err;
+    client.dropConnection();
+    for (int tries = 0;
+         tries < 200 && h.service->counters().connections_open != 0;
+         ++tries)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_EQ(h.service->counters().connections_open, 0u);
+    std::thread resume([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        pause.release();
+    });
+    h.service->stop();
+    const server::QosClassStats st =
+        h.srv->stats().cls[int(server::QosClass::Standard)];
+    resume.join();
+    EXPECT_EQ(st.submitted, 1u);
+    EXPECT_EQ(st.served, 1u);
+    h.service.reset();
 }
 
 // ------------------------------------------------------ stats + counters

@@ -50,6 +50,7 @@
 #include "server/workload.hpp"
 #include "util/fault.hpp"
 
+#include "engine_pause.hpp"
 #include "exposition.hpp"
 
 using namespace asdr;
@@ -70,18 +71,6 @@ struct FaultGuard
 {
     FaultGuard() { fault::resetAll(); }
     ~FaultGuard() { fault::resetAll(); }
-};
-
-/** Pause the engine's workers so admission decisions are made against
- *  a deterministically saturated pipeline; release() or leaving the
- *  scope resumes them. */
-struct EnginePause
-{
-    explicit EnginePause(engine::FrameEngine &e) : eng(e) { eng.pause(); }
-    ~EnginePause() { eng.resume(); }
-    void release() { eng.resume(); }
-
-    engine::FrameEngine &eng;
 };
 
 void

@@ -13,7 +13,8 @@
  *    interactive / newest for batch, drops reported in ServerStats.
  *  - Failure isolation: a client whose field throws gets its error in
  *    the FrameResult; the server keeps serving everyone else.
- *  - Registry sharing and session lifecycle.
+ *  - Registry sharing and session lifecycle: a close returns at once
+ *    and calls back after the session's last result.
  *  - Coalescing: frames of one view (scene, class, rung, camera bits)
  *    admitted while it renders share that render, and each still gets
  *    its own result, counts and image; probes stay out of it.
@@ -45,6 +46,8 @@
 #include "server/workload.hpp"
 #include "util/fault.hpp"
 
+#include "engine_pause.hpp"
+
 using namespace asdr;
 using namespace asdr::server;
 
@@ -66,18 +69,6 @@ expectFramesIdentical(const Image &a, const Image &b, const char *what)
     for (size_t i = 0; i < a.pixels(); ++i)
         ASSERT_EQ(a.data()[i], b.data()[i]) << what << " pixel " << i;
 }
-
-/** Pause the engine's workers so submissions pile up in the
- *  scheduler/engine deterministically; release() or leaving the scope
- *  resumes them. */
-struct EnginePause
-{
-    explicit EnginePause(engine::FrameEngine &e) : eng(e) { eng.pause(); }
-    ~EnginePause() { eng.resume(); }
-    void release() { eng.resume(); }
-
-    engine::FrameEngine &eng;
-};
 
 /** Frames as (ticket, class), in the order they were admitted or
  *  finished. */
@@ -793,6 +784,110 @@ TEST(FrameServerLifecycle, CloseSessionShedsPendingAndFreesTheSlot)
     EXPECT_TRUE(last.ok());
 }
 
+/**
+ * The callback form of closeSession returns without waiting: it sheds
+ * the pending frame on the caller and refuses later submits, and its
+ * callback runs once, on the worker, after the in-flight frame's result
+ * callback has returned. With nothing outstanding, or for an unknown or
+ * closing id, the callback runs at once on the caller.
+ */
+TEST(FrameServerLifecycle, CloseCallbackRunsAfterTheSessionsLastResult)
+{
+    SceneRegistry reg;
+    ASSERT_NE(reg.addProcedural("lego", "Lego",
+                                nerf::NgpModelConfig::fast(),
+                                smallConfig()),
+              nullptr);
+    ServerConfig cfg;
+    cfg.threads_per_shard = 1;
+    cfg.frames_in_flight_per_shard = 1;
+    FrameServer srv(reg, cfg);
+    const nerf::Camera cam =
+        nerf::cameraForScene(reg.find("lego")->info, 16, 16);
+    const std::thread::id caller = std::this_thread::get_id();
+
+    // Everything below is written by one thread at a time: the caller,
+    // then the worker after the resume, then the caller after waitIdle.
+    std::vector<FrameResult> results;
+    std::thread::id result_thread, closed_thread;
+    bool in_result = false, closed_in_result = true;
+    size_t results_when_closed = 0;
+    int closes = 0;
+    const uint64_t a = srv.openSession(
+        "lego", QosClass::Standard, {}, [&](FrameResult &&r) {
+            in_result = true;
+            result_thread = std::this_thread::get_id();
+            results.push_back(std::move(r));
+            in_result = false;
+        });
+    ASSERT_NE(a, 0u);
+
+    EnginePause pause(srv.engine());
+    const uint64_t a1 = srv.submitFrame(a, cam); // in flight, paused
+    const uint64_t a2 = srv.submitFrame(a, cam); // pending
+    ASSERT_NE(a1, 0u);
+    ASSERT_NE(a2, 0u);
+    srv.closeSession(a, [&] {
+        ++closes;
+        closed_thread = std::this_thread::get_id();
+        closed_in_result = in_result;
+        results_when_closed = results.size();
+    });
+    // Returned with a1 still in flight: a2 was shed on this thread, and
+    // the session refuses new frames while the close is pending.
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].ticket, a2);
+    EXPECT_TRUE(results[0].dropped);
+    EXPECT_EQ(result_thread, caller);
+    EXPECT_EQ(closes, 0);
+    EXPECT_EQ(srv.submitFrame(a, cam), 0u);
+
+    pause.release();
+    srv.waitIdle(); // covers the close callback
+    EXPECT_EQ(closes, 1);
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[1].ticket, a1);
+    EXPECT_TRUE(results[1].ok());
+    EXPECT_EQ(results_when_closed, 2u);
+    EXPECT_FALSE(closed_in_result);
+    EXPECT_NE(closed_thread, caller);
+    EXPECT_EQ(closed_thread, result_thread) << "a1's delivering worker";
+    EXPECT_EQ(srv.submitFrame(a, cam), 0u);
+
+    // Nothing outstanding, a freed id, a closing id: at once, here.
+    auto closeNow = [&](uint64_t id) {
+        std::thread::id ran;
+        int runs = 0;
+        srv.closeSession(id, [&] {
+            ++runs;
+            ran = std::this_thread::get_id();
+        });
+        EXPECT_EQ(runs, 1) << "session " << id;
+        EXPECT_EQ(ran, caller) << "session " << id;
+    };
+    const uint64_t idle = srv.openSession("lego", QosClass::Standard);
+    ASSERT_NE(idle, 0u);
+    closeNow(idle);
+    EXPECT_EQ(srv.submitFrame(idle, cam), 0u);
+    closeNow(a);
+
+    // A view no render has answered yet, so the frame stays in flight.
+    const uint64_t c = srv.openSession("lego", QosClass::Standard);
+    ASSERT_NE(c, 0u);
+    int c_closes = 0;
+    {
+        EnginePause hold(srv.engine());
+        ASSERT_NE(srv.submitFrame(c, nerf::cameraForScene(
+                                         reg.find("lego")->info, 12, 12)),
+                  0u);
+        srv.closeSession(c, [&] { ++c_closes; });
+        closeNow(c);
+        EXPECT_EQ(c_closes, 0);
+    }
+    srv.waitIdle();
+    EXPECT_EQ(c_closes, 1);
+}
+
 // ------------------------------------------------------------- workload gen
 
 TEST(ServeWorkload, ClosedLoopServesEveryClassAndTerminates)
@@ -1150,6 +1245,16 @@ struct Delivered
     {
         std::lock_guard<std::mutex> lock(m);
         return drainByTicket(srv, std::move(results));
+    }
+    /** How many results `client` has been delivered so far, through
+     *  its callback or the mailbox (kept here). */
+    size_t countFor(FrameServer &srv, uint64_t client)
+    {
+        std::lock_guard<std::mutex> lock(m);
+        srv.drainResults(results);
+        return size_t(std::count_if(
+            results.begin(), results.end(),
+            [&](const FrameResult &r) { return r.client == client; }));
     }
 };
 
@@ -1764,9 +1869,10 @@ TEST(FrameServerCoalesce, CallbackResubmittingItsViewDoesNotNest)
  * the only worker, against 3 pipeline slots and backlogs of 2 (so
  * frames drop). Whatever the interleaving, every ticket gets exactly
  * one result, each class's outcomes add up to its submissions, every
- * served image is render()'s, bit for bit, and each render finishes
- * after at most its class's lag of renders with larger tickets (the
- * reference model of the execution order). Only invariants are
+ * served image is render()'s, bit for bit, each render finishes after
+ * at most its class's lag of renders with larger tickets (the
+ * reference model of the execution order), and each close's callback
+ * runs once, after its session's last result. Only invariants are
  * checked, never timings.
  */
 TEST(FrameServerModel, SeededOpsGiveEveryTicketOneResult)
@@ -1819,7 +1925,10 @@ TEST(FrameServerModel, SeededOpsGiveEveryTicketOneResult)
         };
         std::vector<Session> sessions;
         std::map<uint64_t, Sent> sent;
-        std::vector<std::thread> closers;
+        // Per closed session: close callbacks run, and the results it
+        // had been delivered when the first one ran.
+        std::mutex closed_m;
+        std::map<uint64_t, std::pair<int, size_t>> closed;
         std::unique_ptr<EnginePause> pause;
         auto open = [&](int scene, QosClass qos, bool callback) {
             FrameServer::ResultCallback cb;
@@ -1850,13 +1959,18 @@ TEST(FrameServerModel, SeededOpsGiveEveryTicketOneResult)
                 else
                     EXPECT_TRUE(s.closing) << "an open session refused";
             } else if (kind == 15) {
-                // closeSession waits for the session's in-flight frames,
-                // which a paused worker cannot finish.
+                // Returns at once; the callback waits for the session's
+                // in-flight frames, which a paused worker holds back.
                 Session &s = sessions[rng() % sessions.size()];
                 if (!s.closing) {
                     s.closing = true;
-                    closers.emplace_back(
-                        [&srv, id = s.id] { srv.closeSession(id); });
+                    srv.closeSession(s.id, [&, id = s.id] {
+                        const size_t n = delivered.countFor(srv, id);
+                        std::lock_guard<std::mutex> lock(closed_m);
+                        auto &c = closed[id];
+                        if (c.first++ == 0)
+                            c.second = n;
+                    });
                 }
             } else if (pause) {
                 pause.reset();
@@ -1865,12 +1979,23 @@ TEST(FrameServerModel, SeededOpsGiveEveryTicketOneResult)
             }
         }
         pause.reset();
-        for (std::thread &t : closers)
-            t.join();
         srv.waitIdle();
 
         const auto results = delivered.all(srv);
         EXPECT_EQ(results.size(), sent.size());
+        std::map<uint64_t, size_t> tickets_of;
+        for (const auto &entry : sent)
+            ++tickets_of[entry.second.client];
+        {
+            std::lock_guard<std::mutex> lock(closed_m);
+            for (const Session &s : sessions) {
+                if (!s.closing)
+                    continue;
+                EXPECT_EQ(closed[s.id].first, 1) << "session " << s.id;
+                EXPECT_EQ(closed[s.id].second, tickets_of[s.id])
+                    << "session " << s.id;
+            }
+        }
         uint64_t served[kQosClasses] = {}, dropped[kQosClasses] = {};
         std::vector<std::pair<std::chrono::steady_clock::time_point,
                               std::pair<uint64_t, QosClass>>>
